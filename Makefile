@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint test race chaos bench smoke soak-controlplane
+.PHONY: check fmt vet lint loc test race chaos bench smoke soak-controlplane
 
 # The full pre-merge gauntlet: formatting, static checks, all tests,
 # the race detector over the concurrency-bearing packages, and the
@@ -37,6 +37,22 @@ lint:
 	@out=$$(grep -rln --include='*.go' '^package coord' cmd internal | grep -v '^internal/coord/' || true); \
 	if [ -n "$$out" ]; then \
 		echo "package coord declared outside internal/coord (no backdoor into the RC's tables):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n '\.StreamRead(' internal/ckpt/*.go | grep -v '_test\.go:' || true); \
+	if [ "$$(printf '%s' "$$out" | grep -c .)" -gt 1 ]; then \
+		echo "more than one StreamRead call site in internal/ckpt (every restart shape is a plan"; \
+		echo "of the one restore engine, restoreDRMS — a second reader must not creep back):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'IncrementalCheckpoint|WriteDRMSIncremental|SkipPiece' --include='*.go' \
+		--include='README.md' --include='DESIGN.md' --include='EXPERIMENTS.md' . || true); \
+	if [ -n "$$out" ]; then \
+		echo "the in-place incremental writer is back (chained deltas, Config.AnchorEvery > 1,"; \
+		echo "are the one implementation of the paper's §6 optimisation):"; echo "$$out"; exit 1; fi
+
+# Non-test lines per internal package: the number a simplification PR
+# moves, printed by CI so a reviewer sees it without a checkout.
+loc:
+	@for d in internal/*/; do \
+		printf '%-22s %6d\n' "$$d" "$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"; done
+	@printf '%-22s %6d\n' total "$$(ls internal/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 
 test:
 	$(GO) test ./...

@@ -137,8 +137,8 @@ func main() {
 		inc, err := bench.IncrementalComparison(bench.AblationKernel(), class, 16, bench.SPPlatform())
 		check(err)
 		out = append(out, fmt.Sprintf(
-			"Ablation: incremental checkpoint (one iteration after a full one)\n"+
-				"full %.1fs  incremental %.1fs  rewritten %.0f MB  skipped %.0f MB\n",
+			"Ablation: incremental checkpoint (chained delta one iteration after its anchor)\n"+
+				"full %.1fs  incremental %.1fs  rewritten %.0f MB  carried forward %.0f MB\n",
 			inc.Full, inc.Incremental, bench.MB(inc.WrittenBytes), bench.MB(inc.SkippedBytes)))
 	}
 	if want("sched") {

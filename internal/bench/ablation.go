@@ -113,15 +113,16 @@ func RenderAblation(title string, pts []AblationPoint) string {
 	return b.String()
 }
 
-// IncrementalResult compares a full checkpoint against an incremental
-// refresh taken one iteration later (§6's incremental-checkpointing
-// optimization). Work arrays the iteration does not touch (forcing, lhs)
-// are skipped wholesale; the solution and right-hand side are rewritten.
+// IncrementalResult compares a full checkpoint (a chained anchor)
+// against the delta generation taken one iteration later (§6's
+// incremental-checkpointing optimization). Work arrays the iteration
+// does not touch (forcing, lhs) are carried forward by back-pointer
+// wholesale; the solution and right-hand side are rewritten.
 type IncrementalResult struct {
 	// Full and Incremental are modeled checkpoint seconds.
 	Full        float64
 	Incremental float64
-	// WrittenBytes/SkippedBytes of the incremental array phase.
+	// WrittenBytes/SkippedBytes of the delta's array phase.
 	WrittenBytes int64
 	SkippedBytes int64
 }
@@ -166,7 +167,7 @@ func IncrementalComparison(k *apps.Kernel, class apps.Class, pes int, p Platform
 			tr2 = fs.StartTrace()
 		}
 		t.Comm().Barrier()
-		if _, _, err := t.IncrementalCheckpoint("ck"); err != nil {
+		if _, _, err := t.ReconfigCheckpoint("ck"); err != nil {
 			return err
 		}
 		t.Comm().Barrier()
@@ -175,7 +176,10 @@ func IncrementalComparison(k *apps.Kernel, class apps.Class, pes int, p Platform
 		}
 		return nil
 	}
-	if err := drms.Run(drms.Config{Tasks: pes, FS: fs, Stream: p.Stream}, body); err != nil {
+	// Raw pieces: the comparison isolates what the delta elides from
+	// what a codec would save on top.
+	cfg := drms.Config{Tasks: pes, FS: fs, Stream: p.Stream, AnchorEvery: 2, Codec: ckpt.CodecRaw}
+	if err := drms.Run(cfg, body); err != nil {
 		return res, err
 	}
 

@@ -202,10 +202,7 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 	defer func() { observeWrite(me, st, start, err) }()
 	sg.Ctx.Tasks = comm.Size()
 
-	base, selfGen, rotated := GenOf(prefix)
-	if !rotated {
-		base, selfGen = prefix, -1
-	}
+	base, selfGen := genBase(prefix)
 
 	// Load the delta base: rank 0 reads the previous meta (one small read
 	// on the shared store instead of one per task) and broadcasts it, so
@@ -824,10 +821,7 @@ type pieceFetcher struct {
 const fetcherCacheSize = 4
 
 func newPieceFetcher(fs *pfs.System, tier *MemTier, prefix, arr string, locs []PieceLoc, client, selfNode int) *pieceFetcher {
-	base, selfGen, ok := GenOf(prefix)
-	if !ok {
-		base, selfGen = prefix, -1
-	}
+	base, selfGen := genBase(prefix)
 	sorted := append([]PieceLoc(nil), locs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Off < sorted[j].Off })
 	return &pieceFetcher{fs: fs, client: client, selfNode: selfNode, base: base,
@@ -985,10 +979,7 @@ func recycleStored(b []byte) {
 // a restart that lost all peer memory: the generation quarantines and
 // resolution falls back to the newest disk-resident one.
 func verifyChained(fs *pfs.System, tier *MemTier, prefix string, m *Meta, client int) error {
-	base, selfGen, ok := GenOf(prefix)
-	if !ok {
-		base, selfGen = prefix, -1
-	}
+	base, selfGen := genBase(prefix)
 	var logical []byte
 	for i, am := range m.Arrays {
 		locs := append([]PieceLoc(nil), m.PieceLocs[i]...)

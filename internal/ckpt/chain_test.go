@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"drms/internal/array"
 	"drms/internal/codec"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
+	"drms/internal/seg"
 	"drms/internal/stream"
 )
 
@@ -36,6 +38,22 @@ func writeChainGen(t *testing.T, fs *pfs.System, prefix string, co ChainOptions,
 		u.Fill(uf)
 		ids.Fill(idf)
 		if _, err := WriteDRMSChained(fs, prefix, c, sg, refs, stream.Options{PieceBytes: 300}, co); err != nil {
+			panic(err)
+		}
+	})
+}
+
+// writeV1Gen is writeChainGen in the flat v1 format.
+func writeV1Gen(t *testing.T, fs *pfs.System, prefix string, step, tasks int, grid []int) {
+	t.Helper()
+	mustRun(t, tasks, func(c *msg.Comm) {
+		sg, refs, u, ids := buildApp(c, grid)
+		iter := step
+		sg.Register("iter", &iter)
+		uf, idf := chainFill(step)
+		u.Fill(uf)
+		ids.Fill(idf)
+		if _, err := WriteDRMS(fs, prefix, c, sg, refs, stream.Options{PieceBytes: 300}); err != nil {
 			panic(err)
 		}
 	})
@@ -130,17 +148,7 @@ func TestChainedDeltaDemotedOnV1Prev(t *testing.T) {
 	// chained format, so a requested delta silently becomes an anchor —
 	// and both eras keep restoring through the same resolver.
 	fs := testFS()
-	mustRun(t, 4, func(c *msg.Comm) {
-		sg, refs, u, ids := buildApp(c, []int{2, 2})
-		iter := 0
-		sg.Register("iter", &iter)
-		uf, idf := chainFill(0)
-		u.Fill(uf)
-		ids.Fill(idf)
-		if _, err := WriteDRMS(fs, "job.g0", c, sg, refs, stream.Options{PieceBytes: 300}); err != nil {
-			panic(err)
-		}
-	})
+	writeV1Gen(t, fs, "job.g0", 0, 4, []int{2, 2})
 	writeChainGen(t, fs, "job.g1", ChainOptions{Prev: "job.g0", Delta: true, Codec: CodecRaw}, 1, 4, []int{2, 2})
 	m, err := ReadMeta(fs, "job.g1", 0)
 	if err != nil {
@@ -339,5 +347,189 @@ func TestRotationViewCachesScan(t *testing.T) {
 	view.Invalidate()
 	if _, latest, ok := view.Latest(fs); !ok || latest != "v.g2" {
 		t.Fatalf("latest after quarantine+invalidate = %q %v", latest, ok)
+	}
+}
+
+// The four TestIncremental* cases pin §6's incremental-checkpointing
+// contract on the one delta path, chained generations: a delta writes
+// only the pieces that changed, and falls back to a full write whenever
+// per-piece diffing against the base cannot be trusted.
+
+// deltaBytes sums a chained write's carried-forward and stored array
+// bytes over all tasks (back-pointers are recorded at task 0, stored
+// bytes by each writer).
+func deltaBytes(c *msg.Comm, st Stats) (skipped, stored int64) {
+	sk, err := c.AllreduceF64(float64(st.SkippedBytes), msg.Sum)
+	if err != nil {
+		panic(err)
+	}
+	so, err := c.AllreduceF64(float64(st.StoredBytes), msg.Sum)
+	if err != nil {
+		panic(err)
+	}
+	return int64(sk), int64(so)
+}
+
+func TestIncrementalSkipsUnchangedPieces(t *testing.T) {
+	fs := testFS()
+	const state = 144*8 + 144*4
+	o := stream.Options{PieceBytes: 200}
+	mustRun(t, 4, func(c *msg.Comm) {
+		sg, refs, u, ids := buildApp(c, []int{2, 2})
+		u.Fill(coordVal)
+		ids.Fill(func(cd []int) int32 { return int32(cd[0]) })
+		if _, err := WriteDRMSChained(fs, "ck.g0", c, sg, refs, o, ChainOptions{Codec: CodecRaw}); err != nil {
+			panic(err)
+		}
+
+		// Nothing changed: the delta carries every piece forward and
+		// stores none.
+		st, err := WriteDRMSChained(fs, "ck.g1", c, sg, refs, o,
+			ChainOptions{Prev: "ck.g0", Delta: true, Codec: CodecRaw})
+		if err != nil {
+			panic(err)
+		}
+		if skipped, stored := deltaBytes(c, st); skipped != state || stored != 0 {
+			panic(fmt.Sprintf("skipped %d stored %d bytes, want the full array state carried forward", skipped, stored))
+		}
+
+		// Change one element of u: only pieces covering it are rewritten.
+		first := u.Assigned().Coord(0, rangeset.ColMajor)
+		u.Set(first, -1234)
+		st, err = WriteDRMSChained(fs, "ck.g2", c, sg, refs, o,
+			ChainOptions{Prev: "ck.g1", Delta: true, Codec: CodecRaw})
+		if err != nil {
+			panic(err)
+		}
+		skipped, stored := deltaBytes(c, st)
+		if skipped == 0 {
+			panic("no pieces carried forward after a one-element change")
+		}
+		if stored == 0 || skipped+stored != state {
+			panic(fmt.Sprintf("skipped %d + stored %d of %d bytes: changed piece not rewritten exactly once", skipped, stored, state))
+		}
+	})
+	// Every generation of the chain is fully valid.
+	for _, gen := range []string{"ck.g0", "ck.g1", "ck.g2"} {
+		if err := Verify(fs, gen, 0); err != nil {
+			t.Fatalf("%s: %v", gen, err)
+		}
+	}
+	// And the newest restores the *new* value, reconfigured.
+	mustRun(t, 3, func(c *msg.Comm) {
+		g := rangeset.Box([]int{0, 0}, []int{11, 11})
+		sg := seg.New()
+		u, _ := array.New[float64](c, "u", mustBlock(g, []int{3, 1}))
+		ids, _ := array.New[int32](c, "ids", mustBlock(g, []int{3, 1}))
+		if _, _, err := ReadDRMS(fs, "ck.g2", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{}); err != nil {
+			panic(err)
+		}
+		if u.Has([]int{0, 0}) && u.At([]int{0, 0}) != -1234 {
+			panic(fmt.Sprintf("incremental update lost: u[0,0] = %v", u.At([]int{0, 0})))
+		}
+	})
+}
+
+func TestIncrementalFallsBackOnPlanChange(t *testing.T) {
+	fs := testFS()
+	mustRun(t, 2, func(c *msg.Comm) {
+		sg, refs, u, ids := buildApp(c, []int{2, 1})
+		u.Fill(coordVal)
+		ids.Fill(func(cd []int) int32 { return 9 })
+		if _, err := WriteDRMSChained(fs, "ck.g0", c, sg, refs, stream.Options{PieceBytes: 200},
+			ChainOptions{Codec: CodecRaw}); err != nil {
+			panic(err)
+		}
+		// Different piece size: the plan signatures differ, nothing is
+		// carried forward, but the write still succeeds and verifies.
+		st, err := WriteDRMSChained(fs, "ck.g1", c, sg, refs, stream.Options{PieceBytes: 333},
+			ChainOptions{Prev: "ck.g0", Delta: true, Codec: CodecRaw})
+		if err != nil {
+			panic(err)
+		}
+		if skipped, _ := deltaBytes(c, st); skipped != 0 {
+			panic("carried pieces forward despite plan change")
+		}
+	})
+	if m, err := ReadMeta(fs, "ck.g1", 0); err != nil || len(m.Deps) != 0 {
+		t.Fatalf("full write after a plan change depends on %v (err %v)", m.Deps, err)
+	}
+	if err := Verify(fs, "ck.g1", 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestIncrementalWithoutBaseIsFullWrite(t *testing.T) {
+	fs := testFS()
+	mustRun(t, 2, func(c *msg.Comm) {
+		sg, refs, u, ids := buildApp(c, []int{2, 1})
+		u.Fill(coordVal)
+		ids.Fill(func(cd []int) int32 { return 1 })
+		// A delta is requested, but the named base was never committed.
+		st, err := WriteDRMSChained(fs, "fresh.g1", c, sg, refs, stream.Options{},
+			ChainOptions{Prev: "fresh.g0", Delta: true, Codec: CodecRaw})
+		if err != nil {
+			panic(err)
+		}
+		if skipped, stored := deltaBytes(c, st); skipped != 0 || stored != 144*8+144*4 {
+			panic(fmt.Sprintf("skipped %d stored %d bytes with no baseline", skipped, stored))
+		}
+	})
+	if m, err := ReadMeta(fs, "fresh.g1", 0); err != nil || m.ChainLen != 0 || len(m.Deps) != 0 {
+		t.Fatalf("baseless delta not demoted to an anchor: len %d deps %v (err %v)", m.ChainLen, m.Deps, err)
+	}
+	if err := Verify(fs, "fresh.g1", 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestIncrementalRequiresPlanSig(t *testing.T) {
+	// Metadata without plan signatures must not be trusted for per-piece
+	// diffing — the delta falls back to a full write (and records fresh
+	// signatures, so the next one carries pieces forward again).
+	fs := testFS()
+	o := stream.Options{PieceBytes: 200}
+	mustRun(t, 2, func(c *msg.Comm) {
+		sg, refs, u, ids := buildApp(c, []int{2, 1})
+		u.Fill(coordVal)
+		ids.Fill(func(cd []int) int32 { return 3 })
+		if _, err := WriteDRMSChained(fs, "ck.g0", c, sg, refs, o, ChainOptions{Codec: CodecRaw}); err != nil {
+			panic(err)
+		}
+		if c.Rank() == 0 {
+			m, err := ReadMeta(fs, "ck.g0", 0)
+			if err != nil {
+				panic(err)
+			}
+			if len(m.PlanSigs) != len(m.Arrays) {
+				panic("checkpoint missing plan signatures")
+			}
+			m.PlanSigs = nil // simulate a pre-signature checkpoint
+			if err := writeMeta(fs, "ck.g0", 0, m); err != nil {
+				panic(err)
+			}
+		}
+		c.Barrier()
+		st, err := WriteDRMSChained(fs, "ck.g1", c, sg, refs, o,
+			ChainOptions{Prev: "ck.g0", Delta: true, Codec: CodecRaw})
+		if err != nil {
+			panic(err)
+		}
+		if skipped, _ := deltaBytes(c, st); skipped != 0 {
+			panic("trusted piece diffs without a matching plan signature")
+		}
+		// The full write restored the signatures, so the next delta
+		// carries pieces forward again.
+		st, err = WriteDRMSChained(fs, "ck.g2", c, sg, refs, o,
+			ChainOptions{Prev: "ck.g1", Delta: true, Codec: CodecRaw})
+		if err != nil {
+			panic(err)
+		}
+		if skipped, _ := deltaBytes(c, st); skipped == 0 {
+			panic("no pieces carried forward once signatures are back")
+		}
+	})
+	if err := Verify(fs, "ck.g2", 0); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -73,16 +73,17 @@ type Meta struct {
 	// file size. Decodes as TierPFS from older metadata.
 	SegWhere uint8
 	ArrayCRC []uint64 // CRC-64/ECMA of each array stream, aligned with Arrays
-	// ArrayPieces holds each array's per-piece checksums (DRMS mode):
-	// the diff base for incremental checkpoints.
+	// ArrayPieces holds each array's per-piece checksums (v1 DRMS
+	// metadata): what a verified or partial restore checks pieces against.
 	ArrayPieces [][]PieceSum
 	// PlanSigs holds each array's streaming-plan signature
 	// (stream.PlanSig), aligned with Arrays. Two checkpoints with equal
 	// signatures used the identical piece decomposition and byte offsets,
 	// so the signature is a cheap "did the plan change?" identity test:
-	// the incremental path only trusts per-piece diffing against a
-	// previous checkpoint whose signature matches. Decodes as empty from
-	// older metadata, which simply forces a full write.
+	// a delta generation only trusts per-piece diffing against a base
+	// whose signature matches, and a partial restore only filters by
+	// piece index under it. Decodes as empty from older metadata, which
+	// simply forces a full write (and the full restart path).
 	PlanSigs []string
 
 	// The remaining fields belong to chained checkpoints (Version >= 2,
@@ -141,7 +142,7 @@ type Stats struct {
 	SegmentBytes int64 // segment file bytes this operation covered
 	ArrayBytes   int64 // distribution-independent array bytes
 	NetBytes     int64 // redistribution traffic sent by this task
-	SkippedBytes int64 // array bytes elided by an incremental checkpoint
+	SkippedBytes int64 // array bytes a delta generation carried forward by back-pointer (task 0)
 	// StoredBytes is the array bytes this task actually put on storage:
 	// after piece elision and compression. Delta back-pointers cost
 	// nothing; the segment is always stored raw.
@@ -152,9 +153,9 @@ type Stats struct {
 	// no storage read.
 	Meta *Meta
 	// TierMemBytes/TierPFSBytes split a restore's logical bytes by the
-	// tier that served them (peer memory vs pfs). ReadDRMSOpts reduces
-	// them cluster-wide, so every task reports identical totals and the
-	// restore-source classification is collective.
+	// tier that served them (peer memory vs pfs). The restore engine
+	// reduces them cluster-wide, so every task reports identical totals
+	// and the restore-source classification is collective.
 	TierMemBytes int64
 	TierPFSBytes int64
 }
@@ -188,33 +189,7 @@ func pieceFile(prefix, name string, task int) string {
 // WriteDRMS takes a reconfigurable checkpoint: task 0's segment plus
 // every array, under the given prefix. Collective; all tasks pass the
 // same arguments (SPMD). Returns this task's I/O statistics.
-func WriteDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options) (Stats, error) {
-	return writeDRMS(fs, prefix, comm, sg, arrays, o, nil)
-}
-
-// WriteDRMSIncremental refreshes an existing DRMS checkpoint in place,
-// writing only the array pieces whose contents changed since the previous
-// checkpoint under the same prefix (§6's incremental-checkpointing
-// optimization, at streamed-piece granularity). The segment is always
-// rewritten. Falls back to a full write when no compatible previous
-// checkpoint exists (different mode, arrays, task count, or piece plan).
-//
-// An in-place refresh interrupted mid-way leaves a state the old metadata
-// no longer matches — Verify and restart detect this — so callers wanting
-// crash-window safety should alternate between two prefixes, using
-// incremental writes against whichever was written two checkpoints ago.
-func WriteDRMSIncremental(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options) (Stats, error) {
-	var prev *Meta
-	if Exists(fs, prefix) {
-		if m, err := ReadMeta(fs, prefix, comm.Rank()); err == nil &&
-			m.Mode == ModeDRMS && m.Tasks == comm.Size() && len(m.ArrayPieces) == len(arrays) {
-			prev = &m
-		}
-	}
-	return writeDRMS(fs, prefix, comm, sg, arrays, o, prev)
-}
-
-func writeDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options, prev *Meta) (st Stats, err error) {
+func WriteDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options) (st Stats, err error) {
 	me := comm.Rank()
 	start := time.Now()
 	defer func() { observeWrite(me, st, start, err) }()
@@ -222,24 +197,11 @@ func writeDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, a
 
 	// Phase 1: the selected task writes its data segment (§5: "one task
 	// saves its data segment").
-	fs.BeginPhase("segment")
-	var segBytes int64
-	var segCRC uint64
-	if me == 0 {
-		payload, err := sg.Encode()
-		if err != nil {
-			return st, err
-		}
-		segBytes = sg.FileSize(len(payload))
-		segCRC, err = writeSegmentFile(fs, segFile(prefix), me, payload, segBytes)
-		if err != nil {
-			return st, err
-		}
-		st.SegmentBytes = segBytes
-	}
-	if err := comm.Barrier(); err != nil {
+	segBytes, segCRC, err := writeSegmentPhase(fs, prefix, comm, sg, ChainOptions{})
+	if err != nil {
 		return st, err
 	}
+	st.SegmentBytes = segBytes
 
 	// Phase 2: each distributed array is written in sequence, each via
 	// parallel streaming by all tasks. Writers checksum their pieces as
@@ -254,37 +216,14 @@ func writeDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, a
 		hook, pieces := crcCollector()
 		opts.PieceHook = chainPieceHooks(o.PieceHook, hook)
 		sigs[i] = stream.PlanSig(a.GlobalShape(), a.ElemSize(), comm.Size(), o)
-		incremental := false
-		if prev != nil && prev.Arrays[i].Name == a.Name() &&
-			len(prev.PlanSigs) > i && prev.PlanSigs[i] == sigs[i] {
-			incremental = true
-			// Incremental: skip pieces whose checksum matches the previous
-			// checkpoint, but only when the stored plan signature proves
-			// both checkpoints use the identical piece decomposition — the
-			// same identity the plan caches key on. Offset and length must
-			// agree too: a piece may only be elided if the identical byte
-			// range is already on storage.
-			base := make(map[int]PieceSum, len(prev.ArrayPieces[i]))
-			for _, p := range prev.ArrayPieces[i] {
-				base[p.Index] = p
-			}
-			opts.SkipPiece = func(idx int, off int64, data []byte) bool {
-				p, ok := base[idx]
-				return ok && p.Off == off && p.Bytes == int64(len(data)) && p.CRC == crcOf(data)
-			}
+		// Truncate first, so overwriting a longer file left by an
+		// interrupted earlier attempt cannot leave stale tail bytes that
+		// would make the file disagree with the new metadata.
+		if me == 0 {
+			fs.Create(arrFile(prefix, a.Name()))
 		}
-		if !incremental {
-			// Full rewrite: truncate first, so overwriting a longer file left
-			// by an interrupted earlier attempt cannot leave stale tail bytes
-			// that would make the file disagree with the new metadata.
-			// (Incremental refreshes must NOT truncate: elided pieces rely on
-			// their bytes already being in place.)
-			if me == 0 {
-				fs.Create(arrFile(prefix, a.Name()))
-			}
-			if err := comm.Barrier(); err != nil {
-				return st, err
-			}
+		if err := comm.Barrier(); err != nil {
+			return st, err
 		}
 		s, err := a.StreamWrite(fs, arrFile(prefix, a.Name()), opts)
 		if err != nil {
@@ -292,7 +231,6 @@ func writeDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, a
 		}
 		st.ArrayBytes += s.StreamBytes
 		st.NetBytes += s.NetBytes
-		st.SkippedBytes += s.SkippedBytes
 		st.StoredBytes += s.StoredBytes
 		metas[i] = ArrayMeta{Name: a.Name(), Kind: a.Kind(), Global: a.GlobalShape(), Bytes: s.StreamBytes}
 		if err := comm.Barrier(); err != nil { // phase boundary: all of this array's I/O precedes the next phase
@@ -372,121 +310,206 @@ func ReadDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, ar
 }
 
 // ReadDRMSOpts is ReadDRMS with restore options (piece-level
-// verification).
-func ReadDRMSOpts(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options, ro RestoreOptions) (m Meta, st Stats, err error) {
-	start := time.Now()
-	defer func() { observeRead(comm.Rank(), st, start, err) }()
-	m, err = ReadMeta(fs, prefix, comm.Rank())
-	if err != nil {
-		return m, st, err
-	}
+// verification, the memory tier).
+func ReadDRMSOpts(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options, ro RestoreOptions) (Meta, Stats, error) {
+	return restoreDRMS(fs, prefix, comm, sg, arrays, o,
+		restorePlan{tier: ro.Tier, holders: ro.Holders, segment: true, verify: ro.Verify})
+}
+
+// restorePlan is what distinguishes one DRMS restart shape from another.
+// The stream is distribution-independent, so a same-pool restart, a
+// smaller or larger pool, an in-flight resize and a localized recovery
+// are one load that differs only in whose sections move and who decodes
+// the segment; everything else the engine derives from those two facts.
+type restorePlan struct {
+	tier    *MemTier
+	holders []int // rank -> tier store (node) id, as at write time
+	// subset restricts the load to the sections the current distribution
+	// assigns to ranks (localized recovery: survivors join the
+	// collective but request nothing). false loads every rank's sections
+	// — a full restart, or a resize under a new distribution.
+	subset bool
+	ranks  []int
+	// segment makes this task load and decode the saved data segment.
+	segment bool
+	// verify checks every loaded piece against the per-piece checksums.
+	// Always set for a subset, whose stream is deliberately not read
+	// whole and so has no whole-stream CRC to fall back on.
+	verify bool
+}
+
+// matchArrays pairs the checkpoint's array table with the application's
+// handles by name, in table order, rejecting what no restore can serve:
+// a non-DRMS checkpoint, a missing or extra array, a changed element
+// type or global shape. A subset restore filters the writer's piece plan
+// by index and never replans, so it additionally needs the
+// checkpointing task count, the writer's plan signature under these
+// streaming options, and per-piece checksums for every array.
+func matchArrays(m *Meta, prefix string, arrays []ArrayRef, tasks int, o stream.Options, subset bool) ([]ArrayRef, error) {
 	if m.Mode != ModeDRMS {
-		return m, st, fmt.Errorf("ckpt: %q is a %s checkpoint; reconfigurable restart requires DRMS mode", prefix, m.Mode)
+		return nil, fmt.Errorf("ckpt: %q is a %s checkpoint; reconfigurable restart requires DRMS mode", prefix, m.Mode)
 	}
-
-	// Every task loads the one saved data segment (§2.2), verifying its
-	// checksum in passing — from peer memory when the tier holds it,
-	// from the file otherwise.
-	fs.BeginPhase("segment")
-	payload, segMem, segPFS, err := readSegment(fs, ro.Tier, prefix, comm.Rank(),
-		holderNode(ro.Holders, comm.Size(), comm.Rank()), &m)
-	if err != nil {
-		return m, st, err
+	if subset && m.Tasks != tasks {
+		return nil, fmt.Errorf("ckpt: partial restore of %q needs the checkpointing task count %d, not %d",
+			prefix, m.Tasks, tasks)
 	}
-	st.TierMemBytes += segMem
-	st.TierPFSBytes += segPFS
-	if err := sg.Decode(payload); err != nil {
-		return m, st, err
-	}
-	st.SegmentBytes = m.SegBytes[0]
-	if err := comm.Barrier(); err != nil { // phase boundary before the array loads
-		return m, st, err
-	}
-
-	// Arrays load by name under the current (possibly adjusted)
-	// distribution; the stream layout is distribution-independent.
 	byName := make(map[string]ArrayRef, len(arrays))
 	for _, a := range arrays {
 		byName[a.Name()] = a
 	}
+	refs := make([]ArrayRef, len(m.Arrays))
 	for i, am := range m.Arrays {
 		a, ok := byName[am.Name]
 		if !ok {
-			return m, st, fmt.Errorf("ckpt: checkpoint has array %q but no handle was supplied", am.Name)
+			return nil, fmt.Errorf("ckpt: checkpoint has array %q but no handle was supplied", am.Name)
 		}
 		delete(byName, am.Name)
-		if a.Kind() != am.Kind {
-			return m, st, fmt.Errorf("ckpt: array %q is %s in checkpoint, %s in application", am.Name, am.Kind, a.Kind())
-		}
-		if !a.GlobalShape().Equal(am.Global) {
-			return m, st, fmt.Errorf("ckpt: array %q global shape %v differs from checkpointed %v",
+		switch {
+		case a.Kind() != am.Kind:
+			return nil, fmt.Errorf("ckpt: array %q is %s in checkpoint, %s in application", am.Name, am.Kind, a.Kind())
+		case !subset && !a.GlobalShape().Equal(am.Global):
+			return nil, fmt.Errorf("ckpt: array %q global shape %v differs from checkpointed %v",
 				am.Name, a.GlobalShape(), am.Global)
+		// The signature names the global shape as well as the piece plan,
+		// so for a subset it subsumes the shape test above — which walks
+		// the whole index space, per array and per task, and a localized
+		// recovery validates twice (PartialEligible, then the engine).
+		case subset && (len(m.PlanSigs) <= i || m.PlanSigs[i] != stream.PlanSig(a.GlobalShape(), a.ElemSize(), tasks, o)):
+			return nil, fmt.Errorf("ckpt: array %q shape or piece plan changed since the checkpoint; partial restore requires both", am.Name)
+		case subset && m.PieceSums(i) == nil:
+			return nil, fmt.Errorf("ckpt: array %q has no per-piece checksums; partial restore requires them", am.Name)
 		}
+		refs[i] = a
+	}
+	for n := range byName {
+		return nil, fmt.Errorf("ckpt: application array %q not present in checkpoint", n)
+	}
+	return refs, nil
+}
+
+// restoreDRMS is the one DRMS restore engine: every restart shape is a
+// restorePlan executed here. Collective — every task of the communicator
+// calls it with the same plan (segment aside). Stats count the bytes
+// actually restored, with the tier split (TierMemBytes/TierPFSBytes)
+// reduced cluster-wide.
+func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options, p restorePlan) (m Meta, st Stats, err error) {
+	me, size := comm.Rank(), comm.Size()
+	start := time.Now()
+	defer func() { observeRead(me, st, start, err) }()
+	if m, err = ReadMeta(fs, prefix, me); err != nil {
+		return m, st, err
+	}
+	refs, err := matchArrays(&m, prefix, arrays, size, o, p.subset)
+	if err != nil {
+		return m, st, err
+	}
+	selfNode := holderNode(p.holders, size, me)
+
+	// The one saved data segment (§2.2), checksum verified in passing —
+	// from peer memory when the tier holds it, from the file otherwise.
+	// A survivor of a localized recovery has its own in memory and skips
+	// the read entirely.
+	fs.BeginPhase("segment")
+	if p.segment {
+		payload, segMem, segPFS, err := readSegment(fs, p.tier, prefix, me, selfNode, &m)
+		if err != nil {
+			return m, st, err
+		}
+		st.TierMemBytes += segMem
+		st.TierPFSBytes += segPFS
+		if err := sg.Decode(payload); err != nil {
+			return m, st, err
+		}
+		st.SegmentBytes = m.SegBytes[0]
+	}
+	if err := comm.Barrier(); err != nil { // phase boundary before the array loads
+		return m, st, err
+	}
+
+	// Arrays load under the current (possibly adjusted) distribution; the
+	// stream layout is distribution-independent.
+	for i, am := range m.Arrays {
+		a := refs[i]
 		file := arrFile(prefix, am.Name)
 		fs.BeginPhase("arrays:" + am.Name)
 		opts := o
-		hook, pieces := crcCollector()
-		opts.PieceHook = chainPieceHooks(o.PieceHook, hook)
 		var fetcher *pieceFetcher
-		if m.Version >= chainVersion && len(m.PieceLocs) > i {
+		if m.Chained() && len(m.PieceLocs) > i {
 			// Chained checkpoint: the array's bytes live in per-writer
 			// piece files, possibly compressed and possibly in earlier
 			// generations (deltas) — or, tier permitting, in surviving
 			// peers' memory. The fetcher maps whatever extents this
 			// restore's own piece plan asks for onto the stored pieces.
-			fetcher = newPieceFetcher(fs, ro.Tier, prefix, am.Name, m.PieceLocs[i],
-				comm.Rank(), holderNode(ro.Holders, comm.Size(), comm.Rank()))
+			fetcher = newPieceFetcher(fs, p.tier, prefix, am.Name, m.PieceLocs[i], me, selfNode)
 			opts.FetchPiece = fetcher.fetch
-
-			// Hot restore plan: when every piece of the array survives in
-			// peer memory (all tasks must agree — stores can drop under a
-			// concurrent node loss), replan with one owner-sized piece per
-			// rank. The coarse plan's round distribution coincides with an
-			// equal-layout block distribution, so the redistribution
-			// exchange degenerates to local copies, and with owner-aligned
-			// placement the tier serves nearly every byte from the reading
-			// rank's own store: the restore costs metadata reads plus DRAM
-			// copies — the millisecond path. A changed layout or pool size
-			// just turns some of those copies into charged network pulls;
-			// correctness is unaffected.
-			hot := 0.0
-			if fetcher.allResident() {
-				hot = 1
-			}
-			agreed, err := comm.AllreduceF64(hot, msg.Min)
-			if err != nil {
-				return m, st, err
-			}
-			if agreed == 1 {
-				if elems := a.GlobalShape().Size(); elems > 0 && am.Bytes%int64(elems) == 0 {
+		}
+		var pieces *[]pieceCRC // whole-stream CRC collector; nil for a subset
+		loaded := am.Bytes     // matchArrays proved the stream is this long
+		if p.subset {
+			// Count the restored bytes, not the stream's nominal size: the
+			// whole point is that only the needed pieces moved. A subset
+			// never replans: its filter addresses the writer's pieces by
+			// index.
+			opts.Pieces, loaded = neededPieces(a, size, p.ranks, o, am.Bytes)
+		} else {
+			var hook func(int, int64, []byte)
+			hook, pieces = crcCollector()
+			opts.PieceHook = chainPieceHooks(o.PieceHook, hook)
+			if fetcher != nil {
+				// Hot restore plan: when every piece of the array survives
+				// in peer memory (all tasks must agree — stores can drop
+				// under a concurrent node loss), replan with one owner-sized
+				// piece per rank. The coarse plan's round distribution
+				// coincides with an equal-layout block distribution, so the
+				// redistribution exchange degenerates to local copies, and
+				// with owner-aligned placement the tier serves nearly every
+				// byte from the reading rank's own store: the restore costs
+				// metadata reads plus DRAM copies — the millisecond path. A
+				// changed layout or pool size just turns some of those
+				// copies into charged network pulls; correctness is
+				// unaffected.
+				hot := 0.0
+				if fetcher.allResident() {
+					hot = 1
+				}
+				agreed, err := comm.AllreduceF64(hot, msg.Min)
+				if err != nil {
+					return m, st, err
+				}
+				if elems := a.GlobalShape().Size(); agreed == 1 && elems > 0 && am.Bytes%int64(elems) == 0 {
 					es := int(am.Bytes / int64(elems))
-					per := (elems + comm.Size() - 1) / comm.Size()
-					opts.PieceBytes = per * es
+					opts.PieceBytes = (elems + size - 1) / size * es
 				}
 			}
 		}
 		var pieceVerify *pieceVerifier
-		if ro.Verify {
-			if sums := m.PieceSums(i); sums != nil {
-				// Piece-level verification: compare each piece the moment it
-				// is read against the checkpointed per-piece checksums. Only
-				// pieces whose extent (index, offset, length) matches the
-				// stored plan are attributable — a restore with different
-				// streaming options partitions differently and falls back to
-				// the whole-stream check below.
-				pieceVerify = newPieceVerifier(sums)
-				opts.PieceHook = chainPieceHooks(opts.PieceHook, pieceVerify.hook)
-			}
+		if sums := m.PieceSums(i); sums != nil && p.verify {
+			// Piece-level verification: compare each piece the moment it
+			// is read against the checkpointed per-piece checksums. Only
+			// pieces whose extent (index, offset, length) matches the
+			// stored plan are attributable — a restore with different
+			// streaming options partitions differently and falls back to
+			// the whole-stream check below.
+			pieceVerify = newPieceVerifier(sums)
+			opts.PieceHook = chainPieceHooks(opts.PieceHook, pieceVerify.hook)
 		}
 		s, err := a.StreamRead(fs, file, opts)
 		if err != nil {
 			return m, st, fmt.Errorf("ckpt: loading array %q: %w", am.Name, err)
 		}
-		st.ArrayBytes += s.StreamBytes
+		st.ArrayBytes += loaded
 		st.NetBytes += s.NetBytes
-		if fetcher != nil {
+		switch {
+		case fetcher != nil:
+			// Per-rank actual fetch counters; the cluster-wide reduction
+			// below sums them into the agreed totals.
 			st.TierMemBytes += fetcher.memBytes.Load()
 			st.TierPFSBytes += fetcher.pfsBytes.Load()
+		case p.subset && me == 0:
+			// v1 layout: the needed bytes come off the array file. They
+			// are a plan-level quantity (identical on every rank), so
+			// count them once or the reduction would multiply them.
+			st.TierPFSBytes += loaded
 		}
 		if err := comm.Barrier(); err != nil { // phase boundary
 			return m, st, err
@@ -502,7 +525,7 @@ func ReadDRMSOpts(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment
 				return m, st, corrupt(prefix, file, bad, "piece crc mismatch on read")
 			}
 		}
-		if len(m.ArrayCRC) > i {
+		if pieces != nil && len(m.ArrayCRC) > i {
 			mismatch, err := checkStreamCRC(comm, *pieces, m.ArrayCRC[i])
 			if err != nil {
 				return m, st, err
@@ -511,9 +534,6 @@ func ReadDRMSOpts(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment
 				return m, st, corrupt(prefix, file, -1, "array %q stream crc mismatch", am.Name)
 			}
 		}
-	}
-	for n := range byName {
-		return m, st, fmt.Errorf("ckpt: application array %q not present in checkpoint", n)
 	}
 	// Agree cluster-wide on where the restored bytes came from, so the
 	// restore-source classification (observeRead's tier counter, the
@@ -528,10 +548,7 @@ func ReadDRMSOpts(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment
 		return m, st, err
 	}
 	st.TierMemBytes, st.TierPFSBytes = int64(memTotal), int64(pfsTotal)
-	if err := comm.Barrier(); err != nil {
-		return m, st, err
-	}
-	return m, st, nil
+	return m, st, comm.Barrier()
 }
 
 // readSegment loads the one saved segment payload of a DRMS restore,

@@ -12,8 +12,7 @@ import (
 )
 
 // PieceSum records the checksum of one streamed piece; the per-array
-// piece lists in the metadata are what incremental checkpoints diff
-// against.
+// piece lists in the metadata are what restores verify pieces against.
 type PieceSum struct {
 	Index int
 	Off   int64 // stream-relative byte offset
@@ -79,28 +78,18 @@ func gatherPieces(comm *msg.Comm, root int, mine []pieceCRC) ([]pieceCRC, error)
 	return all, nil
 }
 
-// gatherPieceCRCs collects every task's piece CRCs at root and returns
-// the combined stream CRC there (0 elsewhere).
-func gatherPieceCRCs(comm *msg.Comm, root int, mine []pieceCRC) (uint64, error) {
-	all, err := gatherPieces(comm, root, mine)
-	if err != nil {
-		return 0, err
-	}
-	return combinePieces(all), nil
-}
-
 // checkStreamCRC validates a restored stream against the checkpointed
 // checksum: every task contributes the pieces it read; root combines and
 // compares; the verdict is broadcast so all tasks agree. mismatch=true
 // (with a nil error) reports an integrity failure; a non-nil error is a
 // communication failure of the check itself.
 func checkStreamCRC(comm *msg.Comm, mine []pieceCRC, want uint64) (mismatch bool, err error) {
-	got, err := gatherPieceCRCs(comm, 0, mine)
+	all, err := gatherPieces(comm, 0, mine)
 	if err != nil {
 		return false, err
 	}
 	ok := byte(1)
-	if comm.Rank() == 0 && got != want {
+	if comm.Rank() == 0 && combinePieces(all) != want {
 		ok = 0
 	}
 	verdict, err := comm.Bcast(0, []byte{ok})
@@ -153,8 +142,8 @@ func agreeWorstPiece(comm *msg.Comm, mine int) (int, error) {
 }
 
 // CorruptError reports a checkpoint whose bytes on storage no longer
-// match its metadata — torn by an in-place refresh interrupted mid-way,
-// or damaged at rest. It is typed so the recovery supervisor and
+// match its metadata — torn by an interrupted overwrite of a non-rotated
+// prefix, or damaged at rest. It is typed so the recovery supervisor and
 // drmsfsck can distinguish "this generation is corrupt, fall back to an
 // older one" from environmental failures (missing files, transport
 // errors), and it attributes the damage as precisely as the metadata
@@ -182,10 +171,7 @@ func (e *CorruptError) Error() string {
 // counter ticks.
 func corrupt(prefix, file string, piece int, format string, args ...any) *CorruptError {
 	ckptVerifyFailures.Inc()
-	gen := -1
-	if _, g, ok := GenOf(prefix); ok {
-		gen = g
-	}
+	_, gen := genBase(prefix)
 	return &CorruptError{Prefix: prefix, Gen: gen, Piece: piece, File: file,
 		Detail: fmt.Sprintf(format, args...)}
 }

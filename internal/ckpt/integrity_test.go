@@ -1,16 +1,12 @@
 package ckpt
 
 import (
-	"fmt"
 	"hash/crc64"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"drms/internal/array"
 	"drms/internal/msg"
-	"drms/internal/rangeset"
-	"drms/internal/seg"
 	"drms/internal/stream"
 )
 
@@ -209,159 +205,4 @@ func errStr(err error) string {
 		return "<nil>"
 	}
 	return err.Error()
-}
-
-func TestIncrementalSkipsUnchangedPieces(t *testing.T) {
-	fs := testFS()
-	mustRun(t, 4, func(c *msg.Comm) {
-		sg, refs, u, ids := buildApp(c, []int{2, 2})
-		u.Fill(coordVal)
-		ids.Fill(func(cd []int) int32 { return int32(cd[0]) })
-		if _, err := WriteDRMS(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 200}); err != nil {
-			panic(err)
-		}
-
-		// Nothing changed: the incremental refresh must skip everything.
-		st, err := WriteDRMSIncremental(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 200})
-		if err != nil {
-			panic(err)
-		}
-		total, err := c.AllreduceF64(float64(st.SkippedBytes), msg.Sum)
-		if err != nil {
-			panic(err)
-		}
-		if int64(total) != 144*8+144*4 {
-			panic(fmt.Sprintf("skipped %v bytes, want the full array state", total))
-		}
-
-		// Change one element of u: only pieces covering it are rewritten.
-		first := u.Assigned().Coord(0, rangeset.ColMajor)
-		u.Set(first, -1234)
-		st, err = WriteDRMSIncremental(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 200})
-		if err != nil {
-			panic(err)
-		}
-		skippedF, err := c.AllreduceF64(float64(st.SkippedBytes), msg.Sum)
-		if err != nil {
-			panic(err)
-		}
-		skipped := int64(skippedF)
-		if skipped == 0 {
-			panic("no pieces skipped after a one-element change")
-		}
-		if skipped >= 144*8+144*4 {
-			panic("changed piece was skipped")
-		}
-	})
-	// The refreshed checkpoint is fully valid.
-	if err := Verify(fs, "ck", 0); err != nil {
-		t.Fatal(err)
-	}
-	// And restores the *new* value, reconfigured.
-	mustRun(t, 3, func(c *msg.Comm) {
-		g := rangeset.Box([]int{0, 0}, []int{11, 11})
-		sg := seg.New()
-		u, _ := array.New[float64](c, "u", mustBlock(g, []int{3, 1}))
-		ids, _ := array.New[int32](c, "ids", mustBlock(g, []int{3, 1}))
-		if _, _, err := ReadDRMS(fs, "ck", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{}); err != nil {
-			panic(err)
-		}
-		if u.Has([]int{0, 0}) && u.At([]int{0, 0}) != -1234 {
-			panic(fmt.Sprintf("incremental update lost: u[0,0] = %v", u.At([]int{0, 0})))
-		}
-	})
-}
-
-func TestIncrementalFallsBackOnPlanChange(t *testing.T) {
-	fs := testFS()
-	mustRun(t, 2, func(c *msg.Comm) {
-		sg, refs, u, ids := buildApp(c, []int{2, 1})
-		u.Fill(coordVal)
-		ids.Fill(func(cd []int) int32 { return 9 })
-		if _, err := WriteDRMS(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 200}); err != nil {
-			panic(err)
-		}
-		// Different piece size: lengths mismatch, nothing skipped, but the
-		// write still succeeds and verifies.
-		st, err := WriteDRMSIncremental(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 333})
-		if err != nil {
-			panic(err)
-		}
-		if st.SkippedBytes != 0 {
-			panic("skipped pieces despite plan change")
-		}
-	})
-	if err := Verify(fs, "ck", 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIncrementalWithoutBaseIsFullWrite(t *testing.T) {
-	fs := testFS()
-	mustRun(t, 2, func(c *msg.Comm) {
-		sg, refs, u, ids := buildApp(c, []int{2, 1})
-		u.Fill(coordVal)
-		ids.Fill(func(cd []int) int32 { return 1 })
-		st, err := WriteDRMSIncremental(fs, "fresh", c, sg, refs, stream.Options{})
-		if err != nil {
-			panic(err)
-		}
-		if st.SkippedBytes != 0 {
-			panic("skipped bytes with no baseline")
-		}
-	})
-	if err := Verify(fs, "fresh", 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIncrementalRequiresPlanSig(t *testing.T) {
-	// Metadata written before plan signatures existed decodes with an
-	// empty PlanSigs; per-piece diffing must not be trusted against it —
-	// the refresh falls back to a full write (and records fresh sigs).
-	fs := testFS()
-	mustRun(t, 2, func(c *msg.Comm) {
-		sg, refs, u, ids := buildApp(c, []int{2, 1})
-		u.Fill(coordVal)
-		ids.Fill(func(cd []int) int32 { return 3 })
-		if _, err := WriteDRMS(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 200}); err != nil {
-			panic(err)
-		}
-		if c.Rank() == 0 {
-			m, err := ReadMeta(fs, "ck", 0)
-			if err != nil {
-				panic(err)
-			}
-			if len(m.PlanSigs) != len(m.Arrays) {
-				panic("checkpoint missing plan signatures")
-			}
-			m.PlanSigs = nil // simulate a pre-signature checkpoint
-			if err := writeMeta(fs, "ck", 0, m); err != nil {
-				panic(err)
-			}
-		}
-		c.Barrier()
-		st, err := WriteDRMSIncremental(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 200})
-		if err != nil {
-			panic(err)
-		}
-		if st.SkippedBytes != 0 {
-			panic("trusted piece diffs without a matching plan signature")
-		}
-		// The refresh restored the signatures, so the next one skips again.
-		st, err = WriteDRMSIncremental(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 200})
-		if err != nil {
-			panic(err)
-		}
-		back, err := c.AllreduceF64(float64(st.SkippedBytes), msg.Sum)
-		if err != nil {
-			panic(err)
-		}
-		if back == 0 {
-			panic("no pieces skipped once signatures are back")
-		}
-	})
-	if err := Verify(fs, "ck", 0); err != nil {
-		t.Fatal(err)
-	}
 }

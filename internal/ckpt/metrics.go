@@ -33,6 +33,8 @@ var (
 		"Integrity-check failures (every *CorruptError constructed).")
 	ckptQuarantines = obs.GetCounter("drms_ckpt_quarantines_total",
 		"Checkpoint generations quarantined (renamed aside as corrupt).")
+	ckptRotationScans = obs.GetCounter("drms_ckpt_rotation_scans_total",
+		"Storage listings made by rotation queries (each costs O(files in the store)).")
 	ckptStoredBytes = obs.GetCounter("drms_ckpt_stored_bytes_total",
 		"Bytes of checkpoint state actually written to storage per commit, summed over tasks (after delta elision and compression).")
 	ckptAnchorWrites = obs.GetCounter("drms_ckpt_anchor_writes_total",

@@ -2,20 +2,20 @@
 // §3j). When a supervised application loses ranks, the survivors keep
 // their state in memory and only the replacement ranks load from the
 // checkpoint — but the load is still a collective, because the stream
-// layer's two-phase redistribution is. ReadDRMSPartial restores exactly
-// the pieces whose sections the current distribution assigns to the
-// replacement ranks: every task joins the filtered collective read, the
-// fetch cost concentrates on the needed pieces, and with owner-aligned
-// tier replicas the bytes come out of the replacement node's peers'
-// memory rather than the pfs. The caller (drms) proves the plan safe
-// before calling — matching plan signatures, resolvable chain, surviving
+// layer's two-phase redistribution is. ReadDRMSPartial runs the restore
+// engine with a subset plan: exactly the pieces whose sections the
+// current distribution assigns to the replacement ranks are restored,
+// every task joins the filtered collective read, the fetch cost
+// concentrates on the needed pieces, and with owner-aligned tier
+// replicas the bytes come out of the replacement node's peers' memory
+// rather than the pfs. The caller (drms) proves the plan safe before
+// calling — matching plan signatures, resolvable chain, surviving
 // replicas for memory-only pieces — and falls back to the full restart
 // path otherwise.
 package ckpt
 
 import (
 	"fmt"
-	"time"
 
 	"drms/internal/msg"
 	"drms/internal/pfs"
@@ -40,23 +40,27 @@ type PartialRestoreOptions struct {
 	NeedSegment bool
 }
 
-// NeededPieces returns the ascending full-plan piece indices a partial
-// restore must load for the given ranks: every piece whose section
+// neededPieces returns the ascending full-plan piece indices a subset
+// restore must load for the given ranks — every piece whose section
 // intersects some listed rank's assigned section under the array's
-// current distribution. Deterministic in (array, tasks, ranks, options),
-// so every task computes the same set locally.
-func NeededPieces(a ArrayRef, tasks int, ranks []int, o stream.Options) []int {
-	spans, _ := stream.PieceSpans(a.GlobalShape(), a.ElemSize(), tasks, o)
-	needed := make([]int, 0, len(spans))
+// current distribution — and their total stream bytes (total is the
+// stream's size, bounding the last piece). Never nil: an empty list
+// streams nothing. Deterministic in (array, tasks, ranks, options), so
+// every task computes the same set locally.
+func neededPieces(a ArrayRef, tasks int, ranks []int, o stream.Options, total int64) (needed []int, bytes int64) {
+	spans, offs := stream.PieceSpans(a.GlobalShape(), a.ElemSize(), tasks, o)
+	offs = append(offs, total)
+	needed = make([]int, 0, len(spans))
 	for i, sp := range spans {
 		for _, r := range ranks {
 			if !sp.Intersect(a.AssignedSection(r)).Empty() {
 				needed = append(needed, i)
+				bytes += offs[i+1] - offs[i]
 				break
 			}
 		}
 	}
-	return needed
+	return needed, bytes
 }
 
 // ReadDRMSPartial restores only the listed replacement ranks' assigned
@@ -73,149 +77,21 @@ func NeededPieces(a ArrayRef, tasks int, ranks []int, o stream.Options) []int {
 // read whole). Stats count only the bytes actually restored, with the
 // tier split (TierMemBytes/TierPFSBytes) reduced cluster-wide — the
 // byte counters that prove no full-state read happened.
-func ReadDRMSPartial(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options, po PartialRestoreOptions) (m Meta, st Stats, err error) {
-	start := time.Now()
-	defer func() { observeRead(comm.Rank(), st, start, err) }()
-	m, err = ReadMeta(fs, prefix, comm.Rank())
-	if err != nil {
-		return m, st, err
-	}
-	if m.Mode != ModeDRMS {
-		return m, st, fmt.Errorf("ckpt: %q is a %s checkpoint; partial restore requires DRMS mode", prefix, m.Mode)
-	}
-	if m.Tasks != comm.Size() {
-		return m, st, fmt.Errorf("ckpt: partial restore of %q needs the checkpointing task count %d, not %d",
-			prefix, m.Tasks, comm.Size())
-	}
-
-	// Replacement ranks load the one saved data segment; survivors have
-	// theirs in the park snapshot and skip the read entirely.
-	fs.BeginPhase("segment")
-	if po.NeedSegment {
-		payload, segMem, segPFS, err := readSegment(fs, po.Tier, prefix, comm.Rank(),
-			holderNode(po.Holders, comm.Size(), comm.Rank()), &m)
-		if err != nil {
-			return m, st, err
-		}
-		st.TierMemBytes += segMem
-		st.TierPFSBytes += segPFS
-		if err := sg.Decode(payload); err != nil {
-			return m, st, err
-		}
-		st.SegmentBytes = m.SegBytes[0]
-	}
-	if err := comm.Barrier(); err != nil { // phase boundary before the array loads
-		return m, st, err
-	}
-
-	byName := make(map[string]ArrayRef, len(arrays))
-	for _, a := range arrays {
-		byName[a.Name()] = a
-	}
-	for i, am := range m.Arrays {
-		a, ok := byName[am.Name]
-		if !ok {
-			return m, st, fmt.Errorf("ckpt: checkpoint has array %q but no handle was supplied", am.Name)
-		}
-		delete(byName, am.Name)
-		if a.Kind() != am.Kind {
-			return m, st, fmt.Errorf("ckpt: array %q is %s in checkpoint, %s in application", am.Name, am.Kind, a.Kind())
-		}
-		if !a.GlobalShape().Equal(am.Global) {
-			return m, st, fmt.Errorf("ckpt: array %q global shape %v differs from checkpointed %v",
-				am.Name, a.GlobalShape(), am.Global)
-		}
-		// The filter addresses pieces by index, so this restore's plan
-		// must be the writer's plan, bit for bit. The caller's
-		// eligibility check agreed on this already; re-verifying here
-		// keeps the reader safe against misuse.
-		if len(m.PlanSigs) <= i ||
-			m.PlanSigs[i] != stream.PlanSig(a.GlobalShape(), a.ElemSize(), comm.Size(), o) {
-			return m, st, fmt.Errorf("ckpt: array %q plan signature mismatch; partial restore requires the checkpoint's piece plan", am.Name)
-		}
-		sums := m.PieceSums(i)
-		if sums == nil {
-			return m, st, fmt.Errorf("ckpt: array %q has no per-piece checksums; partial restore requires them", am.Name)
-		}
-		needed := NeededPieces(a, comm.Size(), po.Ranks, o)
-		_, offs := stream.PieceSpans(a.GlobalShape(), a.ElemSize(), comm.Size(), o)
-		file := arrFile(prefix, am.Name)
-		fs.BeginPhase("arrays:" + am.Name)
-		opts := o
-		opts.Pieces = needed
-		pieceVerify := newPieceVerifier(sums)
-		opts.PieceHook = chainPieceHooks(o.PieceHook, pieceVerify.hook)
-		var fetcher *pieceFetcher
-		if m.Chained() {
-			fetcher = newPieceFetcher(fs, po.Tier, prefix, am.Name, m.PieceLocs[i],
-				comm.Rank(), holderNode(po.Holders, comm.Size(), comm.Rank()))
-			opts.FetchPiece = fetcher.fetch
-		}
-		s, err := a.StreamRead(fs, file, opts)
-		if err != nil {
-			return m, st, fmt.Errorf("ckpt: partially loading array %q: %w", am.Name, err)
-		}
-		// Count the restored bytes, not the stream's nominal size: the
-		// whole point is that only the needed pieces moved.
-		var neededBytes int64
-		for _, idx := range needed {
-			if idx+1 < len(offs) {
-				neededBytes += offs[idx+1] - offs[idx]
-			} else {
-				neededBytes += am.Bytes - offs[idx]
-			}
-		}
-		st.ArrayBytes += neededBytes
-		st.NetBytes += s.NetBytes
-		if fetcher != nil {
-			// Per-rank actual fetch counters; the cluster-wide reduction
-			// below sums them into the agreed totals.
-			st.TierMemBytes += fetcher.memBytes.Load()
-			st.TierPFSBytes += fetcher.pfsBytes.Load()
-		} else if comm.Rank() == 0 {
-			// v1 layout: the needed bytes come off the array file. They
-			// are a plan-level quantity (identical on every rank), so
-			// count them once or the reduction would multiply them.
-			st.TierPFSBytes += neededBytes
-		}
-		if err := comm.Barrier(); err != nil { // phase boundary
-			return m, st, err
-		}
-		bad, err := agreeWorstPiece(comm, pieceVerify.badPiece())
-		if err != nil {
-			return m, st, err
-		}
-		if bad >= 0 {
-			return m, st, corrupt(prefix, file, bad, "piece crc mismatch on partial read")
-		}
-	}
-	for n := range byName {
-		return m, st, fmt.Errorf("ckpt: application array %q not present in checkpoint", n)
-	}
-	memTotal, err := comm.AllreduceF64(float64(st.TierMemBytes), msg.Sum)
-	if err != nil {
-		return m, st, err
-	}
-	pfsTotal, err := comm.AllreduceF64(float64(st.TierPFSBytes), msg.Sum)
-	if err != nil {
-		return m, st, err
-	}
-	st.TierMemBytes, st.TierPFSBytes = int64(memTotal), int64(pfsTotal)
-	if err := comm.Barrier(); err != nil {
-		return m, st, err
-	}
-	return m, st, nil
+func ReadDRMSPartial(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options, po PartialRestoreOptions) (Meta, Stats, error) {
+	return restoreDRMS(fs, prefix, comm, sg, arrays, o, restorePlan{tier: po.Tier, holders: po.Holders,
+		subset: true, ranks: po.Ranks, segment: po.NeedSegment, verify: true})
 }
 
 // PartialEligible reports whether a partial restore of prefix over a
 // tasks-wide communicator, loading the listed ranks' sections of the
-// given arrays, is provably safe from this task's view of storage: DRMS
-// mode, the checkpointing task count, matching piece-plan signatures,
-// per-piece checksums present, the segment readable in some tier, and
-// every needed piece resolvable — a CRC-valid replica surviving in peer
-// memory for memory-tier pieces, an existing file otherwise (a pruned
-// chain predecessor surfaces here as a missing piece file). nil means
-// eligible; otherwise the error names the first disqualifier. The
+// given arrays, is provably safe from this task's view of storage:
+// everything the engine's subset plan requires of the metadata (DRMS
+// mode, the checkpointing task count, matching arrays and piece-plan
+// signatures, per-piece checksums), the segment readable in some tier,
+// and every needed piece resolvable — a CRC-valid replica surviving in
+// peer memory for memory-tier pieces, an existing file otherwise (a
+// pruned chain predecessor surfaces here as a missing piece file). nil
+// means eligible; otherwise the error names the first disqualifier. The
 // verdict is advisory and local: callers must agree it collectively
 // before acting, and the conservative answer to any doubt is the full
 // restart path.
@@ -224,11 +100,9 @@ func PartialEligible(fs *pfs.System, tier *MemTier, prefix string, tasks int, ar
 	if err != nil {
 		return err
 	}
-	if m.Mode != ModeDRMS {
-		return fmt.Errorf("%q is a %s checkpoint", prefix, m.Mode)
-	}
-	if m.Tasks != tasks {
-		return fmt.Errorf("%q was taken by %d tasks, not %d", prefix, m.Tasks, tasks)
+	refs, err := matchArrays(&m, prefix, arrays, tasks, o, true)
+	if err != nil {
+		return err
 	}
 	if m.SegWhere == TierMem {
 		if len(m.SegCRC) == 0 || !tier.Check(prefix, "", segIndex, m.SegCRC[0]) {
@@ -237,27 +111,9 @@ func PartialEligible(fs *pfs.System, tier *MemTier, prefix string, tasks int, ar
 	} else if !fs.Exists(segFile(prefix)) {
 		return fmt.Errorf("segment file of %q is missing", prefix)
 	}
-	base, selfGen, ok := GenOf(prefix)
-	if !ok {
-		base, selfGen = prefix, -1
-	}
-	byName := make(map[string]ArrayRef, len(arrays))
-	for _, a := range arrays {
-		byName[a.Name()] = a
-	}
+	base, selfGen := genBase(prefix)
 	for i, am := range m.Arrays {
-		a, ok := byName[am.Name]
-		if !ok {
-			return fmt.Errorf("checkpoint array %q has no application handle", am.Name)
-		}
-		if len(m.PlanSigs) <= i || m.PlanSigs[i] != stream.PlanSig(a.GlobalShape(), a.ElemSize(), tasks, o) {
-			return fmt.Errorf("array %q piece plan changed since the checkpoint", am.Name)
-		}
-		sums := m.PieceSums(i)
-		if sums == nil {
-			return fmt.Errorf("array %q has no per-piece checksums", am.Name)
-		}
-		needed := NeededPieces(a, tasks, ranks, o)
+		needed, _ := neededPieces(refs[i], tasks, ranks, o, am.Bytes)
 		if !m.Chained() || len(m.PieceLocs) <= i {
 			if len(needed) > 0 && !fs.Exists(arrFile(prefix, am.Name)) {
 				return fmt.Errorf("array file of %q is missing", am.Name)
@@ -312,10 +168,7 @@ func PartialCoverage(fs *pfs.System, tier *MemTier, prefix string, tasks int) (m
 	if m.Mode != ModeDRMS {
 		return nil, fmt.Errorf("ckpt: %q is a %s checkpoint; coverage applies to DRMS states", prefix, m.Mode)
 	}
-	base, selfGen, ok := GenOf(prefix)
-	if !ok {
-		base, selfGen = prefix, -1
-	}
+	base, selfGen := genBase(prefix)
 	out := make(map[string][]RankCoverage, len(m.Arrays))
 	for i, am := range m.Arrays {
 		sums := m.PieceSums(i)

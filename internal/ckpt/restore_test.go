@@ -1,0 +1,201 @@
+package ckpt
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"drms/internal/msg"
+	"drms/internal/pfs"
+	"drms/internal/rangeset"
+	"drms/internal/stream"
+)
+
+// sendCounter wraps a transport and counts, per source rank, the
+// messages that cross it — from outside the message layer, so a restore
+// that gains or loses a collective shows up whatever the layer's own
+// counters say.
+type sendCounter struct {
+	msg.Transport
+	sends []atomic.Int64
+}
+
+func (t *sendCounter) Send(src, dst, tag int, data []byte) error {
+	t.sends[src].Add(1)
+	return t.Transport.Send(src, dst, tag, data)
+}
+
+// runCounted runs f as n ranks over a counting transport. The first
+// error aborts the transport so peers blocked in a collective unwind.
+func runCounted(t *testing.T, n int, f func(c *msg.Comm, sent func() int64) error) {
+	t.Helper()
+	tr := &sendCounter{Transport: msg.NewLocalTransport(n), sends: make([]atomic.Int64, n)}
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			err := f(msg.NewComm(rank, n, tr), tr.sends[rank].Load)
+			if err != nil {
+				once.Do(func() {
+					first = fmt.Errorf("rank %d: %w", rank, err)
+					tr.Abort(msg.ErrRevoked)
+				})
+			}
+		}(r)
+	}
+	wg.Wait()
+	if first != nil {
+		t.Fatal(first)
+	}
+}
+
+// restoreFormats are the stored representations every restore shape must
+// serve: each writes chainFill(step) state on 4 tasks and names the
+// generation to restore.
+var restoreFormats = []struct {
+	name  string
+	write func(t *testing.T, fs *pfs.System, tier *MemTier) (from string, step int)
+}{
+	{"v1-flat", func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
+		writeV1Gen(t, fs, "job.g0", 0, 4, []int{2, 2})
+		return "job.g0", 0
+	}},
+	{"chained-raw-anchor", func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
+		writeChainGen(t, fs, "job.g0", ChainOptions{Codec: CodecRaw}, 0, 4, []int{2, 2})
+		return "job.g0", 0
+	}},
+	{"chained-flate-delta", func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
+		writeChainGen(t, fs, "job.g0", ChainOptions{Codec: CodecFlate}, 0, 4, []int{2, 2})
+		writeChainGen(t, fs, "job.g1", ChainOptions{Prev: "job.g0", Delta: true, Codec: CodecFlate}, 1, 4, []int{2, 2})
+		return "job.g1", 1
+	}},
+	{"memory-only", func(t *testing.T, fs *pfs.System, tier *MemTier) (string, int) {
+		co := ChainOptions{Tier: tier, Replicas: 1, Codec: CodecRaw}
+		writeChainGen(t, fs, "job.g0", co, 0, 4, []int{2, 2})
+		co.Prev, co.Delta, co.MemOnly = "job.g0", true, true
+		writeChainGen(t, fs, "job.g1", co, 1, 4, []int{2, 2})
+		return "job.g1", 1
+	}},
+}
+
+// restoreShapes are the restart shapes: ranks == nil loads every rank's
+// sections through ReadDRMSOpts; otherwise the listed replacement ranks
+// load theirs through ReadDRMSPartial while the survivors keep memory.
+var restoreShapes = []struct {
+	name  string
+	tasks int
+	grid  []int
+	ranks []int
+}{
+	{"full-same", 4, []int{2, 2}, nil},
+	{"full-reconfigured", 3, []int{1, 3}, nil},
+	{"partial-one-rank", 4, []int{2, 2}, []int{2}},
+	{"partial-two-ranks", 4, []int{2, 2}, []int{1, 3}},
+}
+
+// restorePinned holds, per format/shape, each rank's
+// "sends:SegmentBytes/ArrayBytes/NetBytes/TierMemBytes/TierPFSBytes" as
+// measured on the readers this engine replaced (commit bdae8b6). The
+// send counts are the collectives' fingerprint: a restore path that
+// gains one changes every rank's count.
+var restorePinned = map[string]string{
+	"v1-flat/full-same":                     "22:275/1728/216/0/1100 22:275/1728/216/0/1100 16:275/1728/216/0/1100 16:275/1728/216/0/1100",
+	"v1-flat/full-reconfigured":             "22:275/1728/432/0/825 16:275/1728/144/0/825 16:275/1728/288/0/825",
+	"v1-flat/partial-one-rank":              "20:0/864/432/0/1139 20:0/864/432/0/1139 12:275/864/0/0/1139 12:0/864/0/0/1139",
+	"v1-flat/partial-two-ranks":             "18:0/1728/216/0/2278 18:275/1728/216/0/2278 14:0/1728/216/0/2278 14:275/1728/216/0/2278",
+	"chained-raw-anchor/full-same":          "26:275/1728/216/0/2828 26:275/1728/216/0/2828 18:275/1728/216/0/2828 18:275/1728/216/0/2828",
+	"chained-raw-anchor/full-reconfigured":  "26:275/1728/432/0/2553 18:275/1728/144/0/2553 18:275/1728/288/0/2553",
+	"chained-raw-anchor/partial-one-rank":   "20:0/864/432/0/1139 20:0/864/432/0/1139 12:275/864/0/0/1139 12:0/864/0/0/1139",
+	"chained-raw-anchor/partial-two-ranks":  "18:0/1728/216/0/2278 18:275/1728/216/0/2278 14:0/1728/216/0/2278 14:275/1728/216/0/2278",
+	"chained-flate-delta/full-same":         "26:275/1728/216/0/2828 26:275/1728/216/0/2828 18:275/1728/216/0/2828 18:275/1728/216/0/2828",
+	"chained-flate-delta/full-reconfigured": "26:275/1728/432/0/2553 18:275/1728/144/0/2553 18:275/1728/288/0/2553",
+	"chained-flate-delta/partial-one-rank":  "20:0/864/432/0/1139 20:0/864/432/0/1139 12:275/864/0/0/1139 12:0/864/0/0/1139",
+	"chained-flate-delta/partial-two-ranks": "18:0/1728/216/0/2278 18:275/1728/216/0/2278 14:0/1728/216/0/2278 14:275/1728/216/0/2278",
+	"memory-only/full-same":                 "26:275/1728/216/2764/0 26:275/1728/216/2764/0 18:275/1728/216/2764/0 18:275/1728/216/2764/0",
+	"memory-only/full-reconfigured":         "26:275/1728/432/2505/0 18:275/1728/144/2505/0 18:275/1728/288/2505/0",
+	"memory-only/partial-one-rank":          "20:0/864/432/1123/0 20:0/864/432/1123/0 12:275/864/0/1123/0 12:0/864/0/1123/0",
+	"memory-only/partial-two-ranks":         "18:0/1728/216/2246/0 18:275/1728/216/2246/0 14:0/1728/216/2246/0 14:275/1728/216/2246/0",
+}
+
+// TestRestoreEngineEveryFormatAndShape drives the one restore engine
+// through every stored format and every restart shape: the restored
+// state is bit-exact, and the Stats and per-rank message counts are those
+// of the separate readers it replaced.
+func TestRestoreEngineEveryFormatAndShape(t *testing.T) {
+	for _, f := range restoreFormats {
+		for _, sh := range restoreShapes {
+			f, sh := f, sh
+			t.Run(f.name+"/"+sh.name, func(t *testing.T) {
+				fs, tier := testFS(), NewMemTier()
+				from, step := f.write(t, fs, tier)
+				rows := make([]string, sh.tasks)
+				runCounted(t, sh.tasks, func(c *msg.Comm, sent func() int64) error {
+					me := c.Rank()
+					sg, refs, u, ids := buildApp(c, sh.grid)
+					var iter int
+					sg.Register("iter", &iter)
+					uf, idf := chainFill(step)
+					replaced := sh.ranks == nil
+					for _, r := range sh.ranks {
+						replaced = replaced || r == me
+					}
+					if !replaced { // a survivor still holds the state
+						iter = step
+						u.Fill(uf)
+						ids.Fill(idf)
+					}
+					o := stream.Options{PieceBytes: 300}
+					before := sent()
+					var (
+						st  Stats
+						err error
+					)
+					if sh.ranks == nil {
+						_, st, err = ReadDRMSOpts(fs, from, c, sg, refs, o, RestoreOptions{Verify: true, Tier: tier})
+					} else {
+						_, st, err = ReadDRMSPartial(fs, from, c, sg, refs, o,
+							PartialRestoreOptions{Tier: tier, Ranks: sh.ranks, NeedSegment: replaced})
+					}
+					if err != nil {
+						return err
+					}
+					ops := sent() - before
+					if iter != step {
+						return fmt.Errorf("iter = %d, want %d", iter, step)
+					}
+					var bad error
+					u.Mapped().Each(rangeset.ColMajor, func(cd []int) {
+						if u.At(cd) != uf(cd) {
+							bad = fmt.Errorf("u%v = %v, want %v", cd, u.At(cd), uf(cd))
+						}
+					})
+					ids.Mapped().Each(rangeset.ColMajor, func(cd []int) {
+						if ids.At(cd) != idf(cd) {
+							bad = fmt.Errorf("ids%v = %v, want %v", cd, ids.At(cd), idf(cd))
+						}
+					})
+					if bad != nil {
+						return bad
+					}
+					if st.SkippedBytes != 0 || st.StoredBytes != 0 || st.Meta != nil {
+						return fmt.Errorf("restore set write-side stats: %+v", st)
+					}
+					rows[me] = fmt.Sprintf("%d:%d/%d/%d/%d/%d", ops, st.SegmentBytes,
+						st.ArrayBytes, st.NetBytes, st.TierMemBytes, st.TierPFSBytes)
+					return nil
+				})
+				got := strings.Join(rows, " ")
+				if want := restorePinned[f.name+"/"+sh.name]; got != want {
+					t.Errorf("per-rank sends:stats\n got  %q\n want %q", got, want)
+				}
+			})
+		}
+	}
+}

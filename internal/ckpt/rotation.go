@@ -13,10 +13,9 @@ import (
 // used each time, allowing the application to maintain multiple
 // checkpointed states concurrently": generation k lands under
 // "<base>.g<k>", and generations older than Keep are deleted after the
-// new one is safely on storage. With Keep >= 2 this also gives
-// incremental checkpointing a crash window: the previous generation stays
-// intact while the next is written — and gives the recovery supervisor a
-// fallback when the newest generation turns out to be corrupt.
+// new one is safely on storage. The previous generation stays intact
+// while the next is written, and with Keep >= 2 the recovery supervisor
+// has a fallback when the newest generation turns out to be corrupt.
 //
 // Generation numbers may have gaps: a corrupt generation quarantined by
 // the supervisor (renamed under "<gen>.bad") leaves a hole, and every
@@ -59,23 +58,40 @@ func GenOf(prefix string) (base string, gen int, ok bool) {
 	return prefix[:i], g, true
 }
 
+// genBase is GenOf for piece-location resolution: a non-rotated prefix
+// is its own base, at generation -1 (PieceLoc.Gen's "own prefix" mark).
+func genBase(prefix string) (base string, gen int) {
+	if b, g, ok := GenOf(prefix); ok {
+		return b, g
+	}
+	return prefix, -1
+}
+
+// scan lists the rotation's storage once and groups every file name
+// under the base by generation number — committed, torn and quarantined
+// files alike. Each rotation query is one scan whatever the generation
+// numbers have grown to: a listing costs O(files in the store), so none
+// may be repeated per generation.
+func (r Rotation) scan(fs *pfs.System) map[int][]string {
+	ckptRotationScans.Inc()
+	prefix := r.Base + ".g"
+	byGen := map[int][]string{}
+	for _, name := range fs.List(prefix) {
+		var g int
+		if n, _ := fmt.Sscanf(name[len(prefix):], "%d.", &g); n == 1 {
+			byGen[g] = append(byGen[g], name)
+		}
+	}
+	return byGen
+}
+
 // committed lists the committed (meta-bearing, non-quarantined)
 // generation numbers under the base, ascending. Gaps are natural:
 // quarantine and pruning both leave holes in the numbering.
 func (r Rotation) committed(fs *pfs.System) []int {
-	prefix := r.Base + ".g"
 	var gens []int
-	seen := map[int]bool{}
-	for _, name := range fs.List(prefix) {
-		if strings.Contains(name, quarantineMark) {
-			continue
-		}
-		var g int
-		if n, _ := fmt.Sscanf(name[len(prefix):], "%d.", &g); n != 1 {
-			continue
-		}
-		if !seen[g] && existsDirect(fs, r.generation(g)) {
-			seen[g] = true
+	for g := range r.scan(fs) {
+		if existsDirect(fs, r.generation(g)) {
 			gens = append(gens, g)
 		}
 	}
@@ -100,12 +116,8 @@ func (r Rotation) Latest(fs *pfs.System) (k int, prefix string, ok bool) {
 // used, so a quarantined newest generation is never overwritten.
 func (r Rotation) scanMax(fs *pfs.System) int {
 	maxG := -1
-	prefix := r.Base + ".g"
-	for _, name := range fs.List(prefix) {
-		var g int
-		if n, _ := fmt.Sscanf(name[len(prefix):], "%d.", &g); n >= 1 && g > maxG {
-			maxG = g
-		}
+	for g := range r.scan(fs) {
+		maxG = max(maxG, g)
 	}
 	return maxG
 }
@@ -224,15 +236,21 @@ func chainInfo(fs *pfs.System, prefix string) genInfo {
 // progress, whose generation is legitimately meta-less until commit.
 // Returns the prefixes cleaned.
 func (r Rotation) CleanIncomplete(fs *pfs.System) []string {
+	byGen := r.scan(fs)
+	gens := make([]int, 0, len(byGen))
+	for g := range byGen {
+		gens = append(gens, g)
+	}
+	sort.Ints(gens)
 	var cleaned []string
-	for g := 0; g <= r.scanMax(fs); g++ {
+	for _, g := range gens {
 		p := r.generation(g)
 		if existsDirect(fs, p) {
 			continue
 		}
 		torn := false
-		for _, name := range fs.List(p + ".") {
-			if !strings.HasPrefix(name, p+quarantineMark) {
+		for _, name := range byGen[g] {
+			if strings.HasPrefix(name, p+".") && !strings.HasPrefix(name, p+quarantineMark) {
 				fs.Remove(name)
 				torn = true
 			}

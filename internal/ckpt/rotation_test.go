@@ -106,6 +106,17 @@ func TestRotationLayouts(t *testing.T) {
 			gens:    []string{"ck.g0"},
 			cleaned: []string{"ck.g1"}, // removes ck.g1.seg, keeps ck.g1.bad.*
 		},
+		{
+			// A long-lived rotation: the numbers are high, the files few.
+			name: "torn generations at generation 500",
+			files: []string{"ck.g499.bad.meta", "ck.g500.meta", "ck.g500.seg",
+				"ck.g501.meta", "ck.g501.seg", "ck.g502.seg", "ck.g502.arr.u.p0", "ck.g1000.meta.tmp"},
+			keep:    2,
+			latest:  "ck.g501",
+			next:    "ck.g1001",
+			gens:    []string{"ck.g500", "ck.g501"},
+			cleaned: []string{"ck.g502", "ck.g1000"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,9 +138,16 @@ func TestRotationLayouts(t *testing.T) {
 				t.Fatalf("Generations = %v, want %v", gens, tc.gens)
 			}
 
+			scans := ckptRotationScans.Value()
 			cleaned := rot.CleanIncomplete(fs)
 			if fmt.Sprint(cleaned) != fmt.Sprint(tc.cleaned) {
 				t.Fatalf("CleanIncomplete = %v, want %v", cleaned, tc.cleaned)
+			}
+			// One storage listing however high the generation numbers run:
+			// the supervisor cleans on every relaunch, and a listing per
+			// generation number made recovery cost grow with the job's age.
+			if n := ckptRotationScans.Value() - scans; n != 1 {
+				t.Fatalf("CleanIncomplete listed storage %d times, want once", n)
 			}
 			// Quarantined files always survive cleaning.
 			for _, f := range tc.files {

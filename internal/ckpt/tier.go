@@ -113,36 +113,14 @@ func (t *MemTier) Publish(holders []int, prefix, arr string, index int, data []b
 	tierReplicaSeconds.ObserveSince(start)
 }
 
-// Lookup returns a CRC-valid replica of the payload, or (nil, false) if
-// no surviving store holds one. The returned slice is the shared
-// backing array — read-only. Stores are probed in ascending holder
-// order so lookups are deterministic; the CRC is recomputed over the
-// bytes, not trusted from the publish record, so a corrupted replica
-// reads as absent. Misses are silent — for disk-resident payloads a
-// miss just means a pfs read; callers tick the lost-pieces counter
-// themselves when a miss means data loss.
-func (t *MemTier) Lookup(prefix, arr string, index int, wantCRC uint64) ([]byte, bool) {
-	if t == nil {
-		return nil, false
-	}
-	k := memKey{prefix: prefix, arr: arr, index: index}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, h := range t.holderIDs() {
-		if e, ok := t.stores[h].entries[k]; ok && e.crc == wantCRC && crcOf(e.data) == wantCRC {
-			return e.data, true
-		}
-	}
-	return nil, false
-}
-
-// LookupPrefer is Lookup with locality attribution: the store of holder
-// node self is probed first, and local reports whether the replica came
-// from it. The restore path records network traffic for the bytes a
-// rank had to pull from a peer's store — with owner-aligned placement
-// and an unchanged layout, nearly everything is local and a hot restore
-// costs no modeled wire time at all.
-func (t *MemTier) LookupPrefer(self int, prefix, arr string, index int, wantCRC uint64) (data []byte, local, ok bool) {
+// lookup returns the first replica of the payload that valid accepts, or
+// ok=false if no surviving store holds one. The returned slice is the
+// shared backing array — read-only. Holder node self's store is probed
+// first (local reports whether it served), then the rest in ascending
+// holder order, so lookups are deterministic. Misses are silent — for
+// disk-resident payloads a miss just means a pfs read; callers tick the
+// lost-pieces counter themselves when a miss means data loss.
+func (t *MemTier) lookup(self int, prefix, arr string, index int, valid func(memEntry) bool) (data []byte, local, ok bool) {
 	if t == nil {
 		return nil, false, false
 	}
@@ -150,48 +128,44 @@ func (t *MemTier) LookupPrefer(self int, prefix, arr string, index int, wantCRC 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if st := t.stores[self]; st != nil {
-		if e, ok := st.entries[k]; ok && e.crc == wantCRC && crcOf(e.data) == wantCRC {
+		if e, ok := st.entries[k]; ok && valid(e) {
 			return e.data, true, true
 		}
 	}
 	for _, h := range t.holderIDs() {
-		if h == self {
-			continue
-		}
-		if e, ok := t.stores[h].entries[k]; ok && e.crc == wantCRC && crcOf(e.data) == wantCRC {
+		if e, ok := t.stores[h].entries[k]; ok && h != self && valid(e) {
 			return e.data, false, true
 		}
 	}
 	return nil, false, false
+}
+
+// Lookup returns a CRC-valid replica of the payload from any store. The
+// CRC is recomputed over the bytes, not trusted from the publish record,
+// so a corrupted replica reads as absent.
+func (t *MemTier) Lookup(prefix, arr string, index int, wantCRC uint64) ([]byte, bool) {
+	data, _, ok := t.LookupPrefer(-1, prefix, arr, index, wantCRC) // no node is -1: plain holder order
+	return data, ok
+}
+
+// LookupPrefer is Lookup with locality attribution. The restore path
+// records network traffic for the bytes a rank had to pull from a peer's
+// store — with owner-aligned placement and an unchanged layout, nearly
+// everything is local and a hot restore costs no modeled wire time at
+// all.
+func (t *MemTier) LookupPrefer(self int, prefix, arr string, index int, wantCRC uint64) (data []byte, local, ok bool) {
+	return t.lookup(self, prefix, arr, index, func(e memEntry) bool {
+		return e.crc == wantCRC && crcOf(e.data) == wantCRC
+	})
 }
 
 // LookupSelf returns a self-consistent replica — bytes matching the CRC
-// recorded at publish time — without an expected CRC from the caller,
-// probing holder node self's store first and reporting whether it
-// served. The disk-segment hot path uses it: the metadata holds the
-// padded file's CRC, not the payload's, so the caller validates by
+// recorded at publish time — without an expected CRC from the caller.
+// The disk-segment hot path uses it: the metadata holds the padded
+// file's CRC, not the payload's, so the caller validates by
 // reconstructing the file CRC from the returned payload.
 func (t *MemTier) LookupSelf(self int, prefix, arr string, index int) (data []byte, local, ok bool) {
-	if t == nil {
-		return nil, false, false
-	}
-	k := memKey{prefix: prefix, arr: arr, index: index}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if st := t.stores[self]; st != nil {
-		if e, ok := st.entries[k]; ok && crcOf(e.data) == e.crc {
-			return e.data, true, true
-		}
-	}
-	for _, h := range t.holderIDs() {
-		if h == self {
-			continue
-		}
-		if e, ok := t.stores[h].entries[k]; ok && crcOf(e.data) == e.crc {
-			return e.data, false, true
-		}
-	}
-	return nil, false, false
+	return t.lookup(self, prefix, arr, index, func(e memEntry) bool { return crcOf(e.data) == e.crc })
 }
 
 // Check reports whether at least one CRC-valid replica survives,

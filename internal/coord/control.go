@@ -114,6 +114,11 @@ type ControlServer struct {
 	Shard int
 
 	ln net.Listener
+	// stop ends the event drain Serve starts; drained closes when it has
+	// exited, so Close leaves nothing behind.
+	stop     chan struct{}
+	stopOnce sync.Once
+	drained  chan struct{}
 
 	mu     sync.Mutex
 	events []Event
@@ -128,14 +133,26 @@ func (s *ControlServer) Serve(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
+	// An independent subscription, not RC.Events(): that stream is shared
+	// and never closes, so a drain ranging over it would outlive Close and
+	// steal events from every other reader.
+	events, cancel := s.RC.Subscribe()
+	s.stop, s.drained = make(chan struct{}), make(chan struct{})
 	go func() {
-		for e := range s.RC.Events() {
-			s.mu.Lock()
-			s.events = append(s.events, e)
-			if len(s.events) > 4096 {
-				s.events = s.events[len(s.events)-4096:]
+		defer close(s.drained)
+		defer cancel()
+		for {
+			select {
+			case e := <-events:
+				s.mu.Lock()
+				s.events = append(s.events, e)
+				if len(s.events) > 4096 {
+					s.events = s.events[len(s.events)-4096:]
+				}
+				s.mu.Unlock()
+			case <-s.stop:
+				return
 			}
-			s.mu.Unlock()
 		}
 	}()
 	go func() {
@@ -150,11 +167,15 @@ func (s *ControlServer) Serve(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops accepting control connections.
+// Close stops accepting control connections and ends the event drain,
+// returning once its goroutine has exited. Idempotent.
 func (s *ControlServer) Close() {
-	if s.ln != nil {
-		s.ln.Close()
+	if s.ln == nil {
+		return
 	}
+	s.ln.Close()
+	s.stopOnce.Do(func() { close(s.stop) })
+	<-s.drained
 }
 
 func (s *ControlServer) serveConn(conn net.Conn) {

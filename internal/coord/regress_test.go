@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -93,6 +94,29 @@ func TestEventsStalledConsumerKeepsTerminal(t *testing.T) {
 	if d := coordTerminalEventsDropped.Value() - terminalDroppedBefore; d != 0 {
 		t.Fatalf("%d terminal events counted dropped, want 0", d)
 	}
+}
+
+// TestControlServerCloseStopsEventDrain brackets Serve → Close with the
+// goroutine count: the event drain and the accept loop must be gone once
+// Close has returned. The drain used to range over RC.Events(), a
+// channel nothing ever closes, so every served ControlServer left one
+// goroutine behind — and competed with other Events() readers for the
+// shared stream.
+func TestControlServerCloseStopsEventDrain(t *testing.T) {
+	rc := rawRC(t)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		srv := &ControlServer{RC: rc}
+		if _, err := srv.Serve("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		rc.emit(Event{Kind: EventNodesFreed, Detail: "something to drain"})
+		srv.Close()
+		srv.Close() // idempotent
+	}
+	waitFor(t, "control-server goroutines to exit after Close", func() bool {
+		return runtime.NumGoroutine() <= base
+	})
 }
 
 // TestTCReRegisterClosesSupersededConn pins the re-registration path: a

@@ -195,10 +195,13 @@ func TestAutoscalerElastic(t *testing.T) {
 	if err := jsa.Submit(Job{Spec: pb.spec("queued"), Min: 1, Max: 1}); err != nil {
 		t.Fatal(err)
 	}
+	// The scaled application holds both processors, so the queued job's
+	// dispatch proves the shrink. The job is short enough to finish — and
+	// the autoscaler to grow "scaled" back into the freed processor —
+	// between two polls, so the one-task state itself may never be seen.
 	waitFor(t, "shrink under queue pressure and dispatch", func() bool {
-		infoA, okA := rc.App("scaled")
 		infoB, okB := rc.App("queued")
-		return okA && infoA.Tasks == 1 && okB && infoB.Status == StatusRunning
+		return okB && (infoB.Status == StatusRunning || infoB.Status == StatusFinished)
 	})
 	if status, err := rc.WaitApp("queued"); err != nil || status != StatusFinished {
 		t.Fatalf("queued app ended %s err=%v", status, err)

@@ -117,10 +117,10 @@ func TestChainedConfigLifecycleAndRestart(t *testing.T) {
 	}
 }
 
-func TestIncrementalCheckpointOnChainedTargetExtendsChain(t *testing.T) {
-	// IncrementalCheckpoint cannot refresh a chained generation in place
-	// (other generations back-point into its piece files); it must append
-	// a delta generation to the chain instead.
+func TestChainedRunExtendsExistingChain(t *testing.T) {
+	// A chained generation is never refreshed in place (other generations
+	// back-point into its piece files): a later run checkpointing under
+	// the same prefix appends a delta generation to the chain it finds.
 	const n = 12
 	fs := testFS()
 	out := make(chan float64, 1)
@@ -145,7 +145,7 @@ func TestIncrementalCheckpointOnChainedTargetExtendsChain(t *testing.T) {
 			}
 			iter := 0
 			t.Register("iter", &iter)
-			_, _, err := t.IncrementalCheckpoint("inc")
+			_, _, err := t.ReconfigCheckpoint("inc")
 			return err
 		})
 	if err != nil {
@@ -153,14 +153,14 @@ func TestIncrementalCheckpointOnChainedTargetExtendsChain(t *testing.T) {
 	}
 	after := ckpt.Rotation{Base: "inc"}.Generations(fs)
 	if len(after) != len(before)+1 {
-		t.Fatalf("incremental on a chained target: generations %v -> %v, want one appended", before, after)
+		t.Fatalf("checkpoint on an existing chain: generations %v -> %v, want one appended", before, after)
 	}
 	m, err := ckpt.ReadMeta(fs, after[len(after)-1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Chained() {
-		t.Fatal("appended generation is not chained")
+	if !m.Chained() || m.ChainLen == 0 {
+		t.Fatalf("appended generation: chained %v len %d, want a delta of the existing chain", m.Chained(), m.ChainLen)
 	}
 	if err := ckpt.Verify(fs, after[len(after)-1], 0); err != nil {
 		t.Fatal(err)

@@ -209,8 +209,8 @@ type Handle struct {
 	resizeOK       bool
 	partialTimeout time.Duration
 	pmu            sync.Mutex
-	partial        *partialState
-	resize         *resizeState
+	partial        *attempt
+	resize         *attempt
 	holders        []int
 }
 
@@ -295,21 +295,16 @@ func (h *Handle) Wait() error {
 
 // Task is one task's view of the DRMS run-time system.
 type Task struct {
-	comm    *msg.Comm
-	cfg     Config
-	handle  *Handle
-	sg      *seg.Segment
-	arrays  []ckpt.ArrayRef
-	pending bool // restore waiting for the first SOP
-	// partialPending marks the first SOP of a replacement epoch: the
-	// rollback collective of a localized recovery runs there. snap is the
-	// task's park snapshot (nil for a replacement task, which restores
-	// from the checkpoint instead). resizePending marks the first SOP of
-	// a resize epoch instead: the full redistribution of the resize
-	// generation runs there.
-	partialPending bool
-	resizePending  bool
-	snap           *parkSnapshot
+	comm   *msg.Comm
+	cfg    Config
+	handle *Handle
+	sg     *seg.Segment
+	arrays []ckpt.ArrayRef
+	// pending is the restore this epoch's first SOP must serve before
+	// any checkpoint (restore.go). snap is the task's park snapshot (nil
+	// for a replacement task, which restores from the checkpoint instead).
+	pending restoreKind
+	snap    *parkSnapshot
 	// rots caches one rotation view per checkpoint prefix, so repeated
 	// SOPs don't re-list the checkpoint directory every time. Only rank
 	// 0 queries them (it is the rotation's single writer).
@@ -375,9 +370,8 @@ func (t *Task) latchStop(stop bool) {
 }
 
 // agreeStop collectively latches the stop request on SOP paths that have
-// no header broadcast to ride (the restore paths, the in-place
-// incremental refresh): rank 0 samples the flag and the reduction
-// delivers one verdict to every task.
+// no header broadcast to ride (the restore paths): rank 0 samples the
+// flag and the reduction delivers one verdict to every task.
 func (t *Task) agreeStop() error {
 	var stop float64
 	if t.Rank() == 0 && t.handle.stopReq.Load() {
@@ -420,14 +414,8 @@ func NewArray[T array.Elem](t *Task, name string, d *dist.Distribution) (*array.
 // failure — returns (Failed, 0, err) with nothing promoted: the previous
 // checkpoint remains the valid restart point. Collective.
 func (t *Task) ReconfigCheckpoint(prefix string) (Status, int, error) {
-	if t.pending {
-		return t.restore()
-	}
-	if t.partialPending {
-		return t.partialRestore()
-	}
-	if t.resizePending {
-		return t.resizeRestore()
+	if st, delta, served, err := t.servePending(); served {
+		return st, delta, err
 	}
 	if err := t.write(prefix); err != nil {
 		return Failed, 0, err
@@ -441,14 +429,8 @@ func (t *Task) ReconfigCheckpoint(prefix string) (Status, int, error) {
 // ReconfigCheckpoint. Collective: the decision is made once and agreed by
 // all tasks.
 func (t *Task) ReconfigChkEnable(prefix string) (Status, int, error) {
-	if t.pending {
-		return t.restore()
-	}
-	if t.partialPending {
-		return t.partialRestore()
-	}
-	if t.resizePending {
-		return t.resizeRestore()
+	if st, delta, served, err := t.servePending(); served {
+		return st, delta, err
 	}
 	// Rank 0's decision word carries two agreed bits: bit 0 arms the
 	// checkpoint, bit 1 delivers the system's stop request collectively
@@ -480,65 +462,6 @@ func (t *Task) ReconfigChkEnable(prefix string) (Status, int, error) {
 	}
 	return Continued, 0, nil
 }
-
-// IncrementalCheckpoint behaves like ReconfigCheckpoint but refreshes an
-// existing checkpoint under the prefix in place, writing only array
-// pieces that changed since the last checkpoint there (§6's incremental
-// optimization). Restores are identical to ReconfigCheckpoint. Not
-// available in SPMD mode.
-func (t *Task) IncrementalCheckpoint(prefix string) (Status, int, error) {
-	if t.pending {
-		return t.restore()
-	}
-	if t.partialPending {
-		return t.partialRestore()
-	}
-	if t.resizePending {
-		return t.resizeRestore()
-	}
-	if t.cfg.SPMDMode {
-		return Failed, 0, fmt.Errorf("drms: incremental checkpointing requires the DRMS scheme")
-	}
-	// Refresh the newest committed state reachable from the prefix —
-	// the rotated generation when ReconfigCheckpoint wrote it, the
-	// prefix itself otherwise. In-place refresh is this call's contract
-	// (§6 trades the crash window for writing only changed pieces) —
-	// except for chained states, whose per-generation piece files other
-	// generations back-point into cannot be rewritten in place; those
-	// take the next delta generation of the chain instead. The dispatch
-	// reads shared storage, so every task decides identically.
-	target, _ := ckpt.Resolve(t.cfg.FS, prefix)
-	chainTarget := false
-	if m, err := ckpt.ReadMeta(t.cfg.FS, target, t.Rank()); err == nil && m.Chained() {
-		chainTarget = true
-	}
-	if chainTarget || t.chained() {
-		if err := t.writeGen(prefix); err != nil {
-			return Failed, 0, err
-		}
-		return Continued, 0, nil
-	}
-	t.sg.Ctx.SOP = prefix
-	if _, err := ckpt.WriteDRMSIncremental(t.cfg.FS, target, t.comm, t.sg, t.arrays, t.cfg.Stream); err != nil {
-		return Failed, 0, err
-	}
-	if t.Rank() == 0 {
-		rtsCheckpoints.Inc()
-	}
-	if err := t.agreeStop(); err != nil {
-		return Failed, 0, err
-	}
-	return Continued, 0, nil
-}
-
-// write archives the application state under a fresh generation of the
-// prefix ("<prefix>.gN"): a committed checkpoint is never overwritten in
-// place, so a failure landing mid-checkpoint can only tear the
-// uncommitted generation — the previous one stays restorable (the crash
-// window of Table 2). Rank 0 picks the generation and broadcasts it (one
-// agreed name, no dependence on concurrent file-system scans), and only
-// after the new generation's meta commit are older ones pruned.
-func (t *Task) write(prefix string) error { return t.writeGen(prefix) }
 
 // chained reports whether this run writes checkpoints in the chained
 // piece format (deltas and/or per-piece codecs).
@@ -572,7 +495,14 @@ type genHeader struct {
 	Resize int    // != 0: a resize generation — swap to this task count after commit
 }
 
-func (t *Task) writeGen(prefix string) error {
+// write archives the application state under a fresh generation of the
+// prefix ("<prefix>.gN"): a committed checkpoint is never overwritten in
+// place, so a failure landing mid-checkpoint can only tear the
+// uncommitted generation — the previous one stays restorable (the crash
+// window of Table 2). Rank 0 picks the generation and broadcasts it (one
+// agreed name, no dependence on concurrent file-system scans), and only
+// after the new generation's meta commit are older ones pruned.
+func (t *Task) write(prefix string) error {
 	chained := t.chained()
 	var hdr genHeader
 	var prevMeta *ckpt.Meta
@@ -619,7 +549,7 @@ func (t *Task) writeGen(prefix string) error {
 		if rs := t.handle.armedResize(); rs != nil && !rs.finished() {
 			switch {
 			case rs.target == t.Tasks():
-				rs.complete(ResizeStats{From: t.Tasks(), To: t.Tasks()}, nil)
+				rs.complete(restoreOutcome{from: t.Tasks(), to: t.Tasks()}, nil)
 			case t.handle.resizeOK && rs.target >= 1:
 				hdr.Resize = rs.target
 				if t.cfg.Tier != nil && hdr.Prev != "" {
@@ -684,55 +614,18 @@ func (t *Task) writeGen(prefix string) error {
 		// is retired observes ErrProcFailed instead; the body loop parks it
 		// all the same, and its write already contributed its durable
 		// bytes.
-		rs := t.handle.noteResizeCommitted(hdr.Gen, hdr.Resize)
+		rs := t.handle.liveResize(hdr.Resize)
+		rs.setGen(hdr.Gen)
 		if t.Rank() == 0 {
 			if _, err := t.handle.runner.Resize(hdr.Resize); err != nil {
 				ferr := fmt.Errorf("drms: installing the %d-task resize epoch: %w", hdr.Resize, err)
-				rs.complete(ResizeStats{}, ferr)
+				rs.complete(restoreOutcome{}, ferr)
 				return ferr
 			}
 		}
 		return errResize
 	}
 	return nil
-}
-
-func (t *Task) restore() (Status, int, error) {
-	t.pending = false
-	var (
-		m   ckpt.Meta
-		st  ckpt.Stats
-		err error
-	)
-	if t.cfg.SPMDMode {
-		m, st, err = ckpt.ReadSPMD(t.cfg.FS, t.cfg.RestartFrom, t.comm, t.sg, t.arrays, t.cfg.Stream)
-	} else {
-		m, st, err = ckpt.ReadDRMSOpts(t.cfg.FS, t.cfg.RestartFrom, t.comm, t.sg, t.arrays,
-			t.cfg.Stream, ckpt.RestoreOptions{Verify: t.cfg.Verify, Tier: t.cfg.Tier,
-				Holders: t.cfg.TierHolders})
-	}
-	if err != nil {
-		return Failed, 0, fmt.Errorf("drms: restoring %q: %w", t.cfg.RestartFrom, err)
-	}
-	t.LastMeta = m
-	t.handle.noteGeneration(t.cfg.RestartFrom)
-	t.snapshot(t.cfg.RestartFrom)
-	if t.Rank() == 0 {
-		rtsRestores.Inc()
-		rtsLastReconfigDelta.Set(float64(t.Tasks() - m.Tasks))
-		rtsPoolTasks.Set(float64(t.Tasks()))
-		// The tier byte totals in st are cluster-agreed, so rank 0's
-		// verdict is the collective one.
-		if st.TierMemBytes > 0 && st.TierPFSBytes == 0 {
-			t.handle.restoreSrc.Store(2)
-		} else {
-			t.handle.restoreSrc.Store(1)
-		}
-	}
-	if err := t.agreeStop(); err != nil {
-		return Failed, 0, err
-	}
-	return Restored, t.Tasks() - m.Tasks, nil
 }
 
 // Start launches the application (drms_initialize + task spawn) and
@@ -798,11 +691,13 @@ func Start(cfg Config, app func(*Task) error) (*Handle, error) {
 			t := &Task{comm: c, cfg: cfg, handle: h, sg: seg.New()}
 			switch {
 			case c.Epoch() == 0:
-				t.pending = cfg.RestartFrom != ""
+				if cfg.RestartFrom != "" {
+					t.pending = restoreLaunch
+				}
 			case runner.ResizedEpoch(c.Epoch()):
-				t.resizePending = true
+				t.pending = restoreResize
 			default:
-				t.partialPending = true
+				t.pending = restoreRollback
 				t.snap = snap
 			}
 			if hh := h.currentHolders(); hh != nil {

@@ -411,12 +411,13 @@ func TestSegmentModelSurvivesCheckpoint(t *testing.T) {
 	}
 }
 
-func TestIncrementalCheckpointLifecycle(t *testing.T) {
+func TestIncrementalDeltaLifecycle(t *testing.T) {
 	fs := testFS()
 	const n, iters = 12, 6
 	want := runToCompletion(t, 4, n, iters)
 
-	// Same diffusion app, but checkpointing incrementally at each SOP.
+	// Same diffusion app, but checkpointing incrementally — a chained
+	// delta generation — at each SOP.
 	incApp := func(out chan float64) func(*Task) error {
 		return func(tk *Task) error {
 			g := rangeset.Box([]int{0, 0}, []int{n - 1, n - 1})
@@ -435,7 +436,7 @@ func TestIncrementalCheckpointLifecycle(t *testing.T) {
 			tk.Register("iter", &iter)
 			u.Fill(func(c []int) float64 { return float64(c[0]*n+c[1]) * 0.001 })
 			for {
-				if _, _, err := tk.IncrementalCheckpoint("inc"); err != nil {
+				if _, _, err := tk.ReconfigCheckpoint("inc"); err != nil {
 					return err
 				}
 				if iter >= iters {
@@ -469,11 +470,15 @@ func TestIncrementalCheckpointLifecycle(t *testing.T) {
 			return nil
 		}
 	}
-	if err := Run(Config{Tasks: 4, FS: fs}, incApp(nil)); err != nil {
+	if err := Run(Config{Tasks: 4, FS: fs, AnchorEvery: 4, Codec: ckpt.CodecRaw}, incApp(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if !ckpt.Exists(fs, "inc") {
+	p, ok := ckpt.Resolve(fs, "inc")
+	if !ok {
 		t.Fatal("no incremental checkpoint")
+	}
+	if m, err := ckpt.ReadMeta(fs, p, 0); err != nil || m.ChainLen == 0 {
+		t.Fatalf("newest generation %q is not a delta: len %d (err %v)", p, m.ChainLen, err)
 	}
 	if err := ckpt.Verify(fs, "inc", 0); err != nil {
 		t.Fatalf("incremental checkpoint invalid: %v", err)
@@ -485,26 +490,6 @@ func TestIncrementalCheckpointLifecycle(t *testing.T) {
 	}
 	if got := <-out; got != want {
 		t.Fatalf("incremental restart checksum %v != %v", got, want)
-	}
-}
-
-func TestIncrementalCheckpointRejectedInSPMDMode(t *testing.T) {
-	err := Run(Config{Tasks: 2, FS: testFS(), SPMDMode: true}, func(tk *Task) error {
-		g := rangeset.Box([]int{0}, []int{7})
-		d, _ := dist.Block(g, []int{2})
-		if _, err := NewArray[float64](tk, "u", d); err != nil {
-			return err
-		}
-		iter := 0
-		tk.Register("iter", &iter)
-		_, _, err := tk.IncrementalCheckpoint("x")
-		if err == nil {
-			return fmt.Errorf("incremental accepted in SPMD mode")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

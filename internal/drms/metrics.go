@@ -7,7 +7,7 @@ import "drms/internal/obs"
 // collective operation counts once.
 var (
 	rtsCheckpoints = obs.GetCounter("drms_rts_checkpoints_total",
-		"SOP checkpoints committed (ReconfigCheckpoint/ChkEnable/Incremental).")
+		"SOP checkpoints committed (every checkpointing SOP entry point).")
 	rtsRestores = obs.GetCounter("drms_rts_restores_total",
 		"SOP restores completed (restarted incarnations reaching Restored).")
 	rtsPartialRestores = obs.GetCounter("drms_rts_partial_restores_total",

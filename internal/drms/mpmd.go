@@ -108,12 +108,13 @@ func (g *Group) Sync(t *Task) error {
 // given prefix (which the caller derives from the application prefix and
 // the component name; see ComponentPrefix) once *all* components have
 // reached their SOPs, and no component proceeds until all checkpoints
-// are complete. On a restarted component the first call restores its
-// archived state instead, exactly like ReconfigCheckpoint — restores
-// need no cross-component coordination because they only read.
+// are complete. The first call of an epoch with a restore pending — a
+// restarted component, a rollback or resize epoch — serves it instead,
+// exactly like ReconfigCheckpoint; restores need no cross-component
+// coordination because they only read.
 func (t *Task) GroupCheckpoint(g *Group, prefix string) (Status, int, error) {
-	if t.pending {
-		return t.restore()
+	if st, delta, served, err := t.servePending(); served {
+		return st, delta, err
 	}
 	if err := g.Sync(t); err != nil { // every component is at its SOP: the set is consistent
 		return Failed, 0, err

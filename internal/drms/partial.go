@@ -6,7 +6,8 @@
 // first SOP of the replacement epoch. Survivors roll back to the last
 // committed checkpoint from an in-process park snapshot (a memcpy, no
 // storage traffic); replacements restore only their assigned sections of
-// the checkpoint through ckpt.ReadDRMSPartial. The rollback is sound
+// the checkpoint through ckpt.ReadDRMSPartial (restore.go holds the
+// routine, shared with every other restore). The rollback is sound
 // because eligibility is agreed collectively before any state moves, and
 // every doubt — a changed piece plan, a chain gap, too many lost replica
 // holders — takes the conservative branch: the attempt fails, the
@@ -16,11 +17,7 @@ package drms
 
 import (
 	"fmt"
-	"sync"
 	"time"
-
-	"drms/internal/ckpt"
-	"drms/internal/msg"
 )
 
 // parkSnapshot is one task's in-memory copy of its committed state: the
@@ -67,35 +64,6 @@ type PartialStats struct {
 	TierPFSBytes int64
 }
 
-// partialState is one armed recovery attempt: written by PartialRecover,
-// read by every task's rollback collective, completed exactly once.
-type partialState struct {
-	from    string
-	holders []int
-
-	mu    sync.Mutex
-	fin   bool
-	err   error
-	stats PartialStats
-	done  chan struct{}
-}
-
-func (ps *partialState) complete(stats PartialStats, err error) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.fin {
-		return
-	}
-	ps.fin, ps.stats, ps.err = true, stats, err
-	close(ps.done)
-}
-
-func (ps *partialState) finished() bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.fin
-}
-
 // PartialRecoverSpec describes one localized recovery request.
 type PartialRecoverSpec struct {
 	// Dead lists the ranks lost with their node.
@@ -130,161 +98,19 @@ func (h *Handle) PartialRecover(spec PartialRecoverSpec) (PartialStats, error) {
 	if spec.From == "" {
 		return PartialStats{}, fmt.Errorf("drms: no committed generation to roll back to")
 	}
-	timeout := spec.Timeout
-	if timeout <= 0 {
-		timeout = h.partialTimeout
+	at := &attempt{gen: spec.From, done: make(chan struct{})}
+	if err := h.arm(&h.partial, at, spec.Holders); err != nil {
+		return PartialStats{}, err
 	}
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	ps := &partialState{from: spec.From, done: make(chan struct{})}
-	h.pmu.Lock()
-	if h.partial != nil && !h.partial.finished() {
-		h.pmu.Unlock()
-		return PartialStats{}, fmt.Errorf("drms: a partial recovery is already in flight")
-	}
-	if h.resize != nil && !h.resize.finished() {
-		h.pmu.Unlock()
-		return PartialStats{}, fmt.Errorf("drms: a resize is in flight")
-	}
-	if len(spec.Holders) > 0 {
-		h.holders = append([]int(nil), spec.Holders...)
-		ps.holders = h.holders
-	}
-	h.partial = ps
-	h.pmu.Unlock()
 	if _, err := h.runner.Shrink(spec.Dead); err != nil {
-		ps.complete(PartialStats{}, err)
+		at.complete(restoreOutcome{}, err)
 		return PartialStats{}, err
 	}
-	select {
-	case <-ps.done:
-		return ps.stats, ps.err
-	case <-h.done:
-		return PartialStats{}, fmt.Errorf("drms: application exited during partial recovery: %v", h.exitErr)
-	case <-time.After(timeout):
-		err := fmt.Errorf("drms: partial recovery timed out after %v", timeout)
-		// Mark the attempt failed so a late rollback completion cannot
-		// retroactively flip the caller's verdict.
-		ps.complete(PartialStats{}, err)
-		return PartialStats{}, err
-	}
+	out, err := h.await(at, "partial recovery", spec.Timeout)
+	return PartialStats{Gen: out.gen, Ranks: out.ranks, TierMemBytes: out.mem, TierPFSBytes: out.pfs}, err
 }
 
 // TaskSpawns returns how many task goroutines this run ever started:
 // Tasks at launch plus one per replaced rank. The chaos tests read it to
 // prove survivors' goroutines persisted across a localized recovery.
 func (h *Handle) TaskSpawns() int64 { return h.runner.Spawned() }
-
-func (h *Handle) armedPartial() *partialState {
-	h.pmu.Lock()
-	defer h.pmu.Unlock()
-	return h.partial
-}
-
-func (h *Handle) currentHolders() []int {
-	h.pmu.Lock()
-	defer h.pmu.Unlock()
-	return h.holders
-}
-
-// partialRestore is the rollback collective at the first SOP of a
-// replacement epoch. Order matters for soundness: (1) agree on who
-// restores from the checkpoint, (2) agree the plan is provably safe —
-// or everyone fails together into the full-restart path — and only then
-// (3) move state: survivors decode their park snapshot locally,
-// replacements load exactly their assigned sections through the filtered
-// collective read. Survivor elements covered by boundary pieces of the
-// filtered read are overwritten with bit-identical bytes (both equal the
-// checkpoint), which is harmless.
-func (t *Task) partialRestore() (Status, int, error) {
-	t.partialPending = false
-	ps := t.handle.armedPartial()
-	if ps == nil {
-		return Failed, 0, fmt.Errorf("drms: rollback epoch with no armed partial recovery")
-	}
-	target := ps.from
-	// Who needs the checkpoint: replacements (no snapshot), plus any
-	// survivor whose snapshot misses the roll-back generation (e.g. the
-	// failure tore the checkpoint it captured, and the supervisor pinned
-	// the previous one).
-	needs := byte(0)
-	if t.snap == nil || t.snap.gen != target {
-		needs = 1
-	}
-	frames, err := t.comm.Allgather([]byte{needs})
-	if err != nil {
-		return Failed, 0, err
-	}
-	var ranks []int
-	for r, f := range frames {
-		if len(f) > 0 && f[0] == 1 {
-			ranks = append(ranks, r)
-		}
-	}
-	// Local verdict, then agreed (min): every task must find the plan
-	// provably safe, or everyone falls back together — no task may start
-	// a collective read peers refused to join.
-	verdict, reason := 1.0, ""
-	if err := ckpt.PartialEligible(t.cfg.FS, t.cfg.Tier, target, t.Tasks(), t.arrays, ranks, t.cfg.Stream); err != nil {
-		verdict, reason = 0, err.Error()
-	}
-	agreed, err := t.comm.AllreduceF64(verdict, msg.Min)
-	if err != nil {
-		return Failed, 0, err
-	}
-	if agreed == 0 {
-		if reason == "" {
-			reason = "a peer found the plan unsafe"
-		}
-		ferr := fmt.Errorf("drms: partial restore of %q ineligible: %s", target, reason)
-		ps.complete(PartialStats{}, ferr)
-		return Failed, 0, ferr
-	}
-	// The updated holder map (the spare node in the dead one's slot)
-	// applies from this epoch on: tier lookups of this restore and
-	// replica placement of future checkpoints.
-	if hh := t.handle.currentHolders(); hh != nil {
-		t.cfg.TierHolders = hh
-	}
-	if needs == 0 {
-		if err := t.sg.Decode(t.snap.seg); err != nil {
-			return Failed, 0, fmt.Errorf("drms: decoding park snapshot: %w", err)
-		}
-		for _, a := range t.arrays {
-			b, ok := t.snap.arrays[a.Name()]
-			if !ok {
-				return Failed, 0, fmt.Errorf("drms: park snapshot has no array %q", a.Name())
-			}
-			if err := a.SetLocalBytes(b); err != nil {
-				return Failed, 0, fmt.Errorf("drms: rolling back array %q: %w", a.Name(), err)
-			}
-		}
-	}
-	m, st, err := ckpt.ReadDRMSPartial(t.cfg.FS, target, t.comm, t.sg, t.arrays, t.cfg.Stream,
-		ckpt.PartialRestoreOptions{Tier: t.cfg.Tier, Holders: t.cfg.TierHolders,
-			Ranks: ranks, NeedSegment: needs == 1})
-	if err != nil {
-		return Failed, 0, fmt.Errorf("drms: partial restore of %q: %w", target, err)
-	}
-	t.LastMeta = m
-	t.handle.noteGeneration(target)
-	t.snapshot(target)
-	if t.Rank() == 0 {
-		rtsPartialRestores.Inc()
-		rtsLastReconfigDelta.Set(0)
-		rtsPoolTasks.Set(float64(t.Tasks()))
-		if st.TierMemBytes > 0 && st.TierPFSBytes == 0 {
-			t.handle.restoreSrc.Store(2)
-		} else {
-			t.handle.restoreSrc.Store(1)
-		}
-	}
-	// Every rank completes with the same agreed stats; the first wins.
-	ps.complete(PartialStats{Gen: target, Ranks: ranks,
-		TierMemBytes: st.TierMemBytes, TierPFSBytes: st.TierPFSBytes}, nil)
-	if err := t.agreeStop(); err != nil {
-		return Failed, 0, err
-	}
-	return Restored, 0, nil
-}

@@ -24,6 +24,12 @@ import (
 // element-wise with a fixed operand order, so the final checksum is the
 // bitwise fault-free oracle.
 func partialApp(n, iters, ckEvery, gateAt int, gate *atomic.Bool, atGate *atomic.Int64, prefix string, out chan<- float64) func(*Task) error {
+	return partialAppSOP((*Task).ReconfigCheckpoint, n, iters, ckEvery, gateAt, gate, atGate, prefix, out)
+}
+
+// partialAppSOP is partialApp with the SOP entry point chosen by the
+// test: every entry point must serve a pending rollback the same way.
+func partialAppSOP(sop func(*Task, string) (Status, int, error), n, iters, ckEvery, gateAt int, gate *atomic.Bool, atGate *atomic.Int64, prefix string, out chan<- float64) func(*Task) error {
 	return func(t *Task) error {
 		g := rangeset.NewSlice(rangeset.Span(0, n-1))
 		d, err := dist.Block(g, []int{t.Tasks()})
@@ -40,7 +46,7 @@ func partialApp(n, iters, ckEvery, gateAt int, gate *atomic.Bool, atGate *atomic
 
 		for {
 			if iter%ckEvery == 0 {
-				if _, _, err := t.ReconfigCheckpoint(prefix); err != nil {
+				if _, _, err := sop(t, prefix); err != nil {
 					return err
 				}
 			}
@@ -131,42 +137,54 @@ func TestPartialRecoverSingleRank(t *testing.T) {
 	}
 	want := <-ref
 
-	fs := testFS()
-	var gate atomic.Bool
-	var atGate atomic.Int64
-	out := make(chan float64, 1)
-	h, err := Start(Config{Tasks: tasks, FS: fs, Partial: true},
-		partialApp(n, iters, ckEvery, gateAt, &gate, &atGate, "job", out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitParked(t, &atGate, tasks)
-	gen := waitCommitted(t, h)
-	stats, err := h.PartialRecover(PartialRecoverSpec{
-		Dead: []int{3}, From: fmt.Sprintf("job.g%d", gen)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Ranks) != 1 || stats.Ranks[0] != 3 {
-		t.Fatalf("restored ranks %v, want [3]", stats.Ranks)
-	}
-	// The byte counters prove no full-state read: one rank of eight plus
-	// the segment moved, nowhere near the whole array.
-	total := int64(n * 8)
-	if got := stats.TierMemBytes + stats.TierPFSBytes; got <= 0 || got >= total/2 {
-		t.Fatalf("restored %d bytes of a %d-byte state; partial restore must move only the lost rank's share", got, total)
-	}
-	gate.Store(true)
-	if err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// Survivor goroutines persisted: launch spawned 8, the recovery
-	// exactly one replacement.
-	if got := h.TaskSpawns(); got != tasks+1 {
-		t.Fatalf("task goroutines spawned = %d, want %d (survivors must not be respawned)", got, tasks+1)
-	}
-	if got := <-out; got != want {
-		t.Fatalf("checksum %v != fault-free %v", got, want)
+	// The rollback is owed by the replacement epoch's first SOP, whichever
+	// entry point the application uses: the MPMD SOP once checked only for
+	// a launch restore and checkpointed the replacement's blank state.
+	group := NewGroup(1)
+	for name, sop := range map[string]func(*Task, string) (Status, int, error){
+		"ReconfigCheckpoint": (*Task).ReconfigCheckpoint,
+		"GroupCheckpoint":    func(t *Task, prefix string) (Status, int, error) { return t.GroupCheckpoint(group, prefix) },
+	} {
+		sop := sop
+		t.Run(name, func(t *testing.T) {
+			fs := testFS()
+			var gate atomic.Bool
+			var atGate atomic.Int64
+			out := make(chan float64, 1)
+			h, err := Start(Config{Tasks: tasks, FS: fs, Partial: true, PartialTimeout: 10 * time.Second},
+				partialAppSOP(sop, n, iters, ckEvery, gateAt, &gate, &atGate, "job", out))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitParked(t, &atGate, tasks)
+			gen := waitCommitted(t, h)
+			stats, err := h.PartialRecover(PartialRecoverSpec{
+				Dead: []int{3}, From: fmt.Sprintf("job.g%d", gen)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(stats.Ranks) != 1 || stats.Ranks[0] != 3 {
+				t.Fatalf("restored ranks %v, want [3]", stats.Ranks)
+			}
+			// The byte counters prove no full-state read: one rank of eight
+			// plus the segment moved, nowhere near the whole array.
+			total := int64(n * 8)
+			if got := stats.TierMemBytes + stats.TierPFSBytes; got <= 0 || got >= total/2 {
+				t.Fatalf("restored %d bytes of a %d-byte state; partial restore must move only the lost rank's share", got, total)
+			}
+			gate.Store(true)
+			if err := h.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			// Survivor goroutines persisted: launch spawned 8, the recovery
+			// exactly one replacement.
+			if got := h.TaskSpawns(); got != tasks+1 {
+				t.Fatalf("task goroutines spawned = %d, want %d (survivors must not be respawned)", got, tasks+1)
+			}
+			if got := <-out; got != want {
+				t.Fatalf("checksum %v != fault-free %v", got, want)
+			}
+		})
 	}
 }
 

@@ -22,10 +22,7 @@ package drms
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
-
-	"drms/internal/ckpt"
 )
 
 // errResize is the sentinel a task returns from the resize SOP after the
@@ -45,52 +42,6 @@ type ResizeStats struct {
 	// the state never touched the disk on its way to the new layout.
 	TierMemBytes int64
 	TierPFSBytes int64
-}
-
-// resizeState is one armed resize: written by Handle.Resize (system
-// initiated) or ReconfigResize (application initiated), read by rank 0's
-// checkpoint-header decision and by every task of the resize epoch,
-// completed exactly once.
-type resizeState struct {
-	target  int
-	holders []int
-
-	mu    sync.Mutex
-	gen   string // the committed resize generation, set at the swap SOP
-	fin   bool
-	err   error
-	stats ResizeStats
-	done  chan struct{}
-}
-
-func (rs *resizeState) complete(stats ResizeStats, err error) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.fin {
-		return
-	}
-	rs.fin, rs.stats, rs.err = true, stats, err
-	close(rs.done)
-}
-
-func (rs *resizeState) finished() bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.fin
-}
-
-func (rs *resizeState) setGen(gen string) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.gen == "" {
-		rs.gen = gen
-	}
-}
-
-func (rs *resizeState) genOf() string {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.gen
 }
 
 // ResizeSpec describes one system-initiated in-flight resize request.
@@ -124,75 +75,26 @@ func (h *Handle) Resize(spec ResizeSpec) (ResizeStats, error) {
 	if spec.Tasks == h.runner.Size() {
 		return ResizeStats{}, fmt.Errorf("drms: application already runs %d tasks", spec.Tasks)
 	}
-	timeout := spec.Timeout
-	if timeout <= 0 {
-		timeout = h.partialTimeout
-	}
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	rs := &resizeState{target: spec.Tasks, done: make(chan struct{})}
-	h.pmu.Lock()
-	if h.partial != nil && !h.partial.finished() {
-		h.pmu.Unlock()
-		return ResizeStats{}, fmt.Errorf("drms: a partial recovery is in flight")
-	}
-	if h.resize != nil && !h.resize.finished() {
-		h.pmu.Unlock()
-		return ResizeStats{}, fmt.Errorf("drms: a resize is already in flight")
-	}
-	if len(spec.Holders) > 0 {
-		h.holders = append([]int(nil), spec.Holders...)
-		rs.holders = h.holders
-	}
-	h.resize = rs
-	h.pmu.Unlock()
-	select {
-	case <-rs.done:
-		return rs.stats, rs.err
-	case <-h.done:
-		return ResizeStats{}, fmt.Errorf("drms: application exited during resize: %v", h.exitErr)
-	case <-time.After(timeout):
-		err := fmt.Errorf("drms: resize timed out after %v", timeout)
-		// Mark the attempt failed so a late swap cannot retroactively
-		// flip the caller's verdict.
-		rs.complete(ResizeStats{}, err)
+	at := &attempt{target: spec.Tasks, done: make(chan struct{})}
+	if err := h.arm(&h.resize, at, spec.Holders); err != nil {
 		return ResizeStats{}, err
 	}
+	out, err := h.await(at, "resize", spec.Timeout)
+	return ResizeStats{Gen: out.gen, From: out.from, To: out.to, TierMemBytes: out.mem, TierPFSBytes: out.pfs}, err
 }
 
-func (h *Handle) armedResize() *resizeState {
+// liveResize returns the unfinished armed resize, arming a fresh one for
+// target when there is none: rank 0 arms an application-initiated resize
+// this way before the header decision (a pending system-initiated one
+// keeps its target), and every task re-arms at commit if the attempt it
+// is carrying out timed out meanwhile.
+func (h *Handle) liveResize(target int) *attempt {
 	h.pmu.Lock()
 	defer h.pmu.Unlock()
-	return h.resize
-}
-
-// armResizeLocal arms an application-initiated resize if no attempt is
-// already in flight (a pending system-initiated one keeps its target).
-// Called on rank 0 from ReconfigResize, before the header decision.
-func (h *Handle) armResizeLocal(target int) {
-	h.pmu.Lock()
-	defer h.pmu.Unlock()
-	if h.resize != nil && !h.resize.finished() {
-		return
-	}
-	h.resize = &resizeState{target: target, done: make(chan struct{})}
-}
-
-// noteResizeCommitted records, on every task, that the resize generation
-// gen was committed and the swap to target tasks is about to be (or was
-// just) installed. It creates the armed state when the task's handle has
-// none (non-rank-0 tasks of an application-initiated resize learn the
-// decision from the broadcast header). Returns the armed state.
-func (h *Handle) noteResizeCommitted(gen string, target int) *resizeState {
-	h.pmu.Lock()
 	if h.resize == nil || h.resize.finished() {
-		h.resize = &resizeState{target: target, done: make(chan struct{})}
+		h.resize = &attempt{target: target, done: make(chan struct{})}
 	}
-	rs := h.resize
-	h.pmu.Unlock()
-	rs.setGen(gen)
-	return rs
+	return h.resize
 }
 
 // ReconfigResize is the application-initiated resize SOP
@@ -206,14 +108,8 @@ func (h *Handle) noteResizeCommitted(gen string, target int) *resizeState {
 // the new epoch returns (Restored, newTasks-oldTasks). Collective: every
 // task must pass the same newTasks.
 func (t *Task) ReconfigResize(prefix string, newTasks int) (Status, int, error) {
-	if t.pending {
-		return t.restore()
-	}
-	if t.partialPending {
-		return t.partialRestore()
-	}
-	if t.resizePending {
-		return t.resizeRestore()
+	if st, delta, served, err := t.servePending(); served {
+		return st, delta, err
 	}
 	if t.cfg.SPMDMode {
 		return Failed, 0, fmt.Errorf("drms: in-flight resize requires the DRMS scheme")
@@ -222,60 +118,10 @@ func (t *Task) ReconfigResize(prefix string, newTasks int) (Status, int, error) 
 		return Failed, 0, fmt.Errorf("drms: resize to %d tasks", newTasks)
 	}
 	if t.Rank() == 0 && newTasks != t.Tasks() {
-		t.handle.armResizeLocal(newTasks)
+		t.handle.liveResize(newTasks)
 	}
 	if err := t.write(prefix); err != nil {
 		return Failed, 0, err
 	}
 	return Continued, 0, nil
-}
-
-// resizeRestore is the redistribution at the first SOP of a resize
-// epoch: a full reconfigurable restore of the resize generation under
-// the new task count's distributions. Unlike a localized recovery there
-// is no park-snapshot shortcut — the distributions changed, so every
-// task's assigned sections did too — but the read is served from the
-// memory tier when the resize generation lives there, and the
-// redistribution schedules come from the plan caches.
-func (t *Task) resizeRestore() (Status, int, error) {
-	t.resizePending = false
-	rs := t.handle.armedResize()
-	if rs == nil {
-		return Failed, 0, fmt.Errorf("drms: resize epoch with no armed resize")
-	}
-	target := rs.genOf()
-	if target == "" {
-		return Failed, 0, fmt.Errorf("drms: resize epoch with no committed resize generation")
-	}
-	if hh := t.handle.currentHolders(); hh != nil {
-		t.cfg.TierHolders = hh
-	}
-	m, st, err := ckpt.ReadDRMSOpts(t.cfg.FS, target, t.comm, t.sg, t.arrays,
-		t.cfg.Stream, ckpt.RestoreOptions{Verify: t.cfg.Verify, Tier: t.cfg.Tier,
-			Holders: t.cfg.TierHolders})
-	if err != nil {
-		ferr := fmt.Errorf("drms: resize restore of %q: %w", target, err)
-		rs.complete(ResizeStats{}, ferr)
-		return Failed, 0, ferr
-	}
-	t.LastMeta = m
-	t.handle.noteGeneration(target)
-	t.snapshot(target)
-	if t.Rank() == 0 {
-		rtsResizes.Inc()
-		rtsRestores.Inc()
-		rtsLastReconfigDelta.Set(float64(t.Tasks() - m.Tasks))
-		rtsPoolTasks.Set(float64(t.Tasks()))
-		if st.TierMemBytes > 0 && st.TierPFSBytes == 0 {
-			t.handle.restoreSrc.Store(2)
-		} else {
-			t.handle.restoreSrc.Store(1)
-		}
-	}
-	rs.complete(ResizeStats{Gen: target, From: m.Tasks, To: t.Tasks(),
-		TierMemBytes: st.TierMemBytes, TierPFSBytes: st.TierPFSBytes}, nil)
-	if err := t.agreeStop(); err != nil {
-		return Failed, 0, err
-	}
-	return Restored, t.Tasks() - m.Tasks, nil
 }

@@ -274,7 +274,7 @@ func TestResizeRejections(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if _, err := h.Resize(ResizeSpec{Tasks: 3}); err == nil ||
-		!strings.Contains(err.Error(), "already in flight") {
+		!strings.Contains(err.Error(), "resize is in flight") {
 		t.Fatalf("concurrent resize: err=%v, want rejection", err)
 	}
 	if _, err := h.PartialRecover(PartialRecoverSpec{Dead: []int{1}, From: "job.g0"}); err == nil ||

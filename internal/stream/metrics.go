@@ -34,10 +34,8 @@ var (
 		"Bytes of pieces moved through file I/O by this process.")
 	streamNetBytes = obs.GetCounter("drms_stream_net_bytes_total",
 		"Redistribution bytes sent during two-phase exchanges.")
-	streamSkippedBytes = obs.GetCounter("drms_stream_skipped_bytes_total",
-		"Piece bytes elided by incremental checkpoints (SkipPiece).")
 	streamStoredBytes = obs.GetCounter("drms_stream_stored_bytes_total",
-		"Piece bytes actually written to storage (after EncodePiece; skipped pieces excluded).")
+		"Piece bytes actually written to storage (after EncodePiece).")
 	streamWriteIOSeconds = obs.GetHistogram("drms_stream_write_io_seconds",
 		"Service time of individual piece file writes (the async stage of the pipeline).", obs.LatencyBuckets)
 )
@@ -66,7 +64,7 @@ func init() {
 }
 
 // observeStream records one stream call's outcome from a defer:
-// latency, traffic, and elisions from the task's Stats.
+// latency and traffic from the task's Stats.
 func observeStream(ops *obs.Counter, seconds *obs.Histogram, start time.Time, st *Stats, err *error) {
 	if *err != nil {
 		streamErrors.Inc()
@@ -75,6 +73,5 @@ func observeStream(ops *obs.Counter, seconds *obs.Histogram, start time.Time, st
 	ops.Inc()
 	seconds.ObserveSince(start)
 	streamNetBytes.Add(uint64(st.NetBytes))
-	streamSkippedBytes.Add(uint64(st.SkippedBytes))
 	streamStoredBytes.Add(uint64(st.StoredBytes))
 }

@@ -239,8 +239,8 @@ func PieceSpans(x rangeset.Slice, elemSize, tasks int, o Options) (spans []range
 // section x with the given element size on a tasks-wide application. Two
 // streaming operations with equal signatures use the identical piece
 // decomposition and byte offsets, so a stored signature is a cheap
-// "did the plan change?" identity test — the incremental checkpoint layer
-// compares signatures before trusting per-piece diffing across intervals.
+// "did the plan change?" identity test — the checkpoint layer compares
+// signatures before trusting per-piece diffing across generations.
 func PlanSig(x rangeset.Slice, elemSize, tasks int, o Options) string {
 	return fmt.Sprintf("%s|es=%d|w=%d|pb=%d|ord=%d|base=%d",
 		x.String(), elemSize, o.writers(tasks), o.pieceBytes(), o.Order, o.BaseOffset)

@@ -68,17 +68,9 @@ type Options struct {
 	// before the buffer is reused. The checkpoint layer uses it to
 	// compute integrity checksums without a second pass over the data.
 	PieceHook func(index int, offset int64, data []byte)
-	// SkipPiece, if non-nil, lets a writer elide the file write of a
-	// piece whose bytes are already on the stream target (incremental
-	// checkpointing): return true to skip. offset is the piece's
-	// stream-relative byte position — skip decisions must match on it,
-	// not just the index, because different piece plans number different
-	// extents. The redistribution still happens and PieceHook still
-	// fires, so checksums stay complete. Ignored by Read.
-	SkipPiece func(index int, offset int64, data []byte) bool
 	// EncodePiece, if non-nil, transforms a written piece and chooses
 	// where its bytes land (compressed chained checkpoints). It runs
-	// synchronously on the writing task after PieceHook/SkipPiece and
+	// synchronously on the writing task after PieceHook and
 	// before the piece's file write is issued — so the encode of piece
 	// r+1 overlaps the still-in-flight asynchronous file write of piece
 	// r, extending the two-phase pipeline by one stage. At most one
@@ -117,9 +109,9 @@ type Encoded struct {
 	Off  int64
 	// Skip elides the file write entirely: the encoder has placed the
 	// piece's bytes somewhere the stream layer does not manage (the
-	// in-memory checkpoint tier). Unlike SkipPiece, the piece still
-	// counts as streamed — it was redistributed, hooked, and encoded —
-	// and contributes nothing to StoredBytes or SkippedBytes.
+	// in-memory checkpoint tier). The piece still counts as streamed —
+	// it was redistributed, hooked, and encoded — and contributes
+	// nothing to StoredBytes.
 	Skip bool
 }
 
@@ -132,12 +124,9 @@ type Stats struct {
 	NetBytes int64
 	// Pieces is the number of pieces the section was partitioned into.
 	Pieces int
-	// SkippedBytes counts piece bytes this task elided via SkipPiece.
-	SkippedBytes int64
 	// StoredBytes counts the bytes this task actually wrote to storage:
-	// piece bytes after EncodePiece (compression), excluding skipped
-	// pieces. Equal to the written piece bytes when no encoder is set;
-	// zero for reads.
+	// piece bytes after EncodePiece (compression). Equal to the written
+	// piece bytes when no encoder is set; zero for reads.
 	StoredBytes int64
 }
 
@@ -251,46 +240,40 @@ func Write[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, na
 			if o.PieceHook != nil {
 				o.PieceHook(gi, rel, buf)
 			}
-			if o.SkipPiece != nil && o.SkipPiece(gi, rel, buf) {
-				st.SkippedBytes += int64(len(buf))
-			} else {
-				// Encode (compress, checksum, choose placement) while the
-				// previous piece's file write is still in flight — the
-				// encode stage of the pipeline.
-				out, file, foff := buf, name, rel+o.BaseOffset
-				if o.EncodePiece != nil {
-					enc, eerr := o.EncodePiece(gi, rel, buf)
-					if eerr != nil {
-						return st, eerr
-					}
-					if enc.Skip {
-						streamPieces.Inc()
-						streamPieceBytes.Add(uint64(len(buf)))
-						continue
-					}
-					out = enc.Data
-					if enc.File != "" {
-						file, foff = enc.File, enc.Off
-					}
+			streamPieces.Inc()
+			streamPieceBytes.Add(uint64(len(buf)))
+			// Encode (compress, checksum, choose placement) while the
+			// previous piece's file write is still in flight — the
+			// encode stage of the pipeline.
+			out, file, foff := buf, name, rel+o.BaseOffset
+			if o.EncodePiece != nil {
+				enc, eerr := o.EncodePiece(gi, rel, buf)
+				if eerr != nil {
+					return st, eerr
 				}
-				if err := join(); err != nil {
-					return st, err
+				if enc.Skip {
+					continue
 				}
-				streamPieces.Inc()
-				streamPieceBytes.Add(uint64(len(buf)))
-				st.StoredBytes += int64(len(out))
-				wg.Add(1)
-				go func(out []byte, file string, off int64) {
-					defer wg.Done()
-					t0 := time.Now()
-					if err := fs.WriteAt(me, file, out, off); err != nil {
-						werr = err
-						return
-					}
-					streamWriteIOSeconds.ObserveSince(t0)
-				}(out, file, foff)
-				flip = 1 - flip
+				out = enc.Data
+				if enc.File != "" {
+					file, foff = enc.File, enc.Off
+				}
 			}
+			if err := join(); err != nil {
+				return st, err
+			}
+			st.StoredBytes += int64(len(out))
+			wg.Add(1)
+			go func(out []byte, file string, off int64) {
+				defer wg.Done()
+				t0 := time.Now()
+				if err := fs.WriteAt(me, file, out, off); err != nil {
+					werr = err
+					return
+				}
+				streamWriteIOSeconds.ObserveSince(t0)
+			}(out, file, foff)
+			flip = 1 - flip
 		}
 	}
 	return st, join()
