@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint loc test race chaos bench smoke soak-controlplane
+.PHONY: check fmt vet lint loc test race chaos bench benchmark benchmark-compare smoke soak-controlplane
 
 # The full pre-merge gauntlet: formatting, static checks, all tests,
 # the race detector over the concurrency-bearing packages, and the
@@ -54,8 +54,12 @@ loc:
 		printf '%-22s %6d\n' "$$d" "$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"; done
 	@printf '%-22s %6d\n' total "$$(ls internal/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 
+# The second line runs the 1-D path's micro-benchmarks once each, so they
+# stay compiling and running (their numbers are for `go test -bench`).
 test:
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|CRCCombine|TierCheck' -benchtime=1x \
+		./internal/rangeset ./internal/dist ./internal/ckpt
 
 # Race coverage spans every layer that exercises real concurrency: the
 # transport (including its TCP mesh and fault injector), parallel
@@ -111,3 +115,15 @@ bench:
 	$(GO) run ./cmd/drmsbench -bench7 BENCH_7.json
 	$(GO) run ./cmd/drmsbench -bench9 BENCH_9.json
 	$(GO) run ./cmd/drmsbench -bench10 BENCH_10.json
+
+# The wall-clock benchmark (BENCHMARK.json, benchmark/README.md): five
+# fresh-process runs of every workload, medians and quartiles in
+# .bench_build/summary.json. Compare two summaries — say one from a
+# checkout of the parent commit and one from this tree — with
+# `make benchmark-compare A=parent.json B=.bench_build/summary.json`;
+# it exits non-zero when a metric regressed beyond its bound.
+benchmark:
+	bash benchmark/run.sh -workload all -runs 5 -out .bench_build/summary.json
+
+benchmark-compare:
+	bash benchmark/run.sh -compare $(A) $(B)

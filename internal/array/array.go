@@ -364,20 +364,29 @@ func (a *Array[T]) Gather(root int, order rangeset.Order) ([]T, error) {
 	pl := gatherPlanFor(a.d, c, root, order, es)
 	buf := getBuf(pl.packBytes)
 	packRuns(any(a.local), buf, pl.packRuns, es, pl.packStride)
-	parts, err := c.Gather(root, buf)
-	putBuf(buf)
-	if err != nil {
-		return nil, fmt.Errorf("array %q: gather: %w", a.name, err)
+	send := buf
+	if p == root {
+		send = nil // root unpacks its own contribution straight from buf
 	}
-	if p != root {
-		return nil, nil
+	parts, err := c.Gather(root, send)
+	if err != nil || p != root {
+		putBuf(buf)
+		if err != nil {
+			err = fmt.Errorf("array %q: gather: %w", a.name, err)
+		}
+		return nil, err
 	}
+	// Only the pack buffer goes back to the pool. Root alone receives
+	// here and takes one buffer per call, so recycling the transport's
+	// P-1 copies as well would pile up a surplus that a sync.Pool keeps
+	// reachable for two GC cycles — live heap the collector doubles.
+	parts[root] = buf
 	out := make([]T, a.Global().Size())
 	boxed := any(out)
 	for q := 0; q < c.Size(); q++ {
 		unpackRuns(boxed, parts[q], pl.scatter[q], es, 1)
-		putBuf(parts[q])
 	}
+	putBuf(buf)
 	return out, nil
 }
 

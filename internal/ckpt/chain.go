@@ -950,8 +950,9 @@ func (f *pieceFetcher) decoded(l PieceLoc) ([]byte, error) {
 	return out, nil
 }
 
-// storedPool recycles the compressed-piece read buffers the fetcher and
-// verifier stream stored bytes through.
+// storedPool recycles the read buffers the fetcher, the verifier, the
+// segment reader and squash stream stored bytes through, each sized by
+// the read it serves.
 var storedPool = sync.Pool{New: func() any { b := []byte(nil); return &b }}
 
 func borrowStored(n int64) []byte {
@@ -1107,14 +1108,14 @@ func Squash(fs *pfs.System, base string, client int) (prefix string, squashed bo
 // copyFile copies a whole file byte for byte through a pooled window.
 func copyFile(fs *pfs.System, client int, src, dst string, size int64) error {
 	fs.Create(dst)
-	window := windowPool.Get().(*[]byte)
-	defer windowPool.Put(window)
+	window := borrowStored(min(size, padChunk))
+	defer recycleStored(window)
 	for off := int64(0); off < size; {
-		n := min(size-off, padChunk)
-		if err := fs.ReadAt(client, src, (*window)[:n], off); err != nil {
+		n := min(size-off, int64(len(window)))
+		if err := fs.ReadAt(client, src, window[:n], off); err != nil {
 			return err
 		}
-		if err := fs.WriteAt(client, dst, (*window)[:n], off); err != nil {
+		if err := fs.WriteAt(client, dst, window[:n], off); err != nil {
 			return err
 		}
 		off += n

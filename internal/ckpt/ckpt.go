@@ -32,7 +32,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"sync"
+	"hash/crc64"
 	"time"
 
 	"drms/internal/msg"
@@ -847,33 +847,38 @@ func readSegmentFile(fs *pfs.System, name string, client int, total int64) ([]by
 	if err := fs.ReadAt(client, name, payload, segHeader); err != nil {
 		return nil, 0, err
 	}
+	// Stream the padding through a window, as the real restore reads the
+	// full image.
 	crc := crcCombine(crcOf(hdr), crcOf(payload), plen)
-	// Stream the padding through a fixed window, as the real restore
-	// reads the full image.
-	rest := total - segHeader - plen
-	window := windowPool.Get().(*[]byte)
-	for off := segHeader + plen; rest > 0; {
-		n := min(rest, padChunk)
-		if err := fs.ReadAt(client, name, (*window)[:n], off); err != nil {
-			windowPool.Put(window)
-			return nil, 0, err
-		}
-		crc = crcCombine(crc, crcOf((*window)[:n]), n)
-		off += n
-		rest -= n
+	crc, err := readCRC(fs, name, client, crc, segHeader+plen, total-segHeader-plen)
+	if err != nil {
+		return nil, 0, err
 	}
-	windowPool.Put(window)
 	return payload, crc, nil
+}
+
+// readCRC extends crc over bytes [off, off+n) of a file, read in
+// operations of at most padChunk bytes through a pooled window. The
+// window is as long as the read needs (a few KB of segment padding for a
+// small state): a pooled buffer stays live on every rank between cycles.
+func readCRC(fs *pfs.System, name string, client int, crc uint64, off, n int64) (uint64, error) {
+	window := borrowStored(min(n, padChunk))
+	defer recycleStored(window)
+	for end := off + n; off < end; {
+		b := window[:min(end-off, int64(len(window)))]
+		if err := fs.ReadAt(client, name, b, off); err != nil {
+			return 0, err
+		}
+		crc = crc64.Update(crc, crcTable, b)
+		off += int64(len(b))
+	}
+	return crc, nil
 }
 
 // zeroPad is the shared read-only source of padding bytes: segment files
 // of every task pad from the same megabyte of zeros instead of allocating
 // one each (the paper's class A segments pad by tens of megabytes).
 var zeroPad = make([]byte, padChunk)
-
-// windowPool recycles the fixed read windows restores stream padding
-// through; concurrent tasks each borrow one.
-var windowPool = sync.Pool{New: func() any { b := make([]byte, padChunk); return &b }}
 
 func i64Bytes(v int64) []byte {
 	b := make([]byte, 8)

@@ -246,16 +246,9 @@ func VerifyTier(fs *pfs.System, tier *MemTier, prefix string, client int) error 
 // and returns the index of the first piece whose CRC disagrees (-1 when
 // every piece matches — the damage then lies outside the piece map).
 func findCorruptPiece(fs *pfs.System, name string, client int, pieces []PieceSum) (int, error) {
-	buf := make([]byte, 0, padChunk)
 	for _, p := range pieces {
-		if int64(cap(buf)) < p.Bytes {
-			buf = make([]byte, p.Bytes)
-		}
-		b := buf[:p.Bytes]
-		if err := fs.ReadAt(client, name, b, p.Off); err != nil {
-			return p.Index, nil // unreadable extent: attribute it here
-		}
-		if crcOf(b) != p.CRC {
+		// An unreadable extent is attributed to its piece as well.
+		if crc, err := readCRC(fs, name, client, 0, p.Off, p.Bytes); err != nil || crc != p.CRC {
 			return p.Index, nil
 		}
 	}
@@ -271,15 +264,9 @@ func verifyFile(fs *pfs.System, prefix, name string, client int, wantSize int64,
 	if sz != wantSize {
 		return corrupt(prefix, name, -1, "%d bytes, metadata says %d", sz, wantSize)
 	}
-	var crc uint64
-	buf := make([]byte, padChunk)
-	for off := int64(0); off < sz; {
-		n := min(int64(len(buf)), sz-off)
-		if err := fs.ReadAt(client, name, buf[:n], off); err != nil {
-			return fmt.Errorf("ckpt: verify %q: %w", name, err)
-		}
-		crc = crcCombine(crc, crcOf(buf[:n]), n)
-		off += n
+	crc, err := readCRC(fs, name, client, 0, 0, sz)
+	if err != nil {
+		return fmt.Errorf("ckpt: verify %q: %w", name, err)
 	}
 	if crc != wantCRC {
 		return corrupt(prefix, name, -1, "crc %016x, metadata %016x", crc, wantCRC)

@@ -16,6 +16,9 @@ func TestCRCCombineMatchesDirect(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := make([]byte, rng.Intn(5000))
 		b := make([]byte, rng.Intn(5000))
+		if i%10 == 0 {
+			b = make([]byte, 1<<(i/10)+i%3-1) // 2^k and 2^k±1 up to 2^19
+		}
 		rng.Read(a)
 		rng.Read(b)
 		direct := crc64.Checksum(append(append([]byte{}, a...), b...), tab)
@@ -43,7 +46,7 @@ func TestCRCCombineEdgeCases(t *testing.T) {
 
 func TestCRCZeros(t *testing.T) {
 	tab := crc64.MakeTable(crc64.ECMA)
-	for _, n := range []int64{1, 7, 64, 4096, 1 << 20} {
+	for _, n := range []int64{0, 1, 2, 7, 64, 257, 4096, 32<<10 + 1, 1 << 20} {
 		direct := crc64.Checksum(make([]byte, n), tab)
 		if got := crcZeros(n); got != direct {
 			t.Fatalf("crcZeros(%d) = %016x, want %016x", n, got, direct)

@@ -1,9 +1,12 @@
 package ckpt
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -113,28 +116,50 @@ func (t *MemTier) Publish(holders []int, prefix, arr string, index int, data []b
 	tierReplicaSeconds.ObserveSince(start)
 }
 
-// lookup returns the first replica of the payload that valid accepts, or
-// ok=false if no surviving store holds one. The returned slice is the
-// shared backing array — read-only. Holder node self's store is probed
-// first (local reports whether it served), then the rest in ascending
-// holder order, so lookups are deterministic. Misses are silent — for
-// disk-resident payloads a miss just means a pfs read; callers tick the
-// lost-pieces counter themselves when a miss means data loss.
-func (t *MemTier) lookup(self int, prefix, arr string, index int, valid func(memEntry) bool) (data []byte, local, ok bool) {
+// replica is one holder's copy of a payload, snapshotted out of the
+// store maps.
+type replica struct {
+	holder int
+	memEntry
+}
+
+// replicas snapshots the surviving copies of one payload into buf, holder
+// self's first and the rest in ascending holder order, so lookups are
+// deterministic. Only the map reads happen under t.mu: published
+// payloads are immutable, so callers CRC the snapshot with the lock
+// released, and a concurrent Remove or DropStore orders after the lookup.
+func (t *MemTier) replicas(self int, prefix, arr string, index int, buf []replica) []replica {
 	if t == nil {
-		return nil, false, false
+		return nil
 	}
 	k := memKey{prefix: prefix, arr: arr, index: index}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if st := t.stores[self]; st != nil {
-		if e, ok := st.entries[k]; ok && valid(e) {
-			return e.data, true, true
+	for h, st := range t.stores {
+		if e, ok := st.entries[k]; ok {
+			buf = append(buf, replica{h, e})
 		}
 	}
-	for _, h := range t.holderIDs() {
-		if e, ok := t.stores[h].entries[k]; ok && h != self && valid(e) {
-			return e.data, false, true
+	t.mu.Unlock()
+	rank := func(r replica) int {
+		if r.holder == self {
+			return math.MinInt
+		}
+		return r.holder
+	}
+	slices.SortFunc(buf, func(a, b replica) int { return cmp.Compare(rank(a), rank(b)) })
+	return buf
+}
+
+// lookup returns the first replica that valid accepts — the shared
+// backing array, read-only; local reports whether self's store served
+// it — or ok=false. Misses are silent: for disk-resident payloads a miss
+// just means a pfs read; callers tick the lost-pieces counter themselves
+// when a miss means data loss.
+func (t *MemTier) lookup(self int, prefix, arr string, index int, valid func(memEntry) bool) (data []byte, local, ok bool) {
+	var buf [4]replica
+	for _, r := range t.replicas(self, prefix, arr, index, buf[:0]) {
+		if valid(r.memEntry) {
+			return r.data, r.holder == self, true
 		}
 	}
 	return nil, false, false
@@ -154,9 +179,12 @@ func (t *MemTier) Lookup(prefix, arr string, index int, wantCRC uint64) ([]byte,
 // everything is local and a hot restore costs no modeled wire time at
 // all.
 func (t *MemTier) LookupPrefer(self int, prefix, arr string, index int, wantCRC uint64) (data []byte, local, ok bool) {
-	return t.lookup(self, prefix, arr, index, func(e memEntry) bool {
-		return e.crc == wantCRC && crcOf(e.data) == wantCRC
-	})
+	return t.lookup(self, prefix, arr, index, func(e memEntry) bool { return e.validFor(wantCRC) })
+}
+
+// validFor: published under wantCRC, and the bytes still hash to it.
+func (e memEntry) validFor(wantCRC uint64) bool {
+	return e.crc == wantCRC && crcOf(e.data) == wantCRC
 }
 
 // LookupSelf returns a self-consistent replica — bytes matching the CRC
@@ -165,27 +193,23 @@ func (t *MemTier) LookupPrefer(self int, prefix, arr string, index int, wantCRC 
 // file's CRC, not the payload's, so the caller validates by
 // reconstructing the file CRC from the returned payload.
 func (t *MemTier) LookupSelf(self int, prefix, arr string, index int) (data []byte, local, ok bool) {
-	return t.lookup(self, prefix, arr, index, func(e memEntry) bool { return crcOf(e.data) == e.crc })
+	return t.lookup(self, prefix, arr, index, func(e memEntry) bool { return e.validFor(e.crc) })
 }
 
-// Check reports whether at least one CRC-valid replica survives,
-// without ticking the miss counter — the verify path probes
+// Check reports whether a CRC-valid replica survives (the first valid
+// one settles it) without ticking the miss counter: verify probes
 // speculatively.
 func (t *MemTier) Check(prefix, arr string, index int, wantCRC uint64) bool {
-	return t.Replicas(prefix, arr, index, wantCRC) > 0
+	_, ok := t.Lookup(prefix, arr, index, wantCRC)
+	return ok
 }
 
 // Replicas counts the surviving CRC-valid replicas of one payload.
 func (t *MemTier) Replicas(prefix, arr string, index int, wantCRC uint64) int {
-	if t == nil {
-		return 0
-	}
-	k := memKey{prefix: prefix, arr: arr, index: index}
+	var buf [4]replica
 	n := 0
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, st := range t.stores {
-		if e, ok := st.entries[k]; ok && e.crc == wantCRC && crcOf(e.data) == wantCRC {
+	for _, r := range t.replicas(-1, prefix, arr, index, buf[:0]) {
+		if r.validFor(wantCRC) {
 			n++
 		}
 	}
@@ -260,28 +284,25 @@ func (t *MemTier) Entries(prefix string) []TierEntry {
 	if t == nil {
 		return nil
 	}
+	held := make(map[memKey][]memEntry)
 	t.mu.Lock()
-	agg := make(map[memKey]*TierEntry)
 	for _, st := range t.stores {
 		for k, e := range st.entries {
-			if k.prefix != prefix {
-				continue
-			}
-			te := agg[k]
-			if te == nil {
-				te = &TierEntry{Arr: k.arr, Index: k.index,
-					Bytes: int64(len(e.data)), CRC: e.crc}
-				agg[k] = te
-			}
-			if e.crc == te.CRC && crcOf(e.data) == te.CRC {
-				te.Replicas++
+			if k.prefix == prefix {
+				held[k] = append(held[k], e)
 			}
 		}
 	}
 	t.mu.Unlock()
-	out := make([]TierEntry, 0, len(agg))
-	for _, te := range agg {
-		out = append(out, *te)
+	out := make([]TierEntry, 0, len(held))
+	for k, es := range held {
+		te := TierEntry{Arr: k.arr, Index: k.index, Bytes: int64(len(es[0].data)), CRC: es[0].crc}
+		for _, e := range es {
+			if e.validFor(te.CRC) {
+				te.Replicas++
+			}
+		}
+		out = append(out, te)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Arr != out[j].Arr {
@@ -290,17 +311,6 @@ func (t *MemTier) Entries(prefix string) []TierEntry {
 		return out[i].Index < out[j].Index
 	})
 	return out
-}
-
-// holderIDs returns the live holder ids in ascending order. Caller
-// holds t.mu.
-func (t *MemTier) holderIDs() []int {
-	ids := make([]int, 0, len(t.stores))
-	for h := range t.stores {
-		ids = append(ids, h)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // tierFileRecord is the gob snapshot row for SaveFile/LoadTierFile.

@@ -1,9 +1,11 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"drms/internal/array"
@@ -451,4 +453,177 @@ func TestDemotedGenerationIsCompleteOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	restoreChainTier(t, fs, nil, "job.g2", 2, 4, []int{2, 2})
+}
+
+// tornPublish stores bytes under a CRC they do not hash to: a replica
+// whose memory was damaged after it was published.
+func tornPublish(tier *MemTier, holder int, prefix, arr string, index int, good []byte) {
+	bad := append([]byte(nil), good...)
+	bad[len(bad)/2] ^= 0x40
+	tier.Publish([]int{holder}, prefix, arr, index, bad, crcOf(good))
+}
+
+// TestMemTierSkipsCorruptReplica: a damaged first replica is passed over
+// for a valid later one — by Lookup, Check and the piece fetcher alike —
+// and once every replica is damaged the payload reads as absent; only
+// the fetch that needed a memory-only piece counts it lost, never the
+// speculative probes.
+func TestMemTierSkipsCorruptReplica(t *testing.T) {
+	fs := pfs.NewSystem(pfs.DefaultConfig())
+	tier := NewMemTier()
+	good := []byte("sixteen byte pay" + "load, twice over")
+	want := crcOf(good)
+	tornPublish(tier, 0, "ck.g3", "u", 5, good)
+	tier.Publish([]int{2}, "ck.g3", "u", 5, good, want)
+	loc := PieceLoc{PieceSum: PieceSum{Index: 5, Off: 0, CRC: want, Bytes: int64(len(good))},
+		Gen: 3, FileBytes: int64(len(good)), Where: TierMem}
+	fetcher := func() *pieceFetcher { return newPieceFetcher(fs, tier, "ck.g3", "u", []PieceLoc{loc}, 0, 0) }
+	lost := tierLostPieces.Value()
+
+	if b, ok := tier.Lookup("ck.g3", "u", 5, want); !ok || string(b) != string(good) {
+		t.Fatalf("lookup past a corrupt replica = %q ok=%v", b, ok)
+	}
+	if b, local, ok := tier.LookupPrefer(0, "ck.g3", "u", 5, want); !ok || local || string(b) != string(good) {
+		t.Fatalf("self's corrupt replica: served %q local=%v ok=%v", b, local, ok)
+	}
+	if _, local, ok := tier.LookupPrefer(2, "ck.g3", "u", 5, want); !ok || !local {
+		t.Fatalf("valid self replica: local=%v ok=%v", local, ok)
+	}
+	if !tier.Check("ck.g3", "u", 5, want) || tier.Replicas("ck.g3", "u", 5, want) != 1 {
+		t.Fatalf("check=%v replicas=%d, want true and 1", tier.Check("ck.g3", "u", 5, want), tier.Replicas("ck.g3", "u", 5, want))
+	}
+	if es := tier.Entries("ck.g3"); len(es) != 1 || es[0].Replicas < 1 {
+		t.Fatalf("entries = %+v", es)
+	}
+	f := fetcher()
+	dst := make([]byte, len(good))
+	if !f.allResident() {
+		t.Fatal("piece with one valid replica not resident")
+	}
+	if err := f.fetch(0, 0, dst); err != nil || string(dst) != string(good) {
+		t.Fatalf("fetch past a corrupt replica = %q, %v", dst, err)
+	}
+	if got := tierLostPieces.Value(); got != lost {
+		t.Fatalf("lost-pieces ticked %d times with a valid replica alive", got-lost)
+	}
+
+	tornPublish(tier, 2, "ck.g3", "u", 5, good)
+	if _, ok := tier.Lookup("ck.g3", "u", 5, want); ok {
+		t.Fatal("lookup served a corrupt replica")
+	}
+	if _, _, ok := tier.LookupSelf(2, "ck.g3", "u", 5); ok {
+		t.Fatal("LookupSelf served a replica that fails its own CRC")
+	}
+	if tier.Check("ck.g3", "u", 5, want) || tier.Replicas("ck.g3", "u", 5, want) != 0 || fetcher().allResident() {
+		t.Fatal("all replicas corrupt, yet the payload reads as present")
+	}
+	if got := tierLostPieces.Value(); got != lost {
+		t.Fatalf("speculative probes ticked lost-pieces %d times", got-lost)
+	}
+	var ce *CorruptError
+	if err := fetcher().fetch(0, 0, dst); !errors.As(err, &ce) || ce.Piece != 5 {
+		t.Fatalf("fetch of a lost memory-only piece: %v", err)
+	}
+	if got := tierLostPieces.Value(); got != lost+1 {
+		t.Fatalf("lost-pieces ticked %d times for one lost piece", got-lost)
+	}
+	// The segment path counts its loss the same way.
+	tornPublish(tier, 1, "ck.g3", "", segIndex, good)
+	m := &Meta{SegWhere: TierMem, SegCRC: []uint64{want}, SegBytes: []int64{int64(len(good))}}
+	if _, _, _, err := readSegment(fs, tier, "ck.g3", 0, 1, m); !errors.As(err, &ce) {
+		t.Fatalf("readSegment of a lost memory-only segment: %v", err)
+	}
+	if got := tierLostPieces.Value(); got != lost+2 {
+		t.Fatalf("lost-pieces = +%d after a lost piece and a lost segment", got-lost)
+	}
+}
+
+// TestMemTierConcurrentReadersAndWriters is for the race detector:
+// lookups validate outside the tier lock while publishes, store drops
+// and prefix removals rewrite the same keys. Whatever a lookup serves
+// must hash to the CRC it was asked for.
+func TestMemTierConcurrentReadersAndWriters(t *testing.T) {
+	tier := NewMemTier()
+	const pieces = 8
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 4096) }
+	var readers, writers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for round := 0; ; round++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := 0; i < pieces; i++ {
+					p := payload(i)
+					tier.Publish([]int{(i + w) % 4, (i + w + 1) % 4}, "ck.g1", "u", i, p, crcOf(p))
+				}
+				switch round % 3 {
+				case 0:
+					tier.DropStore((round + w) % 4)
+				case 1:
+					tier.Remove("ck.g1")
+				}
+			}
+		}()
+	}
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for round := 0; round < 50; round++ {
+				for i := 0; i < pieces; i++ {
+					want := crcOf(payload(i))
+					if b, _, ok := tier.LookupPrefer(r, "ck.g1", "u", i, want); ok && crcOf(b) != want {
+						t.Errorf("piece %d: served bytes hash to %016x, want %016x", i, crcOf(b), want)
+					}
+					tier.Check("ck.g1", "u", i, want)
+					if n := tier.Replicas("ck.g1", "u", i, want); n < 0 || n > 4 {
+						t.Errorf("piece %d: %d replicas", i, n)
+					}
+					tier.LookupSelf(r, "ck.g1", "u", i)
+				}
+				tier.Entries("ck.g1")
+				tier.ResidentBytes()
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
+}
+
+// BenchmarkTierCheck is the residency probe of one hot restore: four
+// ranks each checking every piece of a 1.5 MB array (48 pieces of
+// 32 KiB, two replicas each) at once; `make test` runs it once.
+func BenchmarkTierCheck(b *testing.B) {
+	tier := NewMemTier()
+	const pieces, readers = 48, 4
+	crcs := make([]uint64, pieces)
+	for i := range crcs {
+		p := bytes.Repeat([]byte{byte(i)}, 32<<10)
+		crcs[i] = crcOf(p)
+		tier.Publish([]int{i % 4, (i + 1) % 4}, "ck.g1", "u", i, p, crcs[i])
+	}
+	b.SetBytes(readers * pieces * 32 << 10)
+	b.ReportAllocs()
+	for b.Loop() {
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, crc := range crcs {
+					if !tier.Check("ck.g1", "u", i, crc) {
+						b.Errorf("piece %d not resident", i)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

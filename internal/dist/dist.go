@@ -225,15 +225,7 @@ func cutRuns(r rangeset.Range, k int) []rangeset.Range {
 		if i < rem {
 			sz++
 		}
-		if sz == 0 {
-			out[i] = rangeset.Range{}
-			continue
-		}
-		elems := make([]int, sz)
-		for j := 0; j < sz; j++ {
-			elems[j] = r.At(pos + j)
-		}
-		out[i] = rangeset.List(elems...)
+		out[i] = r.Sub(pos, pos+sz)
 		pos += sz
 	}
 	return out
@@ -267,11 +259,7 @@ func GenBlock(global rangeset.Slice, sizes [][]int) (*Distribution, error) {
 		p *= len(axSizes)
 		pos := 0
 		for _, n := range axSizes {
-			elems := make([]int, n)
-			for j := 0; j < n; j++ {
-				elems[j] = ax.At(pos + j)
-			}
-			runs[i] = append(runs[i], rangeset.List(elems...))
+			runs[i] = append(runs[i], ax.Sub(pos, pos+n))
 			pos += n
 		}
 	}

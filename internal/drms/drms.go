@@ -614,7 +614,7 @@ func (t *Task) write(prefix string) error {
 		// is retired observes ErrProcFailed instead; the body loop parks it
 		// all the same, and its write already contributed its durable
 		// bytes.
-		rs := t.handle.liveResize(hdr.Resize)
+		rs := t.handle.liveResize(hdr.Resize, hdr.Gen)
 		rs.setGen(hdr.Gen)
 		if t.Rank() == 0 {
 			if _, err := t.handle.runner.Resize(hdr.Resize); err != nil {

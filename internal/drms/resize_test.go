@@ -334,3 +334,33 @@ func TestResizeKillDuringSOP(t *testing.T) {
 	}
 	assertBitwise(t, <-out, want)
 }
+
+// TestLiveResizeKeepsCompletedAttempt pins the retired-rank race: a rank
+// of the old epoch reaches its post-write liveResize after the new
+// epoch's restore already completed the attempt. It must get that same
+// attempt back — not arm a fresh one nobody will complete, which would
+// refuse the next Handle.Resize with "a resize is in flight" — while a
+// finished attempt of an earlier generation (a timed-out driver) is
+// still replaced.
+func TestLiveResizeKeepsCompletedAttempt(t *testing.T) {
+	h := &Handle{}
+	at := &attempt{target: 2, done: make(chan struct{})}
+	if err := h.arm(&h.resize, at, nil); err != nil {
+		t.Fatal(err)
+	}
+	at.setGen("ck.g7")
+	at.complete(restoreOutcome{}, nil)
+	if got := h.liveResize(2, "ck.g7"); got != at {
+		t.Fatal("late rank of the completed resize armed a fresh attempt")
+	}
+	next := &attempt{target: 4, done: make(chan struct{})}
+	if err := h.arm(&h.resize, next, nil); err != nil {
+		t.Fatalf("next resize refused after a completed one: %v", err)
+	}
+	// The driver gave up before any rank committed: the ranks carry the
+	// resize out under a fresh attempt.
+	next.complete(restoreOutcome{}, nil)
+	if got := h.liveResize(4, "ck.g8"); got == next || got.finished() {
+		t.Fatal("timed-out attempt was not re-armed for the committed generation")
+	}
+}

@@ -252,15 +252,20 @@ func (r Range) Halves() (lo, hi Range) {
 		return r, Range{}
 	}
 	k := (n + 1) / 2
-	return r.slicePortion(0, k), r.slicePortion(k, n)
+	return r.Sub(0, k), r.Sub(k, n)
 }
 
-// slicePortion returns the sub-range holding elements [i, j) of r.
-func (r Range) slicePortion(i, j int) Range {
-	if i >= j {
+// Sub returns the sub-range holding the elements at positions [i, j) of
+// r, in the form List would give those elements: a stretch of a regular
+// range costs O(1) whatever its length. It panics if a position is out
+// of bounds; i >= j yields the empty range.
+func (r Range) Sub(i, j int) Range {
+	switch {
+	case i >= j:
 		return Range{}
-	}
-	if r.regular {
+	case j-i == 1:
+		return Single(r.At(i))
+	case r.regular:
 		return Reg(r.At(i), r.At(j-1), r.step)
 	}
 	return fromSorted(append([]int(nil), r.idx[i:j]...))
