@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint loc test race chaos bench benchmark benchmark-compare smoke soak-controlplane
+.PHONY: check fmt vet lint loc test race chaos bench profile benchmark benchmark-compare smoke soak-controlplane
 
 # The full pre-merge gauntlet: formatting, static checks, all tests,
 # the race detector over the concurrency-bearing packages, and the
@@ -54,12 +54,13 @@ loc:
 		printf '%-22s %6d\n' "$$d" "$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"; done
 	@printf '%-22s %6d\n' total "$$(ls internal/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 
-# The second line runs the 1-D path's micro-benchmarks once each, so they
-# stay compiling and running (their numbers are for `go test -bench`).
+# The second line runs the 1-D path's and the BT-shaped plan's
+# micro-benchmarks once each, so they stay compiling and running (their
+# numbers are for `go test -bench`).
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|CRCCombine|TierCheck' -benchtime=1x \
-		./internal/rangeset ./internal/dist ./internal/ckpt
+	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|CRCCombine|TierCheck|AssignPlannedBT' -benchtime=1x \
+		./internal/rangeset ./internal/dist ./internal/ckpt ./internal/array
 
 # Race coverage spans every layer that exercises real concurrency: the
 # transport (including its TCP mesh and fault injector), parallel
@@ -115,6 +116,22 @@ bench:
 	$(GO) run ./cmd/drmsbench -bench7 BENCH_7.json
 	$(GO) run ./cmd/drmsbench -bench9 BENCH_9.json
 	$(GO) run ./cmd/drmsbench -bench10 BENCH_10.json
+
+# CPU and allocation profiles of the paper-shaped data path, without a
+# flag in benchmark/main.go: the steady-state checkpoint and reconfigured
+# restart of apps.SP through drms (root package), and the BT-shaped planned
+# assignment (internal/array). Binaries and profiles land in .bench_build/;
+# each listing is `pprof -top -cum`, the second by bytes allocated.
+profile:
+	@mkdir -p .bench_build
+	@prof() { \
+		$(GO) test -run '^$$' -bench "$$2" -benchtime=$${BENCHTIME:-3s} -o .bench_build/$$1.test \
+			-cpuprofile .bench_build/$$1.cpu -memprofile .bench_build/$$1.mem $$3 && \
+		$(GO) tool pprof -top -cum -nodecount=25 .bench_build/$$1.test .bench_build/$$1.cpu && \
+		$(GO) tool pprof -top -cum -nodecount=25 -sample_index=alloc_space .bench_build/$$1.test .bench_build/$$1.mem; \
+	}; \
+	prof drms 'CheckpointDRMSSteadyState$$|ReconfiguredRestart$$' . && \
+	prof array 'AssignPlannedBT$$' ./internal/array
 
 # The wall-clock benchmark (BENCHMARK.json, benchmark/README.md): five
 # fresh-process runs of every workload, medians and quartiles in

@@ -135,10 +135,24 @@ func (a *Array[T]) PackSection(s rangeset.Slice, order rangeset.Order) ([]byte, 
 
 // PackSectionInto is PackSection into a caller-supplied buffer of exactly
 // the section's wire size, so hot paths (assignment, streaming) can reuse
-// buffers across operations. It moves data one maximal stride-1 run at a
-// time: a single global-to-local offset computation and a single type
-// dispatch per run, then a dense encode loop.
+// buffers across operations. It moves data one storage run at a time
+// (storageRuns, the enumerator the plans are built from): a section that
+// is contiguous in the mapped storage — a stream piece on its canonical
+// distribution — is a single dense encode loop.
 func (a *Array[T]) PackSectionInto(s rangeset.Slice, order rangeset.Order, buf []byte) error {
+	return a.moveSection(s, order, buf, encodeRun)
+}
+
+// UnpackSection stores a wire buffer produced by PackSection with the
+// same section and order into the local storage, run by run (the exact
+// inverse of PackSectionInto).
+func (a *Array[T]) UnpackSection(s rangeset.Slice, order rangeset.Order, buf []byte) error {
+	return a.moveSection(s, order, buf, decodeRun)
+}
+
+// moveSection applies move (encodeRun or decodeRun) to every storage run
+// of s and the part of buf that holds it on the wire.
+func (a *Array[T]) moveSection(s rangeset.Slice, order rangeset.Order, buf []byte, move func(local any, buf []byte, base, n, stride int)) error {
 	es := ElemSize[T]()
 	if len(buf) != s.Size()*es {
 		return fmt.Errorf("array %q: section %v needs %d bytes, got %d",
@@ -147,27 +161,8 @@ func (a *Array[T]) PackSectionInto(s rangeset.Slice, order rangeset.Order, buf [
 	stride := runStride(a.Mapped(), order)
 	local := any(a.local) // boxed once; the per-run type switch is then free of allocation
 	o := 0
-	s.Runs(order, func(c []int, n int) {
-		encodeRun(local, buf[o:], a.LocalIndex(c), n, stride)
-		o += n * es
-	})
-	return nil
-}
-
-// UnpackSection stores a wire buffer produced by PackSection with the
-// same section and order into the local storage, run by run (the exact
-// inverse of PackSectionInto).
-func (a *Array[T]) UnpackSection(s rangeset.Slice, order rangeset.Order, buf []byte) error {
-	es := ElemSize[T]()
-	if len(buf) != s.Size()*es {
-		return fmt.Errorf("array %q: section %v needs %d bytes, got %d",
-			a.name, s, s.Size()*es, len(buf))
-	}
-	stride := runStride(a.Mapped(), order)
-	local := any(a.local)
-	o := 0
-	s.Runs(order, func(c []int, n int) {
-		decodeRun(local, buf[o:], a.LocalIndex(c), n, stride)
+	storageRuns(s, a.Mapped(), rangeset.ColMajor, order, func(off, n int) {
+		move(local, buf[o:], off, n, stride)
 		o += n * es
 	})
 	return nil
@@ -200,8 +195,7 @@ func Assign[T Elem](dst, src *Array[T]) error {
 
 	// Phase 1: pack this task's contribution to every active peer at the
 	// plan's precomputed offsets. Buffers come from the pool; the
-	// transport copies on send, so they are recycled right after the
-	// exchange.
+	// transport copies on send, so they go back right after the exchange.
 	srcLocal := any(src.local)
 	for i := range pl.send {
 		px := &pl.send[i]
@@ -224,17 +218,28 @@ func Assign[T Elem](dst, src *Array[T]) error {
 	}
 
 	// The self-overlap never leaves the task: both sides planned the same
-	// section, so its runs align 1:1 and copy element-typed, skipping the
-	// wire codec entirely. (For the self-assignment A <- A the offsets
+	// section, so the two run lists hold the same elements in the same
+	// order and copy element-typed, skipping the wire codec entirely. Each
+	// list breaks where *its* storage does (a shadowed side differs from an
+	// unshadowed one), so two cursors walk them, copying the common prefix
+	// of the current pair. (For the self-assignment A <- A the lists
 	// coincide and the copies are identities.)
-	for i, r := range pl.selfSrc {
-		d := pl.selfDst[i]
-		copy(dst.local[d.off:d.off+r.n], src.local[r.off:r.off+r.n])
+	for i, j, di, sj := 0, 0, 0, 0; i < len(pl.selfDst) && j < len(pl.selfSrc); {
+		d, r := pl.selfDst[i], pl.selfSrc[j]
+		n := min(d.n-di, r.n-sj)
+		copy(dst.local[d.off+di:d.off+di+n], src.local[r.off+sj:r.off+sj+n])
+		if di += n; di == d.n {
+			i, di = i+1, 0
+		}
+		if sj += n; sj == r.n {
+			j, sj = j+1, 0
+		}
 	}
 
 	// Phase 3: unpack what every active owner sent for this task's mapped
-	// section of B. Received buffers feed the pool for the next
-	// operation's packing.
+	// section of B. The received copies are left to the collector: the
+	// pack side already got its own buffers back, so they would be surplus
+	// a sync.Pool keeps reachable for two GC cycles (see Gather).
 	dstLocal := any(dst.local)
 	for i := range pl.recv {
 		px := &pl.recv[i]
@@ -243,7 +248,6 @@ func Assign[T Elem](dst, src *Array[T]) error {
 				dst.name, src.name, px.peer, len(recv[px.peer]), px.bytes)
 		}
 		unpackRuns(dstLocal, recv[px.peer], px.runs, es, 1)
-		putBuf(recv[px.peer])
 	}
 	return nil
 }
@@ -296,7 +300,6 @@ func assignReference[T Elem](dst, src *Array[T]) error {
 		if err := dst.UnpackSection(sec, rangeset.ColMajor, recv[q]); err != nil {
 			return err
 		}
-		putBuf(recv[q])
 	}
 	return nil
 }

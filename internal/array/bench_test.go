@@ -1,0 +1,62 @@
+package array
+
+import (
+	"testing"
+
+	"drms/internal/msg"
+	"drms/internal/rangeset"
+)
+
+// BenchmarkAssignPlannedBT is the repository root's BenchmarkAssignPlanned
+// on the paper's BT shape: 5 × 48³ float64 with the 5-element fast axis
+// undistributed, {1,2,2,1} → {1,1,1,4} on four tasks. "cold" flushes the
+// plan cache before every assignment, "warm" replays the cached plan.
+// runs/plan is what one rank's plan holds (all four lists, mean over the
+// ranks): it was 2 × elements/5/4 = 55296 while a run was a fast-axis run.
+// It lives here, not beside its sibling, because that count is internal.
+func BenchmarkAssignPlannedBT(b *testing.B) {
+	const n, tasks = 48, 4
+	g := rangeset.Box([]int{0, 0, 0, 0}, []int{4, n - 1, n - 1, n - 1})
+	d1 := mustBlock(b, g, []int{1, 2, 2, 1})
+	d2 := mustBlock(b, g, []int{1, 1, 1, 4})
+	runs := 0
+	for r := 0; r < tasks; r++ {
+		p, u := planRuns(buildAssignPlan(d1, d2, r, tasks, 8))
+		runs += p + u
+	}
+	for _, mode := range []string{"cold", "warm"} {
+		b.Run(mode, func(b *testing.B) {
+			b.SetBytes(int64(g.Size() * 8))
+			b.ReportAllocs()
+			FlushPlans()
+			ResetPlanCacheStats()
+			mustRun(b, tasks, func(c *msg.Comm) {
+				src, _ := New[float64](c, "a", d1)
+				dst, _ := New[float64](c, "b", d2)
+				src.Fill(coordVal)
+				if err := Assign(dst, src); err != nil { // prime / first build
+					panic(err)
+				}
+				if c.Rank() == 0 {
+					b.ResetTimer()
+				}
+				c.Barrier()
+				for i := 0; i < b.N; i++ {
+					if mode == "cold" {
+						if c.Rank() == 0 {
+							FlushPlans()
+						}
+						c.Barrier()
+					}
+					if err := Assign(dst, src); err != nil {
+						panic(err)
+					}
+				}
+			})
+			h, m := PlanCacheStats()
+			b.ReportMetric(float64(h), "plan-hits")
+			b.ReportMetric(float64(m), "plan-misses")
+			b.ReportMetric(float64(runs)/tasks, "runs/plan")
+		})
+	}
+}

@@ -35,9 +35,11 @@ import (
 // epoch, misses, and replans — a stale plan is an eviction, never a
 // wrong-peer send.
 
-// xferRun is one maximal stride-1 run of a transfer section, resolved to
-// an element offset in a task's local storage (pack side: the source
-// array's mapped section; unpack side: the destination's).
+// xferRun is one run of a transfer section: n elements from element
+// offset off of a task's local storage (pack side: the source array's
+// mapped section; unpack side: the destination's). A stride-1 run is
+// maximal in *storage*, not along the fast axis: storageRuns merges
+// fast-axis runs that abut, so a dense block is a handful of extents.
 type xferRun struct{ off, n int }
 
 // peerXfer is the per-peer piece of a plan: the runs to pack (or unpack)
@@ -55,7 +57,7 @@ type peerXfer struct {
 type assignPlan struct {
 	send, recv       []peerXfer
 	sendTo, recvFrom []bool    // communication graph masks (self excluded)
-	selfSrc, selfDst []xferRun // aligned 1:1, equal run lengths
+	selfSrc, selfDst []xferRun // same elements in the same order, segmented independently
 	remoteBytes      int64     // bytes this rank sends to other ranks
 
 	// sendBufs is per-call scratch for the exchange. A Comm is owned by
@@ -125,21 +127,41 @@ func FlushPlans() {
 	gatherPlans.Flush()
 }
 
-// sectionRuns decomposes sec (a subset of the mapped section) into its
-// maximal stride-1 runs under order, each resolved to the element offset
-// of its first element in the column-major local storage of mapped.
-func sectionRuns(sec, mapped rangeset.Slice, order rangeset.Order) []xferRun {
-	if sec.Empty() {
-		return nil
-	}
-	runs := make([]xferRun, 0, 8)
-	sec.Runs(order, func(c []int, n int) {
-		off, ok := mapped.Offset(c, rangeset.ColMajor)
+// storageRuns is the one run enumerator behind every data mover. It walks
+// sec (a subset of space) in the given order and calls emit once per run
+// with the offset of the run's first element in the layout linearization
+// of space. When that linearization is the walk's own (layout == order:
+// stride 1), a run starting where its predecessor ends is merged into it.
+// Runs arrive in wire order, so the merged run covers exactly the bytes
+// its parts would have, in the same sequence: what is packed, sent, CRC'd
+// and stored is identical by construction. Runs at a layout stride ≠ 1
+// (row-major over column-major storage) are not extents and stay apart.
+func storageRuns(sec, space rangeset.Slice, layout, order rangeset.Order, emit func(off, n int)) {
+	merge := layout == order || space.Rank() <= 1
+	off, n := 0, 0 // the pending run
+	sec.Runs(order, func(c []int, k int) {
+		o, ok := space.Offset(c, layout)
 		if !ok {
-			panic(fmt.Sprintf("array: plan section %v escapes mapped storage %v", sec, mapped))
+			panic(fmt.Sprintf("array: section %v escapes storage %v", sec, space))
 		}
-		runs = append(runs, xferRun{off, n})
+		if merge && n > 0 && o == off+n {
+			n += k
+			return
+		}
+		if n > 0 {
+			emit(off, n)
+		}
+		off, n = o, k
 	})
+	if n > 0 {
+		emit(off, n)
+	}
+}
+
+// sectionRuns collects the storageRuns of sec into a plan's run list.
+func sectionRuns(sec, space rangeset.Slice, layout, order rangeset.Order) []xferRun {
+	var runs []xferRun
+	storageRuns(sec, space, layout, order, func(off, n int) { runs = append(runs, xferRun{off, n}) })
 	return runs
 }
 
@@ -173,7 +195,7 @@ func buildAssignPlan(src, dst *dist.Distribution, rank, size, es int) *assignPla
 		if sec.Empty() {
 			continue
 		}
-		runs := sectionRuns(sec, srcMapped, rangeset.ColMajor)
+		runs := sectionRuns(sec, srcMapped, rangeset.ColMajor, rangeset.ColMajor)
 		if q == rank {
 			pl.selfSrc = runs
 			continue
@@ -188,7 +210,7 @@ func buildAssignPlan(src, dst *dist.Distribution, rank, size, es int) *assignPla
 		if sec.Empty() {
 			continue
 		}
-		runs := sectionRuns(sec, dstMapped, rangeset.ColMajor)
+		runs := sectionRuns(sec, dstMapped, rangeset.ColMajor, rangeset.ColMajor)
 		if q == rank {
 			pl.selfDst = runs
 			continue
@@ -214,7 +236,7 @@ func gatherPlanFor(d *dist.Distribution, c *msg.Comm, root int, order rangeset.O
 func buildGatherPlan(d *dist.Distribution, rank, size, root int, order rangeset.Order, es int) *gatherPlan {
 	mine := d.Assigned(rank)
 	pl := &gatherPlan{
-		packRuns:   sectionRuns(mine, d.Mapped(rank), order),
+		packRuns:   sectionRuns(mine, d.Mapped(rank), rangeset.ColMajor, order),
 		packStride: runStride(d.Mapped(rank), order),
 		packBytes:  mine.Size() * es,
 	}
@@ -224,19 +246,7 @@ func buildGatherPlan(d *dist.Distribution, rank, size, root int, order rangeset.
 	g := d.Global()
 	pl.scatter = make([][]xferRun, size)
 	for q := 0; q < size; q++ {
-		sec := d.Assigned(q)
-		if sec.Empty() {
-			continue
-		}
-		runs := make([]xferRun, 0, 8)
-		sec.Runs(order, func(c []int, n int) {
-			off, ok := g.Offset(c, order)
-			if !ok {
-				panic("array: assigned element outside global space")
-			}
-			runs = append(runs, xferRun{off, n})
-		})
-		pl.scatter[q] = runs
+		pl.scatter[q] = sectionRuns(d.Assigned(q), g, order, order)
 	}
 	return pl
 }

@@ -6,9 +6,11 @@ import "sync"
 // streaming pack every moved byte into short-lived []byte buffers; at
 // steady state (a checkpoint every few minutes, a shadow exchange every
 // iteration) the same handful of sizes recurs, so recycling them keeps
-// the redistribution loop allocation-free. Buffers are handed to the
-// message transport, which never retains them past Send, so a buffer is
+// the pack side allocation-free. Buffers are handed to the message
+// transport, which copies on Send and never retains them, so a buffer is
 // safe to recycle as soon as the collective that carried it returns.
+// Only what getBuf handed out comes back: the transport's receive copies
+// are not fed in, or the pool would hold more than is ever taken from it.
 var bufPool sync.Pool
 
 // getBuf returns a length-n byte buffer, reusing a pooled one when its
@@ -22,8 +24,7 @@ func getBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// putBuf recycles a buffer obtained from getBuf (or anywhere else — the
-// transport's receive buffers are recycled too once unpacked).
+// putBuf recycles a buffer obtained from getBuf.
 func putBuf(b []byte) {
 	if cap(b) == 0 {
 		return
