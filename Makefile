@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint loc test race chaos bench profile benchmark benchmark-compare smoke soak-controlplane
+.PHONY: check fmt vet lint loc test race chaos bench profile benchmark benchmark-compare benchmark-pairs smoke soak-controlplane
 
 # The full pre-merge gauntlet: formatting, static checks, all tests,
 # the race detector over the concurrency-bearing packages, and the
@@ -54,12 +54,12 @@ loc:
 		printf '%-22s %6d\n' "$$d" "$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"; done
 	@printf '%-22s %6d\n' total "$$(ls internal/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 
-# The second line runs the 1-D path's and the BT-shaped plan's
-# micro-benchmarks once each, so they stay compiling and running (their
-# numbers are for `go test -bench`).
+# The second line runs the 1-D path's, the BT-shaped plan's and the run
+# enumerator's micro-benchmarks once each, so they stay compiling and
+# running (their numbers are for `go test -bench`).
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|CRCCombine|TierCheck|AssignPlannedBT' -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|CRCCombine|TierCheck|AssignPlannedBT|StorageRuns' -benchtime=1x \
 		./internal/rangeset ./internal/dist ./internal/ckpt ./internal/array
 
 # Race coverage spans every layer that exercises real concurrency: the
@@ -120,8 +120,9 @@ bench:
 # CPU and allocation profiles of the paper-shaped data path, without a
 # flag in benchmark/main.go: the steady-state checkpoint and reconfigured
 # restart of apps.SP through drms (root package), and the BT-shaped planned
-# assignment (internal/array). Binaries and profiles land in .bench_build/;
-# each listing is `pprof -top -cum`, the second by bytes allocated.
+# assignment and the run enumerator alone (internal/array). Binaries and
+# profiles land in .bench_build/; each listing is `pprof -top -cum`, the
+# second by bytes allocated.
 profile:
 	@mkdir -p .bench_build
 	@prof() { \
@@ -131,7 +132,7 @@ profile:
 		$(GO) tool pprof -top -cum -nodecount=25 -sample_index=alloc_space .bench_build/$$1.test .bench_build/$$1.mem; \
 	}; \
 	prof drms 'CheckpointDRMSSteadyState$$|ReconfiguredRestart$$' . && \
-	prof array 'AssignPlannedBT$$' ./internal/array
+	prof array 'AssignPlannedBT$$|StorageRuns$$' ./internal/array
 
 # The wall-clock benchmark (BENCHMARK.json, benchmark/README.md): five
 # fresh-process runs of every workload, medians and quartiles in
@@ -144,3 +145,14 @@ benchmark:
 
 benchmark-compare:
 	bash benchmark/run.sh -compare $(A) $(B)
+
+# Paired runs of two revisions, for a host whose speed drifts more between
+# sessions than a change moves a metric: `make benchmark-pairs A=HEAD~1
+# B=. [W=dense-restart] [N=10] [S=10]` builds ./benchmark of both (a git
+# revision is exported with `git archive` into .bench_build/pairs/, `.` is
+# this tree), runs N alternating pairs of S-second runs per workload in
+# fresh processes, and prints per end-to-end metric both medians and
+# inter-quartile distances, the change's spread over the parent's median
+# beside the bound, and the pairs won (cmd/benchpairs).
+benchmark-pairs:
+	$(GO) run ./cmd/benchpairs -a $(A) -b $(or $(B),.) -workload $(or $(W),all) -pairs $(or $(N),10) -seconds $(or $(S),10)

@@ -60,3 +60,47 @@ func BenchmarkAssignPlannedBT(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStorageRuns times the enumerator alone, per fast-axis run it
+// walks (ns/run; runs/op of them are left after merging): the cost a cold
+// plan build and every PackSectionInto/UnpackSection pay. bt-block is a
+// 5 × 24 × 24 × 48 block of grid {1,2,2,1} inside its shadowed mapping,
+// canonical-piece a stream piece that is its own storage (one extent),
+// row-over-col the block walked row-major over its column-major storage
+// (no merging, layout stride ≠ 1), 1d one block of a 131072-element
+// vector: a single run and no table.
+func BenchmarkStorageRuns(b *testing.B) {
+	const n = 48
+	g := rangeset.Box([]int{0, 0, 0, 0}, []int{4, n - 1, n - 1, n - 1})
+	grid := []int{1, 2, 2, 1}
+	bt := mustShadow(b, mustBlock(b, g, grid), grid)
+	piece := canonicalRounds(b, g, 4, rangeset.ColMajor)[0].Assigned(0)
+	vec := mustBlock(b, rangeset.Box([]int{0}, []int{131071}), []int{4})
+	for _, bc := range []struct {
+		name       string
+		sec, space rangeset.Slice
+		order      rangeset.Order
+	}{
+		{"bt-block", bt.Assigned(0), bt.Mapped(0), rangeset.ColMajor},
+		{"canonical-piece", piece, piece, rangeset.ColMajor},
+		{"row-over-col", bt.Assigned(0), bt.Mapped(0), rangeset.RowMajor},
+		{"1d", vec.Assigned(0), vec.Mapped(0), rangeset.ColMajor},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			walked, emitted, elems := fastAxisRuns(bc.sec, bc.order), 0, 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				emitted, elems = 0, 0
+				storageRuns(bc.sec, bc.space, rangeset.ColMajor, bc.order, func(off, k int) {
+					emitted++
+					elems += k
+				})
+			}
+			if elems != bc.sec.Size() {
+				b.Fatalf("runs cover %d elements, section has %d", elems, bc.sec.Size())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*walked), "ns/run")
+			b.ReportMetric(float64(emitted), "runs/op")
+		})
+	}
+}

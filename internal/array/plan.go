@@ -127,6 +127,14 @@ func FlushPlans() {
 	gatherPlans.Flush()
 }
 
+// axisTable resolves a non-fast axis of a storageRuns walk: offs[p] is the
+// layout offset of the axis's p-th section value; pos and cur follow the
+// walk, which moves a coordinate to its successor or back to its first.
+type axisTable struct {
+	axis, pos, cur int
+	offs           []int
+}
+
 // storageRuns is the one run enumerator behind every data mover. It walks
 // sec (a subset of space) in the given order and calls emit once per run
 // with the offset of the run's first element in the layout linearization
@@ -136,13 +144,75 @@ func FlushPlans() {
 // its parts would have, in the same sequence: what is packed, sent, CRC'd
 // and stored is identical by construction. Runs at a layout stride ≠ 1
 // (row-major over column-major storage) are not extents and stay apart.
+//
+// Offsets come from tables built once per call: each value of a non-fast
+// section axis is ranked in its storage axis once (O(Σ|axis|) work and
+// words; none for a rank-1 space), so a run costs a load per such axis and
+// one rank, of its start on the fast axis, whose table would be O(axis)
+// per call where a 1-D section is one run. The build proves the non-fast
+// coordinates inside space; ranking both ends of each fast-axis run (n
+// consecutive integers are in a range iff n−1 ranks apart) the rest. A
+// miss panics: an escaping section is a planning bug.
 func storageRuns(sec, space rangeset.Slice, layout, order rangeset.Order, emit func(off, n int)) {
-	merge := layout == order || space.Rank() <= 1
+	escape := func() { panic(fmt.Sprintf("array: section %v escapes storage %v", sec, space)) }
+	d := sec.Rank()
+	if space.Rank() != d {
+		escape()
+	}
+	if d == 0 {
+		emit(0, 1)
+		return
+	}
+	if sec.Empty() {
+		return
+	}
+	fast := 0
+	if order == rangeset.RowMajor {
+		fast = d - 1
+	}
+	fastAxis := space.Axis(fast)
+	sec.Axis(fast).Runs(func(v, n int) {
+		first, ok := fastAxis.Rank(v)
+		if last, ok2 := fastAxis.Rank(v + n - 1); !ok || !ok2 || last-first != n-1 {
+			escape()
+		}
+	})
+	tabs := make([]axisTable, 0, d-1)
+	fastStride, stride := 1, 1
+	for j := 0; j < d; j++ {
+		i := j // axes from the layout's fastest to its slowest
+		if layout == rangeset.RowMajor {
+			i = d - 1 - j
+		}
+		if i == fast {
+			fastStride = stride
+		} else {
+			sa, pa := sec.Axis(i), space.Axis(i)
+			t := axisTable{axis: i, cur: sa.At(0), offs: make([]int, sa.Size())}
+			for p := range t.offs {
+				r, ok := pa.Rank(sa.At(p))
+				if !ok {
+					escape()
+				}
+				t.offs[p] = r * stride
+			}
+			tabs = append(tabs, t)
+		}
+		stride *= space.Axis(i).Size()
+	}
+	merge := layout == order || d == 1
 	off, n := 0, 0 // the pending run
 	sec.Runs(order, func(c []int, k int) {
-		o, ok := space.Offset(c, layout)
-		if !ok {
-			panic(fmt.Sprintf("array: section %v escapes storage %v", sec, space))
+		r, _ := fastAxis.Rank(c[fast]) // present: checked above
+		o := r * fastStride
+		for j := range tabs {
+			t := &tabs[j]
+			if v := c[t.axis]; v > t.cur {
+				t.pos, t.cur = t.pos+1, v
+			} else if v < t.cur {
+				t.pos, t.cur = 0, v
+			}
+			o += t.offs[t.pos]
 		}
 		if merge && n > 0 && o == off+n {
 			n += k

@@ -554,17 +554,3 @@ func TestPackRank0(t *testing.T) {
 		}
 	})
 }
-
-// TestSectionRunsPanicsOutsideStorage keeps the enumerator's guard: a
-// section that is not inside the storage it is resolved against is a
-// planning bug and must not produce offsets.
-func TestSectionRunsPanicsOutsideStorage(t *testing.T) {
-	mapped := rangeset.Box([]int{0, 0}, []int{3, 3})
-	sec := rangeset.Box([]int{2, 2}, []int{3, 4})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("section escaping mapped storage was resolved to runs")
-		}
-	}()
-	sectionRuns(sec, mapped, rangeset.ColMajor, rangeset.ColMajor)
-}
