@@ -34,6 +34,20 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "RC internals reached around outside internal/coord (use the versioned API —"; \
 		echo "OpenApp/CheckpointApp/StopApp/KillApp — or the control protocol):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE '\.status\s*=[^=]|\.version\+\+|\.(EnableCheckpoint|RequestStop|Kill)\(' internal/coord/*.go \
+		| grep -v -e '_test\.go:' -e '^internal/coord/transition\.go:' || true); \
+	if [ -n "$$out" ]; then \
+		echo "application state changed outside the coordinator's transition function (status, version"; \
+		echo "and the control actions on an incarnation belong to internal/coord/transition.go):"; echo "$$out"; exit 1; fi
+	@for pat in '\.status\s*=[^=]' '\.version\+\+'; do \
+		if [ "$$(grep -cE "$$pat" internal/coord/transition.go)" -ne 1 ]; then \
+			echo "internal/coord/transition.go must hold exactly one site matching $$pat:"; \
+			grep -nE "$$pat" internal/coord/transition.go; exit 1; fi; done
+	@out=$$(grep -n 'flushState()' internal/coord/*.go \
+		| grep -v -e '_test\.go:' -e '^internal/coord/transition\.go:' -e '^internal/coord/store\.go:' || true); \
+	if [ "$$(printf '%s' "$$out" | grep -c .)" -gt 1 ] || printf '%s' "$$out" | grep -qv '^internal/coord/lease\.go:'; then \
+		echo "a synchronous state flush outside the transition function, the persister, SyncState and"; \
+		echo "RecoverRC's one final flush (persist-then-announce is the transition function's job):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rln --include='*.go' '^package coord' cmd internal | grep -v '^internal/coord/' || true); \
 	if [ -n "$$out" ]; then \
 		echo "package coord declared outside internal/coord (no backdoor into the RC's tables):"; echo "$$out"; exit 1; fi

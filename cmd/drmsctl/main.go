@@ -84,12 +84,13 @@ func main() {
 	}
 
 	fs := pfs.NewSystem(pfs.DefaultConfig())
-	rc, err := coord.NewRC(fs, 500*time.Millisecond)
+	rc, err := coord.NewRCOpts(fs, coord.RCOptions{HBTimeout: 500 * time.Millisecond})
 	check(err)
 	defer rc.Close()
 
+	events, _ := rc.Subscribe()
 	go func() {
-		for e := range rc.Events() {
+		for e := range events {
 			if e.App != "" {
 				fmt.Printf("[rc] %-14s app=%-6s %s%s\n", e.Kind, e.App, e.Detail, recoveryInfo(e))
 			} else {

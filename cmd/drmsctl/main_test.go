@@ -75,7 +75,7 @@ func TestExitCodesDistinguishDeadDaemonFromFailedOp(t *testing.T) {
 
 	// A live daemon that rejects the op: exit 1, not 3.
 	fs := pfs.NewSystem(pfs.DefaultConfig())
-	rc, err := coord.NewRC(fs, time.Second)
+	rc, err := coord.NewRCOpts(fs, coord.RCOptions{HBTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 // have moved, exactly as a Prometheus scrape of a live drmsd would see.
 func TestDaemonObservabilityEndToEnd(t *testing.T) {
 	fs := pfs.NewSystem(pfs.DefaultConfig())
-	rc, err := coord.NewRC(fs, 500*time.Millisecond)
+	rc, err := coord.NewRCOpts(fs, coord.RCOptions{HBTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,13 +37,14 @@ func main() {
 	want := <-ref
 
 	fs := pfs.NewSystem(pfs.DefaultConfig())
-	rc, err := coord.NewRC(fs, 500*time.Millisecond)
+	rc, err := coord.NewRCOpts(fs, coord.RCOptions{HBTimeout: 500 * time.Millisecond})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer rc.Close()
+	events, _ := rc.Subscribe()
 	go func() {
-		for e := range rc.Events() {
+		for e := range events {
 			extra := ""
 			if e.Attempt > 0 {
 				extra = fmt.Sprintf(" attempt=%d", e.Attempt)

@@ -52,62 +52,36 @@ func (rc *RC) OpenApp(name string) (AppHandle, AppInfo, error) {
 	return AppHandle{App: name, Version: app.version}, appInfoLocked(name, app), nil
 }
 
-// checkHandleLocked validates a handle against the live application
-// state; rc.mu must be held. Returns the appState on success.
-func (rc *RC) checkHandleLocked(h AppHandle) (*appState, error) {
-	app, ok := rc.apps[h.App]
-	if !ok {
-		return nil, fmt.Errorf("coord: unknown application %q", h.App)
+// mutate applies one controller-requested input under handle
+// validation and returns the handle at the new version (the caller's
+// own handle when the input was refused).
+func (rc *RC) mutate(h AppHandle, in input) (AppHandle, error) {
+	info, err := rc.transition(h.App, &h.Version, in, nil)
+	if err != nil {
+		return h, err
 	}
-	if app.version != h.Version {
-		coordStaleRejections.Inc()
-		return nil, fmt.Errorf("coord: %q at version %d, handle carries %d: %w",
-			h.App, app.version, h.Version, ErrStaleHandle)
-	}
-	return app, nil
+	return AppHandle{App: h.App, Version: info.Version}, nil
 }
 
 // CheckpointApp arms a system-initiated checkpoint at the application's
 // next enabling SOP. The mutation advances the state version; the
 // returned handle carries it.
 func (rc *RC) CheckpointApp(h AppHandle) (AppHandle, error) {
-	rc.mu.Lock()
-	app, err := rc.checkHandleLocked(h)
-	if err != nil {
-		rc.mu.Unlock()
-		return h, err
-	}
-	if app.status != StatusRunning {
-		rc.mu.Unlock()
-		return h, fmt.Errorf("coord: %q is %s: %w", h.App, app.status, ErrNotRunning)
-	}
-	app.handle.EnableCheckpoint()
-	app.version++
-	rc.dirtyLocked()
-	nh := AppHandle{App: h.App, Version: app.version}
-	rc.mu.Unlock()
-	return nh, nil
+	return rc.mutate(h, inCheckpointArmed)
 }
 
 // StopApp asks the application to exit at its next SOP. The mutation
 // advances the state version; the returned handle carries it.
 func (rc *RC) StopApp(h AppHandle) (AppHandle, error) {
-	rc.mu.Lock()
-	app, err := rc.checkHandleLocked(h)
-	if err != nil {
-		rc.mu.Unlock()
-		return h, err
-	}
-	if app.status != StatusRunning {
-		rc.mu.Unlock()
-		return h, fmt.Errorf("coord: %q is %s: %w", h.App, app.status, ErrNotRunning)
-	}
-	app.handle.RequestStop()
-	app.version++
-	rc.dirtyLocked()
-	nh := AppHandle{App: h.App, Version: app.version}
-	rc.mu.Unlock()
-	return nh, nil
+	return rc.mutate(h, inStopRequested)
+}
+
+// KillApp terminates the application's current incarnation the way a
+// processor failure would (communicator revocation), under handle
+// validation. A supervised application then enters its recovery cycle;
+// an unsupervised one settles terminated.
+func (rc *RC) KillApp(h AppHandle) (AppHandle, error) {
+	return rc.mutate(h, inKillRequested)
 }
 
 // ResizeApp changes a running application's task count in flight
@@ -121,121 +95,65 @@ func (rc *RC) StopApp(h AppHandle) (AppHandle, error) {
 // classic checkpoint/stop/relaunch reconfigure (JSA.Reconfigure).
 func (rc *RC) ResizeApp(h AppHandle, tasks int) (AppHandle, error) {
 	rc.mu.Lock()
-	app, err := rc.checkHandleLocked(h)
+	app, _, err := rc.admitLocked(h.App, &h.Version, inResized)
+	free := rc.availableLocked()
+	switch {
+	case err != nil:
+	case app.spec.SPMD:
+		err = fmt.Errorf("coord: %q is SPMD; in-flight resize requires the DRMS scheme", h.App)
+	case tasks < 1:
+		err = fmt.Errorf("coord: resize of %q to %d tasks", h.App, tasks)
+	case tasks == app.tasks:
+		err = fmt.Errorf("coord: %q already runs %d tasks", h.App, tasks)
+	case tasks-app.tasks > len(free):
+		err = fmt.Errorf("coord: growing %q to %d tasks needs %d more processors, %d free",
+			h.App, tasks, tasks-app.tasks, len(free))
+	}
 	if err != nil {
 		rc.mu.Unlock()
 		return h, err
 	}
-	if app.status != StatusRunning {
-		rc.mu.Unlock()
-		return h, fmt.Errorf("coord: %q is %s: %w", h.App, app.status, ErrNotRunning)
-	}
-	if app.spec.SPMD {
-		rc.mu.Unlock()
-		return h, fmt.Errorf("coord: %q is SPMD; in-flight resize requires the DRMS scheme", h.App)
-	}
-	if tasks < 1 {
-		rc.mu.Unlock()
-		return h, fmt.Errorf("coord: resize of %q to %d tasks", h.App, tasks)
-	}
 	before := app.tasks
-	if tasks == before {
-		rc.mu.Unlock()
-		return h, fmt.Errorf("coord: %q already runs %d tasks", h.App, tasks)
-	}
 	handle := app.handle
 	holders := append([]int(nil), app.nodes...)
-	var claimed, released []int
+	var claimed []int
 	if tasks > before {
-		free := rc.availableLocked()
-		if len(free) < tasks-before {
-			rc.mu.Unlock()
-			return h, fmt.Errorf("coord: growing %q to %d tasks needs %d more processors, %d free",
-				h.App, tasks, tasks-before, len(free))
-		}
 		claimed = free[:tasks-before]
-		for _, n := range claimed {
-			rc.busy[n] = h.App // provisional: a concurrent launch cannot take them
-		}
+		rc.claimLocked(h.App, claimed) // provisional: a concurrent launch cannot take them
 		holders = append(holders, claimed...)
 	} else {
-		released = append([]int(nil), holders[tasks:]...)
 		holders = holders[:tasks]
 	}
 	rc.mu.Unlock()
 
 	start := time.Now()
-	stats, rerr := handle.Resize(drms.ResizeSpec{Tasks: tasks, Holders: holders})
-
-	rc.mu.Lock()
-	// The incarnation may have failed while we waited: its watcher owns
-	// the bookkeeping of app.nodes then, and only our provisional claims
-	// need undoing.
-	if rerr == nil && (app.handle != handle || app.status != StatusRunning) {
-		rerr = fmt.Errorf("coord: application %q failed during resize", h.App)
-	}
-	if rerr != nil {
-		for _, n := range claimed {
-			if rc.busy[n] == h.App {
-				delete(rc.busy, n)
+	stats, err := handle.Resize(drms.ResizeSpec{Tasks: tasks, Holders: holders})
+	var info AppInfo
+	if err == nil {
+		ttr := time.Since(start)
+		info, err = rc.transition(h.App, nil, inResized, func(app *appState, ev *Event) error {
+			// The incarnation may have failed while we waited: its watcher
+			// owns the bookkeeping of the pool then, and only our
+			// provisional claims need undoing.
+			if app.handle != handle {
+				return fmt.Errorf("coord: application %q failed during resize", h.App)
 			}
-		}
+			rc.repoolLocked(app, holders)
+			*ev = Event{FromTasks: before, Tasks: tasks, TTR: ttr,
+				Detail: fmt.Sprintf("resized in flight from %d to %d tasks via %s (no restart): %s from peer memory, %s from pfs",
+					before, tasks, stats.Gen, fmtBytes(stats.TierMemBytes), fmtBytes(stats.TierPFSBytes))}
+			return nil
+		})
+	}
+	if err != nil {
+		rc.mu.Lock()
+		rc.unclaimLocked(h.App, claimed)
 		rc.mu.Unlock()
 		coordResizeFallbacks.Inc()
 		if len(claimed) > 0 {
 			rc.changed()
 		}
-		return h, fmt.Errorf("coord: in-flight resize of %q: %w", h.App, rerr)
+		return h, fmt.Errorf("coord: in-flight resize of %q: %w", h.App, err)
 	}
-	ttr := time.Since(start)
-	app.nodes = holders
-	app.tasks = tasks
-	app.tasksCell.Store(int64(tasks))
-	for _, n := range released {
-		if rc.busy[n] == h.App {
-			delete(rc.busy, n)
-		}
-	}
-	app.version++
-	rc.dirtyLocked()
-	rc.statsLocked()
-	nh := AppHandle{App: h.App, Version: app.version}
-	rc.mu.Unlock()
-
-	rc.flushState()
-	coordResizes.Inc()
-	coordResizeSeconds.Observe(ttr.Seconds())
-	coordLastResizeTTR.Set(ttr.Seconds())
-	rc.emit(Event{Kind: EventAppResized, App: h.App,
-		FromTasks: before, Tasks: tasks, TTR: ttr,
-		Detail: fmt.Sprintf("resized in flight from %d to %d tasks via %s (no restart): %s from peer memory, %s from pfs",
-			before, tasks, stats.Gen, fmtBytes(stats.TierMemBytes), fmtBytes(stats.TierPFSBytes))})
-	if len(released) > 0 {
-		rc.changed() // freed processors: let the scheduler dispatch
-	}
-	return nh, nil
-}
-
-// KillApp terminates the application's current incarnation the way a
-// processor failure would (communicator revocation), under handle
-// validation. A supervised application then enters its recovery cycle;
-// an unsupervised one settles terminated.
-func (rc *RC) KillApp(h AppHandle) (AppHandle, error) {
-	rc.mu.Lock()
-	app, err := rc.checkHandleLocked(h)
-	if err != nil {
-		rc.mu.Unlock()
-		return h, err
-	}
-	if app.status != StatusRunning {
-		rc.mu.Unlock()
-		return h, fmt.Errorf("coord: %q is %s: %w", h.App, app.status, ErrNotRunning)
-	}
-	handle := app.handle
-	app.version++
-	rc.dirtyLocked()
-	nh := AppHandle{App: h.App, Version: app.version}
-	rc.mu.Unlock()
-	handle.Kill()
-	return nh, nil
+	return AppHandle{App: h.App, Version: info.Version}, nil
 }

@@ -133,9 +133,8 @@ func (s *ControlServer) Serve(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	// An independent subscription, not RC.Events(): that stream is shared
-	// and never closes, so a drain ranging over it would outlive Close and
-	// steal events from every other reader.
+	// The drain owns its subscription and cancels it on the way out, so
+	// nothing of it outlives Close.
 	events, cancel := s.RC.Subscribe()
 	s.stop, s.drained = make(chan struct{}), make(chan struct{})
 	go func() {
@@ -155,15 +154,7 @@ func (s *ControlServer) Serve(addr string) (string, error) {
 			}
 		}
 	}()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go s.serveConn(conn)
-		}
-	}()
+	go serveJSONLines(ln, s.handle)
 	return ln.Addr().String(), nil
 }
 
@@ -178,22 +169,34 @@ func (s *ControlServer) Close() {
 	<-s.drained
 }
 
-func (s *ControlServer) serveConn(conn net.Conn) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), maxProtoLine)
-	enc := json.NewEncoder(conn)
-	for sc.Scan() {
-		var req Request
-		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			resp.Error = "malformed request: " + err.Error()
-		} else {
-			resp = s.handle(req)
-		}
-		if err := enc.Encode(resp); err != nil {
+// serveJSONLines accepts connections on ln until it closes and answers
+// every JSON line a connection sends with handle's response, one
+// goroutine per connection: the control protocol's framing, the same for
+// a shard's server and the gateway in front of the fleet.
+func serveJSONLines(ln net.Listener, handle func(Request) Response) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
 			return
 		}
+		go func() {
+			defer conn.Close()
+			sc := bufio.NewScanner(conn)
+			sc.Buffer(make([]byte, 64<<10), maxProtoLine)
+			enc := json.NewEncoder(conn)
+			for sc.Scan() {
+				var req Request
+				var resp Response
+				if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
+					resp.Error = "malformed request: " + err.Error()
+				} else {
+					resp = handle(req)
+				}
+				if err := enc.Encode(resp); err != nil {
+					return
+				}
+			}
+		}()
 	}
 }
 
@@ -239,27 +242,22 @@ func (s *ControlServer) handleOp(req Request) Response {
 	case "apps":
 		return Response{OK: true, Apps: s.RC.Apps(), Queued: s.JSA.Queued()}
 
-	case "status":
-		info, ok := s.RC.App(req.Name)
-		if !ok {
-			return fail(fmt.Errorf("unknown application %q", req.Name))
-		}
-		return Response{OK: true, App: &info}
-
-	case "wait":
-		// Blocking status: parks on the application's settle channel (no
-		// polling) and replies once it leaves the running state or the
-		// request's timeout elapses. Blocks only this connection — each
-		// control connection is served by its own goroutine.
-		timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout <= 0 {
-			timeout = 60 * time.Second
-		}
-		// A settled application's own terminal error (e.g. it was killed
-		// after a processor failure) is part of the reported state, not a
-		// failure of the wait itself.
-		if _, settled, err := s.RC.WaitAppSettled(req.Name, timeout); err != nil && !settled {
-			return fail(err)
+	case "status", "wait":
+		if req.Op == "wait" {
+			// Blocking status: parks on the application's settle channel
+			// (no polling) and replies once it leaves the running state or
+			// the request's timeout elapses. Blocks only this connection —
+			// each control connection is served by its own goroutine.
+			timeout := time.Duration(req.TimeoutMS) * time.Millisecond
+			if timeout <= 0 {
+				timeout = 60 * time.Second
+			}
+			// A settled application's own terminal error (e.g. it was
+			// killed after a processor failure) is part of the reported
+			// state, not a failure of the wait itself.
+			if _, settled, err := s.RC.WaitAppSettled(req.Name, timeout); err != nil && !settled {
+				return fail(err)
+			}
 		}
 		info, ok := s.RC.App(req.Name)
 		if !ok {
@@ -324,46 +322,31 @@ func (s *ControlServer) handleOp(req Request) Response {
 		}
 		return Response{OK: true, App: &info, Version: h.Version}
 
-	case "checkpoint":
+	case "checkpoint", "stop", "resize":
+		// The versioned mutations. "resize" is the in-flight one: the
+		// application changes task count at its next SOP without stopping —
+		// the elastic alternative to "reconfigure".
 		h, err := s.openFor(req)
+		if err == nil {
+			switch req.Op {
+			case "checkpoint":
+				h, err = s.RC.CheckpointApp(h)
+			case "stop":
+				h, err = s.RC.StopApp(h)
+			default:
+				h, err = s.RC.ResizeApp(h, req.Tasks)
+			}
+		}
 		if err != nil {
 			return fail(err)
 		}
-		nh, err := s.RC.CheckpointApp(h)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{OK: true, Version: nh.Version}
-
-	case "stop":
-		h, err := s.openFor(req)
-		if err != nil {
-			return fail(err)
-		}
-		nh, err := s.RC.StopApp(h)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{OK: true, Version: nh.Version}
+		return Response{OK: true, Version: h.Version}
 
 	case "reconfigure":
 		if err := s.JSA.Reconfigure(req.Name, req.Tasks, 60*time.Second); err != nil {
 			return fail(err)
 		}
 		return Response{OK: true}
-
-	case "resize":
-		// In-flight resize: the application changes task count at its next
-		// SOP without stopping — the elastic alternative to "reconfigure".
-		h, err := s.openFor(req)
-		if err != nil {
-			return fail(err)
-		}
-		nh, err := s.RC.ResizeApp(h, req.Tasks)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{OK: true, Version: nh.Version}
 
 	case "failnode":
 		if s.FailNode == nil {

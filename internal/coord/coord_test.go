@@ -2,6 +2,7 @@ package coord
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,10 +22,11 @@ const (
 func newCluster(t *testing.T, nodes int) (*pfs.System, *RC, []*TC) {
 	t.Helper()
 	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
-	rc, err := NewRC(fs, hbTimeout)
+	rc, err := NewRCOpts(fs, RCOptions{HBTimeout: hbTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
+	watch(rc)
 	tcs, err := Pool(rc, nodes, hbInterval, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -33,16 +35,81 @@ func newCluster(t *testing.T, nodes int) (*pfs.System, *RC, []*TC) {
 	return fs, rc, tcs
 }
 
+// watched holds the subscription a test opened on a coordinator when it
+// built it — before anything could be announced — so assertions can read
+// the coordinator's whole event history afterwards (eventsOf,
+// drainEvents). A coordinator has no stream of its own: without a
+// subscriber it queues nothing.
+var watched sync.Map // *RC -> <-chan Event
+
+func watch(rc *RC) *RC {
+	ch, _ := rc.Subscribe()
+	watched.Store(rc, ch)
+	return rc
+}
+
+func eventsOf(rc *RC) <-chan Event {
+	ch, _ := watched.Load(rc)
+	return ch.(<-chan Event)
+}
+
+// recoverWatched is RecoverRC with a subscription attached between its
+// two halves, so the re-adoption announcements are observable.
+func recoverWatched(t *testing.T, fs *pfs.System, opt RCOptions, rem *Remnant) (*RC, *RecoveryReport) {
+	t.Helper()
+	rc, report, err := loadRC(fs, opt, rem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch(rc).reconcile(rem, report)
+	t.Cleanup(rc.Close)
+	return rc, report
+}
+
+// handleOf exposes the raw control handle of a running application, for
+// tests that poll the incarnation's committed generation or stop it
+// behind the versioned API's back.
+func (rc *RC) handleOf(name string) (*drms.Handle, bool) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	app, ok := rc.apps[name]
+	if !ok || app.status != StatusRunning {
+		return nil, false
+	}
+	return app.handle, true
+}
+
+// waitCommitted blocks until the running incarnation itself has noted a
+// committed generation. The files of a generation exist on the pfs a
+// moment before that, and a localized recovery or resize that lands in
+// between finds nothing to roll back to.
+func waitCommitted(t *testing.T, rc *RC, name string) {
+	t.Helper()
+	waitFor(t, "first committed generation of "+name, func() bool {
+		h, ok := rc.handleOf(name)
+		if ok {
+			_, ok = h.CommittedGen()
+		}
+		return ok
+	})
+}
+
 // appParams builds a deterministic iterative application:
 //   - element-wise update, so results are distribution-independent
 //   - a mandatory checkpoint every ckEvery iterations at its SOP
 //   - honors StopRequested after the SOP
 //   - optionally spins (killably, at a barrier) at iteration `gateAt`
 //     until gate is set, so tests can inject failures at a known point
+//   - optionally parks at iteration `holdAt` until hold is set, passing
+//     through a checkpointing SOP on every turn: an in-flight resize
+//     armed at any moment of the park is carried out there, and the
+//     application cannot run out of SOPs before the test lets it go
 type appParams struct {
 	n, iters, ckEvery int
 	gateAt            int
 	gate              *atomic.Bool
+	holdAt            int
+	hold              *atomic.Bool
 	enableMode        bool // use ReconfigChkEnable instead of mandatory
 	result            chan float64
 }
@@ -61,6 +128,17 @@ func (p appParams) spec(name string) AppSpec {
 		iter := 0
 		t.Register("iter", &iter)
 		u.Fill(func(c []int) float64 { return float64(c[0]) })
+		// agreed reads a flag that flips asynchronously, so each rank's
+		// local read can disagree mid-flip; agree collectively (min over
+		// ranks) so every rank leaves a park at the same point.
+		agreed := func(flag *atomic.Bool) (bool, error) {
+			open := 0.0
+			if flag.Load() {
+				open = 1
+			}
+			agree, err := t.Comm().AllreduceF64(open, math.Min) // killable
+			return agree == 1, err
+		}
 
 		for {
 			if iter%p.ckEvery == 0 {
@@ -81,22 +159,32 @@ func (p appParams) spec(name string) AppSpec {
 				break
 			}
 			if p.gate != nil && iter == p.gateAt {
-				// The gate flag flips asynchronously, so each rank's local
-				// read can disagree mid-flip; agree collectively (min over
-				// ranks) so every rank leaves the spin at the same point.
 				for {
-					open := 0.0
-					if p.gate.Load() {
-						open = 1
-					}
-					agree, err := t.Comm().AllreduceF64(open, math.Min) // killable spin
+					open, err := agreed(p.gate)
 					if err != nil {
 						return err
 					}
-					if agree == 1 {
+					if open {
 						break
 					}
 					time.Sleep(200 * time.Microsecond) // don't starve the control plane
+				}
+			}
+			if p.hold != nil && iter == p.holdAt {
+				for {
+					open, err := agreed(p.hold)
+					if err != nil {
+						return err
+					}
+					if open {
+						break
+					}
+					time.Sleep(200 * time.Microsecond)
+					// A resize unwinds from here into its new epoch, which
+					// restores iter and so parks here again.
+					if _, _, err := t.ReconfigCheckpoint(name); err != nil {
+						return err
+					}
 				}
 			}
 			u.Assigned().Each(rangeset.ColMajor, func(c []int) {
@@ -153,7 +241,7 @@ func TestTCRegistrationAndGracefulStop(t *testing.T) {
 	// Graceful stop is not a failure: no tc-down event may have fired.
 	for {
 		select {
-		case e := <-rc.Events():
+		case e := <-eventsOf(rc):
 			if e.Kind == EventTCDown {
 				t.Fatalf("graceful stop produced failure event %+v", e)
 			}
@@ -175,7 +263,7 @@ func TestHeartbeatTimeoutDetectsSilentFailure(t *testing.T) {
 	sawDown := false
 	for !sawDown {
 		select {
-		case e := <-rc.Events():
+		case e := <-eventsOf(rc):
 			if e.Kind == EventTCDown && e.Node == 0 {
 				sawDown = true
 			}
@@ -385,7 +473,7 @@ func TestEventsCarryUserInformation(t *testing.T) {
 	for {
 		done := false
 		select {
-		case e := <-rc.Events():
+		case e := <-eventsOf(rc):
 			kinds = append(kinds, e.Kind)
 			if e.Kind == EventAppFinished {
 				done = true

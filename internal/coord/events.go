@@ -147,12 +147,13 @@ func (s *eventSub) close() {
 	}
 }
 
-// Subscribe returns an independent event stream with the default
-// non-terminal bound. cancel releases the subscription; the channel is
-// never closed (like Events()), it just stops receiving. Subscribing
-// after (or racing) Close is safe: the subscription is stillborn — its
-// pump exits immediately instead of leaking, and the channel simply
-// never receives.
+// Subscribe returns an independent event stream (the user-interface
+// channel) with the default non-terminal bound, two-tier as described
+// above. A coordinator nobody subscribed to queues nothing. cancel
+// releases the subscription; the channel is never closed, it just stops
+// receiving. Subscribing after (or racing) Close is safe: the
+// subscription is stillborn — its pump exits immediately instead of
+// leaking, and the channel simply never receives.
 func (rc *RC) Subscribe() (events <-chan Event, cancel func()) {
 	s := newEventSub(defaultEventBound)
 	rc.subMu.Lock()

@@ -162,9 +162,13 @@ func (j *JSA) Reconfigure(name string, newTasks int, timeout time.Duration) erro
 	if _, err := j.rc.StopApp(h); err != nil {
 		return fmt.Errorf("jsa: reconfiguring %q: %w", name, err)
 	}
-	status, err := waitSettle(j.rc, name, timeout)
-	if err != nil {
-		return err
+	// Event-driven through the RC's settle channel, no polling.
+	status, settled, err := j.rc.WaitAppSettled(name, timeout)
+	if !settled {
+		if err != nil {
+			return fmt.Errorf("jsa: unknown application %q", name)
+		}
+		return fmt.Errorf("jsa: application %q did not stop within %v", name, timeout)
 	}
 	if status != StatusFinished {
 		return fmt.Errorf("jsa: application %q ended %s during reconfiguration", name, status)
@@ -173,17 +177,4 @@ func (j *JSA) Reconfigure(name string, newTasks int, timeout time.Duration) erro
 		return fmt.Errorf("jsa: application %q left no checkpoint to reconfigure from", name)
 	}
 	return j.rc.Launch(job.Spec, newTasks, true)
-}
-
-// waitSettle waits (bounded) for an application to leave the running
-// state — event-driven through the RC's settle channel, no polling.
-func waitSettle(rc *RC, name string, timeout time.Duration) (AppStatus, error) {
-	status, settled, err := rc.WaitAppSettled(name, timeout)
-	if err != nil && !settled {
-		return "", fmt.Errorf("jsa: unknown application %q", name)
-	}
-	if !settled {
-		return status, fmt.Errorf("jsa: application %q did not stop within %v", name, timeout)
-	}
-	return status, nil
 }

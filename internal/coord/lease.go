@@ -3,6 +3,7 @@ package coord
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"drms/internal/ckpt"
 	"drms/internal/drms"
@@ -31,7 +32,6 @@ import (
 type survivor struct {
 	handle *drms.Handle
 	nodes  []int
-	tasks  int
 }
 
 // Remnant captures what survives a coordinator crash in the cluster
@@ -66,7 +66,7 @@ func (rc *RC) Crash() *Remnant {
 		// the incarnation that is known dead.
 		if app.handle != nil && app.status != StatusRecovering {
 			rem.apps[name] = &survivor{handle: app.handle,
-				nodes: append([]int(nil), app.nodes...), tasks: app.tasks}
+				nodes: append([]int(nil), app.nodes...)}
 		}
 	}
 	rc.mu.Unlock()
@@ -105,10 +105,28 @@ type RecoveryReport struct {
 // recorded terminal state. The new coordinator listens on a fresh
 // address — surviving TCs rejoin via TC.Reconnect.
 func RecoverRC(fs *pfs.System, opt RCOptions, rem *Remnant) (*RC, *RecoveryReport, error) {
+	if rem == nil {
+		rem = &Remnant{}
+	}
+	rc, report, err := loadRC(fs, opt, rem)
+	if err != nil {
+		return nil, nil, err
+	}
+	rc.reconcile(rem, report)
+	return rc, report, nil
+}
+
+// loadRC is RecoverRC's first half: a coordinator, not yet started,
+// whose application table holds the newest verifiable snapshot's records
+// as they were written — plus a running record for every survivor the
+// snapshot never saw (a crash can land between an incarnation's launch
+// and its first flush; its record is synthesized from the handle's own
+// lease). Nothing has been decided or announced yet.
+func loadRC(fs *pfs.System, opt RCOptions, rem *Remnant) (*RC, *RecoveryReport, error) {
 	if opt.StatePrefix == "" {
 		return nil, nil, fmt.Errorf("coord: RecoverRC needs RCOptions.StatePrefix")
 	}
-	if opt.Tier == nil && rem != nil {
+	if opt.Tier == nil {
 		opt.Tier = rem.Tier
 	}
 	rc, err := newRC(fs, opt)
@@ -128,123 +146,101 @@ func RecoverRC(fs *pfs.System, opt RCOptions, rem *Remnant) (*RC, *RecoveryRepor
 		rc.ln.Close()
 		return nil, nil, lerr
 	}
-
-	if raw, okRC := records[rcRecordKey]; okRC {
-		rec, err := decodeRCRecord(raw)
-		if err != nil {
-			rc.ln.Close()
-			return nil, nil, err
-		}
-		rc.leaseSeq = rec.LeaseSeq
-	}
-
-	// Rebuild the application table, newest decisions first: re-adopt,
-	// resume recovery, or settle.
-	var resume []*appState
-	var resumeCause []error
-	names := make([]string, 0, len(records))
-	for key := range records {
-		if len(key) > 4 && key[:4] == "app/" {
-			names = append(names, key[4:])
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rec, err := decodeAppRecord(records[appRecordKey(name)])
-		if err != nil {
-			rc.ln.Close()
-			return nil, nil, err
-		}
-		app := appFromRecord(rec, opt.Catalog)
-		sv := rem.survivorOf(name)
+	for key, raw := range records {
 		switch {
-		case (rec.Status == StatusRunning || rec.Status == StatusRecovering) &&
-			sv != nil && sv.handle.Lease() == rec.Lease:
-			// Lease matched: this is exactly the incarnation on file.
-			rc.adoptLocked(name, app, sv)
-			report.Readopted = append(report.Readopted, name)
-		case (rec.Status == StatusRunning || rec.Status == StatusRecovering) &&
-			app.spec.Recovery != nil && app.spec.Body != nil:
-			// The incarnation died with the crash (or was already down):
-			// resume the supervisor's cycle from the persisted counters.
-			app.status = StatusRecovering
-			rc.apps[name] = app
-			cause := fmt.Errorf("coord: incarnation lease %d of %q did not survive the coordinator crash",
-				rec.Lease, name)
-			if app.err == nil {
-				app.err = cause
+		case key == rcRecordKey:
+			rec, err := decodeRecord(raw, func(r *rcRecord) int { return r.Schema })
+			if err != nil {
+				rc.ln.Close()
+				return nil, nil, err
 			}
-			resume = append(resume, app)
-			resumeCause = append(resumeCause, cause)
-			report.Resumed = append(report.Resumed, name)
-		case rec.Status == StatusRunning || rec.Status == StatusRecovering:
-			// Nothing survived and nothing can relaunch it.
-			app.status = StatusTerminated
-			if app.err == nil {
-				app.err = fmt.Errorf("coord: %q lost its incarnation in a coordinator crash and no catalog entry can relaunch it", name)
+			rc.leaseSeq = rec.LeaseSeq
+		case strings.HasPrefix(key, "app/"):
+			rec, err := decodeRecord(raw, func(r *appRecord) int { return r.Schema })
+			if err != nil {
+				rc.ln.Close()
+				return nil, nil, err
 			}
-			close(app.done)
-			rc.apps[name] = app
-			report.Orphaned = append(report.Orphaned, name)
-		default:
-			// Terminal on record: preserved as-is.
-			close(app.done)
-			rc.apps[name] = app
+			rc.apps[key[len("app/"):]] = appFromRecord(rec, opt.Catalog)
 		}
 	}
-
-	// Survivors the snapshot never saw: a crash can land between an
-	// incarnation's launch and its first flush. The handle is alive and
-	// leased — adopt it; its record appears at the next snapshot.
-	if rem != nil {
-		orphans := make([]string, 0)
-		for name := range rem.apps {
-			if _, known := rc.apps[name]; !known {
-				orphans = append(orphans, name)
-			}
-		}
-		sort.Strings(orphans)
-		for _, name := range orphans {
-			sv := rem.apps[name]
-			app := appFromRecord(appRecord{Schema: stateSchemaVersion, Name: name,
-				Status: StatusRunning, Tasks: sv.tasks, Lease: sv.handle.Lease()}, opt.Catalog)
-			rc.adoptLocked(name, app, sv)
-			if sv.handle.Lease() > rc.leaseSeq {
-				rc.leaseSeq = sv.handle.Lease()
-			}
-			report.Readopted = append(report.Readopted, name)
+	for name, sv := range rem.apps {
+		if _, known := rc.apps[name]; !known {
+			rc.apps[name] = appFromRecord(appRecord{Schema: stateSchemaVersion, Name: name,
+				Status: StatusRunning, Tasks: len(sv.nodes), Lease: sv.handle.Lease()}, opt.Catalog)
+			rc.leaseSeq = max(rc.leaseSeq, sv.handle.Lease())
 		}
 	}
-
-	rc.dirty = true // the reconciled state is the new truth; snapshot it
-	rc.statsLocked()
-	rc.start()
-	for _, name := range report.Readopted {
-		app := rc.apps[name]
-		registerAppGauges(name, app)
-		gen := -1
-		if g, ok := app.handle.CommittedGen(); ok {
-			gen = g
-		}
-		rc.emit(Event{Kind: EventAppReadopted, App: name, Tasks: app.tasks, Gen: gen,
-			Detail: fmt.Sprintf("lease %d matched; incarnation %d continues on %d tasks",
-				app.lease, app.incarnation, app.tasks)})
-		go rc.watchApp(app)
-	}
-	for i, app := range resume {
-		registerAppGauges(app.spec.Name, app)
-		go rc.resumeRecovery(app, resumeCause[i])
-	}
-	rc.flushState()
 	return rc, report, nil
 }
 
-// survivorOf looks one application up in the remnant (nil-safe).
-func (rem *Remnant) survivorOf(name string) *survivor {
-	if rem == nil {
-		return nil
+// reconcile is RecoverRC's second half: every application the records
+// show running or recovering is re-adopted, resumed or orphaned — one
+// transition each, in name order — then the coordinator starts and the
+// reconciled tables are committed.
+func (rc *RC) reconcile(rem *Remnant, report *RecoveryReport) {
+	names := make([]string, 0, len(rc.apps))
+	for name := range rc.apps {
+		names = append(names, name)
 	}
-	return rem.apps[name]
+	sort.Strings(names)
+	causes := make(map[string]error)
+	for _, name := range names {
+		app := rc.apps[name]
+		if app.status.settled() {
+			continue // terminal on record: preserved as-is
+		}
+		sv := rem.apps[name]
+		switch {
+		case sv != nil && sv.handle.Lease() == app.lease:
+			// Lease matched: this is exactly the incarnation on file.
+			rc.transition(name, nil, inReadopted, func(app *appState, ev *Event) error {
+				app.err = nil
+				rc.bindLocked(app, sv.handle, append([]int(nil), sv.nodes...))
+				registerAppGauges(name, app)
+				*ev = Event{Tasks: app.tasks, Gen: -1,
+					Detail: fmt.Sprintf("lease %d matched; incarnation %d continues on %d tasks",
+						app.lease, app.incarnation, app.tasks)}
+				if g, ok := sv.handle.CommittedGen(); ok {
+					ev.Gen = g
+				}
+				return nil
+			})
+			report.Readopted = append(report.Readopted, name)
+		case app.spec.Recovery != nil && app.spec.Body != nil:
+			// The incarnation died with the crash (or was already down):
+			// resume the supervisor's cycle from the persisted counters.
+			causes[name] = fmt.Errorf("coord: incarnation lease %d of %q did not survive the coordinator crash",
+				app.lease, name)
+			rc.transition(name, nil, inResumed, func(app *appState, _ *Event) error {
+				if app.err == nil {
+					app.err = causes[name]
+				}
+				registerAppGauges(name, app)
+				return nil
+			})
+			report.Resumed = append(report.Resumed, name)
+		default:
+			// Nothing survived and nothing can relaunch it.
+			rc.transition(name, nil, inOrphaned, func(app *appState, _ *Event) error {
+				if app.err == nil {
+					app.err = fmt.Errorf("coord: %q lost its incarnation in a coordinator crash and no catalog entry can relaunch it", name)
+				}
+				return nil
+			})
+			report.Orphaned = append(report.Orphaned, name)
+		}
+	}
+	// Watchers start only now: one that settles its application commits a
+	// snapshot, and that snapshot must hold the whole reconciled table.
+	rc.start()
+	for _, name := range report.Readopted {
+		go rc.watchApp(rc.apps[name], false, nil)
+	}
+	for _, name := range report.Resumed {
+		go rc.watchApp(rc.apps[name], true, causes[name])
+	}
+	rc.flushState() // the reconciled state is the new truth
 }
 
 // appFromRecord rebuilds an appState from its persisted record,
@@ -293,36 +289,8 @@ func appFromRecord(rec appRecord, catalog func(string) (AppSpec, bool)) *appStat
 		app.firstCause = fmt.Errorf("%s", rec.FirstCause)
 	}
 	app.tasksCell.Store(int64(rec.Tasks))
-	return app
-}
-
-// adoptLocked wires one surviving incarnation into the (not yet
-// started) coordinator's tables. Called before rc.start, so no locking.
-func (rc *RC) adoptLocked(name string, app *appState, sv *survivor) {
-	app.status = StatusRunning
-	app.err = nil
-	app.handle = sv.handle
-	app.hcell.Store(sv.handle)
-	app.nodes = append([]int(nil), sv.nodes...)
-	app.tasks = sv.tasks
-	app.tasksCell.Store(int64(sv.tasks))
-	app.unwound = make(chan struct{})
-	app.version++
-	rc.apps[name] = app
-	for _, n := range sv.nodes {
-		rc.busy[n] = name
-	}
-	coordReadoptions.Inc()
-}
-
-// resumeRecovery continues a supervised application's recovery cycle
-// after a coordinator restart: the same loop watchApp would have run,
-// entered from the recovering state the snapshot recorded.
-func (rc *RC) resumeRecovery(app *appState, cause error) {
-	if !rc.recoverApp(app, cause) {
+	if app.status.settled() {
 		close(app.done)
-		rc.changed()
-		return
 	}
-	rc.watchApp(app)
+	return app
 }

@@ -9,9 +9,11 @@ import (
 )
 
 // Control-plane metrics (drms_coord_*). Gauges reflect the most recent
-// RC update in this process: drmsd runs exactly one RC, so they are the
-// daemon's pool and application state; tests running several RCs see
-// last-writer-wins values and assert counter deltas instead.
+// RC update in this process: a solo drmsd runs exactly one RC, so they
+// are the daemon's pool and application state. `drmsd -shards N` runs N
+// in one process, and so do tests: there the unlabeled gauges are
+// last-writer-wins (read the {shard="k"} pair per coordinator instead),
+// and tests assert counter deltas.
 var (
 	coordTCsLive = obs.GetGauge("drms_coord_tcs_live",
 		"Task coordinators with a live registration (the processor pool size).")
@@ -78,30 +80,20 @@ var (
 // appState, never rc.mu, so a metrics scrape cannot contend with the
 // control plane — and both follow in-flight resizes, which mutate the
 // cells without any relaunch-time re-registration (no incarnation bump).
+// Relaunching an application name replaces the gauges' closures
+// (obs.GaugeFunc re-registration), so the metrics follow the live
+// appState.
 func registerAppGauges(name string, app *appState) {
-	registerRestoreSourceGauge(name, app)
-	registerAppTasksGauge(name, app)
-}
-
-// registerAppTasksGauge exposes, per application, the task count of its
-// current communicator epoch. Re-stamped by launch, readoption, AND
-// in-flight resize, so the scraped value reflects the post-resize pool
-// even though the incarnation never changed.
-func registerAppTasksGauge(name string, app *appState) {
 	label := strings.NewReplacer(`"`, ``, `\`, ``, "\n", ``).Replace(name)
+	// The task count of the current communicator epoch: re-stamped by
+	// launch, readoption, AND in-flight resize, so the scraped value
+	// reflects the post-resize pool even though the incarnation never
+	// changed.
 	obs.GaugeFunc(`drms_coord_app_tasks{app="`+label+`"}`,
 		"Task count of the application's current communicator epoch (follows in-flight resizes).",
 		func() float64 { return float64(app.tasksCell.Load()) })
-}
-
-// registerRestoreSourceGauge exposes, per application, which tier served
-// its last restore: -1 before any restore, 0 for the parallel file
-// system, 1 for peer memory. Relaunching an application name replaces
-// the gauge's closure (obs.GaugeFunc re-registration), so the metric
-// follows the live appState. The value reads the handle cell, not
-// rc.mu, so a metrics scrape never contends with the control plane.
-func registerRestoreSourceGauge(name string, app *appState) {
-	label := strings.NewReplacer(`"`, ``, `\`, ``, "\n", ``).Replace(name)
+	// Which tier served the last restore: -1 before any restore, 0 for
+	// the parallel file system, 1 for peer memory.
 	obs.GaugeFunc(`drms_coord_app_last_restore_source{app="`+label+`"}`,
 		"Tier that served the application's last restore: -1 none yet, 0 pfs, 1 peer memory.",
 		func() float64 {

@@ -31,7 +31,7 @@ func TestPartialRecoverySingleNodeLoss(t *testing.T) {
 	const n, iters, ckEvery = 32, 12, 2
 	want := cleanChecksum(t, 4, n, iters, ckEvery)
 
-	fs, rc, tcs := newCluster(t, 5) // 4 busy + 1 spare
+	_, rc, tcs := newCluster(t, 5) // 4 busy + 1 spare
 	var gate atomic.Bool
 	out := make(chan float64, 1)
 	p := appParams{n: n, iters: iters, ckEvery: ckEvery, gateAt: 5, gate: &gate, result: out}
@@ -43,7 +43,7 @@ func TestPartialRecoverySingleNodeLoss(t *testing.T) {
 	if err := rc.Launch(spec, 4, false); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first checkpoint", func() bool { return ckpt.Exists(fs, "locjob") })
+	waitCommitted(t, rc, "locjob")
 	info, _ := rc.App("locjob")
 	deadNode := info.Nodes[2]
 	tcs[deadNode].Fail()
@@ -87,7 +87,7 @@ func TestPartialRecoveryTwoSequentialNodeLosses(t *testing.T) {
 	const n, iters, ckEvery = 32, 12, 2
 	want := cleanChecksum(t, 4, n, iters, ckEvery)
 
-	fs, rc, tcs := newCluster(t, 6) // 4 busy + 2 spares
+	_, rc, tcs := newCluster(t, 6) // 4 busy + 2 spares
 	var gate atomic.Bool
 	out := make(chan float64, 1)
 	p := appParams{n: n, iters: iters, ckEvery: ckEvery, gateAt: 5, gate: &gate, result: out}
@@ -99,7 +99,7 @@ func TestPartialRecoveryTwoSequentialNodeLosses(t *testing.T) {
 	if err := rc.Launch(spec, 4, false); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first checkpoint", func() bool { return ckpt.Exists(fs, "locjob2") })
+	waitCommitted(t, rc, "locjob2")
 	info, _ := rc.App("locjob2")
 	tcs[info.Nodes[1]].Fail()
 	waitPartialRecoveries(t, base, 1)

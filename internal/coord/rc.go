@@ -20,11 +20,13 @@ package coord
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -260,8 +262,7 @@ type appState struct {
 	done   chan struct{} // closed when the app reaches a terminal state
 
 	// version is the application's control-plane state version: it
-	// advances on every mutation (launch, status change, incarnation,
-	// armed checkpoint, stop request), and the versioned API rejects
+	// advances on every transition, and the versioned API rejects
 	// mutations carrying a stale version (see api.go). lease identifies
 	// the current incarnation across coordinator restarts: it is stamped
 	// into the incarnation's drms.Handle at launch, persisted in the
@@ -295,8 +296,8 @@ type appState struct {
 
 // RC is the resource coordinator: one shard of the control plane. Its
 // authoritative tables (applications, incarnations, recovery budgets,
-// leases) are mutated only through the versioned API (api.go) and —
-// when RCOptions.StatePrefix is set — persisted through the repo's own
+// leases) are mutated only by the transition function (transition.go)
+// and — when RCOptions.StatePrefix is set — persisted through the repo's own
 // checkpoint machinery (store.go), so a crashed coordinator restarts
 // from its latest verified snapshot generation and re-adopts still-live
 // work (lease.go) instead of killing it.
@@ -316,7 +317,6 @@ type RC struct {
 	subMu      sync.Mutex
 	subs       []*eventSub
 	subsClosed bool // set by shutdown before subs close: late Subscribe gets a dead sub, not a leak
-	defaultSub *eventSub
 
 	// Control-plane persistence (nil store = self-checkpointing off).
 	// flushMu serializes snapshot+commit pairs end-to-end (store.go):
@@ -373,14 +373,7 @@ type RCOptions struct {
 	Catalog func(name string) (AppSpec, bool)
 }
 
-// NewRC starts a resource coordinator listening on loopback. hbTimeout is
-// how long a silent TC connection is tolerated before the processor is
-// declared failed.
-func NewRC(fs *pfs.System, hbTimeout time.Duration) (*RC, error) {
-	return NewRCOpts(fs, RCOptions{HBTimeout: hbTimeout})
-}
-
-// NewRCOpts starts a resource coordinator with full options.
+// NewRCOpts starts a resource coordinator listening on loopback.
 func NewRCOpts(fs *pfs.System, opt RCOptions) (*RC, error) {
 	rc, err := newRC(fs, opt)
 	if err != nil {
@@ -422,8 +415,6 @@ func newRC(fs *pfs.System, opt RCOptions) (*RC, error) {
 	if opt.Shards > 1 {
 		rc.shardTCsLive, rc.shardApps = shardGauges(opt.Shard)
 	}
-	rc.defaultSub = newEventSub(defaultEventBound)
-	rc.subs = append(rc.subs, rc.defaultSub)
 	return rc, nil
 }
 
@@ -437,15 +428,6 @@ func (rc *RC) start() {
 
 // Addr returns the RC's listen address for TCs to dial.
 func (rc *RC) Addr() string { return rc.ln.Addr().String() }
-
-// Events returns the notification stream (the user-interface channel).
-// Delivery is two-tier: terminal/settle events (app-finished,
-// app-killed, app-stalled, ckpt-quarantined) are never dropped however
-// slow the consumer; non-terminal events are coalesced oldest-first
-// once a bounded backlog fills, each drop counted in
-// drms_coord_events_dropped_total. Use Subscribe for an independent
-// stream.
-func (rc *RC) Events() <-chan Event { return rc.defaultSub.ch }
 
 // OnChange registers a callback invoked (without locks held) whenever
 // processors become available; the JSA uses it to dispatch queued jobs.
@@ -647,42 +629,20 @@ func (rc *RC) onTCLost(st *tcState, why string) {
 	// dies with it. Payloads whose other replicas survive stay hot.
 	rc.tier.DropStore(node)
 	// Step 1: which application and TC pool is involved?
-	appName, hasApp := rc.busy[node]
+	appName := rc.busy[node]
 	var handle *drms.Handle
 	var unwound chan struct{}
-	if hasApp {
-		if app := rc.apps[appName]; app != nil && app.status == StatusRunning {
-			handle = app.handle
-			unwound = app.unwound
-		}
+	if app := rc.apps[appName]; app != nil && app.status == StatusRunning {
+		handle, unwound = app.handle, app.unwound
 	}
 	rc.mu.Unlock()
 
 	rc.emit(Event{Kind: EventTCDown, Node: node, Detail: why})
 
-	if handle != nil {
-		// Step 2a: localized recovery first, when the application opted
-		// in — replace just the lost rank with a spare processor while
-		// survivors park in place. Success means the incarnation
-		// continues; nothing to kill, nothing to unwind.
-		if rc.tryPartialRecovery(appName, handle, -1, node) {
-			rc.changed()
-			return
-		}
-		// Step 2b: kill all other processes of the application — by revoking
-		// its communicator first. Every task's pending and future operation
-		// returns msg.ErrRevoked, so tasks observe the failure and unwind to
-		// a clean state within the heartbeat timeout instead of being shot
-		// mid-I/O. (The pool's TC processes are killed and restarted by the
-		// RC; their effect — processors returning to the free pool — happens
-		// in the watcher once the application is down.)
-		handle.Kill()
-		// Steps 3-5 complete in watchApp when the tasks have unwound: the
-		// application is marked terminated (or handed to the recovery
-		// supervisor), the user informed, and only then are the surviving
-		// processors reclaimed. We wait on the incarnation's unwind, not
-		// the app's terminal settle: a supervised app may live through
-		// many more incarnations before its done channel ever closes.
+	// Step 2 (failRank). When it had to kill, wait for the incarnation's
+	// unwind, not the app's terminal settle: a supervised app may live
+	// through many more incarnations before its done channel ever closes.
+	if handle != nil && !rc.failRank(appName, handle, -1, node) {
 		<-unwound
 	}
 	rc.changed()
@@ -707,12 +667,7 @@ func (rc *RC) tryPartialRecovery(appName string, h *drms.Handle, deadRank, deadN
 		return false
 	}
 	if deadRank < 0 {
-		for i, n := range app.nodes {
-			if n == deadNode {
-				deadRank = i
-				break
-			}
-		}
+		deadRank = slices.Index(app.nodes, deadNode)
 	}
 	if deadRank < 0 || deadRank >= len(app.nodes) {
 		rc.mu.Unlock()
@@ -728,7 +683,7 @@ func (rc *RC) tryPartialRecovery(appName string, h *drms.Handle, deadRank, deadN
 	// an injected process death keeps the pool — the victim's node and
 	// its memory survive.
 	holders := append([]int(nil), app.nodes...)
-	spare := -1
+	var spare []int
 	if deadNode >= 0 {
 		free := rc.availableLocked()
 		if len(free) == 0 {
@@ -738,9 +693,9 @@ func (rc *RC) tryPartialRecovery(appName string, h *drms.Handle, deadRank, deadN
 				Detail: "partial recovery not possible: no spare processor; falling back to full restart"})
 			return false
 		}
-		spare = free[0]
-		rc.busy[spare] = appName
-		holders[deadRank] = spare
+		spare = free[:1]
+		rc.claimLocked(appName, spare)
+		holders[deadRank] = spare[0]
 	}
 	rc.mu.Unlock()
 
@@ -748,38 +703,29 @@ func (rc *RC) tryPartialRecovery(appName string, h *drms.Handle, deadRank, deadN
 	start := time.Now()
 	stats, err := h.PartialRecover(drms.PartialRecoverSpec{
 		Dead: []int{deadRank}, From: from, Holders: holders})
+	if err == nil {
+		ttr := time.Since(start)
+		_, err = rc.transition(appName, nil, inPartialRecovered, func(app *appState, ev *Event) error {
+			if app.handle != h {
+				return fmt.Errorf("incarnation ended during the rollback")
+			}
+			rc.repoolLocked(app, holders) // the lost node rejoins the pool on TC reconnect
+			*ev = Event{Node: deadNode, Tasks: app.tasks, Gen: gen, TTR: ttr,
+				Detail: fmt.Sprintf("rank %d replaced (node %d -> %d); survivors parked, rolled back to %s; restored ranks %v: %s from peer memory, %s from pfs",
+					deadRank, deadNode, holders[deadRank], from, stats.Ranks,
+					fmtBytes(stats.TierMemBytes), fmtBytes(stats.TierPFSBytes))}
+			return nil
+		})
+	}
 	if err != nil {
 		rc.mu.Lock()
-		if spare >= 0 && rc.busy[spare] == appName {
-			delete(rc.busy, spare)
-		}
+		rc.unclaimLocked(appName, spare)
 		rc.mu.Unlock()
 		coordPartialFallbacks.Inc()
 		rc.emit(Event{Kind: EventAppRecovering, App: appName, Gen: gen,
 			Detail: fmt.Sprintf("partial recovery failed (%v); falling back to full restart", err)})
 		return false
 	}
-	ttr := time.Since(start)
-
-	rc.mu.Lock()
-	app.nodes = holders
-	if deadNode >= 0 {
-		delete(rc.busy, deadNode) // the lost node rejoins the pool on TC reconnect
-	}
-	app.version++
-	appTasks := app.tasks
-	rc.dirtyLocked()
-	rc.statsLocked()
-	rc.mu.Unlock()
-	rc.flushState()
-	coordPartialRecoveries.Inc()
-	coordPartialRecoverySeconds.Observe(ttr.Seconds())
-	coordLastPartialTTR.Set(ttr.Seconds())
-	rc.emit(Event{Kind: EventAppPartialRecovery, App: appName, Node: deadNode,
-		Tasks: appTasks, Gen: gen, TTR: ttr,
-		Detail: fmt.Sprintf("rank %d replaced (node %d -> %d); survivors parked, rolled back to %s; restored ranks %v: %s from peer memory, %s from pfs",
-			deadRank, deadNode, holders[deadRank], from, stats.Ranks,
-			fmtBytes(stats.TierMemBytes), fmtBytes(stats.TierPFSBytes))})
 	return true
 }
 
@@ -817,125 +763,40 @@ func (rc *RC) availableLocked() []int {
 // spec.Name); reconfigurable applications may restart with any task
 // count. A spec with a RecoveryPolicy launches supervised: later
 // failures restart it autonomously instead of settling "terminated".
+// Relaunching a settled name replaces its record; the state version
+// carries on from the old one, so a handle opened on the settled
+// application can never match the new one.
 func (rc *RC) Launch(spec AppSpec, tasks int, restart bool) error {
-	rc.mu.Lock()
-	if _, exists := rc.apps[spec.Name]; exists &&
-		(rc.apps[spec.Name].status == StatusRunning || rc.apps[spec.Name].status == StatusRecovering) {
-		rc.mu.Unlock()
-		return fmt.Errorf("coord: application %q already running", spec.Name)
-	}
-	free := rc.availableLocked()
-	if len(free) < tasks {
-		rc.mu.Unlock()
-		return fmt.Errorf("coord: %d processors requested, %d available", tasks, len(free))
-	}
 	restartFrom := ""
 	if restart {
 		restartFrom = spec.Name
 	}
-	app := &appState{spec: spec, status: StatusRunning, done: make(chan struct{}),
-		lastResolved: -2}
-	if spec.Recovery != nil {
-		app.budget = spec.Recovery.withDefaults().Budget
-	}
-	if err := rc.launchIncarnationLocked(app, free[:tasks], restartFrom); err != nil {
-		rc.mu.Unlock()
-		return err
-	}
-	rc.apps[spec.Name] = app
-	rc.statsLocked()
-	// Snapshot the pool under the lock: a partial recovery triggered by
-	// an injected fault can swap app.nodes before the announce below.
-	launchNodes := append([]int(nil), app.nodes...)
-	rc.mu.Unlock()
-	registerAppGauges(spec.Name, app)
-
-	// Persist before announcing: a coordinator that crashes right after
-	// this launch must know the application exists to re-adopt it.
-	rc.flushState()
-	rc.emit(Event{Kind: EventAppStarted, App: spec.Name,
-		Detail: fmt.Sprintf("%d tasks on %v (restart=%v)", tasks, launchNodes, restart)})
-	go rc.watchApp(app)
-	return nil
-}
-
-// launchIncarnationLocked starts one incarnation of an application on
-// the given nodes, restoring from restartFrom ("" = from scratch). It
-// updates the app's handle/pool state and busy map; rc.mu must be held.
-func (rc *RC) launchIncarnationLocked(app *appState, nodes []int, restartFrom string) error {
-	spec := app.spec
-	tasks := len(nodes)
-	supervised := spec.Recovery != nil
-	keep := spec.Keep
-	if supervised && keep < 2 {
-		keep = 2 // a corrupt newest generation needs an older fallback
-	}
-	cfg := drms.Config{Tasks: tasks, FS: rc.fs, Stream: spec.Stream, SPMDMode: spec.SPMD,
-		RestartFrom: restartFrom, Keep: keep, Verify: spec.Verify || supervised,
-		AnchorEvery: spec.AnchorEvery, Codec: spec.Codec,
-		Partial: spec.Partial && supervised && !spec.SPMD}
-	if spec.Replicas > 0 && !spec.SPMD {
-		// Hot tier: ranks replicate into the pool's node memories, so a
-		// replica set spans distinct failure domains and DropStore on a
-		// node loss removes exactly what that failure destroyed.
-		cfg.Tier = rc.tier
-		cfg.Replicas = spec.Replicas
-		cfg.TierHolders = append([]int(nil), nodes...)
-		cfg.DemoteEvery = spec.DemoteEvery
-	}
-	var cell atomic.Pointer[drms.Handle]
-	if spec.FaultNext != nil {
-		if f := spec.FaultNext(app.incarnation, tasks); f != nil {
-			cfg.Fault = f
-			// An injected death must be observable the way a processor
-			// failure is: run step 2 of the §4 procedure (revoke the
-			// communicator) so the whole application unwinds and the
-			// watcher takes over. The handle cell closes the tiny window
-			// between the victim's death and Start returning.
-			victim := f.Victim
-			cfg.OnFault = func() {
-				for {
-					if h := cell.Load(); h != nil {
-						// An injected death is a process failure: the node
-						// and its memory tier survive, so localized
-						// recovery can replace the victim's rank in place
-						// on its own node. Any doubt falls back to the
-						// kill-and-restart procedure below.
-						if rc.tryPartialRecovery(spec.Name, h, victim, -1) {
-							return
-						}
-						h.Kill()
-						return
-					}
-					time.Sleep(50 * time.Microsecond)
-				}
-			}
+	var app *appState
+	_, err := rc.transition(spec.Name, nil, inLaunch, func(old *appState, ev *Event) error {
+		free := rc.availableLocked()
+		if len(free) < tasks {
+			return fmt.Errorf("coord: %d processors requested, %d available", tasks, len(free))
 		}
-	}
-	// Lease the incarnation: the handle is stamped with a unique epoch
-	// that the control-plane snapshot records, so a restarted
-	// coordinator can prove a surviving handle IS the incarnation it
-	// has on file before re-adopting it.
-	rc.leaseSeq++
-	cfg.Lease = rc.leaseSeq
-	h, err := drms.Start(cfg, spec.Body)
+		var version uint64
+		if old != nil {
+			version = old.version
+		}
+		app = &appState{spec: spec, done: make(chan struct{}), lastResolved: -2, version: version}
+		if spec.Recovery != nil {
+			app.budget = spec.Recovery.withDefaults().Budget
+		}
+		if err := rc.launchIncarnationLocked(app, free[:tasks], restartFrom); err != nil {
+			return err
+		}
+		rc.apps[spec.Name] = app
+		registerAppGauges(spec.Name, app)
+		ev.Detail = fmt.Sprintf("%d tasks on %v (restart=%v)", tasks, app.nodes, restart)
+		return nil
+	})
 	if err != nil {
-		rc.leaseSeq--
 		return err
 	}
-	cell.Store(h)
-	app.handle = h
-	app.hcell.Store(h)
-	app.nodes = nodes
-	app.tasks = tasks
-	app.tasksCell.Store(int64(tasks))
-	app.lease = cfg.Lease
-	app.unwound = make(chan struct{})
-	app.version++
-	rc.dirtyLocked()
-	for _, n := range nodes {
-		rc.busy[n] = spec.Name
-	}
+	go rc.watchApp(app, false, nil)
 	return nil
 }
 
@@ -943,93 +804,44 @@ func (rc *RC) launchIncarnationLocked(app *appState, nodes []int, restartFrom st
 // application that is one Wait; for a supervised one it is the recovery
 // loop: each failed incarnation is unwound, its survivors reclaimed,
 // and — budget permitting — a new incarnation launched from the newest
-// verified checkpoint generation.
-func (rc *RC) watchApp(app *appState) {
+// verified checkpoint generation. recovering enters the loop at the
+// recovery cycle, for cause: how a restarted coordinator resumes an
+// application whose incarnation died with (or before) its predecessor.
+func (rc *RC) watchApp(app *appState, recovering bool, cause error) {
 	for {
+		if recovering && !rc.recoverApp(app, cause) {
+			return
+		}
 		err := app.handle.Wait()
 		// A failure event (processor loss, injected fault) shows up as a
 		// revoked/killed unwind; an application returning its own error
 		// is a logic failure and never recovered from.
-		failure := app.handle.Killed() ||
-			errors.Is(err, msg.ErrKilled) || errors.Is(err, msg.ErrRevoked)
-
-		rc.mu.Lock()
-		recovering := failure && app.spec.Recovery != nil && !rc.closed
+		in := inExitClean
 		switch {
-		case recovering:
-			app.status = StatusRecovering
-			app.err = err
-		case failure:
-			app.status = StatusTerminated
-			app.err = err
+		case app.handle.Killed() || errors.Is(err, msg.ErrKilled) || errors.Is(err, msg.ErrRevoked):
+			in = inExitFailure
 		case err != nil:
-			app.status = StatusFailed
+			in = inExitError
+		}
+		info, terr := rc.transition(app.spec.Name, nil, in, func(app *appState, ev *Event) error {
 			app.err = err
-		default:
-			app.status = StatusFinished
-		}
-		if app.firstCause == nil {
-			app.firstCause = err
-		}
-		app.version++
-		rc.dirtyLocked()
-		var freed []int
-		for _, n := range app.nodes {
-			if tc, ok := rc.tcs[n]; ok && tc.alive {
-				delete(rc.busy, n)
-				freed = append(freed, n)
-			} else {
-				// The failed processor: its TC must reconnect (the node be
-				// repaired/rebooted) before it rejoins the pool.
-				delete(rc.busy, n)
+			if app.firstCause == nil {
+				app.firstCause = err
 			}
-		}
-		unwound := app.unwound
-		rc.statsLocked()
-		rc.mu.Unlock()
-
-		// Persist before announcing, like Launch: once the settle is on
-		// storage, a coordinator crash after the event cannot resurrect a
-		// finished application (the spurious-restart hazard), and a crash
-		// before the event loses only the notification, never the truth —
-		// the restarted coordinator restores the terminal state.
-		if !recovering {
-			rc.flushState()
-		}
-
-		kind := EventAppFinished
-		detail := ""
-		switch {
-		case recovering:
-			kind = EventAppKilled
-			detail = "terminated by processor failure; recovery supervisor engaged"
-		case app.status == StatusTerminated:
-			kind = EventAppKilled
-			detail = "terminated by processor failure; restart from checkpoint possible"
-		case app.status == StatusFailed && app.err != nil:
-			detail = app.err.Error()
-		}
-		rc.emit(Event{Kind: kind, App: app.spec.Name, Detail: detail})
-		if len(freed) > 0 {
-			rc.emit(Event{Kind: EventNodesFreed, Detail: fmt.Sprintf("%v", freed)})
-		}
-		// The incarnation is fully down and its survivors reclaimed:
-		// release onTCLost waiters before any recovery work.
-		close(unwound)
-
-		if !recovering {
-			close(app.done)
-			rc.changed()
+			if in == inExitError {
+				ev.Detail = err.Error()
+			}
+			return nil
+		})
+		if terr != nil || info.Status != StatusRecovering {
 			return
 		}
-		if !rc.recoverApp(app, err) {
-			close(app.done)
-			rc.changed()
-			return
-		}
-		// A new incarnation is running; watch it.
+		recovering, cause = true, err
 	}
 }
+
+// errBudget aborts a relaunch whose attempt the budget cannot pay for.
+var errBudget = errors.New("coord: recovery budget exhausted")
 
 // recoverApp runs the restart cycle for one failure of a supervised
 // application: resolve the newest verified generation (quarantining
@@ -1038,9 +850,10 @@ func (rc *RC) watchApp(app *appState) {
 // Returns true when a new incarnation is running; false when the
 // application settled terminally (stalled, or the RC closed).
 func (rc *RC) recoverApp(app *appState, cause error) bool {
+	name := app.spec.Name
 	policy := app.spec.Recovery.withDefaults()
 	failedAt := time.Now()
-	rc.emit(Event{Kind: EventAppRecovering, App: app.spec.Name,
+	rc.emit(Event{Kind: EventAppRecovering, App: name,
 		Attempt: app.attempts + 1, Detail: fmt.Sprintf("cause: %v", cause)})
 
 	backoff := policy.Backoff
@@ -1051,12 +864,10 @@ func (rc *RC) recoverApp(app *appState, cause error) bool {
 		select {
 		case <-rc.stop:
 			t.Stop()
-			rc.mu.Lock()
-			app.status = StatusTerminated
-			app.err = cause
-			app.version++
-			rc.dirtyLocked()
-			rc.mu.Unlock()
+			rc.transition(name, nil, inShuttingDown, func(app *appState, _ *Event) error {
+				app.err = cause
+				return nil
+			})
 			return false
 		case <-t.C:
 		}
@@ -1065,7 +876,7 @@ func (rc *RC) recoverApp(app *appState, cause error) bool {
 		// The dead incarnation may have been killed mid-checkpoint: sweep
 		// its torn (meta-less) generation first. Safe here — the
 		// incarnation has fully unwound, so no checkpoint is in flight.
-		ckpt.Rotation{Base: app.spec.Name, Tier: rc.tier}.CleanIncomplete(rc.fs)
+		ckpt.Rotation{Base: name, Tier: rc.tier}.CleanIncomplete(rc.fs)
 
 		// Restart point: the newest generation that passes a full
 		// integrity check — tier-aware: a memory-only generation resolves
@@ -1077,13 +888,13 @@ func (rc *RC) recoverApp(app *appState, cause error) bool {
 		// to the pfs when fewer than one replica of some piece survived.
 		// No verifiable checkpoint at all means restarting from scratch —
 		// all progress to date is lost but the run continues.
-		chosen, quarantined, ok, verr := ckpt.ResolveVerifiedTier(rc.fs, rc.tier, app.spec.Name)
+		chosen, quarantined, ok, verr := ckpt.ResolveVerifiedTier(rc.fs, rc.tier, name)
 		for _, q := range quarantined {
 			d := "failed integrity check; moved aside"
 			if verr != nil {
 				d = verr.Error()
 			}
-			rc.emit(Event{Kind: EventCkptQuarantined, App: app.spec.Name, Detail: d + ": " + q})
+			rc.emit(Event{Kind: EventCkptQuarantined, App: name, Detail: d + ": " + q})
 		}
 		restartFrom, gen := "", -1
 		if ok {
@@ -1093,92 +904,75 @@ func (rc *RC) recoverApp(app *appState, cause error) bool {
 			}
 		}
 
-		rc.mu.Lock()
-		if verr != nil && app.firstCause == nil {
-			app.firstCause = verr
-		}
-		// Budget: a normal attempt costs 1. An attempt that cannot beat
-		// the last recovery's restart point — same generation again, or
-		// worse after a quarantine — is livelock-shaped (§4 restarts are
-		// only useful when checkpoints advance between failures) and
-		// costs extra, so a crash loop stalls out well before a slowly
-		// progressing application would.
-		cost := 1
-		if app.lastResolved != -2 && gen <= app.lastResolved {
-			cost += policy.StallPenalty
-		}
-		if app.budget < cost {
-			app.status = StatusStalled
-			firstCause := app.firstCause
-			if firstCause == nil {
-				firstCause = cause
+		_, err := rc.transition(name, nil, inRelaunched, func(app *appState, ev *Event) error {
+			if verr != nil && app.firstCause == nil {
+				app.firstCause = verr
 			}
-			app.err = fmt.Errorf("coord: recovery budget exhausted after %d restarts of %q (last restart point: gen %d): %w",
-				app.attempts, app.spec.Name, app.lastResolved, firstCause)
-			err := app.err
-			coordStalls.Inc()
-			app.version++
+			// Budget: a normal attempt costs 1. An attempt that cannot beat
+			// the last recovery's restart point — same generation again, or
+			// worse after a quarantine — is livelock-shaped (§4 restarts are
+			// only useful when checkpoints advance between failures) and
+			// costs extra, so a crash loop stalls out well before a slowly
+			// progressing application would. The charge stands whether or
+			// not the launch below succeeds.
+			cost := 1
+			if app.lastResolved != -2 && gen <= app.lastResolved {
+				cost += policy.StallPenalty
+			}
+			if app.budget < cost {
+				return errBudget
+			}
+			app.budget -= cost
+			app.attempts++
+			app.lastResolved = gen
 			rc.dirtyLocked()
-			rc.statsLocked()
-			rc.mu.Unlock()
-			rc.emit(Event{Kind: EventAppStalled, App: app.spec.Name,
-				Attempt: app.attempts, Gen: gen, Detail: err.Error()})
-			return false
-		}
-		app.budget -= cost
-		app.attempts++
-		app.lastResolved = gen
-		app.version++
-		rc.dirtyLocked()
-		coordRecoveryAttempts.Inc()
+			coordRecoveryAttempts.Inc()
 
-		// Pool: reconfigure onto whatever the policy picks from the
-		// survivors — equal, smaller, or larger than the last pool.
-		avail := rc.availableLocked()
-		want := policy.Pool(len(avail), app.tasks)
-		if want < 1 || want > len(avail) {
-			rc.mu.Unlock()
-			cause = fmt.Errorf("coord: no viable pool for %q (%d available, policy wants %d)",
-				app.spec.Name, len(avail), want)
-			continue
-		}
-		app.incarnation++
-		if err := rc.launchIncarnationLocked(app, avail[:want], restartFrom); err != nil {
-			app.incarnation--
-			rc.mu.Unlock()
+			// Pool: reconfigure onto whatever the policy picks from the
+			// survivors — equal, smaller, or larger than the last pool.
+			avail := rc.availableLocked()
+			want := policy.Pool(len(avail), app.tasks)
+			if want < 1 || want > len(avail) {
+				return fmt.Errorf("coord: no viable pool for %q (%d available, policy wants %d)",
+					name, len(avail), want)
+			}
+			app.incarnation++
+			if err := rc.launchIncarnationLocked(app, avail[:want], restartFrom); err != nil {
+				app.incarnation--
+				return err
+			}
+			app.err = nil
+			// TTR, the generation restarted from: the recovery telemetry the
+			// paper's Tables 3-5 measure.
+			*ev = Event{Attempt: app.attempts, Tasks: want, Gen: gen, TTR: time.Since(failedAt),
+				Detail: fmt.Sprintf("incarnation %d on %d tasks from %s", app.incarnation, want, cmp.Or(restartFrom, "scratch"))}
+			return nil
+		})
+		switch {
+		case err == errBudget:
+			rc.transition(name, nil, inBudgetExhausted, func(app *appState, ev *Event) error {
+				firstCause := app.firstCause
+				if firstCause == nil {
+					firstCause = cause
+				}
+				app.err = fmt.Errorf("coord: recovery budget exhausted after %d restarts of %q (last restart point: gen %d): %w",
+					app.attempts, name, app.lastResolved, firstCause)
+				*ev = Event{Attempt: app.attempts, Gen: gen, Detail: app.err.Error()}
+				return nil
+			})
+			return false
+		case err != nil:
 			cause = err
 			continue
 		}
-		app.status = StatusRunning
-		app.err = nil
-		attempt, inc := app.attempts, app.incarnation
-		rc.statsLocked()
-		rc.mu.Unlock()
-		rc.flushState() // the new incarnation's lease must be on storage
-
-		// Stamp the recovery telemetry the paper's Tables 3-5 measure:
-		// TTR, the generation restarted from, and how stale that restart
-		// point was at relaunch time (the work-lost bound).
-		ttr := time.Since(failedAt)
-		coordRecoveries.Inc()
-		coordRecoverySeconds.Observe(ttr.Seconds())
-		coordLastTTR.Set(ttr.Seconds())
+		// How stale the restart point was at relaunch time: the work-lost
+		// bound.
 		coordRestartGen.Set(float64(gen))
 		if commit := ckpt.LastCommitTime(); !commit.IsZero() && gen >= 0 {
 			coordRestartGenAge.Set(time.Since(commit).Seconds())
 		}
-		rc.emit(Event{Kind: EventAppRecovered, App: app.spec.Name,
-			Attempt: attempt, Tasks: want, Gen: gen, TTR: ttr,
-			Detail: fmt.Sprintf("incarnation %d on %d tasks from %s", inc, want, restartPoint(restartFrom))})
 		return true
 	}
-}
-
-func restartPoint(prefix string) string {
-	if prefix == "" {
-		return "scratch"
-	}
-	return prefix
 }
 
 // jitter spreads a backoff ±25% so simultaneous recoveries decorrelate.
@@ -1209,58 +1003,42 @@ func appInfoLocked(name string, app *appState) AppInfo {
 	return info
 }
 
-// handleOf exposes the raw control handle of a running application.
-// Deliberately unexported: outside callers go through the versioned API
-// (OpenApp/CheckpointApp/StopApp), which is the only mutation surface —
-// make lint enforces the boundary.
-func (rc *RC) handleOf(name string) (*drms.Handle, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	app, ok := rc.apps[name]
-	if !ok || app.status != StatusRunning {
-		return nil, false
-	}
-	return app.handle, true
-}
-
 // WaitApp blocks until the named application settles and returns its
 // final status.
 func (rc *RC) WaitApp(name string) (AppStatus, error) {
-	rc.mu.Lock()
-	app, ok := rc.apps[name]
-	rc.mu.Unlock()
-	if !ok {
-		return "", fmt.Errorf("coord: unknown application %q", name)
-	}
-	<-app.done
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return app.status, app.err
+	status, _, err := rc.waitApp(name, nil)
+	return status, err
 }
 
 // WaitAppSettled blocks until the named application settles or the
-// timeout passes, whichever is first — event-driven (it selects on the
-// app's done channel; no polling). settled=false with a nil error means
-// the application was still running when the timeout expired.
+// timeout passes, whichever is first. settled=false with a nil error
+// means the application was still running when the timeout expired.
 func (rc *RC) WaitAppSettled(name string, timeout time.Duration) (status AppStatus, settled bool, err error) {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	return rc.waitApp(name, t.C)
+}
+
+// waitApp parks on the application's done channel until it closes or
+// expire fires (nil: never) — event-driven, no polling.
+func (rc *RC) waitApp(name string, expire <-chan time.Time) (status AppStatus, settled bool, err error) {
 	rc.mu.Lock()
 	app, ok := rc.apps[name]
 	rc.mu.Unlock()
 	if !ok {
 		return "", false, fmt.Errorf("coord: unknown application %q", name)
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
 	select {
 	case <-app.done:
-	case <-t.C:
+		settled = true
+	case <-expire:
 		// Not settled: report the state as it stands — a supervised app
 		// may be "running" again under a new incarnation, or mid-recovery.
-		rc.mu.Lock()
-		defer rc.mu.Unlock()
-		return app.status, false, nil
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return app.status, true, app.err
+	if settled {
+		err = app.err
+	}
+	return app.status, settled, err
 }

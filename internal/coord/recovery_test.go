@@ -25,16 +25,15 @@ func fastPolicy(budget int) *RecoveryPolicy {
 		BackoffMax: 40 * time.Millisecond}
 }
 
-// drainEvents empties the RC event channel into a slice.
-// drainEvents collects everything currently queued on the default
-// subscription. Delivery is asynchronous (a pump goroutine moves events
+// drainEvents collects everything currently queued on the test's
+// subscription (watch). Delivery is asynchronous (a pump goroutine moves events
 // from the per-subscriber queue to the channel), so quiescence is "no
 // event for a beat", not "channel empty right now".
 func drainEvents(rc *RC) []Event {
 	var evs []Event
 	for {
 		select {
-		case e := <-rc.Events():
+		case e := <-eventsOf(rc):
 			evs = append(evs, e)
 		case <-time.After(100 * time.Millisecond):
 			return evs

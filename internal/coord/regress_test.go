@@ -20,12 +20,12 @@ import (
 func rawRC(t *testing.T) *RC {
 	t.Helper()
 	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
-	rc, err := NewRC(fs, 5*time.Second)
+	rc, err := NewRCOpts(fs, RCOptions{HBTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rc.Close)
-	return rc
+	return watch(rc)
 }
 
 // helloConn dials the RC's TC port and registers as the given node.
@@ -43,7 +43,7 @@ func helloConn(t *testing.T, rc *RC, node int, extra string) net.Conn {
 }
 
 // TestEventsStalledConsumerKeepsTerminal pins the two-tier delivery
-// contract of Events(): with no consumer reading during a flood of
+// contract of a subscription: with no consumer reading during a flood of
 // 3000 events, non-terminal chatter is coalesced (and counted as
 // dropped) while every terminal event — 50 app-stalled plus a final
 // ckpt-quarantined — survives and is delivered once a consumer returns.
@@ -74,7 +74,7 @@ func TestEventsStalledConsumerKeepsTerminal(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for got < wantTerminal {
 		select {
-		case e := <-rc.Events():
+		case e := <-eventsOf(rc):
 			if terminalEvent(e.Kind) {
 				got++
 				if e.Kind == EventCkptQuarantined {
@@ -98,10 +98,9 @@ func TestEventsStalledConsumerKeepsTerminal(t *testing.T) {
 
 // TestControlServerCloseStopsEventDrain brackets Serve → Close with the
 // goroutine count: the event drain and the accept loop must be gone once
-// Close has returned. The drain used to range over RC.Events(), a
-// channel nothing ever closes, so every served ControlServer left one
-// goroutine behind — and competed with other Events() readers for the
-// shared stream.
+// Close has returned. The drain used to range over a shared stream
+// nothing ever closed, so every served ControlServer left one goroutine
+// behind — and competed with the stream's other readers.
 func TestControlServerCloseStopsEventDrain(t *testing.T) {
 	rc := rawRC(t)
 	base := runtime.NumGoroutine()

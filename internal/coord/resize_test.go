@@ -24,9 +24,12 @@ func TestResizeAppInFlight(t *testing.T) {
 	want := cleanChecksum(t, 2, n, iters, ckEvery)
 
 	_, rc, tcs := newCluster(t, 4)
-	var gate atomic.Bool
+	// The application parks at SOPs (hold) until both resizes are done:
+	// each is carried out whenever it arms, and no SOP the second one
+	// needs can be used up while the first completes.
+	var hold atomic.Bool
 	out := make(chan float64, 1)
-	p := appParams{n: n, iters: iters, ckEvery: ckEvery, gateAt: 5, gate: &gate, result: out}
+	p := appParams{n: n, iters: iters, ckEvery: ckEvery, holdAt: 4, hold: &hold, result: out}
 	if err := rc.Launch(p.spec("ejob"), 2, false); err != nil {
 		t.Fatal(err)
 	}
@@ -37,20 +40,9 @@ func TestResizeAppInFlight(t *testing.T) {
 	if info.Tasks != 2 {
 		t.Fatalf("launched with %d tasks, want 2", info.Tasks)
 	}
-	waitFor(t, "first checkpoint", func() bool {
-		hh, ok := rc.handleOf("ejob")
-		if !ok {
-			return false
-		}
-		_, ok = hh.CommittedGen()
-		return ok
-	})
+	waitCommitted(t, rc, "ejob")
 
 	// Grow while the application runs: the resize rides its next SOP.
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		gate.Store(true)
-	}()
 	h, err = rc.ResizeApp(h, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +76,7 @@ func TestResizeAppInFlight(t *testing.T) {
 		t.Fatalf(`drms_coord_app_tasks{app="ejob"} = %v (ok=%v), want 2`, v, ok)
 	}
 
+	hold.Store(true)
 	status, werr := rc.WaitApp("ejob")
 	if werr != nil || status != StatusFinished {
 		t.Fatalf("app ended %s err=%v, want finished", status, werr)
@@ -311,14 +304,7 @@ func TestWaitStatusNotFooledByTransitions(t *testing.T) {
 	if err := rc.Launch(spec, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first checkpoint", func() bool {
-		h, ok := rc.handleOf("transit")
-		if !ok {
-			return false
-		}
-		_, ok = h.CommittedGen()
-		return ok
-	})
+	waitCommitted(t, rc, "transit")
 
 	type res struct {
 		st  AppStatus

@@ -101,7 +101,7 @@ func TestSubscribeAfterCloseIsStillborn(t *testing.T) {
 	before := runtime.NumGoroutine()
 	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
 	for round := 0; round < 20; round++ {
-		rc, err := NewRC(fs, hbTimeout)
+		rc, err := NewRCOpts(fs, RCOptions{HBTimeout: hbTimeout})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,11 +323,7 @@ func TestRCCrashRestartReadoptsRunningApp(t *testing.T) {
 		}
 		return AppSpec{}, false
 	}
-	rc2, report, err := RecoverRC(fs, opt, rem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rc2.Close)
+	rc2, report := recoverWatched(t, fs, opt, rem)
 	for _, tc := range tcs {
 		if err := tc.Reconnect(rc2.Addr()); err != nil {
 			t.Fatal(err)
@@ -430,11 +426,7 @@ func TestRCCrashMidRecoveryResumesSupervision(t *testing.T) {
 		}
 		return AppSpec{}, false
 	}
-	rc2, report, err := RecoverRC(fs, opt, rem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rc2.Close)
+	rc2, report := recoverWatched(t, fs, opt, rem)
 	for i, tc := range tcs {
 		if i == victim {
 			continue

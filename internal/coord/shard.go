@@ -1,8 +1,6 @@
 package coord
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"net"
@@ -59,15 +57,7 @@ func (g *Gateway) Serve(addr string) (string, error) {
 		return "", err
 	}
 	g.ln = ln
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go g.serveConn(conn)
-		}
-	}()
+	go serveJSONLines(ln, g.route)
 	return ln.Addr().String(), nil
 }
 
@@ -78,25 +68,6 @@ func (g *Gateway) Close() {
 	}
 }
 
-func (g *Gateway) serveConn(conn net.Conn) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), maxProtoLine)
-	enc := json.NewEncoder(conn)
-	for sc.Scan() {
-		var req Request
-		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			resp.Error = "malformed request: " + err.Error()
-		} else {
-			resp = g.route(req)
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-	}
-}
-
 // route dispatches one request: named ops to the owning shard,
 // fleet-wide reads to every shard with a merge, singletons to shard 0.
 func (g *Gateway) route(req Request) Response {
@@ -104,41 +75,22 @@ func (g *Gateway) route(req Request) Response {
 	case "status", "wait", "submit", "open", "checkpoint", "stop", "reconfigure":
 		return g.forward(ShardOf(req.Name, len(g.shards)), req)
 
-	case "nodes":
-		// Shards own disjoint processor slices: the fleet's free pool is
-		// the union.
-		var nodes []int
-		err := g.fanout(req, func(_ int, r Response) {
-			nodes = append(nodes, r.Nodes...)
+	case "nodes", "apps", "events":
+		// Shards own disjoint processor slices and application names: the
+		// fleet's view is the union of whatever the op makes each report.
+		fleet := Response{OK: true}
+		err := g.fanout(req, func(r Response) {
+			fleet.Nodes = append(fleet.Nodes, r.Nodes...)
+			fleet.Apps = append(fleet.Apps, r.Apps...)
+			fleet.Events = append(fleet.Events, r.Events...)
+			fleet.Queued += r.Queued
 		})
 		if err != nil {
 			return Response{Error: err.Error()}
 		}
-		sort.Ints(nodes)
-		return Response{OK: true, Nodes: nodes}
-
-	case "apps":
-		var apps []AppInfo
-		queued := 0
-		err := g.fanout(req, func(_ int, r Response) {
-			apps = append(apps, r.Apps...)
-			queued += r.Queued
-		})
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
-		return Response{OK: true, Apps: apps, Queued: queued}
-
-	case "events":
-		var events []Event
-		err := g.fanout(req, func(_ int, r Response) {
-			events = append(events, r.Events...)
-		})
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		return Response{OK: true, Events: events}
+		sort.Ints(fleet.Nodes)
+		sort.Slice(fleet.Apps, func(i, j int) bool { return fleet.Apps[i].Name < fleet.Apps[j].Name })
+		return fleet
 
 	case "failnode":
 		// The gateway does not know which shard owns a processor; ask each
@@ -181,13 +133,13 @@ func (g *Gateway) forward(shard int, req Request) Response {
 // response to merge (in shard order). A shard-level failure fails the
 // whole read: a partial fleet view silently missing applications is
 // worse than an error.
-func (g *Gateway) fanout(req Request, merge func(shard int, r Response)) error {
+func (g *Gateway) fanout(req Request, merge func(Response)) error {
 	for shard := range g.shards {
 		resp := g.forward(shard, req)
 		if !resp.OK {
 			return fmt.Errorf("shard %d: %s", shard, resp.Error)
 		}
-		merge(shard, resp)
+		merge(resp)
 	}
 	return nil
 }

@@ -12,8 +12,8 @@ import (
 // (status, pool, incarnation, lease, recovery budget, state version)
 // and the lease allocator — are serialized into a ckpt.StateStore on
 // every mutation, asynchronously batched by a persister goroutine, with
-// synchronous flushes at the moments a crash must not forget (a launch
-// before its announcement, a recovery relaunch before its event). The
+// synchronous flushes at the moments a crash must not forget (the sync
+// rows of the transition table, before their announcement). The
 // snapshot schema is deliberately plain data: function-valued spec
 // fields (Body, Stream hooks, FaultNext, Pool) cannot cross a process
 // lifetime, so a restarted coordinator re-binds them through
@@ -150,11 +150,9 @@ func (rc *RC) snapshotLocked() (map[string][]byte, error) {
 	return records, nil
 }
 
-// flushState commits a snapshot generation if the state is dirty.
-// Synchronous call sites are the crash-consistency points: a launch
-// persists before its started event, a recovery relaunch before its
-// recovered event, so a coordinator crash can never forget an
-// application it already announced or a lease it already issued.
+// flushState commits a snapshot generation if the state is dirty. The
+// transition function's synchronous call is the crash-consistency point
+// of every sync row of its table.
 //
 // flushMu is held across the whole snapshot+Commit pair, so snapshot
 // order equals commit order — the store assigns generation numbers at
@@ -181,21 +179,15 @@ func (rc *RC) flushState() error {
 		return nil
 	}
 	records, err := rc.snapshotLocked()
-	if err != nil {
-		// Unserializable state is a programming error; leave dirty set and
-		// re-ring the doorbell so the persister keeps retrying instead of
-		// sitting silent until the next mutation.
-		rc.mu.Unlock()
-		coordStateFlushErrors.Inc()
-		rc.ringPersistWake()
-		return err
-	}
 	rc.dirty = false
 	rc.mu.Unlock()
-
-	if _, err := rc.store.Commit(rc.fs, records); err != nil {
-		// Storage trouble: mark dirty again and re-ring so the retry does
-		// not depend on another mutation ever arriving.
+	if err == nil {
+		_, err = rc.store.Commit(rc.fs, records)
+	}
+	if err != nil {
+		// Unserializable state (a programming error) or storage trouble:
+		// mark dirty again and re-ring the doorbell, so the persister
+		// keeps retrying without waiting for another mutation to arrive.
 		rc.mu.Lock()
 		rc.dirty = true
 		rc.mu.Unlock()
@@ -211,8 +203,8 @@ func (rc *RC) flushState() error {
 // persister batches asynchronous snapshot commits: every mutation rings
 // the doorbell, the persister coalesces however many arrived since its
 // last commit into one generation. On clean shutdown it flushes the
-// final state; on a simulated crash it does not — recovery must work
-// from whatever was already committed.
+// final state; on a simulated crash (RC.Crash) flushState writes
+// nothing — recovery must work from whatever was already committed.
 func (rc *RC) persister() {
 	defer close(rc.persistDone)
 	for {
@@ -221,30 +213,12 @@ func (rc *RC) persister() {
 			if err := rc.flushState(); err != nil {
 				// The failed flush left dirty set and the doorbell rung;
 				// give storage a beat before retrying instead of spinning.
-				t := time.NewTimer(10 * time.Millisecond)
-				select {
-				case <-t.C:
-				case <-rc.stop:
-					t.Stop()
-					rc.finalFlush()
-					return
-				}
+				time.Sleep(10 * time.Millisecond)
 			}
 		case <-rc.stop:
-			rc.finalFlush()
+			rc.flushState()
 			return
 		}
-	}
-}
-
-// finalFlush is the persister's shutdown flush: a clean Close persists
-// the final state, a simulated crash (RC.Crash) does not.
-func (rc *RC) finalFlush() {
-	rc.mu.Lock()
-	crashed := rc.crashed
-	rc.mu.Unlock()
-	if !crashed {
-		rc.flushState()
 	}
 }
 
@@ -259,28 +233,12 @@ func (rc *RC) SyncState() (gen int, ok bool) {
 	return rc.store.LastGen(), true
 }
 
-// decodeAppRecord decodes one persisted application record.
-func decodeAppRecord(b []byte) (appRecord, error) {
-	var rec appRecord
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&rec); err != nil {
-		return rec, err
+// decodeRecord decodes one persisted record (an appRecord or the
+// rcRecord; schema reads the version it was written at).
+func decodeRecord[T any](b []byte, schema func(*T) int) (rec T, err error) {
+	if err = gob.NewDecoder(bytes.NewReader(b)).Decode(&rec); err == nil && schema(&rec) > stateSchemaVersion {
+		err = fmt.Errorf("coord: state record schema %d newer than this coordinator (%d)",
+			schema(&rec), stateSchemaVersion)
 	}
-	if rec.Schema > stateSchemaVersion {
-		return rec, fmt.Errorf("coord: app record schema %d newer than this coordinator (%d)",
-			rec.Schema, stateSchemaVersion)
-	}
-	return rec, nil
-}
-
-// decodeRCRecord decodes the coordinator's own persisted record.
-func decodeRCRecord(b []byte) (rcRecord, error) {
-	var rec rcRecord
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&rec); err != nil {
-		return rec, err
-	}
-	if rec.Schema > stateSchemaVersion {
-		return rec, fmt.Errorf("coord: rc record schema %d newer than this coordinator (%d)",
-			rec.Schema, stateSchemaVersion)
-	}
-	return rec, nil
+	return rec, err
 }

@@ -1,6 +1,7 @@
 package drms
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"drms/internal/ckpt"
 	"drms/internal/dist"
+	"drms/internal/msg"
 	"drms/internal/rangeset"
 )
 
@@ -302,7 +304,9 @@ func TestPartialRecoverLostHoldersFallsBack(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "ineligible") {
 		t.Fatalf("partial recovery with all holders lost: err=%v, want ineligible", err)
 	}
-	if err := h.Wait(); err == nil {
-		t.Fatal("incarnation survived a failed rollback; it must unwind to the restart path")
+	// No Kill was sent, and still the exit must read as the failure the
+	// rollback could not absorb — the supervisor restarts on that.
+	if err := h.Wait(); !errors.Is(err, msg.ErrRevoked) {
+		t.Fatalf("incarnation after a failed rollback exited with %v; it must unwind to the restart path as revoked", err)
 	}
 }

@@ -185,6 +185,12 @@ func (t *Task) restore() (Status, int, error) {
 		if at != nil {
 			at.complete(restoreOutcome{}, err)
 		}
+		if kind == restoreRollback {
+			// The rank failure this rollback was absorbing stands: the
+			// unwind reports it as a revocation, so whoever classifies the
+			// exit sees a failure whether or not its Kill has landed yet.
+			err = fmt.Errorf("%w: %w", err, msg.ErrRevoked)
+		}
 		return Failed, 0, err
 	}
 	t.LastMeta = m
