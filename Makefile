@@ -1,6 +1,7 @@
 GO ?= go
+FUZZTIME ?= 20s
 
-.PHONY: check fmt vet lint loc test race chaos bench profile benchmark benchmark-compare benchmark-pairs smoke soak-controlplane
+.PHONY: check fmt vet lint loc test fuzz race chaos bench profile benchmark benchmark-compare benchmark-pairs smoke soak-controlplane
 
 # The full pre-merge gauntlet: formatting, static checks, all tests,
 # the race detector over the concurrency-bearing packages, and the
@@ -75,6 +76,18 @@ test:
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|CRCCombine|TierCheck|AssignPlannedBT|StorageRuns' -benchtime=1x \
 		./internal/rangeset ./internal/dist ./internal/ckpt ./internal/array
+
+# Every fuzz target of the index-arithmetic and parser packages, one after
+# the other for FUZZTIME each, stopping at the first crasher (`go test`
+# alone, and so `make test`, runs their seeds only). The targets are found,
+# not listed: a new Fuzz* function in these packages is fuzzed from the day
+# it lands. CI runs this nightly with FUZZTIME=60s.
+fuzz:
+	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array; do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== $$pkg $$f ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; done
 
 # Race coverage spans every layer that exercises real concurrency: the
 # transport (including its TCP mesh and fault injector), parallel

@@ -106,10 +106,10 @@ func (a *Array[T]) Fill(f func(c []int) T) {
 
 // runStride returns the distance in a column-major local storage of the
 // mapped section m between elements consecutive along the fastest-varying
-// axis of the given linearization order. Runs produced by
-// rangeset.Slice.Runs step by exactly this stride in local storage:
-// consecutive integers have consecutive ranks in m's fast-axis range, so
-// the stride is the constant layout stride of that axis.
+// axis of the given linearization order. The runs storageRuns emits for
+// that order step by exactly this stride in local storage: a run holds
+// consecutive ranks of m's fast-axis range, so the stride is the constant
+// layout stride of that axis.
 func runStride(m rangeset.Slice, order rangeset.Order) int {
 	d := m.Rank()
 	if order == rangeset.ColMajor || d <= 1 {

@@ -3,6 +3,7 @@ package array
 import (
 	"testing"
 
+	"drms/internal/dist"
 	"drms/internal/msg"
 	"drms/internal/rangeset"
 )
@@ -61,21 +62,31 @@ func BenchmarkAssignPlannedBT(b *testing.B) {
 	}
 }
 
-// BenchmarkStorageRuns times the enumerator alone, per fast-axis run it
-// walks (ns/run; runs/op of them are left after merging): the cost a cold
-// plan build and every PackSectionInto/UnpackSection pay. bt-block is a
-// 5 × 24 × 24 × 48 block of grid {1,2,2,1} inside its shadowed mapping,
-// canonical-piece a stream piece that is its own storage (one extent),
+// BenchmarkStorageRuns times the enumerator alone, per fast-axis run of the
+// section (ns/run: what it cost while it walked those; runs/op are the
+// extents it emits): the cost a cold plan build and every
+// PackSectionInto/UnpackSection pay. bt-block is a 5 × 24 × 24 × 48 block
+// of grid {1,2,2,1} inside its shadowed mapping (5 × 24-element extents),
+// canonical-piece a stream piece that is its own storage (one extent, every
+// axis folded), whole-planes every other 5 × 48 × 48 plane of the global
+// space (three axes folded, the fourth one rank-run per plane),
 // row-over-col the block walked row-major over its column-major storage
-// (no merging, layout stride ≠ 1), 1d one block of a 131072-element
-// vector: a single run and no table.
+// (no merging, layout stride ≠ 1), 1d one block of a 131072-element vector
+// and cyclic one task's share of that vector dealt element by element: a
+// single rank-run found from its ends, and no table.
 func BenchmarkStorageRuns(b *testing.B) {
 	const n = 48
 	g := rangeset.Box([]int{0, 0, 0, 0}, []int{4, n - 1, n - 1, n - 1})
 	grid := []int{1, 2, 2, 1}
 	bt := mustShadow(b, mustBlock(b, g, grid), grid)
 	piece := canonicalRounds(b, g, 4, rangeset.ColMajor)[0].Assigned(0)
-	vec := mustBlock(b, rangeset.Box([]int{0}, []int{131071}), []int{4})
+	planes := rangeset.NewSlice(g.Axis(0), g.Axis(1), g.Axis(2), rangeset.Reg(0, n-1, 2))
+	line := rangeset.Box([]int{0}, []int{131071})
+	vec := mustBlock(b, line, []int{4})
+	cyc, err := dist.BlockCyclic(line, []int{4}, []int{1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, bc := range []struct {
 		name       string
 		sec, space rangeset.Slice
@@ -83,12 +94,15 @@ func BenchmarkStorageRuns(b *testing.B) {
 	}{
 		{"bt-block", bt.Assigned(0), bt.Mapped(0), rangeset.ColMajor},
 		{"canonical-piece", piece, piece, rangeset.ColMajor},
+		{"whole-planes", planes, g, rangeset.ColMajor},
 		{"row-over-col", bt.Assigned(0), bt.Mapped(0), rangeset.RowMajor},
 		{"1d", vec.Assigned(0), vec.Mapped(0), rangeset.ColMajor},
+		{"cyclic", cyc.Assigned(1), cyc.Mapped(1), rangeset.ColMajor},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			walked, emitted, elems := fastAxisRuns(bc.sec, bc.order), 0, 0
 			b.ReportAllocs()
+			b.ResetTimer() // counting the fast-axis runs walks the axis
 			for i := 0; i < b.N; i++ {
 				emitted, elems = 0, 0
 				storageRuns(bc.sec, bc.space, rangeset.ColMajor, bc.order, func(off, k int) {

@@ -127,32 +127,58 @@ func FlushPlans() {
 	gatherPlans.Flush()
 }
 
-// axisTable resolves a non-fast axis of a storageRuns walk: offs[p] is the
-// layout offset of the axis's p-th section value; pos and cur follow the
-// walk, which moves a coordinate to its successor or back to its first.
-type axisTable struct {
-	axis, pos, cur int
-	offs           []int
+// rankRuns resolves the section axis sa in the storage axis pa into runs of
+// consecutive ranks: {r·stride, n} stands for n successive values of sa that
+// hold ranks r, r+1, …, r+n−1 of pa. A regular range inside a regular range
+// of equal step is one run, found from its two ends in O(1) whatever its
+// length (a dense block, or what a cyclic distribution deals a task); any
+// other axis costs one Rank per value. ok is false when a value of sa is
+// missing from pa. sa must not be empty.
+func rankRuns(sa, pa rangeset.Range, stride int) (runs []xferRun, ok bool) {
+	n := sa.Size()
+	if n > 1 && sa.IsRegular() && pa.IsRegular() && !pa.Empty() {
+		lo, hi, step := sa.Bounds()
+		if _, phi, pstep := pa.Bounds(); step == pstep {
+			r, ok := pa.Rank(lo)
+			return []xferRun{{r * stride, n}}, ok && hi <= phi
+		}
+	}
+	runs = make([]xferRun, 0, n)
+	for p, next := 0, -1; p < n; p++ {
+		r, ok := pa.Rank(sa.At(p))
+		if !ok {
+			return nil, false
+		}
+		if r == next {
+			runs[len(runs)-1].n++
+		} else {
+			runs = append(runs, xferRun{r * stride, 1})
+		}
+		next = r + 1
+	}
+	return runs, true
 }
 
 // storageRuns is the one run enumerator behind every data mover. It walks
 // sec (a subset of space) in the given order and calls emit once per run
 // with the offset of the run's first element in the layout linearization
 // of space. When that linearization is the walk's own (layout == order:
-// stride 1), a run starting where its predecessor ends is merged into it.
-// Runs arrive in wire order, so the merged run covers exactly the bytes
-// its parts would have, in the same sequence: what is packed, sent, CRC'd
-// and stored is identical by construction. Runs at a layout stride ≠ 1
-// (row-major over column-major storage) are not extents and stay apart.
+// stride 1), a run is an extent of storage and as long as storage allows:
+// one starting where its predecessor ends is merged into it. Runs arrive in
+// wire order, so however they are cut they cover the same bytes in the same
+// sequence: what is packed, sent, CRC'd and stored is identical by
+// construction. Runs at a layout stride ≠ 1 (row-major over column-major
+// storage) are not extents: they are the rank-runs of the walk's fast axis.
 //
-// Offsets come from tables built once per call: each value of a non-fast
-// section axis is ranked in its storage axis once (O(Σ|axis|) work and
-// words; none for a rank-1 space), so a run costs a load per such axis and
-// one rank, of its start on the fast axis, whose table would be O(axis)
-// per call where a 1-D section is one run. The build proves the non-fast
-// coordinates inside space; ranking both ends of each fast-axis run (n
-// consecutive integers are in a range iff n−1 ranks apart) the rest. A
-// miss panics: an escaping section is a planning bug.
+// The walk is over extents, not fast-axis runs. Each axis is resolved once
+// (rankRuns). While the walk follows the layout, a leading axis that sec
+// covers whole folds into its neighbour, whose rank-runs times the folded
+// size are the extents from then on, until an axis stops short: a section
+// that is its storage is one extent, found in O(d). The axes left over are
+// stepped by position through tables of precomputed offsets. Every axis is
+// resolved, and with it every coordinate of the cross product proven inside
+// space, before the first emit. A miss panics: an escaping section is a
+// planning bug.
 func storageRuns(sec, space rangeset.Slice, layout, order rangeset.Order, emit func(off, n int)) {
 	escape := func() { panic(fmt.Sprintf("array: section %v escapes storage %v", sec, space)) }
 	d := sec.Rank()
@@ -166,66 +192,71 @@ func storageRuns(sec, space rangeset.Slice, layout, order rangeset.Order, emit f
 	if sec.Empty() {
 		return
 	}
-	fast := 0
-	if order == rangeset.RowMajor {
-		fast = d - 1
+	axisOf := func(o rangeset.Order, j int) int { // o's j-th axis, fastest first
+		if o == rangeset.RowMajor {
+			return d - 1 - j
+		}
+		return j
 	}
-	fastAxis := space.Axis(fast)
-	sec.Axis(fast).Runs(func(v, n int) {
-		first, ok := fastAxis.Rank(v)
-		if last, ok2 := fastAxis.Rank(v + n - 1); !ok || !ok2 || last-first != n-1 {
-			escape()
-		}
-	})
-	tabs := make([]axisTable, 0, d-1)
-	fastStride, stride := 1, 1
-	for j := 0; j < d; j++ {
-		i := j // axes from the layout's fastest to its slowest
-		if layout == rangeset.RowMajor {
-			i = d - 1 - j
-		}
-		if i == fast {
-			fastStride = stride
-		} else {
-			sa, pa := sec.Axis(i), space.Axis(i)
-			t := axisTable{axis: i, cur: sa.At(0), offs: make([]int, sa.Size())}
-			for p := range t.offs {
-				r, ok := pa.Rank(sa.At(p))
-				if !ok {
-					escape()
-				}
-				t.offs[p] = r * stride
-			}
-			tabs = append(tabs, t)
-		}
+	strides := make([]int, d) // of each axis in the layout linearization of space
+	for j, stride := 0, 1; j < d; j++ {
+		i := axisOf(layout, j)
+		strides[i] = stride
 		stride *= space.Axis(i).Size()
 	}
-	merge := layout == order || d == 1
-	off, n := 0, 0 // the pending run
-	sec.Runs(order, func(c []int, k int) {
-		r, _ := fastAxis.Rank(c[fast]) // present: checked above
-		o := r * fastStride
-		for j := range tabs {
-			t := &tabs[j]
-			if v := c[t.axis]; v > t.cur {
-				t.pos, t.cur = t.pos+1, v
-			} else if v < t.cur {
-				t.pos, t.cur = 0, v
-			}
-			o += t.offs[t.pos]
+	at := func(j int) int { return axisOf(order, j) } // the walk's j-th axis
+	resolve := func(j int) []xferRun {
+		i := at(j)
+		runs, ok := rankRuns(sec.Axis(i), space.Axis(i), strides[i])
+		if !ok {
+			escape()
 		}
-		if merge && n > 0 && o == off+n {
-			n += k
-			return
-		}
-		if n > 0 {
-			emit(off, n)
-		}
-		off, n = o, k
-	})
-	if n > 0 {
-		emit(off, n)
+		return runs
 	}
+	merge := layout == order || d == 1
+	inner, j := resolve(0), 1
+	for ; merge && j < d && len(inner) == 1 && inner[0].n == strides[at(j)]; j++ {
+		inner = resolve(j) // all of storage below axis j is one extent: fold it in
+		for k := range inner {
+			inner[k].n *= strides[at(j)]
+		}
+	}
+	tabs := make([][]int, 0, d-j) // tabs[k][p]: offset of the p-th value of the k-th axis left
+	for ; j < d; j++ {
+		t := make([]int, 0, sec.Axis(at(j)).Size())
+		for _, r := range resolve(j) {
+			for k := 0; k < r.n; k++ {
+				t = append(t, r.off+k*strides[at(j)])
+			}
+		}
+		tabs = append(tabs, t)
+	}
+	pos := make([]int, len(tabs))
+	off, n := 0, 0 // the pending run
+	for done := false; !done; {
+		base := 0
+		for k, t := range tabs {
+			base += t[pos[k]]
+		}
+		for _, r := range inner {
+			if o := base + r.off; !merge || o != off+n {
+				if n > 0 {
+					emit(off, n)
+				}
+				off, n = o, 0
+			}
+			n += r.n
+		}
+		done = true
+		for k, t := range tabs { // step the odometer
+			if pos[k]++; pos[k] < len(t) {
+				done = false
+				break
+			}
+			pos[k] = 0
+		}
+	}
+	emit(off, n)
 }
 
 // sectionRuns collects the storageRuns of sec into a plan's run list.

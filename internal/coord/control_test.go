@@ -7,10 +7,10 @@ import (
 )
 
 // controlCluster brings up an RC, TCs, JSA and a control server, and
-// returns a connected client.
-func controlCluster(t *testing.T, nodes int) (*ControlClient, []*TC) {
+// returns a connected client. timeout is newCluster's.
+func controlCluster(t *testing.T, nodes int, timeout ...time.Duration) (*ControlClient, []*TC) {
 	t.Helper()
-	_, rc, tcs := newCluster(t, nodes)
+	_, rc, tcs := newCluster(t, nodes, timeout...)
 	srv := &ControlServer{RC: rc, JSA: NewJSA(rc), FailNode: func(n int) error {
 		tcs[n].Fail()
 		return nil

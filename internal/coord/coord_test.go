@@ -19,10 +19,14 @@ const (
 	hbTimeout  = 150 * time.Millisecond
 )
 
-func newCluster(t *testing.T, nodes int) (*pfs.System, *RC, []*TC) {
+// newCluster brings up an RC and a pool of TCs that beat every hbInterval.
+// A TC silent for hbTimeout is declared lost, or for timeout[0] where a
+// test that is not about heartbeat loss stalls the process long enough to
+// starve a beat (a multi-MiB request line under the race detector).
+func newCluster(t *testing.T, nodes int, timeout ...time.Duration) (*pfs.System, *RC, []*TC) {
 	t.Helper()
 	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
-	rc, err := NewRCOpts(fs, RCOptions{HBTimeout: hbTimeout})
+	rc, err := NewRCOpts(fs, RCOptions{HBTimeout: append(timeout, hbTimeout)[0]})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,9 +159,13 @@ func TestTCHelloSurvivesLargeLine(t *testing.T) {
 // bound on both ends: a request whose JSON line runs to several MiB
 // must be parsed and answered (here: a status query for a preposterous
 // name gets the ordinary "unknown application" error), and the same
-// connection must stay usable afterwards.
+// connection must stay usable afterwards. Heartbeat loss is not what it
+// pins: under the race detector the 3 MiB line starves the 10 ms beats
+// for longer than the suite's 150 ms timeout, so this cluster gets a
+// generous one — with the default a TC was declared lost before "nodes"
+// was asked in about one run in three.
 func TestControlSurvivesLargeRequestLine(t *testing.T) {
-	cl, tcs := controlCluster(t, 2)
+	cl, tcs := controlCluster(t, 2, 10*time.Second)
 	_, err := cl.Do(Request{Op: "status", Name: strings.Repeat("n", 3<<20)})
 	if err == nil || !strings.Contains(err.Error(), "unknown application") {
 		t.Fatalf("large request not answered in-protocol: %v", err)

@@ -219,7 +219,9 @@ func TestSPMDModeRoundTripAndRigidity(t *testing.T) {
 
 func TestChkEnableOnlyWhenArmed(t *testing.T) {
 	fs := testFS()
-	sops := make(chan int, 100)
+	// Two channels: over one buffered channel rank 0 could take its own
+	// signal back before the test saw it, and the test then waited forever.
+	sops, armed := make(chan int), make(chan struct{})
 	h, err := Start(Config{Tasks: 2, FS: fs}, func(t *Task) error {
 		iter := 0
 		t.Register("iter", &iter)
@@ -234,7 +236,7 @@ func TestChkEnableOnlyWhenArmed(t *testing.T) {
 			}
 			if t.Rank() == 0 && iter == 25 {
 				sops <- iter // signal the "system" half-way
-				<-sops       // wait for it to arm
+				<-armed      // wait for it to arm
 			}
 			if err := t.Comm().Barrier(); err != nil {
 				return err
@@ -250,7 +252,7 @@ func TestChkEnableOnlyWhenArmed(t *testing.T) {
 		t.Fatal("checkpoint taken before system armed it")
 	}
 	h.EnableCheckpoint()
-	sops <- 1
+	close(armed)
 	if err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}

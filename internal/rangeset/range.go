@@ -271,38 +271,6 @@ func (r Range) Sub(i, j int) Range {
 	return fromSorted(append([]int(nil), r.idx[i:j]...))
 }
 
-// Runs invokes f for each maximal run of consecutive integers in r, in
-// increasing order: f(v, n) covers the elements v, v+1, ..., v+n-1. A
-// dense range yields one run; a stepped range yields size-1 runs; an
-// irregular range yields one run per consecutive stretch of its index
-// list. Runs is the basis of the bulk (memcpy-style) data-movement fast
-// path: consecutive integers have consecutive ranks in every range that
-// contains them, so a run is contiguous in any storage laid out over a
-// containing range.
-func (r Range) Runs(f func(v, n int)) {
-	if r.regular {
-		if r.n == 0 {
-			return
-		}
-		if r.step == 1 {
-			f(r.lo, r.n)
-			return
-		}
-		for v := r.lo; v <= r.hi; v += r.step {
-			f(v, 1)
-		}
-		return
-	}
-	for i := 0; i < len(r.idx); {
-		j := i + 1
-		for j < len(r.idx) && r.idx[j] == r.idx[j-1]+1 {
-			j++
-		}
-		f(r.idx[i], j-i)
-		i = j
-	}
-}
-
 // Shift returns the range with every element displaced by delta.
 func (r Range) Shift(delta int) Range {
 	if r.Empty() {

@@ -240,73 +240,6 @@ func (s Slice) Each(order Order, f func(c []int)) {
 	}
 }
 
-// Runs decomposes the linearization of s under the given order into
-// maximal stride-1 runs and invokes f once per run, in linearization
-// order. Each run is a sequence of n coordinates that differ only along
-// the order's fastest-varying axis (axis 0 for ColMajor, axis d-1 for
-// RowMajor), taking the consecutive integer values c[ax], c[ax]+1, ...,
-// c[ax]+n-1. The start-coordinate slice c is reused across calls; f must
-// copy it if it retains it. The concatenated runs enumerate exactly the
-// coordinates Each would, in the same order.
-//
-// Runs is the contract the bulk pack/unpack fast path is built on:
-// because consecutive integers have consecutive ranks in any Range
-// containing them, a run occupies n consecutive positions both in the
-// linearization of s and along the fast axis of any enclosing section's
-// storage, so data can move in typed blocks instead of per element. A
-// rank-0 slice yields the single scalar run f(c, 1) with an empty
-// coordinate.
-func (s Slice) Runs(order Order, f func(c []int, n int)) {
-	d := len(s.r)
-	if d == 0 {
-		f(nil, 1)
-		return
-	}
-	if s.Empty() {
-		return
-	}
-	ax := 0
-	if order == RowMajor {
-		ax = d - 1
-	}
-	c := make([]int, d)
-	pos := make([]int, d) // rank counters for the non-fast axes
-	for i := range s.r {
-		c[i] = s.r[i].At(0)
-	}
-	outer := s.Size() / s.r[ax].Size()
-	emit := func(v, n int) {
-		c[ax] = v
-		f(c, n)
-	}
-	for k := 0; k < outer; k++ {
-		s.r[ax].Runs(emit)
-		// Advance the next-fastest axes, carrying as needed (the fast
-		// axis is fully consumed by the run decomposition).
-		if order == ColMajor {
-			for i := 1; i < d; i++ {
-				pos[i]++
-				if pos[i] < s.r[i].Size() {
-					c[i] = s.r[i].At(pos[i])
-					break
-				}
-				pos[i] = 0
-				c[i] = s.r[i].At(0)
-			}
-		} else {
-			for i := d - 2; i >= 0; i-- {
-				pos[i]++
-				if pos[i] < s.r[i].Size() {
-					c[i] = s.r[i].At(pos[i])
-					break
-				}
-				pos[i] = 0
-				c[i] = s.r[i].At(0)
-			}
-		}
-	}
-}
-
 // Halves splits the section into lower and upper halves such that, in the
 // given linearization order, every element of the lower half precedes
 // every element of the upper half (the lo/hi functions of §3.2). The
