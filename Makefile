@@ -56,6 +56,14 @@ lint:
 	if [ "$$(printf '%s' "$$out" | grep -c .)" -gt 1 ]; then \
 		echo "more than one StreamRead call site in internal/ckpt (every restart shape is a plan"; \
 		echo "of the one restore engine, restoreDRMS — a second reader must not creep back):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n '\.StreamWrite(' internal/ckpt/*.go | grep -v '_test\.go:' || true); \
+	if [ "$$(printf '%s' "$$out" | grep -c .)" -gt 1 ]; then \
+		echo "more than one StreamWrite call site in internal/ckpt (every DRMS checkpoint is an anchor"; \
+		echo "or a delta of the one encoder, WriteDRMSChained — a second writer must not creep back):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE 'chained\(\)|ckpt\.WriteDRMS\(' internal/drms/*.go | grep -v '_test\.go:' || true); \
+	if [ -n "$$out" ]; then \
+		echo "internal/drms selects a checkpoint format again (a configuration chooses codec, chain and"; \
+		echo "tier through ckpt.ChainOptions, never the format):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'IncrementalCheckpoint|WriteDRMSIncremental|SkipPiece' --include='*.go' \
 		--include='README.md' --include='DESIGN.md' --include='EXPERIMENTS.md' . || true); \
 	if [ -n "$$out" ]; then \

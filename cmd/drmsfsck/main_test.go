@@ -95,6 +95,50 @@ func TestCheckPrefixFallbackAndRepair(t *testing.T) {
 	}
 }
 
+// TestCheckPrefixAcrossMetadataVersions checks a rotation the v1 encoder
+// began (the stored job.g0 and job.g1: one raw stream file per array)
+// and this tree's writer continued (job.g2: piece files and a location
+// table): one walk verifies both, and the repair of a corrupt newest
+// generation falls back across the format boundary.
+func TestCheckPrefixAcrossMetadataVersions(t *testing.T) {
+	fs := pfs.NewSystem(pfs.DefaultConfig())
+	if err := fs.LoadFile("../../internal/ckpt/testdata/v1_rotation.pfs"); err != nil {
+		t.Fatal(err)
+	}
+	err := drms.Run(drms.Config{Tasks: 2, FS: fs, Keep: 3}, func(tk *drms.Task) error {
+		_, _, err := tk.ReconfigCheckpoint("job")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var versions []int
+	for _, g := range generations(fs, "job") {
+		m, err := ckpt.ReadMeta(fs, g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, m.Version)
+	}
+	if len(versions) != 3 || versions[0] != 1 || versions[1] != 1 || versions[2] != 2 {
+		t.Fatalf("metadata versions %v, want the stored v1 pair continued in v2", versions)
+	}
+	dirty := false
+	if code := checkPrefix(fs, nil, "job", false, &dirty); code != exitClean {
+		t.Fatalf("mixed rotation classified %d, want %d", code, exitClean)
+	}
+	corrupt(t, fs, "job.g2.seg")
+	if code := checkPrefix(fs, nil, "job", true, &dirty); code != exitRepaired || !dirty {
+		t.Fatalf("repair classified %d dirty %v, want %d", code, dirty, exitRepaired)
+	}
+	if _, p, ok := (ckpt.Rotation{Base: "job"}).Latest(fs); !ok || p != "job.g1" {
+		t.Fatalf("fallback generation = %q ok=%v, want the stored v1 job.g1", p, ok)
+	}
+	if code := checkPrefix(fs, nil, "job", false, &dirty); code != exitClean {
+		t.Fatal("rotation not clean after repair")
+	}
+}
+
 func TestCheckPrefixUnrecoverable(t *testing.T) {
 	fs := pfs.NewSystem(pfs.DefaultConfig())
 	buildSnapshot(t, fs, "ck", 2)

@@ -1,15 +1,18 @@
 package ckpt
 
-// Chained checkpoints (metadata version 2): incremental delta
-// generations with per-piece codecs.
+// The DRMS checkpoint writer and the chained format it writes (metadata
+// version 2): every reconfigurable checkpoint is an anchor or a delta of
+// a chain, with per-piece codecs.
 //
-// A v1 checkpoint stores each array as one file holding the raw
-// distribution-independent stream. A chained checkpoint instead stores
-// *pieces*: each writer task appends the pieces it streamed — raw or
-// flate-compressed, chosen per piece — to its own compacted piece file
-// "<prefix>.arr.<name>.p<task>", and the metadata records every piece's
-// location (generation, task, file extent, codec, stored CRC) alongside
-// its logical identity (index, stream offset, length, logical CRC).
+// A v1 checkpoint — written by earlier versions of this code, still
+// decoded — stores each array as one file holding the raw
+// distribution-independent stream. A chained checkpoint stores the same
+// stream as *pieces*: each writer task appends the pieces it streamed —
+// raw or flate-compressed, chosen per piece — to its own compacted piece
+// file "<prefix>.arr.<name>.p<task>", and the metadata records every
+// piece's location (generation, task, file extent, codec, stored CRC)
+// alongside its logical identity (index, stream offset, length, logical
+// CRC).
 //
 // That location table is what makes deltas possible: a piece unchanged
 // since the previous generation is not rewritten — its location record
@@ -36,8 +39,10 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -103,6 +108,14 @@ type ChainOptions struct {
 	Delta bool
 	// Codec is the piece codec policy.
 	Codec CodecMode
+	// NoDeltaBase promises that no delta will be taken against this
+	// checkpoint, so its contribution fingerprints (Meta.Sections) are
+	// neither computed — a pack and a CRC of every byte whose only reader
+	// is the next delta's dirty test — nor stored. Callers derive it from
+	// their anchor interval; a delta later requested against such a
+	// checkpoint is demoted to an anchor, like one against any base
+	// without fingerprints. The zero value fingerprints every write.
+	NoDeltaBase bool
 	// PrevMeta, if non-nil at task 0, supplies Prev's metadata without a
 	// storage read — the commit path passes back what it cached from its
 	// own previous write (Stats.Meta). It must be the committed metadata
@@ -160,23 +173,28 @@ func tierHolders(co ChainOptions, size, w int) []int {
 	if co.Tier == nil {
 		return nil
 	}
-	k := co.Replicas
-	if k < 0 {
-		k = 0
-	}
-	if k > size-1 {
-		k = size - 1
-	}
+	k := min(max(co.Replicas, 0), size-1)
 	hs := make([]int, 0, k+1)
 	for j := 0; j <= k; j++ {
-		r := (w + j) % size
-		if len(co.Holders) == size {
-			hs = append(hs, co.Holders[r])
-		} else {
-			hs = append(hs, r)
-		}
+		hs = append(hs, holderNode(co.Holders, size, (w+j)%size))
 	}
 	return hs
+}
+
+// publish replicates one payload into the holders' memory and charges
+// the copies pushed to nodes other than the publisher's as network
+// traffic in the I/O trace.
+func publish(fs *pfs.System, co ChainOptions, client, selfNode int, hs []int, prefix, arr string, idx int, data []byte, crc uint64) {
+	co.Tier.Publish(hs, prefix, arr, idx, data, crc)
+	var remote int64
+	for _, h := range hs {
+		if h != selfNode {
+			remote++
+		}
+	}
+	if remote > 0 {
+		fs.RecordNet(client, remote*int64(len(data)))
+	}
 }
 
 // holderNode maps a rank to its tier store (node) id: through the
@@ -189,13 +207,13 @@ func holderNode(holders []int, size, rank int) int {
 	return rank
 }
 
-// WriteDRMSChained takes a reconfigurable checkpoint in the chained
-// format: the segment plus every array's pieces, compressed per the
-// codec policy and — when ChainOptions request a delta and the previous
-// generation is compatible — with unchanged pieces carried forward by
-// back-pointer. Collective; all tasks pass the same arguments. The
-// resulting checkpoint restores exactly like a v1 one, including on a
-// different task count.
+// WriteDRMSChained is the one DRMS checkpoint encoder: task 0's segment
+// plus every array's pieces, compressed per the codec policy and — when
+// ChainOptions request a delta and the previous generation is
+// compatible — with unchanged pieces carried forward by back-pointer.
+// Collective; all tasks pass the same arguments (SPMD). Returns this
+// task's I/O statistics. The saved state is independent of the task
+// count, so a restart may use an equal, smaller, or larger task set.
 func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options, co ChainOptions) (st Stats, err error) {
 	me := comm.Rank()
 	start := time.Now()
@@ -206,12 +224,15 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 
 	// Load the delta base: rank 0 reads the previous meta (one small read
 	// on the shared store instead of one per task) and broadcasts it, so
-	// every task decides delta eligibility from identical bytes.
-	prev, err := bcastPrevMeta(fs, comm, base, co.Prev, co.PrevMeta, len(arrays))
-	if err != nil {
-		return st, err
+	// every task decides delta eligibility from identical bytes. Only a
+	// delta has a use for it.
+	var prev *Meta
+	if co.Delta {
+		if prev, err = bcastPrevMeta(fs, comm, base, co.Prev, co.PrevMeta, len(arrays)); err != nil {
+			return st, err
+		}
 	}
-	delta := co.Delta && prev != nil
+	delta := prev != nil
 
 	// Owner-side dirtiness: every task fingerprints its own contribution
 	// to every piece of every array (purely local, stream.SectionSums),
@@ -220,13 +241,18 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 	// rewritten iff some task's contribution to it changed — in content,
 	// extent, or existence — so clean pieces are carried forward by
 	// back-pointer without being redistributed, packed, or hashed again.
+	// The fingerprints serve this delta's diff and the next one's; when
+	// neither exists they are not computed.
+	fingerprint := delta || !co.NoDeltaBase
 	sums := make([][]stream.SectionSum, len(arrays))
 	sigs := make([]string, len(arrays))
 	eligible := make([]bool, len(arrays))
 	for i, a := range arrays {
 		sigs[i] = stream.PlanSig(a.GlobalShape(), a.ElemSize(), comm.Size(), o)
-		if sums[i], err = a.SectionSums(o); err != nil {
-			return st, err
+		if fingerprint {
+			if sums[i], err = a.SectionSums(o); err != nil {
+				return st, err
+			}
 		}
 		// Plan-signature equality guarantees both generations use the
 		// identical piece decomposition and offsets, so per-piece diffing
@@ -235,8 +261,11 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 			len(prev.PlanSigs) > i && prev.PlanSigs[i] == sigs[i] &&
 			len(prev.Sections) > i
 	}
+	// A base no array can be diffed against — no fingerprints, another
+	// plan — is no base: this generation is an anchor in name too.
+	delta = slices.Contains(eligible, true)
 	dirty := make([][]int, len(arrays))
-	if anyTrue(eligible) { // all tasks agree: eligibility is computed from broadcast state
+	if delta { // all tasks agree: eligibility is computed from broadcast state
 		if dirty, err = mergeDirty(comm, prev, sums, eligible); err != nil {
 			return st, err
 		}
@@ -284,21 +313,8 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 	for i, a := range arrays {
 		fs.BeginPhase("arrays:" + a.Name())
 		opts := o
-		col := &locCollector{
-			fs:       fs,
-			file:     pieceFile(prefix, a.Name(), me),
-			gen:      selfGen,
-			task:     me,
-			id:       chooseCodec(co.Codec),
-			tier:     co.Tier,
-			holders:  holders,
-			co:       co,
-			size:     comm.Size(),
-			selfNode: holderNode(co.Holders, comm.Size(), me),
-			prefix:   prefix,
-			arr:      a.Name(),
-			memOnly:  co.MemOnly,
-		}
+		col := &locCollector{fs: fs, co: co, prefix: prefix, arr: a.Name(), gen: selfGen,
+			task: me, size: comm.Size(), id: chooseCodec(co.Codec), holders: holders}
 		opts.PieceHook = chainPieceHooks(o.PieceHook, col.hook)
 		opts.EncodePiece = col.encode
 		if co.Tier != nil {
@@ -355,6 +371,9 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 		if co.MemOnly {
 			segWhere = TierMem
 		}
+		if !fingerprint {
+			secLists = nil // an empty table is how a reader knows: no delta base
+		}
 		m := Meta{Version: chainVersion, Mode: ModeDRMS, Tasks: comm.Size(),
 			Ctx: sg.Ctx, Arrays: metas, SegBytes: []int64{segBytes},
 			SegCRC: []uint64{segCRC}, SegWhere: segWhere, ArrayCRC: crcs,
@@ -399,17 +418,7 @@ func writeSegmentPhase(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Se
 			for r := range hs {
 				hs[r] = holderNode(co.Holders, comm.Size(), r)
 			}
-			co.Tier.Publish(hs, prefix, "", segIndex, payload, crcOf(payload))
-			self := holderNode(co.Holders, comm.Size(), 0)
-			var remote int64
-			for _, h := range hs {
-				if h != self {
-					remote++
-				}
-			}
-			if remote > 0 {
-				fs.RecordNet(0, remote*int64(len(payload)))
-			}
+			publish(fs, co, 0, hs[0], hs, prefix, "", segIndex, payload, crcOf(payload))
 		}
 		if co.MemOnly {
 			segCRC = crcOf(payload)
@@ -427,28 +436,24 @@ func writeSegmentPhase(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Se
 // buffered — the stream keeps at most one write in flight, so a buffer
 // is reusable two encodes later.
 type locCollector struct {
-	fs   *pfs.System
-	file string
-	gen  int
-	task int
-	id   codec.ID
+	fs     *pfs.System
+	co     ChainOptions // tier, replica count, rank->node map, residency
+	prefix string       // generation prefix (piece file and tier key)
+	arr    string       // array name (piece file and tier key)
+	gen    int
+	task   int // this writer's rank, selecting its piece file
+	size   int // communicator size
+	id     codec.ID
 
-	tier     *MemTier     // nil: no hot tier
-	holders  []int        // writer-anchored holder set (fallback placement)
-	owners   []int        // per-piece majority owners (stream.PieceOwners)
-	co       ChainOptions // replica count and rank->node map for placement
-	size     int          // communicator size
-	selfNode int          // this writer's node id
-	prefix   string       // generation prefix (tier key)
-	arr      string       // array name (tier key)
-	memOnly  bool         // diskless generation: publish only, skip the file write
+	holders []int // writer-anchored holder set (fallback placement)
+	owners  []int // per-piece majority owners (stream.PieceOwners)
 
-	locs    []PieceLoc
-	last    PieceSum // logical identity of the piece most recently hooked
-	off     int64    // append cursor in this task's piece file
-	created bool
-	enc     [2][]byte
-	flip    int
+	locs []PieceLoc
+	last PieceSum // logical identity of the piece most recently hooked
+	file string   // this task's piece file, named and truncated at its first write
+	off  int64    // append cursor in it
+	enc  [2][]byte
+	flip int
 }
 
 // hook computes the logical CRC of every handled piece (written or
@@ -467,25 +472,15 @@ func (c *locCollector) encode(idx int, off int64, data []byte) (stream.Encoded, 
 	// below does, extending the pipeline's encode stage. Write-through
 	// generations publish too: their tier copies are the hot cache the
 	// restore path prefers over a pfs reread. Placement anchors at the
-	// piece's majority owner, and the copies pushed to other nodes are
-	// charged as network traffic in the I/O trace.
-	if c.tier != nil {
+	// piece's majority owner.
+	if c.co.Tier != nil {
 		hs := c.holders
 		if idx < len(c.owners) {
 			hs = tierHolders(c.co, c.size, c.owners[idx])
 		}
-		c.tier.Publish(hs, c.prefix, c.arr, idx, data, c.last.CRC)
-		var remote int64
-		for _, h := range hs {
-			if h != c.selfNode {
-				remote++
-			}
-		}
-		if remote > 0 {
-			c.fs.RecordNet(c.task, remote*int64(len(data)))
-		}
+		publish(c.fs, c.co, c.task, holderNode(c.co.Holders, c.size, c.task), hs, c.prefix, c.arr, idx, data, c.last.CRC)
 	}
-	if c.memOnly {
+	if c.co.MemOnly {
 		// Diskless piece: the tier holds the only copies. The location
 		// records the logical form (raw codec, logical CRC and length)
 		// so tiling, dependency, and checksum machinery work unchanged.
@@ -520,11 +515,11 @@ func (c *locCollector) encode(idx int, off int64, data []byte) (stream.Encoded, 
 	} else {
 		loc.StoredCRC = crcOf(out)
 	}
-	if !c.created {
+	if c.file == "" {
 		// Truncate lazily on first write: a reused (non-rotated) prefix
 		// may hold a longer piece file from an earlier checkpoint.
+		c.file = pieceFile(c.prefix, c.arr, c.task)
 		c.fs.Create(c.file)
-		c.created = true
 	}
 	c.off += loc.FileBytes
 	c.locs = append(c.locs, loc)
@@ -571,15 +566,6 @@ func bcastPrevMeta(fs *pfs.System, comm *msg.Comm, base, prevName string, prevMe
 		return nil, fmt.Errorf("ckpt: decoding delta base: %w", err)
 	}
 	return &m, nil
-}
-
-func anyTrue(bs []bool) bool {
-	for _, b := range bs {
-		if b {
-			return true
-		}
-	}
-	return false
 }
 
 // localDirty diffs one task's current piece fingerprints against the
@@ -673,18 +659,72 @@ func mergeDirty(comm *msg.Comm, prev *Meta, sums [][]stream.SectionSum, eligible
 	return merged, nil
 }
 
+// The gather record of one piece location and of one contribution
+// fingerprint: fixed-width little-endian, like gatherPieces' (whose
+// PieceSum layout a location starts with), so a checkpoint's one
+// metadata gather per array costs no reflection on either side.
+const (
+	locRecBytes = pieceSumBytes + 4 + 4 + 8 + 8 + 8 + 1 + 1
+	sumRecBytes = 4 + 4 + 8 + 8
+)
+
+// encodeLocSums frames one task's contribution to gatherLocSums: the
+// location count, the location records, then the fingerprint records.
+func encodeLocSums(locs []PieceLoc, sums []stream.SectionSum) []byte {
+	le := binary.LittleEndian
+	buf := make([]byte, 0, 4+len(locs)*locRecBytes+len(sums)*sumRecBytes)
+	buf = le.AppendUint32(buf, uint32(len(locs)))
+	for _, l := range locs {
+		buf = appendPieceSum(buf, l.PieceSum)
+		buf = le.AppendUint32(buf, uint32(int32(l.Gen))) // -1: non-rotated prefix
+		buf = le.AppendUint32(buf, uint32(l.Task))
+		buf = le.AppendUint64(buf, uint64(l.FileOff))
+		buf = le.AppendUint64(buf, uint64(l.FileBytes))
+		buf = le.AppendUint64(buf, l.StoredCRC)
+		buf = append(buf, l.Codec, l.Where)
+	}
+	for _, s := range sums {
+		buf = le.AppendUint32(buf, uint32(s.Piece))
+		buf = le.AppendUint32(buf, uint32(s.Task))
+		buf = le.AppendUint64(buf, uint64(s.Bytes))
+		buf = le.AppendUint64(buf, s.CRC)
+	}
+	return buf
+}
+
+// decodeLocSums appends one frame's records to locs and sums. A frame
+// that is short, or whose length is not a whole number of records, is an
+// error: it came off the transport, and nothing there may panic a task.
+func decodeLocSums(part []byte, locs []PieceLoc, sums []stream.SectionSum) ([]PieceLoc, []stream.SectionSum, error) {
+	le := binary.LittleEndian
+	if len(part) < 4 {
+		return nil, nil, fmt.Errorf("ckpt: gathering piece locations: %d-byte frame has no header", len(part))
+	}
+	n, body := int64(le.Uint32(part)), part[4:]
+	if n*locRecBytes > int64(len(body)) || (int64(len(body))-n*locRecBytes)%sumRecBytes != 0 {
+		return nil, nil, fmt.Errorf("ckpt: gathering piece locations: ragged frame (%d locations announced, %d record bytes)",
+			n, len(body))
+	}
+	for ; n > 0; n-- {
+		b := body[pieceSumBytes:]
+		locs = append(locs, PieceLoc{PieceSum: pieceSumAt(body),
+			Gen: int(int32(le.Uint32(b[0:4]))), Task: int(le.Uint32(b[4:8])),
+			FileOff: int64(le.Uint64(b[8:16])), FileBytes: int64(le.Uint64(b[16:24])),
+			StoredCRC: le.Uint64(b[24:32]), Codec: b[32], Where: b[33]})
+		body = body[locRecBytes:]
+	}
+	for ; len(body) > 0; body = body[sumRecBytes:] {
+		sums = append(sums, stream.SectionSum{Piece: int(le.Uint32(body[0:4])), Task: int(le.Uint32(body[4:8])),
+			Bytes: int64(le.Uint64(body[8:16])), CRC: le.Uint64(body[16:24])})
+	}
+	return locs, sums, nil
+}
+
 // gatherLocSums collects every task's piece locations and contribution
 // fingerprints at root and returns them there (nil elsewhere): the
 // locations sorted by piece index, the fingerprints by piece then task.
 func gatherLocSums(comm *msg.Comm, root int, locs []PieceLoc, sums []stream.SectionSum) ([]PieceLoc, []stream.SectionSum, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(struct {
-		Locs []PieceLoc
-		Sums []stream.SectionSum
-	}{locs, sums}); err != nil {
-		return nil, nil, err
-	}
-	parts, err := comm.Gather(root, buf.Bytes())
+	parts, err := comm.Gather(root, encodeLocSums(locs, sums))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -694,15 +734,9 @@ func gatherLocSums(comm *msg.Comm, root int, locs []PieceLoc, sums []stream.Sect
 	var allLocs []PieceLoc
 	var allSums []stream.SectionSum
 	for _, part := range parts {
-		var p struct {
-			Locs []PieceLoc
-			Sums []stream.SectionSum
+		if allLocs, allSums, err = decodeLocSums(part, allLocs, allSums); err != nil {
+			return nil, nil, err
 		}
-		if err := gob.NewDecoder(bytes.NewReader(part)).Decode(&p); err != nil {
-			return nil, nil, fmt.Errorf("ckpt: gathering piece locations: %w", err)
-		}
-		allLocs = append(allLocs, p.Locs...)
-		allSums = append(allSums, p.Sums...)
 	}
 	sort.Slice(allLocs, func(i, j int) bool { return allLocs[i].Index < allLocs[j].Index })
 	sort.Slice(allSums, func(i, j int) bool {

@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"drms/internal/array"
@@ -28,7 +30,7 @@ func chainFill(step int) (func([]int) float64, func([]int) int32) {
 	return uf, idf
 }
 
-func writeChainGen(t *testing.T, fs *pfs.System, prefix string, co ChainOptions, step, tasks int, grid []int) {
+func writeChainGen(t testing.TB, fs *pfs.System, prefix string, co ChainOptions, step, tasks int, grid []int) {
 	t.Helper()
 	mustRun(t, tasks, func(c *msg.Comm) {
 		sg, refs, u, ids := buildApp(c, grid)
@@ -43,26 +45,37 @@ func writeChainGen(t *testing.T, fs *pfs.System, prefix string, co ChainOptions,
 	})
 }
 
-// writeV1Gen is writeChainGen in the flat v1 format.
-func writeV1Gen(t *testing.T, fs *pfs.System, prefix string, step, tasks int, grid []int) {
-	t.Helper()
-	mustRun(t, tasks, func(c *msg.Comm) {
-		sg, refs, u, ids := buildApp(c, grid)
-		iter := step
-		sg.Register("iter", &iter)
-		uf, idf := chainFill(step)
-		u.Fill(uf)
-		ids.Fill(idf)
-		if _, err := WriteDRMS(fs, prefix, c, sg, refs, stream.Options{PieceBytes: 300}); err != nil {
-			panic(err)
+// storedEras hold the same state — chainFill(0) under job.g0,
+// chainFill(1) under job.g1, 4 tasks — in both decodable metadata
+// versions: as this tree writes a standalone checkpoint, and as the
+// stored v1 rotation has it.
+var storedEras = []struct {
+	name  string
+	store func(t testing.TB, fs *pfs.System)
+}{
+	{"v2", func(t testing.TB, fs *pfs.System) {
+		for step, g := range []string{"job.g0", "job.g1"} {
+			writeChainGen(t, fs, g, ChainOptions{Codec: CodecRaw, NoDeltaBase: true}, step, 4, []int{2, 2})
 		}
-	})
+	}},
+	{"v1", loadV1Rotation},
+}
+
+// forEachEra runs f once per stored era on a fresh file system.
+func forEachEra(t *testing.T, f func(t *testing.T, fs *pfs.System)) {
+	for _, era := range storedEras {
+		t.Run(era.name, func(t *testing.T) {
+			fs := testFS()
+			era.store(t, fs)
+			f(t, fs)
+		})
+	}
 }
 
 // checkChainRestore restores from and verifies the state chainFill(step)
 // wrote, on an arbitrary task count and read piece size — the stored
 // piece extents need not match the requested ones.
-func checkChainRestore(t *testing.T, fs *pfs.System, from string, step, tasks int, grid []int, readPieceBytes int) {
+func checkChainRestore(t testing.TB, fs *pfs.System, from string, step, tasks int, grid []int, readPieceBytes int) {
 	t.Helper()
 	from, ok := Resolve(fs, from) // a base prefix resolves to its newest generation
 	if !ok {
@@ -148,18 +161,47 @@ func TestChainedDeltaDemotedOnV1Prev(t *testing.T) {
 	// chained format, so a requested delta silently becomes an anchor —
 	// and both eras keep restoring through the same resolver.
 	fs := testFS()
-	writeV1Gen(t, fs, "job.g0", 0, 4, []int{2, 2})
-	writeChainGen(t, fs, "job.g1", ChainOptions{Prev: "job.g0", Delta: true, Codec: CodecRaw}, 1, 4, []int{2, 2})
-	m, err := ReadMeta(fs, "job.g1", 0)
+	loadV1Rotation(t, fs)
+	writeChainGen(t, fs, "job.g2", ChainOptions{Prev: "job.g1", Delta: true, Codec: CodecRaw}, 2, 4, []int{2, 2})
+	m, err := ReadMeta(fs, "job.g2", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ChainLen != 0 || m.Deps != nil {
-		t.Fatalf("delta against a v1 checkpoint not demoted: len %d deps %v", m.ChainLen, m.Deps)
+	if !m.Chained() || m.ChainLen != 0 || m.Deps != nil {
+		t.Fatalf("delta against a v1 checkpoint not demoted: chained %v len %d deps %v", m.Chained(), m.ChainLen, m.Deps)
 	}
 	// Newest (chained) and older (v1) both restore bit-exact.
-	checkChainRestore(t, fs, "job", 1, 3, []int{3, 1}, 128)
+	checkChainRestore(t, fs, "job", 2, 3, []int{3, 1}, 128)
+	checkChainRestore(t, fs, "job.g1", 1, 2, []int{2, 1}, 128)
 	checkChainRestore(t, fs, "job.g0", 0, 2, []int{2, 1}, 128)
+}
+
+// TestDeltaAgainstStandaloneAnchorIsAnAnchor: an anchor written without
+// fingerprints (NoDeltaBase) is no delta base. The delta requested
+// against it stores everything, depends on nothing and says so; it does
+// carry fingerprints, so the one after it is a real delta.
+func TestDeltaAgainstStandaloneAnchorIsAnAnchor(t *testing.T) {
+	fs := testFS()
+	storedEras[0].store(t, fs)
+	if m, _ := ReadMeta(fs, "job.g1", 0); !m.Chained() || m.Sections != nil {
+		t.Fatalf("standalone anchor: chained %v, %d fingerprint lists", m.Chained(), len(m.Sections))
+	}
+	writeChainGen(t, fs, "job.g2", ChainOptions{Prev: "job.g1", Delta: true, Codec: CodecRaw}, 2, 4, []int{2, 2})
+	writeChainGen(t, fs, "job.g3", ChainOptions{Prev: "job.g2", Delta: true, Codec: CodecRaw}, 3, 4, []int{2, 2})
+	m2, _ := ReadMeta(fs, "job.g2", 0)
+	m3, _ := ReadMeta(fs, "job.g3", 0)
+	if m2.ChainLen != 0 || m2.Deps != nil || len(m2.Sections) != len(m2.Arrays) {
+		t.Fatalf("g2: len %d deps %v, %d fingerprint lists", m2.ChainLen, m2.Deps, len(m2.Sections))
+	}
+	if m3.ChainLen != 1 || len(m3.Deps) != 1 || m3.Deps[0] != 2 {
+		t.Fatalf("g3: len %d deps %v, want a delta of g2", m3.ChainLen, m3.Deps)
+	}
+	for _, g := range []string{"job.g2", "job.g3"} {
+		if err := Verify(fs, g, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkChainRestore(t, fs, "job", 3, 3, []int{3, 1}, 128)
 }
 
 func TestChainedVerifyDetectsBrokenChain(t *testing.T) {
@@ -531,5 +573,75 @@ func TestIncrementalRequiresPlanSig(t *testing.T) {
 	})
 	if err := Verify(fs, "ck.g2", 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGatherLocSumsFrames: the location gather's fixed-width frame
+// round-trips every field, and a frame that is short or not a whole
+// number of records is an error — at the root from the decoder, at the
+// peers from the collective the root abandoned — never a panic.
+func TestGatherLocSumsFrames(t *testing.T) {
+	locs := []PieceLoc{
+		{PieceSum: PieceSum{Index: 3, Off: 900, CRC: 0xfeedfacecafebeef, Bytes: 300}, Gen: -1, Task: 2,
+			FileOff: 1 << 33, FileBytes: 117, Codec: uint8(codec.Flate), StoredCRC: 42, Where: TierMem},
+		{PieceSum: PieceSum{Index: 0, Bytes: 300}, Gen: 7},
+	}
+	sums := []stream.SectionSum{{Piece: 3, Task: 2, Bytes: 150, CRC: 9}, {Piece: 0, Task: 1, Bytes: 1 << 40, CRC: 1 << 63}}
+	frame := encodeLocSums(locs, sums)
+	gotLocs, gotSums, err := decodeLocSums(frame, nil, nil)
+	if err != nil || fmt.Sprint(gotLocs) != fmt.Sprint(locs) || fmt.Sprint(gotSums) != fmt.Sprint(sums) {
+		t.Fatalf("round trip: %v\n locs %v\n sums %v", err, gotLocs, gotSums)
+	}
+	if l, s, err := decodeLocSums(encodeLocSums(nil, nil), nil, nil); err != nil || l != nil || s != nil {
+		t.Fatalf("empty frame: %v %v %v", l, s, err)
+	}
+	ragged := [][]byte{
+		{},                          // no header
+		{1, 0},                      // half a header
+		frame[:len(frame)-1],        // last fingerprint cut short
+		append(frame[:4:4], 1, 2),   // two locations announced, two bytes sent
+		{0xff, 0xff, 0xff, 0xff, 0}, // a count no frame could hold
+		frame[:4+locRecBytes+5],     // second location cut short
+	}
+	for i, f := range ragged {
+		if _, _, err := decodeLocSums(f, nil, nil); err == nil {
+			t.Errorf("ragged frame %d (%d bytes) decoded", i, len(f))
+		}
+	}
+
+	// One rank's frame arrives ragged: the root fails the gather, and the
+	// peers — who sent and moved on — fail the writer's next collective.
+	const n = 3
+	tr := msg.NewLocalTransport(n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			c := msg.NewComm(rank, n, tr)
+			var err error
+			if rank == 1 {
+				_, err = c.Gather(0, ragged[2])
+			} else {
+				_, _, err = gatherLocSums(c, 0, locs, sums)
+			}
+			if err == nil {
+				err = c.Barrier()
+			}
+			if err != nil {
+				tr.Abort(msg.ErrRevoked)
+			}
+			errs[rank] = err
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err == nil {
+			t.Errorf("rank %d saw no error from a ragged gather frame", r)
+		}
+	}
+	if !strings.Contains(fmt.Sprint(errs[0]), "ragged frame") {
+		t.Errorf("root error = %v", errs[0])
 	}
 }

@@ -18,10 +18,16 @@
 // Checkpoint files live on the parallel file system (internal/pfs). A
 // checkpoint under prefix P consists of:
 //
-//	P.meta          metadata (mode, task count, context, array table)
-//	P.seg           DRMS: the one saved segment
-//	P.arr.<name>    DRMS: one distribution-independent file per array
-//	P.task<i>.seg   SPMD: task i's segment (vars + local sections + pad)
+//	P.meta              metadata (mode, task count, context, array table)
+//	P.seg               DRMS: the one saved segment
+//	P.arr.<name>.p<i>   DRMS: the pieces of the array's distribution-
+//	                    independent stream that task i wrote (chain.go)
+//	P.task<i>.seg       SPMD: task i's segment (vars + local sections + pad)
+//
+// There is one DRMS encoder, WriteDRMSChained, and it writes metadata
+// version 2. Version 1 — the same stream as one file P.arr.<name> per
+// array — was written by earlier versions of this code and is still
+// decoded by everything here that reads: restore, verify, rotation, fsck.
 //
 // Different prefixes hold independent checkpoints, so an application can
 // keep several states concurrently (§3).
@@ -73,8 +79,9 @@ type Meta struct {
 	// file size. Decodes as TierPFS from older metadata.
 	SegWhere uint8
 	ArrayCRC []uint64 // CRC-64/ECMA of each array stream, aligned with Arrays
-	// ArrayPieces holds each array's per-piece checksums (v1 DRMS
-	// metadata): what a verified or partial restore checks pieces against.
+	// ArrayPieces holds each array's per-piece checksums in stored v1
+	// DRMS metadata — what a verified or partial restore checks pieces
+	// against; v2 carries them inside PieceLocs.
 	ArrayPieces [][]PieceSum
 	// PlanSigs holds each array's streaming-plan signature
 	// (stream.PlanSig), aligned with Arrays. Two checkpoints with equal
@@ -87,7 +94,8 @@ type Meta struct {
 	PlanSigs []string
 
 	// The remaining fields belong to chained checkpoints (Version >= 2,
-	// WriteDRMSChained) and decode as zero from v1 metadata.
+	// every DRMS checkpoint written today) and decode as zero from v1
+	// metadata.
 
 	// ChainLen is this checkpoint's distance from its chain's anchor:
 	// 0 for an anchor (every piece stored under this generation's own
@@ -108,8 +116,9 @@ type Meta struct {
 	// Sections holds, per array, every task's contribution fingerprint
 	// to every piece (stream.SectionSums, sorted by piece then task) —
 	// the delta base the NEXT chained generation diffs against to decide
-	// which pieces to rewrite without redistributing anything. Decodes
-	// empty from older metadata, which simply forces a full write.
+	// which pieces to rewrite without redistributing anything. Empty in
+	// a checkpoint written with ChainOptions.NoDeltaBase and in v1
+	// metadata, which simply forces a full write.
 	Sections [][]stream.SectionSum
 }
 
@@ -147,10 +156,10 @@ type Stats struct {
 	// after piece elision and compression. Delta back-pointers cost
 	// nothing; the segment is always stored raw.
 	StoredBytes int64
-	// Meta is the committed metadata, set at task 0 of a chained write
-	// only (nil elsewhere and for v1 writes). The commit path caches it
-	// so the next delta's base — which task 0 itself just wrote — needs
-	// no storage read.
+	// Meta is the committed metadata, set at task 0 of a DRMS write only
+	// (nil elsewhere). The commit path caches it so the next delta's
+	// base and the next prune — both about what task 0 itself just
+	// wrote — need no storage read.
 	Meta *Meta
 	// TierMemBytes/TierPFSBytes split a restore's logical bytes by the
 	// tier that served them (peer memory vs pfs). The restore engine
@@ -164,17 +173,21 @@ type Stats struct {
 func (s Stats) Total() int64 { return s.SegmentBytes + s.ArrayBytes }
 
 const (
-	version      = 1       // full-image metadata (WriteDRMS / WriteSPMD)
-	chainVersion = 2       // chained metadata with piece locations (WriteDRMSChained)
+	version      = 1       // WriteSPMD's metadata, and stored DRMS checkpoints with one file per array
+	chainVersion = 2       // DRMS metadata with piece locations (WriteDRMSChained)
 	padChunk     = 1 << 20 // padding is written/read in 1 MB operations
 	segHeader    = 8       // payload length prefix
 )
 
 func metaFile(prefix string) string { return prefix + ".meta" }
 func segFile(prefix string) string  { return prefix + ".seg" }
+
+// arrFile names a stored v1 array's stream file; for a v2 array, whose
+// bytes live in piece files, it is the name integrity errors report.
 func arrFile(prefix, name string) string {
 	return prefix + ".arr." + name
 }
+
 func taskSegFile(prefix string, task int) string {
 	return fmt.Sprintf("%s.task%d.seg", prefix, task)
 }
@@ -186,80 +199,10 @@ func pieceFile(prefix, name string, task int) string {
 	return fmt.Sprintf("%s.arr.%s.p%d", prefix, name, task)
 }
 
-// WriteDRMS takes a reconfigurable checkpoint: task 0's segment plus
-// every array, under the given prefix. Collective; all tasks pass the
-// same arguments (SPMD). Returns this task's I/O statistics.
-func WriteDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options) (st Stats, err error) {
-	me := comm.Rank()
-	start := time.Now()
-	defer func() { observeWrite(me, st, start, err) }()
-	sg.Ctx.Tasks = comm.Size()
-
-	// Phase 1: the selected task writes its data segment (§5: "one task
-	// saves its data segment").
-	segBytes, segCRC, err := writeSegmentPhase(fs, prefix, comm, sg, ChainOptions{})
-	if err != nil {
-		return st, err
-	}
-	st.SegmentBytes = segBytes
-
-	// Phase 2: each distributed array is written in sequence, each via
-	// parallel streaming by all tasks. Writers checksum their pieces as
-	// they go; the combined stream CRC lands in the metadata.
-	metas := make([]ArrayMeta, len(arrays))
-	crcs := make([]uint64, len(arrays))
-	pieceLists := make([][]PieceSum, len(arrays))
-	sigs := make([]string, len(arrays))
-	for i, a := range arrays {
-		fs.BeginPhase("arrays:" + a.Name())
-		opts := o
-		hook, pieces := crcCollector()
-		opts.PieceHook = chainPieceHooks(o.PieceHook, hook)
-		sigs[i] = stream.PlanSig(a.GlobalShape(), a.ElemSize(), comm.Size(), o)
-		// Truncate first, so overwriting a longer file left by an
-		// interrupted earlier attempt cannot leave stale tail bytes that
-		// would make the file disagree with the new metadata.
-		if me == 0 {
-			fs.Create(arrFile(prefix, a.Name()))
-		}
-		if err := comm.Barrier(); err != nil {
-			return st, err
-		}
-		s, err := a.StreamWrite(fs, arrFile(prefix, a.Name()), opts)
-		if err != nil {
-			return st, fmt.Errorf("ckpt: streaming array %q: %w", a.Name(), err)
-		}
-		st.ArrayBytes += s.StreamBytes
-		st.NetBytes += s.NetBytes
-		st.StoredBytes += s.StoredBytes
-		metas[i] = ArrayMeta{Name: a.Name(), Kind: a.Kind(), Global: a.GlobalShape(), Bytes: s.StreamBytes}
-		if err := comm.Barrier(); err != nil { // phase boundary: all of this array's I/O precedes the next phase
-			return st, err
-		}
-		if pieceLists[i], err = gatherPieces(comm, 0, *pieces); err != nil {
-			return st, err
-		}
-		crcs[i] = combinePieces(pieceLists[i])
-	}
-
-	// Phase 3: metadata, written last — and committed atomically via
-	// rename — so a crash anywhere mid-checkpoint leaves no
-	// apparently-valid state: the checkpoint exists the instant its meta
-	// file appears, complete, or not at all.
-	if me == 0 {
-		fs.BeginPhase("meta")
-		m := Meta{Version: version, Mode: ModeDRMS, Tasks: comm.Size(),
-			Ctx: sg.Ctx, Arrays: metas, SegBytes: []int64{segBytes},
-			SegCRC: []uint64{segCRC}, ArrayCRC: crcs, ArrayPieces: pieceLists,
-			PlanSigs: sigs}
-		if err := writeMeta(fs, prefix, me, m); err != nil {
-			return st, err
-		}
-	}
-	if err := comm.Barrier(); err != nil {
-		return st, err
-	}
-	return st, nil
+// WriteDRMS takes a reconfigurable checkpoint that stands alone: a raw
+// anchor no delta will follow, through the one encoder.
+func WriteDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options) (Stats, error) {
+	return WriteDRMSChained(fs, prefix, comm, sg, arrays, o, ChainOptions{Codec: CodecRaw, NoDeltaBase: true})
 }
 
 // chainPieceHooks composes a caller-supplied piece hook with the

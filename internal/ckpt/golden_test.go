@@ -13,21 +13,36 @@ import (
 	"drms/internal/stream"
 )
 
-// The golden checkpoint pins the on-storage format: testdata/golden.pfs
-// holds a file-system snapshot containing one DRMS checkpoint written by
-// a known version of this code. Restores of archived state must keep
-// working as the implementation evolves; if the format must change,
-// regenerate deliberately with:
+// The golden checkpoints pin the on-storage formats: each file under
+// testdata holds a file-system snapshot containing one DRMS checkpoint
+// of the same state, written by a known version of this code. Restores
+// of archived state must keep working as the implementation evolves.
+//
+// golden.pfs is metadata v1, one raw stream file per array. Nothing in
+// this tree writes that format any more, so the file is never
+// regenerated: it is the decoder's contract with checkpoints already on
+// storage. golden_v2.pfs is the default configuration's checkpoint — a
+// chained raw anchor; if that format must change, regenerate it
+// deliberately with:
 //
 //	go test ./internal/ckpt -run Golden -regen-golden
-var regenGolden = flag.Bool("regen-golden", false, "rewrite testdata/golden.pfs")
+var regenGolden = flag.Bool("regen-golden", false, "rewrite testdata/golden_v2.pfs (never golden.pfs)")
 
-const goldenPath = "testdata/golden.pfs"
+var goldens = []struct {
+	path    string
+	version int
+}{
+	{"testdata/golden.pfs", 1},
+	{"testdata/golden_v2.pfs", chainVersion},
+}
 
 func goldenFill(cd []int) float64 { return float64(cd[0]*100+cd[1]) + 0.5 }
 
-func writeGolden(t *testing.T) {
+func writeGolden(t *testing.T, path string) {
 	t.Helper()
+	if path == goldens[0].path {
+		t.Fatalf("refusing to overwrite %s: no encoder in this tree writes its format", path)
+	}
 	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
 	mustRun(t, 4, func(c *msg.Comm) {
 		sg, refs, u, ids := buildApp(c, []int{2, 2})
@@ -41,19 +56,28 @@ func writeGolden(t *testing.T) {
 			panic(err)
 		}
 	})
-	if err := fs.SaveFile(goldenPath); err != nil {
+	if err := fs.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestGoldenCheckpointStillRestores(t *testing.T) {
 	if *regenGolden {
-		writeGolden(t)
-		t.Log("regenerated", goldenPath)
+		writeGolden(t, goldens[1].path)
+		t.Log("regenerated", goldens[1].path, "— golden.pfs is stored v1 input and stays as it is")
 	}
+	for _, g := range goldens {
+		t.Run(g.path, func(t *testing.T) { restoreGolden(t, g.path, g.version) })
+	}
+}
+
+func restoreGolden(t *testing.T, path string, version int) {
 	fs := pfs.NewSystem(pfs.DefaultConfig())
-	if err := fs.LoadFile(goldenPath); err != nil {
-		t.Fatalf("golden snapshot missing (regenerate with -regen-golden): %v", err)
+	if err := fs.LoadFile(path); err != nil {
+		t.Fatalf("golden snapshot missing: %v", err)
+	}
+	if m, err := ReadMeta(fs, "golden", 0); err != nil || m.Version != version {
+		t.Fatalf("golden metadata version %d (err %v), want %d", m.Version, err, version)
 	}
 	// Integrity first: byte-level drift fails loudly.
 	if err := Verify(fs, "golden", 0); err != nil {

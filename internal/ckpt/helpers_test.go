@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"drms/internal/msg"
+	"drms/internal/pfs"
 )
 
 // mustRun executes the SPMD body, converting assertion panics inside it
@@ -13,4 +14,85 @@ func mustRun(t testing.TB, n int, f func(c *msg.Comm)) {
 	if err := msg.Run(n, func(c *msg.Comm) error { f(c); return nil }); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// v1RotationPath is a stored rotation in metadata v1 — one raw stream
+// file per array — which no code in this tree can write any more: job.g0
+// and job.g1 hold chainFill(0) and chainFill(1) of buildApp on 4 tasks
+// (grid 2×2, PieceBytes 300, "iter" registered), written once by the v1
+// encoder of commit 2aac552. Stored v1 checkpoints stay supported input;
+// this file is what feeds the decoder's flat arms.
+const v1RotationPath = "testdata/v1_rotation.pfs"
+
+// loadV1Rotation replaces fs's contents with the stored v1 rotation.
+func loadV1Rotation(t testing.TB, fs *pfs.System) {
+	t.Helper()
+	if err := fs.LoadFile(v1RotationPath); err != nil {
+		t.Fatalf("stored v1 rotation missing: %v", err)
+	}
+	for _, g := range []string{"job.g0", "job.g1"} {
+		if m, err := ReadMeta(fs, g, 0); err != nil || m.Version != 1 || m.Chained() {
+			t.Fatalf("%s of %s is not a v1 checkpoint: version %d err %v", g, v1RotationPath, m.Version, err)
+		}
+	}
+}
+
+// storedAt locates, from the committed metadata, where byte off of an
+// array's stream is stored: the piece file of the location covering it
+// for chained metadata, the array file for v1. A byte test helpers damage
+// must be one a reader will read — pfs.WriteAt creates a missing file, so
+// a wrong guess at the name corrupts nothing and fails no test.
+func storedAt(t testing.TB, fs *pfs.System, prefix, arr string, off int64) (file string, fileOff int64) {
+	t.Helper()
+	m, err := ReadMeta(fs, prefix, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, fileOff = arrFile(prefix, arr), off
+	for i, am := range m.Arrays {
+		if am.Name != arr || !m.Chained() {
+			continue
+		}
+		base, gen := genBase(prefix)
+		for _, l := range m.PieceLocs[i] {
+			if l.Off <= off && off < l.Off+l.Bytes {
+				file, fileOff = locPieceFile(base, prefix, gen, arr, l), l.FileOff+min(off-l.Off, l.FileBytes-1)
+			}
+		}
+	}
+	if sz, err := fs.Size(file); err != nil || fileOff >= sz {
+		t.Fatalf("stream byte %d of %s array %q is not stored at %s+%d (size %d, err %v)", off, prefix, arr, file, fileOff, sz, err)
+	}
+	return file, fileOff
+}
+
+// flipStored inverts n stored bytes of the array's payload starting
+// where stream byte off lives, and returns the damaged file.
+func flipStored(t testing.TB, fs *pfs.System, prefix, arr string, off int64, n int) string {
+	t.Helper()
+	file, fileOff := storedAt(t, fs, prefix, arr, off)
+	sz, _ := fs.Size(file)
+	b := make([]byte, min(int64(n), sz-fileOff))
+	if err := fs.ReadAt(0, file, b, fileOff); err != nil {
+		t.Fatal(err)
+	}
+	for i := range b {
+		b[i] ^= 0xff
+	}
+	if err := fs.WriteAt(0, file, b, fileOff); err != nil {
+		t.Fatal(err)
+	}
+	return file
+}
+
+// truncateStored replaces the file holding the array's first stream byte
+// with a three-byte stub, and returns it.
+func truncateStored(t testing.TB, fs *pfs.System, prefix, arr string) string {
+	t.Helper()
+	file, _ := storedAt(t, fs, prefix, arr, 0)
+	fs.Create(file)
+	if err := fs.WriteAt(0, file, []byte{1, 2, 3}, 0); err != nil {
+		t.Fatal(err)
+	}
+	return file
 }

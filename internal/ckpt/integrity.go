@@ -45,15 +45,32 @@ func combinePieces(pieces []pieceCRC) uint64 {
 	return acc
 }
 
+// pieceSumBytes is a PieceSum's fixed-width little-endian gather record.
+const pieceSumBytes = 4 + 8 + 8 + 8
+
+func appendPieceSum(buf []byte, p PieceSum) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Index))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Off))
+	buf = binary.LittleEndian.AppendUint64(buf, p.CRC)
+	return binary.LittleEndian.AppendUint64(buf, uint64(p.Bytes))
+}
+
+// pieceSumAt decodes the record at the start of b (len(b) >= pieceSumBytes).
+func pieceSumAt(b []byte) PieceSum {
+	return PieceSum{
+		Index: int(binary.LittleEndian.Uint32(b[0:4])),
+		Off:   int64(binary.LittleEndian.Uint64(b[4:12])),
+		CRC:   binary.LittleEndian.Uint64(b[12:20]),
+		Bytes: int64(binary.LittleEndian.Uint64(b[20:28])),
+	}
+}
+
 // gatherPieces collects every task's piece CRCs at root and returns the
 // sorted full list there (nil elsewhere).
 func gatherPieces(comm *msg.Comm, root int, mine []pieceCRC) ([]pieceCRC, error) {
-	buf := make([]byte, 0, len(mine)*28)
+	buf := make([]byte, 0, len(mine)*pieceSumBytes)
 	for _, p := range mine {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Index))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Off))
-		buf = binary.LittleEndian.AppendUint64(buf, p.CRC)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Bytes))
+		buf = appendPieceSum(buf, p)
 	}
 	parts, err := comm.Gather(root, buf)
 	if err != nil {
@@ -64,14 +81,8 @@ func gatherPieces(comm *msg.Comm, root int, mine []pieceCRC) ([]pieceCRC, error)
 	}
 	var all []pieceCRC
 	for _, part := range parts {
-		for len(part) >= 28 {
-			all = append(all, pieceCRC{
-				Index: int(binary.LittleEndian.Uint32(part[0:4])),
-				Off:   int64(binary.LittleEndian.Uint64(part[4:12])),
-				CRC:   binary.LittleEndian.Uint64(part[12:20]),
-				Bytes: int64(binary.LittleEndian.Uint64(part[20:28])),
-			})
-			part = part[28:]
+		for ; len(part) >= pieceSumBytes; part = part[pieceSumBytes:] {
+			all = append(all, pieceSumAt(part))
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Index < all[j].Index })

@@ -1,12 +1,14 @@
 package ckpt
 
 import (
+	"errors"
 	"hash/crc64"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"drms/internal/msg"
+	"drms/internal/pfs"
 	"drms/internal/stream"
 )
 
@@ -107,30 +109,24 @@ func TestVerifyCleanCheckpoint(t *testing.T) {
 }
 
 func TestVerifyDetectsCorruption(t *testing.T) {
-	fs := testFS()
-	mustRun(t, 2, func(c *msg.Comm) {
-		sg, refs, u, ids := buildApp(c, []int{2, 1})
-		u.Fill(coordVal)
-		ids.Fill(func(cd []int) int32 { return 7 })
-		if _, err := WriteDRMS(fs, "ck", c, sg, refs, stream.Options{}); err != nil {
-			panic(err)
+	forEachEra(t, func(t *testing.T, fs *pfs.System) {
+		// Flip one byte in the middle of u's stored stream.
+		file := flipStored(t, fs, "job.g0", "u", 123, 1)
+		err := Verify(fs, "job.g0", 0)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.File != file || !strings.Contains(err.Error(), "integrity") {
+			t.Fatalf("corruption of %s not detected: %v", file, err)
 		}
-	})
-	// Flip one byte in the middle of the array file.
-	if err := fs.WriteAt(0, "ck.arr.u", []byte{0xFF}, 123); err != nil {
-		t.Fatal(err)
-	}
-	err := Verify(fs, "ck", 0)
-	if err == nil || !strings.Contains(err.Error(), "integrity") {
-		t.Fatalf("corruption not detected: %v", err)
-	}
-	// And the restart refuses to load the damaged array.
-	mustRun(t, 2, func(c *msg.Comm) {
-		sg, refs, _, _ := buildApp(c, []int{2, 1})
-		_, _, err := ReadDRMS(fs, "ck", c, sg, refs, stream.Options{})
-		if err == nil || !strings.Contains(err.Error(), "integrity") {
-			panic("restart accepted a corrupted array: " + errStr(err))
-		}
+		// And the restart refuses to load the damaged array.
+		mustRun(t, 2, func(c *msg.Comm) {
+			sg, refs, _, _ := buildApp(c, []int{2, 1})
+			var iter int
+			sg.Register("iter", &iter)
+			_, _, err := ReadDRMS(fs, "job.g0", c, sg, refs, stream.Options{})
+			if err == nil || !strings.Contains(err.Error(), "integrity") {
+				panic("restart accepted a corrupted array: " + errStr(err))
+			}
+		})
 	})
 }
 
@@ -166,21 +162,15 @@ func TestRestartDetectsCorruptSegment(t *testing.T) {
 }
 
 func TestVerifyDetectsTruncation(t *testing.T) {
-	fs := testFS()
-	mustRun(t, 2, func(c *msg.Comm) {
-		sg, refs, u, _ := buildApp(c, []int{2, 1})
-		u.Fill(coordVal)
-		if _, err := WriteDRMS(fs, "ck", c, sg, refs, stream.Options{}); err != nil {
-			panic(err)
+	forEachEra(t, func(t *testing.T, fs *pfs.System) {
+		// Replace a payload file with a shorter one.
+		file := truncateStored(t, fs, "job.g0", "ids")
+		err := Verify(fs, "job.g0", 0)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.File != file {
+			t.Fatalf("truncation of %s not detected: %v", file, err)
 		}
 	})
-	// Replace an array file with a shorter one.
-	fs.Create("ck.arr.ids")
-	fs.WriteAt(0, "ck.arr.ids", []byte{1, 2, 3}, 0)
-	err := Verify(fs, "ck", 0)
-	if err == nil || !strings.Contains(err.Error(), "bytes") {
-		t.Fatalf("truncation not detected: %v", err)
-	}
 }
 
 func TestReconfiguredRestartStillVerifies(t *testing.T) {

@@ -57,14 +57,15 @@ func runCounted(t *testing.T, n int, f func(c *msg.Comm, sent func() int64) erro
 }
 
 // restoreFormats are the stored representations every restore shape must
-// serve: each writes chainFill(step) state on 4 tasks and names the
-// generation to restore.
+// serve: each stores chainFill(step) state of 4 tasks — the v1 one from
+// the stored rotation, the rest by writing — and names the generation to
+// restore.
 var restoreFormats = []struct {
 	name  string
 	write func(t *testing.T, fs *pfs.System, tier *MemTier) (from string, step int)
 }{
 	{"v1-flat", func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
-		writeV1Gen(t, fs, "job.g0", 0, 4, []int{2, 2})
+		loadV1Rotation(t, fs)
 		return "job.g0", 0
 	}},
 	{"chained-raw-anchor", func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {

@@ -70,7 +70,7 @@ func TestRotationLayouts(t *testing.T) {
 		},
 		{
 			name: "quarantined between live generations",
-			files: []string{"ck.g1.meta", "ck.g2.bad.meta", "ck.g2.bad.arr.u",
+			files: []string{"ck.g1.meta", "ck.g2.bad.meta", pieceFile("ck.g2.bad", "u", 0),
 				"ck.g4.meta"},
 			keep:   2,
 			latest: "ck.g4",
@@ -90,7 +90,7 @@ func TestRotationLayouts(t *testing.T) {
 		},
 		{
 			name:    "torn generation",
-			files:   []string{"ck.g0.meta", "ck.g1.seg", "ck.g1.arr.u"},
+			files:   []string{"ck.g0.meta", "ck.g1.seg", pieceFile("ck.g1", "u", 1)},
 			keep:    1,
 			latest:  "ck.g0",
 			next:    "ck.g2", // torn numbers are burned, not reused
@@ -110,7 +110,7 @@ func TestRotationLayouts(t *testing.T) {
 			// A long-lived rotation: the numbers are high, the files few.
 			name: "torn generations at generation 500",
 			files: []string{"ck.g499.bad.meta", "ck.g500.meta", "ck.g500.seg",
-				"ck.g501.meta", "ck.g501.seg", "ck.g502.seg", "ck.g502.arr.u.p0", "ck.g1000.meta.tmp"},
+				"ck.g501.meta", "ck.g501.seg", "ck.g502.seg", pieceFile("ck.g502", "u", 0), "ck.g1000.meta.tmp"},
 			keep:    2,
 			latest:  "ck.g501",
 			next:    "ck.g1001",
@@ -212,65 +212,49 @@ func writeGeneration(t *testing.T, fs *pfs.System, base string, iter int) string
 	return prefix
 }
 
-// TestResolveVerifiedQuarantinesCorruptNewest commits two generations,
-// corrupts the newest, and checks ResolveVerified falls back to the older
-// one, quarantining the corrupt files under ".bad" (and that the verify
-// failure is a typed *CorruptError with the damage attributed).
+// TestResolveVerifiedQuarantinesCorruptNewest corrupts the newer of two
+// committed generations and checks ResolveVerified falls back to the
+// older one, quarantining the corrupt files under ".bad" (and that the
+// verify failure is a typed *CorruptError with the damage attributed).
 func TestResolveVerifiedQuarantinesCorruptNewest(t *testing.T) {
-	fs := testFS()
-	g0 := writeGeneration(t, fs, "job", 10)
-	g1 := writeGeneration(t, fs, "job", 20)
-	if g0 != "job.g0" || g1 != "job.g1" {
-		t.Fatalf("generations %q %q", g0, g1)
-	}
-
-	// Flip bytes inside g1's array file.
-	if err := fs.WriteAt(0, g1+".arr.u", []byte{0xde, 0xad, 0xbe, 0xef}, 64); err != nil {
-		t.Fatal(err)
-	}
-	verr := Verify(fs, g1, 0)
-	var ce *CorruptError
-	if !errors.As(verr, &ce) {
-		t.Fatalf("Verify error = %v, want *CorruptError", verr)
-	}
-	if ce.Prefix != g1 || ce.Gen != 1 || ce.File != g1+".arr.u" {
-		t.Fatalf("CorruptError = %+v", ce)
-	}
-	if ce.Piece < 0 {
-		t.Fatalf("CorruptError did not attribute a piece: %+v", ce)
-	}
-
-	chosen, quarantined, ok, firstErr := ResolveVerified(fs, "job")
-	if !ok || chosen != g0 {
-		t.Fatalf("ResolveVerified chose %q ok=%v, want %q", chosen, ok, g0)
-	}
-	if len(quarantined) != 1 || quarantined[0] != g1 {
-		t.Fatalf("quarantined %v, want [%s]", quarantined, g1)
-	}
-	if !errors.As(firstErr, &ce) {
-		t.Fatalf("firstErr = %v, want *CorruptError", firstErr)
-	}
-	if Exists(fs, g1) {
-		t.Fatal("corrupt generation still resolvable after quarantine")
-	}
-	if len(fs.List(g1+".bad.")) == 0 {
-		t.Fatal("quarantine left no .bad files")
-	}
-	// The rotation skips the hole; the next checkpoint number is fresh.
-	if next := (Rotation{Base: "job"}).NextPrefix(fs); next != "job.g2" {
-		t.Fatalf("NextPrefix after quarantine = %q, want job.g2", next)
-	}
-	// The surviving generation still restores.
-	mustRun(t, 3, func(c *msg.Comm) {
-		sg, refs, _, _ := buildApp(c, []int{3, 1})
-		var it int
-		sg.Register("iter", &it)
-		if _, _, err := ReadDRMSOpts(fs, chosen, c, sg, refs, stream.Options{PieceBytes: 256}, RestoreOptions{Verify: true}); err != nil {
-			panic(err)
+	forEachEra(t, func(t *testing.T, fs *pfs.System) {
+		const g0, g1 = "job.g0", "job.g1"
+		// Flip bytes inside g1's stored u stream.
+		file := flipStored(t, fs, g1, "u", 64, 4)
+		verr := Verify(fs, g1, 0)
+		var ce *CorruptError
+		if !errors.As(verr, &ce) {
+			t.Fatalf("Verify error = %v, want *CorruptError", verr)
 		}
-		if it != 10 {
-			panic(fmt.Sprintf("iter = %d, want 10", it))
+		if ce.Prefix != g1 || ce.Gen != 1 || ce.File != file {
+			t.Fatalf("CorruptError = %+v, damaged %s", ce, file)
 		}
+		if ce.Piece < 0 {
+			t.Fatalf("CorruptError did not attribute a piece: %+v", ce)
+		}
+
+		chosen, quarantined, ok, firstErr := ResolveVerified(fs, "job")
+		if !ok || chosen != g0 {
+			t.Fatalf("ResolveVerified chose %q ok=%v, want %q", chosen, ok, g0)
+		}
+		if len(quarantined) != 1 || quarantined[0] != g1 {
+			t.Fatalf("quarantined %v, want [%s]", quarantined, g1)
+		}
+		if !errors.As(firstErr, &ce) {
+			t.Fatalf("firstErr = %v, want *CorruptError", firstErr)
+		}
+		if Exists(fs, g1) {
+			t.Fatal("corrupt generation still resolvable after quarantine")
+		}
+		if len(fs.List(g1+".bad.")) == 0 {
+			t.Fatal("quarantine left no .bad files")
+		}
+		// The rotation skips the hole; the next checkpoint number is fresh.
+		if next := (Rotation{Base: "job"}).NextPrefix(fs); next != "job.g2" {
+			t.Fatalf("NextPrefix after quarantine = %q, want job.g2", next)
+		}
+		// The surviving generation still restores.
+		checkChainRestore(t, fs, chosen, 0, 3, []int{3, 1}, 256)
 	})
 }
 
@@ -303,22 +287,82 @@ func TestResolveVerifiedExhaustsToFailure(t *testing.T) {
 // checks the Verify restore path returns a typed piece-attributed
 // CorruptError on every task instead of silently loading torn bytes.
 func TestRestoreVerifyDetectsTornBytes(t *testing.T) {
-	fs := testFS()
-	g0 := writeGeneration(t, fs, "job", 3)
-	if err := fs.WriteAt(0, g0+".arr.u", []byte{0xff, 0xff, 0xff}, 300); err != nil {
-		t.Fatal(err)
-	}
-	mustRun(t, 2, func(c *msg.Comm) {
-		sg, refs, _, _ := buildApp(c, []int{2, 1})
-		var it int
-		sg.Register("iter", &it)
-		_, _, err := ReadDRMSOpts(fs, g0, c, sg, refs, stream.Options{PieceBytes: 256}, RestoreOptions{Verify: true})
-		var ce *CorruptError
-		if !errors.As(err, &ce) {
-			panic(fmt.Sprintf("rank %d: restore error = %v, want *CorruptError", c.Rank(), err))
-		}
-		if ce.Piece < 0 {
-			panic(fmt.Sprintf("rank %d: corrupt piece not attributed: %+v", c.Rank(), ce))
-		}
+	forEachEra(t, func(t *testing.T, fs *pfs.System) {
+		flipStored(t, fs, "job.g0", "u", 300, 3)
+		mustRun(t, 4, func(c *msg.Comm) {
+			sg, refs, _, _ := buildApp(c, []int{2, 2})
+			var it int
+			sg.Register("iter", &it)
+			_, _, err := ReadDRMSOpts(fs, "job.g0", c, sg, refs, stream.Options{PieceBytes: 300}, RestoreOptions{Verify: true})
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				panic(fmt.Sprintf("rank %d: restore error = %v, want *CorruptError", c.Rank(), err))
+			}
+			if ce.Piece < 0 {
+				panic(fmt.Sprintf("rank %d: corrupt piece not attributed: %+v", c.Rank(), ce))
+			}
+		})
 	})
+}
+
+// TestRotationContinuesAcrossMetadataVersions takes a rotation begun by
+// the v1 encoder (the stored g0, g1) forward under this tree's writer:
+// numbering, pruning, verified resolution and the quarantine fallback
+// treat the two metadata versions as one history.
+func TestRotationContinuesAcrossMetadataVersions(t *testing.T) {
+	fs := testFS()
+	loadV1Rotation(t, fs)
+	rot := Rotation{Base: "job", Keep: 2}
+	next := func(step int) string {
+		_, prev, _ := rot.Latest(fs)
+		g := rot.NextPrefix(fs)
+		// What the run-time system's default configuration asks for.
+		writeChainGen(t, fs, g, ChainOptions{Prev: prev, Codec: CodecRaw, NoDeltaBase: true}, step, 4, []int{2, 2})
+		rot.Prune(fs)
+		return g
+	}
+	versions := func() (out []int) {
+		for _, g := range rot.Generations(fs) {
+			m, err := ReadMeta(fs, g, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Verify(fs, g, 0); err != nil {
+				t.Fatalf("%s: %v", g, err)
+			}
+			out = append(out, m.Version)
+		}
+		return out
+	}
+
+	if g2 := next(2); g2 != "job.g2" {
+		t.Fatalf("generation after the stored v1 g1 = %q", g2)
+	}
+	if gens, vs := rot.Generations(fs), versions(); len(gens) != 2 || gens[0] != "job.g1" || vs[0] != 1 || vs[1] != 2 {
+		t.Fatalf("after prune: generations %v versions %v, want the v1 g1 and the v2 g2", gens, vs)
+	}
+	if n := StateBytes(fs, "job.g0"); n != 0 {
+		t.Fatalf("pruned v1 generation left %d bytes", n)
+	}
+	if chosen, quarantined, ok, err := ResolveVerified(fs, "job"); !ok || chosen != "job.g2" || len(quarantined) != 0 {
+		t.Fatalf("resolve = %q ok %v quarantined %v err %v", chosen, ok, quarantined, err)
+	}
+	checkChainRestore(t, fs, "job", 2, 3, []int{3, 1}, 128)
+
+	// The chained newest is damaged: the fallback is a v1 generation.
+	flipStored(t, fs, "job.g2", "u", 500, 2)
+	chosen, quarantined, ok, _ := ResolveVerified(fs, "job")
+	if !ok || chosen != "job.g1" || len(quarantined) != 1 || quarantined[0] != "job.g2" {
+		t.Fatalf("resolve past a corrupt v2 = %q ok %v quarantined %v", chosen, ok, quarantined)
+	}
+	checkChainRestore(t, fs, "job", 1, 3, []int{1, 3}, 300)
+
+	// And the history goes on above the quarantined number.
+	if g3 := next(3); g3 != "job.g3" {
+		t.Fatalf("generation after the quarantined g2 = %q", g3)
+	}
+	if gens, vs := rot.Generations(fs), versions(); len(gens) != 2 || gens[1] != "job.g3" || vs[0] != 1 || vs[1] != 2 {
+		t.Fatalf("generations %v versions %v, want [job.g1 job.g3] as v1, v2", gens, vs)
+	}
+	checkChainRestore(t, fs, "job", 3, 2, []int{2, 1}, 200)
 }

@@ -152,6 +152,40 @@ func TestSupervisorRecoversAcrossShrinkAndGrow(t *testing.T) {
 	tcs[3].Stop()
 }
 
+// flipStoredArray inverts the first n stored bytes of one array of the
+// committed checkpoint under prefix, found through its metadata: the
+// piece file of the array's first location for chained metadata, the
+// array file for v1. pfs.WriteAt creates a missing file, so damaging a
+// guessed name would corrupt nothing and the test would wait for a
+// quarantine that never comes.
+func flipStoredArray(t *testing.T, fs *pfs.System, prefix, arr string, n int) {
+	t.Helper()
+	m, err := ckpt.ReadMeta(fs, prefix, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, off := prefix+".arr."+arr, int64(0)
+	for i, am := range m.Arrays {
+		if am.Name == arr && m.Chained() {
+			l := m.PieceLocs[i][0]
+			if _, g, _ := ckpt.GenOf(prefix); l.Gen != g || l.Where != ckpt.TierPFS {
+				t.Fatalf("first piece of %q is not in %s's own files: %+v", arr, prefix, l)
+			}
+			file, off = fmt.Sprintf("%s.p%d", file, l.Task), l.FileOff
+		}
+	}
+	b := make([]byte, n)
+	if err := fs.ReadAt(0, file, b, off); err != nil {
+		t.Fatalf("array %q of %s is not stored in %s: %v", arr, prefix, file, err)
+	}
+	for i := range b {
+		b[i] ^= 0xff
+	}
+	if err := fs.WriteAt(0, file, b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSupervisorQuarantinesCorruptNewestGeneration corrupts the newest
 // committed generation while the application is alive, then fails a
 // processor: the supervisor must quarantine the corrupt generation,
@@ -179,15 +213,10 @@ func TestSupervisorQuarantinesCorruptNewestGeneration(t *testing.T) {
 	var newest string
 	waitFor(t, "gate-adjacent generation", func() bool {
 		g, p, ok := (ckpt.Rotation{Base: "job"}).Latest(fs)
-		if !ok || g < 2 {
-			return false
-		}
 		newest = p
-		return fs.Exists(newest + ".arr.u")
+		return ok && g >= 2
 	})
-	if err := fs.WriteAt(0, newest+".arr.u", []byte{0xba, 0xad, 0xf0, 0x0d}, 32); err != nil {
-		t.Fatal(err)
-	}
+	flipStoredArray(t, fs, newest, "u", 4)
 
 	// Fail a processor while the app is parked at the gate: recovery must
 	// quarantine the corrupt newest generation and fall back to the older

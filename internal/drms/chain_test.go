@@ -2,13 +2,16 @@ package drms
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"drms/internal/ckpt"
+	"drms/internal/codec"
 	"drms/internal/dist"
 	"drms/internal/msg"
+	"drms/internal/pfs"
 	"drms/internal/rangeset"
 )
 
@@ -114,6 +117,115 @@ func TestChainedConfigLifecycleAndRestart(t *testing.T) {
 	}
 	if got := <-out2; got != want {
 		t.Fatalf("restored checksum %v != classic %v", got, want)
+	}
+}
+
+// assertOneFormat checks every committed generation under base: chained
+// metadata whatever the configuration that wrote it, with contribution
+// fingerprints exactly when that configuration can take a delta.
+func assertOneFormat(t *testing.T, fs *pfs.System, base string, fingerprints bool) []ckpt.Meta {
+	t.Helper()
+	var metas []ckpt.Meta
+	for _, g := range (ckpt.Rotation{Base: base}).Generations(fs) {
+		m, err := ckpt.ReadMeta(fs, g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Chained() || m.ArrayPieces != nil {
+			t.Fatalf("%s: metadata version %d, chained %v", g, m.Version, m.Chained())
+		}
+		if (len(m.Sections) > 0) != fingerprints {
+			t.Fatalf("%s: %d fingerprint lists, want fingerprints=%v", g, len(m.Sections), fingerprints)
+		}
+		metas = append(metas, m)
+	}
+	if len(metas) == 0 {
+		t.Fatalf("no committed generation under %q", base)
+	}
+	return metas
+}
+
+// TestEveryConfigurationWritesOneFormat: the configuration chooses codec,
+// chain and tier — never the format. The default one stores the paper's
+// raw stream, as standalone anchors.
+func TestEveryConfigurationWritesOneFormat(t *testing.T) {
+	const n, iters, ckEvery = 12, 6, 2
+	for name, cfg := range map[string]Config{
+		"default":            {},
+		"flate-chain":        {AnchorEvery: 3, Codec: ckpt.CodecFlate},
+		"auto-chain":         {AnchorEvery: 3},
+		"tier-write-through": {Tier: ckpt.NewMemTier(), Replicas: 1, Codec: ckpt.CodecRaw},
+		"tier-diskless":      {Tier: ckpt.NewMemTier(), Replicas: 1, DemoteEvery: 2, Codec: ckpt.CodecRaw},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg.Tasks, cfg.FS, cfg.Keep = 3, testFS(), 8
+			out := make(chan float64, 1)
+			if err := Run(cfg, chainApp(n, iters, ckEvery, "ck", out)); err != nil {
+				t.Fatal(err)
+			}
+			<-out
+			metas := assertOneFormat(t, cfg.FS, "ck", cfg.AnchorEvery > 1)
+			diskless := 0
+			for _, m := range metas {
+				if m.SegWhere == ckpt.TierMem {
+					diskless++
+				}
+				for _, locs := range m.PieceLocs {
+					for _, l := range locs {
+						if name == "default" && (codec.ID(l.Codec) != codec.Raw || len(m.Deps) != 0) {
+							t.Fatalf("default configuration stored %+v (deps %v), want raw anchors", l, m.Deps)
+						}
+					}
+				}
+			}
+			if (diskless > 0) != (cfg.DemoteEvery > 1) {
+				t.Fatalf("%d diskless generations of %d", diskless, len(metas))
+			}
+		})
+	}
+}
+
+// TestChainStartsOnAStandaloneAnchor: a rotation the default
+// configuration began — anchors without fingerprints — is continued by a
+// run with an anchor interval. Its first generation has no base to diff
+// against and is an anchor; deltas follow; the interval is kept.
+func TestChainStartsOnAStandaloneAnchor(t *testing.T) {
+	const n = 12
+	fs := testFS()
+	out := make(chan float64, 2)
+	if err := Run(Config{Tasks: 2, FS: fs, Keep: 8}, chainApp(n, 0, 1, "mix", out)); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(Config{Tasks: 2, FS: fs, Keep: 8, AnchorEvery: 4, Codec: ckpt.CodecRaw},
+		chainApp(n, 4, 1, "mix", out)); err != nil {
+		t.Fatal(err)
+	}
+	<-out
+	want := <-out
+	var lens []int
+	for i, g := range (ckpt.Rotation{Base: "mix"}).Generations(fs) {
+		m, err := ckpt.ReadMeta(fs, g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ckpt.Verify(fs, g, 0); err != nil {
+			t.Fatal(err)
+		}
+		if (len(m.Sections) > 0) != (i > 0) || (len(m.Deps) > 0) != (m.ChainLen > 0) {
+			t.Fatalf("%s: %d fingerprint lists, len %d deps %v", g, len(m.Sections), m.ChainLen, m.Deps)
+		}
+		lens = append(lens, m.ChainLen)
+	}
+	if fmt.Sprint(lens) != "[0 0 1 2 3 0]" {
+		t.Fatalf("chain lengths %v, want the standalone g0, then an anchor, three deltas, an anchor", lens)
+	}
+	restored := make(chan float64, 1)
+	if err := Run(Config{Tasks: 3, FS: fs, RestartFrom: "mix.g4", Verify: true},
+		chainApp(n, 4, 1, "other", restored)); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-restored; got != want {
+		t.Fatalf("restart from the delta mix.g4: checksum %v != %v", got, want)
 	}
 }
 

@@ -110,26 +110,23 @@ type Config struct {
 	// scheme instead of the reconfigurable DRMS scheme (the paper's
 	// baseline; restart then requires the same task count).
 	SPMDMode bool
-	// AnchorEvery > 1 enables chained checkpointing: generations are
-	// written in the chained piece format, every AnchorEvery-th one a
-	// self-contained anchor and the ones between deltas that carry
-	// unchanged pieces forward by back-pointer. 0 or 1 (the default)
-	// keeps the classic self-contained v1 format — deltas need a bounded
-	// anchor interval, so they are never taken without one. Ignored in
-	// SPMD mode.
+	// AnchorEvery > 1 makes checkpoints a delta chain: every
+	// AnchorEvery-th generation is a self-contained anchor and the ones
+	// between are deltas that carry unchanged pieces forward by
+	// back-pointer. 0 or 1 (the default) writes anchors only — deltas
+	// need a bounded anchor interval, so they are never taken without
+	// one — and skips the contribution fingerprints only a following
+	// delta would read. Ignored in SPMD mode.
 	AnchorEvery int
-	// Codec selects the piece codec for chained checkpoints
-	// (ckpt.CodecAuto: compress when the bandwidth model says it pays).
-	// Setting it to a non-auto value also switches on the chained format
-	// even when AnchorEvery is unset (anchors only, compressed).
+	// Codec selects the piece codec (pieceCodec): raw, flate, or the
+	// zero value ckpt.CodecAuto — compress when the bandwidth model says
+	// it pays, where a chain or the tier is configured; raw otherwise.
 	Codec ckpt.CodecMode
 	// Tier, when non-nil, enables the hot in-memory checkpoint tier: at
 	// commit time every canonical piece is replicated into peers' memory
 	// (overlapped with the pfs write pipeline), restores are served from
 	// peer memory when every byte survives there, and — with DemoteEvery
-	// set — intermediate generations skip the pfs entirely. Setting Tier
-	// switches on the chained piece format, which carries the per-piece
-	// location tables the tier needs.
+	// set — intermediate generations skip the pfs entirely.
 	Tier *ckpt.MemTier
 	// Replicas is how many peers beyond the writer hold each payload
 	// (k in the k+1 replication of DESIGN.md §3h). 0 means the writer's
@@ -463,11 +460,14 @@ func (t *Task) ReconfigChkEnable(prefix string) (Status, int, error) {
 	return Continued, 0, nil
 }
 
-// chained reports whether this run writes checkpoints in the chained
-// piece format (deltas and/or per-piece codecs).
-func (t *Task) chained() bool {
-	return !t.cfg.SPMDMode &&
-		(t.cfg.AnchorEvery > 1 || t.cfg.Codec != ckpt.CodecAuto || t.cfg.Tier != nil)
+// pieceCodec is the codec policy of this run's checkpoints. The zero
+// Codec means the bandwidth model where a chain or the tier is
+// configured, and the paper's raw stream in the default configuration.
+func (c Config) pieceCodec() ckpt.CodecMode {
+	if c.Codec == ckpt.CodecAuto && c.AnchorEvery <= 1 && c.Tier == nil {
+		return ckpt.CodecRaw
+	}
+	return c.Codec
 }
 
 // rotation returns the cached rotation view for a prefix (rank 0 only:
@@ -503,31 +503,28 @@ type genHeader struct {
 // agreed name, no dependence on concurrent file-system scans), and only
 // after the new generation's meta commit are older ones pruned.
 func (t *Task) write(prefix string) error {
-	chained := t.chained()
 	var hdr genHeader
 	var prevMeta *ckpt.Meta
 	if t.Rank() == 0 {
 		view := t.rotation(prefix)
 		hdr.Gen = view.NextPrefix(t.cfg.FS)
-		if chained {
-			if _, prev, ok := view.Latest(t.cfg.FS); ok {
-				hdr.Prev = prev
-				// The base is usually the generation this rank committed
-				// last time; the view hands its meta back without a read.
-				prevMeta = view.CommittedMeta(prev)
-				// Delta unless the anchor interval is due (or unbounded
-				// chains would result). WriteDRMSChained re-checks
-				// compatibility and silently demotes to an anchor.
-				if t.cfg.AnchorEvery > 1 {
-					m := prevMeta
-					if m == nil {
-						if read, err := ckpt.ReadMeta(t.cfg.FS, prev, 0); err == nil {
-							m = &read
-						}
+		if _, prev, ok := view.Latest(t.cfg.FS); ok && !t.cfg.SPMDMode {
+			hdr.Prev = prev
+			// The base is usually the generation this rank committed
+			// last time; the view hands its meta back without a read.
+			prevMeta = view.CommittedMeta(prev)
+			// Delta unless the anchor interval is due (or unbounded
+			// chains would result). The writer re-checks compatibility
+			// and silently demotes to an anchor.
+			if t.cfg.AnchorEvery > 1 {
+				m := prevMeta
+				if m == nil {
+					if read, err := ckpt.ReadMeta(t.cfg.FS, prev, 0); err == nil {
+						m = &read
 					}
-					if m != nil && m.ChainLen+1 < t.cfg.AnchorEvery {
-						hdr.Delta = true
-					}
+				}
+				if m != nil && m.ChainLen+1 < t.cfg.AnchorEvery {
+					hdr.Delta = true
 				}
 			}
 		}
@@ -572,15 +569,14 @@ func (t *Task) write(prefix string) error {
 	}
 	t.sg.Ctx.SOP = prefix
 	var st ckpt.Stats
-	switch {
-	case t.cfg.SPMDMode:
+	if t.cfg.SPMDMode {
 		st, err = ckpt.WriteSPMD(t.cfg.FS, hdr.Gen, t.comm, t.sg, t.arrays, t.cfg.Stream)
-	case chained:
+	} else {
+		// Fingerprints only where this run can take a delta against them.
 		st, err = ckpt.WriteDRMSChained(t.cfg.FS, hdr.Gen, t.comm, t.sg, t.arrays, t.cfg.Stream,
-			ckpt.ChainOptions{Prev: hdr.Prev, Delta: hdr.Delta, Codec: t.cfg.Codec, PrevMeta: prevMeta,
-				Tier: t.cfg.Tier, Replicas: t.cfg.Replicas, Holders: t.cfg.TierHolders, MemOnly: hdr.Mem})
-	default:
-		st, err = ckpt.WriteDRMS(t.cfg.FS, hdr.Gen, t.comm, t.sg, t.arrays, t.cfg.Stream)
+			ckpt.ChainOptions{Prev: hdr.Prev, Delta: hdr.Delta, Codec: t.cfg.pieceCodec(),
+				NoDeltaBase: t.cfg.AnchorEvery <= 1, PrevMeta: prevMeta, Tier: t.cfg.Tier,
+				Replicas: t.cfg.Replicas, Holders: t.cfg.TierHolders, MemOnly: hdr.Mem})
 	}
 	if err != nil {
 		return err

@@ -111,7 +111,8 @@ func TestResizeGrowInFlight(t *testing.T) {
 	want := oracle(t, tasks, n, iters, ckEvery)
 
 	out := make(chan []float64, 1)
-	h, err := Start(Config{Tasks: tasks, FS: testFS()},
+	fs := testFS()
+	h, err := Start(Config{Tasks: tasks, FS: fs, Keep: 8},
 		resizeApp(n, iters, ckEvery, map[int]int{at: 4}, -1, -1, nil, out))
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +120,7 @@ func TestResizeGrowInFlight(t *testing.T) {
 	if err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	assertOneFormat(t, fs, "job", false) // the resize generation included
 	// 2 launch goroutines + 2 grown; nobody was respawned.
 	if got := h.TaskSpawns(); got != 4 {
 		t.Fatalf("task goroutines spawned = %d, want 4", got)
@@ -224,6 +226,7 @@ func TestResizeSystemInitiatedMemTier(t *testing.T) {
 	if src, ok := h.LastRestoreSource(); !ok || src != "mem" {
 		t.Fatalf("restore source %q (ok=%v), want mem", src, ok)
 	}
+	assertOneFormat(t, fs, "job", false)
 	if got := h.TaskSpawns(); got != 4 {
 		t.Fatalf("task goroutines spawned = %d, want 4", got)
 	}

@@ -90,11 +90,11 @@ func TestCreateTruncatesRemoveDeletes(t *testing.T) {
 
 func TestListPrefix(t *testing.T) {
 	s := small()
-	for _, n := range []string{"ck1.seg", "ck1.arr.u", "ck2.seg"} {
+	for _, n := range []string{"ck1.seg", "ck1.meta", "ck2.seg"} {
 		s.WriteAt(0, n, []byte{1}, 0)
 	}
 	got := s.List("ck1.")
-	if len(got) != 2 || got[0] != "ck1.arr.u" || got[1] != "ck1.seg" {
+	if len(got) != 2 || got[0] != "ck1.meta" || got[1] != "ck1.seg" {
 		t.Fatalf("List = %v", got)
 	}
 }

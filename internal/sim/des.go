@@ -112,7 +112,7 @@ func (m Model) DESReplayPhase(ops []pfs.Op, cfg pfs.Config, cl Cluster, resident
 			ready += float64(op.Bytes)/m.NetClientBW + float64(op.Bytes)/pre.netCPU
 		case op.Write:
 			ready += float64(op.Bytes) / pre.wBW[c]
-			for s, b := range split(cfg, op.Offset, op.Bytes) {
+			for s, b := range split(cfg, op.File, op.Offset, op.Bytes) {
 				if b == 0 {
 					continue
 				}
@@ -125,7 +125,7 @@ func (m Model) DESReplayPhase(ops []pfs.Op, cfg pfs.Config, cl Cluster, resident
 			buffered := pulled[ext]
 			pulled[ext] = true
 			arrival := ready
-			for s, b := range split(cfg, op.Offset, op.Bytes) {
+			for s, b := range split(cfg, op.File, op.Offset, op.Bytes) {
 				if b == 0 {
 					continue
 				}
@@ -178,7 +178,7 @@ func (m Model) classify(ops []pfs.Op, cfg pfs.Config, cl Cluster, resident []int
 		case op.Write:
 			ld[op.Client].write += op.Bytes
 			writeBytes += op.Bytes
-			for s, b := range split(cfg, op.Offset, op.Bytes) {
+			for s, b := range split(cfg, op.File, op.Offset, op.Bytes) {
 				if b > 0 {
 					serverBusyNode[cl.ServerNode[s]] = true
 				}
@@ -192,7 +192,7 @@ func (m Model) classify(ops []pfs.Op, cfg pfs.Config, cl Cluster, resident []int
 			}
 			fileReaders[op.File][op.Client] = true
 			clientFileRead[op.File][op.Client] += op.Bytes
-			for s, b := range split(cfg, op.Offset, op.Bytes) {
+			for s, b := range split(cfg, op.File, op.Offset, op.Bytes) {
 				if b > 0 {
 					serverBusyNode[cl.ServerNode[s]] = true
 				}

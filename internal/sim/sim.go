@@ -232,12 +232,20 @@ func (m Model) Replay(t *pfs.Trace, cfg pfs.Config, cl Cluster, resident []int64
 	return res, nil
 }
 
-// split mirrors pfs striping without a System instance.
-func split(cfg pfs.Config, off, n int64) []int64 {
+// split stripes n bytes at off of a file over the servers. A file's first
+// stripe unit sits on a server picked by a hash of its name, as a real
+// striped file system places it: were every file to start on server 0,
+// many files shorter than a full stripe — a checkpoint's per-task piece
+// files — would load the low-numbered servers only.
+func split(cfg pfs.Config, file string, off, n int64) []int64 {
 	out := make([]int64, cfg.Servers)
 	unit := int64(cfg.StripeUnit)
+	first := uint32(2166136261) // FNV-1a
+	for i := 0; i < len(file); i++ {
+		first = (first ^ uint32(file[i])) * 16777619
+	}
 	for n > 0 {
-		srv := (off / unit) % int64(cfg.Servers)
+		srv := (off/unit + int64(first)) % int64(cfg.Servers)
 		inUnit := unit - off%unit
 		take := min(inUnit, n)
 		out[srv] += take
@@ -305,13 +313,13 @@ func (m Model) replayPhase(name string, ops []pfs.Op, cfg pfs.Config, cl Cluster
 		case op.Write:
 			c.write += op.Bytes
 			pc.WriteBytes += op.Bytes
-			for s, b := range split(cfg, op.Offset, op.Bytes) {
+			for s, b := range split(cfg, op.File, op.Offset, op.Bytes) {
 				srvWrite[s] += b
 			}
 		default:
 			c.read += op.Bytes
 			pc.ReadBytes += op.Bytes
-			for s, b := range split(cfg, op.Offset, op.Bytes) {
+			for s, b := range split(cfg, op.File, op.Offset, op.Bytes) {
 				srvReadTotal[s] += b
 			}
 			readExtents[op.File] = append(readExtents[op.File],
@@ -336,9 +344,9 @@ func (m Model) replayPhase(name string, ops []pfs.Op, cfg pfs.Config, cl Cluster
 	// Distinct read bytes per server: union extents per file, then
 	// stripe-split. Rereads beyond the distinct set are buffer-served.
 	srvReadDistinct := make([]int64, cfg.Servers)
-	for _, iv := range readExtents {
+	for file, iv := range readExtents {
 		for _, v := range mergeIntervals(iv) {
-			for s, b := range split(cfg, v.lo, v.hi-v.lo) {
+			for s, b := range split(cfg, file, v.lo, v.hi-v.lo) {
 				srvReadDistinct[s] += b
 			}
 		}
