@@ -64,6 +64,14 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "internal/drms selects a checkpoint format again (a configuration chooses codec, chain and"; \
 		echo "tier through ckpt.ChainOptions, never the format):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE 'array\.New[[(]|array\.Assign\(|\.Reset\(' internal/stream/*.go | grep -v '_test\.go:' || true); \
+	if [ -n "$$out" ]; then \
+		echo "internal/stream holds a typed array of its own again (a round's pieces live in their I/O"; \
+		echo "buffers, in wire form: array.PackPieces/UnpackPieces — the auxiliary array must not creep back):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rl '"unsafe"' --include='*.go' internal | grep -vx 'internal/array/codec.go' || true); \
+	if [ -n "$$out" ]; then \
+		echo "a second unsafe import under internal/ (the one byte view of a slice is rawBytes in"; \
+		echo "internal/array/codec.go):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'IncrementalCheckpoint|WriteDRMSIncremental|SkipPiece' --include='*.go' \
 		--include='README.md' --include='DESIGN.md' --include='EXPERIMENTS.md' . || true); \
 	if [ -n "$$out" ]; then \
@@ -77,12 +85,12 @@ loc:
 		printf '%-22s %6d\n' "$$d" "$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"; done
 	@printf '%-22s %6d\n' total "$$(ls internal/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 
-# The second line runs the 1-D path's, the BT-shaped plan's and the run
-# enumerator's micro-benchmarks once each, so they stay compiling and
-# running (their numbers are for `go test -bench`).
+# The second line runs the 1-D path's, the BT-shaped plan's and piece
+# exchange's and the run enumerator's micro-benchmarks once each, so they
+# stay compiling and running (their numbers are for `go test -bench`).
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|CRCCombine|TierCheck|AssignPlannedBT|StorageRuns' -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|CRCCombine|TierCheck|AssignPlannedBT|PieceExchangeBT|StorageRuns' -benchtime=1x \
 		./internal/rangeset ./internal/dist ./internal/ckpt ./internal/array
 
 # Every fuzz target of the index-arithmetic and parser packages, one after
@@ -155,9 +163,9 @@ bench:
 # CPU and allocation profiles of the paper-shaped data path, without a
 # flag in benchmark/main.go: the steady-state checkpoint and reconfigured
 # restart of apps.SP through drms (root package), and the BT-shaped planned
-# assignment and the run enumerator alone (internal/array). Binaries and
-# profiles land in .bench_build/; each listing is `pprof -top -cum`, the
-# second by bytes allocated.
+# assignment, the piece exchange and the run enumerator alone
+# (internal/array). Binaries and profiles land in .bench_build/; each
+# listing is `pprof -top -cum`, the second by bytes allocated.
 profile:
 	@mkdir -p .bench_build
 	@prof() { \
@@ -167,7 +175,7 @@ profile:
 		$(GO) tool pprof -top -cum -nodecount=25 -sample_index=alloc_space .bench_build/$$1.test .bench_build/$$1.mem; \
 	}; \
 	prof drms 'CheckpointDRMSSteadyState$$|ReconfiguredRestart$$' . && \
-	prof array 'AssignPlannedBT$$|StorageRuns$$' ./internal/array
+	prof array 'AssignPlannedBT$$|PieceExchangeBT$$|StorageRuns$$' ./internal/array
 
 # The wall-clock benchmark (BENCHMARK.json, benchmark/README.md): five
 # fresh-process runs of every workload, medians and quartiles in

@@ -5,6 +5,9 @@
 // distributions. Array assignment is the primitive on which data
 // redistribution, computational steering, inter-application communication
 // and — via the stream package — scalable checkpointing are built.
+// Streaming uses the assignment in a second form, the piece exchange
+// (PackPieces/UnpackPieces): one side is a stream piece held as bytes in
+// its I/O buffer, so a redistributed piece is never a typed array.
 package array
 
 import (
@@ -191,7 +194,7 @@ func Assign[T Elem](dst, src *Array[T]) error {
 	}
 	c := src.comm
 	es := ElemSize[T]()
-	pl := assignPlanFor(src.d, dst.d, c, es)
+	pl := assignPlanFor(src.d, dst.d, c, es, rangeset.ColMajor, noPiece)
 
 	// Phase 1: pack this task's contribution to every active peer at the
 	// plan's precomputed offsets. Buffers come from the pool; the
@@ -204,37 +207,20 @@ func Assign[T Elem](dst, src *Array[T]) error {
 		pl.sendBufs[px.peer] = buf
 	}
 
-	// Phase 2: sparse exchange — only the peers the plan marks active are
-	// framed and touched. On failure (revoked comm, dead peer) the scratch
-	// buffers are recycled and the plan's per-call state cleared, so the
-	// cached schedule itself stays pristine for a later retry or restart.
-	recv, xerr := c.AlltoallSparse(pl.sendBufs, pl.sendTo, pl.recvFrom)
-	for i := range pl.send {
-		putBuf(pl.sendBufs[pl.send[i].peer])
-		pl.sendBufs[pl.send[i].peer] = nil
-	}
+	// Phase 2: the sparse exchange.
+	recv, xerr := pl.exchange(c)
 	if xerr != nil {
 		return fmt.Errorf("array assign %q <- %q: %w", dst.name, src.name, xerr)
 	}
 
 	// The self-overlap never leaves the task: both sides planned the same
 	// section, so the two run lists hold the same elements in the same
-	// order and copy element-typed, skipping the wire codec entirely. Each
-	// list breaks where *its* storage does (a shadowed side differs from an
-	// unshadowed one), so two cursors walk them, copying the common prefix
-	// of the current pair. (For the self-assignment A <- A the lists
-	// coincide and the copies are identities.)
-	for i, j, di, sj := 0, 0, 0, 0; i < len(pl.selfDst) && j < len(pl.selfSrc); {
-		d, r := pl.selfDst[i], pl.selfSrc[j]
-		n := min(d.n-di, r.n-sj)
-		copy(dst.local[d.off+di:d.off+di+n], src.local[r.off+sj:r.off+sj+n])
-		if di += n; di == d.n {
-			i, di = i+1, 0
-		}
-		if sj += n; sj == r.n {
-			j, sj = j+1, 0
-		}
-	}
+	// order and copy element-typed, skipping the wire codec entirely. (For
+	// the self-assignment A <- A the lists coincide and the copies are
+	// identities.)
+	zipRuns(pl.selfDst, pl.selfSrc, 1, func(d, s, n int) {
+		copy(dst.local[d:d+n], src.local[s:s+n])
+	})
 
 	// Phase 3: unpack what every active owner sent for this task's mapped
 	// section of B. The received copies are left to the collector: the
@@ -242,92 +228,8 @@ func Assign[T Elem](dst, src *Array[T]) error {
 	// a sync.Pool keeps reachable for two GC cycles (see Gather).
 	dstLocal := any(dst.local)
 	for i := range pl.recv {
-		px := &pl.recv[i]
-		if len(recv[px.peer]) != px.bytes {
-			return fmt.Errorf("array assign %q <- %q: peer %d sent %d bytes, plan expects %d",
-				dst.name, src.name, px.peer, len(recv[px.peer]), px.bytes)
-		}
-		unpackRuns(dstLocal, recv[px.peer], px.runs, es, 1)
+		unpackRuns(dstLocal, recv[pl.recv[i].peer], pl.recv[i].runs, es, 1)
 	}
-	return nil
-}
-
-// assignReference is the plan-free assignment: intersections, run
-// decompositions, and offsets recomputed on every call, exchanged with
-// the dense all-to-all. It is the semantic reference the plan-cached
-// Assign is property-tested against (and the baseline its benchmarks are
-// measured from); keep the two in lockstep when the model changes.
-func assignReference[T Elem](dst, src *Array[T]) error {
-	if !dst.Global().Equal(src.Global()) {
-		return fmt.Errorf("array assign %q <- %q: global shapes %v and %v differ",
-			dst.name, src.name, dst.Global(), src.Global())
-	}
-	if dst.comm != src.comm {
-		return fmt.Errorf("array assign %q <- %q: different communicators", dst.name, src.name)
-	}
-	c := src.comm
-	p := c.Rank()
-	n := c.Size()
-	es := ElemSize[T]()
-
-	send := make([][]byte, n)
-	myAssigned := src.d.Assigned(p)
-	for q := 0; q < n; q++ {
-		sec := myAssigned.Intersect(dst.d.Mapped(q))
-		if sec.Empty() {
-			continue
-		}
-		send[q] = getBuf(sec.Size() * es)
-		if err := src.PackSectionInto(sec, rangeset.ColMajor, send[q]); err != nil {
-			return err
-		}
-	}
-
-	recv, err := c.Alltoall(send)
-	for _, b := range send {
-		putBuf(b)
-	}
-	if err != nil {
-		return fmt.Errorf("array assign %q <- %q: %w", dst.name, src.name, err)
-	}
-
-	myMapped := dst.d.Mapped(p)
-	for q := 0; q < n; q++ {
-		sec := src.d.Assigned(q).Intersect(myMapped)
-		if sec.Empty() {
-			continue
-		}
-		if err := dst.UnpackSection(sec, rangeset.ColMajor, recv[q]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Reset rebinds the handle to distribution nd, discarding all element
-// values: the local storage is resized (reusing capacity when possible)
-// and zeroed, exactly as a freshly New'd array. The streaming layer uses
-// it to recycle one auxiliary array across redistribution rounds instead
-// of allocating a fresh array per round. Every task must Reset with the
-// same distribution (SPMD), like New.
-//
-// Reset needs no plan-cache invalidation: communication plans are keyed
-// by distribution identity, not by array handle, so plans involving the
-// old distribution stay correct for any array still bound to it and
-// simply age out of the bounded cache once nothing rebuilds them.
-func (a *Array[T]) Reset(nd *dist.Distribution) error {
-	if nd.Tasks() != a.comm.Size() {
-		return fmt.Errorf("array %q: distribution spans %d tasks but communicator has %d",
-			a.name, nd.Tasks(), a.comm.Size())
-	}
-	n := nd.Mapped(a.comm.Rank()).Size()
-	if cap(a.local) >= n {
-		a.local = a.local[:n]
-		clear(a.local) // fresh-array semantics: undefined elements read as zero
-	} else {
-		a.local = make([]T, n)
-	}
-	a.d = nd
 	return nil
 }
 

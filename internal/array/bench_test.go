@@ -22,7 +22,7 @@ func BenchmarkAssignPlannedBT(b *testing.B) {
 	d2 := mustBlock(b, g, []int{1, 1, 1, 4})
 	runs := 0
 	for r := 0; r < tasks; r++ {
-		p, u := planRuns(buildAssignPlan(d1, d2, r, tasks, 8))
+		p, u := planRuns(buildAssignPlan(d1, d2, r, tasks, 8, rangeset.ColMajor, noPiece))
 		runs += p + u
 	}
 	for _, mode := range []string{"cold", "warm"} {
@@ -58,6 +58,60 @@ func BenchmarkAssignPlannedBT(b *testing.B) {
 			b.ReportMetric(float64(h), "plan-hits")
 			b.ReportMetric(float64(m), "plan-misses")
 			b.ReportMetric(float64(runs)/tasks, "runs/plan")
+		})
+	}
+}
+
+// BenchmarkPieceExchangeBT is one streaming round trip of the same array in
+// the shape stream.Write and Read give it: the {1,2,2,1} blocks (shadowed,
+// as BT declares them) packed into four column-major pieces of the whole
+// space, one per task, and unpacked again — what a checkpoint and a restart
+// cost per round without file I/O. "aux" is the path the exchange replaced
+// (Assign into an auxiliary array on the canonical distribution, then
+// PackSectionInto, and back), kept here as the yardstick.
+func BenchmarkPieceExchangeBT(b *testing.B) {
+	const n, tasks = 48, 4
+	g := rangeset.Box([]int{0, 0, 0, 0}, []int{4, n - 1, n - 1, n - 1})
+	grid := []int{1, 2, 2, 1}
+	d := mustShadow(b, mustBlock(b, g, grid), grid)
+	round := canonicalRounds(b, g, tasks, rangeset.ColMajor)[0]
+	must := func(_ int64, err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	for _, mode := range []string{"pieces", "aux"} {
+		b.Run(mode, func(b *testing.B) {
+			b.SetBytes(int64(2 * g.Size() * 8))
+			b.ReportAllocs()
+			mustRun(b, tasks, func(c *msg.Comm) {
+				a, _ := New[float64](c, "a", d)
+				a.Fill(coordVal)
+				piece := round.Mapped(c.Rank())
+				buf := make([]byte, piece.Size()*8)
+				trip := func() {
+					must(PackPieces(a, round, rangeset.ColMajor, buf))
+					must(UnpackPieces(a, round, rangeset.ColMajor, buf))
+				}
+				if mode == "aux" {
+					aux, _ := New[float64](c, "aux", round)
+					trip = func() {
+						clear(aux.Local())
+						must(0, Assign(aux, a))
+						must(0, aux.PackSectionInto(piece, rangeset.ColMajor, buf))
+						must(0, aux.UnpackSection(piece, rangeset.ColMajor, buf))
+						must(0, Assign(a, aux))
+					}
+				}
+				trip() // build the plans
+				if c.Rank() == 0 {
+					b.ResetTimer()
+				}
+				c.Barrier()
+				for i := 0; i < b.N; i++ {
+					trip()
+				}
+			})
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Elem constrains the element types a distributed array may hold. Each
@@ -95,60 +96,70 @@ func DecodeElems[T Elem](buf []byte) []T {
 	return out
 }
 
+// hostLE reports whether this host stores multi-byte values little-endian,
+// probed once at init: a stride-1 run of such a host *is* its wire form.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// rawBytes returns the memory of s as bytes. It is the package's only use
+// of unsafe; wireView decides when those bytes are the wire encoding.
+func rawBytes[T Elem](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(*new(T))))
+}
+
+// wireView returns the memory of s[base:base+n] (s a boxed Elem slice) and
+// whether it is that run's wire form: always for uint8, on a little-endian
+// host for the wider types. An unsupported type yields no view; the codec's
+// own switch reports it.
+func wireView(s any, base, n int) ([]byte, bool) {
+	switch s := s.(type) {
+	case []float64:
+		return rawBytes(s[base : base+n]), hostLE
+	case []float32:
+		return rawBytes(s[base : base+n]), hostLE
+	case []int64:
+		return rawBytes(s[base : base+n]), hostLE
+	case []int32:
+		return rawBytes(s[base : base+n]), hostLE
+	case []uint8:
+		return s[base : base+n], true
+	}
+	return nil, false
+}
+
 // encodeRun is the bulk encoder behind the pack fast path: it encodes n
 // elements of the boxed slice src (one of the Elem slice types), starting
-// at index base and stepping by stride, into dst little-endian. The type
-// switch runs once per run instead of once per element; src is passed
-// pre-boxed so hot loops pay no per-run interface conversion either.
+// at index base and stepping by stride, into dst little-endian. src is
+// passed pre-boxed so hot loops pay no per-run interface conversion.
 // stride 1 is the overwhelmingly common case (column-major packing of a
-// column-major section) and gets dedicated dense loops.
+// column-major section): wherever the run's memory is its wire form
+// (wireView) it is one byte copy. The per-element loops are the strided
+// arms (row-major over column-major storage) and the big-endian host's
+// path, with the type switch run once per run, not once per element.
 func encodeRun(src any, dst []byte, base, n, stride int) {
-	switch s := src.(type) {
-	case []float64:
-		if stride == 1 {
-			for i, v := range s[base : base+n] {
-				binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-			}
+	if stride == 1 {
+		if v, ok := wireView(src, base, n); ok {
+			copy(dst[:len(v)], v)
 			return
 		}
+	}
+	switch s := src.(type) {
+	case []float64:
 		for i, j := 0, base; i < n; i, j = i+1, j+stride {
 			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(s[j]))
 		}
 	case []float32:
-		if stride == 1 {
-			for i, v := range s[base : base+n] {
-				binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-			}
-			return
-		}
 		for i, j := 0, base; i < n; i, j = i+1, j+stride {
 			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(s[j]))
 		}
 	case []int64:
-		if stride == 1 {
-			for i, v := range s[base : base+n] {
-				binary.LittleEndian.PutUint64(dst[8*i:], uint64(v))
-			}
-			return
-		}
 		for i, j := 0, base; i < n; i, j = i+1, j+stride {
 			binary.LittleEndian.PutUint64(dst[8*i:], uint64(s[j]))
 		}
 	case []int32:
-		if stride == 1 {
-			for i, v := range s[base : base+n] {
-				binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
-			}
-			return
-		}
 		for i, j := 0, base; i < n; i, j = i+1, j+stride {
 			binary.LittleEndian.PutUint32(dst[4*i:], uint32(s[j]))
 		}
 	case []uint8:
-		if stride == 1 {
-			copy(dst[:n], s[base:base+n])
-			return
-		}
 		for i, j := 0, base; i < n; i, j = i+1, j+stride {
 			dst[i] = s[j]
 		}
@@ -161,52 +172,30 @@ func encodeRun(src any, dst []byte, base, n, stride int) {
 // elements from src into the boxed slice dst, starting at index base and
 // stepping by stride.
 func decodeRun(dst any, src []byte, base, n, stride int) {
-	switch d := dst.(type) {
-	case []float64:
-		if stride == 1 {
-			for i := range d[base : base+n] {
-				d[base+i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-			}
+	if stride == 1 {
+		if v, ok := wireView(dst, base, n); ok {
+			copy(v, src[:len(v)])
 			return
 		}
+	}
+	switch d := dst.(type) {
+	case []float64:
 		for i, j := 0, base; i < n; i, j = i+1, j+stride {
 			d[j] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 	case []float32:
-		if stride == 1 {
-			for i := range d[base : base+n] {
-				d[base+i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-			}
-			return
-		}
 		for i, j := 0, base; i < n; i, j = i+1, j+stride {
 			d[j] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 		}
 	case []int64:
-		if stride == 1 {
-			for i := range d[base : base+n] {
-				d[base+i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
-			}
-			return
-		}
 		for i, j := 0, base; i < n; i, j = i+1, j+stride {
 			d[j] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 	case []int32:
-		if stride == 1 {
-			for i := range d[base : base+n] {
-				d[base+i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
-			}
-			return
-		}
 		for i, j := 0, base; i < n; i, j = i+1, j+stride {
 			d[j] = int32(binary.LittleEndian.Uint32(src[4*i:]))
 		}
 	case []uint8:
-		if stride == 1 {
-			copy(d[base:base+n], src[:n])
-			return
-		}
 		for i, j := 0, base; i < n; i, j = i+1, j+stride {
 			d[j] = src[i]
 		}

@@ -20,17 +20,22 @@ import (
 // bulk encodes at precomputed offsets, and a sparse exchange that touches
 // only the peers that actually trade bytes.
 //
+// The same holds when one side is not an array but a stream piece held as
+// bytes (PackPieces/UnpackPieces, pieces.go): the schedule is the
+// assignment's with that side's runs taken in the piece's linearization,
+// so the three kinds share one plan type, one builder and one cache.
+//
 // Cache keys hold *pointers* to distributions and communicators.
 // Distributions are immutable once constructed, so pointer identity is a
 // sound (and free) equality test; two structurally equal distributions
 // built separately simply plan twice. Invalidation falls out of the same
-// choice for distributions: Array.Reset rebinds a handle to a different
-// distribution pointer, so stale entries are never reachable again and
-// age out of the bounded LRU. Communicator pointers alone are NOT a
-// sound identity across the process lifetime: an in-flight resize
-// (drms §3k) retires a communicator and allocates new ones in the same
-// process, so a dead Comm's address can be recycled by the allocator
-// while a plan keyed on it is still cached. Keys therefore also carry
+// choice for distributions: an array redistributed or a stream replanned
+// holds a different distribution pointer, so stale entries are never
+// reachable again and age out of the bounded LRU. Communicator pointers
+// alone are NOT a sound identity across the process lifetime: an
+// in-flight resize (drms §3k) retires a communicator and allocates new
+// ones in the same process, so a dead Comm's address can be recycled by
+// the allocator while a plan keyed on it is still cached. Keys therefore also carry
 // the communicator's (epoch, size): a recycled address lands in a new
 // epoch, misses, and replans — a stale plan is an eviction, never a
 // wrong-peer send.
@@ -53,12 +58,14 @@ type peerXfer struct {
 // assignPlan is the precomputed schedule of Assign(dst <- src) for one
 // rank: the sparse communication graph, the pack/unpack runs per active
 // remote peer, and the self-overlap, which is copied element-typed
-// without touching the transport or the wire codec.
+// without touching the transport or the wire codec. A piece exchange runs
+// the same schedule with one side's runs addressing a piece buffer.
 type assignPlan struct {
 	send, recv       []peerXfer
 	sendTo, recvFrom []bool    // communication graph masks (self excluded)
 	selfSrc, selfDst []xferRun // same elements in the same order, segmented independently
 	remoteBytes      int64     // bytes this rank sends to other ranks
+	landBytes        int       // bytes this rank's side of dst receives, self-overlap included
 
 	// sendBufs is per-call scratch for the exchange. A Comm is owned by
 	// exactly one task goroutine and collectives on it are serial, so the
@@ -76,11 +83,27 @@ type gatherPlan struct {
 	scatter    [][]xferRun // root only; offsets into the global space, stride 1
 }
 
+// pieceSide says which side of a planned transfer is a stream piece held
+// as bytes in the wire order rather than an array's column-major storage.
+type pieceSide uint8
+
+const (
+	noPiece  pieceSide = iota // Assign: array to array
+	pieceDst                  // PackPieces: array into this round's pieces
+	pieceSrc                  // UnpackPieces: this round's pieces into the array
+)
+
+// assignKey identifies a plan: the two distributions, the communicator
+// incarnation, the element size, and — for the piece exchange — which side
+// is a piece and the stream order its bytes and the wire are in (Assign
+// plans always carry noPiece and ColMajor).
 type assignKey struct {
 	src, dst    *dist.Distribution
 	comm        *msg.Comm
 	epoch, size int
 	es          int
+	order       rangeset.Order
+	piece       pieceSide
 }
 
 type gatherKey struct {
@@ -104,8 +127,9 @@ var (
 )
 
 // PlanCacheStats returns the cumulative hit/miss counts of the assignment
-// and gather plan caches combined. Benchmarks and the steady-state
-// checkpoint tests use it to prove the hot path replays cached schedules.
+// (piece exchange included) and gather plan caches combined. Benchmarks
+// and the steady-state checkpoint tests use it to prove the hot path
+// replays cached schedules.
 func PlanCacheStats() (hits, misses uint64) {
 	ah, am := assignPlans.Stats()
 	gh, gm := gatherPlans.Stats()
@@ -267,13 +291,14 @@ func sectionRuns(sec, space rangeset.Slice, layout, order rangeset.Order) []xfer
 }
 
 // assignPlanFor returns the cached plan of Assign(dst <- src) on c for
-// element size es, building and caching it on a miss.
-func assignPlanFor(src, dst *dist.Distribution, c *msg.Comm, es int) *assignPlan {
-	k := assignKey{src: src, dst: dst, comm: c, epoch: c.Epoch(), size: c.Size(), es: es}
+// element size es — or of the piece exchange between them when piece names
+// a side — building and caching it on a miss.
+func assignPlanFor(src, dst *dist.Distribution, c *msg.Comm, es int, order rangeset.Order, piece pieceSide) *assignPlan {
+	k := assignKey{src: src, dst: dst, comm: c, epoch: c.Epoch(), size: c.Size(), es: es, order: order, piece: piece}
 	if pl, ok := assignPlans.Get(k); ok {
 		return pl
 	}
-	pl := buildAssignPlan(src, dst, c.Rank(), c.Size(), es)
+	pl := buildAssignPlan(src, dst, c.Rank(), c.Size(), es, order, piece)
 	assignPlans.Add(k, pl)
 	return pl
 }
@@ -281,13 +306,23 @@ func assignPlanFor(src, dst *dist.Distribution, c *msg.Comm, es int) *assignPlan
 // buildAssignPlan computes rank's full schedule for Assign(dst <- src):
 // exactly the intersections the plan-free reference path computes per
 // call, stored as flat run lists. Both sides of every transfer derive the
-// same intersection section, so the run decompositions (and hence the
-// wire bytes) agree pair-wise by construction.
-func buildAssignPlan(src, dst *dist.Distribution, rank, size, es int) *assignPlan {
+// same intersection section and walk it in the same order, so the run
+// decompositions (and hence the wire bytes) agree pair-wise by
+// construction. An array side's runs address its column-major mapped
+// storage; a piece side's address the piece's own linearization in order,
+// element offsets into the piece buffer.
+func buildAssignPlan(src, dst *dist.Distribution, rank, size, es int, order rangeset.Order, piece pieceSide) *assignPlan {
 	pl := &assignPlan{
 		sendTo:   make([]bool, size),
 		recvFrom: make([]bool, size),
 		sendBufs: make([][]byte, size),
+	}
+	srcLayout, dstLayout := rangeset.ColMajor, rangeset.ColMajor
+	switch piece {
+	case pieceSrc:
+		srcLayout = order
+	case pieceDst:
+		dstLayout = order
 	}
 	myAssigned := src.Assigned(rank)
 	srcMapped := src.Mapped(rank)
@@ -296,7 +331,7 @@ func buildAssignPlan(src, dst *dist.Distribution, rank, size, es int) *assignPla
 		if sec.Empty() {
 			continue
 		}
-		runs := sectionRuns(sec, srcMapped, rangeset.ColMajor, rangeset.ColMajor)
+		runs := sectionRuns(sec, srcMapped, srcLayout, order)
 		if q == rank {
 			pl.selfSrc = runs
 			continue
@@ -311,7 +346,8 @@ func buildAssignPlan(src, dst *dist.Distribution, rank, size, es int) *assignPla
 		if sec.Empty() {
 			continue
 		}
-		runs := sectionRuns(sec, dstMapped, rangeset.ColMajor, rangeset.ColMajor)
+		pl.landBytes += sec.Size() * es
+		runs := sectionRuns(sec, dstMapped, dstLayout, order)
 		if q == rank {
 			pl.selfDst = runs
 			continue
@@ -320,6 +356,47 @@ func buildAssignPlan(src, dst *dist.Distribution, rank, size, es int) *assignPla
 		pl.recvFrom[q] = true
 	}
 	return pl
+}
+
+// exchange runs the plan's sparse all-to-all over the send buffers the
+// caller packed into sendBufs — only the peers the plan marks active are
+// framed and touched — and recycles them: the transport copies on send.
+// On failure (revoked comm, dead peer) the per-call state is cleared all
+// the same, so the cached schedule stays pristine for a retry or restart.
+// What comes back has been checked: every active sender delivered exactly
+// the bytes the plan expects of it.
+func (pl *assignPlan) exchange(c *msg.Comm) ([][]byte, error) {
+	recv, err := c.AlltoallSparse(pl.sendBufs, pl.sendTo, pl.recvFrom)
+	for i := range pl.send {
+		putBuf(pl.sendBufs[pl.send[i].peer])
+		pl.sendBufs[pl.send[i].peer] = nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i := range pl.recv {
+		if px := &pl.recv[i]; len(recv[px.peer]) != px.bytes {
+			return nil, fmt.Errorf("peer %d sent %d bytes, plan expects %d", px.peer, len(recv[px.peer]), px.bytes)
+		}
+	}
+	return recv, nil
+}
+
+// zipRuns walks two run lists that hold the same elements in the same
+// order but break where their own storage does (a shadowed side differs
+// from an unshadowed one, a piece from a block), calling f with both
+// offsets once per common stretch. bStep is the storage step of b's runs.
+func zipRuns(a, b []xferRun, bStep int, f func(ao, bo, n int)) {
+	for i, j, ai, bj := 0, 0, 0, 0; i < len(a) && j < len(b); {
+		n := min(a[i].n-ai, b[j].n-bj)
+		f(a[i].off+ai, b[j].off+bj*bStep, n)
+		if ai += n; ai == a[i].n {
+			i, ai = i+1, 0
+		}
+		if bj += n; bj == b[j].n {
+			j, bj = j+1, 0
+		}
+	}
 }
 
 // gatherPlanFor returns the cached plan of Gather(root, order) on c for
@@ -369,13 +446,4 @@ func unpackRuns(local any, buf []byte, runs []xferRun, es, stride int) {
 		decodeRun(local, buf[o:], r.off, r.n, stride)
 		o += r.n * es
 	}
-}
-
-// PlanRemoteBytes returns the number of bytes this rank sends to other
-// ranks during Assign between the given distributions — computed from the
-// same cached plan the assignment executes, so the streaming layer's
-// traffic model costs one cache probe instead of a fresh set of
-// intersections per round.
-func PlanRemoteBytes(src, dst *dist.Distribution, c *msg.Comm, es int) int64 {
-	return assignPlanFor(src, dst, c, es).remoteBytes
 }

@@ -147,11 +147,13 @@ func TestAssignPlanCacheHitsAndEviction(t *testing.T) {
 	}
 }
 
-// TestAssignPlannedAfterReset reconfigures an array with Reset (the
-// streaming layer's recycling idiom) and checks that assignments keep
-// matching the reference: new distribution pointers key new plans, old
-// plans age out — no explicit invalidation, no staleness.
-func TestAssignPlannedAfterReset(t *testing.T) {
+// TestAssignPlannedAcrossDistributions cycles the destination through a
+// few distributions and checks that assignments keep matching the
+// reference: distribution pointers key the plans, so a handle on another
+// distribution plans afresh (or replays its own plan when the pointer
+// comes round again) and old plans age out — no explicit invalidation, no
+// staleness.
+func TestAssignPlannedAcrossDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
 	g := rangeset.Box([]int{0, 0}, []int{9, 11})
 	srcD := randomDistAnyKind(rng, g, 2, 2)
@@ -166,20 +168,14 @@ func TestAssignPlannedAfterReset(t *testing.T) {
 			panic(err)
 		}
 		src.Fill(coordVal)
-		dst, err := New[float64](c, "b", dists[0])
-		if err != nil {
-			panic(err)
-		}
-		reference, err := New[float64](c, "c", dists[0])
-		if err != nil {
-			panic(err)
-		}
 		for round := 0; round < 6; round++ {
 			d := dists[round%len(dists)]
-			if err := dst.Reset(d); err != nil {
+			dst, err := New[float64](c, "b", d)
+			if err != nil {
 				panic(err)
 			}
-			if err := reference.Reset(d); err != nil {
+			reference, err := New[float64](c, "c", d)
+			if err != nil {
 				panic(err)
 			}
 			if err := Assign(dst, src); err != nil {
@@ -191,7 +187,7 @@ func TestAssignPlannedAfterReset(t *testing.T) {
 			pl, rl := dst.Local(), reference.Local()
 			for i := range pl {
 				if pl[i] != rl[i] {
-					panic("planned Assign diverges from reference after Reset")
+					panic("planned Assign diverges from reference on a new distribution")
 				}
 			}
 		}

@@ -171,7 +171,7 @@ func checkAssignPlans(src, dst *dist.Distribution, es int) []*assignPlan {
 	size := src.Tasks()
 	plans := make([]*assignPlan, size)
 	for r := range plans {
-		plans[r] = buildAssignPlan(src, dst, r, size, es)
+		plans[r] = buildAssignPlan(src, dst, r, size, es, rangeset.ColMajor, noPiece)
 	}
 	for r, pl := range plans {
 		what := fmt.Sprintf("plan of rank %d", r)

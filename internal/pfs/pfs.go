@@ -10,6 +10,7 @@
 package pfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -66,27 +67,29 @@ func (f *file) writeLocked(p []byte, off int64) {
 	if off+int64(len(p)) > f.size {
 		f.size = off + int64(len(p))
 	}
-	for len(p) > 0 {
+	for n := int64(0); len(p) > 0; off, p = off+n, p[n:] {
 		ci := off / chunkSize
 		co := off % chunkSize
-		n := min(int64(len(p)), chunkSize-co)
+		n = min(int64(len(p)), chunkSize-co)
 		part := p[:n]
 		ch, ok := f.chunks[ci]
 		if !ok {
 			if allZero(part) {
-				off += n
-				p = p[n:]
 				continue
 			}
-			ch = make([]byte, chunkSize)
 			if f.chunks == nil {
 				f.chunks = make(map[int64][]byte)
 			}
+			if n == chunkSize {
+				// A whole new chunk is allocated by the copy, not cleared
+				// first and then overwritten.
+				f.chunks[ci] = bytes.Clone(part)
+				continue
+			}
+			ch = make([]byte, chunkSize)
 			f.chunks[ci] = ch
 		}
 		copy(ch[co:], part)
-		off += n
-		p = p[n:]
 	}
 }
 

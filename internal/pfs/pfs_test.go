@@ -375,3 +375,63 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage snapshot accepted")
 	}
 }
+
+// TestWholeChunkWrite covers the chunk a write fills completely, which is
+// allocated by copying the caller's bytes: the copy is the file's own, an
+// all-zero whole chunk still costs nothing, a later partial write lands in
+// it, and it survives a snapshot.
+func TestWholeChunkWrite(t *testing.T) {
+	s := small()
+	// Three chunks starting mid-chunk: a partial first, a whole all-zero,
+	// a whole non-zero, and a partial last one.
+	data := make([]byte, 3*chunkSize)
+	off := int64(chunkSize / 2)
+	for i := range data {
+		if at := off + int64(i); at < chunkSize || at >= 2*chunkSize {
+			data[i] = byte(i%251) + 1
+		}
+	}
+	want := bytes.Clone(data)
+	if err := s.WriteAt(0, "f", data, off); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.StoredBytes(); got != 3*chunkSize {
+		t.Fatalf("StoredBytes = %d: the all-zero whole chunk must stay a hole, the other three materialize", got)
+	}
+	// The caller's buffer is the caller's again once WriteAt returns.
+	for i := range data {
+		data[i] = 0xEE
+	}
+	read := func(s *System) []byte {
+		got := make([]byte, len(want))
+		if err := s.ReadAt(0, "f", got, off); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if !bytes.Equal(read(s), want) {
+		t.Fatal("file changed when the written buffer was reused")
+	}
+	// A partial overwrite inside the cloned chunk, and one into the hole.
+	patch := []byte{7, 0, 7}
+	for _, at := range []int64{2*chunkSize + 100, chunkSize + 100} {
+		if err := s.WriteAt(0, "f", patch, at); err != nil {
+			t.Fatal(err)
+		}
+		copy(want[at-off:], patch)
+	}
+	if !bytes.Equal(read(s), want) {
+		t.Fatal("partial overwrite of a whole-chunk write read back wrong")
+	}
+	var snap bytes.Buffer
+	if err := s.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	r := small()
+	if err := r.Load(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(read(r), want) || r.StoredBytes() != s.StoredBytes() {
+		t.Fatal("snapshot of a whole-chunk write did not round-trip")
+	}
+}

@@ -16,7 +16,7 @@ import (
 // a UNIX socket or tape drive."
 //
 // WriteTo and ReadFrom implement exactly that: the same
-// partition/redistribute machinery as parallel streaming, but with one
+// partition/exchange machinery as parallel streaming, but with one
 // designated I/O task appending to (or consuming from) a plain io.Writer
 // / io.Reader — a TCP connection, a pipe, a tape. Only the I/O task's
 // channel argument is used; the other tasks pass nil and participate in
@@ -45,25 +45,19 @@ func WriteTo[T array.Elem](a *array.Array[T], x rangeset.Slice, w io.Writer, ioT
 	st := Stats{StreamBytes: sp.total, Pieces: len(sp.pieces)}
 	me := comm.Rank()
 
-	var (
-		aux *array.Array[T]
-		buf []byte
-	)
+	var buf []byte
 	defer func() { recycleBuf(buf) }()
 	for i, piece := range sp.pieces {
-		ad := sp.rounds[i]
-		if aux, err = bindAux(a, aux, ad); err != nil {
-			return st, err
-		}
-		st.NetBytes += assignTraffic(a.Dist(), ad, comm, es, nil)
-		if err := array.Assign(aux, a); err != nil {
-			return st, err
-		}
+		var b []byte
 		if me == ioTask && !piece.Empty() {
-			b := sizeBuf(&buf, piece.Size()*es)
-			if err := aux.PackSectionInto(piece, o.Order, b); err != nil {
-				return st, err
-			}
+			b = sizeBuf(&buf, piece.Size()*es)
+		}
+		sent, err := array.PackPieces(a, sp.rounds[i], o.Order, b)
+		if err != nil {
+			return st, err
+		}
+		st.NetBytes += sent
+		if len(b) > 0 {
 			if o.PieceHook != nil {
 				o.PieceHook(i, 0, b)
 			}
@@ -98,32 +92,24 @@ func ReadFrom[T array.Elem](a *array.Array[T], x rangeset.Slice, r io.Reader, io
 	st := Stats{StreamBytes: sp.total, Pieces: len(sp.pieces)}
 	me := comm.Rank()
 
-	var (
-		aux *array.Array[T]
-		buf []byte
-	)
+	var buf []byte
 	defer func() { recycleBuf(buf) }()
 	for i, piece := range sp.pieces {
-		ad := sp.rounds[i]
-		if aux, err = bindAux(a, aux, ad); err != nil {
-			return st, err
-		}
+		var b []byte
 		if me == ioTask && !piece.Empty() {
-			b := sizeBuf(&buf, piece.Size()*es)
+			b = sizeBuf(&buf, piece.Size()*es)
 			if _, err := io.ReadFull(r, b); err != nil {
 				return st, fmt.Errorf("stream: sequential read of piece %d: %w", i, err)
 			}
 			if o.PieceHook != nil {
 				o.PieceHook(i, 0, b)
 			}
-			if err := aux.UnpackSection(piece, o.Order, b); err != nil {
-				return st, err
-			}
 		}
-		st.NetBytes += assignTraffic(ad, a.Dist(), comm, es, nil)
-		if err := array.Assign(a, aux); err != nil {
+		sent, err := array.UnpackPieces(a, sp.rounds[i], o.Order, b)
+		if err != nil {
 			return st, err
 		}
+		st.NetBytes += sent
 	}
 	return st, nil
 }

@@ -10,10 +10,14 @@
 // Write implements the paper's two algorithms: the section is recursively
 // bisected into ~1 MB pieces whose concatenated linearizations equal the
 // section's linearization (partition, Fig. 5a); then rounds of P pieces
-// are first redistributed so that piece i+p lands wholly on task p (an
-// auxiliary array with a one-piece-per-writer canonical distribution) and
+// are first redistributed so that piece i+p lands wholly on task p and
 // written by that task at the piece's exact byte offset in the stream
-// (parstream, Fig. 5b — the two-phase access strategy). Parallel
+// (parstream, Fig. 5b — the two-phase access strategy). The paper's
+// auxiliary array A′ with its one-piece-per-writer canonical distribution
+// is kept as a layout and dropped as a container: the canonical
+// distribution of a round is what the exchange is planned against, but the
+// redistributed piece lands directly in the writer's I/O buffer, in wire
+// form (array.PackPieces; array.UnpackPieces on the way back). Parallel
 // streaming needs seek capability on the target; with Writers=1 the
 // stream degenerates to pure appends, suitable for sequential channels.
 package stream
@@ -24,7 +28,6 @@ import (
 	"time"
 
 	"drms/internal/array"
-	"drms/internal/dist"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
@@ -153,7 +156,7 @@ func (o Options) writers(tasks int) int {
 // distributions come from a cached plan (see plan.go): the first stream
 // of a configuration builds them, every later checkpoint of the same run
 // replays them, and — because the cached rounds are stable pointers — the
-// per-round redistributions execute cached array plans too.
+// per-round piece exchanges execute cached array plans too.
 func Write[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, name string, o Options) (st Stats, err error) {
 	defer observeStream(streamWrites, streamWriteSeconds, time.Now(), &st, &err)
 	comm, err := commOf(a, x)
@@ -195,12 +198,11 @@ func Write[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, na
 		orig = func(i int) int { return o.Pieces[i] }
 	}
 
-	// Round state is allocated once and recycled: one auxiliary array
-	// rebound per round, two piece buffers, and at most one write in
-	// flight, so the file I/O of round r overlaps the redistribution of
-	// round r+1 — the overlap the two-phase access strategy is after.
+	// Round state is allocated once and recycled: two piece buffers, and
+	// at most one write in flight, so the file I/O of round r overlaps the
+	// exchange of round r+1 — the overlap the two-phase access strategy is
+	// after.
 	var (
-		aux  *array.Array[T]
 		bufs [2][]byte
 		flip int
 		wg   sync.WaitGroup
@@ -217,24 +219,21 @@ func Write[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, na
 
 	for ri, base := 0, 0; base < len(run.pieces); ri, base = ri+1, base+p {
 		round := run.pieces[base:min(base+p, len(run.pieces))]
-		ad := run.rounds[ri]
-		if aux, err = bindAux(a, aux, ad); err != nil {
-			return st, err
-		}
-		st.NetBytes += assignTraffic(a.Dist(), ad, comm, es, fs)
-		if err := array.Assign(aux, a); err != nil {
-			return st, err
-		}
-		// Each writer holds its piece contiguously; emit it at the exact
-		// stream offset (parallel streaming requires seek, §3.2). The pack
-		// targets the buffer the in-flight write is not reading from, and
-		// the write itself is issued asynchronously, to be joined just
+		// Each writer receives its piece contiguously, in wire form, in the
+		// buffer the in-flight write is not reading from, and emits it at
+		// the exact stream offset (parallel streaming requires seek, §3.2).
+		// The write itself is issued asynchronously, to be joined just
 		// before the next one (or the return).
+		var buf []byte
 		if me < len(round) && !round[me].Empty() {
-			buf := sizeBuf(&bufs[flip], round[me].Size()*es)
-			if err := aux.PackSectionInto(round[me], o.Order, buf); err != nil {
-				return st, err
-			}
+			buf = sizeBuf(&bufs[flip], round[me].Size()*es)
+		}
+		sent, err := array.PackPieces(a, run.rounds[ri], o.Order, buf)
+		if err != nil {
+			return st, err
+		}
+		st.NetBytes += recordNet(fs, me, sent)
+		if len(buf) > 0 {
 			gi := orig(base + me)
 			rel := run.offsets[base+me]
 			if o.PieceHook != nil {
@@ -316,7 +315,6 @@ func Read[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, nam
 	// Mirror image of Write's pipeline: this task's piece of round r+1 is
 	// prefetched from the file while round r's redistribution runs.
 	var (
-		aux     *array.Array[T]
 		bufs    [2][]byte
 		flip    int
 		wg      sync.WaitGroup
@@ -338,10 +336,6 @@ func Read[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, nam
 
 	for ri, base := 0, 0; base < len(run.pieces); ri, base = ri+1, base+p {
 		round := run.pieces[base:min(base+p, len(run.pieces))]
-		ad := run.rounds[ri]
-		if aux, err = bindAux(a, aux, ad); err != nil {
-			return st, err
-		}
 		hasPiece := me < len(round) && !round[me].Empty()
 		var buf []byte
 		if hasPiece {
@@ -382,14 +376,12 @@ func Read[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, nam
 			if o.PieceHook != nil {
 				o.PieceHook(orig(base+me), run.offsets[base+me], buf)
 			}
-			if err := aux.UnpackSection(round[me], o.Order, buf); err != nil {
-				return st, err
-			}
 		}
-		st.NetBytes += assignTraffic(ad, a.Dist(), comm, es, fs)
-		if err := array.Assign(a, aux); err != nil {
+		sent, err := array.UnpackPieces(a, run.rounds[ri], o.Order, buf)
+		if err != nil {
 			return st, err
 		}
+		st.NetBytes += recordNet(fs, me, sent)
 	}
 	return st, nil
 }
@@ -406,17 +398,6 @@ func commOf[T array.Elem](a *array.Array[T], x rangeset.Slice) (*msg.Comm, error
 	return a.Comm(), nil
 }
 
-// bindAux binds the recycled auxiliary array A' to the (cached) canonical
-// distribution of one streaming round. aux is allocated on the first
-// round and Reset (storage recycled, values zeroed, handle rebound to the
-// round's distribution pointer) on later ones.
-func bindAux[T array.Elem](a, aux *array.Array[T], ad *dist.Distribution) (*array.Array[T], error) {
-	if aux == nil {
-		return array.New[T](a.Comm(), a.Name()+".stream", ad)
-	}
-	return aux, aux.Reset(ad)
-}
-
 // sizeBuf returns *b resized to n bytes, drawing a pooled buffer only
 // when the capacity is insufficient, so piece buffers are recycled both
 // across rounds (in place) and across operations (via the pool).
@@ -429,16 +410,12 @@ func sizeBuf(b *[]byte, n int) []byte {
 	return *b
 }
 
-// assignTraffic reports the bytes this task will send to *other* tasks
-// during Assign(dst←src) and records them in the file system's I/O trace
-// for the performance model. The count comes from the same cached
-// communication plan the assignment is about to execute, so at steady
-// state the traffic model costs one cache probe per round instead of a
-// fresh set of intersections.
-func assignTraffic(src, dst *dist.Distribution, comm *msg.Comm, elemSize int, fs *pfs.System) int64 {
-	n := array.PlanRemoteBytes(src, dst, comm, elemSize)
+// recordNet records the n bytes this task sent to *other* tasks during a
+// round's piece exchange in the file system's I/O trace, for the
+// performance model, and returns n. The count is the exchange plan's own.
+func recordNet(fs *pfs.System, rank int, n int64) int64 {
 	if n > 0 && fs != nil {
-		fs.RecordNet(comm.Rank(), n)
+		fs.RecordNet(rank, n)
 	}
 	return n
 }
