@@ -12,8 +12,12 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The second line keeps the file set every other architecture builds
+# (internal/crc's table-only path) compiling; cross-compiling downloads
+# nothing.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/crc
 
 # The fallible runtime core (transport, streaming, checkpointing) reports
 # failures as errors, never by panicking: a panic in these packages would
@@ -72,6 +76,10 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "a second unsafe import under internal/ (the one byte view of a slice is rawBytes in"; \
 		echo "internal/array/codec.go):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rl '"hash/crc64"' --include='*.go' --exclude='*_test.go' cmd internal | grep -vx 'internal/crc/crc.go' || true); \
+	if [ -n "$$out" ]; then \
+		echo "a second CRC-64 under internal/ (internal/crc is the one implementation: its sums are"; \
+		echo "hash/crc64's, its bulk path the carry-less-multiply kernel):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'IncrementalCheckpoint|WriteDRMSIncremental|SkipPiece' --include='*.go' \
 		--include='README.md' --include='DESIGN.md' --include='EXPERIMENTS.md' . || true); \
 	if [ -n "$$out" ]; then \
@@ -79,27 +87,29 @@ lint:
 		echo "are the one implementation of the paper's §6 optimisation):"; echo "$$out"; exit 1; fi
 
 # Non-test lines per internal package: the number a simplification PR
-# moves, printed by CI so a reviewer sees it without a checkout.
+# moves, printed by CI so a reviewer sees it without a checkout. Assembly
+# is counted apart: the totals before it existed stay comparable.
 loc:
 	@for d in internal/*/; do \
 		printf '%-22s %6d\n' "$$d" "$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"; done
 	@printf '%-22s %6d\n' total "$$(ls internal/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@printf '%-22s %6d\n' 'assembly (*.s)' "$$(cat internal/*/*.s | wc -l)"
 
-# The second line runs the 1-D path's, the BT-shaped plan's and piece
-# exchange's and the run enumerator's micro-benchmarks once each, so they
-# stay compiling and running (their numbers are for `go test -bench`).
+# The second line runs the 1-D path's, the CRC's, the BT-shaped plan's and
+# piece exchange's and the run enumerator's micro-benchmarks once each, so
+# they stay compiling and running (their numbers are for `go test -bench`).
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|CRCCombine|TierCheck|AssignPlannedBT|PieceExchangeBT|StorageRuns' -benchtime=1x \
-		./internal/rangeset ./internal/dist ./internal/ckpt ./internal/array
+	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|Checksum|CRCCombine|TierCheck|AssignPlannedBT|PieceExchangeBT|StorageRuns' -benchtime=1x \
+		./internal/rangeset ./internal/dist ./internal/crc ./internal/ckpt ./internal/array
 
-# Every fuzz target of the index-arithmetic and parser packages, one after
+# Every fuzz target of the index-arithmetic, parser and CRC packages, one after
 # the other for FUZZTIME each, stopping at the first crasher (`go test`
 # alone, and so `make test`, runs their seeds only). The targets are found,
 # not listed: a new Fuzz* function in these packages is fuzzed from the day
 # it lands. CI runs this nightly with FUZZTIME=60s.
 fuzz:
-	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array; do \
+	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array ./internal/crc; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \
@@ -110,7 +120,7 @@ fuzz:
 # streaming, arrays, the checkpoint engine, the run-time system, and the
 # coordinator's heartbeat/revocation path.
 race:
-	$(GO) test -race ./internal/stream ./internal/array ./internal/msg \
+	$(GO) test -race ./internal/stream ./internal/array ./internal/msg ./internal/crc \
 		./internal/ckpt ./internal/drms ./internal/coord ./internal/obs
 
 # The chaos soak: the recovery supervisor under a seeded fault injector
@@ -164,7 +174,8 @@ bench:
 # flag in benchmark/main.go: the steady-state checkpoint and reconfigured
 # restart of apps.SP through drms (root package), and the BT-shaped planned
 # assignment, the piece exchange and the run enumerator alone
-# (internal/array). Binaries and profiles land in .bench_build/; each
+# (internal/array), and the CRC kernel beside the table (internal/crc).
+# Binaries and profiles land in .bench_build/; each
 # listing is `pprof -top -cum`, the second by bytes allocated.
 profile:
 	@mkdir -p .bench_build
@@ -175,7 +186,8 @@ profile:
 		$(GO) tool pprof -top -cum -nodecount=25 -sample_index=alloc_space .bench_build/$$1.test .bench_build/$$1.mem; \
 	}; \
 	prof drms 'CheckpointDRMSSteadyState$$|ReconfiguredRestart$$' . && \
-	prof array 'AssignPlannedBT$$|PieceExchangeBT$$|StorageRuns$$' ./internal/array
+	prof array 'AssignPlannedBT$$|PieceExchangeBT$$|StorageRuns$$' ./internal/array && \
+	prof crc 'Checksum$$' ./internal/crc
 
 # The wall-clock benchmark (BENCHMARK.json, benchmark/README.md): five
 # fresh-process runs of every workload, medians and quartiles in

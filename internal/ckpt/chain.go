@@ -868,9 +868,6 @@ func newPieceFetcher(fs *pfs.System, tier *MemTier, prefix, arr string, locs []P
 // owner-aligned read plan that restores without touching the pfs or the
 // redistribution exchange.
 func (f *pieceFetcher) allResident() bool {
-	if f.tier == nil {
-		return false
-	}
 	for _, l := range f.locs {
 		if !f.tier.Check(f.prefixOf(l), f.arr, l.Index, l.CRC) {
 			return false

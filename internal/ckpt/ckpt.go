@@ -38,9 +38,9 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc64"
 	"time"
 
+	"drms/internal/crc"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
@@ -398,10 +398,12 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 			var hook func(int, int64, []byte)
 			hook, pieces = crcCollector()
 			opts.PieceHook = chainPieceHooks(o.PieceHook, hook)
-			if fetcher != nil {
+			if fetcher != nil && p.tier != nil {
 				// Hot restore plan: when every piece of the array survives
 				// in peer memory (all tasks must agree — stores can drop
-				// under a concurrent node loss), replan with one owner-sized
+				// under a concurrent node loss; whether there is a tier to
+				// ask is configuration, the same on every rank, so without
+				// one nobody votes), replan with one owner-sized
 				// piece per rank. The coarse plan's round distribution
 				// coincides with an equal-layout block distribution, so the
 				// redistribution exchange degenerates to local copies, and
@@ -523,9 +525,9 @@ func readSegment(fs *pfs.System, tier *MemTier, prefix string, client, selfNode 
 		if data, local, ok := tier.LookupSelf(selfNode, prefix, "", segIndex); ok {
 			hdr := make([]byte, segHeader)
 			binary.LittleEndian.PutUint64(hdr, uint64(len(data)))
-			crc := crcCombine(crcOf(hdr), crcOf(data), int64(len(data)))
+			sum := crc.Combine(crcOf(hdr), crcOf(data), int64(len(data)))
 			pad := m.SegBytes[0] - segHeader - int64(len(data))
-			if pad >= 0 && crcCombine(crc, crcZeros(pad), pad) == want {
+			if pad >= 0 && crc.Combine(sum, crc.Zeros(pad), pad) == want {
 				if !local {
 					fs.RecordNet(client, int64(len(data)))
 				}
@@ -760,9 +762,9 @@ func writeSegmentFile(fs *pfs.System, name string, client int, payload []byte, t
 	if err := fs.WriteAt(client, name, payload, segHeader); err != nil {
 		return 0, err
 	}
-	crc := crcCombine(crcOf(hdr), crcOf(payload), int64(len(payload)))
+	sum := crc.Combine(crcOf(hdr), crcOf(payload), int64(len(payload)))
 	pad := total - segHeader - int64(len(payload))
-	crc = crcCombine(crc, crcZeros(pad), pad)
+	sum = crc.Combine(sum, crc.Zeros(pad), pad)
 	for off := segHeader + int64(len(payload)); pad > 0; {
 		n := min(pad, padChunk)
 		if err := fs.WriteAt(client, name, zeroPad[:n], off); err != nil {
@@ -771,7 +773,7 @@ func writeSegmentFile(fs *pfs.System, name string, client int, payload []byte, t
 		off += n
 		pad -= n
 	}
-	return crc, nil
+	return sum, nil
 }
 
 // readSegmentFile reads an entire segment file (payload and padding — the
@@ -792,19 +794,19 @@ func readSegmentFile(fs *pfs.System, name string, client int, total int64) ([]by
 	}
 	// Stream the padding through a window, as the real restore reads the
 	// full image.
-	crc := crcCombine(crcOf(hdr), crcOf(payload), plen)
-	crc, err := readCRC(fs, name, client, crc, segHeader+plen, total-segHeader-plen)
+	sum := crc.Combine(crcOf(hdr), crcOf(payload), plen)
+	sum, err := readCRC(fs, name, client, sum, segHeader+plen, total-segHeader-plen)
 	if err != nil {
 		return nil, 0, err
 	}
-	return payload, crc, nil
+	return payload, sum, nil
 }
 
-// readCRC extends crc over bytes [off, off+n) of a file, read in
+// readCRC extends sum over bytes [off, off+n) of a file, read in
 // operations of at most padChunk bytes through a pooled window. The
 // window is as long as the read needs (a few KB of segment padding for a
 // small state): a pooled buffer stays live on every rank between cycles.
-func readCRC(fs *pfs.System, name string, client int, crc uint64, off, n int64) (uint64, error) {
+func readCRC(fs *pfs.System, name string, client int, sum uint64, off, n int64) (uint64, error) {
 	window := borrowStored(min(n, padChunk))
 	defer recycleStored(window)
 	for end := off + n; off < end; {
@@ -812,10 +814,10 @@ func readCRC(fs *pfs.System, name string, client int, crc uint64, off, n int64) 
 		if err := fs.ReadAt(client, name, b, off); err != nil {
 			return 0, err
 		}
-		crc = crc64.Update(crc, crcTable, b)
+		sum = crc.Update(sum, b)
 		off += int64(len(b))
 	}
-	return crc, nil
+	return sum, nil
 }
 
 // zeroPad is the shared read-only source of padding bytes: segment files

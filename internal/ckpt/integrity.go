@@ -7,9 +7,21 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"drms/internal/crc"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 )
+
+// Checkpoint integrity: every array file and segment file carries a
+// CRC-64/ECMA of its full contents in the metadata, computed *during* the
+// checkpoint without re-reading anything. Parallel streaming writes the
+// pieces of one file from many tasks concurrently, so per-piece CRCs are
+// gathered and combined (internal/crc): rank 0 combines once per piece
+// per array at every commit while the other ranks wait. Verify re-reads
+// files sequentially and compares.
+
+// crcOf returns the CRC-64/ECMA of data.
+func crcOf(data []byte) uint64 { return crc.Checksum(data) }
 
 // PieceSum records the checksum of one streamed piece; the per-array
 // piece lists in the metadata are what restores verify pieces against.
@@ -40,7 +52,7 @@ func combinePieces(pieces []pieceCRC) uint64 {
 	sort.Slice(pieces, func(i, j int) bool { return pieces[i].Index < pieces[j].Index })
 	var acc uint64
 	for _, p := range pieces {
-		acc = crcCombine(acc, p.CRC, p.Bytes)
+		acc = crc.Combine(acc, p.CRC, p.Bytes)
 	}
 	return acc
 }
@@ -259,7 +271,7 @@ func VerifyTier(fs *pfs.System, tier *MemTier, prefix string, client int) error 
 func findCorruptPiece(fs *pfs.System, name string, client int, pieces []PieceSum) (int, error) {
 	for _, p := range pieces {
 		// An unreadable extent is attributed to its piece as well.
-		if crc, err := readCRC(fs, name, client, 0, p.Off, p.Bytes); err != nil || crc != p.CRC {
+		if sum, err := readCRC(fs, name, client, 0, p.Off, p.Bytes); err != nil || sum != p.CRC {
 			return p.Index, nil
 		}
 	}
@@ -275,12 +287,12 @@ func verifyFile(fs *pfs.System, prefix, name string, client int, wantSize int64,
 	if sz != wantSize {
 		return corrupt(prefix, name, -1, "%d bytes, metadata says %d", sz, wantSize)
 	}
-	crc, err := readCRC(fs, name, client, 0, 0, sz)
+	sum, err := readCRC(fs, name, client, 0, 0, sz)
 	if err != nil {
 		return fmt.Errorf("ckpt: verify %q: %w", name, err)
 	}
-	if crc != wantCRC {
-		return corrupt(prefix, name, -1, "crc %016x, metadata %016x", crc, wantCRC)
+	if sum != wantCRC {
+		return corrupt(prefix, name, -1, "crc %016x, metadata %016x", sum, wantCRC)
 	}
 	return nil
 }

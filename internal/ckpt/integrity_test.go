@@ -12,50 +12,6 @@ import (
 	"drms/internal/stream"
 )
 
-func TestCRCCombineMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	tab := crc64.MakeTable(crc64.ECMA)
-	for i := 0; i < 200; i++ {
-		a := make([]byte, rng.Intn(5000))
-		b := make([]byte, rng.Intn(5000))
-		if i%10 == 0 {
-			b = make([]byte, 1<<(i/10)+i%3-1) // 2^k and 2^k±1 up to 2^19
-		}
-		rng.Read(a)
-		rng.Read(b)
-		direct := crc64.Checksum(append(append([]byte{}, a...), b...), tab)
-		combined := crcCombine(crc64.Checksum(a, tab), crc64.Checksum(b, tab), int64(len(b)))
-		if combined != direct {
-			t.Fatalf("iter %d (|a|=%d |b|=%d): combined %016x != direct %016x",
-				i, len(a), len(b), combined, direct)
-		}
-	}
-}
-
-func TestCRCCombineEdgeCases(t *testing.T) {
-	tab := crc64.MakeTable(crc64.ECMA)
-	a := []byte("hello")
-	ca := crc64.Checksum(a, tab)
-	// Appending nothing changes nothing.
-	if got := crcCombine(ca, 0, 0); got != ca {
-		t.Fatalf("append empty: %016x != %016x", got, ca)
-	}
-	// Prepending nothing: combine from the empty CRC.
-	if got := crcCombine(0, ca, int64(len(a))); got != ca {
-		t.Fatalf("prepend empty: %016x != %016x", got, ca)
-	}
-}
-
-func TestCRCZeros(t *testing.T) {
-	tab := crc64.MakeTable(crc64.ECMA)
-	for _, n := range []int64{0, 1, 2, 7, 64, 257, 4096, 32<<10 + 1, 1 << 20} {
-		direct := crc64.Checksum(make([]byte, n), tab)
-		if got := crcZeros(n); got != direct {
-			t.Fatalf("crcZeros(%d) = %016x, want %016x", n, got, direct)
-		}
-	}
-}
-
 func TestCombinePiecesAnyPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	data := make([]byte, 10000)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"drms/internal/array"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
@@ -59,25 +60,27 @@ func runCounted(t *testing.T, n int, f func(c *msg.Comm, sent func() int64) erro
 // restoreFormats are the stored representations every restore shape must
 // serve: each stores chainFill(step) state of 4 tasks — the v1 one from
 // the stored rotation, the rest by writing — and names the generation to
-// restore.
+// restore. Only a format written through the tier is restored with one
+// configured.
 var restoreFormats = []struct {
-	name  string
-	write func(t *testing.T, fs *pfs.System, tier *MemTier) (from string, step int)
+	name   string
+	tiered bool
+	write  func(t *testing.T, fs *pfs.System, tier *MemTier) (from string, step int)
 }{
-	{"v1-flat", func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
+	{"v1-flat", false, func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
 		loadV1Rotation(t, fs)
 		return "job.g0", 0
 	}},
-	{"chained-raw-anchor", func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
+	{"chained-raw-anchor", false, func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
 		writeChainGen(t, fs, "job.g0", ChainOptions{Codec: CodecRaw}, 0, 4, []int{2, 2})
 		return "job.g0", 0
 	}},
-	{"chained-flate-delta", func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
+	{"chained-flate-delta", false, func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
 		writeChainGen(t, fs, "job.g0", ChainOptions{Codec: CodecFlate}, 0, 4, []int{2, 2})
 		writeChainGen(t, fs, "job.g1", ChainOptions{Prev: "job.g0", Delta: true, Codec: CodecFlate}, 1, 4, []int{2, 2})
 		return "job.g1", 1
 	}},
-	{"memory-only", func(t *testing.T, fs *pfs.System, tier *MemTier) (string, int) {
+	{"memory-only", true, func(t *testing.T, fs *pfs.System, tier *MemTier) (string, int) {
 		co := ChainOptions{Tier: tier, Replicas: 1, Codec: CodecRaw}
 		writeChainGen(t, fs, "job.g0", co, 0, 4, []int{2, 2})
 		co.Prev, co.Delta, co.MemOnly = "job.g0", true, true
@@ -105,24 +108,43 @@ var restoreShapes = []struct {
 // "sends:SegmentBytes/ArrayBytes/NetBytes/TierMemBytes/TierPFSBytes" as
 // measured on the readers this engine replaced (commit bdae8b6). The
 // send counts are the collectives' fingerprint: a restore path that
-// gains one changes every rank's count.
+// gains one changes every rank's count. A full restore of a chained
+// generation sends v1-flat's 22/16 when no tier is configured and 26/18
+// with one: the difference is the per-array residency vote.
 var restorePinned = map[string]string{
 	"v1-flat/full-same":                     "22:275/1728/216/0/1100 22:275/1728/216/0/1100 16:275/1728/216/0/1100 16:275/1728/216/0/1100",
 	"v1-flat/full-reconfigured":             "22:275/1728/432/0/825 16:275/1728/144/0/825 16:275/1728/288/0/825",
 	"v1-flat/partial-one-rank":              "20:0/864/432/0/1139 20:0/864/432/0/1139 12:275/864/0/0/1139 12:0/864/0/0/1139",
 	"v1-flat/partial-two-ranks":             "18:0/1728/216/0/2278 18:275/1728/216/0/2278 14:0/1728/216/0/2278 14:275/1728/216/0/2278",
-	"chained-raw-anchor/full-same":          "26:275/1728/216/0/2828 26:275/1728/216/0/2828 18:275/1728/216/0/2828 18:275/1728/216/0/2828",
-	"chained-raw-anchor/full-reconfigured":  "26:275/1728/432/0/2553 18:275/1728/144/0/2553 18:275/1728/288/0/2553",
+	"chained-raw-anchor/full-same":          "22:275/1728/216/0/2828 22:275/1728/216/0/2828 16:275/1728/216/0/2828 16:275/1728/216/0/2828",
+	"chained-raw-anchor/full-reconfigured":  "22:275/1728/432/0/2553 16:275/1728/144/0/2553 16:275/1728/288/0/2553",
 	"chained-raw-anchor/partial-one-rank":   "20:0/864/432/0/1139 20:0/864/432/0/1139 12:275/864/0/0/1139 12:0/864/0/0/1139",
 	"chained-raw-anchor/partial-two-ranks":  "18:0/1728/216/0/2278 18:275/1728/216/0/2278 14:0/1728/216/0/2278 14:275/1728/216/0/2278",
-	"chained-flate-delta/full-same":         "26:275/1728/216/0/2828 26:275/1728/216/0/2828 18:275/1728/216/0/2828 18:275/1728/216/0/2828",
-	"chained-flate-delta/full-reconfigured": "26:275/1728/432/0/2553 18:275/1728/144/0/2553 18:275/1728/288/0/2553",
+	"chained-flate-delta/full-same":         "22:275/1728/216/0/2828 22:275/1728/216/0/2828 16:275/1728/216/0/2828 16:275/1728/216/0/2828",
+	"chained-flate-delta/full-reconfigured": "22:275/1728/432/0/2553 16:275/1728/144/0/2553 16:275/1728/288/0/2553",
 	"chained-flate-delta/partial-one-rank":  "20:0/864/432/0/1139 20:0/864/432/0/1139 12:275/864/0/0/1139 12:0/864/0/0/1139",
 	"chained-flate-delta/partial-two-ranks": "18:0/1728/216/0/2278 18:275/1728/216/0/2278 14:0/1728/216/0/2278 14:275/1728/216/0/2278",
 	"memory-only/full-same":                 "26:275/1728/216/2764/0 26:275/1728/216/2764/0 18:275/1728/216/2764/0 18:275/1728/216/2764/0",
 	"memory-only/full-reconfigured":         "26:275/1728/432/2505/0 18:275/1728/144/2505/0 18:275/1728/288/2505/0",
 	"memory-only/partial-one-rank":          "20:0/864/432/1123/0 20:0/864/432/1123/0 12:275/864/0/1123/0 12:0/864/0/1123/0",
 	"memory-only/partial-two-ranks":         "18:0/1728/216/2246/0 18:275/1728/216/2246/0 14:0/1728/216/2246/0 14:275/1728/216/2246/0",
+}
+
+// holdsChainFill checks this rank's elements of buildApp's two arrays
+// against chainFill(step).
+func holdsChainFill(u *array.Array[float64], ids *array.Array[int32], step int) (bad error) {
+	uf, idf := chainFill(step)
+	u.Mapped().Each(rangeset.ColMajor, func(cd []int) {
+		if u.At(cd) != uf(cd) {
+			bad = fmt.Errorf("u%v = %v, want %v", cd, u.At(cd), uf(cd))
+		}
+	})
+	ids.Mapped().Each(rangeset.ColMajor, func(cd []int) {
+		if ids.At(cd) != idf(cd) {
+			bad = fmt.Errorf("ids%v = %v, want %v", cd, ids.At(cd), idf(cd))
+		}
+	})
+	return bad
 }
 
 // TestRestoreEngineEveryFormatAndShape drives the one restore engine
@@ -136,19 +158,22 @@ func TestRestoreEngineEveryFormatAndShape(t *testing.T) {
 			t.Run(f.name+"/"+sh.name, func(t *testing.T) {
 				fs, tier := testFS(), NewMemTier()
 				from, step := f.write(t, fs, tier)
+				if !f.tiered {
+					tier = nil
+				}
 				rows := make([]string, sh.tasks)
 				runCounted(t, sh.tasks, func(c *msg.Comm, sent func() int64) error {
 					me := c.Rank()
 					sg, refs, u, ids := buildApp(c, sh.grid)
 					var iter int
 					sg.Register("iter", &iter)
-					uf, idf := chainFill(step)
 					replaced := sh.ranks == nil
 					for _, r := range sh.ranks {
 						replaced = replaced || r == me
 					}
 					if !replaced { // a survivor still holds the state
 						iter = step
+						uf, idf := chainFill(step)
 						u.Fill(uf)
 						ids.Fill(idf)
 					}
@@ -171,19 +196,8 @@ func TestRestoreEngineEveryFormatAndShape(t *testing.T) {
 					if iter != step {
 						return fmt.Errorf("iter = %d, want %d", iter, step)
 					}
-					var bad error
-					u.Mapped().Each(rangeset.ColMajor, func(cd []int) {
-						if u.At(cd) != uf(cd) {
-							bad = fmt.Errorf("u%v = %v, want %v", cd, u.At(cd), uf(cd))
-						}
-					})
-					ids.Mapped().Each(rangeset.ColMajor, func(cd []int) {
-						if ids.At(cd) != idf(cd) {
-							bad = fmt.Errorf("ids%v = %v, want %v", cd, ids.At(cd), idf(cd))
-						}
-					})
-					if bad != nil {
-						return bad
+					if err := holdsChainFill(u, ids, step); err != nil {
+						return err
 					}
 					if st.SkippedBytes != 0 || st.StoredBytes != 0 || st.Meta != nil {
 						return fmt.Errorf("restore set write-side stats: %+v", st)
@@ -198,5 +212,48 @@ func TestRestoreEngineEveryFormatAndShape(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResidencyVoteNeedsATier restores one disk-resident chained
+// generation, every piece of it also resident in the tier it was written
+// under, on a changed task count both ways. With no tier configured
+// nobody votes — the sends are those of a v1 restore — and every byte
+// comes from the pfs; with it the vote passes and the arrays come from
+// peer memory under the hot plan. Both are bit-exact.
+func TestResidencyVoteNeedsATier(t *testing.T) {
+	fs, tier := testFS(), NewMemTier()
+	writeChainGen(t, fs, "job.g0", ChainOptions{Tier: tier, Replicas: 1, Codec: CodecRaw}, 0, 4, []int{2, 2})
+	for _, tc := range []struct {
+		name  string
+		tier  *MemTier
+		sends []int64
+	}{
+		{"no-tier", nil, []int64{22, 16, 16}},
+		{"every-piece-resident", tier, []int64{26, 18, 18}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runCounted(t, 3, func(c *msg.Comm, sent func() int64) error {
+				sg, refs, u, ids := buildApp(c, []int{1, 3})
+				var iter int
+				sg.Register("iter", &iter)
+				before := sent()
+				_, st, err := ReadDRMSOpts(fs, "job.g0", c, sg, refs, stream.Options{PieceBytes: 300},
+					RestoreOptions{Verify: true, Tier: tc.tier})
+				if err != nil {
+					return err
+				}
+				if ops := sent() - before; ops != tc.sends[c.Rank()] {
+					return fmt.Errorf("%d sends, want %d", ops, tc.sends[c.Rank()])
+				}
+				if tiered := tc.tier != nil; (st.TierMemBytes > 0) != tiered || (st.TierPFSBytes > 0) == tiered {
+					return fmt.Errorf("served %d bytes from memory and %d from the pfs", st.TierMemBytes, st.TierPFSBytes)
+				}
+				if iter != 0 {
+					return fmt.Errorf("iter = %d, want 0", iter)
+				}
+				return holdsChainFill(u, ids, 0)
+			})
+		})
 	}
 }

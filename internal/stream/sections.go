@@ -1,9 +1,8 @@
 package stream
 
 import (
-	"hash/crc64"
-
 	"drms/internal/array"
+	"drms/internal/crc"
 	"drms/internal/rangeset"
 )
 
@@ -31,8 +30,6 @@ type SectionSum struct {
 	Bytes int64  // contribution length in bytes
 	CRC   uint64 // CRC-64/ECMA of the packed contribution
 }
-
-var sectionCRCTable = crc64.MakeTable(crc64.ECMA)
 
 // SectionSums computes this task's contribution fingerprints for every
 // piece of the plan Write would use for section x. Purely local — no
@@ -63,7 +60,7 @@ func SectionSums[T array.Elem](a *array.Array[T], x rangeset.Slice, o Options) (
 			return nil, err
 		}
 		sums = append(sums, SectionSum{Piece: i, Task: me,
-			Bytes: int64(len(buf)), CRC: crc64.Checksum(buf, sectionCRCTable)})
+			Bytes: int64(len(buf)), CRC: crc.Checksum(buf)})
 	}
 	return sums, nil
 }
