@@ -34,6 +34,13 @@ lint:
 	@out=$$(grep -rn '"drms/' --include='*.go' internal/codec || true); \
 	if [ -n "$$out" ]; then \
 		echo "internal/codec must stay stdlib-only (piece codecs decode anywhere, including fsck):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn '"drms/' --include='*.go' internal/xsum || true); \
+	if [ -n "$$out" ]; then \
+		echo "internal/xsum must stay stdlib-only (a leaf: the exact sum every layer may fold into):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' '\.Gather\([^)]*rangeset\.' cmd internal || true); \
+	if [ -n "$$out" ]; then \
+		echo "Array.Gather in product code (it moves the whole array to one rank: tests only; a"; \
+		echo "checksum is Array.Checksum, which moves no element):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=coord --exclude-dir=drms --exclude-dir=msg --exclude-dir=bench \
 		-E '\.(EnableCheckpoint|RequestStop|Kill)\(' cmd internal || true); \
 	if [ -n "$$out" ]; then \
@@ -95,21 +102,22 @@ loc:
 	@printf '%-22s %6d\n' total "$$(ls internal/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@printf '%-22s %6d\n' 'assembly (*.s)' "$$(cat internal/*/*.s | wc -l)"
 
-# The second line runs the 1-D path's, the CRC's, the BT-shaped plan's and
-# piece exchange's and the run enumerator's micro-benchmarks once each, so
-# they stay compiling and running (their numbers are for `go test -bench`).
+# The second line runs the 1-D path's, the CRC's, the BT-shaped plan's,
+# piece exchange's and checksum's, the run enumerator's and the exact
+# accumulator's micro-benchmarks once each, so they stay compiling and
+# running (their numbers are for `go test -bench`).
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|Checksum|CRCCombine|TierCheck|AssignPlannedBT|PieceExchangeBT|StorageRuns' -benchtime=1x \
-		./internal/rangeset ./internal/dist ./internal/crc ./internal/ckpt ./internal/array
+	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|Checksum|CRCCombine|TierCheck|AssignPlannedBT|PieceExchangeBT|StorageRuns|AddSlice' -benchtime=1x \
+		./internal/rangeset ./internal/dist ./internal/crc ./internal/ckpt ./internal/array ./internal/xsum
 
-# Every fuzz target of the index-arithmetic, parser and CRC packages, one after
+# Every fuzz target of the index-arithmetic, parser, CRC and exact-sum packages, one after
 # the other for FUZZTIME each, stopping at the first crasher (`go test`
 # alone, and so `make test`, runs their seeds only). The targets are found,
 # not listed: a new Fuzz* function in these packages is fuzzed from the day
 # it lands. CI runs this nightly with FUZZTIME=60s.
 fuzz:
-	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array ./internal/crc; do \
+	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array ./internal/crc ./internal/xsum; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \
@@ -117,10 +125,11 @@ fuzz:
 
 # Race coverage spans every layer that exercises real concurrency: the
 # transport (including its TCP mesh and fault injector), parallel
-# streaming, arrays, the checkpoint engine, the run-time system, and the
-# coordinator's heartbeat/revocation path.
+# streaming, arrays, the checkpoint engine, the run-time system, the
+# coordinator's heartbeat/revocation path, and the exact accumulator the
+# ranks of a checksum fill side by side.
 race:
-	$(GO) test -race ./internal/stream ./internal/array ./internal/msg ./internal/crc \
+	$(GO) test -race ./internal/stream ./internal/array ./internal/msg ./internal/crc ./internal/xsum \
 		./internal/ckpt ./internal/drms ./internal/coord ./internal/obs
 
 # The chaos soak: the recovery supervisor under a seeded fault injector
@@ -173,8 +182,9 @@ bench:
 # CPU and allocation profiles of the paper-shaped data path, without a
 # flag in benchmark/main.go: the steady-state checkpoint and reconfigured
 # restart of apps.SP through drms (root package), and the BT-shaped planned
-# assignment, the piece exchange and the run enumerator alone
-# (internal/array), and the CRC kernel beside the table (internal/crc).
+# assignment, the piece exchange, the run enumerator and the checksum alone
+# (internal/array), the CRC kernel beside the table (internal/crc), and the
+# exact accumulator beside a float loop (internal/xsum).
 # Binaries and profiles land in .bench_build/; each
 # listing is `pprof -top -cum`, the second by bytes allocated.
 profile:
@@ -186,8 +196,9 @@ profile:
 		$(GO) tool pprof -top -cum -nodecount=25 -sample_index=alloc_space .bench_build/$$1.test .bench_build/$$1.mem; \
 	}; \
 	prof drms 'CheckpointDRMSSteadyState$$|ReconfiguredRestart$$' . && \
-	prof array 'AssignPlannedBT$$|PieceExchangeBT$$|StorageRuns$$' ./internal/array && \
-	prof crc 'Checksum$$' ./internal/crc
+	prof array 'AssignPlannedBT$$|PieceExchangeBT$$|StorageRuns$$|ChecksumBT$$' ./internal/array && \
+	prof crc 'Checksum$$' ./internal/crc && \
+	prof xsum 'AddSlice$$' ./internal/xsum
 
 # The wall-clock benchmark (BENCHMARK.json, benchmark/README.md): five
 # fresh-process runs of every workload, medians and quartiles in

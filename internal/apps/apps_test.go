@@ -2,10 +2,13 @@ package apps
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"testing"
 
 	"drms/internal/drms"
 	"drms/internal/pfs"
+	"drms/internal/rangeset"
 )
 
 func testFS() *pfs.System {
@@ -277,30 +280,69 @@ func TestViewRejectsNonDense(t *testing.T) {
 
 // Reference verification values, in the spirit of the NPB verification
 // step: the class S checksum after 5 iterations on any task count. These
-// pin the kernels' numerics — any change to stencils, coefficients,
-// initial conditions, or reduction ordering fails here.
+// pin the kernels' numerics — any change to stencils, coefficients or
+// initial conditions fails here. Each is the exact sum of the final
+// solution rounded once, which TestReferenceChecksums recomputes in
+// math/big from the gathered array.
 var referenceChecksums = map[string]float64{
-	"bt": 12870.516404158501,
-	"lu": 12870.578862026656,
-	"sp": 12870.486877440897,
+	"bt": 12870.516404158494,
+	"lu": 12870.578862026661,
+	"sp": 12870.486877440913,
+}
+
+// exactSum is the checksum's reference: the gathered solution summed in
+// math/big without rounding, then rounded once to nearest-even.
+func exactSum(full []float64) float64 {
+	sum := new(big.Float).SetPrec(4096)
+	for _, v := range full {
+		sum.Add(sum, new(big.Float).SetFloat64(v))
+	}
+	f, _ := sum.Float64()
+	return f
 }
 
 func TestReferenceChecksums(t *testing.T) {
 	for _, k := range Kernels() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			got := runClean(t, k, 4, 5)
-			if got != referenceChecksums[k.Name] {
-				t.Fatalf("class S verification failed: %.17g, want %.17g",
-					got, referenceChecksums[k.Name])
+			want := referenceChecksums[k.Name]
+			if got := runClean(t, k, 4, 5); got != want {
+				t.Fatalf("class S verification failed: %.17g, want %.17g", got, want)
+			}
+			var sum, exact float64
+			err := drms.Run(drms.Config{Tasks: 3, FS: testFS()}, func(tk *drms.Task) error {
+				in, err := k.Setup(tk, ClassS)
+				if err != nil {
+					return err
+				}
+				for ; in.Iter < 5; in.Iter++ {
+					if err := k.Step(in); err != nil {
+						return err
+					}
+				}
+				full, err := in.U().Gather(0, rangeset.ColMajor)
+				if err != nil {
+					return err
+				}
+				s, err := in.Checksum()
+				if tk.Rank() == 0 {
+					sum, exact = s, exactSum(full)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum != want || exact != want {
+				t.Fatalf("3 tasks: checksum %.17g, math/big sum of the gathered solution %.17g, reference %.17g", sum, exact, want)
 			}
 		})
 	}
 }
 
 func TestResidualsDeterministicAcrossTaskCounts(t *testing.T) {
-	// The NPB-style verification norms must be identical for any
-	// decomposition.
+	// The NPB-style verification norms are exact sums of squares, rounded
+	// once: identical bits for any decomposition.
 	run := func(tasks int) []float64 {
 		var res []float64
 		err := drms.Run(drms.Config{Tasks: tasks, FS: testFS()}, func(tk *drms.Task) error {
@@ -336,16 +378,12 @@ func TestResidualsDeterministicAcrossTaskCounts(t *testing.T) {
 			t.Fatalf("degenerate residual %v", m)
 		}
 	}
-	six := run(6)
-	for i := range one {
-		// Partial-sum association differs across decompositions; agreement
-		// is to NPB-verification tolerance, not bitwise.
-		if rel := (one[i] - six[i]) / one[i]; rel > 1e-10 || rel < -1e-10 {
-			t.Fatalf("component %d: %v (1 task) vs %v (6 tasks)", i, one[i], six[i])
+	for _, tasks := range []int{4, 6} {
+		got := run(tasks)
+		for i := range one {
+			if math.Float64bits(got[i]) != math.Float64bits(one[i]) {
+				t.Fatalf("component %d: %v (1 task) vs %v (%d tasks)", i, one[i], got[i], tasks)
+			}
 		}
-	}
-	// For a fixed decomposition the value is exactly reproducible.
-	if again := run(6); again[0] != six[0] {
-		t.Fatal("residual not reproducible for a fixed decomposition")
 	}
 }

@@ -28,9 +28,9 @@ import (
 	"drms/internal/array"
 	"drms/internal/dist"
 	"drms/internal/drms"
-	"drms/internal/msg"
 	"drms/internal/rangeset"
 	"drms/internal/seg"
+	"drms/internal/xsum"
 )
 
 // Class selects the NPB problem size.
@@ -270,36 +270,45 @@ func (in *Instance) initialize() {
 }
 
 // Checksum returns the distribution-independent checksum of the solution
-// array (the verification value). Collective.
+// array (the verification value): the exact sum of its elements, rounded
+// once (array.Checksum). Collective.
 func (in *Instance) Checksum() (float64, error) { return in.U().Checksum() }
 
 // Residuals returns the per-component root-mean-square of the second
 // array (the right-hand side / residual array), the quantity the NPB
-// verification step tracks. Partial sums accumulate per task and combine
-// in rank order, so the result is reproducible for a fixed decomposition
-// and agrees across decompositions to floating-point association
-// tolerance — the same property the NPB verification epsilon accounts
-// for. (Checksum, by contrast, is bitwise decomposition-independent.)
-// Collective.
+// verification step tracks. Each task adds the squares of its assigned
+// elements into one exact accumulator per component (xsum), and one
+// Allgather merges them: like Checksum, the result is bitwise independent
+// of the task count and decomposition. Collective.
 func (in *Instance) Residuals() ([]float64, error) {
 	r := in.Arrays[in.K.Decls[1].Name]
-	comps := in.K.Decls[1].Comps
-	partial := make([]float64, comps)
-	i := 0
+	sums := make([]xsum.Acc, in.K.Decls[1].Comps)
 	r.Assigned().Each(rangeset.ColMajor, func(c []int) {
 		v := r.Local()[r.LocalIndex(c)]
-		partial[c[0]] += v * v
-		i++
+		sums[c[0]].Add(v * v)
 	})
-	total, err := in.Task.Comm().AllreduceF64s(partial, msg.Sum)
+	var frame []byte
+	for m := range sums {
+		frame = sums[m].AppendBinary(frame)
+	}
+	frames, err := in.Task.Comm().Allgather(frame)
 	if err != nil {
 		return nil, err
 	}
+	rms := make([]float64, len(sums))
 	n := float64(in.N)
-	for m := range total {
-		total[m] = math.Sqrt(total[m] / (n * n * n))
+	for m := range rms {
+		parts := make([][]byte, len(frames))
+		for q, f := range frames { // a short frame leaves parts Decode refuses
+			parts[q] = f[min(m*xsum.FrameSize, len(f)):min((m+1)*xsum.FrameSize, len(f))]
+		}
+		total, err := xsum.Decode(parts...)
+		if err != nil {
+			return nil, fmt.Errorf("apps: residuals: %w", err)
+		}
+		rms[m] = math.Sqrt(total.Float64() / (n * n * n))
 	}
-	return total, nil
+	return rms, nil
 }
 
 // RunConfig drives a kernel as a complete DRMS application.

@@ -16,6 +16,7 @@ import (
 	"drms/internal/dist"
 	"drms/internal/msg"
 	"drms/internal/rangeset"
+	"drms/internal/xsum"
 )
 
 // Array is one task's handle on a distributed array: the global
@@ -295,21 +296,41 @@ func (a *Array[T]) Gather(root int, order rangeset.Order) ([]T, error) {
 	return out, nil
 }
 
-// Checksum returns a distribution-independent checksum: the sum of all
-// assigned elements accumulated in global column-major order at task 0
-// and broadcast. Because the accumulation order is fixed by the global
-// space, two runs with different task counts or distributions of the same
-// values produce bitwise-identical checksums. Collective.
+// Checksum returns a distribution-independent checksum: the sum of every
+// assigned element (shadow copies excluded) taken as float64(v), computed
+// exactly and rounded once to nearest-even. An exact sum does not depend
+// on the order of its terms, so any task count or distribution of the same
+// values gives the same bits, and no element moves: each task adds its own
+// elements into an xsum accumulator, and one Allgather of the fixed-size
+// accumulators gives every task the total. Collective.
 func (a *Array[T]) Checksum() (float64, error) {
-	full, err := a.Gather(0, rangeset.ColMajor)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	if a.comm.Rank() == 0 {
-		for _, v := range full {
-			sum += float64(v)
+	// Gather's cached plan holds the runs of the assigned section in local
+	// storage: its pack side.
+	runs := gatherPlanFor(a.d, a.comm, 0, rangeset.ColMajor, ElemSize[T]()).packRuns
+	var own xsum.Acc
+	f, isF64 := any(a.local).([]float64)
+	var buf [256]float64
+	for _, r := range runs {
+		if isF64 {
+			own.AddSlice(f[r.off : r.off+r.n])
+			continue
+		}
+		for run := a.local[r.off : r.off+r.n]; len(run) > 0; {
+			chunk := buf[:min(len(run), len(buf))]
+			for i := range chunk {
+				chunk[i] = float64(run[i])
+			}
+			own.AddSlice(chunk)
+			run = run[len(chunk):]
 		}
 	}
-	return a.comm.AllreduceF64(sum, msg.Sum)
+	frames, err := a.comm.Allgather(own.AppendBinary(nil))
+	if err != nil {
+		return 0, fmt.Errorf("array %q: checksum: %w", a.name, err)
+	}
+	sum, err := xsum.Decode(frames...)
+	if err != nil {
+		return 0, fmt.Errorf("array %q: checksum: %w", a.name, err)
+	}
+	return sum.Float64(), nil
 }

@@ -263,47 +263,6 @@ func TestGatherGlobalOrder(t *testing.T) {
 	}
 }
 
-func TestChecksumDistributionIndependent(t *testing.T) {
-	g := rangeset.Box([]int{0, 0, 0}, []int{7, 7, 7})
-	sums := map[string]float64{}
-	configs := []struct {
-		name  string
-		tasks int
-		grid  []int
-	}{
-		{"1task", 1, []int{1, 1, 1}},
-		{"4tasks", 4, []int{2, 2, 1}},
-		{"8tasks", 8, []int{2, 2, 2}},
-		{"6tasks", 6, []int{3, 2, 1}},
-	}
-	for _, cfg := range configs {
-		cfg := cfg
-		mustRun(t, cfg.tasks, func(c *msg.Comm) {
-			a, err := New[float64](c, "u", mustBlock(t, g, cfg.grid))
-			if err != nil {
-				panic(err)
-			}
-			// Values chosen to make summation order matter if it varied.
-			a.Fill(func(cd []int) float64 {
-				return math.Sin(coordVal(cd)) * 1e10
-			})
-			s, err := a.Checksum()
-			if err != nil {
-				panic(err)
-			}
-			if c.Rank() == 0 {
-				sums[cfg.name] = s
-			}
-		})
-	}
-	ref := sums["1task"]
-	for name, s := range sums {
-		if s != ref {
-			t.Fatalf("checksum %q = %v differs from 1-task %v", name, s, ref)
-		}
-	}
-}
-
 func TestPackUnpackRoundTrip(t *testing.T) {
 	g := rangeset.Box([]int{0, 0}, []int{7, 7})
 	mustRun(t, 2, func(c *msg.Comm) {

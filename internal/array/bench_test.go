@@ -116,6 +116,35 @@ func BenchmarkPieceExchangeBT(b *testing.B) {
 	}
 }
 
+// BenchmarkChecksumBT is Checksum of the same shadowed 5 × 48³ BT array on
+// four tasks: each adds its block into an exact accumulator, and one
+// Allgather of the accumulators follows. MB/s is array bytes summed per
+// second over all four tasks.
+func BenchmarkChecksumBT(b *testing.B) {
+	const n, tasks = 48, 4
+	g := rangeset.Box([]int{0, 0, 0, 0}, []int{4, n - 1, n - 1, n - 1})
+	grid := []int{1, 2, 2, 1}
+	d := mustShadow(b, mustBlock(b, g, grid), grid)
+	b.SetBytes(int64(g.Size() * 8))
+	b.ReportAllocs()
+	mustRun(b, tasks, func(c *msg.Comm) {
+		a, _ := New[float64](c, "u", d)
+		a.Fill(coordVal)
+		if _, err := a.Checksum(); err != nil { // build the plan
+			panic(err)
+		}
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		c.Barrier()
+		for i := 0; i < b.N; i++ {
+			if _, err := a.Checksum(); err != nil {
+				panic(err)
+			}
+		}
+	})
+}
+
 // BenchmarkStorageRuns times the enumerator alone, per fast-axis run of the
 // section (ns/run: what it cost while it walked those; runs/op are the
 // extents it emits): the cost a cold plan build and every

@@ -9,8 +9,8 @@ import (
 // Message-layer metrics (drms_msg_*). Point-to-point counters tick on
 // every transport operation; the collective histogram observes each
 // primitive collective call (Barrier, Bcast, Gather, Alltoall[Sparse],
-// ReduceF64, AllreduceF64s — composites like Allgather count through
-// their constituents). The hot-path cost is one or two atomic adds per
+// ReduceF64 — composites like Allgather count through their
+// constituents). The hot-path cost is one or two atomic adds per
 // operation, orders of magnitude below a transport round trip.
 var (
 	msgSends = obs.GetCounter("drms_msg_sends_total",

@@ -455,49 +455,6 @@ func (c *Comm) AllreduceF64(v float64, op func(a, b float64) float64) (float64, 
 	return bytesF64(out), nil
 }
 
-// AllreduceF64s combines equal-length float64 vectors element-wise with
-// op, deterministically (rank-ascending order), and returns the result on
-// every task. The NPB-style verification norms use it.
-func (c *Comm) AllreduceF64s(v []float64, op func(a, b float64) float64) ([]float64, error) {
-	defer observeCollective(time.Now())
-	tag := c.collTag(opReduce)
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		copy(buf[8*i:], f64Bytes(x))
-	}
-	if c.rank != 0 {
-		if err := c.send(0, tag, buf); err != nil {
-			return nil, err
-		}
-	} else {
-		acc := append([]float64(nil), v...)
-		for r := 1; r < c.size; r++ {
-			part, err := c.recv(r, tag)
-			if err != nil {
-				return nil, err
-			}
-			if len(part) != len(buf) {
-				return nil, fmt.Errorf("msg: AllreduceF64s length mismatch from rank %d", r)
-			}
-			for i := range acc {
-				acc[i] = op(acc[i], bytesF64(part[8*i:]))
-			}
-		}
-		for i, x := range acc {
-			copy(buf[8*i:], f64Bytes(x))
-		}
-	}
-	out, err := c.Bcast(0, buf)
-	if err != nil {
-		return nil, err
-	}
-	res := make([]float64, len(v))
-	for i := range res {
-		res[i] = bytesF64(out[8*i:])
-	}
-	return res, nil
-}
-
 // Sum is the addition operator for reductions.
 func Sum(a, b float64) float64 { return a + b }
 

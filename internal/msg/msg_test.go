@@ -469,43 +469,6 @@ func TestRunnerTCPKill(t *testing.T) {
 	}
 }
 
-func TestAllreduceF64s(t *testing.T) {
-	runBoth(t, 5, func(c *Comm) error {
-		v := []float64{float64(c.Rank()), 1, float64(-c.Rank())}
-		got, err := c.AllreduceF64s(v, Sum)
-		if err != nil {
-			return err
-		}
-		if got[0] != 10 || got[1] != 5 || got[2] != -10 {
-			return fmt.Errorf("rank %d: %v", c.Rank(), got)
-		}
-		m, err := c.AllreduceF64s([]float64{float64(c.Rank())}, Max)
-		if err != nil {
-			return err
-		}
-		if m[0] != 4 {
-			return fmt.Errorf("max = %v", m)
-		}
-		return nil
-	})
-}
-
-func TestAllreduceF64sEmpty(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		got, err := c.AllreduceF64s(nil, Sum)
-		if err != nil {
-			return err
-		}
-		if len(got) != 0 {
-			return fmt.Errorf("empty vector grew")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlltoallSparse(t *testing.T) {
 	// Graph: rank r sends to r+1 and r+2 (mod n) and, when r is even, to
 	// itself — sparse, asymmetric, and deterministic, so every task can
