@@ -87,6 +87,12 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "a second CRC-64 under internal/ (internal/crc is the one implementation: its sums are"; \
 		echo "hash/crc64's, its bulk path the carry-less-multiply kernel):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' 'ArrayPieces' cmd internal | grep -v '^internal/ckpt/upgrade\.go:' || true; \
+		grep -rnE --include='*.go' --exclude='*_test.go' 'Errorf\(.*ErrLegacyFormat|legacy\(' cmd internal \
+		| grep -v -e '^internal/ckpt/upgrade\.go:' -e '^internal/ckpt/ckpt\.go:' || true); \
+	if [ -n "$$out" ]; then \
+		echo "a second reader of DRMS metadata version 1 (Upgrade in internal/ckpt/upgrade.go decodes it,"; \
+		echo "ReadMeta in internal/ckpt/ckpt.go refuses it with ErrLegacyFormat; nothing else may do either):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'IncrementalCheckpoint|WriteDRMSIncremental|SkipPiece' --include='*.go' \
 		--include='README.md' --include='DESIGN.md' --include='EXPERIMENTS.md' . || true); \
 	if [ -n "$$out" ]; then \
@@ -111,13 +117,13 @@ test:
 	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|Checksum|CRCCombine|TierCheck|AssignPlannedBT|PieceExchangeBT|StorageRuns|AddSlice' -benchtime=1x \
 		./internal/rangeset ./internal/dist ./internal/crc ./internal/ckpt ./internal/array ./internal/xsum
 
-# Every fuzz target of the index-arithmetic, parser, CRC and exact-sum packages, one after
+# Every fuzz target of the index-arithmetic, parser, CRC, exact-sum and metadata-decoding packages, one after
 # the other for FUZZTIME each, stopping at the first crasher (`go test`
 # alone, and so `make test`, runs their seeds only). The targets are found,
 # not listed: a new Fuzz* function in these packages is fuzzed from the day
 # it lands. CI runs this nightly with FUZZTIME=60s.
 fuzz:
-	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array ./internal/crc ./internal/xsum; do \
+	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array ./internal/crc ./internal/xsum ./internal/ckpt; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \

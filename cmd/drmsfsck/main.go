@@ -27,7 +27,10 @@
 // replicas of each payload survive in peer memory.
 // With -repair, corrupt generations are quarantined (renamed under
 // "<gen>.bad.") exactly as the recovery supervisor would do at restart
-// time, and the snapshot is saved back.
+// time, legacy generations (metadata version 1, one stream file per
+// array, written before the piece format) are upgraded in place
+// (ckpt.Upgrade), and the snapshot is saved back. Without -repair a
+// legacy generation is reported as needing it: no restart reads one.
 //
 // With -squash, each prefix whose newest generation is a chained delta
 // is folded into a fresh self-contained anchor (ckpt.Squash): every
@@ -40,13 +43,16 @@
 // Exit codes:
 //
 //	0  clean: every committed generation of every prefix verifies
-//	1  unrecoverable: some prefix has no verifiable generation at all
+//	1  unrecoverable: some prefix has no verifiable generation at all,
+//	   or holds a legacy generation that needs -repair
 //	2  usage error
-//	3  repaired by fallback: corruption found, but every prefix still
-//	   has a verifiable generation to restart from
+//	3  repaired: corruption found, but every prefix still has a
+//	   verifiable generation to restart from, or legacy generations
+//	   were upgraded
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -66,7 +72,7 @@ const (
 
 func main() {
 	state := flag.String("state", "", "pfs snapshot file to check")
-	repair := flag.Bool("repair", false, "quarantine corrupt generations and save the snapshot back")
+	repair := flag.Bool("repair", false, "quarantine corrupt generations, upgrade legacy (metadata version 1) ones, and save the snapshot back")
 	squash := flag.Bool("squash", false, "fold each verified delta chain into a self-contained anchor and save the snapshot back")
 	tierState := flag.String("tier", "", "peer-memory tier snapshot (drmsrun -tier-state); memory-resident payloads then verify against surviving replicas")
 	tiers := flag.Bool("tiers", false, "list each generation's storage-tier residency and replica counts before checking it")
@@ -298,8 +304,11 @@ func listTiers(fs *pfs.System, tier *ckpt.MemTier, prefix string) {
 // checkPrefix verifies every committed generation reachable from one
 // user-facing prefix and returns its classification. Memory-resident
 // payloads verify against tier (nil: they fail, and the generation
-// falls back like any other corruption). repair quarantines the
-// corrupt generations; *dirty is set when it moved anything.
+// falls back like any other corruption). repair upgrades the legacy
+// generations and quarantines the corrupt ones; *dirty is set when it
+// changed anything. Without repair a legacy generation makes the prefix
+// unrecoverable: it is intact, but nothing restarts from it until it is
+// upgraded.
 func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool, dirty *bool) int {
 	gens := generations(fs, prefix)
 	if len(gens) == 0 {
@@ -307,32 +316,52 @@ func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool,
 		return exitUnrecoverable
 	}
 
-	good := 0
+	good, legacy, upgraded := 0, 0, false
 	var corrupt []string
 	for _, g := range gens {
-		m, err := ckpt.ReadMeta(fs, g, 0)
+		var err error
+		if repair {
+			var up bool
+			if up, err = ckpt.Upgrade(fs, g, 0); up {
+				*dirty, upgraded = true, true
+				fmt.Printf("%-12s upgraded to metadata version 2\n", g)
+			}
+		}
+		var m ckpt.Meta
+		if err == nil {
+			m, err = ckpt.ReadMeta(fs, g, 0)
+		}
+		if errors.Is(err, ckpt.ErrLegacyFormat) {
+			legacy++
+			fmt.Printf("%-12s LEGACY: %v\n", g, err)
+			continue
+		}
 		if err == nil {
 			err = ckpt.VerifyTier(fs, tier, g, 0)
 		}
-		status := "OK"
 		if err != nil {
-			status = "CORRUPT: " + err.Error()
 			corrupt = append(corrupt, g)
-		} else {
-			good++
-			fmt.Printf("%-12s mode=%-5s tasks=%-3d arrays=%-2d state=%.1fMB  %s\n",
-				g, m.Mode, m.Tasks, len(m.Arrays),
-				float64(ckpt.StateBytes(fs, g))/(1<<20), status)
+			fmt.Printf("%-12s CORRUPT: %v\n", g, err)
 			continue
 		}
-		fmt.Printf("%-12s %s\n", g, status)
+		good++
+		fmt.Printf("%-12s mode=%-5s tasks=%-3d arrays=%-2d state=%.1fMB  OK\n",
+			g, m.Mode, m.Tasks, len(m.Arrays),
+			float64(ckpt.StateBytes(fs, g))/(1<<20))
 	}
 
+	if legacy > 0 {
+		fmt.Printf("%-12s UNRECOVERABLE until upgraded: %d legacy generations (run with -repair)\n", prefix, legacy)
+		return exitUnrecoverable
+	}
 	if good == 0 {
 		fmt.Printf("%-12s UNRECOVERABLE: all %d generations corrupt\n", prefix, len(gens))
 		return exitUnrecoverable
 	}
 	if len(corrupt) == 0 {
+		if upgraded {
+			return exitRepaired
+		}
 		return exitClean
 	}
 	for _, g := range corrupt {

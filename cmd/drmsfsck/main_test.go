@@ -1,13 +1,21 @@
 package main
 
 import (
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"strings"
 	"testing"
 
+	"drms/internal/array"
 	"drms/internal/ckpt"
 	"drms/internal/dist"
 	"drms/internal/drms"
+	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
+	"drms/internal/seg"
 	"drms/internal/stream"
 )
 
@@ -95,16 +103,55 @@ func TestCheckPrefixFallbackAndRepair(t *testing.T) {
 	}
 }
 
-// TestCheckPrefixAcrossMetadataVersions checks a rotation the v1 encoder
-// began (the stored job.g0 and job.g1: one raw stream file per array)
-// and this tree's writer continued (job.g2: piece files and a location
-// table): one walk verifies both, and the repair of a corrupt newest
-// generation falls back across the format boundary.
+// stdout runs f and returns what it printed.
+func stdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = saved }()
+	f()
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestCheckPrefixAcrossMetadataVersions walks a rotation the v1 encoder
+// wrote (the stored job.g0 and job.g1: one raw stream file per array).
+// Without -repair it is reported as needing an upgrade; -repair upgrades
+// both generations in place, the writer continues the rotation, and a
+// corrupt newest generation falls back to the upgraded job.g1, which
+// restores its state bit-exact.
 func TestCheckPrefixAcrossMetadataVersions(t *testing.T) {
 	fs := pfs.NewSystem(pfs.DefaultConfig())
 	if err := fs.LoadFile("../../internal/ckpt/testdata/v1_rotation.pfs"); err != nil {
 		t.Fatal(err)
 	}
+	dirty := false
+	var code int
+	out := stdout(t, func() { code = checkPrefix(fs, nil, "job", false, &dirty) })
+	if code != exitUnrecoverable || dirty || !strings.Contains(out, "-repair") {
+		t.Fatalf("legacy rotation classified %d dirty %v, want %d and -repair named:\n%s",
+			code, dirty, exitUnrecoverable, out)
+	}
+	if code := checkPrefix(fs, nil, "job", true, &dirty); code != exitRepaired || !dirty {
+		t.Fatalf("upgrade classified %d dirty %v, want %d", code, dirty, exitRepaired)
+	}
+	for _, g := range []string{"job.g0", "job.g1"} {
+		if m, err := ckpt.ReadMeta(fs, g, 0); err != nil || m.Version != 2 {
+			t.Fatalf("%s after -repair: version %d, %v", g, m.Version, err)
+		}
+	}
+	if code := checkPrefix(fs, nil, "job", false, &dirty); code != exitClean {
+		t.Fatalf("upgraded rotation classified %d, want %d", code, exitClean)
+	}
+
 	err := drms.Run(drms.Config{Tasks: 2, FS: fs, Keep: 3}, func(tk *drms.Task) error {
 		_, _, err := tk.ReconfigCheckpoint("job")
 		return err
@@ -112,30 +159,64 @@ func TestCheckPrefixAcrossMetadataVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var versions []int
-	for _, g := range generations(fs, "job") {
-		m, err := ckpt.ReadMeta(fs, g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		versions = append(versions, m.Version)
-	}
-	if len(versions) != 3 || versions[0] != 1 || versions[1] != 1 || versions[2] != 2 {
-		t.Fatalf("metadata versions %v, want the stored v1 pair continued in v2", versions)
-	}
-	dirty := false
-	if code := checkPrefix(fs, nil, "job", false, &dirty); code != exitClean {
-		t.Fatalf("mixed rotation classified %d, want %d", code, exitClean)
+	if gens := generations(fs, "job"); len(gens) != 3 || gens[2] != "job.g2" {
+		t.Fatalf("generations after the writer continued: %v", gens)
 	}
 	corrupt(t, fs, "job.g2.seg")
-	if code := checkPrefix(fs, nil, "job", true, &dirty); code != exitRepaired || !dirty {
-		t.Fatalf("repair classified %d dirty %v, want %d", code, dirty, exitRepaired)
+	if code := checkPrefix(fs, nil, "job", true, &dirty); code != exitRepaired {
+		t.Fatalf("repair classified %d, want %d", code, exitRepaired)
 	}
 	if _, p, ok := (ckpt.Rotation{Base: "job"}).Latest(fs); !ok || p != "job.g1" {
-		t.Fatalf("fallback generation = %q ok=%v, want the stored v1 job.g1", p, ok)
+		t.Fatalf("fallback generation = %q ok=%v, want the upgraded job.g1", p, ok)
 	}
-	if code := checkPrefix(fs, nil, "job", false, &dirty); code != exitClean {
-		t.Fatal("rotation not clean after repair")
+	restoreStoredRotation(t, fs, "job.g1", 1)
+}
+
+// restoreStoredRotation restores generation g of the stored v1 rotation
+// on 3 tasks and checks it holds step's state: "iter" = step, ids all 7,
+// u the coordinate value with column step%12 raised by 1000·(step+1).
+func restoreStoredRotation(t *testing.T, fs *pfs.System, g string, step int) {
+	t.Helper()
+	err := msg.Run(3, func(c *msg.Comm) error {
+		box := rangeset.Box([]int{0, 0}, []int{11, 11})
+		d, err := dist.Block(box, []int{3, 1})
+		if err != nil {
+			return err
+		}
+		u, err := array.New[float64](c, "u", d)
+		if err != nil {
+			return err
+		}
+		ids, err := array.New[int32](c, "ids", d)
+		if err != nil {
+			return err
+		}
+		sg := seg.New()
+		iter := -1
+		sg.Register("iter", &iter)
+		if _, _, err := ckpt.ReadDRMS(fs, g, c, sg, []ckpt.ArrayRef{ckpt.Ref(u), ckpt.Ref(ids)}, stream.Options{}); err != nil {
+			return err
+		}
+		if iter != step {
+			return fmt.Errorf("iter = %d, want %d", iter, step)
+		}
+		var bad error
+		u.Mapped().Each(rangeset.ColMajor, func(cd []int) {
+			want := float64(cd[0]*100 + cd[1] + 1)
+			if cd[1] == step%12 {
+				want += 1000 * float64(step+1)
+			}
+			if got := u.At(cd); math.Float64bits(got) != math.Float64bits(want) && bad == nil {
+				bad = fmt.Errorf("u%v = %v, want %v", cd, got, want)
+			}
+			if ids.At(cd) != 7 && bad == nil {
+				bad = fmt.Errorf("ids%v = %d, want 7", cd, ids.At(cd))
+			}
+		})
+		return bad
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -215,9 +296,8 @@ func TestSquashPrefixFoldsChainIntoAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sm.Chained() || sm.ChainLen != 0 || len(sm.Deps) != 0 {
-		t.Fatalf("squashed meta: chained %v len %d deps %v, want self-contained anchor",
-			sm.Chained(), sm.ChainLen, sm.Deps)
+	if sm.ChainLen != 0 || len(sm.Deps) != 0 {
+		t.Fatalf("squashed meta: len %d deps %v, want self-contained anchor", sm.ChainLen, sm.Deps)
 	}
 	if err := ckpt.Verify(fs, gens[0], 0); err != nil {
 		t.Fatalf("squashed anchor fails verification: %v", err)

@@ -4,10 +4,8 @@ package ckpt
 // version 2): every reconfigurable checkpoint is an anchor or a delta of
 // a chain, with per-piece codecs.
 //
-// A v1 checkpoint — written by earlier versions of this code, still
-// decoded — stores each array as one file holding the raw
-// distribution-independent stream. A chained checkpoint stores the same
-// stream as *pieces*: each writer task appends the pieces it streamed —
+// A checkpoint stores each array's distribution-independent stream as
+// *pieces*: each writer task appends the pieces it streamed —
 // raw or flate-compressed, chosen per piece — to its own compacted piece
 // file "<prefix>.arr.<name>.p<task>", and the metadata records every
 // piece's location (generation, task, file extent, codec, stored CRC)
@@ -104,7 +102,7 @@ type ChainOptions struct {
 	// Delta requests a delta generation: pieces unchanged since Prev are
 	// carried forward by location instead of rewritten. Silently demoted
 	// to a full anchor when Prev is missing or incompatible (different
-	// task count, arrays, plan, or a v1 checkpoint).
+	// task count, arrays or plan, or a legacy checkpoint ReadMeta refuses).
 	Delta bool
 	// Codec is the piece codec policy.
 	Codec CodecMode
@@ -528,7 +526,7 @@ func (c *locCollector) encode(idx int, off int64, data []byte) (stream.Encoded, 
 
 // bcastPrevMeta loads the delta base: rank 0 reads the previous
 // generation's metadata, validates compatibility (same rotation base,
-// chained format, same task count, same array count), and broadcasts
+// same task count, same array count), and broadcasts
 // the result — nil when there is no usable base. Collective.
 func bcastPrevMeta(fs *pfs.System, comm *msg.Comm, base, prevName string, prevMeta *Meta, nArrays int) (*Meta, error) {
 	if prevName == "" {
@@ -749,7 +747,7 @@ func gatherLocSums(comm *msg.Comm, root int, locs []PieceLoc, sums []stream.Sect
 }
 
 // combineLocs folds the locations' logical piece CRCs into the whole-
-// stream CRC, exactly as combinePieces does for v1 piece lists.
+// stream CRC (combinePieces).
 func combineLocs(locs []PieceLoc) uint64 {
 	ps := make([]PieceSum, len(locs))
 	for i, l := range locs {
@@ -1005,7 +1003,9 @@ func recycleStored(b []byte) {
 // fails verification of every generation built on it. For each piece:
 // the stored bytes must match StoredCRC, compressed pieces must decode
 // to exactly their logical length and CRC, and the pieces together must
-// tile the array's stream. Memory-resident pieces verify against the
+// tile the array's stream; a stored extent is checked against its file's
+// size before anything is read into memory for it, so a lying record
+// costs no allocation. Memory-resident pieces verify against the
 // tier instead: at least one CRC-valid replica must survive. With a nil
 // tier every memory-resident piece is unverifiable — exactly right for
 // a restart that lost all peer memory: the generation quarantines and
@@ -1030,10 +1030,14 @@ func verifyChained(fs *pfs.System, tier *MemTier, prefix string, m *Meta, client
 				}
 				continue
 			}
+			if sz, err := fs.Size(name); err != nil || l.FileBytes > sz-l.FileOff {
+				return corrupt(prefix, name, l.Index, "stored piece [%d,+%d) unreadable (broken chain?): size %d, %v",
+					l.FileOff, l.FileBytes, sz, err)
+			}
 			stored := borrowStored(l.FileBytes)
 			if err := fs.ReadAt(client, name, stored, l.FileOff); err != nil {
 				recycleStored(stored)
-				return corrupt(prefix, name, l.Index, "stored piece unreadable (broken chain?): %v", err)
+				return corrupt(prefix, name, l.Index, "stored piece unreadable: %v", err)
 			}
 			if crcOf(stored) != l.StoredCRC {
 				recycleStored(stored)
@@ -1059,7 +1063,7 @@ func verifyChained(fs *pfs.System, tier *MemTier, prefix string, m *Meta, client
 			return corrupt(prefix, arrFile(prefix, am.Name), -1,
 				"array %q pieces cover %d of %d stream bytes", am.Name, next, am.Bytes)
 		}
-		if len(m.ArrayCRC) > i && combineLocs(locs) != m.ArrayCRC[i] {
+		if combineLocs(locs) != m.ArrayCRC[i] {
 			return corrupt(prefix, arrFile(prefix, am.Name), -1, "array %q combined stream crc mismatch", am.Name)
 		}
 	}
@@ -1084,7 +1088,7 @@ func Squash(fs *pfs.System, base string, client int) (prefix string, squashed bo
 	if err != nil {
 		return "", false, err
 	}
-	if m.Version < chainVersion || len(m.Deps) == 0 {
+	if len(m.Deps) == 0 || len(m.PieceLocs) == 0 { // an anchor, or a StateStore image chain: no pieces to fold
 		return cur, false, nil
 	}
 	if m.SegWhere == TierMem {
@@ -1112,16 +1116,9 @@ func Squash(fs *pfs.System, base string, client int) (prefix string, squashed bo
 		locs := append([]PieceLoc(nil), m.PieceLocs[i]...)
 		for j, l := range locs {
 			src := locPieceFile(base, cur, curGen, am.Name, l)
-			stored := borrowStored(l.FileBytes)
-			if err := fs.ReadAt(client, src, stored, l.FileOff); err != nil {
-				recycleStored(stored)
-				return "", false, fmt.Errorf("ckpt: squash: reading piece %d of %q: %w", l.Index, am.Name, err)
+			if err := copyExtent(fs, client, src, l.FileOff, file, off, l.FileBytes); err != nil {
+				return "", false, fmt.Errorf("ckpt: squash: copying piece %d of %q: %w", l.Index, am.Name, err)
 			}
-			if err := fs.WriteAt(client, file, stored, off); err != nil {
-				recycleStored(stored)
-				return "", false, err
-			}
-			recycleStored(stored)
 			l.Gen, l.Task, l.FileOff = dstGen, 0, off
 			off += l.FileBytes
 			locs[j] = l
@@ -1136,20 +1133,26 @@ func Squash(fs *pfs.System, base string, client int) (prefix string, squashed bo
 	return dst, true, nil
 }
 
-// copyFile copies a whole file byte for byte through a pooled window.
+// copyFile copies a whole file byte for byte.
 func copyFile(fs *pfs.System, client int, src, dst string, size int64) error {
 	fs.Create(dst)
-	window := borrowStored(min(size, padChunk))
+	return copyExtent(fs, client, src, 0, dst, 0, size)
+}
+
+// copyExtent copies n bytes of src at srcOff to dst at dstOff through a
+// pooled window.
+func copyExtent(fs *pfs.System, client int, src string, srcOff int64, dst string, dstOff, n int64) error {
+	window := borrowStored(min(n, padChunk))
 	defer recycleStored(window)
-	for off := int64(0); off < size; {
-		n := min(size-off, int64(len(window)))
-		if err := fs.ReadAt(client, src, window[:n], off); err != nil {
+	for done := int64(0); done < n; {
+		k := min(n-done, int64(len(window)))
+		if err := fs.ReadAt(client, src, window[:k], srcOff+done); err != nil {
 			return err
 		}
-		if err := fs.WriteAt(client, dst, window[:n], off); err != nil {
+		if err := fs.WriteAt(client, dst, window[:k], dstOff+done); err != nil {
 			return err
 		}
-		off += n
+		done += k
 	}
 	return nil
 }

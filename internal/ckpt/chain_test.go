@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -46,9 +47,11 @@ func writeChainGen(t testing.TB, fs *pfs.System, prefix string, co ChainOptions,
 }
 
 // storedEras hold the same state — chainFill(0) under job.g0,
-// chainFill(1) under job.g1, 4 tasks — in both decodable metadata
-// versions: as this tree writes a standalone checkpoint, and as the
-// stored v1 rotation has it.
+// chainFill(1) under job.g1, 4 tasks — in both layouts a reader meets:
+// "v2" as this tree writes a standalone checkpoint (task-sized piece
+// files), "v1" as Upgrade leaves the stored v1 rotation (one task-0 piece
+// file per array holding the whole stream, the v1 piece plan as its
+// location table).
 var storedEras = []struct {
 	name  string
 	store func(t testing.TB, fs *pfs.System)
@@ -58,7 +61,7 @@ var storedEras = []struct {
 			writeChainGen(t, fs, g, ChainOptions{Codec: CodecRaw, NoDeltaBase: true}, step, 4, []int{2, 2})
 		}
 	}},
-	{"v1", loadV1Rotation},
+	{"v1", loadUpgradedV1Rotation},
 }
 
 // forEachEra runs f once per stored era on a fresh file system.
@@ -120,8 +123,8 @@ func TestChainedAnchorDeltaRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !m.Chained() || m.ChainLen != 2 || len(m.Deps) == 0 {
-				t.Fatalf("chain meta = len %d deps %v chained %v", m.ChainLen, m.Deps, m.Chained())
+			if m.ChainLen != 2 || len(m.Deps) == 0 {
+				t.Fatalf("chain meta = len %d deps %v", m.ChainLen, m.Deps)
 			}
 			// The deltas actually elide: a delta generation stores far less
 			// than the anchor.
@@ -157,9 +160,10 @@ func TestChainedAnchorDeltaRoundTrip(t *testing.T) {
 }
 
 func TestChainedDeltaDemotedOnV1Prev(t *testing.T) {
-	// Cross-version chain start: the previous generation predates the
-	// chained format, so a requested delta silently becomes an anchor —
-	// and both eras keep restoring through the same resolver.
+	// Cross-version chain start: the previous generation is a legacy
+	// checkpoint no reader decodes, so a requested delta silently becomes
+	// an anchor — which restores — while the legacy generations keep
+	// refusing until they are upgraded.
 	fs := testFS()
 	loadV1Rotation(t, fs)
 	writeChainGen(t, fs, "job.g2", ChainOptions{Prev: "job.g1", Delta: true, Codec: CodecRaw}, 2, 4, []int{2, 2})
@@ -167,13 +171,20 @@ func TestChainedDeltaDemotedOnV1Prev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Chained() || m.ChainLen != 0 || m.Deps != nil {
-		t.Fatalf("delta against a v1 checkpoint not demoted: chained %v len %d deps %v", m.Chained(), m.ChainLen, m.Deps)
+	if m.ChainLen != 0 || m.Deps != nil {
+		t.Fatalf("delta against a v1 checkpoint not demoted: len %d deps %v", m.ChainLen, m.Deps)
 	}
-	// Newest (chained) and older (v1) both restore bit-exact.
 	checkChainRestore(t, fs, "job", 2, 3, []int{3, 1}, 128)
+	mustRun(t, 2, func(c *msg.Comm) {
+		sg, refs, _, _ := buildApp(c, []int{2, 1})
+		if _, _, err := ReadDRMS(fs, "job.g1", c, sg, refs, stream.Options{}); !errors.Is(err, ErrLegacyFormat) {
+			panic(fmt.Sprintf("restore of a legacy generation: %v", err))
+		}
+	})
+	if _, err := Upgrade(fs, "job.g1", 0); err != nil {
+		t.Fatal(err)
+	}
 	checkChainRestore(t, fs, "job.g1", 1, 2, []int{2, 1}, 128)
-	checkChainRestore(t, fs, "job.g0", 0, 2, []int{2, 1}, 128)
 }
 
 // TestDeltaAgainstStandaloneAnchorIsAnAnchor: an anchor written without
@@ -183,8 +194,8 @@ func TestChainedDeltaDemotedOnV1Prev(t *testing.T) {
 func TestDeltaAgainstStandaloneAnchorIsAnAnchor(t *testing.T) {
 	fs := testFS()
 	storedEras[0].store(t, fs)
-	if m, _ := ReadMeta(fs, "job.g1", 0); !m.Chained() || m.Sections != nil {
-		t.Fatalf("standalone anchor: chained %v, %d fingerprint lists", m.Chained(), len(m.Sections))
+	if m, err := ReadMeta(fs, "job.g1", 0); err != nil || m.Sections != nil {
+		t.Fatalf("standalone anchor: %d fingerprint lists, err %v", len(m.Sections), err)
 	}
 	writeChainGen(t, fs, "job.g2", ChainOptions{Prev: "job.g1", Delta: true, Codec: CodecRaw}, 2, 4, []int{2, 2})
 	writeChainGen(t, fs, "job.g3", ChainOptions{Prev: "job.g2", Delta: true, Codec: CodecRaw}, 3, 4, []int{2, 2})
@@ -325,7 +336,7 @@ func TestSquashFoldsChainIntoAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ChainLen != 0 || m.Deps != nil || !m.Chained() {
+	if m.ChainLen != 0 || m.Deps != nil {
 		t.Fatalf("squashed meta = len %d deps %v", m.ChainLen, m.Deps)
 	}
 	if err := Verify(fs, dst, 0); err != nil {

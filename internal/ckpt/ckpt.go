@@ -24,10 +24,11 @@
 //	                    independent stream that task i wrote (chain.go)
 //	P.task<i>.seg       SPMD: task i's segment (vars + local sections + pad)
 //
-// There is one DRMS encoder, WriteDRMSChained, and it writes metadata
-// version 2. Version 1 — the same stream as one file P.arr.<name> per
-// array — was written by earlier versions of this code and is still
-// decoded by everything here that reads: restore, verify, rotation, fsck.
+// There is one DRMS encoder, WriteDRMSChained, and one format it writes
+// and everything here reads: metadata version 2. Version 1 — the same
+// stream as one file P.arr.<name> per array — was written by earlier
+// versions of this code; ReadMeta refuses it with ErrLegacyFormat, and
+// Upgrade (drmsfsck -repair) rewrites such a checkpoint in place.
 //
 // Different prefixes hold independent checkpoints, so an application can
 // keep several states concurrently (§3).
@@ -37,9 +38,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"time"
 
+	"drms/internal/codec"
 	"drms/internal/crc"
 	"drms/internal/msg"
 	"drms/internal/pfs"
@@ -79,23 +82,16 @@ type Meta struct {
 	// file size. Decodes as TierPFS from older metadata.
 	SegWhere uint8
 	ArrayCRC []uint64 // CRC-64/ECMA of each array stream, aligned with Arrays
-	// ArrayPieces holds each array's per-piece checksums in stored v1
-	// DRMS metadata — what a verified or partial restore checks pieces
-	// against; v2 carries them inside PieceLocs.
-	ArrayPieces [][]PieceSum
 	// PlanSigs holds each array's streaming-plan signature
 	// (stream.PlanSig), aligned with Arrays. Two checkpoints with equal
 	// signatures used the identical piece decomposition and byte offsets,
 	// so the signature is a cheap "did the plan change?" identity test:
 	// a delta generation only trusts per-piece diffing against a base
 	// whose signature matches, and a partial restore only filters by
-	// piece index under it. Decodes as empty from older metadata, which
-	// simply forces a full write (and the full restart path).
+	// piece index under it. Empty in an upgraded checkpoint that never
+	// recorded one, which simply forces a full write (and the full
+	// restart path).
 	PlanSigs []string
-
-	// The remaining fields belong to chained checkpoints (Version >= 2,
-	// every DRMS checkpoint written today) and decode as zero from v1
-	// metadata.
 
 	// ChainLen is this checkpoint's distance from its chain's anchor:
 	// 0 for an anchor (every piece stored under this generation's own
@@ -117,33 +113,9 @@ type Meta struct {
 	// to every piece (stream.SectionSums, sorted by piece then task) —
 	// the delta base the NEXT chained generation diffs against to decide
 	// which pieces to rewrite without redistributing anything. Empty in
-	// a checkpoint written with ChainOptions.NoDeltaBase and in v1
-	// metadata, which simply forces a full write.
+	// a checkpoint written with ChainOptions.NoDeltaBase or upgraded from
+	// version 1, which simply forces a full write.
 	Sections [][]stream.SectionSum
-}
-
-// Chained reports whether the checkpoint uses the chained piece format
-// (per-piece locations, possibly compressed or referencing earlier
-// generations).
-func (m *Meta) Chained() bool {
-	return m.Version >= chainVersion && len(m.PieceLocs) > 0
-}
-
-// PieceSums returns array i's per-piece logical checksums regardless of
-// metadata version: v1 stores them directly, chained metadata embeds
-// them in the piece locations. Nil when the checkpoint has neither.
-func (m *Meta) PieceSums(i int) []PieceSum {
-	if len(m.ArrayPieces) > i && m.ArrayPieces[i] != nil {
-		return m.ArrayPieces[i]
-	}
-	if len(m.PieceLocs) > i && m.PieceLocs[i] != nil {
-		ps := make([]PieceSum, len(m.PieceLocs[i]))
-		for j, l := range m.PieceLocs[i] {
-			ps[j] = l.PieceSum
-		}
-		return ps
-	}
-	return nil
 }
 
 // Stats summarizes a checkpoint or restart operation on this task.
@@ -173,7 +145,7 @@ type Stats struct {
 func (s Stats) Total() int64 { return s.SegmentBytes + s.ArrayBytes }
 
 const (
-	version      = 1       // WriteSPMD's metadata, and stored DRMS checkpoints with one file per array
+	version      = 1       // WriteSPMD's and StateStore's metadata, and legacy DRMS checkpoints (Upgrade)
 	chainVersion = 2       // DRMS metadata with piece locations (WriteDRMSChained)
 	padChunk     = 1 << 20 // padding is written/read in 1 MB operations
 	segHeader    = 8       // payload length prefix
@@ -182,8 +154,9 @@ const (
 func metaFile(prefix string) string { return prefix + ".meta" }
 func segFile(prefix string) string  { return prefix + ".seg" }
 
-// arrFile names a stored v1 array's stream file; for a v2 array, whose
-// bytes live in piece files, it is the name integrity errors report.
+// arrFile names an array's stream. Its bytes live in piece files
+// (pieceFile); the stream name is what the stream layer is handed and
+// what integrity errors about the whole stream report.
 func arrFile(prefix, name string) string {
 	return prefix + ".arr." + name
 }
@@ -286,8 +259,8 @@ type restorePlan struct {
 // a non-DRMS checkpoint, a missing or extra array, a changed element
 // type or global shape. A subset restore filters the writer's piece plan
 // by index and never replans, so it additionally needs the
-// checkpointing task count, the writer's plan signature under these
-// streaming options, and per-piece checksums for every array.
+// checkpointing task count and the writer's plan signature under these
+// streaming options.
 func matchArrays(m *Meta, prefix string, arrays []ArrayRef, tasks int, o stream.Options, subset bool) ([]ArrayRef, error) {
 	if m.Mode != ModeDRMS {
 		return nil, fmt.Errorf("ckpt: %q is a %s checkpoint; reconfigurable restart requires DRMS mode", prefix, m.Mode)
@@ -319,8 +292,6 @@ func matchArrays(m *Meta, prefix string, arrays []ArrayRef, tasks int, o stream.
 		// recovery validates twice (PartialEligible, then the engine).
 		case subset && (len(m.PlanSigs) <= i || m.PlanSigs[i] != stream.PlanSig(a.GlobalShape(), a.ElemSize(), tasks, o)):
 			return nil, fmt.Errorf("ckpt: array %q shape or piece plan changed since the checkpoint; partial restore requires both", am.Name)
-		case subset && m.PieceSums(i) == nil:
-			return nil, fmt.Errorf("ckpt: array %q has no per-piece checksums; partial restore requires them", am.Name)
 		}
 		refs[i] = a
 	}
@@ -370,23 +341,19 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	}
 
 	// Arrays load under the current (possibly adjusted) distribution; the
-	// stream layout is distribution-independent.
+	// stream layout is distribution-independent. The array's bytes live in
+	// per-writer piece files, possibly compressed and possibly in earlier
+	// generations (deltas) — or, tier permitting, in surviving peers'
+	// memory. The fetcher maps whatever extents this restore's own piece
+	// plan asks for onto the stored pieces.
 	for i, am := range m.Arrays {
 		a := refs[i]
 		file := arrFile(prefix, am.Name)
 		fs.BeginPhase("arrays:" + am.Name)
 		opts := o
-		var fetcher *pieceFetcher
-		if m.Chained() && len(m.PieceLocs) > i {
-			// Chained checkpoint: the array's bytes live in per-writer
-			// piece files, possibly compressed and possibly in earlier
-			// generations (deltas) — or, tier permitting, in surviving
-			// peers' memory. The fetcher maps whatever extents this
-			// restore's own piece plan asks for onto the stored pieces.
-			fetcher = newPieceFetcher(fs, p.tier, prefix, am.Name, m.PieceLocs[i], me, selfNode)
-			opts.FetchPiece = fetcher.fetch
-		}
-		var pieces *[]pieceCRC // whole-stream CRC collector; nil for a subset
+		fetcher := newPieceFetcher(fs, p.tier, prefix, am.Name, m.PieceLocs[i], me, selfNode)
+		opts.FetchPiece = fetcher.fetch
+		var pieces *[]PieceSum // whole-stream CRC collector; nil for a subset
 		loaded := am.Bytes     // matchArrays proved the stream is this long
 		if p.subset {
 			// Count the restored bytes, not the stream's nominal size: the
@@ -398,7 +365,7 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 			var hook func(int, int64, []byte)
 			hook, pieces = crcCollector()
 			opts.PieceHook = chainPieceHooks(o.PieceHook, hook)
-			if fetcher != nil && p.tier != nil {
+			if p.tier != nil {
 				// Hot restore plan: when every piece of the array survives
 				// in peer memory (all tasks must agree — stores can drop
 				// under a concurrent node loss; whether there is a tier to
@@ -428,14 +395,14 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 			}
 		}
 		var pieceVerify *pieceVerifier
-		if sums := m.PieceSums(i); sums != nil && p.verify {
+		if p.verify {
 			// Piece-level verification: compare each piece the moment it
 			// is read against the checkpointed per-piece checksums. Only
 			// pieces whose extent (index, offset, length) matches the
 			// stored plan are attributable — a restore with different
 			// streaming options partitions differently and falls back to
 			// the whole-stream check below.
-			pieceVerify = newPieceVerifier(sums)
+			pieceVerify = newPieceVerifier(m.PieceLocs[i])
 			opts.PieceHook = chainPieceHooks(opts.PieceHook, pieceVerify.hook)
 		}
 		s, err := a.StreamRead(fs, file, opts)
@@ -444,18 +411,10 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 		}
 		st.ArrayBytes += loaded
 		st.NetBytes += s.NetBytes
-		switch {
-		case fetcher != nil:
-			// Per-rank actual fetch counters; the cluster-wide reduction
-			// below sums them into the agreed totals.
-			st.TierMemBytes += fetcher.memBytes.Load()
-			st.TierPFSBytes += fetcher.pfsBytes.Load()
-		case p.subset && me == 0:
-			// v1 layout: the needed bytes come off the array file. They
-			// are a plan-level quantity (identical on every rank), so
-			// count them once or the reduction would multiply them.
-			st.TierPFSBytes += loaded
-		}
+		// Per-rank actual fetch counters; the cluster-wide reduction below
+		// sums them into the agreed totals.
+		st.TierMemBytes += fetcher.memBytes.Load()
+		st.TierPFSBytes += fetcher.pfsBytes.Load()
 		if err := comm.Barrier(); err != nil { // phase boundary
 			return m, st, err
 		}
@@ -470,7 +429,7 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 				return m, st, corrupt(prefix, file, bad, "piece crc mismatch on read")
 			}
 		}
-		if pieces != nil && len(m.ArrayCRC) > i {
+		if pieces != nil {
 			mismatch, err := checkStreamCRC(comm, *pieces, m.ArrayCRC[i])
 			if err != nil {
 				return m, st, err
@@ -505,10 +464,7 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 // matching it against the metadata — and falls back to the full padded
 // pfs reread.
 func readSegment(fs *pfs.System, tier *MemTier, prefix string, client, selfNode int, m *Meta) (payload []byte, memBytes, pfsBytes int64, err error) {
-	var want uint64
-	if len(m.SegCRC) > 0 {
-		want = m.SegCRC[0]
-	}
+	want := m.SegCRC[0]
 	if m.SegWhere == TierMem {
 		data, local, ok := tier.LookupPrefer(selfNode, prefix, "", segIndex, want)
 		if !ok {
@@ -521,7 +477,7 @@ func readSegment(fs *pfs.System, tier *MemTier, prefix string, client, selfNode 
 		}
 		return data, int64(len(data)), 0, nil
 	}
-	if tier != nil && len(m.SegCRC) > 0 {
+	if tier != nil {
 		if data, local, ok := tier.LookupSelf(selfNode, prefix, "", segIndex); ok {
 			hdr := make([]byte, segHeader)
 			binary.LittleEndian.PutUint64(hdr, uint64(len(data)))
@@ -539,7 +495,7 @@ func readSegment(fs *pfs.System, tier *MemTier, prefix string, client, selfNode 
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if len(m.SegCRC) > 0 && segCRC != want {
+	if segCRC != want {
 		return nil, 0, 0, corrupt(prefix, segFile(prefix), -1,
 			"segment crc %016x, metadata %016x", segCRC, want)
 	}
@@ -624,7 +580,7 @@ func ReadSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, ar
 	if err != nil {
 		return m, st, err
 	}
-	if len(m.SegCRC) > me && crc != m.SegCRC[me] {
+	if crc != m.SegCRC[me] {
 		return m, st, fmt.Errorf("ckpt: task %d segment of %q fails integrity check", me, prefix)
 	}
 	st.SegmentBytes = m.SegBytes[me]
@@ -658,26 +614,85 @@ func ReadSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, ar
 	return m, st, nil
 }
 
+// ErrLegacyFormat marks a DRMS checkpoint stored in metadata version 1,
+// one file per array, which no reader here decodes: Upgrade — drmsfsck
+// -repair — rewrites it in place as version 2 once. The checkpoint is
+// intact, so nothing quarantines it for this.
+var ErrLegacyFormat = errors.New("ckpt: legacy checkpoint format (metadata version 1); upgrade it once with drmsfsck -repair")
+
 // ReadMeta loads checkpoint metadata (e.g. to learn the task count before
-// deciding a restart configuration).
+// deciding a restart configuration). Metadata whose tables disagree in
+// length with what the rest of the record promises is a *CorruptError:
+// every reader indexes them unchecked after this.
 func ReadMeta(fs *pfs.System, prefix string, client int) (Meta, error) {
 	var m Meta
-	name := metaFile(prefix)
-	sz, err := fs.Size(name)
-	if err != nil {
-		return m, fmt.Errorf("ckpt: no checkpoint under prefix %q: %w", prefix, err)
-	}
-	buf := make([]byte, sz)
-	if err := fs.ReadAt(client, name, buf, 0); err != nil {
+	if err := decodeMeta(fs, prefix, client, &m); err != nil {
 		return m, err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&m); err != nil {
-		return m, fmt.Errorf("ckpt: corrupt metadata for %q: %w", prefix, err)
 	}
 	if m.Version < version || m.Version > chainVersion {
 		return m, fmt.Errorf("ckpt: metadata version %d unsupported", m.Version)
 	}
+	if legacy(&m) {
+		return m, fmt.Errorf("%w: %q", ErrLegacyFormat, prefix)
+	}
+	if bad := shapeError(&m); bad != "" {
+		return m, corrupt(prefix, metaFile(prefix), -1, "metadata %s", bad)
+	}
 	return m, nil
+}
+
+// decodeMeta reads the stored metadata record of prefix and decodes it
+// into each of dst.
+func decodeMeta(fs *pfs.System, prefix string, client int, dst ...any) error {
+	name := metaFile(prefix)
+	sz, err := fs.Size(name)
+	if err != nil {
+		return fmt.Errorf("ckpt: no checkpoint under prefix %q: %w", prefix, err)
+	}
+	buf := make([]byte, sz)
+	if err := fs.ReadAt(client, name, buf, 0); err != nil {
+		return err
+	}
+	for _, d := range dst {
+		if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(d); err != nil {
+			return fmt.Errorf("ckpt: corrupt metadata for %q: %w", prefix, err)
+		}
+	}
+	return nil
+}
+
+// legacy reports a version 1 DRMS checkpoint with arrays: the format
+// only Upgrade decodes. SPMD metadata and the array-less metadata of a
+// StateStore are version 1 too, and current.
+func legacy(m *Meta) bool {
+	return m.Mode == ModeDRMS && m.Version < chainVersion && len(m.Arrays) > 0
+}
+
+// shapeError describes how m's tables contradict the rest of m ("" when
+// they do not): one segment entry per segment file, at most one array
+// table entry per array (exactly one location list and stream CRC in
+// DRMS mode), and piece extents a reader can act on.
+func shapeError(m *Meta) string {
+	segs, n := 1, len(m.Arrays)
+	if m.Mode == ModeSPMD {
+		segs = m.Tasks
+	}
+	if len(m.SegBytes) != segs || len(m.SegCRC) != segs || len(m.PlanSigs) > n || len(m.Sections) > n ||
+		len(m.ArrayCRC) > n || len(m.PieceLocs) > n || m.Mode == ModeDRMS && (len(m.ArrayCRC) != n || len(m.PieceLocs) != n) {
+		return fmt.Sprintf("tables disagree with its %d segments and %d arrays", segs, n)
+	}
+	for i, locs := range m.PieceLocs {
+		for _, l := range locs {
+			// A raw piece is stored as itself; no codec here expands one
+			// stored byte into more than codec.MaxExpansion logical bytes.
+			if l.Bytes < 0 || l.FileOff < 0 || l.FileBytes < 0 || m.Arrays[i].Bytes < 0 ||
+				codec.ID(l.Codec) == codec.Raw && l.FileBytes != l.Bytes ||
+				l.Bytes/codec.MaxExpansion > l.FileBytes {
+				return fmt.Sprintf("array %q piece %d has an impossible extent", m.Arrays[i].Name, l.Index)
+			}
+		}
+	}
+	return ""
 }
 
 // Exists reports whether a committed checkpoint is reachable from the

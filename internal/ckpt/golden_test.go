@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"testing"
@@ -19,21 +20,22 @@ import (
 // of archived state must keep working as the implementation evolves.
 //
 // golden.pfs is metadata v1, one raw stream file per array. Nothing in
-// this tree writes that format any more, so the file is never
-// regenerated: it is the decoder's contract with checkpoints already on
-// storage. golden_v2.pfs is the default configuration's checkpoint — a
-// chained raw anchor; if that format must change, regenerate it
-// deliberately with:
+// this tree writes that format any more and no reader decodes it: the
+// test upgrades it in memory (Upgrade, drmsfsck -repair) and restores
+// the result, so the file is never regenerated — it is the upgrader's
+// contract with checkpoints already on storage. golden_v2.pfs is the
+// default configuration's checkpoint — a chained raw anchor; if that
+// format must change, regenerate it deliberately with:
 //
 //	go test ./internal/ckpt -run Golden -regen-golden
 var regenGolden = flag.Bool("regen-golden", false, "rewrite testdata/golden_v2.pfs (never golden.pfs)")
 
 var goldens = []struct {
 	path    string
-	version int
+	upgrade bool // stored in metadata v1: restorable once upgraded
 }{
-	{"testdata/golden.pfs", 1},
-	{"testdata/golden_v2.pfs", chainVersion},
+	{"testdata/golden.pfs", true},
+	{"testdata/golden_v2.pfs", false},
 }
 
 func goldenFill(cd []int) float64 { return float64(cd[0]*100+cd[1]) + 0.5 }
@@ -67,17 +69,23 @@ func TestGoldenCheckpointStillRestores(t *testing.T) {
 		t.Log("regenerated", goldens[1].path, "— golden.pfs is stored v1 input and stays as it is")
 	}
 	for _, g := range goldens {
-		t.Run(g.path, func(t *testing.T) { restoreGolden(t, g.path, g.version) })
+		t.Run(g.path, func(t *testing.T) { restoreGolden(t, g.path, g.upgrade) })
 	}
 }
 
-func restoreGolden(t *testing.T, path string, version int) {
+func restoreGolden(t *testing.T, path string, upgrade bool) {
 	fs := pfs.NewSystem(pfs.DefaultConfig())
 	if err := fs.LoadFile(path); err != nil {
 		t.Fatalf("golden snapshot missing: %v", err)
 	}
-	if m, err := ReadMeta(fs, "golden", 0); err != nil || m.Version != version {
-		t.Fatalf("golden metadata version %d (err %v), want %d", m.Version, err, version)
+	if _, err := ReadMeta(fs, "golden", 0); errors.Is(err, ErrLegacyFormat) != upgrade {
+		t.Fatalf("golden metadata: %v, want legacy=%v", err, upgrade)
+	}
+	if up, err := Upgrade(fs, "golden", 0); up != upgrade || err != nil {
+		t.Fatalf("upgrade: %v %v, want %v", up, err, upgrade)
+	}
+	if m, err := ReadMeta(fs, "golden", 0); err != nil || m.Version != chainVersion {
+		t.Fatalf("golden metadata version %d (err %v), want %d", m.Version, err, chainVersion)
 	}
 	// Integrity first: byte-level drift fails loudly.
 	if err := Verify(fs, "golden", 0); err != nil {

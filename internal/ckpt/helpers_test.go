@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"errors"
 	"testing"
 
 	"drms/internal/msg"
@@ -20,40 +21,52 @@ func mustRun(t testing.TB, n int, f func(c *msg.Comm)) {
 // file per array — which no code in this tree can write any more: job.g0
 // and job.g1 hold chainFill(0) and chainFill(1) of buildApp on 4 tasks
 // (grid 2×2, PieceBytes 300, "iter" registered), written once by the v1
-// encoder of commit 2aac552. Stored v1 checkpoints stay supported input;
-// this file is what feeds the decoder's flat arms.
+// encoder of commit 2aac552. Only Upgrade decodes it; with golden.pfs it
+// is the upgrader's input.
 const v1RotationPath = "testdata/v1_rotation.pfs"
 
-// loadV1Rotation replaces fs's contents with the stored v1 rotation.
+// loadV1Rotation replaces fs's contents with the stored v1 rotation,
+// not yet upgraded: every reader refuses it with ErrLegacyFormat.
 func loadV1Rotation(t testing.TB, fs *pfs.System) {
 	t.Helper()
 	if err := fs.LoadFile(v1RotationPath); err != nil {
 		t.Fatalf("stored v1 rotation missing: %v", err)
 	}
 	for _, g := range []string{"job.g0", "job.g1"} {
-		if m, err := ReadMeta(fs, g, 0); err != nil || m.Version != 1 || m.Chained() {
-			t.Fatalf("%s of %s is not a v1 checkpoint: version %d err %v", g, v1RotationPath, m.Version, err)
+		if _, err := ReadMeta(fs, g, 0); !errors.Is(err, ErrLegacyFormat) {
+			t.Fatalf("%s of %s is not a legacy checkpoint: %v", g, v1RotationPath, err)
+		}
+	}
+}
+
+// loadUpgradedV1Rotation is loadV1Rotation followed by Upgrade of both
+// generations.
+func loadUpgradedV1Rotation(t testing.TB, fs *pfs.System) {
+	t.Helper()
+	loadV1Rotation(t, fs)
+	for _, g := range []string{"job.g0", "job.g1"} {
+		if up, err := Upgrade(fs, g, 0); !up || err != nil {
+			t.Fatalf("upgrade %s: upgraded %v, %v", g, up, err)
 		}
 	}
 }
 
 // storedAt locates, from the committed metadata, where byte off of an
-// array's stream is stored: the piece file of the location covering it
-// for chained metadata, the array file for v1. A byte test helpers damage
-// must be one a reader will read — pfs.WriteAt creates a missing file, so
-// a wrong guess at the name corrupts nothing and fails no test.
+// array's stream is stored: the piece file of the location covering it.
+// A byte test helpers damage must be one a reader will read —
+// pfs.WriteAt creates a missing file, so a wrong guess at the name
+// corrupts nothing and fails no test.
 func storedAt(t testing.TB, fs *pfs.System, prefix, arr string, off int64) (file string, fileOff int64) {
 	t.Helper()
 	m, err := ReadMeta(fs, prefix, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, fileOff = arrFile(prefix, arr), off
+	base, gen := genBase(prefix)
 	for i, am := range m.Arrays {
-		if am.Name != arr || !m.Chained() {
+		if am.Name != arr {
 			continue
 		}
-		base, gen := genBase(prefix)
 		for _, l := range m.PieceLocs[i] {
 			if l.Off <= off && off < l.Off+l.Bytes {
 				file, fileOff = locPieceFile(base, prefix, gen, arr, l), l.FileOff+min(off-l.Off, l.FileBytes-1)

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -12,19 +11,20 @@ import (
 	"drms/internal/pfs"
 )
 
-// Checkpoint integrity: every array file and segment file carries a
-// CRC-64/ECMA of its full contents in the metadata, computed *during* the
-// checkpoint without re-reading anything. Parallel streaming writes the
-// pieces of one file from many tasks concurrently, so per-piece CRCs are
-// gathered and combined (internal/crc): rank 0 combines once per piece
-// per array at every commit while the other ranks wait. Verify re-reads
-// files sequentially and compares.
+// Checkpoint integrity: every array stream, every stored piece and every
+// segment file carries a CRC-64/ECMA in the metadata, computed *during*
+// the checkpoint without re-reading anything. Parallel streaming writes
+// the pieces of one stream from many tasks concurrently, so per-piece
+// CRCs are gathered and combined (internal/crc): rank 0 combines once per
+// piece per array at every commit while the other ranks wait. Verify
+// re-reads the stored bytes sequentially and compares.
 
 // crcOf returns the CRC-64/ECMA of data.
 func crcOf(data []byte) uint64 { return crc.Checksum(data) }
 
-// PieceSum records the checksum of one streamed piece; the per-array
-// piece lists in the metadata are what restores verify pieces against.
+// PieceSum records the checksum of one streamed piece; the piece
+// locations in the metadata embed it, and restores verify pieces
+// against it.
 type PieceSum struct {
 	Index int
 	Off   int64 // stream-relative byte offset
@@ -32,15 +32,12 @@ type PieceSum struct {
 	Bytes int64
 }
 
-// pieceCRC is the internal alias used while collecting.
-type pieceCRC = PieceSum
-
 // crcCollector returns a stream.Options.PieceHook plus the slice it
 // fills. Each task collects only the pieces it handled.
-func crcCollector() (func(int, int64, []byte), *[]pieceCRC) {
-	var pieces []pieceCRC
+func crcCollector() (func(int, int64, []byte), *[]PieceSum) {
+	var pieces []PieceSum
 	hook := func(idx int, off int64, data []byte) {
-		pieces = append(pieces, pieceCRC{Index: idx, Off: off, CRC: crcOf(data), Bytes: int64(len(data))})
+		pieces = append(pieces, PieceSum{Index: idx, Off: off, CRC: crcOf(data), Bytes: int64(len(data))})
 	}
 	return hook, &pieces
 }
@@ -48,7 +45,7 @@ func crcCollector() (func(int, int64, []byte), *[]pieceCRC) {
 // combinePieces folds an unordered set of piece CRCs covering a whole
 // stream into the CRC of the stream. The pieces' index order is their
 // stream order; any partition of the stream combines to the same value.
-func combinePieces(pieces []pieceCRC) uint64 {
+func combinePieces(pieces []PieceSum) uint64 {
 	sort.Slice(pieces, func(i, j int) bool { return pieces[i].Index < pieces[j].Index })
 	var acc uint64
 	for _, p := range pieces {
@@ -79,7 +76,7 @@ func pieceSumAt(b []byte) PieceSum {
 
 // gatherPieces collects every task's piece CRCs at root and returns the
 // sorted full list there (nil elsewhere).
-func gatherPieces(comm *msg.Comm, root int, mine []pieceCRC) ([]pieceCRC, error) {
+func gatherPieces(comm *msg.Comm, root int, mine []PieceSum) ([]PieceSum, error) {
 	buf := make([]byte, 0, len(mine)*pieceSumBytes)
 	for _, p := range mine {
 		buf = appendPieceSum(buf, p)
@@ -91,7 +88,7 @@ func gatherPieces(comm *msg.Comm, root int, mine []pieceCRC) ([]pieceCRC, error)
 	if comm.Rank() != root {
 		return nil, nil
 	}
-	var all []pieceCRC
+	var all []PieceSum
 	for _, part := range parts {
 		for ; len(part) >= pieceSumBytes; part = part[pieceSumBytes:] {
 			all = append(all, pieceSumAt(part))
@@ -106,7 +103,7 @@ func gatherPieces(comm *msg.Comm, root int, mine []pieceCRC) ([]pieceCRC, error)
 // compares; the verdict is broadcast so all tasks agree. mismatch=true
 // (with a nil error) reports an integrity failure; a non-nil error is a
 // communication failure of the check itself.
-func checkStreamCRC(comm *msg.Comm, mine []pieceCRC, want uint64) (mismatch bool, err error) {
+func checkStreamCRC(comm *msg.Comm, mine []PieceSum, want uint64) (mismatch bool, err error) {
 	all, err := gatherPieces(comm, 0, mine)
 	if err != nil {
 		return false, err
@@ -131,10 +128,10 @@ type pieceVerifier struct {
 	bad  int64 // atomic: first corrupt piece index + 1; 0 = none
 }
 
-func newPieceVerifier(pieces []PieceSum) *pieceVerifier {
-	v := &pieceVerifier{want: make(map[int]PieceSum, len(pieces))}
-	for _, p := range pieces {
-		v.want[p.Index] = p
+func newPieceVerifier(locs []PieceLoc) *pieceVerifier {
+	v := &pieceVerifier{want: make(map[int]PieceSum, len(locs))}
+	for _, l := range locs {
+		v.want[l.Index] = l.PieceSum
 	}
 	return v
 }
@@ -234,48 +231,19 @@ func VerifyTier(fs *pfs.System, tier *MemTier, prefix string, client int) error 
 		} else if err := verifyFile(fs, prefix, segFile(prefix), client, m.SegBytes[0], m.SegCRC[0]); err != nil {
 			return err
 		}
-		if m.Version >= chainVersion && len(m.PieceLocs) > 0 {
-			// Chained checkpoints store pieces, not whole array files;
-			// verify each stored extent, across the whole chain.
-			return verifyChained(fs, tier, prefix, &m, client)
-		}
-		for i, am := range m.Arrays {
-			// Array files are exactly the stream bytes.
-			file := arrFile(prefix, am.Name)
-			if err := verifyFile(fs, prefix, file, client, am.Bytes, m.ArrayCRC[i]); err != nil {
-				var ce *CorruptError
-				if errors.As(err, &ce) && len(m.ArrayPieces) > i {
-					// Attribute the damage to the first corrupt piece.
-					if p, perr := findCorruptPiece(fs, file, client, m.ArrayPieces[i]); perr == nil && p >= 0 {
-						ce.Piece = p
-					}
-				}
-				return err
-			}
-		}
+		// Arrays are stored as pieces: verify each stored extent, across
+		// the whole chain.
+		return verifyChained(fs, tier, prefix, &m, client)
 	case ModeSPMD:
 		for task := 0; task < m.Tasks; task++ {
 			if err := verifyFile(fs, prefix, taskSegFile(prefix, task), client, m.SegBytes[task], m.SegCRC[task]); err != nil {
 				return err
 			}
 		}
+		return nil
 	default:
 		return fmt.Errorf("ckpt: unknown mode %q", m.Mode)
 	}
-	return nil
-}
-
-// findCorruptPiece re-reads the extents named by the per-piece checksums
-// and returns the index of the first piece whose CRC disagrees (-1 when
-// every piece matches — the damage then lies outside the piece map).
-func findCorruptPiece(fs *pfs.System, name string, client int, pieces []PieceSum) (int, error) {
-	for _, p := range pieces {
-		// An unreadable extent is attributed to its piece as well.
-		if sum, err := readCRC(fs, name, client, 0, p.Off, p.Bytes); err != nil || sum != p.CRC {
-			return p.Index, nil
-		}
-	}
-	return -1, nil
 }
 
 // verifyFile checks one file's size and CRC.

@@ -20,13 +20,13 @@ func TestCombinePiecesAnyPartition(t *testing.T) {
 	want := crc64.Checksum(data, tab)
 	for iter := 0; iter < 20; iter++ {
 		// Random partition into pieces, presented shuffled.
-		var pieces []pieceCRC
+		var pieces []PieceSum
 		for off, idx := 0, 0; off < len(data); idx++ {
 			n := 1 + rng.Intn(3000)
 			if off+n > len(data) {
 				n = len(data) - off
 			}
-			pieces = append(pieces, pieceCRC{Index: idx,
+			pieces = append(pieces, PieceSum{Index: idx,
 				CRC: crc64.Checksum(data[off:off+n], tab), Bytes: int64(n)})
 			off += n
 		}

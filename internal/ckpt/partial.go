@@ -87,7 +87,7 @@ func ReadDRMSPartial(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segm
 // given arrays, is provably safe from this task's view of storage:
 // everything the engine's subset plan requires of the metadata (DRMS
 // mode, the checkpointing task count, matching arrays and piece-plan
-// signatures, per-piece checksums), the segment readable in some tier,
+// signatures), the segment readable in some tier,
 // and every needed piece resolvable — a CRC-valid replica surviving in
 // peer memory for memory-tier pieces, an existing file otherwise (a
 // pruned chain predecessor surfaces here as a missing piece file). nil
@@ -105,7 +105,7 @@ func PartialEligible(fs *pfs.System, tier *MemTier, prefix string, tasks int, ar
 		return err
 	}
 	if m.SegWhere == TierMem {
-		if len(m.SegCRC) == 0 || !tier.Check(prefix, "", segIndex, m.SegCRC[0]) {
+		if !tier.Check(prefix, "", segIndex, m.SegCRC[0]) {
 			return fmt.Errorf("segment of %q is memory-only and no intact replica survives", prefix)
 		}
 	} else if !fs.Exists(segFile(prefix)) {
@@ -114,12 +114,6 @@ func PartialEligible(fs *pfs.System, tier *MemTier, prefix string, tasks int, ar
 	base, selfGen := genBase(prefix)
 	for i, am := range m.Arrays {
 		needed, _ := neededPieces(refs[i], tasks, ranks, o, am.Bytes)
-		if !m.Chained() || len(m.PieceLocs) <= i {
-			if len(needed) > 0 && !fs.Exists(arrFile(prefix, am.Name)) {
-				return fmt.Errorf("array file of %q is missing", am.Name)
-			}
-			continue
-		}
 		locByIdx := make(map[int]PieceLoc, len(m.PieceLocs[i]))
 		for _, l := range m.PieceLocs[i] {
 			locByIdx[l.Index] = l
@@ -171,32 +165,18 @@ func PartialCoverage(fs *pfs.System, tier *MemTier, prefix string, tasks int) (m
 	base, selfGen := genBase(prefix)
 	out := make(map[string][]RankCoverage, len(m.Arrays))
 	for i, am := range m.Arrays {
-		sums := m.PieceSums(i)
-		if sums == nil {
-			return nil, fmt.Errorf("ckpt: array %q has no per-piece checksums", am.Name)
-		}
-		locByIdx := map[int]PieceLoc{}
-		if len(m.PieceLocs) > i {
-			for _, l := range m.PieceLocs[i] {
-				locByIdx[l.Index] = l
-			}
-		}
-		diskFile := fs.Exists(arrFile(prefix, am.Name))
 		covs := make([]RankCoverage, tasks)
 		for r := 0; r < tasks; r++ {
 			lo := am.Bytes * int64(r) / int64(tasks)
 			hi := am.Bytes * int64(r+1) / int64(tasks)
 			cov := RankCoverage{Rank: r}
-			for _, p := range sums {
-				if p.Off+p.Bytes <= lo || p.Off >= hi {
+			for _, l := range m.PieceLocs[i] {
+				if l.Off+l.Bytes <= lo || l.Off >= hi {
 					continue
 				}
 				cov.Pieces++
-				mem, disk := false, diskFile
-				if l, ok := locByIdx[p.Index]; ok {
-					mem = tier.Check(locPrefix(base, prefix, selfGen, l), am.Name, l.Index, l.CRC)
-					disk = l.Where != TierMem && fs.Exists(locPieceFile(base, prefix, selfGen, am.Name, l))
-				}
+				mem := tier.Check(locPrefix(base, prefix, selfGen, l), am.Name, l.Index, l.CRC)
+				disk := l.Where != TierMem && fs.Exists(locPieceFile(base, prefix, selfGen, am.Name, l))
 				if mem {
 					cov.Mem++
 				}

@@ -58,9 +58,9 @@ func runCounted(t *testing.T, n int, f func(c *msg.Comm, sent func() int64) erro
 }
 
 // restoreFormats are the stored representations every restore shape must
-// serve: each stores chainFill(step) state of 4 tasks — the v1 one from
-// the stored rotation, the rest by writing — and names the generation to
-// restore. Only a format written through the tier is restored with one
+// serve: each stores chainFill(step) state of 4 tasks — v1-flat as Upgrade
+// leaves the stored v1 rotation (one task-0 piece file per array), the
+// rest by writing — and names the generation to restore. Only a format written through the tier is restored with one
 // configured.
 var restoreFormats = []struct {
 	name   string
@@ -68,7 +68,7 @@ var restoreFormats = []struct {
 	write  func(t *testing.T, fs *pfs.System, tier *MemTier) (from string, step int)
 }{
 	{"v1-flat", false, func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
-		loadV1Rotation(t, fs)
+		loadUpgradedV1Rotation(t, fs)
 		return "job.g0", 0
 	}},
 	{"chained-raw-anchor", false, func(t *testing.T, fs *pfs.System, _ *MemTier) (string, int) {
@@ -108,12 +108,15 @@ var restoreShapes = []struct {
 // "sends:SegmentBytes/ArrayBytes/NetBytes/TierMemBytes/TierPFSBytes" as
 // measured on the readers this engine replaced (commit bdae8b6). The
 // send counts are the collectives' fingerprint: a restore path that
-// gains one changes every rank's count. A full restore of a chained
-// generation sends v1-flat's 22/16 when no tier is configured and 26/18
-// with one: the difference is the per-array residency vote.
+// gains one changes every rank's count. A full restore sends 22/16 when
+// no tier is configured and 26/18 with one: the difference is the
+// per-array residency vote. An upgraded v1 generation restores exactly
+// as a raw anchor: its full restores now count the array bytes in
+// TierPFSBytes too, where the v1 reader counted the segments alone
+// (1100/825).
 var restorePinned = map[string]string{
-	"v1-flat/full-same":                     "22:275/1728/216/0/1100 22:275/1728/216/0/1100 16:275/1728/216/0/1100 16:275/1728/216/0/1100",
-	"v1-flat/full-reconfigured":             "22:275/1728/432/0/825 16:275/1728/144/0/825 16:275/1728/288/0/825",
+	"v1-flat/full-same":                     "22:275/1728/216/0/2828 22:275/1728/216/0/2828 16:275/1728/216/0/2828 16:275/1728/216/0/2828",
+	"v1-flat/full-reconfigured":             "22:275/1728/432/0/2553 16:275/1728/144/0/2553 16:275/1728/288/0/2553",
 	"v1-flat/partial-one-rank":              "20:0/864/432/0/1139 20:0/864/432/0/1139 12:275/864/0/0/1139 12:0/864/0/0/1139",
 	"v1-flat/partial-two-ranks":             "18:0/1728/216/0/2278 18:275/1728/216/0/2278 14:0/1728/216/0/2278 14:275/1728/216/0/2278",
 	"chained-raw-anchor/full-same":          "22:275/1728/216/0/2828 22:275/1728/216/0/2828 16:275/1728/216/0/2828 16:275/1728/216/0/2828",
@@ -218,7 +221,7 @@ func TestRestoreEngineEveryFormatAndShape(t *testing.T) {
 // TestResidencyVoteNeedsATier restores one disk-resident chained
 // generation, every piece of it also resident in the tier it was written
 // under, on a changed task count both ways. With no tier configured
-// nobody votes — the sends are those of a v1 restore — and every byte
+// nobody votes — the sends are those of an untiered format — and every byte
 // comes from the pfs; with it the vote passes and the arrays come from
 // peer memory under the hot plan. Both are bit-exact.
 func TestResidencyVoteNeedsATier(t *testing.T) {

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -215,9 +216,9 @@ func (r Rotation) pruneGens(fs *pfs.System, gens []int, info func(g int) genInfo
 }
 
 // chainInfo reads the prune-relevant facts of one generation: nil deps
-// for v1 checkpoints, anchors, and unreadable metas (a committed
-// generation's meta is atomic, so an unreadable one is already
-// unrecoverable — nothing to pin), plus its memory residency.
+// for anchors and for metas ReadMeta refuses (a legacy checkpoint is an
+// anchor; a committed generation's meta is atomic, so an unreadable one
+// is already unrecoverable — nothing to pin), plus its memory residency.
 func chainInfo(fs *pfs.System, prefix string) genInfo {
 	m, err := ReadMeta(fs, prefix, 0)
 	if err != nil {
@@ -304,7 +305,9 @@ func Quarantine(fs *pfs.System, prefix string) []string {
 // nothing to fall back to). Returns the chosen prefix, the prefixes
 // quarantined along the way, and ok=false when no verifiable state
 // exists — firstErr then carries the first integrity failure seen, the
-// root cause to report upward.
+// root cause to report upward. A legacy generation (ErrLegacyFormat) is
+// intact, not corrupt: the walk stops there and returns that error,
+// quarantining nothing for it, because the fix is an upgrade.
 func ResolveVerified(fs *pfs.System, prefix string) (chosen string, quarantined []string, ok bool, firstErr error) {
 	return ResolveVerifiedTier(fs, nil, prefix)
 }
@@ -332,6 +335,9 @@ func ResolveVerifiedTier(fs *pfs.System, tier *MemTier, prefix string) (chosen s
 		err := VerifyTier(fs, tier, p, 0)
 		if err == nil {
 			return p, quarantined, true, firstErr
+		}
+		if errors.Is(err, ErrLegacyFormat) {
+			return prefix, quarantined, false, err
 		}
 		if firstErr == nil {
 			firstErr = err

@@ -307,8 +307,9 @@ func TestRestoreVerifyDetectsTornBytes(t *testing.T) {
 
 // TestRotationContinuesAcrossMetadataVersions takes a rotation begun by
 // the v1 encoder (the stored g0, g1) forward under this tree's writer:
-// numbering, pruning, verified resolution and the quarantine fallback
-// treat the two metadata versions as one history.
+// numbering and pruning treat the legacy generations as history, verified
+// resolution stops at one with ErrLegacyFormat instead of quarantining
+// it, and once upgraded it is an ordinary fallback.
 func TestRotationContinuesAcrossMetadataVersions(t *testing.T) {
 	fs := testFS()
 	loadV1Rotation(t, fs)
@@ -321,25 +322,12 @@ func TestRotationContinuesAcrossMetadataVersions(t *testing.T) {
 		rot.Prune(fs)
 		return g
 	}
-	versions := func() (out []int) {
-		for _, g := range rot.Generations(fs) {
-			m, err := ReadMeta(fs, g, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Verify(fs, g, 0); err != nil {
-				t.Fatalf("%s: %v", g, err)
-			}
-			out = append(out, m.Version)
-		}
-		return out
-	}
 
 	if g2 := next(2); g2 != "job.g2" {
 		t.Fatalf("generation after the stored v1 g1 = %q", g2)
 	}
-	if gens, vs := rot.Generations(fs), versions(); len(gens) != 2 || gens[0] != "job.g1" || vs[0] != 1 || vs[1] != 2 {
-		t.Fatalf("after prune: generations %v versions %v, want the v1 g1 and the v2 g2", gens, vs)
+	if gens := rot.Generations(fs); len(gens) != 2 || gens[0] != "job.g1" || gens[1] != "job.g2" {
+		t.Fatalf("after prune: generations %v, want the v1 g1 and the v2 g2", gens)
 	}
 	if n := StateBytes(fs, "job.g0"); n != 0 {
 		t.Fatalf("pruned v1 generation left %d bytes", n)
@@ -349,11 +337,21 @@ func TestRotationContinuesAcrossMetadataVersions(t *testing.T) {
 	}
 	checkChainRestore(t, fs, "job", 2, 3, []int{3, 1}, 128)
 
-	// The chained newest is damaged: the fallback is a v1 generation.
+	// The chained newest is damaged: the fallback is a legacy generation,
+	// which the walk reports instead of quarantining.
 	flipStored(t, fs, "job.g2", "u", 500, 2)
-	chosen, quarantined, ok, _ := ResolveVerified(fs, "job")
-	if !ok || chosen != "job.g1" || len(quarantined) != 1 || quarantined[0] != "job.g2" {
-		t.Fatalf("resolve past a corrupt v2 = %q ok %v quarantined %v", chosen, ok, quarantined)
+	_, quarantined, ok, err := ResolveVerified(fs, "job")
+	if ok || !errors.Is(err, ErrLegacyFormat) || len(quarantined) != 1 || quarantined[0] != "job.g2" {
+		t.Fatalf("resolve past a corrupt v2 onto a legacy g1: ok %v quarantined %v err %v", ok, quarantined, err)
+	}
+	if !Exists(fs, "job.g1") {
+		t.Fatal("legacy generation quarantined")
+	}
+	if up, err := Upgrade(fs, "job.g1", 0); !up || err != nil {
+		t.Fatalf("upgrade job.g1: %v %v", up, err)
+	}
+	if chosen, _, ok, err := ResolveVerified(fs, "job"); !ok || chosen != "job.g1" {
+		t.Fatalf("resolve after upgrade = %q ok %v err %v", chosen, ok, err)
 	}
 	checkChainRestore(t, fs, "job", 1, 3, []int{1, 3}, 300)
 
@@ -361,8 +359,13 @@ func TestRotationContinuesAcrossMetadataVersions(t *testing.T) {
 	if g3 := next(3); g3 != "job.g3" {
 		t.Fatalf("generation after the quarantined g2 = %q", g3)
 	}
-	if gens, vs := rot.Generations(fs), versions(); len(gens) != 2 || gens[1] != "job.g3" || vs[0] != 1 || vs[1] != 2 {
-		t.Fatalf("generations %v versions %v, want [job.g1 job.g3] as v1, v2", gens, vs)
+	for _, g := range rot.Generations(fs) {
+		if m, err := ReadMeta(fs, g, 0); err != nil || m.Version != chainVersion {
+			t.Fatalf("%s: version %d, %v", g, m.Version, err)
+		}
+		if err := Verify(fs, g, 0); err != nil {
+			t.Fatalf("%s: %v", g, err)
+		}
 	}
 	checkChainRestore(t, fs, "job", 3, 2, []int{2, 1}, 200)
 }

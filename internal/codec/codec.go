@@ -44,6 +44,12 @@ func (id ID) String() string {
 	}
 }
 
+// MaxExpansion bounds the logical bytes one stored byte decodes to under
+// any codec here: DEFLATE's limit is 1032:1 (a 258-byte match in two
+// bits), raw's 1:1. A piece record claiming more is corrupt, and a
+// reader can refuse it before allocating for it.
+const MaxExpansion = 1032
+
 // Valid reports whether the ID names a codec this build can decode.
 func (id ID) Valid() bool { return id == Raw || id == Flate }
 

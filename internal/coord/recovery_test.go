@@ -154,10 +154,9 @@ func TestSupervisorRecoversAcrossShrinkAndGrow(t *testing.T) {
 
 // flipStoredArray inverts the first n stored bytes of one array of the
 // committed checkpoint under prefix, found through its metadata: the
-// piece file of the array's first location for chained metadata, the
-// array file for v1. pfs.WriteAt creates a missing file, so damaging a
-// guessed name would corrupt nothing and the test would wait for a
-// quarantine that never comes.
+// piece file of the array's first location. pfs.WriteAt creates a
+// missing file, so damaging a guessed name would corrupt nothing and the
+// test would wait for a quarantine that never comes.
 func flipStoredArray(t *testing.T, fs *pfs.System, prefix, arr string, n int) {
 	t.Helper()
 	m, err := ckpt.ReadMeta(fs, prefix, 0)
@@ -166,7 +165,7 @@ func flipStoredArray(t *testing.T, fs *pfs.System, prefix, arr string, n int) {
 	}
 	file, off := prefix+".arr."+arr, int64(0)
 	for i, am := range m.Arrays {
-		if am.Name == arr && m.Chained() {
+		if am.Name == arr {
 			l := m.PieceLocs[i][0]
 			if _, g, _ := ckpt.GenOf(prefix); l.Gen != g || l.Where != ckpt.TierPFS {
 				t.Fatalf("first piece of %q is not in %s's own files: %+v", arr, prefix, l)

@@ -101,8 +101,8 @@ func TestChainedConfigLifecycleAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Chained() || m.ChainLen != 1 || len(m.Deps) != 1 || m.Deps[0] != 3 {
-		t.Fatalf("newest meta: chained %v len %d deps %v", m.Chained(), m.ChainLen, m.Deps)
+	if m.ChainLen != 1 || len(m.Deps) != 1 || m.Deps[0] != 3 {
+		t.Fatalf("newest meta: len %d deps %v", m.ChainLen, m.Deps)
 	}
 	if err := ckpt.Verify(fs, "ck.g4", 0); err != nil {
 		t.Fatal(err)
@@ -120,8 +120,8 @@ func TestChainedConfigLifecycleAndRestart(t *testing.T) {
 	}
 }
 
-// assertOneFormat checks every committed generation under base: chained
-// metadata whatever the configuration that wrote it, with contribution
+// assertOneFormat checks every committed generation under base: metadata
+// version 2 whatever the configuration that wrote it, with contribution
 // fingerprints exactly when that configuration can take a delta.
 func assertOneFormat(t *testing.T, fs *pfs.System, base string, fingerprints bool) []ckpt.Meta {
 	t.Helper()
@@ -131,8 +131,8 @@ func assertOneFormat(t *testing.T, fs *pfs.System, base string, fingerprints boo
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !m.Chained() || m.ArrayPieces != nil {
-			t.Fatalf("%s: metadata version %d, chained %v", g, m.Version, m.Chained())
+		if m.Version != 2 || len(m.PieceLocs) != len(m.Arrays) {
+			t.Fatalf("%s: metadata version %d, %d location lists for %d arrays", g, m.Version, len(m.PieceLocs), len(m.Arrays))
 		}
 		if (len(m.Sections) > 0) != fingerprints {
 			t.Fatalf("%s: %d fingerprint lists, want fingerprints=%v", g, len(m.Sections), fingerprints)
@@ -271,8 +271,8 @@ func TestChainedRunExtendsExistingChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Chained() || m.ChainLen == 0 {
-		t.Fatalf("appended generation: chained %v len %d, want a delta of the existing chain", m.Chained(), m.ChainLen)
+	if m.ChainLen == 0 {
+		t.Fatalf("appended generation: len %d, want a delta of the existing chain", m.ChainLen)
 	}
 	if err := ckpt.Verify(fs, after[len(after)-1], 0); err != nil {
 		t.Fatal(err)
@@ -339,8 +339,8 @@ func TestChainedFaultMidDeltaFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Chained() || m.ChainLen != 0 {
-		t.Fatalf("anchor meta: chained %v len %d", m.Chained(), m.ChainLen)
+	if m.ChainLen != 0 {
+		t.Fatalf("anchor meta: len %d", m.ChainLen)
 	}
 	cleaned := rot.CleanIncomplete(fs)
 	if len(cleaned) != 1 || cleaned[0] != "rot.g1" {

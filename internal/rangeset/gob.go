@@ -3,6 +3,7 @@ package rangeset
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 )
 
 // Gob support so ranges and slices can travel inside checkpoint metadata.
@@ -34,17 +35,27 @@ func (r Range) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. Stored bytes that no GobEncode
+// writes — a non-positive step, indices out of order — are an error, not
+// the panic Reg and List raise for a caller's mistake.
 func (r *Range) GobDecode(data []byte) error {
 	var w rangeWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return err
 	}
 	if w.Regular {
+		if w.St <= 0 || w.Hi >= w.Lo && w.Hi-w.Lo < 0 {
+			return fmt.Errorf("rangeset: stored range %d:%d:%d is not a range", w.Lo, w.Hi, w.St)
+		}
 		*r = Reg(w.Lo, w.Hi, w.St)
-	} else {
-		*r = List(w.Idx...)
+		return nil
 	}
+	for i := 1; i < len(w.Idx); i++ {
+		if w.Idx[i] <= w.Idx[i-1] {
+			return fmt.Errorf("rangeset: stored indices not strictly increasing at %d", i)
+		}
+	}
+	*r = List(w.Idx...)
 	return nil
 }
 
