@@ -46,12 +46,12 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "RC internals reached around outside internal/coord (use the versioned API —"; \
 		echo "OpenApp/CheckpointApp/StopApp/KillApp — or the control protocol):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -nE '\.status\s*=[^=]|\.version\+\+|\.(EnableCheckpoint|RequestStop|Kill)\(' internal/coord/*.go \
+	@out=$$(grep -nE '\.Status\s*=[^=]|\.Version\+\+|\.(EnableCheckpoint|RequestStop|Kill)\(' internal/coord/*.go \
 		| grep -v -e '_test\.go:' -e '^internal/coord/transition\.go:' || true); \
 	if [ -n "$$out" ]; then \
 		echo "application state changed outside the coordinator's transition function (status, version"; \
 		echo "and the control actions on an incarnation belong to internal/coord/transition.go):"; echo "$$out"; exit 1; fi
-	@for pat in '\.status\s*=[^=]' '\.version\+\+'; do \
+	@for pat in '\.Status\s*=[^=]' '\.Version\+\+'; do \
 		if [ "$$(grep -cE "$$pat" internal/coord/transition.go)" -ne 1 ]; then \
 			echo "internal/coord/transition.go must hold exactly one site matching $$pat:"; \
 			grep -nE "$$pat" internal/coord/transition.go; exit 1; fi; done
@@ -93,6 +93,11 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "a second reader of DRMS metadata version 1 (Upgrade in internal/ckpt/upgrade.go decodes it,"; \
 		echo "ReadMeta in internal/ckpt/ckpt.go refuses it with ErrLegacyFormat; nothing else may do either):"; echo "$$out"; exit 1; fi
+	@out=$$(awk '/^func \(s \*StateStore\) loadChain\(/,/^}/ { next } /ChainLen|Deps/ { print FILENAME ":" FNR ": " $$0 }' \
+		internal/ckpt/state.go); \
+	if [ -n "$$out" ]; then \
+		echo "the control-plane store writes chain fields again (every StateStore generation is a"; \
+		echo "self-contained anchor; only the legacy reader, loadChain, may walk an older delta chain):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'IncrementalCheckpoint|WriteDRMSIncremental|SkipPiece' --include='*.go' \
 		--include='README.md' --include='DESIGN.md' --include='EXPERIMENTS.md' . || true); \
 	if [ -n "$$out" ]; then \
@@ -117,13 +122,14 @@ test:
 	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|Checksum|CRCCombine|TierCheck|AssignPlannedBT|PieceExchangeBT|StorageRuns|AddSlice' -benchtime=1x \
 		./internal/rangeset ./internal/dist ./internal/crc ./internal/ckpt ./internal/array ./internal/xsum
 
-# Every fuzz target of the index-arithmetic, parser, CRC, exact-sum and metadata-decoding packages, one after
+# Every fuzz target of the index-arithmetic, parser, CRC, exact-sum,
+# metadata-decoding and coordinator-record-decoding packages, one after
 # the other for FUZZTIME each, stopping at the first crasher (`go test`
 # alone, and so `make test`, runs their seeds only). The targets are found,
 # not listed: a new Fuzz* function in these packages is fuzzed from the day
 # it lands. CI runs this nightly with FUZZTIME=60s.
 fuzz:
-	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array ./internal/crc ./internal/xsum ./internal/ckpt; do \
+	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array ./internal/crc ./internal/xsum ./internal/ckpt ./internal/coord; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \

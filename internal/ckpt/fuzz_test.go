@@ -49,7 +49,7 @@ func FuzzReadMeta(f *testing.F) {
 	f.Add(metaBytes(f, golden, "golden"))
 
 	seeds := testFS()
-	st := &StateStore{Base: "rcstate", Keep: 3, AnchorEvery: 4}
+	st := &StateStore{Base: "rcstate"}
 	gen, err := st.Commit(seeds, recs("a", "v0", "b", "v1"))
 	if err != nil {
 		f.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
 	"sync"
 
 	"drms/internal/pfs"
@@ -15,46 +14,42 @@ import (
 // specs, incarnations, recovery budgets, leases) through the same
 // machinery application checkpoints use — rotated generations with
 // meta-written-last commits, CRC-verified resolution with quarantine
-// and fallback, chained deltas between periodic anchors, and pruning
-// that keeps a delta's base generations alive. The control plane eats
-// its own dogfood: a crashed coordinator restarts from its latest
-// verifiable generation exactly the way the applications it supervises
-// do.
+// and fallback. The control plane eats its own dogfood: a crashed
+// coordinator restarts from its latest verifiable generation exactly the
+// way the applications it supervises do.
 //
 // On storage a generation is an ordinary checkpoint with a segment and
 // no arrays: <base>.gN.seg holds the gob-encoded stateImage, and
 // <base>.gN.meta is the commit record carrying the segment's size and
-// CRC plus, for deltas, the chain fields (ChainLen, Deps). Verify,
-// ResolveVerified, Rotation.Prune, CleanIncomplete, and drmsfsck all
-// work on it unmodified.
+// CRC. Every generation this store writes is a self-contained anchor:
+// the table is a few kilobytes, already encoded in memory, so a delta
+// would save only the write of bytes at hand. Stores written by earlier
+// coordinators may hold delta generations (chain fields in the meta, a
+// Base back-pointer in the image); Load still walks those chains, and
+// the first commit after it is an anchor again. Verify, ResolveVerified, Rotation.Prune,
+// CleanIncomplete, and drmsfsck all work on it unmodified.
+
+// stateKeep is how many committed generations a StateStore retains: two
+// would leave a corrupt newest generation a fallback; four leave three.
+const stateKeep = 4
 
 // StateStore writes and resolves control-plane snapshot generations
-// under one base prefix. The zero value needs Base; Keep and
-// AnchorEvery default to 4 and 8. A StateStore is safe for one writer;
-// Load is independent and may run in a different process lifetime.
+// under one base prefix. The zero value needs Base. A StateStore is safe
+// for one writer; Load is independent and may run in a different
+// process lifetime.
 type StateStore struct {
 	// Base is the user-facing prefix generations rotate under
 	// ("rcstate.s0.g12" for shard 0's 13th snapshot).
 	Base string
-	// Keep is how many committed generations to retain (minimum 2, so a
-	// corrupt newest generation leaves a fallback).
-	Keep int
-	// AnchorEvery bounds the delta chain: every AnchorEvery-th
-	// generation is a self-contained anchor holding every record; the
-	// ones between store only records that changed (plus tombstones for
-	// deleted ones) and back-point to their base. <= 1 writes anchors
-	// only.
-	AnchorEvery int
 
-	mu       sync.Mutex
-	lastGen  int               // newest generation this store committed; -1 none
-	chainLen int               // committed chain length at lastGen
-	lastCRC  map[string]uint64 // record CRCs at lastGen (delta dirty detection)
-	deps     []int             // generations lastGen's chain spans (ascending, incl. lastGen's anchor)
-	loaded   bool
+	mu      sync.Mutex
+	lastGen int  // newest generation this store committed or loaded
+	known   bool // lastGen is set
 }
 
-// stateImage is one generation's payload.
+// stateImage is one generation's payload. This store writes anchors
+// only (Full, Base -1); Base and Deleted are read from delta generations
+// an earlier coordinator wrote.
 type stateImage struct {
 	Full    bool              // anchor: Records is the complete table
 	Base    int               // delta: the generation this extends (-1 for anchors)
@@ -62,66 +57,22 @@ type stateImage struct {
 	Deleted []string          // delta: records removed since Base
 }
 
-func (s *StateStore) withDefaults() (keep, anchor int) {
-	keep = s.Keep
-	if keep < 2 {
-		keep = 4
-	}
-	anchor = s.AnchorEvery
-	if anchor < 1 {
-		anchor = 8
-	}
-	return keep, anchor
-}
-
 // Commit writes one snapshot generation holding the given records and
 // returns its generation number. The write follows the checkpoint
 // commit discipline — payload first, meta last via atomic rename — so
 // a crash mid-commit never promotes torn state; CleanIncomplete sweeps
-// the leftovers at the next startup. Consecutive commits write deltas
-// (only records whose bytes changed, plus tombstones) until the anchor
-// interval forces a full image. Older generations beyond Keep are
-// pruned, chain dependencies pinned.
+// the leftovers at the next startup. Older generations beyond the
+// newest four are pruned (a legacy delta kept among them pins its
+// bases).
 func (s *StateStore) Commit(fs *pfs.System, records map[string][]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keep, anchor := s.withDefaults()
-	if !s.loaded {
-		s.lastGen = -1
-		s.loaded = true
-	}
-	rot := Rotation{Base: s.Base, Keep: keep}
+	rot := Rotation{Base: s.Base, Keep: stateKeep}
 	prefix := rot.NextPrefix(fs)
 	_, gen, _ := GenOf(prefix)
 
-	crcs := make(map[string]uint64, len(records))
-	for name, rec := range records {
-		crcs[name] = crcOf(rec)
-	}
-
-	full := s.lastGen < 0 || s.chainLen+1 >= anchor
-	img := stateImage{Full: true, Base: -1, Records: records}
-	var deps []int
-	if !full {
-		dirty := make(map[string][]byte)
-		for name, rec := range records {
-			if prev, ok := s.lastCRC[name]; !ok || prev != crcs[name] {
-				dirty[name] = rec
-			}
-		}
-		var deleted []string
-		for name := range s.lastCRC {
-			if _, ok := records[name]; !ok {
-				deleted = append(deleted, name)
-			}
-		}
-		sort.Strings(deleted)
-		img = stateImage{Base: s.lastGen, Records: dirty, Deleted: deleted}
-		deps = append(append([]int(nil), s.deps...), s.lastGen)
-	}
-
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&stateImage{Full: true, Base: -1, Records: records}); err != nil {
 		return -1, fmt.Errorf("ckpt: state image for %q: %w", s.Base, err)
 	}
 	payload := buf.Bytes()
@@ -132,21 +83,10 @@ func (s *StateStore) Commit(fs *pfs.System, records map[string][]byte) (int, err
 	}
 	m := Meta{Version: version, Mode: ModeDRMS, Tasks: 1,
 		SegBytes: []int64{total}, SegCRC: []uint64{crc}}
-	if !full {
-		m.ChainLen = s.chainLen + 1
-		m.Deps = deps
-	}
 	if err := writeMeta(fs, prefix, 0, m); err != nil {
 		return -1, err
 	}
-
-	s.lastGen = gen
-	s.lastCRC = crcs
-	if full {
-		s.chainLen, s.deps = 0, nil
-	} else {
-		s.chainLen, s.deps = m.ChainLen, deps
-	}
+	s.lastGen, s.known = gen, true
 	rot.Prune(fs)
 	return gen, nil
 }
@@ -155,14 +95,10 @@ func (s *StateStore) Commit(fs *pfs.System, records map[string][]byte) (int, err
 // verification and returns its record table, generation number, and the
 // prefixes quarantined on the way there. Resolution is the recovery
 // supervisor's: the newest committed generation is verified (size and
-// CRC against its meta); a generation that fails — or whose delta chain
-// references a base that is missing or corrupt — is quarantined
-// (renamed under ".bad.", its number burned) and the next older one is
-// tried. ok=false when no verifiable snapshot exists at all.
-//
-// Load also primes the store for subsequent Commits: the first commit
-// after a Load writes a delta against the loaded generation when the
-// anchor interval allows it.
+// CRC against its meta); a generation that fails — or, for a legacy
+// delta, whose chain references a base that is missing or corrupt — is
+// quarantined (renamed under ".bad.", its number burned) and the next
+// older one is tried. ok=false when no verifiable snapshot exists at all.
 func (s *StateStore) Load(fs *pfs.System) (records map[string][]byte, gen int, quarantined []string, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -174,11 +110,10 @@ func (s *StateStore) Load(fs *pfs.System) (records map[string][]byte, gen int, q
 			err = verr
 		}
 		if !found {
-			s.lastGen, s.loaded = -1, true
-			s.lastCRC, s.chainLen, s.deps = nil, 0, nil
+			s.known = false
 			return nil, -1, quarantined, false, err
 		}
-		recs, chain, cerr := s.loadChain(fs, chosen)
+		recs, cerr := s.loadChain(fs, chosen)
 		if cerr != nil {
 			// The head verified but its chain did not resolve: quarantine
 			// the head and fall back to an older generation.
@@ -189,36 +124,27 @@ func (s *StateStore) Load(fs *pfs.System) (records map[string][]byte, gen int, q
 			continue
 		}
 		_, g, _ := GenOf(chosen)
-		crcs := make(map[string]uint64, len(recs))
-		for name, rec := range recs {
-			crcs[name] = crcOf(rec)
-		}
-		s.lastGen, s.loaded = g, true
-		s.lastCRC = crcs
-		s.chainLen = len(chain)
-		s.deps = chain
+		s.lastGen, s.known = g, true
 		return recs, g, quarantined, true, err
 	}
 }
 
-// loadChain materializes the record table at the given generation by
-// walking its delta chain down to the anchor and overlaying each
-// delta's dirty records and tombstones in order. Every generation on
-// the chain is verified before its payload is trusted. Returns the base
-// generation numbers the head depends on (ascending, excluding the
-// head itself).
-func (s *StateStore) loadChain(fs *pfs.System, prefix string) (map[string][]byte, []int, error) {
+// loadChain materializes the record table at the given generation. An
+// anchor is its own table; a legacy delta is resolved by walking its
+// chain down to the anchor and overlaying each delta's dirty records and
+// tombstones in order. Every generation on the chain is verified before
+// its payload is trusted.
+func (s *StateStore) loadChain(fs *pfs.System, prefix string) (map[string][]byte, error) {
 	// Collect the chain head-first.
 	var links []stateImage
-	var chain []int
 	cur := prefix
 	for depth := 0; ; depth++ {
 		if depth > maxStateChain {
-			return nil, nil, fmt.Errorf("ckpt: state chain under %q exceeds %d links", s.Base, maxStateChain)
+			return nil, fmt.Errorf("ckpt: state chain under %q exceeds %d links", s.Base, maxStateChain)
 		}
 		img, err := readStateImage(fs, cur)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		links = append(links, img)
 		if img.Full {
@@ -226,9 +152,8 @@ func (s *StateStore) loadChain(fs *pfs.System, prefix string) (map[string][]byte
 		}
 		cur = fmt.Sprintf("%s.g%d", s.Base, img.Base)
 		if err := Verify(fs, cur, 0); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		chain = append(chain, img.Base)
 	}
 	// Overlay anchor-first.
 	records := make(map[string][]byte)
@@ -241,13 +166,12 @@ func (s *StateStore) loadChain(fs *pfs.System, prefix string) (map[string][]byte
 			records[name] = rec
 		}
 	}
-	sort.Ints(chain) // walked newest-first; return ascending
-	return records, chain, nil
+	return records, nil
 }
 
-// maxStateChain bounds a delta walk: far beyond any real anchor
-// interval, it turns a corrupt back-pointer cycle into an error instead
-// of a hang.
+// maxStateChain bounds a delta walk: far beyond any anchor interval an
+// earlier coordinator used, it turns a corrupt back-pointer cycle into
+// an error instead of a hang.
 const maxStateChain = 1024
 
 // readStateImage reads and decodes one generation's payload.
@@ -278,7 +202,7 @@ func readStateImage(fs *pfs.System, prefix string) (stateImage, error) {
 func (s *StateStore) LastGen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.loaded {
+	if !s.known {
 		return -1
 	}
 	return s.lastGen

@@ -11,6 +11,22 @@ func newStateFS() *pfs.System {
 	return pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
 }
 
+// legacyDeltaFS loads testdata/rcstate_deltas.pfs: a store the delta
+// writer of earlier coordinators committed under "rcstate" — anchor g0
+// {a, b, c: v0}, delta g1 {a: v1}, delta g2 {b: v2} with a tombstone
+// for c — so the table at g2 is {a: v1, b: v2}.
+func legacyDeltaFS(t *testing.T) *pfs.System {
+	t.Helper()
+	fs := newStateFS()
+	if err := fs.LoadFile("testdata/rcstate_deltas.pfs"); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// legacyDeltaTable is the record table at the fixture's head, g2.
+func legacyDeltaTable() map[string][]byte { return recs("a", "v1", "b", "v2") }
+
 func recs(kv ...string) map[string][]byte {
 	m := make(map[string][]byte, len(kv)/2)
 	for i := 0; i+1 < len(kv); i += 2 {
@@ -39,9 +55,18 @@ func keys(m map[string][]byte) []string {
 	return out
 }
 
+// assertAnchor fails unless the committed generation g is self-contained.
+func assertAnchor(t *testing.T, fs *pfs.System, g int) {
+	t.Helper()
+	m, err := ReadMeta(fs, fmt.Sprintf("rcstate.g%d", g), 0)
+	if err != nil || m.ChainLen != 0 || len(m.Deps) != 0 {
+		t.Fatalf("g%d is not an anchor: chainlen %d deps %v err %v", g, m.ChainLen, m.Deps, err)
+	}
+}
+
 func TestStateStoreRoundTrip(t *testing.T) {
 	fs := newStateFS()
-	st := &StateStore{Base: "rcstate", Keep: 3, AnchorEvery: 4}
+	st := &StateStore{Base: "rcstate"}
 	want := recs("a", "alpha", "b", "beta")
 	gen, err := st.Commit(fs, want)
 	if err != nil {
@@ -63,91 +88,81 @@ func TestStateStoreRoundTrip(t *testing.T) {
 	sameRecords(t, got, want)
 }
 
+// The fixture's chain is a real delta chain, and it loads to the records
+// it was written with; every generation this store commits on top of it
+// — and on an empty store — is a self-contained anchor.
 func TestStateStoreDeltaChainAndAnchors(t *testing.T) {
-	fs := newStateFS()
-	st := &StateStore{Base: "rcstate", Keep: 8, AnchorEvery: 3}
-	table := recs("a", "v0", "b", "v0", "c", "v0")
-	if _, err := st.Commit(fs, table); err != nil { // g0: anchor
-		t.Fatal(err)
-	}
-	table["a"] = []byte("v1")
-	if _, err := st.Commit(fs, table); err != nil { // g1: delta {a}
-		t.Fatal(err)
-	}
-	delete(table, "c")
-	table["b"] = []byte("v2")
-	if _, err := st.Commit(fs, table); err != nil { // g2: delta {b} + tombstone c
-		t.Fatal(err)
-	}
-	// g2 must be a delta: its meta carries chain fields.
+	fs := legacyDeltaFS(t)
 	m, err := ReadMeta(fs, "rcstate.g2", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.ChainLen != 2 || len(m.Deps) != 2 {
-		t.Fatalf("g2 chain fields = len %d deps %v, want 2/[0 1]", m.ChainLen, m.Deps)
+		t.Fatalf("fixture g2 chain fields = len %d deps %v, want 2/[0 1]", m.ChainLen, m.Deps)
 	}
-	// A delta generation is smaller than its anchor.
-	anchorBytes := StateBytes(fs, "rcstate.g0")
-	deltaBytes := StateBytes(fs, "rcstate.g2")
-	if deltaBytes >= anchorBytes {
-		t.Fatalf("delta %d B not smaller than anchor %d B", deltaBytes, anchorBytes)
-	}
-
-	table["d"] = []byte("v0")
-	if _, err := st.Commit(fs, table); err != nil { // g3: anchor again (interval 3)
-		t.Fatal(err)
-	}
-	if m, err := ReadMeta(fs, "rcstate.g3", 0); err != nil || m.ChainLen != 0 {
-		t.Fatalf("g3 should be an anchor: chainlen %d err %v", m.ChainLen, err)
-	}
-
-	fresh := &StateStore{Base: "rcstate"}
-	got, g, _, ok, err := fresh.Load(fs)
-	if err != nil || !ok || g != 3 {
-		t.Fatalf("Load: gen=%d ok=%v err=%v", g, ok, err)
-	}
-	sameRecords(t, got, table)
-}
-
-func TestStateStoreLoadResolvesDeltaHead(t *testing.T) {
-	fs := newStateFS()
-	st := &StateStore{Base: "rcstate", Keep: 8, AnchorEvery: 8}
-	table := recs("a", "v0")
-	for i := 1; i <= 3; i++ {
-		table["a"] = []byte(fmt.Sprintf("v%d", i))
-		if _, err := st.Commit(fs, table); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fresh := &StateStore{Base: "rcstate"}
-	got, g, _, ok, err := fresh.Load(fs)
+	st := &StateStore{Base: "rcstate"}
+	table, g, _, ok, err := st.Load(fs)
 	if err != nil || !ok || g != 2 {
 		t.Fatalf("Load: gen=%d ok=%v err=%v", g, ok, err)
 	}
-	sameRecords(t, got, recs("a", "v3"))
-	// The primed store continues the chain instead of re-anchoring.
-	table["a"] = []byte("v4")
-	if _, err := fresh.Commit(fs, table); err != nil {
-		t.Fatal(err)
+	sameRecords(t, table, legacyDeltaTable())
+
+	for i := 3; i <= 5; i++ {
+		table["a"] = []byte(fmt.Sprintf("v%d", i))
+		if gen, err := st.Commit(fs, table); err != nil || gen != i {
+			t.Fatalf("commit %d: gen %d err %v", i, gen, err)
+		}
+		assertAnchor(t, fs, i)
 	}
-	if m, err := ReadMeta(fs, "rcstate.g3", 0); err != nil || m.ChainLen != 3 {
-		t.Fatalf("post-load commit chainlen = %d err %v, want 3", m.ChainLen, err)
+	fresh := &StateStore{Base: "rcstate"}
+	got, g, _, ok, err := fresh.Load(fs)
+	if err != nil || !ok || g != 5 {
+		t.Fatalf("Load: gen=%d ok=%v err=%v", g, ok, err)
+	}
+	sameRecords(t, got, table)
+
+	empty := newStateFS()
+	for i := 0; i < 3; i++ {
+		if _, err := (&StateStore{Base: "rcstate"}).Commit(empty, recs("a", fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+		assertAnchor(t, empty, i)
 	}
 }
 
-// A corrupt newest generation quarantines and resolution falls back —
-// and a delta head whose base was damaged falls all the way back to a
-// generation whose whole chain verifies.
+// Load resolves the fixture's delta head, and the first commit after it
+// is an anchor, not a continuation of the chain.
+func TestStateStoreLoadResolvesDeltaHead(t *testing.T) {
+	fs := legacyDeltaFS(t)
+	st := &StateStore{Base: "rcstate"}
+	got, g, _, ok, err := st.Load(fs)
+	if err != nil || !ok || g != 2 || st.LastGen() != 2 {
+		t.Fatalf("Load: gen=%d last=%d ok=%v err=%v", g, st.LastGen(), ok, err)
+	}
+	sameRecords(t, got, legacyDeltaTable())
+	got["c"] = []byte("v3")
+	if gen, err := st.Commit(fs, got); err != nil || gen != 3 {
+		t.Fatalf("post-load commit: gen %d err %v", gen, err)
+	}
+	assertAnchor(t, fs, 3)
+	again, _, _, _, err := (&StateStore{Base: "rcstate"}).Load(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, again, got)
+}
+
+// A corrupt newest generation quarantines and resolution falls back to
+// the next older one.
 func TestStateStoreQuarantineFallback(t *testing.T) {
 	fs := newStateFS()
-	st := &StateStore{Base: "rcstate", Keep: 8, AnchorEvery: 8}
+	st := &StateStore{Base: "rcstate"}
 	table := recs("a", "v0")
-	if _, err := st.Commit(fs, table); err != nil { // g0 anchor
+	if _, err := st.Commit(fs, table); err != nil { // g0
 		t.Fatal(err)
 	}
 	table["a"] = []byte("v1")
-	if _, err := st.Commit(fs, table); err != nil { // g1 delta on g0
+	if _, err := st.Commit(fs, table); err != nil { // g1
 		t.Fatal(err)
 	}
 	// Flip a byte in the newest generation's segment.
@@ -172,27 +187,22 @@ func TestStateStoreQuarantineFallback(t *testing.T) {
 	}
 }
 
-// Damaging a delta's base (which the head's own meta verification does
-// not cover) must quarantine the head during Load, not produce a
-// half-materialized table.
+// Damaging a legacy delta's base (which the head's own meta verification
+// does not cover) must quarantine the head during Load, not produce a
+// half-materialized table: the fixture's g2 needs g1, so with g1 damaged
+// both leave and the anchor g0 is what loads.
 func TestStateStoreBrokenChainQuarantinesHead(t *testing.T) {
-	fs := newStateFS()
-	st := &StateStore{Base: "rcstate", Keep: 8, AnchorEvery: 8}
-	if _, err := st.Commit(fs, recs("a", "v0", "b", "v0")); err != nil { // g0 anchor
-		t.Fatal(err)
-	}
-	if _, err := st.Commit(fs, recs("a", "v1", "b", "v0")); err != nil { // g1 delta
-		t.Fatal(err)
-	}
-	corruptFile(t, fs, "rcstate.g0.seg") // the anchor the delta needs
+	fs := legacyDeltaFS(t)
+	corruptFile(t, fs, "rcstate.g1.seg")
 
-	fresh := &StateStore{Base: "rcstate"}
-	_, _, quarantined, ok, _ := fresh.Load(fs)
-	if ok {
-		t.Fatal("Load succeeded with no intact chain")
+	st := &StateStore{Base: "rcstate"}
+	got, g, quarantined, ok, _ := st.Load(fs)
+	if !ok || g != 0 {
+		t.Fatalf("Load with a broken chain: gen=%d ok=%v", g, ok)
 	}
-	if len(quarantined) == 0 {
-		t.Fatal("nothing quarantined despite a broken chain")
+	sameRecords(t, got, recs("a", "v0", "b", "v0", "c", "v0"))
+	if len(quarantined) == 0 || fs.Exists("rcstate.g2.meta") || len(fs.List("rcstate.g2.bad.")) == 0 {
+		t.Fatalf("the head whose base is damaged was not quarantined (quarantined %v)", quarantined)
 	}
 }
 
@@ -220,28 +230,37 @@ func TestStateStoreTornCommitIgnored(t *testing.T) {
 	}
 }
 
-// Pruning keeps Keep generations but never breaks a retained delta's
-// chain: the anchor an old delta depends on survives.
+// Pruning keeps the newest four generations but never breaks a retained
+// legacy delta's chain: the fixture's anchor g0 survives while g1 or g2
+// is retained, and goes with them.
 func TestStateStorePruneKeepsChainDeps(t *testing.T) {
-	fs := newStateFS()
-	st := &StateStore{Base: "rcstate", Keep: 2, AnchorEvery: 16}
-	table := recs("a", "v0")
-	for i := 0; i < 6; i++ {
+	fs := legacyDeltaFS(t)
+	st := &StateStore{Base: "rcstate"}
+	table, _, _, ok, err := st.Load(fs)
+	if err != nil || !ok {
+		t.Fatalf("Load: ok=%v err=%v", ok, err)
+	}
+	for i := 3; i <= 6; i++ {
 		table["a"] = []byte(fmt.Sprintf("v%d", i))
 		if _, err := st.Commit(fs, table); err != nil {
 			t.Fatal(err)
 		}
+		// After g5 the newest four are g2..g5, and g2 chains to g1 and g0.
+		if i <= 5 && !fs.Exists("rcstate.g0.meta") {
+			t.Fatalf("after g%d: prune deleted the anchor a retained delta depends on", i)
+		}
 	}
-	// g0 (the anchor) must still exist: every retained delta chains to it.
-	if !fs.Exists("rcstate.g0.meta") {
-		t.Fatal("prune deleted the anchor a retained delta depends on")
+	for g := 0; g <= 2; g++ {
+		if fs.Exists(fmt.Sprintf("rcstate.g%d.meta", g)) {
+			t.Fatalf("g%d survived once no retained generation needs it", g)
+		}
 	}
 	fresh := &StateStore{Base: "rcstate"}
-	got, _, _, ok, err := fresh.Load(fs)
-	if err != nil || !ok {
-		t.Fatalf("Load: ok=%v err=%v", ok, err)
+	got, g, _, ok, err := fresh.Load(fs)
+	if err != nil || !ok || g != 6 {
+		t.Fatalf("Load: gen=%d ok=%v err=%v", g, ok, err)
 	}
-	sameRecords(t, got, recs("a", "v5"))
+	sameRecords(t, got, table)
 }
 
 func corruptFile(t *testing.T, fs *pfs.System, name string) {

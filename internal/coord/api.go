@@ -49,7 +49,7 @@ func (rc *RC) OpenApp(name string) (AppHandle, AppInfo, error) {
 	if !ok {
 		return AppHandle{}, AppInfo{}, fmt.Errorf("coord: unknown application %q", name)
 	}
-	return AppHandle{App: name, Version: app.version}, appInfoLocked(name, app), nil
+	return AppHandle{App: name, Version: app.Version}, appInfoLocked(name, app), nil
 }
 
 // mutate applies one controller-requested input under handle
@@ -103,19 +103,19 @@ func (rc *RC) ResizeApp(h AppHandle, tasks int) (AppHandle, error) {
 		err = fmt.Errorf("coord: %q is SPMD; in-flight resize requires the DRMS scheme", h.App)
 	case tasks < 1:
 		err = fmt.Errorf("coord: resize of %q to %d tasks", h.App, tasks)
-	case tasks == app.tasks:
+	case tasks == app.Tasks:
 		err = fmt.Errorf("coord: %q already runs %d tasks", h.App, tasks)
-	case tasks-app.tasks > len(free):
+	case tasks-app.Tasks > len(free):
 		err = fmt.Errorf("coord: growing %q to %d tasks needs %d more processors, %d free",
-			h.App, tasks, tasks-app.tasks, len(free))
+			h.App, tasks, tasks-app.Tasks, len(free))
 	}
 	if err != nil {
 		rc.mu.Unlock()
 		return h, err
 	}
-	before := app.tasks
+	before := app.Tasks
 	handle := app.handle
-	holders := append([]int(nil), app.nodes...)
+	holders := append([]int(nil), app.Nodes...)
 	var claimed []int
 	if tasks > before {
 		claimed = free[:tasks-before]

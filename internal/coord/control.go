@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"drms/internal/apps"
@@ -114,59 +113,35 @@ type ControlServer struct {
 	Shard int
 
 	ln net.Listener
-	// stop ends the event drain Serve starts; drained closes when it has
-	// exited, so Close leaves nothing behind.
-	stop     chan struct{}
-	stopOnce sync.Once
-	drained  chan struct{}
-
-	mu     sync.Mutex
-	events []Event
+	// events is the server's own subscription, which the "events" op
+	// drains: terminal events wait there until a client takes them, and
+	// non-terminal ones coalesce at the subscription's bound (events.go).
+	events <-chan Event
+	cancel func()
 }
 
 // Serve starts listening on addr ("127.0.0.1:0" for an ephemeral port)
-// and returns the bound address. The server drains RC events into a
-// buffer clients poll with the "events" op.
+// and returns the bound address. The server subscribes to the RC's
+// events; clients poll them with the "events" op.
 func (s *ControlServer) Serve(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
 	s.ln = ln
-	// The drain owns its subscription and cancels it on the way out, so
-	// nothing of it outlives Close.
-	events, cancel := s.RC.Subscribe()
-	s.stop, s.drained = make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(s.drained)
-		defer cancel()
-		for {
-			select {
-			case e := <-events:
-				s.mu.Lock()
-				s.events = append(s.events, e)
-				if len(s.events) > 4096 {
-					s.events = s.events[len(s.events)-4096:]
-				}
-				s.mu.Unlock()
-			case <-s.stop:
-				return
-			}
-		}
-	}()
+	s.events, s.cancel = s.RC.Subscribe()
 	go serveJSONLines(ln, s.handle)
 	return ln.Addr().String(), nil
 }
 
-// Close stops accepting control connections and ends the event drain,
-// returning once its goroutine has exited. Idempotent.
+// Close stops accepting control connections and cancels the event
+// subscription. Idempotent.
 func (s *ControlServer) Close() {
 	if s.ln == nil {
 		return
 	}
 	s.ln.Close()
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.drained
+	s.cancel()
 }
 
 // serveJSONLines accepts connections on ln until it closes and answers
@@ -225,7 +200,7 @@ func (rc *RC) admittedLocked(tenant string) int {
 		if tenantOf(name) != tenant {
 			continue
 		}
-		switch app.status {
+		switch app.Status {
 		case StatusRunning, StatusRecovering:
 			n++
 		}
@@ -364,11 +339,17 @@ func (s *ControlServer) handleOp(req Request) Response {
 		return Response{OK: true}
 
 	case "events":
-		s.mu.Lock()
-		evs := s.events
-		s.events = nil
-		s.mu.Unlock()
-		return Response{OK: true, Events: evs}
+		// Whatever the subscription holds now, without waiting for more.
+		var evs []Event
+		for {
+			select {
+			case e := <-s.events:
+				evs = append(evs, e)
+				continue
+			default:
+			}
+			return Response{OK: true, Events: evs}
+		}
 
 	case "stats":
 		// Snapshot of the daemon's metrics registry (drmsctl -op stats):

@@ -77,7 +77,7 @@ func (rc *RC) handleOf(name string) (*drms.Handle, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	app, ok := rc.apps[name]
-	if !ok || app.status != StatusRunning {
+	if !ok || app.Status != StatusRunning {
 		return nil, false
 	}
 	return app.handle, true

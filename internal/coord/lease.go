@@ -64,9 +64,9 @@ func (rc *RC) Crash() *Remnant {
 		// "running" record as a lost incarnation and restarting a finished
 		// application). Only a recovering app is excluded: its handle is
 		// the incarnation that is known dead.
-		if app.handle != nil && app.status != StatusRecovering {
+		if app.handle != nil && app.Status != StatusRecovering {
 			rem.apps[name] = &survivor{handle: app.handle,
-				nodes: append([]int(nil), app.nodes...)}
+				nodes: append([]int(nil), app.Nodes...)}
 		}
 	}
 	rc.mu.Unlock()
@@ -187,20 +187,20 @@ func (rc *RC) reconcile(rem *Remnant, report *RecoveryReport) {
 	causes := make(map[string]error)
 	for _, name := range names {
 		app := rc.apps[name]
-		if app.status.settled() {
+		if app.Status.settled() {
 			continue // terminal on record: preserved as-is
 		}
 		sv := rem.apps[name]
 		switch {
-		case sv != nil && sv.handle.Lease() == app.lease:
+		case sv != nil && sv.handle.Lease() == app.Lease:
 			// Lease matched: this is exactly the incarnation on file.
 			rc.transition(name, nil, inReadopted, func(app *appState, ev *Event) error {
 				app.err = nil
 				rc.bindLocked(app, sv.handle, append([]int(nil), sv.nodes...))
 				registerAppGauges(name, app)
-				*ev = Event{Tasks: app.tasks, Gen: -1,
+				*ev = Event{Tasks: app.Tasks, Gen: -1,
 					Detail: fmt.Sprintf("lease %d matched; incarnation %d continues on %d tasks",
-						app.lease, app.incarnation, app.tasks)}
+						app.Lease, app.Incarnation, app.Tasks)}
 				if g, ok := sv.handle.CommittedGen(); ok {
 					ev.Gen = g
 				}
@@ -211,7 +211,7 @@ func (rc *RC) reconcile(rem *Remnant, report *RecoveryReport) {
 			// The incarnation died with the crash (or was already down):
 			// resume the supervisor's cycle from the persisted counters.
 			causes[name] = fmt.Errorf("coord: incarnation lease %d of %q did not survive the coordinator crash",
-				app.lease, name)
+				app.Lease, name)
 			rc.transition(name, nil, inResumed, func(app *appState, _ *Event) error {
 				if app.err == nil {
 					app.err = causes[name]
@@ -261,27 +261,15 @@ func appFromRecord(rec appRecord, catalog func(string) (AppSpec, bool)) *appStat
 			spec = cat
 		}
 	}
-	app := &appState{
-		spec:         spec,
-		status:       rec.Status,
-		tasks:        rec.Tasks,
-		nodes:        append([]int(nil), rec.Nodes...),
-		incarnation:  rec.Incarnation,
-		version:      rec.Version,
-		lease:        rec.Lease,
-		budget:       rec.Budget,
-		attempts:     rec.Attempts,
-		lastResolved: rec.LastResolved,
-		done:         make(chan struct{}),
-	}
 	if rec.Attempts == 0 {
 		if rec.LastResolved == 0 {
-			app.lastResolved = -2 // zero-value/synthesized record: no recovery yet
+			rec.LastResolved = -2 // zero-value/synthesized record: no recovery yet
 		}
 		if rec.Budget == 0 && spec.Recovery != nil {
-			app.budget = spec.Recovery.withDefaults().Budget
+			rec.Budget = spec.Recovery.withDefaults().Budget
 		}
 	}
+	app := &appState{appRecord: rec, spec: spec, done: make(chan struct{})}
 	if rec.Err != "" {
 		app.err = fmt.Errorf("%s", rec.Err)
 	}
@@ -289,7 +277,7 @@ func appFromRecord(rec appRecord, catalog func(string) (AppSpec, bool)) *appStat
 		app.firstCause = fmt.Errorf("%s", rec.FirstCause)
 	}
 	app.tasksCell.Store(int64(rec.Tasks))
-	if app.status.settled() {
+	if app.Status.settled() {
 		close(app.done)
 	}
 	return app

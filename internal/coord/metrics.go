@@ -150,7 +150,7 @@ func (rc *RC) statsLocked() {
 	coordTCsLive.Set(float64(live))
 	running := 0
 	for _, app := range rc.apps {
-		if app.status == StatusRunning {
+		if app.Status == StatusRunning {
 			running++
 		}
 	}

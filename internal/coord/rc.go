@@ -253,36 +253,27 @@ type tcState struct {
 }
 
 type appState struct {
+	// appRecord is the application's persisted state, held here and
+	// nowhere else: status, pool (Tasks, Nodes), incarnation, the state
+	// Version the versioned API validates against (api.go), the Lease
+	// stamped into the incarnation's handle and matched at re-adoption,
+	// and the supervisor's Budget, Attempts and LastResolved (the
+	// generation the last recovery restarted from: -1 scratch, -2 no
+	// recovery yet; an attempt that cannot beat it burns extra budget).
+	// Its Err, FirstCause and spec knobs are filled in by snapshotLocked.
+	appRecord
+
 	spec   AppSpec
 	handle *drms.Handle
-	nodes  []int
-	tasks  int
-	status AppStatus
 	err    error
 	done   chan struct{} // closed when the app reaches a terminal state
-
-	// version is the application's control-plane state version: it
-	// advances on every transition, and the versioned API rejects
-	// mutations carrying a stale version (see api.go). lease identifies
-	// the current incarnation across coordinator restarts: it is stamped
-	// into the incarnation's drms.Handle at launch, persisted in the
-	// control-plane snapshot, and matched during re-adoption.
-	version uint64
-	lease   int64
-
-	// Supervisor state. unwound belongs to the current incarnation: it
-	// closes when that incarnation's tasks have fully unwound and its
-	// surviving processors are back in the pool — the point onTCLost
-	// waits for (a supervised app's done channel may not close for many
-	// incarnations). lastResolved is the generation the last recovery
-	// restarted from (-1 scratch, -2 no recovery yet): an attempt that
-	// cannot beat it is livelock-shaped and burns extra budget.
-	incarnation  int
-	unwound      chan struct{}
-	budget       int
-	attempts     int
-	lastResolved int
-	firstCause   error // root cause of the first failure, kept for Stalled
+	// unwound belongs to the current incarnation: it closes when that
+	// incarnation's tasks have fully unwound and its surviving processors
+	// are back in the pool — the point onTCLost waits for (a supervised
+	// app's done channel may not close for many incarnations).
+	unwound chan struct{}
+	// firstCause is the root cause of the first failure, kept for Stalled.
+	firstCause error
 
 	// hcell hands the current incarnation's handle to the per-app
 	// last-restore-source gauge without taking rc.mu on the metrics
@@ -351,13 +342,9 @@ type RCOptions struct {
 	// StatePrefix, when non-empty, turns on control-plane
 	// self-checkpointing: the coordinator's authoritative tables are
 	// persisted under this prefix through ckpt.StateStore (rotated,
-	// CRC-verified, chained-delta generations) on every mutation, and
+	// CRC-verified, self-contained generations) on every mutation, and
 	// RecoverRC restarts from the newest verifiable generation.
 	StatePrefix string
-	// StateKeep / StateAnchorEvery tune the snapshot rotation (defaults
-	// 4 generations kept, anchors every 8).
-	StateKeep        int
-	StateAnchorEvery int
 	// Shard / Shards place this coordinator in a sharded fleet: it owns
 	// the applications the shard map assigns to Shard of Shards (shard.go).
 	// Shards <= 1 means a solo coordinator that owns everything.
@@ -406,8 +393,7 @@ func newRC(fs *pfs.System, opt RCOptions) (*RC, error) {
 		busy:      make(map[int]string),
 	}
 	if opt.StatePrefix != "" {
-		rc.store = &ckpt.StateStore{Base: opt.StatePrefix,
-			Keep: opt.StateKeep, AnchorEvery: opt.StateAnchorEvery}
+		rc.store = &ckpt.StateStore{Base: opt.StatePrefix}
 		rc.persistWake = make(chan struct{}, 1)
 		rc.persistDone = make(chan struct{})
 		registerSnapshotAgeGauge(rc)
@@ -632,7 +618,7 @@ func (rc *RC) onTCLost(st *tcState, why string) {
 	appName := rc.busy[node]
 	var handle *drms.Handle
 	var unwound chan struct{}
-	if app := rc.apps[appName]; app != nil && app.status == StatusRunning {
+	if app := rc.apps[appName]; app != nil && app.Status == StatusRunning {
 		handle, unwound = app.handle, app.unwound
 	}
 	rc.mu.Unlock()
@@ -661,15 +647,15 @@ func (rc *RC) onTCLost(st *tcState, why string) {
 func (rc *RC) tryPartialRecovery(appName string, h *drms.Handle, deadRank, deadNode int) bool {
 	rc.mu.Lock()
 	app := rc.apps[appName]
-	if app == nil || app.status != StatusRunning || app.handle != h ||
+	if app == nil || app.Status != StatusRunning || app.handle != h ||
 		!app.spec.Partial || app.spec.Recovery == nil || app.spec.SPMD || rc.closed {
 		rc.mu.Unlock()
 		return false
 	}
 	if deadRank < 0 {
-		deadRank = slices.Index(app.nodes, deadNode)
+		deadRank = slices.Index(app.Nodes, deadNode)
 	}
-	if deadRank < 0 || deadRank >= len(app.nodes) {
+	if deadRank < 0 || deadRank >= len(app.Nodes) {
 		rc.mu.Unlock()
 		return false
 	}
@@ -682,7 +668,7 @@ func (rc *RC) tryPartialRecovery(appName string, h *drms.Handle, deadRank, deadN
 	// node's slot (claimed provisionally so a concurrent launch cannot);
 	// an injected process death keeps the pool — the victim's node and
 	// its memory survive.
-	holders := append([]int(nil), app.nodes...)
+	holders := append([]int(nil), app.Nodes...)
 	var spare []int
 	if deadNode >= 0 {
 		free := rc.availableLocked()
@@ -710,7 +696,7 @@ func (rc *RC) tryPartialRecovery(appName string, h *drms.Handle, deadRank, deadN
 				return fmt.Errorf("incarnation ended during the rollback")
 			}
 			rc.repoolLocked(app, holders) // the lost node rejoins the pool on TC reconnect
-			*ev = Event{Node: deadNode, Tasks: app.tasks, Gen: gen, TTR: ttr,
+			*ev = Event{Node: deadNode, Tasks: app.Tasks, Gen: gen, TTR: ttr,
 				Detail: fmt.Sprintf("rank %d replaced (node %d -> %d); survivors parked, rolled back to %s; restored ranks %v: %s from peer memory, %s from pfs",
 					deadRank, deadNode, holders[deadRank], from, stats.Ranks,
 					fmtBytes(stats.TierMemBytes), fmtBytes(stats.TierPFSBytes))}
@@ -777,20 +763,20 @@ func (rc *RC) Launch(spec AppSpec, tasks int, restart bool) error {
 		if len(free) < tasks {
 			return fmt.Errorf("coord: %d processors requested, %d available", tasks, len(free))
 		}
-		var version uint64
+		rec := appRecord{LastResolved: -2}
 		if old != nil {
-			version = old.version
+			rec.Version = old.Version
 		}
-		app = &appState{spec: spec, done: make(chan struct{}), lastResolved: -2, version: version}
 		if spec.Recovery != nil {
-			app.budget = spec.Recovery.withDefaults().Budget
+			rec.Budget = spec.Recovery.withDefaults().Budget
 		}
+		app = &appState{appRecord: rec, spec: spec, done: make(chan struct{})}
 		if err := rc.launchIncarnationLocked(app, free[:tasks], restartFrom); err != nil {
 			return err
 		}
 		rc.apps[spec.Name] = app
 		registerAppGauges(spec.Name, app)
-		ev.Detail = fmt.Sprintf("%d tasks on %v (restart=%v)", tasks, app.nodes, restart)
+		ev.Detail = fmt.Sprintf("%d tasks on %v (restart=%v)", tasks, app.Nodes, restart)
 		return nil
 	})
 	if err != nil {
@@ -854,7 +840,7 @@ func (rc *RC) recoverApp(app *appState, cause error) bool {
 	policy := app.spec.Recovery.withDefaults()
 	failedAt := time.Now()
 	rc.emit(Event{Kind: EventAppRecovering, App: name,
-		Attempt: app.attempts + 1, Detail: fmt.Sprintf("cause: %v", cause)})
+		Attempt: app.Attempts + 1, Detail: fmt.Sprintf("cause: %v", cause)})
 
 	backoff := policy.Backoff
 	for {
@@ -916,36 +902,36 @@ func (rc *RC) recoverApp(app *appState, cause error) bool {
 			// progressing application would. The charge stands whether or
 			// not the launch below succeeds.
 			cost := 1
-			if app.lastResolved != -2 && gen <= app.lastResolved {
+			if app.LastResolved != -2 && gen <= app.LastResolved {
 				cost += policy.StallPenalty
 			}
-			if app.budget < cost {
+			if app.Budget < cost {
 				return errBudget
 			}
-			app.budget -= cost
-			app.attempts++
-			app.lastResolved = gen
+			app.Budget -= cost
+			app.Attempts++
+			app.LastResolved = gen
 			rc.dirtyLocked()
 			coordRecoveryAttempts.Inc()
 
 			// Pool: reconfigure onto whatever the policy picks from the
 			// survivors — equal, smaller, or larger than the last pool.
 			avail := rc.availableLocked()
-			want := policy.Pool(len(avail), app.tasks)
+			want := policy.Pool(len(avail), app.Tasks)
 			if want < 1 || want > len(avail) {
 				return fmt.Errorf("coord: no viable pool for %q (%d available, policy wants %d)",
 					name, len(avail), want)
 			}
-			app.incarnation++
+			app.Incarnation++
 			if err := rc.launchIncarnationLocked(app, avail[:want], restartFrom); err != nil {
-				app.incarnation--
+				app.Incarnation--
 				return err
 			}
 			app.err = nil
 			// TTR, the generation restarted from: the recovery telemetry the
 			// paper's Tables 3-5 measure.
-			*ev = Event{Attempt: app.attempts, Tasks: want, Gen: gen, TTR: time.Since(failedAt),
-				Detail: fmt.Sprintf("incarnation %d on %d tasks from %s", app.incarnation, want, cmp.Or(restartFrom, "scratch"))}
+			*ev = Event{Attempt: app.Attempts, Tasks: want, Gen: gen, TTR: time.Since(failedAt),
+				Detail: fmt.Sprintf("incarnation %d on %d tasks from %s", app.Incarnation, want, cmp.Or(restartFrom, "scratch"))}
 			return nil
 		})
 		switch {
@@ -956,8 +942,8 @@ func (rc *RC) recoverApp(app *appState, cause error) bool {
 					firstCause = cause
 				}
 				app.err = fmt.Errorf("coord: recovery budget exhausted after %d restarts of %q (last restart point: gen %d): %w",
-					app.attempts, name, app.lastResolved, firstCause)
-				*ev = Event{Attempt: app.attempts, Gen: gen, Detail: app.err.Error()}
+					app.Attempts, name, app.LastResolved, firstCause)
+				*ev = Event{Attempt: app.Attempts, Gen: gen, Detail: app.err.Error()}
 				return nil
 			})
 			return false
@@ -994,9 +980,9 @@ func (rc *RC) App(name string) (AppInfo, bool) {
 
 // appInfoLocked renders one application's snapshot; rc.mu must be held.
 func appInfoLocked(name string, app *appState) AppInfo {
-	info := AppInfo{Name: name, Status: app.status, Tasks: app.tasks,
-		Nodes: append([]int(nil), app.nodes...), Incarnation: app.incarnation,
-		Version: app.version}
+	info := AppInfo{Name: name, Status: app.Status, Tasks: app.Tasks,
+		Nodes: append([]int(nil), app.Nodes...), Incarnation: app.Incarnation,
+		Version: app.Version}
 	if app.err != nil {
 		info.Err = app.err.Error()
 	}
@@ -1040,5 +1026,5 @@ func (rc *RC) waitApp(name string, expire <-chan time.Time) (status AppStatus, s
 	if settled {
 		err = app.err
 	}
-	return app.status, settled, err
+	return app.Status, settled, err
 }

@@ -118,6 +118,89 @@ func TestControlServerCloseStopsEventDrain(t *testing.T) {
 	})
 }
 
+// TestControlServerKeepsTerminalEventsUnderFlood polls the events op after
+// a terminal event and a flood of 5000 non-terminal ones: the terminal
+// one must arrive. The server used to keep the last 4096 events of any
+// kind in a ring of its own, so a flood pushed app-finished out before
+// any client asked (DESIGN §3f: terminal events are never dropped); its
+// events now come from its own subscription, which coalesces only
+// non-terminal ones.
+func TestControlServerKeepsTerminalEventsUnderFlood(t *testing.T) {
+	rc := rawRC(t)
+	srv := &ControlServer{RC: rc, JSA: NewJSA(rc)}
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	cl, err := DialControl(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+
+	const flood = 5000
+	rc.emit(Event{Kind: EventAppFinished, App: "keep-me"})
+	for i := 1; i <= flood; i++ {
+		rc.emit(Event{Kind: EventNodesFreed, Detail: fmt.Sprint(i)})
+	}
+	// Let the server's subscription (the newest) settle — nothing left
+	// queued, or its channel full — so the first poll's view does not
+	// depend on how far a consumer of it had got.
+	rc.subMu.Lock()
+	sub := rc.subs[len(rc.subs)-1]
+	rc.subMu.Unlock()
+	waitFor(t, "the server's subscription to settle", func() bool {
+		sub.mu.Lock()
+		defer sub.mu.Unlock()
+		return len(sub.ch) == cap(sub.ch) || len(sub.queue) == 0 && len(sub.ch) == 0
+	})
+
+	terminal := false
+	waitFor(t, "the flood's last event", func() bool {
+		resp, err := cl.Do(Request{Op: "events"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range resp.Events {
+			terminal = terminal || e.Kind == EventAppFinished && e.App == "keep-me"
+			if e.Detail == fmt.Sprint(flood) {
+				return true
+			}
+		}
+		return false
+	})
+	if !terminal {
+		t.Fatal("app-finished lost behind a flood of non-terminal events")
+	}
+}
+
+// TestTCReconnectSendsHelloFirst reconnects a TC that heartbeats every
+// 20 µs a hundred times: each new connection must register at the new
+// epoch. Reconnect used to swap the connection and send the hello after
+// releasing the lock, so a heartbeat could open the new connection and
+// the coordinator, which expects a hello first, dropped it.
+func TestTCReconnectSendsHelloFirst(t *testing.T) {
+	rc := rawRC(t)
+	tc, err := StartTC(rc.Addr(), 0, 20*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tc.Fail)
+	registered := func() bool {
+		rc.mu.Lock()
+		defer rc.mu.Unlock()
+		st := rc.tcs[0]
+		return st != nil && st.alive && st.epoch == tc.Epoch()
+	}
+	for i := 0; i < 100; i++ {
+		if err := tc.Reconnect(rc.Addr()); err != nil {
+			t.Fatalf("reconnect %d: %v", i, err)
+		}
+		waitFor(t, fmt.Sprintf("registration at epoch %d", tc.Epoch()), registered)
+	}
+}
+
 // TestTCReRegisterClosesSupersededConn pins the re-registration path: a
 // node whose TC re-registers while the old registration is still alive
 // must have the superseded connection closed immediately. Before the

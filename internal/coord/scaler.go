@@ -130,19 +130,19 @@ func (a *Autoscaler) tick(now time.Time) {
 		if app.spec.Scale == nil || app.spec.SPMD {
 			continue
 		}
-		if app.status != StatusRunning {
+		if app.Status != StatusRunning {
 			continue
 		}
-		scaledTotal += app.tasks
+		scaledTotal += app.Tasks
 		pol := app.spec.Scale.withDefaults()
 		if pol.Max < pol.Min {
-			pol.Max = max(pol.Min, app.tasks)
+			pol.Max = max(pol.Min, app.Tasks)
 		}
 		if now.Sub(a.last[name]) < pol.Interval {
 			continue
 		}
-		cands = append(cands, scaleCand{name: name, version: app.version,
-			cur: app.tasks, pol: pol})
+		cands = append(cands, scaleCand{name: name, version: app.Version,
+			cur: app.Tasks, pol: pol})
 	}
 	a.rc.mu.Unlock()
 

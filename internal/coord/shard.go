@@ -68,13 +68,12 @@ func (g *Gateway) Close() {
 	}
 }
 
-// route dispatches one request: named ops to the owning shard,
-// fleet-wide reads to every shard with a merge, singletons to shard 0.
+// route dispatches one request: fleet-wide reads to every shard with a
+// merge, singletons to shard 0, and everything else — every op that
+// names an application — to the shard owning the name, which also
+// answers an op it does not know.
 func (g *Gateway) route(req Request) Response {
 	switch req.Op {
-	case "status", "wait", "submit", "open", "checkpoint", "stop", "reconfigure":
-		return g.forward(ShardOf(req.Name, len(g.shards)), req)
-
 	case "nodes", "apps", "events":
 		// Shards own disjoint processor slices and application names: the
 		// fleet's view is the union of whatever the op makes each report.
@@ -110,7 +109,7 @@ func (g *Gateway) route(req Request) Response {
 		// any shard answers for the fleet. Route to shard 0.
 		return g.forward(0, req)
 	}
-	return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
+	return g.forward(ShardOf(req.Name, len(g.shards)), req)
 }
 
 // forward relays one request to one shard verbatim, stamping the shard

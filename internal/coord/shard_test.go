@@ -90,14 +90,12 @@ func TestQuotaAtomicUnderConcurrentSubmits(t *testing.T) {
 	}
 }
 
-// TestGatewayRoutesAcrossShardsWithQuota brings up a two-shard fleet
-// behind a gateway and drives the acceptance flow over the wire: named
-// ops land on the owning shard (the response says which), fleet-wide
-// reads merge both shards, per-tenant admission quotas bind at the
-// owning shard only, and the versioned mutation protocol round-trips
-// through the gateway including a stale rejection.
-func TestGatewayRoutesAcrossShardsWithQuota(t *testing.T) {
-	const shards = 2
+// gatewayFleet brings up shards coordinators, each owning processors s
+// and s+shards (the drmsd slicing) and serving the control protocol with
+// the given admission quota, fronted by one gateway; it returns a client
+// connected to the gateway.
+func gatewayFleet(t *testing.T, shards, quota int) *ControlClient {
+	t.Helper()
 	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
 	addrs := make([]string, shards)
 	for s := 0; s < shards; s++ {
@@ -106,11 +104,10 @@ func TestGatewayRoutesAcrossShardsWithQuota(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(rc.Close)
-		// Shard s owns processors s and s+shards (the drmsd slicing).
 		if _, err := PoolNodes(rc, []int{s, s + shards}, hbInterval, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		srv := &ControlServer{RC: rc, JSA: NewJSA(rc), Quota: 1, Shard: s}
+		srv := &ControlServer{RC: rc, JSA: NewJSA(rc), Quota: quota, Shard: s}
 		addr, err := srv.Serve("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +128,19 @@ func TestGatewayRoutesAcrossShardsWithQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cl.Close() })
+	t.Cleanup(cl.Close)
+	return cl
+}
+
+// TestGatewayRoutesAcrossShardsWithQuota brings up a two-shard fleet
+// behind a gateway and drives the acceptance flow over the wire: named
+// ops land on the owning shard (the response says which), fleet-wide
+// reads merge both shards, per-tenant admission quotas bind at the
+// owning shard only, and the versioned mutation protocol round-trips
+// through the gateway including a stale rejection.
+func TestGatewayRoutesAcrossShardsWithQuota(t *testing.T) {
+	const shards = 2
+	cl := gatewayFleet(t, shards, 1)
 
 	// Fleet-wide read: the free pool is the union of the shard slices.
 	resp, err := cl.Do(Request{Op: "nodes"})
@@ -245,5 +254,40 @@ func TestGatewayRoutesAcrossShardsWithQuota(t *testing.T) {
 		if err != nil || st != StatusFinished {
 			t.Fatalf("%s settled %s, %v", name, st, err)
 		}
+	}
+}
+
+// TestGatewayRoutesResize resizes an application in flight through a
+// two-shard gateway. The gateway used to forward a hand-kept list of
+// named ops that never gained "resize", so the request died there as an
+// unknown op; every op that names an application now reaches its owner.
+func TestGatewayRoutesResize(t *testing.T) {
+	const shards = 2
+	cl := gatewayFleet(t, shards, 0)
+	name := shardNamer(shards)(1, "acme")
+	if _, err := cl.Do(Request{Op: "submit", Name: name, Kernel: "bt",
+		Class: "S", Min: 1, Max: 1, Iters: 100000, CkEvery: 2}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, name+" running", func() bool {
+		resp, err := cl.Do(Request{Op: "status", Name: name})
+		return err == nil && resp.App.Status == StatusRunning
+	})
+	resp, err := cl.Do(Request{Op: "resize", Name: name, Tasks: 2})
+	if err != nil {
+		t.Fatalf("resize through the gateway: %v", err)
+	}
+	if resp.Shard != 1 || resp.Version == 0 {
+		t.Fatalf("resize reply: %+v", resp)
+	}
+	st, err := cl.Do(Request{Op: "status", Name: name})
+	if err != nil || st.App.Tasks != 2 || st.App.Incarnation != 0 {
+		t.Fatalf("after the resize: %+v, %v", st.App, err)
+	}
+	if _, err := cl.Do(Request{Op: "stop", Name: name}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cl.WaitStatus(name, 30*time.Second); err != nil || st != StatusFinished {
+		t.Fatalf("%s settled %s, %v", name, st, err)
 	}
 }

@@ -24,7 +24,10 @@ import (
 // misreading it.
 const stateSchemaVersion = 1
 
-// appRecord is one application's persisted control-plane state.
+// appRecord is one application's persisted control-plane state; appState
+// embeds it, so the live application and its record are one copy. Its
+// gob encoding is the stored format: keep it flat (no nested structs) so
+// records earlier coordinators wrote still decode.
 type appRecord struct {
 	Schema      int
 	Name        string
@@ -108,46 +111,35 @@ func (rc *RC) snapshotLocked() (map[string][]byte, error) {
 		return nil, err
 	}
 	for name, app := range rc.apps {
-		rec := appRecord{
-			Schema:      stateSchemaVersion,
-			Name:        name,
-			Status:      app.status,
-			Tasks:       app.tasks,
-			Nodes:       append([]int(nil), app.nodes...),
-			Incarnation: app.incarnation,
-			Version:     app.version,
-			Lease:       app.lease,
-
-			Budget:       app.budget,
-			Attempts:     app.attempts,
-			LastResolved: app.lastResolved,
-
-			Keep:        app.spec.Keep,
-			Verify:      app.spec.Verify,
-			AnchorEvery: app.spec.AnchorEvery,
-			Replicas:    app.spec.Replicas,
-			DemoteEvery: app.spec.DemoteEvery,
-			SPMD:        app.spec.SPMD,
-		}
-		if app.err != nil {
-			rec.Err = app.err.Error()
-		}
-		if app.firstCause != nil {
-			rec.FirstCause = app.firstCause.Error()
-		}
-		if p := app.spec.Recovery; p != nil {
-			pol := p.withDefaults()
-			rec.Supervised = true
-			rec.PolicyBudget = pol.Budget
-			rec.Backoff = pol.Backoff
-			rec.BackoffMax = pol.BackoffMax
-			rec.StallPenalty = pol.StallPenalty
-		}
+		rec := app.appRecord
+		rec.Schema, rec.Name = stateSchemaVersion, name
+		rec.Err, rec.FirstCause = errText(app.err), errText(app.firstCause)
+		rec.setSpec(app.spec)
 		if err := put(appRecordKey(name), rec); err != nil {
 			return nil, err
 		}
 	}
 	return records, nil
+}
+
+// setSpec records the spec's plain-data knobs; appFromRecord reads them
+// back when no catalog entry re-binds the name.
+func (rec *appRecord) setSpec(spec AppSpec) {
+	rec.Keep, rec.Verify, rec.AnchorEvery = spec.Keep, spec.Verify, spec.AnchorEvery
+	rec.Replicas, rec.DemoteEvery, rec.SPMD = spec.Replicas, spec.DemoteEvery, spec.SPMD
+	var pol RecoveryPolicy
+	if rec.Supervised = spec.Recovery != nil; rec.Supervised {
+		pol = spec.Recovery.withDefaults()
+	}
+	rec.PolicyBudget, rec.Backoff, rec.BackoffMax, rec.StallPenalty =
+		pol.Budget, pol.Backoff, pol.BackoffMax, pol.StallPenalty
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // flushState commits a snapshot generation if the state is dirty. The

@@ -55,12 +55,17 @@ func (tc *TC) Epoch() int64 {
 }
 
 func (tc *TC) send(m tcMsg) error {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return tc.sendLocked(m)
+}
+
+// sendLocked writes one message on the current connection; tc.mu held.
+func (tc *TC) sendLocked(m tcMsg) error {
 	b, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
 	if tc.stopped {
 		return fmt.Errorf("coord: TC %d stopped", tc.node)
 	}
@@ -72,7 +77,9 @@ func (tc *TC) send(m tcMsg) error {
 // different) coordinator. The hello carries the next lease epoch, so
 // the coordinator can tell this surviving registration lineage from a
 // new claimant of the node id. The heartbeat loop carries over to the
-// new connection.
+// new connection; the hello goes out under the same lock as the swap,
+// so no heartbeat can reach the coordinator ahead of it (a connection
+// that opens with anything but a hello is dropped).
 func (tc *TC) Reconnect(rcAddr string) error {
 	conn, err := net.Dial("tcp", rcAddr)
 	if err != nil {
@@ -87,12 +94,12 @@ func (tc *TC) Reconnect(rcAddr string) error {
 	old := tc.conn
 	tc.conn = conn
 	tc.epoch++
-	epoch := tc.epoch
+	err = tc.sendLocked(tcMsg{Kind: "hello", Node: tc.node, Epoch: tc.epoch})
 	tc.mu.Unlock()
 	if old != nil {
 		old.Close()
 	}
-	return tc.send(tcMsg{Kind: "hello", Node: tc.node, Epoch: epoch})
+	return err
 }
 
 func (tc *TC) heartbeatLoop() {

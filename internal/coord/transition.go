@@ -134,11 +134,11 @@ func (rc *RC) admitLocked(name string, at *uint64, in input) (*appState, *rule, 
 	var cur AppStatus
 	supervised := false
 	if app != nil {
-		cur, supervised = app.status, app.spec.Recovery != nil && !rc.closed
-		if at != nil && app.version != *at {
+		cur, supervised = app.Status, app.spec.Recovery != nil && !rc.closed
+		if at != nil && app.Version != *at {
 			coordStaleRejections.Inc()
 			return nil, nil, fmt.Errorf("coord: %q at version %d, handle carries %d: %w",
-				name, app.version, *at, ErrStaleHandle)
+				name, app.Version, *at, ErrStaleHandle)
 		}
 	}
 	r := ruleFor(cur, in, supervised)
@@ -181,14 +181,14 @@ func (rc *RC) transition(name string, at *uint64, in input, apply func(app *appS
 	}
 	var freed []int
 	var unwound chan struct{}
-	if app.status == StatusRunning && r.next != StatusRunning {
+	if app.Status == StatusRunning && r.next != StatusRunning {
 		// The incarnation is down: its surviving processors go back to the
 		// pool, and whoever waits for the unwind (onTCLost) is released
 		// once the change is announced.
 		freed, unwound = rc.releasePoolLocked(app), app.unwound
 	}
-	app.status = r.next
-	app.version++
+	app.Status = r.next
+	app.Version++
 	rc.dirtyLocked()
 	rc.statsLocked()
 	info := appInfoLocked(name, app)
@@ -237,7 +237,7 @@ func (rc *RC) transition(name string, at *uint64, in input, apply func(app *appS
 // repaired or rebooted first. The pool stays listed on the record — it
 // is what the next incarnation's size is picked against. rc.mu held.
 func (rc *RC) releasePoolLocked(app *appState) (freed []int) {
-	for _, n := range app.nodes {
+	for _, n := range app.Nodes {
 		delete(rc.busy, n)
 		if tc, ok := rc.tcs[n]; ok && tc.alive {
 			freed = append(freed, n)
@@ -269,15 +269,15 @@ func (rc *RC) unclaimLocked(name string, nodes []int) {
 // the per-app gauge reads follows. rc.mu held.
 func (rc *RC) repoolLocked(app *appState, nodes []int) {
 	var left []int
-	for _, n := range app.nodes {
+	for _, n := range app.Nodes {
 		if !slices.Contains(nodes, n) {
 			left = append(left, n)
 		}
 	}
 	rc.unclaimLocked(app.spec.Name, left)
 	rc.claimLocked(app.spec.Name, nodes)
-	app.nodes = nodes
-	app.tasks = len(nodes)
+	app.Nodes = nodes
+	app.Tasks = len(nodes)
 	app.tasksCell.Store(int64(len(nodes)))
 }
 
@@ -287,7 +287,7 @@ func (rc *RC) repoolLocked(app *appState, nodes []int) {
 func (rc *RC) bindLocked(app *appState, h *drms.Handle, nodes []int) {
 	app.handle = h
 	app.hcell.Store(h)
-	app.lease = h.Lease()
+	app.Lease = h.Lease()
 	app.unwound = make(chan struct{})
 	rc.repoolLocked(app, nodes)
 }
@@ -318,7 +318,7 @@ func (rc *RC) launchIncarnationLocked(app *appState, nodes []int, restartFrom st
 	}
 	var cell atomic.Pointer[drms.Handle]
 	if spec.FaultNext != nil {
-		if f := spec.FaultNext(app.incarnation, tasks); f != nil {
+		if f := spec.FaultNext(app.Incarnation, tasks); f != nil {
 			cfg.Fault = f
 			// An injected death must be observable the way a processor
 			// failure is: run step 2 of the §4 procedure so the whole

@@ -130,12 +130,12 @@ func TestTransitionTable(t *testing.T) {
 				}
 				fresh := func() *appState {
 					return &appState{spec: spec, handle: handle, done: make(chan struct{}),
-						unwound: make(chan struct{}), version: 7}
+						unwound: make(chan struct{}), appRecord: appRecord{Version: 7}}
 				}
 				var before *appState
 				if from != "" {
 					before = fresh()
-					before.status = from
+					before.Status = from
 					rc.apps["app"] = before
 				}
 				info, err := rc.transition("app", nil, in, func(old *appState, _ *Event) error {
@@ -166,8 +166,8 @@ func TestTransitionTable(t *testing.T) {
 					if from != StatusRunning && from != "" && !errors.Is(err, ErrNotRunning) {
 						t.Errorf("%s: refusal %v does not say ErrNotRunning", name, err)
 					}
-					if before != nil && (before.status != from || before.version != 7) {
-						t.Errorf("%s: refused, yet the record moved to %s v%d", name, before.status, before.version)
+					if before != nil && (before.Status != from || before.Version != 7) {
+						t.Errorf("%s: refused, yet the record moved to %s v%d", name, before.Status, before.Version)
 					}
 					if rc.apps["app"] != before || rc.dirty || len(announced) != 0 {
 						t.Errorf("%s: refused, yet installed=%v dirty=%v announced=%v",
