@@ -79,6 +79,15 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "internal/stream holds a typed array of its own again (a round's pieces live in their I/O"; \
 		echo "buffers, in wire form: array.PackPieces/UnpackPieces — the auxiliary array must not creep back):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE 'append\(\[\]byte\(nil\)|bytes\.Clone' internal/msg/local.go internal/msg/tcp.go || true); \
+	if [ -n "$$out" ]; then \
+		echo "a payload copy in a transport (Send takes ownership of its payload: Comm.send copies for"; \
+		echo "the operations that give the caller its buffer back, AlltoallSparse hands off):"; echo "$$out"; exit 1; fi
+	@out=$$(awk '/^func \(c \*Comm\) (AlltoallSparse|send)\(/,/^}/ { next } /handOff\(/ && !/^func \(c \*Comm\) handOff\(/ { print FILENAME ":" FNR ": " $$0 }' \
+		$$(ls internal/msg/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$out" ]; then \
+		echo "a hand-off outside AlltoallSparse (every other operation promises MPI copy semantics:"; \
+		echo "its caller may reuse the buffer, so it must go through Comm.send, which hands off a copy):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rl '"unsafe"' --include='*.go' internal | grep -vx 'internal/array/codec.go' || true); \
 	if [ -n "$$out" ]; then \
 		echo "a second unsafe import under internal/ (the one byte view of a slice is rawBytes in"; \
@@ -139,10 +148,14 @@ fuzz:
 # transport (including its TCP mesh and fault injector), parallel
 # streaming, arrays, the checkpoint engine, the run-time system, the
 # coordinator's heartbeat/revocation path, and the exact accumulator the
-# ranks of a checksum fill side by side.
+# ranks of a checksum fill side by side. The second line repeats the
+# buffer hand-off tests: a buffer recycled while its receiver still reads
+# it is a race the detector catches on some schedules only.
 race:
 	$(GO) test -race ./internal/stream ./internal/array ./internal/msg ./internal/crc ./internal/xsum \
 		./internal/ckpt ./internal/drms ./internal/coord ./internal/obs
+	$(GO) test -race -count=20 -run 'HandsOff|MailboxDrops|CirculatesBuffers|InFlightBytes' \
+		./internal/msg ./internal/array ./internal/stream
 
 # The chaos soak: the recovery supervisor under a seeded fault injector
 # that kills random ranks mid-compute, mid-checkpoint, and during

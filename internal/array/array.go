@@ -198,8 +198,8 @@ func Assign[T Elem](dst, src *Array[T]) error {
 	pl := assignPlanFor(src.d, dst.d, c, es, rangeset.ColMajor, noPiece)
 
 	// Phase 1: pack this task's contribution to every active peer at the
-	// plan's precomputed offsets. Buffers come from the pool; the
-	// transport copies on send, so they go back right after the exchange.
+	// plan's precomputed offsets. Buffers come from the pool and are
+	// handed off by the exchange: the peer that unpacks one puts it back.
 	srcLocal := any(src.local)
 	for i := range pl.send {
 		px := &pl.send[i]
@@ -224,12 +224,12 @@ func Assign[T Elem](dst, src *Array[T]) error {
 	})
 
 	// Phase 3: unpack what every active owner sent for this task's mapped
-	// section of B. The received copies are left to the collector: the
-	// pack side already got its own buffers back, so they would be surplus
-	// a sync.Pool keeps reachable for two GC cycles (see Gather).
+	// section of B, and recycle each buffer once its bytes have landed:
+	// the owner took one from the pool for it, so the pool gets one back.
 	dstLocal := any(dst.local)
 	for i := range pl.recv {
 		unpackRuns(dstLocal, recv[pl.recv[i].peer], pl.recv[i].runs, es, 1)
+		putBuf(recv[pl.recv[i].peer])
 	}
 	return nil
 }

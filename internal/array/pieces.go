@@ -57,6 +57,7 @@ func PackPieces[T Elem](a *Array[T], round *dist.Distribution, order rangeset.Or
 		for _, r := range pl.recv[i].runs {
 			wire = wire[copy(buf[r.off*es:(r.off+r.n)*es], wire):]
 		}
+		putBuf(recv[pl.recv[i].peer])
 	}
 	return pl.remoteBytes, nil
 }
@@ -92,6 +93,7 @@ func UnpackPieces[T Elem](a *Array[T], round *dist.Distribution, order rangeset.
 	})
 	for i := range pl.recv {
 		unpackRuns(local, recv[pl.recv[i].peer], pl.recv[i].runs, es, stride)
+		putBuf(recv[pl.recv[i].peer])
 	}
 	return pl.remoteBytes, nil
 }

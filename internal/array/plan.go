@@ -360,15 +360,14 @@ func buildAssignPlan(src, dst *dist.Distribution, rank, size, es int, order rang
 
 // exchange runs the plan's sparse all-to-all over the send buffers the
 // caller packed into sendBufs — only the peers the plan marks active are
-// framed and touched — and recycles them: the transport copies on send.
+// framed and touched — and hands them off to the ranks that land them.
 // On failure (revoked comm, dead peer) the per-call state is cleared all
 // the same, so the cached schedule stays pristine for a retry or restart.
-// What comes back has been checked: every active sender delivered exactly
-// the bytes the plan expects of it.
+// What comes back has been checked — every active sender delivered exactly
+// the bytes the plan expects of it — and is putBuf'd once it has landed.
 func (pl *assignPlan) exchange(c *msg.Comm) ([][]byte, error) {
 	recv, err := c.AlltoallSparse(pl.sendBufs, pl.sendTo, pl.recvFrom)
 	for i := range pl.send {
-		putBuf(pl.sendBufs[pl.send[i].peer])
 		pl.sendBufs[pl.send[i].peer] = nil
 	}
 	if err != nil {

@@ -6,11 +6,11 @@ import "sync"
 // streaming pack every moved byte into short-lived []byte buffers; at
 // steady state (a checkpoint every few minutes, a shadow exchange every
 // iteration) the same handful of sizes recurs, so recycling them keeps
-// the pack side allocation-free. Buffers are handed to the message
-// transport, which copies on Send and never retains them, so a buffer is
-// safe to recycle as soon as the collective that carried it returns.
-// Only what getBuf handed out comes back: the transport's receive copies
-// are not fed in, or the pool would hold more than is ever taken from it.
+// the pack side allocation-free. The buffers circulate: the packing rank
+// takes one per peer, the exchange hands it off (msg.Comm.AlltoallSparse),
+// and the rank that lands its bytes puts it back — the sender's own in
+// process, the transport's frame over TCP. One get and one put per
+// message: the pool never holds more than is taken from it.
 var bufPool sync.Pool
 
 // getBuf returns a length-n byte buffer, reusing a pooled one when its
@@ -24,7 +24,7 @@ func getBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// putBuf recycles a buffer obtained from getBuf.
+// putBuf recycles a buffer this task owns and no longer reads.
 func putBuf(b []byte) {
 	if cap(b) == 0 {
 		return

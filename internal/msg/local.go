@@ -45,9 +45,9 @@ func (b *mailbox) notifyLocked() {
 	}
 }
 
-// deliver appends a message (already owned by the mailbox — callers copy
-// if needed). Messages arriving after failure are dropped: the receiver
-// is unwinding and will never look.
+// deliver appends a message, which the mailbox owns from then on.
+// Messages arriving after failure are dropped: the receiver is unwinding
+// and will never look.
 func (b *mailbox) deliver(k mailKey, payload []byte) {
 	b.mu.Lock()
 	if b.err == nil {
@@ -79,6 +79,7 @@ func (b *mailbox) recv(k mailKey, cancel <-chan struct{}) ([]byte, error) {
 			if len(q) == 1 {
 				delete(b.queues, k)
 			} else {
+				q[0] = nil // m is the receiver's to recycle: do not pin it
 				b.queues[k] = q[1:]
 			}
 			b.mu.Unlock()
@@ -114,13 +115,13 @@ func NewLocalTransport(n int) *LocalTransport {
 	return t
 }
 
-// Send implements Transport. The payload is copied, so the caller may
-// reuse its buffer immediately (matching MPI blocking-send semantics).
+// Send implements Transport. Ranks share one address space, so the
+// receiver gets data itself, by reference: nothing is copied.
 func (t *LocalTransport) Send(src, dst, tag int, data []byte) error {
 	if err := t.Err(); err != nil {
 		return err
 	}
-	t.boxes[dst].deliver(mailKey{src, tag}, append([]byte(nil), data...))
+	t.boxes[dst].deliver(mailKey{src, tag}, data)
 	return nil
 }
 

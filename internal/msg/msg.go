@@ -98,7 +98,9 @@ func NewComm(rank, size int, tr Transport) *Comm {
 // deliver messages from a fixed (src, dst, tag) triple in send order,
 // and must fail — never block forever — once aborted.
 type Transport interface {
-	// Send delivers data to dst. It must not retain data after returning.
+	// Send delivers data to dst and takes ownership of it: the caller must
+	// not touch data again, whatever the call returns. The transport may
+	// deliver the slice itself; what Recv returns is the receiver's.
 	Send(src, dst, tag int, data []byte) error
 	// Recv blocks until a message with the given source and tag is
 	// available at dst and returns its payload. A receive on an aborted
@@ -182,7 +184,15 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 	return c.recv(src, tag)
 }
 
+// send hands off a copy of data, so the caller may reuse its buffer at once
+// (MPI semantics).
 func (c *Comm) send(dst, tag int, data []byte) error {
+	return c.handOff(dst, tag, append([]byte(nil), data...))
+}
+
+// handOff delivers data itself: the transport, then the receiver, own it
+// from the call on. Besides send, only AlltoallSparse calls it (make lint).
+func (c *Comm) handOff(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("msg: send to rank %d of %d", dst, c.size)
 	}
@@ -366,6 +376,10 @@ func (c *Comm) Alltoall(send [][]byte) ([][]byte, error) {
 // as mismatched point-to-point calls would. The self entry travels only
 // if sendTo[rank] is set. Result entries for inactive peers are nil.
 // Collective: every task must call it, even with all-false masks.
+//
+// Unlike every other operation it does not copy: each active send[q] is
+// handed off — the caller gives it up, whatever the outcome — and in
+// process arrives as that very slice, which its receiver owns and may recycle.
 func (c *Comm) AlltoallSparse(send [][]byte, sendTo, recvFrom []bool) ([][]byte, error) {
 	defer observeCollective(time.Now())
 	if len(send) != c.size || len(sendTo) != c.size || len(recvFrom) != c.size {
@@ -375,7 +389,7 @@ func (c *Comm) AlltoallSparse(send [][]byte, sendTo, recvFrom []bool) ([][]byte,
 	tag := c.collTag(opAlltoall)
 	recv := make([][]byte, c.size)
 	if sendTo[c.rank] {
-		recv[c.rank] = append([]byte(nil), send[c.rank]...)
+		recv[c.rank] = send[c.rank]
 	}
 	// Same shifted pairwise schedule as Alltoall: in step s this rank's
 	// partner pair is (rank+s, rank-s), and the peer that would send to us
@@ -386,7 +400,7 @@ func (c *Comm) AlltoallSparse(send [][]byte, sendTo, recvFrom []bool) ([][]byte,
 		dst := (c.rank + s) % c.size
 		src := (c.rank - s + c.size) % c.size
 		if sendTo[dst] {
-			if err := c.send(dst, tag, send[dst]); err != nil {
+			if err := c.handOff(dst, tag, send[dst]); err != nil {
 				return nil, err
 			}
 		}

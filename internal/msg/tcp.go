@@ -24,8 +24,9 @@ type TCPTransport struct {
 }
 
 type frameConn struct {
-	mu sync.Mutex // serializes frame writes from one owner
-	c  net.Conn
+	mu  sync.Mutex // serializes frame writes from one owner
+	c   net.Conn
+	hdr [8]byte // the frame header being written; guarded by mu
 }
 
 // frame layout: tag int32 | len uint32 | payload. The sender and receiver
@@ -145,13 +146,14 @@ func (t *TCPTransport) deliver(src, dst, tag int, payload []byte) {
 // Send implements Transport. A write failure on the underlying socket
 // means the peer's connection is gone — the paper's processor-failure
 // signal — and is returned to the caller; the coordination layer decides
-// whether to revoke.
+// whether to revoke. The header and data go out in one gathered write and
+// data is dropped after it; a self-send delivers data itself.
 func (t *TCPTransport) Send(src, dst, tag int, data []byte) error {
 	if err := t.Err(); err != nil {
 		return err
 	}
 	if src == dst {
-		t.deliver(src, dst, tag, append([]byte(nil), data...))
+		t.deliver(src, dst, tag, data)
 		return nil
 	}
 	t.mu.Lock()
@@ -160,13 +162,12 @@ func (t *TCPTransport) Send(src, dst, tag int, data []byte) error {
 	if fc == nil {
 		return fmt.Errorf("msg: no connection from rank %d to %d", src, dst)
 	}
-	frame := make([]byte, 8+len(data))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(int32(tag)))
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(data)))
-	copy(frame[8:], data)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if _, err := fc.c.Write(frame); err != nil {
+	binary.LittleEndian.PutUint32(fc.hdr[0:4], uint32(int32(tag)))
+	binary.LittleEndian.PutUint32(fc.hdr[4:8], uint32(len(data)))
+	frame := net.Buffers{fc.hdr[:], data}
+	if _, err := frame.WriteTo(fc.c); err != nil {
 		return fmt.Errorf("msg: send %d->%d: %w", src, dst, err)
 	}
 	return nil
