@@ -102,6 +102,16 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "a second reader of DRMS metadata version 1 (Upgrade in internal/ckpt/upgrade.go decodes it,"; \
 		echo "ReadMeta in internal/ckpt/ckpt.go refuses it with ErrLegacyFormat; nothing else may do either):"; echo "$$out"; exit 1; fi
+	@out=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn) } \
+		/gob\.NewDecoder\(/ && fn !~ /^(decodeMeta|readStateImage|mergeDirty|LoadTierFile)$$/ { print FILENAME ":" FNR ": " $$0 } \
+		/decodeMeta\(/ && !/^func decodeMeta\(/ && fn !~ /^(parseMeta|Upgrade)$$/ { print FILENAME ":" FNR ": " $$0 }' \
+		$$(ls internal/ckpt/*.go | grep -v '_test\.go$$'); \
+		for f in $$(grep -rlE --include='*.go' --exclude='*_test.go' 'gob\.NewDecoder\(' cmd internal | grep -v '^internal/ckpt/'); do \
+			grep -q 'ckpt\.Meta\b' $$f && echo "$$f: gob-decodes beside ckpt.Meta"; done); \
+	if [ -n "$$out" ]; then \
+		echo "metadata decoded around ReadMeta's memo (decodeMeta is the one gob decode of metadata bytes, and"; \
+		echo "only parseMeta — ReadMeta on bytes read — and Upgrade call it; the other gob decoders in"; \
+		echo "internal/ckpt read state images, dirty sets and tier files):"; echo "$$out"; exit 1; fi
 	@out=$$(awk '/^func \(s \*StateStore\) loadChain\(/,/^}/ { next } /ChainLen|Deps/ { print FILENAME ":" FNR ": " $$0 }' \
 		internal/ckpt/state.go); \
 	if [ -n "$$out" ]; then \

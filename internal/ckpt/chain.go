@@ -559,8 +559,10 @@ func bcastPrevMeta(fs *pfs.System, comm *msg.Comm, base, prevName string, prevMe
 	if len(payload) == 0 {
 		return nil, nil
 	}
-	var m Meta
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
+	// Rank 0's encoding of a committed record is that record's stored
+	// bytes, so every rank finds it in ReadMeta's memo.
+	m, err := parseMeta(payload, prevName)
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: decoding delta base: %w", err)
 	}
 	return &m, nil

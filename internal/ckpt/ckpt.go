@@ -40,10 +40,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"drms/internal/codec"
 	"drms/internal/crc"
+	"drms/internal/lru"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
@@ -491,7 +493,7 @@ func readSegment(fs *pfs.System, tier *MemTier, prefix string, client, selfNode 
 			}
 		}
 	}
-	payload, segCRC, err := readSegmentFile(fs, segFile(prefix), client, m.SegBytes[0])
+	payload, segCRC, err := readSegmentFile(fs, prefix, segFile(prefix), client, m.SegBytes[0])
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -576,7 +578,7 @@ func ReadSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, ar
 	}
 
 	fs.BeginPhase("segment")
-	blob, crc, err := readSegmentFile(fs, taskSegFile(prefix, me), me, m.SegBytes[me])
+	blob, crc, err := readSegmentFile(fs, prefix, taskSegFile(prefix, me), me, m.SegBytes[me])
 	if err != nil {
 		return m, st, err
 	}
@@ -622,40 +624,127 @@ var ErrLegacyFormat = errors.New("ckpt: legacy checkpoint format (metadata versi
 
 // ReadMeta loads checkpoint metadata (e.g. to learn the task count before
 // deciding a restart configuration). Metadata whose tables disagree in
-// length with what the rest of the record promises is a *CorruptError:
-// every reader indexes them unchecked after this.
+// length with what the rest of the record promises, or that does not
+// decode at all, is a *CorruptError: every reader indexes the tables
+// unchecked after this. The record is read on every call; its decode is
+// memoized on the bytes read (parseMeta).
 func ReadMeta(fs *pfs.System, prefix string, client int) (Meta, error) {
+	b, err := readMetaFile(fs, prefix, client)
+	if err != nil {
+		return Meta{}, err
+	}
+	return parseMeta(b, prefix)
+}
+
+// metaMemoCap bounds the decoded records parseMeta keeps: a rotation's
+// retained generations, a coordinator's state generations and a delta
+// base fit with room to spare, and a record costs a few KB.
+const metaMemoCap = 16
+
+// metaKey names a stored metadata record by its bytes: their length and
+// CRC-64. Any changed byte is a new key.
+type metaKey struct {
+	n   int
+	sum uint64
+}
+
+func metaKeyOf(b []byte) metaKey { return metaKey{len(b), crcOf(b)} }
+
+// metaMemo maps a metadata record's bytes to its validated decode, for
+// every rank of this process: a restore's ranks, its launch, the
+// supervisor's resolution, pruning and fsck all read records this process
+// decoded or committed. It holds only records ReadMeta accepts, each a
+// private clone.
+var metaMemo = lru.New[metaKey, Meta](metaMemoCap)
+
+// parseMeta is ReadMeta on bytes already read: a memo of a pure function
+// of b. A miss decodes, validates and, if ReadMeta accepts the record,
+// caches it; every call returns a copy no other caller shares. prefix
+// only names the record in errors.
+func parseMeta(b []byte, prefix string) (Meta, error) {
+	key := metaKeyOf(b)
+	if m, ok := metaMemo.Get(key); ok {
+		return m.clone(), nil
+	}
 	var m Meta
-	if err := decodeMeta(fs, prefix, client, &m); err != nil {
+	if err := decodeMeta(b, prefix, &m); err != nil {
 		return m, err
 	}
-	if m.Version < version || m.Version > chainVersion {
-		return m, fmt.Errorf("ckpt: metadata version %d unsupported", m.Version)
+	if err := checkMeta(&m, prefix); err != nil {
+		return m, err
 	}
-	if legacy(&m) {
-		return m, fmt.Errorf("%w: %q", ErrLegacyFormat, prefix)
-	}
-	if bad := shapeError(&m); bad != "" {
-		return m, corrupt(prefix, metaFile(prefix), -1, "metadata %s", bad)
-	}
+	metaMemo.Add(key, m.clone())
 	return m, nil
 }
 
-// decodeMeta reads the stored metadata record of prefix and decodes it
-// into each of dst.
-func decodeMeta(fs *pfs.System, prefix string, client int, dst ...any) error {
+// checkMeta is ReadMeta's verdict on a decoded record.
+func checkMeta(m *Meta, prefix string) error {
+	if m.Version < version || m.Version > chainVersion {
+		return fmt.Errorf("ckpt: metadata version %d unsupported", m.Version)
+	}
+	if legacy(m) {
+		return fmt.Errorf("%w: %q", ErrLegacyFormat, prefix)
+	}
+	if bad := shapeError(m); bad != "" {
+		return corrupt(prefix, metaFile(prefix), -1, "metadata %s", bad)
+	}
+	return nil
+}
+
+// clone returns a copy of m that shares no table with it, in the form a
+// gob decode produces: an empty table, at any depth, is nil. Array shapes
+// are shared; a rangeset.Slice is immutable.
+func (m *Meta) clone() Meta {
+	c := *m
+	c.Arrays = cloneTable(m.Arrays)
+	c.SegBytes = cloneTable(m.SegBytes)
+	c.SegCRC = cloneTable(m.SegCRC)
+	c.ArrayCRC = cloneTable(m.ArrayCRC)
+	c.PlanSigs = cloneTable(m.PlanSigs)
+	c.Deps = cloneTable(m.Deps)
+	c.PieceLocs = cloneTables(m.PieceLocs)
+	c.Sections = cloneTables(m.Sections)
+	return c
+}
+
+func cloneTable[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
+}
+
+func cloneTables[T any](s [][]T) [][]T {
+	if len(s) == 0 {
+		return nil
+	}
+	c := make([][]T, len(s))
+	for i, t := range s {
+		c[i] = cloneTable(t)
+	}
+	return c
+}
+
+// readMetaFile returns the stored metadata record of prefix.
+func readMetaFile(fs *pfs.System, prefix string, client int) ([]byte, error) {
 	name := metaFile(prefix)
 	sz, err := fs.Size(name)
 	if err != nil {
-		return fmt.Errorf("ckpt: no checkpoint under prefix %q: %w", prefix, err)
+		return nil, fmt.Errorf("ckpt: no checkpoint under prefix %q: %w", prefix, err)
 	}
 	buf := make([]byte, sz)
 	if err := fs.ReadAt(client, name, buf, 0); err != nil {
-		return err
+		return nil, err
 	}
+	return buf, nil
+}
+
+// decodeMeta decodes the metadata record b into each of dst. It is the
+// one gob decode of metadata bytes; only parseMeta and Upgrade call it.
+func decodeMeta(b []byte, prefix string, dst ...any) error {
 	for _, d := range dst {
-		if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(d); err != nil {
-			return fmt.Errorf("ckpt: corrupt metadata for %q: %w", prefix, err)
+		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(d); err != nil {
+			return corrupt(prefix, metaFile(prefix), -1, "metadata does not decode: %v", err)
 		}
 	}
 	return nil
@@ -749,6 +838,11 @@ func StateBytes(fs *pfs.System, prefix string) int64 {
 // record of the whole checkpoint (Exists and Rotation.Latest key on it),
 // so it must appear fully written or not at all — a crash between the
 // two steps leaves at worst a .tmp file no reader ever consults.
+//
+// The committed record seeds ReadMeta's memo under the bytes just
+// written, so no reader in this process decodes it again — unless
+// ReadMeta would refuse it, in which case every read decodes and refuses
+// it as before.
 func writeMeta(fs *pfs.System, prefix string, client int, m Meta) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
@@ -759,7 +853,13 @@ func writeMeta(fs *pfs.System, prefix string, client int, m Meta) error {
 	if err := fs.WriteAt(client, tmp, buf.Bytes(), 0); err != nil {
 		return err
 	}
-	return fs.Rename(tmp, metaFile(prefix))
+	if err := fs.Rename(tmp, metaFile(prefix)); err != nil {
+		return err
+	}
+	if checkMeta(&m, prefix) == nil {
+		metaMemo.Add(metaKeyOf(buf.Bytes()), m.clone())
+	}
+	return nil
 }
 
 // writeSegmentFile lays out a segment file: an 8-byte payload length,
@@ -791,17 +891,23 @@ func writeSegmentFile(fs *pfs.System, name string, client int, payload []byte, t
 	return sum, nil
 }
 
-// readSegmentFile reads an entire segment file (payload and padding — the
-// real system reads the full image) and returns the payload and the
-// file's CRC-64.
-func readSegmentFile(fs *pfs.System, name string, client int, total int64) ([]byte, uint64, error) {
+// readSegmentFile reads an entire segment file of the checkpoint under
+// prefix (payload and padding — the real system reads the full image) and
+// returns the payload and the file's CRC-64. A length prefix that does not
+// fit the file is a *CorruptError.
+func readSegmentFile(fs *pfs.System, prefix, name string, client int, total int64) ([]byte, uint64, error) {
 	hdr := make([]byte, segHeader)
 	if err := fs.ReadAt(client, name, hdr, 0); err != nil {
 		return nil, 0, err
 	}
 	plen := int64(binary.LittleEndian.Uint64(hdr))
-	if plen < 0 || plen+segHeader > total {
-		return nil, 0, fmt.Errorf("ckpt: segment file %q corrupt: payload %d of %d", name, plen, total)
+	sz, err := fs.Size(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	// Subtract, never add: a prefix near MaxInt64 overflows plen+segHeader.
+	if plen < 0 || total < segHeader || plen > total-segHeader || plen > sz-segHeader {
+		return nil, 0, corrupt(prefix, name, -1, "segment payload %d of %d bytes (file %d)", plen, total, sz)
 	}
 	payload := make([]byte, plen)
 	if err := fs.ReadAt(client, name, payload, segHeader); err != nil {
@@ -810,7 +916,7 @@ func readSegmentFile(fs *pfs.System, name string, client int, total int64) ([]by
 	// Stream the padding through a window, as the real restore reads the
 	// full image.
 	sum := crc.Combine(crcOf(hdr), crcOf(payload), plen)
-	sum, err := readCRC(fs, name, client, sum, segHeader+plen, total-segHeader-plen)
+	sum, err = readCRC(fs, name, client, sum, segHeader+plen, total-segHeader-plen)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -184,7 +184,7 @@ func readStateImage(fs *pfs.System, prefix string) (stateImage, error) {
 	if m.Mode != ModeDRMS || len(m.SegBytes) == 0 {
 		return img, fmt.Errorf("ckpt: %q is not a control-plane snapshot", prefix)
 	}
-	payload, crc, err := readSegmentFile(fs, segFile(prefix), 0, m.SegBytes[0])
+	payload, crc, err := readSegmentFile(fs, prefix, segFile(prefix), 0, m.SegBytes[0])
 	if err != nil {
 		return img, err
 	}

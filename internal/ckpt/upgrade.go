@@ -27,7 +27,11 @@ func Upgrade(fs *pfs.System, prefix string, client int) (upgraded bool, err erro
 		Version     int
 		ArrayPieces [][]PieceSum
 	}
-	if err := decodeMeta(fs, prefix, client, &m, &v1); err != nil || !legacy(&m) {
+	b, err := readMetaFile(fs, prefix, client)
+	if err != nil {
+		return false, err
+	}
+	if err := decodeMeta(b, prefix, &m, &v1); err != nil || !legacy(&m) {
 		return false, err
 	}
 	_, gen := genBase(prefix)

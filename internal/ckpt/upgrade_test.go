@@ -117,6 +117,11 @@ func TestReadMetaRejectsMalformedShape(t *testing.T) {
 			if err := writeMeta(fs, "x", 0, tc.m); err != nil {
 				t.Fatal(err)
 			}
+			// The commit seeds ReadMeta's memo only with records ReadMeta
+			// accepts: every read below decodes and refuses this one.
+			if _, ok := metaMemo.Get(metaKeyOf(metaBytes(t, fs, "x"))); ok {
+				t.Fatal("writeMeta seeded a record ReadMeta refuses")
+			}
 			var ce *CorruptError
 			if _, _, ok, err := ResolveVerified(fs, "x"); ok || !errors.As(err, &ce) {
 				t.Fatalf("ResolveVerified ok %v err %v", ok, err)

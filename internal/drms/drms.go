@@ -33,8 +33,7 @@
 package drms
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -495,6 +494,63 @@ type genHeader struct {
 	Resize int    // != 0: a resize generation — swap to this task count after commit
 }
 
+// genHeader's flags byte.
+const (
+	hdrDelta = 1 << iota
+	hdrMem
+	hdrStop
+)
+
+// encode frames h for the per-SOP broadcast: Gen and Prev, each a uvarint
+// length and its bytes, one flags byte, and Resize as a varint. Every rank
+// decodes it at every SOP, so it is a fixed layout, not a gob stream.
+func (h genHeader) encode() []byte {
+	b := binary.AppendUvarint(nil, uint64(len(h.Gen)))
+	b = append(b, h.Gen...)
+	b = binary.AppendUvarint(b, uint64(len(h.Prev)))
+	b = append(b, h.Prev...)
+	var flags byte
+	if h.Delta {
+		flags |= hdrDelta
+	}
+	if h.Mem {
+		flags |= hdrMem
+	}
+	if h.Stop {
+		flags |= hdrStop
+	}
+	b = append(b, flags)
+	return binary.AppendVarint(b, int64(h.Resize))
+}
+
+// decodeGenHeader parses encode's frame.
+func decodeGenHeader(b []byte) (genHeader, error) {
+	var h genHeader
+	str := func() (string, bool) {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)-k) {
+			return "", false
+		}
+		s := string(b[k : k+int(n)])
+		b = b[k+int(n):]
+		return s, true
+	}
+	var okGen, okPrev bool
+	h.Gen, okGen = str()
+	h.Prev, okPrev = str()
+	if !okGen || !okPrev || len(b) < 1 {
+		return h, errors.New("drms: truncated checkpoint header")
+	}
+	flags := b[0]
+	h.Delta, h.Mem, h.Stop = flags&hdrDelta != 0, flags&hdrMem != 0, flags&hdrStop != 0
+	resize, k := binary.Varint(b[1:])
+	if k <= 0 || k != len(b)-1 {
+		return h, errors.New("drms: malformed checkpoint header")
+	}
+	h.Resize = int(resize)
+	return h, nil
+}
+
 // write archives the application state under a fresh generation of the
 // prefix ("<prefix>.gN"): a committed checkpoint is never overwritten in
 // place, so a failure landing mid-checkpoint can only tear the
@@ -556,15 +612,11 @@ func (t *Task) write(prefix string) error {
 		}
 		hdr.Stop = t.handle.stopReq.Load()
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(hdr); err != nil {
-		return err
-	}
-	b, err := t.comm.Bcast(0, buf.Bytes())
+	b, err := t.comm.Bcast(0, hdr.encode())
 	if err != nil {
 		return err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&hdr); err != nil {
+	if hdr, err = decodeGenHeader(b); err != nil {
 		return err
 	}
 	t.sg.Ctx.SOP = prefix

@@ -688,3 +688,33 @@ func TestRestartFromPinnedGeneration(t *testing.T) {
 		}
 	}
 }
+
+// TestGenHeaderRoundTrip: the per-SOP header frame decodes to what was
+// encoded — every flag combination, an empty and a set Prev, Resize zero,
+// positive and negative — and a truncated or padded frame is an error.
+func TestGenHeaderRoundTrip(t *testing.T) {
+	for flags := 0; flags < 8; flags++ {
+		for _, prev := range []string{"", "ck.g6"} {
+			for _, resize := range []int{0, 3, -1, 1 << 40} {
+				h := genHeader{Gen: "ck.g7", Prev: prev, Delta: flags&1 != 0, Mem: flags&2 != 0,
+					Stop: flags&4 != 0, Resize: resize}
+				b := h.encode()
+				got, err := decodeGenHeader(b)
+				if err != nil || got != h {
+					t.Fatalf("decode(encode(%+v)) = %+v, %v", h, got, err)
+				}
+				for n := 0; n < len(b); n++ {
+					if _, err := decodeGenHeader(b[:n]); err == nil {
+						t.Fatalf("%+v truncated to %d of %d bytes decoded", h, n, len(b))
+					}
+				}
+				if _, err := decodeGenHeader(append(b, 0)); err == nil {
+					t.Fatalf("%+v with a trailing byte decoded", h)
+				}
+			}
+		}
+	}
+	if got, err := decodeGenHeader(genHeader{}.encode()); err != nil || got != (genHeader{}) {
+		t.Fatalf("zero header round trip = %+v, %v", got, err)
+	}
+}
