@@ -142,16 +142,20 @@ test:
 		./internal/rangeset ./internal/dist ./internal/crc ./internal/ckpt ./internal/array ./internal/xsum
 
 # Every fuzz target of the index-arithmetic, parser, CRC, exact-sum,
-# metadata-decoding and coordinator-record-decoding packages, one after
-# the other for FUZZTIME each, stopping at the first crasher (`go test`
-# alone, and so `make test`, runs their seeds only). The targets are found,
-# not listed: a new Fuzz* function in these packages is fuzzed from the day
-# it lands. CI runs this nightly with FUZZTIME=60s.
+# metadata-decoding, coordinator-record-decoding, SOP-header, msg-frame,
+# piece-codec and pfs-snapshot packages, one after the other for FUZZTIME
+# each, stopping at the first crasher (`go test` alone, and so `make
+# test`, runs their seeds only). The targets are found, not listed: a new
+# Fuzz* function in these packages is fuzzed from the day it lands.
+# Minimizing a new corpus entry gets 5 s, not Go's 60 s default, so a
+# short FUZZTIME is spent fuzzing. CI runs this nightly with
+# FUZZTIME=60s.
 fuzz:
-	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array ./internal/crc ./internal/xsum ./internal/ckpt ./internal/coord; do \
+	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array ./internal/crc ./internal/xsum ./internal/ckpt ./internal/coord \
+		./internal/drms ./internal/msg ./internal/codec ./internal/pfs; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== $$pkg $$f ($(FUZZTIME))"; \
-			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 5s $$pkg; \
 		done; done
 
 # Race coverage spans every layer that exercises real concurrency: the

@@ -452,7 +452,7 @@ func BenchmarkAssignPlanned(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			b.SetBytes(bytes)
 			array.FlushPlans()
-			array.ResetPlanCacheStats()
+			h0, m0 := array.PlanCacheStats()
 			mustRun(b, tasks, func(c *msg.Comm) {
 				d1, _ := dist.Block(g, []int{4, 1, 1})
 				d2, _ := dist.Block(g, []int{1, 2, 2})
@@ -479,8 +479,8 @@ func BenchmarkAssignPlanned(b *testing.B) {
 				}
 			})
 			h, m := array.PlanCacheStats()
-			b.ReportMetric(float64(h), "plan-hits")
-			b.ReportMetric(float64(m), "plan-misses")
+			b.ReportMetric(float64(h-h0), "plan-hits")
+			b.ReportMetric(float64(m-m0), "plan-misses")
 		})
 	}
 }
@@ -494,9 +494,9 @@ func BenchmarkCheckpointDRMSSteadyState(b *testing.B) {
 	fs := pfs.NewSystem(pfs.DefaultConfig())
 	k := apps.SP()
 	array.FlushPlans()
-	array.ResetPlanCacheStats()
 	stream.FlushPlans()
-	stream.ResetPlanCacheStats()
+	ah0, am0 := array.PlanCacheStats()
+	sh0, sm0 := stream.PlanCacheStats()
 	var state int64
 	err := drms.Run(drms.Config{Tasks: 4, FS: fs}, func(t *drms.Task) error {
 		in, err := k.Setup(t, apps.ClassS)
@@ -528,8 +528,8 @@ func BenchmarkCheckpointDRMSSteadyState(b *testing.B) {
 	b.ReportMetric(bench.MB(state), "stateMB")
 	ah, am := array.PlanCacheStats()
 	sh, sm := stream.PlanCacheStats()
-	b.ReportMetric(float64(ah), "arr-plan-hits")
-	b.ReportMetric(float64(am), "arr-plan-misses")
-	b.ReportMetric(float64(sh), "stream-plan-hits")
-	b.ReportMetric(float64(sm), "stream-plan-misses")
+	b.ReportMetric(float64(ah-ah0), "arr-plan-hits")
+	b.ReportMetric(float64(am-am0), "arr-plan-misses")
+	b.ReportMetric(float64(sh-sh0), "stream-plan-hits")
+	b.ReportMetric(float64(sm-sm0), "stream-plan-misses")
 }

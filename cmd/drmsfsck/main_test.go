@@ -194,7 +194,7 @@ func restoreStoredRotation(t *testing.T, fs *pfs.System, g string, step int) {
 		sg := seg.New()
 		iter := -1
 		sg.Register("iter", &iter)
-		if _, _, err := ckpt.ReadDRMS(fs, g, c, sg, []ckpt.ArrayRef{ckpt.Ref(u), ckpt.Ref(ids)}, stream.Options{}); err != nil {
+		if _, _, err := ckpt.ReadDRMSOpts(fs, g, c, sg, []ckpt.ArrayRef{ckpt.Ref(u), ckpt.Ref(ids)}, stream.Options{}, ckpt.RestoreOptions{}); err != nil {
 			return err
 		}
 		if iter != step {

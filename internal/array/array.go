@@ -84,12 +84,6 @@ func (a *Array[T]) LocalIndex(c []int) int {
 	return off
 }
 
-// Has reports whether global coordinate c is mapped to this task.
-func (a *Array[T]) Has(c []int) bool {
-	_, ok := a.Mapped().Offset(c, rangeset.ColMajor)
-	return ok
-}
-
 // At returns the local copy of the element at global coordinate c.
 func (a *Array[T]) At(c []int) T { return a.local[a.LocalIndex(c)] }
 
@@ -126,32 +120,16 @@ func runStride(m rangeset.Slice, order rangeset.Order) int {
 	return stride
 }
 
-// PackSection linearizes the elements of section s (which must be a
-// subset of this task's mapped section) in the given order and returns
-// their wire encoding.
-func (a *Array[T]) PackSection(s rangeset.Slice, order rangeset.Order) ([]byte, error) {
-	out := make([]byte, s.Size()*ElemSize[T]())
-	if err := a.PackSectionInto(s, order, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PackSectionInto is PackSection into a caller-supplied buffer of exactly
-// the section's wire size, so hot paths (assignment, streaming) can reuse
-// buffers across operations. It moves data one storage run at a time
-// (storageRuns, the enumerator the plans are built from): a section that
-// is contiguous in the mapped storage — a stream piece on its canonical
-// distribution — is a single dense encode loop.
+// PackSectionInto linearizes the elements of section s (which must be a
+// subset of this task's mapped section) in the given order into buf, a
+// caller-supplied buffer of exactly the section's wire size, so hot paths
+// (assignment, streaming) can reuse buffers across operations. It moves
+// data one storage run at a time (storageRuns, the enumerator the plans
+// are built from): a section that is contiguous in the mapped storage — a
+// stream piece on its canonical distribution — is a single dense encode
+// loop.
 func (a *Array[T]) PackSectionInto(s rangeset.Slice, order rangeset.Order, buf []byte) error {
 	return a.moveSection(s, order, buf, encodeRun)
-}
-
-// UnpackSection stores a wire buffer produced by PackSection with the
-// same section and order into the local storage, run by run (the exact
-// inverse of PackSectionInto).
-func (a *Array[T]) UnpackSection(s rangeset.Slice, order rangeset.Order, buf []byte) error {
-	return a.moveSection(s, order, buf, decodeRun)
 }
 
 // moveSection applies move (encodeRun or decodeRun) to every storage run

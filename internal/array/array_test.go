@@ -368,7 +368,11 @@ func TestCodecAllTypes(t *testing.T) {
 
 func TestRedistributeOverTCP(t *testing.T) {
 	g := rangeset.Box([]int{0, 0}, []int{9, 9})
-	err := msg.RunTCP(4, func(c *msg.Comm) error {
+	r, err := msg.NewRunner(4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.Run(func(c *msg.Comm) error {
 		a, err := New[float64](c, "u", mustBlock(t, g, []int{4, 1}))
 		if err != nil {
 			return err

@@ -258,13 +258,13 @@ func TestPieceExchangeMatchesAuxiliaryArray(t *testing.T) {
 		pc := decodePieceCase(seed)
 		ranks[pc.d.Rank()]++
 		orders[pc.order]++
-		if !pc.d.Covers() {
+		if total(pc.d, pc.d.Assigned) != pc.d.Global().Size() {
 			holes++
 		}
-		if pc.d.MappedTotal() > pc.d.AssignedTotal() {
+		if total(pc.d, pc.d.Mapped) > total(pc.d, pc.d.Assigned) {
 			shadows++
 		}
-		if len(pc.rounds) > 1 && pc.rounds[0].AssignedTotal() == pc.rounds[0].Assigned(0).Size() {
+		if len(pc.rounds) > 1 && total(pc.rounds[0], pc.rounds[0].Assigned) == pc.rounds[0].Assigned(0).Size() {
 			io++
 		}
 		for q := 0; q < pc.d.Tasks(); q++ {
@@ -514,13 +514,17 @@ func TestPiecePlansAreCountedAndFlushed(t *testing.T) {
 	}
 	perPass := uint64(2 * 2 * len(rounds)) // ranks × directions × rounds
 	FlushPlans()
-	ResetPlanCacheStats()
+	h0, m0 := PlanCacheStats()
+	stats := func() (hits, misses uint64) {
+		h, m := PlanCacheStats()
+		return h - h0, m - m0
+	}
 	exchange(3)
-	if h, m := PlanCacheStats(); m != perPass || h != 2*perPass {
+	if h, m := stats(); m != perPass || h != 2*perPass {
 		t.Fatalf("one instance, three passes: hits=%d misses=%d, want %d/%d", h, m, 2*perPass, perPass)
 	}
 	exchange(1) // new communicators: nothing may be replayed
-	if h, m := PlanCacheStats(); m != 2*perPass || h != 2*perPass {
+	if h, m := stats(); m != 2*perPass || h != 2*perPass {
 		t.Fatalf("second instance: hits=%d misses=%d, want %d/%d", h, m, 2*perPass, 2*perPass)
 	}
 	FlushPlans()

@@ -136,12 +136,6 @@ func PlanCacheStats() (hits, misses uint64) {
 	return ah + gh, am + gm
 }
 
-// ResetPlanCacheStats zeroes the plan cache counters.
-func ResetPlanCacheStats() {
-	assignPlans.ResetStats()
-	gatherPlans.ResetStats()
-}
-
 // FlushPlans drops every cached plan, forcing the next collective to
 // recompute its schedule. Tests and cold-path benchmarks use it; the
 // steady state never needs it (eviction and key identity handle

@@ -133,16 +133,20 @@ func TestAssignPlanCacheHitsAndEviction(t *testing.T) {
 		})
 	}
 	FlushPlans()
-	ResetPlanCacheStats()
+	h0, m0 := PlanCacheStats()
+	stats := func() (hits, misses uint64) {
+		h, m := PlanCacheStats()
+		return h - h0, m - m0
+	}
 	run(3)
 	// One miss per rank on the first assignment, hits on the other two.
-	if h, m := PlanCacheStats(); h != 4 || m != 2 {
+	if h, m := stats(); h != 4 || m != 2 {
 		t.Fatalf("single instance: hits=%d misses=%d, want 4/2", h, m)
 	}
 	// A new application instance has new communicators: its first
 	// assignment must miss (no cross-instance plan reuse).
 	run(1)
-	if h, m := PlanCacheStats(); h != 4 || m != 4 {
+	if h, m := stats(); h != 4 || m != 4 {
 		t.Fatalf("second instance: hits=%d misses=%d, want 4/4", h, m)
 	}
 }

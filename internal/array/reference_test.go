@@ -57,3 +57,21 @@ func assignReference[T Elem](dst, src *Array[T]) error {
 	}
 	return nil
 }
+
+// PackSection linearizes the elements of section s (which must be a
+// subset of this task's mapped section) in the given order and returns
+// their wire encoding.
+func (a *Array[T]) PackSection(s rangeset.Slice, order rangeset.Order) ([]byte, error) {
+	out := make([]byte, s.Size()*ElemSize[T]())
+	if err := a.PackSectionInto(s, order, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// UnpackSection stores a wire buffer produced by PackSection with the
+// same section and order into the local storage, run by run (the exact
+// inverse of PackSectionInto).
+func (a *Array[T]) UnpackSection(s rangeset.Slice, order rangeset.Order, buf []byte) error {
+	return a.moveSection(s, order, buf, decodeRun)
+}

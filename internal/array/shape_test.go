@@ -317,7 +317,7 @@ func assignAndCompare(c *msg.Comm, srcD, dstD *dist.Distribution) {
 		i := 0
 		planned.Mapped().Each(rangeset.ColMajor, func(cd []int) {
 			want := sentinel
-			if o := srcD.Owner(cd); o >= 0 {
+			if o := owner(srcD, cd); o >= 0 {
 				want = rankVal(o)(cd) + bias
 			}
 			if planned.local[i] != want || reference.local[i] != want {
@@ -362,7 +362,7 @@ func TestAssignPaperShape(t *testing.T) {
 						}
 						i := 0
 						a.Mapped().Each(rangeset.ColMajor, func(cd []int) {
-							if want := rankVal(d.Owner(cd))(cd); a.local[i] != want {
+							if want := rankVal(owner(d, cd))(cd); a.local[i] != want {
 								panic(fmt.Sprintf("exchange pass %d, rank %d, element %v: %v, owner holds %v", pass, c.Rank(), cd, a.local[i], want))
 							}
 							i++
@@ -465,7 +465,7 @@ func TestGatherPaperShape(t *testing.T) {
 							}
 							for off, v := range full {
 								cd := sc.g.Coord(off, order)
-								if want := rankVal(d.Owner(cd))(cd); v != want {
+								if want := rankVal(owner(d, cd))(cd); v != want {
 									panic(fmt.Sprintf("gather %v pass %d: element %v is %v, owner holds %v", order, pass, cd, v, want))
 								}
 							}
@@ -567,4 +567,24 @@ func TestPackRank0(t *testing.T) {
 			packUnpackCompare(a, g, order)
 		}
 	})
+}
+
+// owner returns the task whose assigned section of d contains c, or -1.
+func owner(d *dist.Distribution, c []int) int {
+	for r := 0; r < d.Tasks(); r++ {
+		if d.Assigned(r).Contains(c) {
+			return r
+		}
+	}
+	return -1
+}
+
+// total sums the sizes of section(r) over d's tasks: d.Assigned counts
+// each element once, d.Mapped counts shadow copies multiply.
+func total(d *dist.Distribution, section func(r int) rangeset.Slice) int {
+	n := 0
+	for r := 0; r < d.Tasks(); r++ {
+		n += section(r).Size()
+	}
+	return n
 }

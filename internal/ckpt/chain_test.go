@@ -177,7 +177,7 @@ func TestChainedDeltaDemotedOnV1Prev(t *testing.T) {
 	checkChainRestore(t, fs, "job", 2, 3, []int{3, 1}, 128)
 	mustRun(t, 2, func(c *msg.Comm) {
 		sg, refs, _, _ := buildApp(c, []int{2, 1})
-		if _, _, err := ReadDRMS(fs, "job.g1", c, sg, refs, stream.Options{}); !errors.Is(err, ErrLegacyFormat) {
+		if _, _, err := ReadDRMSOpts(fs, "job.g1", c, sg, refs, stream.Options{}, RestoreOptions{}); !errors.Is(err, ErrLegacyFormat) {
 			panic(fmt.Sprintf("restore of a legacy generation: %v", err))
 		}
 	})
@@ -395,11 +395,11 @@ func TestRotationViewCachesScan(t *testing.T) {
 	if p := view.NextPrefix(fs); p != "v.g5" {
 		t.Fatalf("reserved generation reused: %q", p)
 	}
-	// Out-of-band mutations are picked up after Invalidate.
+	// A fresh view picks up out-of-band mutations.
 	Quarantine(fs, "v.g3")
-	view.Invalidate()
+	view = NewRotationView(rot)
 	if _, latest, ok := view.Latest(fs); !ok || latest != "v.g2" {
-		t.Fatalf("latest after quarantine+invalidate = %q %v", latest, ok)
+		t.Fatalf("latest of a fresh view after quarantine = %q %v", latest, ok)
 	}
 }
 
@@ -474,10 +474,10 @@ func TestIncrementalSkipsUnchangedPieces(t *testing.T) {
 		sg := seg.New()
 		u, _ := array.New[float64](c, "u", mustBlock(g, []int{3, 1}))
 		ids, _ := array.New[int32](c, "ids", mustBlock(g, []int{3, 1}))
-		if _, _, err := ReadDRMS(fs, "ck.g2", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{}); err != nil {
+		if _, _, err := ReadDRMSOpts(fs, "ck.g2", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{}, RestoreOptions{}); err != nil {
 			panic(err)
 		}
-		if u.Has([]int{0, 0}) && u.At([]int{0, 0}) != -1234 {
+		if u.Mapped().Contains([]int{0, 0}) && u.At([]int{0, 0}) != -1234 {
 			panic(fmt.Sprintf("incremental update lost: u[0,0] = %v", u.At([]int{0, 0})))
 		}
 	})

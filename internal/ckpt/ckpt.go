@@ -216,19 +216,14 @@ type RestoreOptions struct {
 	Holders []int
 }
 
-// ReadDRMS restores a DRMS checkpoint into the calling application, which
-// may be running with a different number of tasks than took the
+// ReadDRMSOpts restores a DRMS checkpoint into the calling application,
+// which may be running with a different number of tasks than took the
 // checkpoint. Every task loads the single saved segment (restoring
 // replicated variables and context); then each array is loaded according
 // to its handle's current distribution. The caller provides handles for
-// exactly the arrays in the checkpoint (matched by name). Returns the
-// metadata; delta is Meta.Tasks vs comm.Size(), computed by the caller.
-func ReadDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options) (Meta, Stats, error) {
-	return ReadDRMSOpts(fs, prefix, comm, sg, arrays, o, RestoreOptions{})
-}
-
-// ReadDRMSOpts is ReadDRMS with restore options (piece-level
-// verification, the memory tier).
+// exactly the arrays in the checkpoint (matched by name); ro selects
+// piece-level verification and the memory tier. Returns the metadata;
+// delta is Meta.Tasks vs comm.Size(), computed by the caller.
 func ReadDRMSOpts(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options, ro RestoreOptions) (Meta, Stats, error) {
 	return restoreDRMS(fs, prefix, comm, sg, arrays, o,
 		restorePlan{tier: ro.Tier, holders: ro.Holders, segment: true, verify: ro.Verify})
@@ -355,57 +350,44 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 		opts := o
 		fetcher := newPieceFetcher(fs, p.tier, prefix, am.Name, m.PieceLocs[i], me, selfNode)
 		opts.FetchPiece = fetcher.fetch
-		var pieces *[]PieceSum // whole-stream CRC collector; nil for a subset
-		loaded := am.Bytes     // matchArrays proved the stream is this long
+		// Every task checksums each piece it reads, once; checkPieces
+		// below judges them all.
+		hook, pieces := crcCollector()
+		opts.PieceHook = chainPieceHooks(o.PieceHook, hook)
+		loaded := am.Bytes // matchArrays proved the stream is this long
 		if p.subset {
 			// Count the restored bytes, not the stream's nominal size: the
 			// whole point is that only the needed pieces moved. A subset
 			// never replans: its filter addresses the writer's pieces by
 			// index.
 			opts.Pieces, loaded = neededPieces(a, size, p.ranks, o, am.Bytes)
-		} else {
-			var hook func(int, int64, []byte)
-			hook, pieces = crcCollector()
-			opts.PieceHook = chainPieceHooks(o.PieceHook, hook)
-			if p.tier != nil {
-				// Hot restore plan: when every piece of the array survives
-				// in peer memory (all tasks must agree — stores can drop
-				// under a concurrent node loss; whether there is a tier to
-				// ask is configuration, the same on every rank, so without
-				// one nobody votes), replan with one owner-sized
-				// piece per rank. The coarse plan's round distribution
-				// coincides with an equal-layout block distribution, so the
-				// redistribution exchange degenerates to local copies, and
-				// with owner-aligned placement the tier serves nearly every
-				// byte from the reading rank's own store: the restore costs
-				// metadata reads plus DRAM copies — the millisecond path. A
-				// changed layout or pool size just turns some of those
-				// copies into charged network pulls; correctness is
-				// unaffected.
-				hot := 0.0
-				if fetcher.allResident() {
-					hot = 1
-				}
-				agreed, err := comm.AllreduceF64(hot, msg.Min)
-				if err != nil {
-					return m, st, err
-				}
-				if elems := a.GlobalShape().Size(); agreed == 1 && elems > 0 && am.Bytes%int64(elems) == 0 {
-					es := int(am.Bytes / int64(elems))
-					opts.PieceBytes = (elems + size - 1) / size * es
-				}
+		} else if p.tier != nil {
+			// Hot restore plan: when every piece of the array survives
+			// in peer memory (all tasks must agree — stores can drop
+			// under a concurrent node loss; whether there is a tier to
+			// ask is configuration, the same on every rank, so without
+			// one nobody votes), replan with one owner-sized
+			// piece per rank. The coarse plan's round distribution
+			// coincides with an equal-layout block distribution, so the
+			// redistribution exchange degenerates to local copies, and
+			// with owner-aligned placement the tier serves nearly every
+			// byte from the reading rank's own store: the restore costs
+			// metadata reads plus DRAM copies — the millisecond path. A
+			// changed layout or pool size just turns some of those
+			// copies into charged network pulls; correctness is
+			// unaffected.
+			hot := 0.0
+			if fetcher.allResident() {
+				hot = 1
 			}
-		}
-		var pieceVerify *pieceVerifier
-		if p.verify {
-			// Piece-level verification: compare each piece the moment it
-			// is read against the checkpointed per-piece checksums. Only
-			// pieces whose extent (index, offset, length) matches the
-			// stored plan are attributable — a restore with different
-			// streaming options partitions differently and falls back to
-			// the whole-stream check below.
-			pieceVerify = newPieceVerifier(m.PieceLocs[i])
-			opts.PieceHook = chainPieceHooks(opts.PieceHook, pieceVerify.hook)
+			agreed, err := comm.AllreduceF64(hot, msg.Min)
+			if err != nil {
+				return m, st, err
+			}
+			if elems := a.GlobalShape().Size(); agreed == 1 && elems > 0 && am.Bytes%int64(elems) == 0 {
+				es := int(am.Bytes / int64(elems))
+				opts.PieceBytes = (elems + size - 1) / size * es
+			}
 		}
 		s, err := a.StreamRead(fs, file, opts)
 		if err != nil {
@@ -420,25 +402,24 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 		if err := comm.Barrier(); err != nil { // phase boundary
 			return m, st, err
 		}
-		if pieceVerify != nil {
-			// Agree on the verdict collectively: any task that read a
-			// corrupt piece fails the restore on every task.
-			bad, err := agreeWorstPiece(comm, pieceVerify.badPiece())
-			if err != nil {
-				return m, st, err
-			}
-			if bad >= 0 {
-				return m, st, corrupt(prefix, file, bad, "piece crc mismatch on read")
-			}
+		// A verified restore (every subset is one) attributes a damaged
+		// piece, but only a piece whose extent matches the stored plan
+		// can be: under other streaming options the whole-stream CRC
+		// catches the damage, and a subset, deliberately not read
+		// whole, has none.
+		var locs []PieceLoc
+		if p.verify {
+			locs = m.PieceLocs[i]
 		}
-		if pieces != nil {
-			mismatch, err := checkStreamCRC(comm, *pieces, m.ArrayCRC[i])
-			if err != nil {
-				return m, st, err
-			}
-			if mismatch {
-				return m, st, corrupt(prefix, file, -1, "array %q stream crc mismatch", am.Name)
-			}
+		bad, mismatch, err := checkPieces(comm, *pieces, locs, !p.subset, m.ArrayCRC[i])
+		if err != nil {
+			return m, st, err
+		}
+		if bad >= 0 {
+			return m, st, corrupt(prefix, file, bad, "piece crc mismatch on read")
+		}
+		if mismatch {
+			return m, st, corrupt(prefix, file, -1, "array %q stream crc mismatch", am.Name)
 		}
 	}
 	// Agree cluster-wide on where the restored bytes came from, so the

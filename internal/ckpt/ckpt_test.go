@@ -67,7 +67,7 @@ func TestDRMSCheckpointRestartSameTasks(t *testing.T) {
 		sg, refs, u, ids := buildApp(c, []int{2, 2})
 		var iter int
 		sg.Register("iter", &iter)
-		m, _, err := ReadDRMS(fs, "ck", c, sg, refs, stream.Options{})
+		m, _, err := ReadDRMSOpts(fs, "ck", c, sg, refs, stream.Options{}, RestoreOptions{})
 		if err != nil {
 			panic(err)
 		}
@@ -113,7 +113,7 @@ func TestDRMSReconfiguredRestart(t *testing.T) {
 			sg, refs, u, ids := buildApp(c, cfg.grid)
 			var iter int
 			sg.Register("iter", &iter)
-			m, _, err := ReadDRMS(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 128})
+			m, _, err := ReadDRMSOpts(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 128}, RestoreOptions{})
 			if err != nil {
 				panic(err)
 			}
@@ -272,23 +272,23 @@ func TestDRMSValidatesArrayTable(t *testing.T) {
 		ids, _ := array.New[int32](c, "ids", mustBlock(g, []int{2, 1}))
 
 		// Missing handle.
-		if _, _, err := ReadDRMS(fs, "ck", c, sg, []ArrayRef{Ref(u)}, stream.Options{}); err == nil {
+		if _, _, err := ReadDRMSOpts(fs, "ck", c, sg, []ArrayRef{Ref(u)}, stream.Options{}, RestoreOptions{}); err == nil {
 			panic("missing array handle accepted")
 		}
 		// Wrong element kind.
 		wrongKind, _ := array.New[float32](c, "ids", mustBlock(g, []int{2, 1}))
-		if _, _, err := ReadDRMS(fs, "ck", c, sg, []ArrayRef{Ref(u), Ref(wrongKind)}, stream.Options{}); err == nil {
+		if _, _, err := ReadDRMSOpts(fs, "ck", c, sg, []ArrayRef{Ref(u), Ref(wrongKind)}, stream.Options{}, RestoreOptions{}); err == nil {
 			panic("wrong element kind accepted")
 		}
 		// Wrong global shape.
 		small := rangeset.Box([]int{0, 0}, []int{7, 7})
 		wrongShape, _ := array.New[float64](c, "u", mustBlock(small, []int{2, 1}))
-		if _, _, err := ReadDRMS(fs, "ck", c, sg, []ArrayRef{Ref(wrongShape), Ref(ids)}, stream.Options{}); err == nil {
+		if _, _, err := ReadDRMSOpts(fs, "ck", c, sg, []ArrayRef{Ref(wrongShape), Ref(ids)}, stream.Options{}, RestoreOptions{}); err == nil {
 			panic("wrong global shape accepted")
 		}
 		// Extra handle not in checkpoint.
 		extra, _ := array.New[float64](c, "extra", mustBlock(g, []int{2, 1}))
-		if _, _, err := ReadDRMS(fs, "ck", c, sg, []ArrayRef{Ref(u), Ref(ids), Ref(extra)}, stream.Options{}); err == nil {
+		if _, _, err := ReadDRMSOpts(fs, "ck", c, sg, []ArrayRef{Ref(u), Ref(ids), Ref(extra)}, stream.Options{}, RestoreOptions{}); err == nil {
 			panic("extra array handle accepted")
 		}
 	})
@@ -315,7 +315,7 @@ func TestMultiplePrefixesCoexist(t *testing.T) {
 		sg, refs, u, _ := buildApp(c, []int{2, 1})
 		var iter int
 		sg.Register("iter", &iter)
-		if _, _, err := ReadDRMS(fs, "ck10", c, sg, refs, stream.Options{}); err != nil {
+		if _, _, err := ReadDRMSOpts(fs, "ck10", c, sg, refs, stream.Options{}, RestoreOptions{}); err != nil {
 			panic(err)
 		}
 		if iter != 10 {
@@ -353,7 +353,7 @@ func TestSegmentFilePaddedToModelSize(t *testing.T) {
 	// And the padded file restores fine.
 	mustRun(t, 2, func(c *msg.Comm) {
 		sg, refs, _, _ := buildApp(c, []int{2, 1})
-		if _, _, err := ReadDRMS(fs, "ck", c, sg, refs, stream.Options{}); err != nil {
+		if _, _, err := ReadDRMSOpts(fs, "ck", c, sg, refs, stream.Options{}, RestoreOptions{}); err != nil {
 			panic(err)
 		}
 	})
@@ -495,7 +495,7 @@ func TestMigrationAcrossSystems(t *testing.T) {
 		sg, refs, u, ids := buildApp(c, []int{3, 2})
 		var iter int
 		sg.Register("iter", &iter)
-		if _, _, err := ReadDRMS(sysB, "ck", c, sg, refs, stream.Options{}); err != nil {
+		if _, _, err := ReadDRMSOpts(sysB, "ck", c, sg, refs, stream.Options{}, RestoreOptions{}); err != nil {
 			panic(err)
 		}
 		if iter != 11 {
@@ -537,7 +537,7 @@ func TestRestartUnderGenBlockAndIrregular(t *testing.T) {
 		sg := seg.New()
 		u, _ := array.New[float64](c, "u", gb)
 		ids, _ := array.New[int32](c, "ids", gb)
-		if _, _, err := ReadDRMS(fs, "ck", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{}); err != nil {
+		if _, _, err := ReadDRMSOpts(fs, "ck", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{}, RestoreOptions{}); err != nil {
 			panic(err)
 		}
 		u.Mapped().Each(rangeset.ColMajor, func(cd []int) {
@@ -557,7 +557,7 @@ func TestRestartUnderGenBlockAndIrregular(t *testing.T) {
 		sg := seg.New()
 		u, _ := array.New[float64](c, "u", ir)
 		ids, _ := array.New[int32](c, "ids", ir)
-		if _, _, err := ReadDRMS(fs, "ck", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{}); err != nil {
+		if _, _, err := ReadDRMSOpts(fs, "ck", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{}, RestoreOptions{}); err != nil {
 			panic(err)
 		}
 		ids.Mapped().Each(rangeset.ColMajor, func(cd []int) {
@@ -589,7 +589,7 @@ func TestRowMajorCheckpointRoundTrip(t *testing.T) {
 		sg := seg.New()
 		u, _ := array.New[float64](c, "u", mustBlock(g, []int{5, 1}))
 		ids, _ := array.New[int32](c, "ids", mustBlock(g, []int{5, 1}))
-		if _, _, err := ReadDRMS(fs, "rm", c, sg, []ArrayRef{Ref(u), Ref(ids)}, opts); err != nil {
+		if _, _, err := ReadDRMSOpts(fs, "rm", c, sg, []ArrayRef{Ref(u), Ref(ids)}, opts, RestoreOptions{}); err != nil {
 			panic(err)
 		}
 		u.Mapped().Each(rangeset.ColMajor, func(cd []int) {
@@ -643,7 +643,7 @@ func TestRotationLifecycle(t *testing.T) {
 		sg.Register("iter", &iter)
 		u, _ := array.New[float64](c, "u", mustBlock(g, []int{3, 1}))
 		ids, _ := array.New[int32](c, "ids", mustBlock(g, []int{3, 1}))
-		if _, _, err := ReadDRMS(fs, "hist.g2", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{}); err != nil {
+		if _, _, err := ReadDRMSOpts(fs, "hist.g2", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{}, RestoreOptions{}); err != nil {
 			panic(err)
 		}
 		if iter != 20 {

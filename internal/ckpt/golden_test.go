@@ -99,7 +99,7 @@ func restoreGolden(t *testing.T, path string, upgrade bool) {
 		sg.Register("iter", &iter)
 		u, _ := array.New[float64](c, "u", mustBlock(g, []int{3, 1}))
 		ids, _ := array.New[int32](c, "ids", mustBlock(g, []int{3, 1}))
-		m, _, err := ReadDRMS(fs, "golden", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{})
+		m, _, err := ReadDRMSOpts(fs, "golden", c, sg, []ArrayRef{Ref(u), Ref(ids)}, stream.Options{}, RestoreOptions{})
 		if err != nil {
 			panic(err)
 		}
@@ -117,4 +117,66 @@ func restoreGolden(t *testing.T, path string, upgrade bool) {
 			}
 		})
 	})
+}
+
+// TestStoredPlanSigsStillMatch: every committed fixture that carries plan
+// signatures — golden_v2 as stored, the v1 rotation once upgraded — holds
+// exactly what stream.PlanSig computes today under the options it was
+// written with (300-byte pieces, four tasks, the default writers and
+// order). So a delta against such a generation stays a delta: the v1
+// rotation is extended by a fingerprinted generation job.g2, which the
+// fixture's own signatures stand in for as the base of job.g3, and job.g3
+// carries its clean pieces forward and restores bit-exact.
+func TestStoredPlanSigsStillMatch(t *testing.T) {
+	o := stream.Options{PieceBytes: 300}
+	stored := func(t *testing.T, fs *pfs.System, prefix string) []string {
+		t.Helper()
+		m, err := ReadMeta(fs, prefix, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.PlanSigs) != len(m.Arrays) || len(m.Arrays) == 0 {
+			t.Fatalf("%s: %d plan signatures for %d arrays", prefix, len(m.PlanSigs), len(m.Arrays))
+		}
+		for i, am := range m.Arrays {
+			es := int(am.Bytes / int64(am.Global.Size()))
+			if want := stream.PlanSig(am.Global, es, m.Tasks, o); m.PlanSigs[i] != want {
+				t.Fatalf("%s array %q: stored plan signature %q, today %q", prefix, am.Name, m.PlanSigs[i], want)
+			}
+		}
+		return m.PlanSigs
+	}
+	fs := pfs.NewSystem(pfs.DefaultConfig())
+	if err := fs.LoadFile(goldens[1].path); err != nil {
+		t.Fatal(err)
+	}
+	stored(t, fs, "golden")
+
+	fs = testFS()
+	loadUpgradedV1Rotation(t, fs)
+	stored(t, fs, "job.g0")
+	sigs := stored(t, fs, "job.g1")
+	writeChainGen(t, fs, "job.g2", ChainOptions{Prev: "job.g1", Delta: true, Codec: CodecRaw}, 1, 4, []int{2, 2})
+	base, err := ReadMeta(fs, "job.g2", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.PlanSigs = sigs
+	mustRun(t, 4, func(c *msg.Comm) {
+		sg, refs, u, ids := buildApp(c, []int{2, 2})
+		iter := 2
+		sg.Register("iter", &iter)
+		uf, idf := chainFill(2)
+		u.Fill(uf)
+		ids.Fill(idf)
+		st, err := WriteDRMSChained(fs, "job.g3", c, sg, refs, o,
+			ChainOptions{Prev: "job.g2", Delta: true, Codec: CodecRaw, PrevMeta: &base})
+		if err != nil {
+			panic(err)
+		}
+		if skipped, _ := deltaBytes(c, st); skipped == 0 {
+			panic("job.g3 carried nothing forward: the stored signatures made it an anchor")
+		}
+	})
+	checkChainRestore(t, fs, "job.g3", 2, 4, []int{2, 2}, 300)
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"drms/internal/crc"
 	"drms/internal/msg"
@@ -98,67 +97,54 @@ func gatherPieces(comm *msg.Comm, root int, mine []PieceSum) ([]PieceSum, error)
 	return all, nil
 }
 
-// checkStreamCRC validates a restored stream against the checkpointed
-// checksum: every task contributes the pieces it read; root combines and
-// compares; the verdict is broadcast so all tasks agree. mismatch=true
-// (with a nil error) reports an integrity failure; a non-nil error is a
-// communication failure of the check itself.
-func checkStreamCRC(comm *msg.Comm, mine []PieceSum, want uint64) (mismatch bool, err error) {
+// checkPieces is a restore's one integrity round for an array: every
+// task contributes the pieces it read, root attributes and combines, and
+// one broadcast carries both verdicts so all tasks agree. With locs
+// (piece-level verification) root names the first piece whose extent
+// (index, offset, length) matches a stored location but whose CRC does
+// not — pieces of a different plan are not attributable — as bad, or -1.
+// With whole (the stream was read whole) it combines the pieces and
+// reports whether the stream's CRC differs from want. A non-nil error is
+// a communication failure of the check itself.
+func checkPieces(comm *msg.Comm, mine []PieceSum, locs []PieceLoc, whole bool, want uint64) (bad int, mismatch bool, err error) {
 	all, err := gatherPieces(comm, 0, mine)
 	if err != nil {
-		return false, err
+		return -1, false, err
 	}
-	ok := byte(1)
-	if comm.Rank() == 0 && combinePieces(all) != want {
-		ok = 0
+	var verdict [9]byte // mismatch flag, then bad+1
+	if comm.Rank() == 0 {
+		binary.LittleEndian.PutUint64(verdict[1:], uint64(firstBadPiece(all, locs)+1))
+		if whole && combinePieces(all) != want {
+			verdict[0] = 1
+		}
 	}
-	verdict, err := comm.Bcast(0, []byte{ok})
+	got, err := comm.Bcast(0, verdict[:])
 	if err != nil {
-		return false, err
+		return -1, false, err
 	}
-	return verdict[0] == 0, nil
+	if len(got) != len(verdict) {
+		return -1, false, fmt.Errorf("ckpt: integrity verdict of %d bytes", len(got))
+	}
+	return int(binary.LittleEndian.Uint64(got[1:])) - 1, got[0] == 1, nil
 }
 
-// pieceVerifier checks pieces against a checkpoint's per-piece checksums
-// as a stream read delivers them, recording the first corrupt piece.
-// Pieces outside the stored plan (different extent) are ignored — the
-// whole-stream check still covers them.
-type pieceVerifier struct {
-	want map[int]PieceSum
-	bad  int64 // atomic: first corrupt piece index + 1; 0 = none
-}
-
-func newPieceVerifier(locs []PieceLoc) *pieceVerifier {
-	v := &pieceVerifier{want: make(map[int]PieceSum, len(locs))}
+// firstBadPiece returns the lowest-indexed piece of all (sorted by index)
+// whose extent matches its stored location in locs but whose CRC does
+// not, or -1.
+func firstBadPiece(all []PieceSum, locs []PieceLoc) int {
+	if len(locs) == 0 {
+		return -1
+	}
+	want := make(map[int]PieceSum, len(locs))
 	for _, l := range locs {
-		v.want[l.Index] = l.PieceSum
+		want[l.Index] = l.PieceSum
 	}
-	return v
-}
-
-func (v *pieceVerifier) hook(idx int, off int64, data []byte) {
-	p, ok := v.want[idx]
-	if !ok || p.Off != off || p.Bytes != int64(len(data)) {
-		return
+	for _, p := range all {
+		if w, ok := want[p.Index]; ok && w.Off == p.Off && w.Bytes == p.Bytes && w.CRC != p.CRC {
+			return p.Index
+		}
 	}
-	if crcOf(data) != p.CRC {
-		atomic.CompareAndSwapInt64(&v.bad, 0, int64(idx)+1)
-	}
-}
-
-// badPiece returns the first corrupt piece this task saw, or -1.
-func (v *pieceVerifier) badPiece() int {
-	return int(atomic.LoadInt64(&v.bad)) - 1
-}
-
-// agreeWorstPiece agrees collectively on a corrupt piece index: the
-// maximum over all tasks' verdicts (-1 = clean everywhere).
-func agreeWorstPiece(comm *msg.Comm, mine int) (int, error) {
-	v, err := comm.AllreduceF64(float64(mine), msg.Max)
-	if err != nil {
-		return -1, err
-	}
-	return int(v), nil
+	return -1
 }
 
 // CorruptError reports a checkpoint whose bytes on storage no longer

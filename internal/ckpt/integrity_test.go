@@ -9,6 +9,7 @@ import (
 
 	"drms/internal/msg"
 	"drms/internal/pfs"
+	"drms/internal/seg"
 	"drms/internal/stream"
 )
 
@@ -78,7 +79,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 			sg, refs, _, _ := buildApp(c, []int{2, 1})
 			var iter int
 			sg.Register("iter", &iter)
-			_, _, err := ReadDRMS(fs, "job.g0", c, sg, refs, stream.Options{})
+			_, _, err := ReadDRMSOpts(fs, "job.g0", c, sg, refs, stream.Options{}, RestoreOptions{})
 			if err == nil || !strings.Contains(err.Error(), "integrity") {
 				panic("restart accepted a corrupted array: " + errStr(err))
 			}
@@ -107,7 +108,7 @@ func TestRestartDetectsCorruptSegment(t *testing.T) {
 		sg, refs, _, _ := buildApp(c, []int{2, 1})
 		var iter int
 		sg.Register("iter", &iter)
-		_, _, err := ReadDRMS(fs, "ck", c, sg, refs, stream.Options{})
+		_, _, err := ReadDRMSOpts(fs, "ck", c, sg, refs, stream.Options{}, RestoreOptions{})
 		if err == nil || !strings.Contains(err.Error(), "integrity") {
 			panic("restart accepted a corrupted segment: " + errStr(err))
 		}
@@ -143,10 +144,71 @@ func TestReconfiguredRestartStillVerifies(t *testing.T) {
 	})
 	mustRun(t, 4, func(c *msg.Comm) {
 		sg, refs, _, _ := buildApp(c, []int{2, 2})
-		if _, _, err := ReadDRMS(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 999}); err != nil {
+		if _, _, err := ReadDRMSOpts(fs, "ck", c, sg, refs, stream.Options{PieceBytes: 999}, RestoreOptions{}); err != nil {
 			panic(err)
 		}
 	})
+}
+
+// TestOneRoundAttributesTheCorruptPiece damages one stored piece of a
+// raw anchor and restores it three ways. Every restore pays one integrity
+// round per array (checkPieces), and every rank returns the same
+// *CorruptError: a verified same-plan restore and a partial restore name
+// the piece; an unverified one only knows the stream's CRC is wrong.
+func TestOneRoundAttributesTheCorruptPiece(t *testing.T) {
+	fs := testFS()
+	writeChainGen(t, fs, "job.g0", ChainOptions{Codec: CodecRaw}, 0, 4, []int{2, 2})
+	m, err := ReadMeta(fs, "job.g0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stream byte 8 is u's element (1,0): a rank-0 element on the 2×2 grid.
+	const off = 8
+	want := -1
+	for _, l := range m.PieceLocs[0] {
+		if l.Off <= off && off < l.Off+l.Bytes {
+			want = l.Index
+		}
+	}
+	if m.Arrays[0].Name != "u" || want < 0 {
+		t.Fatalf("no stored piece of u covers stream byte %d", off)
+	}
+	flipStored(t, fs, "job.g0", "u", off, 1)
+	for _, tc := range []struct {
+		name    string
+		restore func(c *msg.Comm, sg *seg.Segment, refs []ArrayRef) error
+		piece   int
+	}{
+		{"verified", func(c *msg.Comm, sg *seg.Segment, refs []ArrayRef) error {
+			_, _, err := ReadDRMSOpts(fs, "job.g0", c, sg, refs, stream.Options{PieceBytes: 300}, RestoreOptions{Verify: true})
+			return err
+		}, want},
+		{"unverified", func(c *msg.Comm, sg *seg.Segment, refs []ArrayRef) error {
+			_, _, err := ReadDRMSOpts(fs, "job.g0", c, sg, refs, stream.Options{PieceBytes: 300}, RestoreOptions{})
+			return err
+		}, -1},
+		{"partial", func(c *msg.Comm, sg *seg.Segment, refs []ArrayRef) error {
+			_, _, err := ReadDRMSPartial(fs, "job.g0", c, sg, refs, stream.Options{PieceBytes: 300},
+				PartialRestoreOptions{Ranks: []int{0}, NeedSegment: c.Rank() == 0})
+			return err
+		}, want},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := make([]error, 4)
+			mustRun(t, 4, func(c *msg.Comm) {
+				sg, refs, _, _ := buildApp(c, []int{2, 2})
+				var iter int
+				sg.Register("iter", &iter)
+				errs[c.Rank()] = tc.restore(c, sg, refs)
+			})
+			for r, err := range errs {
+				var ce *CorruptError
+				if !errors.As(err, &ce) || ce.Piece != tc.piece || ce.File != arrFile("job.g0", "u") {
+					t.Fatalf("rank %d: %v, want a *CorruptError naming piece %d of %s", r, err, tc.piece, arrFile("job.g0", "u"))
+				}
+			}
+		})
+	}
 }
 
 func errStr(err error) string {

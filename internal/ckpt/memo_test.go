@@ -210,7 +210,7 @@ func TestLaunchRestoreAfterCommitDecodesNothing(t *testing.T) {
 		}
 		writeChainGen(t, fs, g, co, step, 4, []int{2, 2})
 	}
-	metaMemo.ResetStats()
+	hits0, misses0 := metaMemo.Stats()
 	p, ok := Resolve(fs, "job")
 	if !ok {
 		t.Fatal("no committed generation")
@@ -223,6 +223,7 @@ func TestLaunchRestoreAfterCommitDecodesNothing(t *testing.T) {
 	}
 	checkChainRestore(t, fs, p, 1, 3, []int{1, 3}, 300)
 	hits, misses := metaMemo.Stats()
+	hits, misses = hits-hits0, misses-misses0
 	if misses != 0 || hits < 1+1+3 {
 		t.Fatalf("metadata memo: %d hits, %d misses (decodes); want 0 misses", hits, misses)
 	}

@@ -369,7 +369,8 @@ func QuarantineTier(fs *pfs.System, tier *MemTier, prefix string) []string {
 // Correct only under the invariant the rotation already requires: a
 // single writer (rank 0) creates, commits, and prunes generations. An
 // out-of-band mutation (quarantine by a supervisor, fsck repair) must
-// be followed by Invalidate. Not safe for concurrent use.
+// be followed by a fresh view (NewRotationView). Not safe for concurrent
+// use.
 type RotationView struct {
 	Rot     Rotation
 	scanned bool
@@ -401,15 +402,6 @@ func (v *RotationView) load(fs *pfs.System) {
 	v.gens = v.Rot.committed(fs)
 	v.maxSeen = v.Rot.scanMax(fs)
 	v.scanned = true
-}
-
-// Invalidate drops the cached scan — and the cached metadata and
-// dependency lists, since an out-of-band mutation may have quarantined
-// or repaired what they describe — so the next query re-lists storage.
-func (v *RotationView) Invalidate() {
-	v.scanned = false
-	v.info = nil
-	v.lastMeta = nil
 }
 
 // Latest mirrors Rotation.Latest on the cached listing.

@@ -50,9 +50,6 @@ func (id ID) String() string {
 // reader can refuse it before allocating for it.
 const MaxExpansion = 1032
 
-// Valid reports whether the ID names a codec this build can decode.
-func (id ID) Valid() bool { return id == Raw || id == Flate }
-
 // encPool recycles flate writers; a Reset is ~100x cheaper than
 // flate.NewWriter's table allocation.
 var encPool = sync.Pool{New: func() any {

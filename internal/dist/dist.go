@@ -117,45 +117,6 @@ func (d *Distribution) Validate() error {
 	return nil
 }
 
-// AssignedTotal returns the number of elements assigned across all tasks.
-// For a covering distribution this equals the global size.
-func (d *Distribution) AssignedTotal() int {
-	n := 0
-	for _, a := range d.assigned {
-		n += a.Size()
-	}
-	return n
-}
-
-// MappedTotal returns the number of elements mapped across all tasks,
-// counting shadow copies multiply. MappedTotal - AssignedTotal is the
-// redundant storage the SPMD checkpoint saves and the DRMS checkpoint
-// does not (§6 of the paper).
-func (d *Distribution) MappedTotal() int {
-	n := 0
-	for _, m := range d.mapped {
-		n += m.Size()
-	}
-	return n
-}
-
-// Covers reports whether every global element is assigned to some task
-// (no undefined elements).
-func (d *Distribution) Covers() bool {
-	return d.AssignedTotal() == d.global.Size()
-}
-
-// Owner returns the task whose assigned section contains coordinate c,
-// or -1 if the element is unassigned (its value is undefined).
-func (d *Distribution) Owner(c []int) int {
-	for i, a := range d.assigned {
-		if a.Contains(c) {
-			return i
-		}
-	}
-	return -1
-}
-
 // Block builds a block distribution of global over a task grid: axis i of
 // the global space is cut into grid[i] contiguous runs of near-equal
 // length (remainder spread over the leading blocks, as DRMS does), and

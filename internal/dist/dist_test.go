@@ -373,3 +373,42 @@ func TestGenBlockValidation(t *testing.T) {
 		t.Error("rank mismatch accepted")
 	}
 }
+
+// MappedTotal returns the number of elements mapped across all tasks,
+// counting shadow copies multiply. MappedTotal - AssignedTotal is the
+// redundant storage the SPMD checkpoint saves and the DRMS checkpoint
+// does not (§6 of the paper).
+func (d *Distribution) MappedTotal() int {
+	n := 0
+	for _, m := range d.mapped {
+		n += m.Size()
+	}
+	return n
+}
+
+// Covers reports whether every global element is assigned to some task
+// (no undefined elements).
+func (d *Distribution) Covers() bool {
+	return d.AssignedTotal() == d.global.Size()
+}
+
+// Owner returns the task whose assigned section contains coordinate c,
+// or -1 if the element is unassigned (its value is undefined).
+func (d *Distribution) Owner(c []int) int {
+	for i, a := range d.assigned {
+		if a.Contains(c) {
+			return i
+		}
+	}
+	return -1
+}
+
+// AssignedTotal returns the number of elements assigned across all tasks.
+// For a covering distribution this equals the global size.
+func (d *Distribution) AssignedTotal() int {
+	n := 0
+	for _, a := range d.assigned {
+		n += a.Size()
+	}
+	return n
+}

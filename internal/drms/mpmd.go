@@ -42,9 +42,6 @@ func NewGroup(n int) *Group {
 	return g
 }
 
-// Components returns the group's component count.
-func (g *Group) Components() int { return g.n }
-
 // Abort marks the group dead: every pending and future arrival returns
 // err instead of waiting for components that will never come. RunMPMD
 // aborts the group when any component fails, so the survivors' group

@@ -101,10 +101,3 @@ func (c *Cache[K, V]) Stats() (hits, misses uint64) {
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
-
-// ResetStats zeroes the hit and miss counters.
-func (c *Cache[K, V]) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hits, c.misses = 0, 0
-}

@@ -1,12 +1,10 @@
 package msg
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // perRankErrs collects each rank's returned error so tests can assert on
@@ -222,6 +220,19 @@ func TestFaultVictimStaysDead(t *testing.T) {
 	}
 }
 
+// DropConn severs the socket pair between ranks a and b without touching
+// mailboxes — the fault injector's "lost TC connection": subsequent
+// sends on the pair fail at the socket layer and the reader pumps exit.
+func (t *TCPTransport) DropConn(a, b int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, key := range [][2]int{{a, b}, {b, a}} {
+		if fc := t.ends[key]; fc != nil {
+			fc.c.Close()
+		}
+	}
+}
+
 func TestDropConnFailsSendAndRevokesRun(t *testing.T) {
 	// Severing one socket pair is the transport-level "lost connection"
 	// event: the next send on the pair fails, the runner revokes, and the
@@ -259,50 +270,33 @@ func TestDropConnFailsSendAndRevokesRun(t *testing.T) {
 	}
 }
 
-func TestWithContextDeadlineReleasesRecv(t *testing.T) {
-	// A context-bound Comm aborts a blocked receive at the deadline while
-	// leaving the underlying communicator healthy for further use.
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 1 {
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-			defer cancel()
-			cc := c.WithContext(ctx)
-			if _, err := cc.Recv(0, 9); !errors.Is(err, context.DeadlineExceeded) {
-				return fmt.Errorf("recv under expired context = %v, want DeadlineExceeded", err)
-			}
-			if err := c.Err(); err != nil {
-				return fmt.Errorf("communicator dead after context cancel: %v", err)
-			}
-		}
-		// Both ranks still collectively usable afterwards. The derived Comm
-		// shares the collective sequence, so the ranks stay matched.
-		return c.Barrier()
-	})
+// TestRecvCancelLeavesTransportHealthy: a receive released through the
+// Transport's cancel channel returns errRecvCanceled without aborting
+// the transport, and the message it was waiting for is still delivered
+// to the next receive, on both transports.
+func TestRecvCancelLeavesTransportHealthy(t *testing.T) {
+	tcp, err := NewTCPTransport(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestWithContextCancelPropagatesToCollectives(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
-		if c.Rank() != 0 {
-			// Ranks 1, 2 never enter the barrier, so rank 0's must block
-			// until its context fires; afterwards everyone must agree to
-			// stop using the revoked sequence, so they just return.
-			return nil
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(10 * time.Millisecond)
-			cancel()
-		}()
-		if err := c.WithContext(ctx).Barrier(); !errors.Is(err, context.Canceled) {
-			return fmt.Errorf("barrier under canceled context = %v, want Canceled", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	defer tcp.Shutdown()
+	for name, tr := range map[string]Transport{"local": NewLocalTransport(2), "tcp": tcp} {
+		t.Run(name, func(t *testing.T) {
+			cancel := make(chan struct{})
+			close(cancel)
+			if _, err := tr.Recv(1, 0, 9, cancel); !errors.Is(err, errRecvCanceled) {
+				t.Fatalf("canceled recv = %v, want errRecvCanceled", err)
+			}
+			if err := tr.Err(); err != nil {
+				t.Fatalf("transport aborted by a canceled recv: %v", err)
+			}
+			if err := tr.Send(0, 1, 9, []byte("late")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := tr.Recv(1, 0, 9, nil); err != nil || string(got) != "late" {
+				t.Fatalf("recv after cancel = %q, %v", got, err)
+			}
+		})
 	}
 }
 

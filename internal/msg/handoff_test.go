@@ -70,7 +70,7 @@ func TestAlltoallSparseHandsOff(t *testing.T) {
 		}
 	})
 	t.Run("tcp", func(t *testing.T) {
-		err := RunTCP(4, handOffBody(func(got, sent []byte) error {
+		err := runTCP(4, handOffBody(func(got, sent []byte) error {
 			if !bytes.Equal(got, sent) {
 				return fmt.Errorf("got %v, sent %v", got, sent)
 			}

@@ -24,15 +24,12 @@
 //     ErrRevoked instead of blocking. The resource coordinator revokes an
 //     application's communicator when it detects a processor failure, so
 //     tasks unwind to a clean state the restart path can trust.
-//   - Comm.WithContext derives a communicator whose operations also abort
-//     when the context is canceled or its deadline passes.
 //   - The Runner revokes the communicator when any task fails (error or
 //     panic), so a death mid-collective propagates to every peer rather
 //     than leaving them blocked in Recv.
 package msg
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -67,31 +64,21 @@ var (
 
 // Comm is a task's endpoint into the parallel application: its rank, the
 // task count, and the send/receive primitives. A Comm is used by exactly
-// one task (goroutine); distinct Comms may be used concurrently. Comms
-// derived with WithContext share the collective sequence with their
-// parent, so a task may interleave plain and context-bound collectives
-// and still match its peers.
+// one task (goroutine); distinct Comms may be used concurrently.
 type Comm struct {
 	rank, size int
 	tr         Transport
-	st         *commState
-	ctx        context.Context // nil: no cancellation
+	collSeq    int // per-rank collective sequence number (advances in lockstep across ranks)
 	// epoch numbers the communicator's incarnation within one Runner:
 	// 0 for the launch communicator, incremented by every Shrink or
-	// Resize. Comms derived with WithContext inherit it.
+	// Resize.
 	epoch int
-}
-
-// commState is the per-task state shared by a Comm and every Comm
-// derived from it.
-type commState struct {
-	collSeq int // per-rank collective sequence number (advances in lockstep across ranks)
 }
 
 // NewComm builds the endpoint of one rank over a transport. The runner
 // calls it once per task; tests building custom harnesses may too.
 func NewComm(rank, size int, tr Transport) *Comm {
-	return &Comm{rank: rank, size: size, tr: tr, st: &commState{}}
+	return &Comm{rank: rank, size: size, tr: tr}
 }
 
 // Transport moves byte messages between ranks. Implementations must
@@ -119,7 +106,7 @@ type Transport interface {
 }
 
 // errRecvCanceled is the transport-level marker for a receive interrupted
-// by its cancel channel; Comm maps it to the context's error.
+// by its cancel channel.
 var errRecvCanceled = errors.New("msg: receive canceled")
 
 // Rank returns this task's rank in [0, Size).
@@ -133,17 +120,6 @@ func (c *Comm) Epoch() int { return c.epoch }
 // Size returns the number of tasks in the application.
 func (c *Comm) Size() int { return c.size }
 
-// WithContext derives a communicator whose operations additionally abort
-// (with the context's error) when ctx is canceled or its deadline
-// passes. The derived Comm shares rank, transport, and the collective
-// sequence with its parent; use it to bound a phase — a checkpoint, a
-// drain — without revoking the communicator for good.
-func (c *Comm) WithContext(ctx context.Context) *Comm {
-	cc := *c
-	cc.ctx = ctx
-	return &cc
-}
-
 // Revoke marks the communicator revoked (ULFM MPI_Comm_revoke): every
 // pending and future operation on it, on every rank, returns ErrRevoked.
 // Any task — or the system, through the same transport handle — may
@@ -153,15 +129,6 @@ func (c *Comm) Revoke() { c.tr.Abort(ErrRevoked) }
 // Err returns ErrRevoked (or the transport's abort error) once the
 // communicator is dead, nil while it is healthy.
 func (c *Comm) Err() error { return c.tr.Err() }
-
-// cancelCh returns the channel that cancels blocking receives, nil when
-// the Comm is not context-bound.
-func (c *Comm) cancelCh() <-chan struct{} {
-	if c.ctx == nil {
-		return nil
-	}
-	return c.ctx.Done()
-}
 
 // Send delivers data to task dst with the given tag. Tags must be
 // non-negative; negative tags are reserved for collectives. Send is
@@ -175,8 +142,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 
 // Recv blocks until a message from src with the given tag arrives and
 // returns its payload. Messages from the same (src, tag) are received in
-// send order. Recv returns ErrRevoked when the communicator is revoked
-// and the context's error when a WithContext-derived Comm is canceled.
+// send order. Recv returns ErrRevoked when the communicator is revoked.
 func (c *Comm) Recv(src, tag int) ([]byte, error) {
 	if tag < 0 {
 		return nil, fmt.Errorf("msg: negative user tag %d", tag)
@@ -196,11 +162,6 @@ func (c *Comm) handOff(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("msg: send to rank %d of %d", dst, c.size)
 	}
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			return fmt.Errorf("msg: send %d->%d: %w", c.rank, dst, err)
-		}
-	}
 	if err := c.tr.Send(c.rank, dst, tag, data); err != nil {
 		msgOpErrors.Inc()
 		return err
@@ -214,12 +175,9 @@ func (c *Comm) recv(src, tag int) ([]byte, error) {
 	if src < 0 || src >= c.size {
 		return nil, fmt.Errorf("msg: recv from rank %d of %d", src, c.size)
 	}
-	m, err := c.tr.Recv(c.rank, src, tag, c.cancelCh())
+	m, err := c.tr.Recv(c.rank, src, tag, nil)
 	if err != nil {
 		msgOpErrors.Inc()
-		if errors.Is(err, errRecvCanceled) && c.ctx != nil {
-			return nil, fmt.Errorf("msg: recv %d<-%d: %w", c.rank, src, c.ctx.Err())
-		}
 		return nil, err
 	}
 	msgRecvs.Inc()
@@ -232,8 +190,8 @@ func (c *Comm) recv(src, tag int) ([]byte, error) {
 // per-rank counters advance in lockstep and matching ranks use matching
 // tags.
 func (c *Comm) collTag(op int) int {
-	c.st.collSeq++
-	return -(c.st.collSeq*16 + op + 1)
+	c.collSeq++
+	return -(c.collSeq*16 + op + 1)
 }
 
 const (

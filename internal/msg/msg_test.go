@@ -21,10 +21,20 @@ func runBoth(t *testing.T, n int, f func(c *Comm) error) {
 		}
 	})
 	t.Run("tcp", func(t *testing.T) {
-		if err := RunTCP(n, f); err != nil {
+		if err := runTCP(n, f); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// runTCP executes f as an SPMD application of n tasks over the TCP
+// transport, with the same failure semantics as Run.
+func runTCP(n int, f func(c *Comm) error) error {
+	r, err := NewRunner(n, true)
+	if err != nil {
+		return err
+	}
+	return r.Run(f)
 }
 
 func TestSendRecvOrdering(t *testing.T) {

@@ -204,19 +204,6 @@ func (t *TCPTransport) Err() error {
 	return nil
 }
 
-// DropConn severs the socket pair between ranks a and b without touching
-// mailboxes — the fault injector's "lost TC connection": subsequent
-// sends on the pair fail at the socket layer and the reader pumps exit.
-func (t *TCPTransport) DropConn(a, b int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, key := range [][2]int{{a, b}, {b, a}} {
-		if fc := t.ends[key]; fc != nil {
-			fc.c.Close()
-		}
-	}
-}
-
 // Shutdown tears down every socket and waits for reader pumps to exit.
 func (t *TCPTransport) Shutdown() {
 	for r := 0; r < t.n; r++ {
@@ -228,15 +215,4 @@ func (t *TCPTransport) Shutdown() {
 	}
 	t.mu.Unlock()
 	t.wg.Wait()
-}
-
-// RunTCP executes f as an SPMD application of n tasks over the TCP
-// transport and blocks until every task returns, with the same failure
-// semantics as Run.
-func RunTCP(n int, f func(c *Comm) error) error {
-	r, err := NewRunner(n, true)
-	if err != nil {
-		return err
-	}
-	return r.Run(f)
 }

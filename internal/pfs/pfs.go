@@ -322,45 +322,8 @@ func (s *System) RecordNet(client int, n int64) {
 	s.record(Op{Client: client, Net: true, Bytes: n})
 }
 
-// ServerOf returns the server node holding the stripe unit containing
-// byte offset off.
-func (s *System) ServerOf(off int64) int {
-	return int((off / int64(s.cfg.StripeUnit)) % int64(s.cfg.Servers))
-}
-
-// SplitByServer decomposes a byte extent [off, off+n) into the per-server
-// byte counts its stripe units map to. Index i of the result is the byte
-// load on server i.
-func (s *System) SplitByServer(off, n int64) []int64 {
-	out := make([]int64, s.cfg.Servers)
-	unit := int64(s.cfg.StripeUnit)
-	for n > 0 {
-		srv := s.ServerOf(off)
-		inUnit := unit - off%unit
-		take := min(inUnit, n)
-		out[srv] += take
-		off += take
-		n -= take
-	}
-	return out
-}
-
-// TotalBytes returns the sum of all file sizes — the "size of saved
-// state" measure of Table 3 when the system holds exactly one checkpoint.
-func (s *System) TotalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, f := range s.files {
-		f.mu.RLock()
-		n += f.size
-		f.mu.RUnlock()
-	}
-	return n
-}
-
 // StoredBytes returns the physical memory materialized across all files
-// (always <= TotalBytes thanks to sparse zero chunks).
+// (at most the sum of the file sizes, thanks to sparse zero chunks).
 func (s *System) StoredBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -143,25 +143,6 @@ func TestServerOfRoundRobin(t *testing.T) {
 	}
 }
 
-func TestSplitByServer(t *testing.T) {
-	s := NewSystem(Config{Servers: 4, StripeUnit: 16})
-	// Extent [8, 40): 8 bytes on server 0, 16 on server 1, 8 on server 2.
-	got := s.SplitByServer(8, 32)
-	want := []int64{8, 16, 8, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SplitByServer = %v, want %v", got, want)
-		}
-	}
-	var total int64
-	for _, b := range s.SplitByServer(5, 1000) {
-		total += b
-	}
-	if total != 1000 {
-		t.Fatalf("split loses bytes: %d", total)
-	}
-}
-
 func TestTraceRecordsPhasesAndOps(t *testing.T) {
 	s := small()
 	tr := s.StartTrace()
@@ -193,21 +174,8 @@ func TestTraceRecordsPhasesAndOps(t *testing.T) {
 	if r != 1 || w != 2 {
 		t.Fatalf("Bytes = %d read, %d written", r, w)
 	}
-	r, w = tr.PhaseBytes(1)
-	if r != 1 || w != 0 {
-		t.Fatalf("PhaseBytes(1) = %d, %d", r, w)
-	}
 	if ops := tr.PhaseOps(1); len(ops) != 2 {
 		t.Fatalf("PhaseOps(1) = %d ops", len(ops))
-	}
-}
-
-func TestTotalBytes(t *testing.T) {
-	s := small()
-	s.WriteAt(0, "a", make([]byte, 100), 0)
-	s.WriteAt(0, "b", make([]byte, 50), 25) // length 75
-	if got := s.TotalBytes(); got != 175 {
-		t.Fatalf("TotalBytes = %d", got)
 	}
 }
 
@@ -434,4 +402,10 @@ func TestWholeChunkWrite(t *testing.T) {
 	if !bytes.Equal(read(r), want) || r.StoredBytes() != s.StoredBytes() {
 		t.Fatal("snapshot of a whole-chunk write did not round-trip")
 	}
+}
+
+// ServerOf returns the server node holding the stripe unit containing
+// byte offset off.
+func (s *System) ServerOf(off int64) int {
+	return int((off / int64(s.cfg.StripeUnit)) % int64(s.cfg.Servers))
 }

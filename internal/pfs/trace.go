@@ -49,21 +49,6 @@ func (t *Trace) PhaseOps(p int) []Op {
 	return out
 }
 
-// PhaseBytes returns total bytes read and written in phase p.
-func (t *Trace) PhaseBytes(p int) (read, written int64) {
-	for _, op := range t.Ops {
-		if op.Phase != p || op.Net {
-			continue
-		}
-		if op.Write {
-			written += op.Bytes
-		} else {
-			read += op.Bytes
-		}
-	}
-	return
-}
-
 // Bytes returns total bytes read and written across the whole trace.
 func (t *Trace) Bytes() (read, written int64) {
 	for _, op := range t.Ops {

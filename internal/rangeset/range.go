@@ -271,21 +271,6 @@ func (r Range) Sub(i, j int) Range {
 	return fromSorted(append([]int(nil), r.idx[i:j]...))
 }
 
-// Shift returns the range with every element displaced by delta.
-func (r Range) Shift(delta int) Range {
-	if r.Empty() {
-		return Range{}
-	}
-	if r.regular {
-		return Reg(r.lo+delta, r.hi+delta, r.step)
-	}
-	out := make([]int, len(r.idx))
-	for i, v := range r.idx {
-		out[i] = v + delta
-	}
-	return fromSorted(out)
-}
-
 // IsRegular reports whether the range is stored as an l:u:s triple.
 func (r Range) IsRegular() bool { return r.regular || r.Size() == 0 }
 

@@ -298,3 +298,18 @@ func TestEgcd(t *testing.T) {
 		}
 	}
 }
+
+// Shift returns the range with every element displaced by delta.
+func (r Range) Shift(delta int) Range {
+	if r.Empty() {
+		return Range{}
+	}
+	if r.regular {
+		return Reg(r.lo+delta, r.hi+delta, r.step)
+	}
+	out := make([]int, len(r.idx))
+	for i, v := range r.idx {
+		out[i] = v + delta
+	}
+	return fromSorted(out)
+}

@@ -54,9 +54,6 @@ func (s Slice) Rank() int { return len(s.r) }
 // Axis returns the range along axis i (0-based).
 func (s Slice) Axis(i int) Range { return s.r[i] }
 
-// Ranges returns a copy of the per-axis ranges.
-func (s Slice) Ranges() []Range { return append([]Range(nil), s.r...) }
-
 // Size returns the number of elements of the section: the product of the
 // per-axis range sizes.
 func (s Slice) Size() int {

@@ -237,3 +237,6 @@ func TestIntersectRankMismatchPanics(t *testing.T) {
 	}()
 	NewSlice(Span(0, 1)).Intersect(Box([]int{0, 0}, []int{1, 1}))
 }
+
+// Ranges returns a copy of the per-axis ranges.
+func (s Slice) Ranges() []Range { return append([]Range(nil), s.r...) }

@@ -194,20 +194,6 @@ func (r Result) Phase(name string) PhaseCost {
 	return out
 }
 
-// PhasesMatching sums the cost of phases whose name passes the filter.
-func (r Result) PhasesMatching(f func(name string) bool) PhaseCost {
-	var out PhaseCost
-	for _, p := range r.Phases {
-		if f(p.Name) {
-			out.Seconds += p.Seconds
-			out.ReadBytes += p.ReadBytes
-			out.WriteBytes += p.WriteBytes
-			out.NetBytes += p.NetBytes
-		}
-	}
-	return out
-}
-
 // Replay pushes a recorded trace through the model. cfg is the file
 // system geometry the trace was recorded against; resident[c] is the
 // application state resident on client c's node during the traced

@@ -3,6 +3,8 @@ package spec
 import (
 	"strings"
 	"testing"
+
+	"drms/internal/dist"
 )
 
 func mustParse(t *testing.T, line string) ArraySpec {
@@ -111,8 +113,8 @@ func TestDistributionBlockWithShadow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Tasks() != 4 || !d.Covers() {
-		t.Fatalf("tasks %d covers %v", d.Tasks(), d.Covers())
+	if d.Tasks() != 4 || !covers(d) {
+		t.Fatalf("tasks %d covers %v", d.Tasks(), covers(d))
 	}
 	// Component axis is never split.
 	if d.Grid()[0] != 1 {
@@ -136,7 +138,7 @@ func TestDistributionCyclic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Covers() || d.Tasks() != 4 {
+	if !covers(d) || d.Tasks() != 4 {
 		t.Fatal("cyclic distribution wrong")
 	}
 	// Task 0 owns elements 0,1,2, 12,13,14, ...
@@ -192,8 +194,8 @@ func TestGenBlockSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Covers() || d.Tasks() != 4 {
-		t.Fatalf("covers %v tasks %d", d.Covers(), d.Tasks())
+	if !covers(d) || d.Tasks() != 4 {
+		t.Fatalf("covers %v tasks %d", covers(d), d.Tasks())
 	}
 	if d.Assigned(0).Axis(0).Size() != 7 {
 		t.Fatalf("first row block = %v", d.Assigned(0).Axis(0))
@@ -215,4 +217,14 @@ func TestGenBlockSpec(t *testing.T) {
 	if _, err := gb.Distribution(4); err == nil {
 		t.Fatal("gen-block + cyclic mix accepted")
 	}
+}
+
+// covers reports whether d assigns as many elements as its global
+// section holds, each exactly once.
+func covers(d *dist.Distribution) bool {
+	n := 0
+	for r := 0; r < d.Tasks(); r++ {
+		n += d.Assigned(r).Size()
+	}
+	return n == d.Global().Size()
 }

@@ -308,10 +308,11 @@ func TestSteadyStateBuildsNoPlans(t *testing.T) {
 	// rank 0 while the others wait: the op must build stream plans, array
 	// plans, or neither, as said, and replay cached ones when it builds none.
 	cycle := func(c *msg.Comm, what string, streamBuilt, arrayBuilt bool, op func()) {
+		var sh0, sm0, ah0, am0 uint64
 		must(c.Barrier())
 		if c.Rank() == 0 {
-			ResetPlanCacheStats()
-			array.ResetPlanCacheStats()
+			sh0, sm0 = PlanCacheStats()
+			ah0, am0 = array.PlanCacheStats()
 		}
 		must(c.Barrier())
 		op()
@@ -319,6 +320,7 @@ func TestSteadyStateBuildsNoPlans(t *testing.T) {
 		if c.Rank() == 0 {
 			sh, sm := PlanCacheStats()
 			ah, am := array.PlanCacheStats()
+			sh, sm, ah, am = sh-sh0, sm-sm0, ah-ah0, am-am0
 			if streamBuilt != (sm > 0) || arrayBuilt != (am > 0) || (!streamBuilt && sh == 0) || (!arrayBuilt && ah == 0) {
 				panic(fmt.Sprintf("%s (epoch %d, %d tasks): stream hits/misses %d/%d, array %d/%d; builds expected: stream %v, array %v",
 					what, c.Epoch(), c.Size(), sh, sm, ah, am, streamBuilt, arrayBuilt))

@@ -90,7 +90,11 @@ func TestWriterDeathMidStreamRevokesSurvivorsTCP(t *testing.T) {
 
 	// Restart on a smaller pool: the prior stream restores bit-exact
 	// under a different task count and distribution.
-	if err := msg.RunTCP(tasks-1, func(c *msg.Comm) error {
+	r, err = msg.NewRunner(tasks-1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(func(c *msg.Comm) error {
 		b, err := array.New[float64](c, "v", mustBlock(g, []int{1, tasks - 1}))
 		if err != nil {
 			return err

@@ -22,7 +22,7 @@ import (
 // streamPlan is the reusable schedule of one streaming configuration.
 type streamPlan struct {
 	pieces  []rangeset.Slice
-	offsets []int64 // stream-relative; add Options.BaseOffset at use
+	offsets []int64 // stream-relative byte offsets
 	total   int64
 	rounds  []*dist.Distribution // rounds[i] binds pieces[i*writers:...]
 }
@@ -60,9 +60,6 @@ var streamPlans = lru.New[streamKey, *streamPlan](32)
 // PlanCacheStats returns the cumulative hit/miss counts of the streaming
 // plan cache.
 func PlanCacheStats() (hits, misses uint64) { return streamPlans.Stats() }
-
-// ResetPlanCacheStats zeroes the streaming plan cache counters.
-func ResetPlanCacheStats() { streamPlans.ResetStats() }
 
 // FlushPlans drops every cached streaming plan, forcing the next Write or
 // Read to replan (tests and cold-path benchmarks).
@@ -241,7 +238,9 @@ func PieceSpans(x rangeset.Slice, elemSize, tasks int, o Options) (spans []range
 // decomposition and byte offsets, so a stored signature is a cheap
 // "did the plan change?" identity test — the checkpoint layer compares
 // signatures before trusting per-piece diffing across generations.
+// Stored metadata carries these strings, so the text is a format: the
+// trailing "|base=0" (the stream's start offset in its file) stays.
 func PlanSig(x rangeset.Slice, elemSize, tasks int, o Options) string {
-	return fmt.Sprintf("%s|es=%d|w=%d|pb=%d|ord=%d|base=%d",
-		x.String(), elemSize, o.writers(tasks), o.pieceBytes(), o.Order, o.BaseOffset)
+	return fmt.Sprintf("%s|es=%d|w=%d|pb=%d|ord=%d|base=0",
+		x.String(), elemSize, o.writers(tasks), o.pieceBytes(), o.Order)
 }

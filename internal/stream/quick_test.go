@@ -108,7 +108,7 @@ func TestStreamQuickRandomSectionsRoundTrip(t *testing.T) {
 				panic(err)
 			}
 			x.Each(rangeset.ColMajor, func(cd []int) {
-				if a.Has(cd) && a.At(cd) != coordVal(cd) {
+				if a.Mapped().Contains(cd) && a.At(cd) != coordVal(cd) {
 					panic("roundtrip corrupted a section element")
 				}
 			})

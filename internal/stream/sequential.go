@@ -26,6 +26,7 @@ import (
 
 // WriteTo streams section x of a in linearization order to w, which only
 // task ioTask needs to provide. Collective. Returns this task's stats.
+// Public API though only tests call it: §3.2's sequential channel (DESIGN's "Sequential-channel streaming" row).
 func WriteTo[T array.Elem](a *array.Array[T], x rangeset.Slice, w io.Writer, ioTask int, o Options) (Stats, error) {
 	comm, err := commOf(a, x)
 	if err != nil {
@@ -73,6 +74,7 @@ func WriteTo[T array.Elem](a *array.Array[T], x rangeset.Slice, w io.Writer, ioT
 // ReadFrom streams section x into a from r, the inverse of WriteTo. The
 // channel must deliver the section's linearization (same order, element
 // type and piece-independent layout). Collective.
+// Public API though only tests call it: §3.2's sequential channel (DESIGN's "Sequential-channel streaming" row).
 func ReadFrom[T array.Elem](a *array.Array[T], x rangeset.Slice, r io.Reader, ioTask int, o Options) (Stats, error) {
 	comm, err := commOf(a, x)
 	if err != nil {

@@ -50,9 +50,6 @@ type Options struct {
 	Order rangeset.Order
 	// PieceBytes is the target piece size (DefaultPieceBytes if 0).
 	PieceBytes int
-	// BaseOffset is the byte position in the file where the stream
-	// begins; the checkpoint layer places headers before it.
-	BaseOffset int64
 	// Pieces, if non-nil, restricts the operation to the listed piece
 	// indices of the full plan (ascending, in range). The piece partition
 	// and byte offsets are those of the unfiltered plan — hooks still see
@@ -244,7 +241,7 @@ func Write[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, na
 			// Encode (compress, checksum, choose placement) while the
 			// previous piece's file write is still in flight — the
 			// encode stage of the pipeline.
-			out, file, foff := buf, name, rel+o.BaseOffset
+			out, file, foff := buf, name, rel
 			if o.EncodePiece != nil {
 				enc, eerr := o.EncodePiece(gi, rel, buf)
 				if eerr != nil {
@@ -280,7 +277,7 @@ func Write[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, na
 
 // Read streams section x into array a from the named file on fs, the
 // inverse of Write. The file must hold the section's linearization (same
-// order and element type) starting at BaseOffset — it may have been
+// order and element type) from its first byte — it may have been
 // written with a different distribution and a different number of tasks.
 // Elements of a outside x are untouched. A filtered read (Options.Pieces)
 // loads only the listed pieces of the full plan — the partial-restore
@@ -331,7 +328,7 @@ func Read[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, nam
 		if o.FetchPiece != nil {
 			return o.FetchPiece(orig(idx), run.offsets[idx], dst)
 		}
-		return fs.ReadAt(me, name, dst, run.offsets[idx]+o.BaseOffset)
+		return fs.ReadAt(me, name, dst, run.offsets[idx])
 	}
 
 	for ri, base := 0, 0; base < len(run.pieces); ri, base = ri+1, base+p {

@@ -238,48 +238,6 @@ func TestPartialSectionReadLeavesRestUntouched(t *testing.T) {
 	})
 }
 
-func TestBaseOffsetRespected(t *testing.T) {
-	g := rangeset.NewSlice(rangeset.Span(0, 63))
-	fs := testFS()
-	const hdr = 100
-	mustRun(t, 2, func(c *msg.Comm) {
-		a, err := array.New[float64](c, "u", mustBlock(g, []int{2}))
-		if err != nil {
-			panic(err)
-		}
-		a.Fill(coordVal)
-		if c.Rank() == 0 {
-			fs.WriteAt(0, "f", make([]byte, hdr), 0) // header region
-		}
-		c.Barrier()
-		if _, err := Write(a, g, fs, "f", Options{BaseOffset: hdr}); err != nil {
-			panic(err)
-		}
-	})
-	want := referenceStream(g, rangeset.ColMajor)
-	got := make([]byte, len(want))
-	if err := fs.ReadAt(0, "f", got, hdr); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatal("stream not placed at BaseOffset")
-	}
-	mustRun(t, 2, func(c *msg.Comm) {
-		a, err := array.New[float64](c, "u", mustBlock(g, []int{2}))
-		if err != nil {
-			panic(err)
-		}
-		if _, err := Read(a, g, fs, "f", Options{BaseOffset: hdr}); err != nil {
-			panic(err)
-		}
-		a.Mapped().Each(rangeset.ColMajor, func(cd []int) {
-			if a.At(cd) != coordVal(cd) {
-				panic("read with BaseOffset corrupted values")
-			}
-		})
-	})
-}
-
 func TestEmptySectionIsNoOp(t *testing.T) {
 	g := rangeset.Box([]int{0, 0}, []int{3, 3})
 	fs := testFS()
