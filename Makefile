@@ -117,6 +117,10 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "the control-plane store writes chain fields again (every StateStore generation is a"; \
 		echo "self-contained anchor; only the legacy reader, loadChain, may walk an older delta chain):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '\.Intersect\(.*\)\.Equal\(' . || true); \
+	if [ -n "$$out" ]; then \
+		echo "a subset test built as intersect-then-compare (it walks every element and allocates the"; \
+		echo "intersection; x.Within(y) answers x ⊆ y in O(1) on regular axes, one pass otherwise):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'IncrementalCheckpoint|WriteDRMSIncremental|SkipPiece' --include='*.go' \
 		--include='README.md' --include='DESIGN.md' --include='EXPERIMENTS.md' . || true); \
 	if [ -n "$$out" ]; then \
@@ -132,13 +136,14 @@ loc:
 	@printf '%-22s %6d\n' total "$$(ls internal/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@printf '%-22s %6d\n' 'assembly (*.s)' "$$(cat internal/*/*.s | wc -l)"
 
-# The second line runs the 1-D path's, the CRC's, the BT-shaped plan's,
-# piece exchange's and checksum's, the run enumerator's and the exact
-# accumulator's micro-benchmarks once each, so they stay compiling and
-# running (their numbers are for `go test -bench`).
+# The second line runs the 1-D path's (equality, containment, block
+# build), the CRC's, the BT-shaped plan's, piece exchange's and
+# checksum's, the run enumerator's and the exact accumulator's
+# micro-benchmarks once each, so they stay compiling and running (their
+# numbers are for `go test -bench`).
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench 'RangeEqual1D|Block1D|Checksum|CRCCombine|TierCheck|AssignPlannedBT|PieceExchangeBT|StorageRuns|AddSlice' -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'RangeEqual1D|SliceWithin1D|Block1D|Checksum|CRCCombine|TierCheck|AssignPlannedBT|PieceExchangeBT|StorageRuns|AddSlice' -benchtime=1x \
 		./internal/rangeset ./internal/dist ./internal/crc ./internal/ckpt ./internal/array ./internal/xsum
 
 # Every fuzz target of the index-arithmetic, parser, CRC, exact-sum,
@@ -220,11 +225,12 @@ bench:
 
 # CPU and allocation profiles of the paper-shaped data path, without a
 # flag in benchmark/main.go: the steady-state checkpoint and reconfigured
-# restart of apps.SP through drms (root package), and the BT-shaped planned
-# assignment, the piece exchange, the run enumerator and the checksum alone
-# (internal/array), the CRC kernel beside the table (internal/crc), and the
-# exact accumulator beside a float loop (internal/xsum).
-# Binaries and profiles land in .bench_build/; each
+# restart of apps.SP through drms and the verified restart of a 1-D block
+# state shaped like the wall-clock benchmark's (root package), the
+# BT-shaped planned assignment, the piece exchange, the run enumerator and
+# the checksum alone (internal/array), the CRC kernel beside the table
+# (internal/crc), and the exact accumulator beside a float loop
+# (internal/xsum). Binaries and profiles land in .bench_build/; each
 # listing is `pprof -top -cum`, the second by bytes allocated.
 profile:
 	@mkdir -p .bench_build
@@ -235,6 +241,7 @@ profile:
 		$(GO) tool pprof -top -cum -nodecount=25 -sample_index=alloc_space .bench_build/$$1.test .bench_build/$$1.mem; \
 	}; \
 	prof drms 'CheckpointDRMSSteadyState$$|ReconfiguredRestart$$' . && \
+	prof drms1d 'Restart1D$$' . && \
 	prof array 'AssignPlannedBT$$|PieceExchangeBT$$|StorageRuns$$|ChecksumBT$$' ./internal/array && \
 	prof crc 'Checksum$$' ./internal/crc && \
 	prof xsum 'AddSlice$$' ./internal/xsum

@@ -365,6 +365,71 @@ func BenchmarkReconfiguredRestart(b *testing.B) {
 	}
 }
 
+// BenchmarkRestart1D is the 1-D counterpart of BenchmarkReconfiguredRestart,
+// shaped like the wall-clock benchmark's 1-D workloads: a float64 and an
+// int32 array of 131 072 elements each, block-distributed, checkpointed
+// once on 4 tasks and restarted on 4 tasks with every piece's CRC
+// verified. Each restart declares fresh distributions, so dist's
+// validation is on its path.
+func BenchmarkRestart1D(b *testing.B) {
+	const n = 131072
+	g := rangeset.NewSlice(rangeset.Span(0, n-1))
+	fs := pfs.NewSystem(pfs.DefaultConfig())
+	sums := make([]float64, 2)
+	body := func(restart bool) func(t *drms.Task) error {
+		return func(t *drms.Task) error {
+			d, err := dist.Block(g, []int{t.Tasks()})
+			if err != nil {
+				return err
+			}
+			u, err := drms.NewArray[float64](t, "u", d)
+			if err != nil {
+				return err
+			}
+			tab, err := drms.NewArray[int32](t, "tab", d)
+			if err != nil {
+				return err
+			}
+			if !restart {
+				u.Fill(func(c []int) float64 { return float64(c[0]) * 0.5 })
+				tab.Fill(func(c []int) int32 { return int32(c[0] % 251) })
+			}
+			st, _, err := t.ReconfigCheckpoint("ck")
+			if err != nil {
+				return err
+			}
+			if restart != (st == drms.Restored) {
+				b.Errorf("restart %v: status %v", restart, st)
+			}
+			su, err := u.Checksum()
+			if err != nil {
+				return err
+			}
+			stab, err := tab.Checksum()
+			if err != nil {
+				return err
+			}
+			if t.Rank() == 0 {
+				if !restart {
+					sums[0], sums[1] = su, stab
+				} else if su != sums[0] || stab != sums[1] {
+					b.Errorf("restored checksums %v, %v; written %v", su, stab, sums)
+				}
+			}
+			return nil
+		}
+	}
+	if err := drms.Run(drms.Config{Tasks: 4, FS: fs}, body(false)); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := drms.Run(drms.Config{Tasks: 4, FS: fs, RestartFrom: "ck", Verify: true}, body(true)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSegmentEncodeDecode(b *testing.B) {
 	s := seg.New()
 	iter := 42

@@ -86,8 +86,8 @@ func (d *Distribution) Grid() []int { return append([]int(nil), d.grid...) }
 func (d *Distribution) Shadow() []int { return append([]int(nil), d.shadow...) }
 
 // Validate checks the two model invariants and that every section lies
-// within the global index space. It is called by the constructors; tests
-// and the checkpoint loader call it on reconstructed distributions.
+// within the global index space. Every constructor and WithShadow call it
+// on the distribution they build.
 func (d *Distribution) Validate() error {
 	if len(d.assigned) != len(d.mapped) {
 		return fmt.Errorf("dist: %d assigned vs %d mapped sections", len(d.assigned), len(d.mapped))
@@ -96,14 +96,14 @@ func (d *Distribution) Validate() error {
 		if a.Rank() != d.global.Rank() || d.mapped[i].Rank() != d.global.Rank() {
 			return fmt.Errorf("dist: task %d section rank mismatch", i)
 		}
-		if !a.Intersect(d.global).Equal(a) {
+		if !a.Within(d.global) {
 			return fmt.Errorf("dist: task %d assigned section %v exceeds global %v", i, a, d.global)
 		}
-		if !d.mapped[i].Intersect(d.global).Equal(d.mapped[i]) {
+		if !d.mapped[i].Within(d.global) {
 			return fmt.Errorf("dist: task %d mapped section %v exceeds global %v", i, d.mapped[i], d.global)
 		}
 		// σm ∩ σa = σa: assigned is a subset of mapped.
-		if !d.mapped[i].Intersect(a).Equal(a) {
+		if !a.Within(d.mapped[i]) {
 			return fmt.Errorf("dist: task %d assigned %v not within mapped %v", i, a, d.mapped[i])
 		}
 	}

@@ -412,3 +412,52 @@ func (d *Distribution) AssignedTotal() int {
 	}
 	return n
 }
+
+// TestValidateRejectsEachContainmentViolation: each of Validate's three
+// containment checks rejects its violation with its own message, on
+// regular axes (one off the global lattice) and on index-list axes.
+// Task 0 is valid; task 1 carries the violation. A nil mapped means
+// mapped equals assigned.
+func TestValidateRejectsEachContainmentViolation(t *testing.T) {
+	type secs = []rangeset.Slice
+	sl := rangeset.NewSlice
+	span, reg, list := rangeset.Span, rangeset.Reg, rangeset.List
+	box := sl(span(0, 9), span(0, 9))
+	lattice := sl(reg(0, 18, 2))
+	index := sl(list(0, 1, 3, 7, 8))
+	cases := []struct {
+		global           rangeset.Slice
+		assigned, mapped secs
+		want             string
+	}{
+		{box, secs{sl(span(0, 4), span(0, 9)), sl(span(5, 10), span(0, 9))}, nil,
+			"dist: task 1 assigned section (5:10, 0:9) exceeds global (0:9, 0:9)"},
+		{box, secs{sl(span(0, 4), span(0, 9)), sl(span(5, 9), span(0, 9))},
+			secs{sl(span(0, 4), span(0, 9)), sl(span(4, 10), span(0, 9))},
+			"dist: task 1 mapped section (4:10, 0:9) exceeds global (0:9, 0:9)"},
+		{box, secs{sl(span(0, 4), span(0, 9)), sl(span(5, 9), span(0, 9))},
+			secs{sl(span(0, 4), span(0, 9)), sl(span(6, 9), span(0, 9))},
+			"dist: task 1 assigned (5:9, 0:9) not within mapped (6:9, 0:9)"},
+		{lattice, secs{sl(reg(0, 6, 2)), sl(reg(3, 9, 3))}, nil,
+			"dist: task 1 assigned section (3:9:3) exceeds global (0:18:2)"},
+		{lattice, secs{sl(reg(0, 6, 2)), sl(reg(8, 16, 4))},
+			secs{sl(reg(0, 6, 2)), sl(reg(8, 17, 3))},
+			"dist: task 1 mapped section (8:17:3) exceeds global (0:18:2)"},
+		{lattice, secs{sl(reg(0, 6, 2)), sl(reg(8, 16, 2))},
+			secs{sl(reg(0, 6, 2)), sl(reg(8, 16, 4))},
+			"dist: task 1 assigned (8:16:2) not within mapped (8:16:4)"},
+		{index, secs{sl(list(0, 1)), sl(list(3, 5, 8))}, nil,
+			"dist: task 1 assigned section ([3 5 8]) exceeds global ([0 1 3 7 8])"},
+		{index, secs{sl(list(0, 1)), sl(list(3, 7))},
+			secs{sl(list(0, 1)), sl(list(3, 7, 9))},
+			"dist: task 1 mapped section ([3 7 9]) exceeds global ([0 1 3 7 8])"},
+		{index, secs{sl(list(0, 1)), sl(list(3, 7, 8))},
+			secs{sl(list(0, 1)), sl(list(1, 3, 8))},
+			"dist: task 1 assigned ([3 7 8]) not within mapped ([1 3 8])"},
+	}
+	for i, c := range cases {
+		if _, err := Irregular(c.global, c.assigned, c.mapped); err == nil || err.Error() != c.want {
+			t.Errorf("case %d: Irregular = %v, want %q", i, err, c.want)
+		}
+	}
+}

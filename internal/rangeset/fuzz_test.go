@@ -7,7 +7,8 @@ import (
 // FuzzIntersect cross-checks the analytic intersection of regular ranges
 // against the set-model reference under fuzzer-chosen parameters, and
 // Equal against its element-wise definition on the operands, on the
-// result and on the result rebuilt from the model's elements.
+// result and on the result rebuilt from the model's elements, and Within
+// against the model's containment.
 func FuzzIntersect(f *testing.F) {
 	f.Add(0, 10, 1, 0, 10, 1)
 	f.Add(3, 30, 4, 1, 30, 6)
@@ -41,6 +42,16 @@ func FuzzIntersect(f *testing.F) {
 		}
 		if !got.Equal(rawList(common...)) {
 			t.Fatalf("%v ∩ %v = %v is not the model's %v", a, b, got, common)
+		}
+		for _, p := range [][2]Range{{a, b}, {b, a}} {
+			if w, want := p[0].Within(p[1]), len(common) == p[0].Size(); w != want {
+				t.Fatalf("%#v.Within(%#v) = %v, model %v", p[0], p[1], w, want)
+			}
+		}
+		for _, x := range []Range{got, rawList(common...)} {
+			if !x.Within(a) || !x.Within(b) {
+				t.Fatalf("%v ∩ %v = %v not within both operands", a, b, x)
+			}
 		}
 	})
 }

@@ -6,9 +6,9 @@
 // irregular ranges given by explicit index lists. A Slice is an ordered
 // set of d ranges and describes a (possibly irregular) section of a
 // d-dimensional array. The package provides the operations the streaming
-// and redistribution layers are built on: intersection, sizing,
-// linearization order, half-splitting, and the recursive partition
-// algorithm of Figure 5(a) of the paper.
+// and redistribution layers are built on: intersection, containment,
+// sizing, linearization order, half-splitting, and the recursive
+// partition algorithm of Figure 5(a) of the paper.
 package rangeset
 
 import (
@@ -164,6 +164,44 @@ func (r Range) Equal(q Range) bool {
 		if r.At(i) != q.At(i) {
 			return false
 		}
+	}
+	return true
+}
+
+// Within reports whether every element of r is an element of q; the empty
+// range is within any range. It does not build the intersection: two
+// regular ranges are answered in O(1), an index-list operand in one
+// ordered pass that allocates nothing.
+func (r Range) Within(q Range) bool {
+	n := r.Size()
+	switch {
+	case n == 0:
+		return true
+	case n > q.Size():
+		return false
+	case n == 1:
+		return q.Contains(r.At(0))
+	case q.regular && r.regular:
+		return q.Contains(r.lo) && r.hi <= q.hi && r.step%q.step == 0
+	case q.regular:
+		for _, v := range r.idx {
+			if !q.Contains(v) {
+				return false
+			}
+		}
+		return true
+	}
+	// q is an index list at least as long as r: merge r into it.
+	j := 0
+	for i := 0; i < n; i++ {
+		v := r.At(i)
+		for j < len(q.idx) && q.idx[j] < v {
+			j++
+		}
+		if j == len(q.idx) || q.idx[j] != v {
+			return false
+		}
+		j++
 	}
 	return true
 }

@@ -127,6 +127,25 @@ func (s Slice) Equal(t Slice) bool {
 	return true
 }
 
+// Within reports whether every element of s is an element of t, axis by
+// axis (Range.Within), without building the intersection. An empty s is
+// within any slice of its rank; a slice of another rank is within
+// nothing.
+func (s Slice) Within(t Slice) bool {
+	if len(s.r) != len(t.r) {
+		return false
+	}
+	if s.Empty() {
+		return true
+	}
+	for i := range s.r {
+		if !s.r[i].Within(t.r[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Contains reports whether the coordinate c (one index per axis) is an
 // element of the section.
 func (s Slice) Contains(c []int) bool {

@@ -389,7 +389,7 @@ func commOf[T array.Elem](a *array.Array[T], x rangeset.Slice) (*msg.Comm, error
 	if x.Rank() != a.Global().Rank() {
 		return nil, fmt.Errorf("stream: section rank %d != array rank %d", x.Rank(), a.Global().Rank())
 	}
-	if !x.Intersect(a.Global()).Equal(x) {
+	if !x.Within(a.Global()) {
 		return nil, fmt.Errorf("stream: section %v exceeds array space %v", x, a.Global())
 	}
 	return a.Comm(), nil

@@ -277,6 +277,58 @@ func TestSectionValidation(t *testing.T) {
 	})
 }
 
+// TestSectionOutsideArraySpaceRefused: Write and Read refuse a section
+// with an element outside the array's index space, with the same error,
+// on regular and on index-list axes, and accept one inside it.
+func TestSectionOutsideArraySpaceRefused(t *testing.T) {
+	box := rangeset.Box([]int{0, 0}, []int{3, 3})
+	list := rangeset.NewSlice(rangeset.List(0, 1, 3, 7, 8))
+	irregular, err := dist.Irregular(list, []rangeset.Slice{
+		rangeset.NewSlice(rangeset.List(0, 1)),
+		rangeset.NewSlice(rangeset.List(3, 7, 8)),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		d       *dist.Distribution
+		outside rangeset.Slice
+		want    string
+		inside  rangeset.Slice
+	}{
+		{mustBlock(box, []int{2, 1}), rangeset.Box([]int{0, 0}, []int{4, 3}),
+			"stream: section (0:4, 0:3) exceeds array space (0:3, 0:3)", rangeset.Box([]int{1, 0}, []int{3, 2})},
+		{mustBlock(box, []int{2, 1}), rangeset.NewSlice(rangeset.Span(0, 3), rangeset.List(0, 2, 5)),
+			"stream: section (0:3, [0 2 5]) exceeds array space (0:3, 0:3)", rangeset.NewSlice(rangeset.Span(0, 3), rangeset.List(0, 2, 3))},
+		{irregular, rangeset.NewSlice(rangeset.List(1, 3, 6)),
+			"stream: section ([1 3 6]) exceeds array space ([0 1 3 7 8])", rangeset.NewSlice(rangeset.List(1, 7, 8))},
+	}
+	for i, c := range cases {
+		fs := testFS()
+		mustRun(t, 2, func(comm *msg.Comm) {
+			a, err := array.New[float64](comm, "u", c.d)
+			if err != nil {
+				panic(err)
+			}
+			if _, err := Write(a, c.outside, fs, "out", Options{}); err == nil || err.Error() != c.want {
+				panic(fmt.Sprintf("case %d: Write(%v) = %v, want %q", i, c.outside, err, c.want))
+			}
+			if _, err := Read(a, c.outside, fs, "out", Options{}); err == nil || err.Error() != c.want {
+				panic(fmt.Sprintf("case %d: Read(%v) = %v, want %q", i, c.outside, err, c.want))
+			}
+			if _, err := Write(a, c.inside, fs, "in", Options{}); err != nil {
+				panic(fmt.Sprintf("case %d: Write(%v): %v", i, c.inside, err))
+			}
+			if _, err := Read(a, c.inside, fs, "in", Options{}); err != nil {
+				panic(fmt.Sprintf("case %d: Read(%v): %v", i, c.inside, err))
+			}
+		})
+		if fs.Exists("out") {
+			t.Fatalf("case %d: a refused Write created its file", i)
+		}
+	}
+}
+
 func TestNetBytesRecordedInTrace(t *testing.T) {
 	g := rangeset.Box([]int{0, 0}, []int{15, 15})
 	fs := testFS()
