@@ -97,21 +97,21 @@ lint:
 		echo "a second CRC-64 under internal/ (internal/crc is the one implementation: its sums are"; \
 		echo "hash/crc64's, its bulk path the carry-less-multiply kernel):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' 'ArrayPieces' cmd internal | grep -v '^internal/ckpt/upgrade\.go:' || true; \
-		grep -rnE --include='*.go' --exclude='*_test.go' 'Errorf\(.*ErrLegacyFormat|legacy\(' cmd internal \
-		| grep -v -e '^internal/ckpt/upgrade\.go:' -e '^internal/ckpt/ckpt\.go:' || true); \
+		grep -rnE --include='*.go' --exclude='*_test.go' 'Errorf\(.*ErrLegacyFormat' cmd internal \
+		| grep -v -e '^internal/ckpt/meta\.go:' || true); \
 	if [ -n "$$out" ]; then \
-		echo "a second reader of DRMS metadata version 1 (Upgrade in internal/ckpt/upgrade.go decodes it,"; \
-		echo "ReadMeta in internal/ckpt/ckpt.go refuses it with ErrLegacyFormat; nothing else may do either):"; echo "$$out"; exit 1; fi
+		echo "a second reader of gob-era metadata (Upgrade in internal/ckpt/upgrade.go decodes it,"; \
+		echo "decodeMeta in internal/ckpt/meta.go refuses it with ErrLegacyFormat; nothing else may do either):"; echo "$$out"; exit 1; fi
 	@out=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn) } \
-		/gob\.NewDecoder\(/ && fn !~ /^(decodeMeta|readStateImage|mergeDirty|LoadTierFile)$$/ { print FILENAME ":" FNR ": " $$0 } \
-		/decodeMeta\(/ && !/^func decodeMeta\(/ && fn !~ /^(parseMeta|Upgrade)$$/ { print FILENAME ":" FNR ": " $$0 }' \
+		/gob\.NewDecoder\(/ && FILENAME != "internal/ckpt/upgrade.go" && fn !~ /^(readStateImage|LoadTierFile)$$/ { print FILENAME ":" FNR ": " $$0 } \
+		/gob\.NewEncoder\(/ && fn !~ /^(Commit|SaveFile)$$/ { print FILENAME ":" FNR ": " $$0 }' \
 		$$(ls internal/ckpt/*.go | grep -v '_test\.go$$'); \
-		for f in $$(grep -rlE --include='*.go' --exclude='*_test.go' 'gob\.NewDecoder\(' cmd internal | grep -v '^internal/ckpt/'); do \
-			grep -q 'ckpt\.Meta\b' $$f && echo "$$f: gob-decodes beside ckpt.Meta"; done); \
+		for f in $$(grep -rlE --include='*.go' --exclude='*_test.go' 'gob\.New(En|De)coder\(' cmd internal | grep -v '^internal/ckpt/'); do \
+			grep -q 'ckpt\.Meta\b' $$f && echo "$$f: gob beside ckpt.Meta"; done); \
 	if [ -n "$$out" ]; then \
-		echo "metadata decoded around ReadMeta's memo (decodeMeta is the one gob decode of metadata bytes, and"; \
-		echo "only parseMeta — ReadMeta on bytes read — and Upgrade call it; the other gob decoders in"; \
-		echo "internal/ckpt read state images, dirty sets and tier files):"; echo "$$out"; exit 1; fi
+		echo "gob on the metadata path (metadata is version 3, encodeMeta/decodeMeta in internal/ckpt/meta.go;"; \
+		echo "only Upgrade in internal/ckpt/upgrade.go reads gob-era records, and the other gob coders in"; \
+		echo "internal/ckpt are the state image's and the tier file's):"; echo "$$out"; exit 1; fi
 	@out=$$(awk '/^func \(s \*StateStore\) loadChain\(/,/^}/ { next } /ChainLen|Deps/ { print FILENAME ":" FNR ": " $$0 }' \
 		internal/ckpt/state.go); \
 	if [ -n "$$out" ]; then \
@@ -137,13 +137,13 @@ loc:
 	@printf '%-22s %6d\n' 'assembly (*.s)' "$$(cat internal/*/*.s | wc -l)"
 
 # The second line runs the 1-D path's (equality, containment, block
-# build), the CRC's, the BT-shaped plan's, piece exchange's and
-# checksum's, the run enumerator's and the exact accumulator's
-# micro-benchmarks once each, so they stay compiling and running (their
-# numbers are for `go test -bench`).
+# build), the CRC's, the metadata decoder's, the BT-shaped plan's, piece
+# exchange's and checksum's, the run enumerator's and the exact
+# accumulator's micro-benchmarks once each, so they stay compiling and
+# running (their numbers are for `go test -bench`).
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench 'RangeEqual1D|SliceWithin1D|Block1D|Checksum|CRCCombine|TierCheck|AssignPlannedBT|PieceExchangeBT|StorageRuns|AddSlice' -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'RangeEqual1D|SliceWithin1D|Block1D|Checksum|CRCCombine|TierCheck|ReadMeta|AssignPlannedBT|PieceExchangeBT|StorageRuns|AddSlice' -benchtime=1x \
 		./internal/rangeset ./internal/dist ./internal/crc ./internal/ckpt ./internal/array ./internal/xsum
 
 # Every fuzz target of the index-arithmetic, parser, CRC, exact-sum,

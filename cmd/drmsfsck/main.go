@@ -27,8 +27,9 @@
 // replicas of each payload survive in peer memory.
 // With -repair, corrupt generations are quarantined (renamed under
 // "<gen>.bad.") exactly as the recovery supervisor would do at restart
-// time, legacy generations (metadata version 1, one stream file per
-// array, written before the piece format) are upgraded in place
+// time, legacy generations (gob metadata of version 1 or 2, as every
+// restart state saved by older builds has; version 1 also keeps one
+// stream file per array) are upgraded in place to metadata version 3
 // (ckpt.Upgrade), and the snapshot is saved back. Without -repair a
 // legacy generation is reported as needing it: no restart reads one.
 //
@@ -72,7 +73,7 @@ const (
 
 func main() {
 	state := flag.String("state", "", "pfs snapshot file to check")
-	repair := flag.Bool("repair", false, "quarantine corrupt generations, upgrade legacy (metadata version 1) ones, and save the snapshot back")
+	repair := flag.Bool("repair", false, "quarantine corrupt generations, upgrade legacy (gob metadata, version 1 or 2) ones to metadata version 3, and save the snapshot back")
 	squash := flag.Bool("squash", false, "fold each verified delta chain into a self-contained anchor and save the snapshot back")
 	tierState := flag.String("tier", "", "peer-memory tier snapshot (drmsrun -tier-state); memory-resident payloads then verify against surviving replicas")
 	tiers := flag.Bool("tiers", false, "list each generation's storage-tier residency and replica counts before checking it")
@@ -324,7 +325,7 @@ func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool,
 			var up bool
 			if up, err = ckpt.Upgrade(fs, g, 0); up {
 				*dirty, upgraded = true, true
-				fmt.Printf("%-12s upgraded to metadata version 2\n", g)
+				fmt.Printf("%-12s upgraded to metadata version 3\n", g)
 			}
 		}
 		var m ckpt.Meta

@@ -144,7 +144,7 @@ func TestCheckPrefixAcrossMetadataVersions(t *testing.T) {
 		t.Fatalf("upgrade classified %d dirty %v, want %d", code, dirty, exitRepaired)
 	}
 	for _, g := range []string{"job.g0", "job.g1"} {
-		if m, err := ckpt.ReadMeta(fs, g, 0); err != nil || m.Version != 2 {
+		if m, err := ckpt.ReadMeta(fs, g, 0); err != nil || m.Version != 3 {
 			t.Fatalf("%s after -repair: version %d, %v", g, m.Version, err)
 		}
 	}

@@ -1,8 +1,8 @@
 package ckpt
 
 // The DRMS checkpoint writer and the chained format it writes (metadata
-// version 2): every reconfigurable checkpoint is an anchor or a delta of
-// a chain, with per-piece codecs.
+// version 3, meta.go): every reconfigurable checkpoint is an anchor or a
+// delta of a chain, with per-piece codecs.
 //
 // A checkpoint stores each array's distribution-independent stream as
 // *pieces*: each writer task appends the pieces it streamed —
@@ -36,9 +36,7 @@ package ckpt
 // compressed pieces whole (with a small cache for straddling reads).
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"slices"
 	"sort"
@@ -65,7 +63,7 @@ type PieceLoc struct {
 	FileBytes int64  // stored length (== Bytes raw, usually smaller under flate)
 	Codec     uint8  // codec.ID of the stored representation
 	StoredCRC uint64 // CRC-64/ECMA of the stored bytes as they sit in the file
-	Where     uint8  // storage tier of the bytes (gob zero TierPFS: piece file)
+	Where     uint8  // storage tier of the bytes (zero TierPFS: piece file)
 }
 
 // CodecMode selects how chained checkpoints encode pieces.
@@ -372,7 +370,7 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 		if !fingerprint {
 			secLists = nil // an empty table is how a reader knows: no delta base
 		}
-		m := Meta{Version: chainVersion, Mode: ModeDRMS, Tasks: comm.Size(),
+		m := Meta{Version: metaVersion, Mode: ModeDRMS, Tasks: comm.Size(),
 			Ctx: sg.Ctx, Arrays: metas, SegBytes: []int64{segBytes},
 			SegCRC: []uint64{segCRC}, SegWhere: segWhere, ArrayCRC: crcs,
 			PlanSigs: sigs, ChainLen: chainLen, Deps: depsOf(locLists, selfGen),
@@ -542,13 +540,8 @@ func bcastPrevMeta(fs *pfs.System, comm *msg.Comm, base, prevName string, prevMe
 					m = &read
 				}
 			}
-			if err == nil && m.Mode == ModeDRMS && m.Version >= chainVersion &&
-				m.Tasks == comm.Size() && len(m.PieceLocs) == nArrays {
-				var buf bytes.Buffer
-				if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-					return nil, fmt.Errorf("ckpt: encoding delta base: %w", err)
-				}
-				payload = buf.Bytes()
+			if err == nil && m.Mode == ModeDRMS && m.Tasks == comm.Size() && len(m.PieceLocs) == nArrays {
+				payload = encodeMeta(m)
 			}
 		}
 	}
@@ -559,9 +552,7 @@ func bcastPrevMeta(fs *pfs.System, comm *msg.Comm, base, prevName string, prevMe
 	if len(payload) == 0 {
 		return nil, nil
 	}
-	// Rank 0's encoding of a committed record is that record's stored
-	// bytes, so every rank finds it in ReadMeta's memo.
-	m, err := parseMeta(payload, prevName)
+	m, err := decodeMeta(payload, prevName)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: decoding delta base: %w", err)
 	}
@@ -609,54 +600,48 @@ func mergeDirty(comm *msg.Comm, prev *Meta, sums [][]stream.SectionSum, eligible
 			mine[i] = localDirty(prev.Sections[i], sums[i], comm.Rank())
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(mine); err != nil {
-		return nil, err
-	}
-	parts, err := comm.Gather(0, buf.Bytes())
+	frame, _ := pieceLists(false, nil, mine)
+	parts, err := comm.Gather(0, frame)
 	if err != nil {
 		return nil, err
 	}
 	var payload []byte
 	if comm.Rank() == 0 {
-		union := make([]map[int]bool, len(sums))
-		for i := range union {
-			union[i] = map[int]bool{}
-		}
+		merged := make([][]int, len(sums))
 		for _, part := range parts {
-			var d [][]int
-			if err := gob.NewDecoder(bytes.NewReader(part)).Decode(&d); err != nil {
+			d := make([][]int, len(sums))
+			if _, err := pieceLists(true, part, d); err != nil {
 				return nil, fmt.Errorf("ckpt: gathering dirty piece sets: %w", err)
 			}
-			for i, ps := range d {
-				for _, pi := range ps {
-					union[i][pi] = true
-				}
+			for i := range d {
+				merged[i] = append(merged[i], d[i]...)
 			}
 		}
-		merged := make([][]int, len(sums))
-		for i, m := range union {
-			merged[i] = make([]int, 0, len(m))
-			for pi := range m {
-				merged[i] = append(merged[i], pi)
-			}
-			sort.Ints(merged[i])
+		for i := range merged {
+			slices.Sort(merged[i])
+			merged[i] = slices.Compact(merged[i])
 		}
-		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(merged); err != nil {
-			return nil, err
-		}
-		payload = buf.Bytes()
+		payload, _ = pieceLists(false, nil, merged)
 	}
 	payload, err = comm.Bcast(0, payload)
 	if err != nil {
 		return nil, err
 	}
-	var merged [][]int
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&merged); err != nil {
+	merged := make([][]int, len(sums))
+	if _, err := pieceLists(true, payload, merged); err != nil {
 		return nil, fmt.Errorf("ckpt: decoding merged dirty piece sets: %w", err)
 	}
 	return merged, nil
+}
+
+// pieceLists frames one piece index list per array, mergeDirty's records.
+// It encodes lists, or with dec decodes b into them: their count is known.
+func pieceLists(dec bool, b []byte, lists [][]int) ([]byte, error) {
+	c := &metaCodec{dec: dec, b: b}
+	for i := range lists {
+		list(c, &lists[i], func(pi *int) { varint(c, pi) })
+	}
+	return c.b, c.err
 }
 
 // The gather record of one piece location and of one contribution
@@ -705,6 +690,8 @@ func decodeLocSums(part []byte, locs []PieceLoc, sums []stream.SectionSum) ([]Pi
 		return nil, nil, fmt.Errorf("ckpt: gathering piece locations: ragged frame (%d locations announced, %d record bytes)",
 			n, len(body))
 	}
+	locs = slices.Grow(locs, int(n))
+	sums = slices.Grow(sums, (len(body)-int(n)*locRecBytes)/sumRecBytes)
 	for ; n > 0; n-- {
 		b := body[pieceSumBytes:]
 		locs = append(locs, PieceLoc{PieceSum: pieceSumAt(body),

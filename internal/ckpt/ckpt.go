@@ -24,11 +24,13 @@
 //	                    independent stream that task i wrote (chain.go)
 //	P.task<i>.seg       SPMD: task i's segment (vars + local sections + pad)
 //
-// There is one DRMS encoder, WriteDRMSChained, and one format it writes
-// and everything here reads: metadata version 2. Version 1 — the same
-// stream as one file P.arr.<name> per array — was written by earlier
-// versions of this code; ReadMeta refuses it with ErrLegacyFormat, and
-// Upgrade (drmsfsck -repair) rewrites such a checkpoint in place.
+// There is one DRMS encoder, WriteDRMSChained. Every record this package
+// writes — DRMS, SPMD and StateStore metadata alike — is metadata
+// version 3, one specified byte frame (meta.go), and it is the only
+// version ReadMeta decodes. Versions 1 and 2 were gob records written by
+// earlier versions of this code (version 1 with one stream file
+// P.arr.<name> per array); ReadMeta refuses them with ErrLegacyFormat,
+// and Upgrade (drmsfsck -repair) rewrites such a checkpoint in place.
 //
 // Different prefixes hold independent checkpoints, so an application can
 // keep several states concurrently (§3).
@@ -37,15 +39,10 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"slices"
 	"time"
 
-	"drms/internal/codec"
 	"drms/internal/crc"
-	"drms/internal/lru"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
@@ -147,10 +144,8 @@ type Stats struct {
 func (s Stats) Total() int64 { return s.SegmentBytes + s.ArrayBytes }
 
 const (
-	version      = 1       // WriteSPMD's and StateStore's metadata, and legacy DRMS checkpoints (Upgrade)
-	chainVersion = 2       // DRMS metadata with piece locations (WriteDRMSChained)
-	padChunk     = 1 << 20 // padding is written/read in 1 MB operations
-	segHeader    = 8       // payload length prefix
+	padChunk  = 1 << 20 // padding is written/read in 1 MB operations
+	segHeader = 8       // payload length prefix
 )
 
 func metaFile(prefix string) string { return prefix + ".meta" }
@@ -521,7 +516,7 @@ func WriteSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, a
 	}
 	if me == 0 {
 		fs.BeginPhase("meta")
-		m := Meta{Version: version, Mode: ModeSPMD, Tasks: comm.Size(), Ctx: sg.Ctx}
+		m := Meta{Version: metaVersion, Mode: ModeSPMD, Tasks: comm.Size(), Ctx: sg.Ctx}
 		for _, b := range records {
 			m.SegBytes = append(m.SegBytes, bytesI64(b[:8]))
 			m.SegCRC = append(m.SegCRC, uint64(bytesI64(b[8:])))
@@ -597,174 +592,6 @@ func ReadSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, ar
 	return m, st, nil
 }
 
-// ErrLegacyFormat marks a DRMS checkpoint stored in metadata version 1,
-// one file per array, which no reader here decodes: Upgrade — drmsfsck
-// -repair — rewrites it in place as version 2 once. The checkpoint is
-// intact, so nothing quarantines it for this.
-var ErrLegacyFormat = errors.New("ckpt: legacy checkpoint format (metadata version 1); upgrade it once with drmsfsck -repair")
-
-// ReadMeta loads checkpoint metadata (e.g. to learn the task count before
-// deciding a restart configuration). Metadata whose tables disagree in
-// length with what the rest of the record promises, or that does not
-// decode at all, is a *CorruptError: every reader indexes the tables
-// unchecked after this. The record is read on every call; its decode is
-// memoized on the bytes read (parseMeta).
-func ReadMeta(fs *pfs.System, prefix string, client int) (Meta, error) {
-	b, err := readMetaFile(fs, prefix, client)
-	if err != nil {
-		return Meta{}, err
-	}
-	return parseMeta(b, prefix)
-}
-
-// metaMemoCap bounds the decoded records parseMeta keeps: a rotation's
-// retained generations, a coordinator's state generations and a delta
-// base fit with room to spare, and a record costs a few KB.
-const metaMemoCap = 16
-
-// metaKey names a stored metadata record by its bytes: their length and
-// CRC-64. Any changed byte is a new key.
-type metaKey struct {
-	n   int
-	sum uint64
-}
-
-func metaKeyOf(b []byte) metaKey { return metaKey{len(b), crcOf(b)} }
-
-// metaMemo maps a metadata record's bytes to its validated decode, for
-// every rank of this process: a restore's ranks, its launch, the
-// supervisor's resolution, pruning and fsck all read records this process
-// decoded or committed. It holds only records ReadMeta accepts, each a
-// private clone.
-var metaMemo = lru.New[metaKey, Meta](metaMemoCap)
-
-// parseMeta is ReadMeta on bytes already read: a memo of a pure function
-// of b. A miss decodes, validates and, if ReadMeta accepts the record,
-// caches it; every call returns a copy no other caller shares. prefix
-// only names the record in errors.
-func parseMeta(b []byte, prefix string) (Meta, error) {
-	key := metaKeyOf(b)
-	if m, ok := metaMemo.Get(key); ok {
-		return m.clone(), nil
-	}
-	var m Meta
-	if err := decodeMeta(b, prefix, &m); err != nil {
-		return m, err
-	}
-	if err := checkMeta(&m, prefix); err != nil {
-		return m, err
-	}
-	metaMemo.Add(key, m.clone())
-	return m, nil
-}
-
-// checkMeta is ReadMeta's verdict on a decoded record.
-func checkMeta(m *Meta, prefix string) error {
-	if m.Version < version || m.Version > chainVersion {
-		return fmt.Errorf("ckpt: metadata version %d unsupported", m.Version)
-	}
-	if legacy(m) {
-		return fmt.Errorf("%w: %q", ErrLegacyFormat, prefix)
-	}
-	if bad := shapeError(m); bad != "" {
-		return corrupt(prefix, metaFile(prefix), -1, "metadata %s", bad)
-	}
-	return nil
-}
-
-// clone returns a copy of m that shares no table with it, in the form a
-// gob decode produces: an empty table, at any depth, is nil. Array shapes
-// are shared; a rangeset.Slice is immutable.
-func (m *Meta) clone() Meta {
-	c := *m
-	c.Arrays = cloneTable(m.Arrays)
-	c.SegBytes = cloneTable(m.SegBytes)
-	c.SegCRC = cloneTable(m.SegCRC)
-	c.ArrayCRC = cloneTable(m.ArrayCRC)
-	c.PlanSigs = cloneTable(m.PlanSigs)
-	c.Deps = cloneTable(m.Deps)
-	c.PieceLocs = cloneTables(m.PieceLocs)
-	c.Sections = cloneTables(m.Sections)
-	return c
-}
-
-func cloneTable[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	return slices.Clone(s)
-}
-
-func cloneTables[T any](s [][]T) [][]T {
-	if len(s) == 0 {
-		return nil
-	}
-	c := make([][]T, len(s))
-	for i, t := range s {
-		c[i] = cloneTable(t)
-	}
-	return c
-}
-
-// readMetaFile returns the stored metadata record of prefix.
-func readMetaFile(fs *pfs.System, prefix string, client int) ([]byte, error) {
-	name := metaFile(prefix)
-	sz, err := fs.Size(name)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: no checkpoint under prefix %q: %w", prefix, err)
-	}
-	buf := make([]byte, sz)
-	if err := fs.ReadAt(client, name, buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// decodeMeta decodes the metadata record b into each of dst. It is the
-// one gob decode of metadata bytes; only parseMeta and Upgrade call it.
-func decodeMeta(b []byte, prefix string, dst ...any) error {
-	for _, d := range dst {
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(d); err != nil {
-			return corrupt(prefix, metaFile(prefix), -1, "metadata does not decode: %v", err)
-		}
-	}
-	return nil
-}
-
-// legacy reports a version 1 DRMS checkpoint with arrays: the format
-// only Upgrade decodes. SPMD metadata and the array-less metadata of a
-// StateStore are version 1 too, and current.
-func legacy(m *Meta) bool {
-	return m.Mode == ModeDRMS && m.Version < chainVersion && len(m.Arrays) > 0
-}
-
-// shapeError describes how m's tables contradict the rest of m ("" when
-// they do not): one segment entry per segment file, at most one array
-// table entry per array (exactly one location list and stream CRC in
-// DRMS mode), and piece extents a reader can act on.
-func shapeError(m *Meta) string {
-	segs, n := 1, len(m.Arrays)
-	if m.Mode == ModeSPMD {
-		segs = m.Tasks
-	}
-	if len(m.SegBytes) != segs || len(m.SegCRC) != segs || len(m.PlanSigs) > n || len(m.Sections) > n ||
-		len(m.ArrayCRC) > n || len(m.PieceLocs) > n || m.Mode == ModeDRMS && (len(m.ArrayCRC) != n || len(m.PieceLocs) != n) {
-		return fmt.Sprintf("tables disagree with its %d segments and %d arrays", segs, n)
-	}
-	for i, locs := range m.PieceLocs {
-		for _, l := range locs {
-			// A raw piece is stored as itself; no codec here expands one
-			// stored byte into more than codec.MaxExpansion logical bytes.
-			if l.Bytes < 0 || l.FileOff < 0 || l.FileBytes < 0 || m.Arrays[i].Bytes < 0 ||
-				codec.ID(l.Codec) == codec.Raw && l.FileBytes != l.Bytes ||
-				l.Bytes/codec.MaxExpansion > l.FileBytes {
-				return fmt.Sprintf("array %q piece %d has an impossible extent", m.Arrays[i].Name, l.Index)
-			}
-		}
-	}
-	return ""
-}
-
 // Exists reports whether a committed checkpoint is reachable from the
 // prefix: either the prefix itself or, when the run-time system rotates
 // generations under it, the newest committed generation.
@@ -812,35 +639,6 @@ func StateBytes(fs *pfs.System, prefix string) int64 {
 		}
 	}
 	return n
-}
-
-// writeMeta encodes and writes the metadata file. The write goes to a
-// temporary name and is renamed into place: the meta file is the commit
-// record of the whole checkpoint (Exists and Rotation.Latest key on it),
-// so it must appear fully written or not at all — a crash between the
-// two steps leaves at worst a .tmp file no reader ever consults.
-//
-// The committed record seeds ReadMeta's memo under the bytes just
-// written, so no reader in this process decodes it again — unless
-// ReadMeta would refuse it, in which case every read decodes and refuses
-// it as before.
-func writeMeta(fs *pfs.System, prefix string, client int, m Meta) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return err
-	}
-	tmp := metaFile(prefix) + ".tmp"
-	fs.Create(tmp)
-	if err := fs.WriteAt(client, tmp, buf.Bytes(), 0); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp, metaFile(prefix)); err != nil {
-		return err
-	}
-	if checkMeta(&m, prefix) == nil {
-		metaMemo.Add(metaKeyOf(buf.Bytes()), m.clone())
-	}
-	return nil
 }
 
 // writeSegmentFile lays out a segment file: an 8-byte payload length,

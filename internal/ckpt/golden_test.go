@@ -1,9 +1,11 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"slices"
 	"testing"
 
 	"drms/internal/array"
@@ -19,30 +21,36 @@ import (
 // of the same state, written by a known version of this code. Restores
 // of archived state must keep working as the implementation evolves.
 //
-// golden.pfs is metadata v1, one raw stream file per array. Nothing in
-// this tree writes that format any more and no reader decodes it: the
-// test upgrades it in memory (Upgrade, drmsfsck -repair) and restores
-// the result, so the file is never regenerated — it is the upgrader's
-// contract with checkpoints already on storage. golden_v2.pfs is the
-// default configuration's checkpoint — a chained raw anchor; if that
-// format must change, regenerate it deliberately with:
+// golden.pfs is metadata v1, one raw stream file per array, and
+// golden_v2.pfs metadata v2, the default configuration's chained raw
+// anchor: both are gob records, which nothing in this tree writes and
+// no reader decodes. The test upgrades them in memory (Upgrade,
+// drmsfsck -repair) and restores the result, so neither file is ever
+// regenerated — they are the upgrader's contract with checkpoints
+// already on storage. golden_v3.pfs is the same checkpoint as this tree
+// writes it; if that format must change, regenerate it deliberately
+// with:
 //
 //	go test ./internal/ckpt -run Golden -regen-golden
-var regenGolden = flag.Bool("regen-golden", false, "rewrite testdata/golden_v2.pfs (never golden.pfs)")
+var regenGolden = flag.Bool("regen-golden", false, "rewrite testdata/golden_v3.pfs (never the gob-era goldens)")
 
 var goldens = []struct {
 	path    string
-	upgrade bool // stored in metadata v1: restorable once upgraded
+	upgrade bool // stored as a gob record: restorable once upgraded
 }{
 	{"testdata/golden.pfs", true},
-	{"testdata/golden_v2.pfs", false},
+	{"testdata/golden_v2.pfs", true},
+	{"testdata/golden_v3.pfs", false},
 }
+
+// currentGolden is the golden this tree writes.
+var currentGolden = goldens[len(goldens)-1].path
 
 func goldenFill(cd []int) float64 { return float64(cd[0]*100+cd[1]) + 0.5 }
 
 func writeGolden(t *testing.T, path string) {
 	t.Helper()
-	if path == goldens[0].path {
+	if path != currentGolden {
 		t.Fatalf("refusing to overwrite %s: no encoder in this tree writes its format", path)
 	}
 	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
@@ -65,8 +73,8 @@ func writeGolden(t *testing.T, path string) {
 
 func TestGoldenCheckpointStillRestores(t *testing.T) {
 	if *regenGolden {
-		writeGolden(t, goldens[1].path)
-		t.Log("regenerated", goldens[1].path, "— golden.pfs is stored v1 input and stays as it is")
+		writeGolden(t, currentGolden)
+		t.Log("regenerated", currentGolden, "— the gob-era goldens are stored input and stay as they are")
 	}
 	for _, g := range goldens {
 		t.Run(g.path, func(t *testing.T) { restoreGolden(t, g.path, g.upgrade) })
@@ -84,8 +92,8 @@ func restoreGolden(t *testing.T, path string, upgrade bool) {
 	if up, err := Upgrade(fs, "golden", 0); up != upgrade || err != nil {
 		t.Fatalf("upgrade: %v %v, want %v", up, err, upgrade)
 	}
-	if m, err := ReadMeta(fs, "golden", 0); err != nil || m.Version != chainVersion {
-		t.Fatalf("golden metadata version %d (err %v), want %d", m.Version, err, chainVersion)
+	if m, err := ReadMeta(fs, "golden", 0); err != nil || m.Version != metaVersion {
+		t.Fatalf("golden metadata version %d (err %v), want %d", m.Version, err, metaVersion)
 	}
 	// Integrity first: byte-level drift fails loudly.
 	if err := Verify(fs, "golden", 0); err != nil {
@@ -120,7 +128,7 @@ func restoreGolden(t *testing.T, path string, upgrade bool) {
 }
 
 // TestStoredPlanSigsStillMatch: every committed fixture that carries plan
-// signatures — golden_v2 as stored, the v1 rotation once upgraded — holds
+// signatures — golden_v3 as stored, the v1 rotation once upgraded — holds
 // exactly what stream.PlanSig computes today under the options it was
 // written with (300-byte pieces, four tasks, the default writers and
 // order). So a delta against such a generation stays a delta: the v1
@@ -147,7 +155,7 @@ func TestStoredPlanSigsStillMatch(t *testing.T) {
 		return m.PlanSigs
 	}
 	fs := pfs.NewSystem(pfs.DefaultConfig())
-	if err := fs.LoadFile(goldens[1].path); err != nil {
+	if err := fs.LoadFile(currentGolden); err != nil {
 		t.Fatal(err)
 	}
 	stored(t, fs, "golden")
@@ -179,4 +187,47 @@ func TestStoredPlanSigsStillMatch(t *testing.T) {
 		}
 	})
 	checkChainRestore(t, fs, "job.g3", 2, 4, []int{2, 2}, 300)
+}
+
+// TestGoldenMetaBytes pins version 3 at the byte. The stored golden_v3
+// record is what encodeMeta writes for the Meta it decodes to. And
+// golden_v2 — the same checkpoint as a gob record — upgrades, past a
+// crash that left a torn temporary beside its meta, to golden_v3's
+// record byte for byte, beside payload files the upgrade did not touch.
+func TestGoldenMetaBytes(t *testing.T) {
+	cur := pfs.NewSystem(pfs.DefaultConfig())
+	if err := cur.LoadFile(currentGolden); err != nil {
+		t.Fatal(err)
+	}
+	stored := metaBytes(t, cur, "golden")
+	m, err := ReadMeta(cur, "golden", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := encodeMeta(&m); !bytes.Equal(b, stored) {
+		t.Fatalf("golden_v3's record re-encodes as %d other bytes (stored %d)", len(b), len(stored))
+	}
+
+	old := pfs.NewSystem(pfs.DefaultConfig())
+	if err := old.LoadFile(goldens[1].path); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.WriteAt(0, metaFile("golden")+".tmp", []byte{1, 2, 3}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadMeta(old, "golden", 0); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("after the crash: %v, want the gob meta in charge", err)
+	}
+	if up, err := Upgrade(old, "golden", 0); !up || err != nil {
+		t.Fatalf("upgrade of golden_v2: %v, %v", up, err)
+	}
+	files := cur.List("golden.")
+	if got := old.List("golden."); !slices.Equal(got, files) {
+		t.Fatalf("upgraded golden_v2 holds %v, golden_v3 %v", got, files)
+	}
+	for _, f := range files {
+		if !bytes.Equal(fileBytes(t, old, f), fileBytes(t, cur, f)) {
+			t.Errorf("%s differs between upgraded golden_v2 and golden_v3", f)
+		}
+	}
 }

@@ -360,7 +360,7 @@ func TestRotationContinuesAcrossMetadataVersions(t *testing.T) {
 		t.Fatalf("generation after the quarantined g2 = %q", g3)
 	}
 	for _, g := range rot.Generations(fs) {
-		if m, err := ReadMeta(fs, g, 0); err != nil || m.Version != chainVersion {
+		if m, err := ReadMeta(fs, g, 0); err != nil || m.Version != metaVersion {
 			t.Fatalf("%s: version %d, %v", g, m.Version, err)
 		}
 		if err := Verify(fs, g, 0); err != nil {

@@ -24,9 +24,10 @@ import (
 // CRC. Every generation this store writes is a self-contained anchor:
 // the table is a few kilobytes, already encoded in memory, so a delta
 // would save only the write of bytes at hand. Stores written by earlier
-// coordinators may hold delta generations (chain fields in the meta, a
-// Base back-pointer in the image); Load still walks those chains, and
-// the first commit after it is an anchor again. Verify, ResolveVerified, Rotation.Prune,
+// coordinators carry gob metadata (Load refuses it until drmsfsck
+// -repair upgrades it) and may hold delta generations (chain fields in
+// the meta, a Base back-pointer in the image); Load still walks those
+// chains, and the first commit after it is an anchor again. Verify, ResolveVerified, Rotation.Prune,
 // CleanIncomplete, and drmsfsck all work on it unmodified.
 
 // stateKeep is how many committed generations a StateStore retains: two
@@ -81,7 +82,7 @@ func (s *StateStore) Commit(fs *pfs.System, records map[string][]byte) (int, err
 	if err != nil {
 		return -1, err
 	}
-	m := Meta{Version: version, Mode: ModeDRMS, Tasks: 1,
+	m := Meta{Version: metaVersion, Mode: ModeDRMS, Tasks: 1,
 		SegBytes: []int64{total}, SegCRC: []uint64{crc}}
 	if err := writeMeta(fs, prefix, 0, m); err != nil {
 		return -1, err

@@ -1,7 +1,11 @@
 package ckpt
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"drms/internal/pfs"
@@ -11,17 +15,58 @@ func newStateFS() *pfs.System {
 	return pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
 }
 
-// legacyDeltaFS loads testdata/rcstate_deltas.pfs: a store the delta
-// writer of earlier coordinators committed under "rcstate" — anchor g0
-// {a, b, c: v0}, delta g1 {a: v1}, delta g2 {b: v2} with a tombstone
-// for c — so the table at g2 is {a: v1, b: v2}.
+// legacyDeltaFS loads testdata/rcstate_deltas.pfs — a store the delta
+// writer of earlier coordinators committed under "rcstate" with gob
+// metadata: anchor g0 {a, b, c: v0}, delta g1 {a: v1}, delta g2 {b: v2}
+// with a tombstone for c, so the table at g2 is {a: v1, b: v2} — and
+// upgrades its generations, as drmsfsck -repair does.
 func legacyDeltaFS(t *testing.T) *pfs.System {
+	t.Helper()
+	fs := gobDeltaFS(t)
+	for g := range 3 {
+		if up, err := Upgrade(fs, fmt.Sprintf("rcstate.g%d", g), 0); !up || err != nil {
+			t.Fatalf("upgrade rcstate.g%d: upgraded %v, %v", g, up, err)
+		}
+	}
+	return fs
+}
+
+// gobDeltaFS is legacyDeltaFS before the upgrade.
+func gobDeltaFS(t *testing.T) *pfs.System {
 	t.Helper()
 	fs := newStateFS()
 	if err := fs.LoadFile("testdata/rcstate_deltas.pfs"); err != nil {
 		t.Fatal(err)
 	}
 	return fs
+}
+
+// TestStateStoreRefusesGobEraStore: before the upgrade, Load refuses the
+// store with ErrLegacyFormat and touches no file; the upgrade rewrites
+// only metadata, and a rerun finds nothing to do.
+func TestStateStoreRefusesGobEraStore(t *testing.T) {
+	fs := gobDeltaFS(t)
+	before := fs.List("")
+	if _, g, q, ok, err := (&StateStore{Base: "rcstate"}).Load(fs); ok || !errors.Is(err, ErrLegacyFormat) || len(q) != 0 {
+		t.Fatalf("Load of a gob-era store: gen %d ok %v quarantined %v, %v", g, ok, q, err)
+	}
+	if after := fs.List(""); !slices.Equal(before, after) {
+		t.Fatalf("files changed: %v -> %v", before, after)
+	}
+	fs = legacyDeltaFS(t)
+	for _, name := range before {
+		if strings.HasSuffix(name, ".meta") {
+			continue
+		}
+		if !bytes.Equal(fileBytes(t, fs, name), fileBytes(t, gobDeltaFS(t), name)) {
+			t.Fatalf("the upgrade changed %s", name)
+		}
+	}
+	for g := range 3 {
+		if up, err := Upgrade(fs, fmt.Sprintf("rcstate.g%d", g), 0); up || err != nil {
+			t.Fatalf("second upgrade of rcstate.g%d: upgraded %v, %v", g, up, err)
+		}
+	}
 }
 
 // legacyDeltaTable is the record table at the fixture's head, g2.

@@ -15,10 +15,9 @@ import (
 	"drms/internal/obs"
 )
 
-// Storage tiers a checkpoint payload can live in. The values are wire
-// format: PieceLoc.Where and Meta.SegWhere are gob-encoded, and the gob
-// zero value must keep metas written before the tier existed meaning
-// "on the parallel file system".
+// Storage tiers a checkpoint payload can live in. The values are stored
+// as they are (PieceLoc.Where, Meta.SegWhere), and zero is "on the
+// parallel file system", what metas from before the tier meant.
 const (
 	TierPFS uint8 = 0 // payload in a pfs file (classic path)
 	TierMem uint8 = 1 // payload only in peer memory (diskless generation)

@@ -1,11 +1,15 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"slices"
 	"testing"
 
+	"drms/internal/msg"
 	"drms/internal/pfs"
+	"drms/internal/stream"
 )
 
 // v1ArrayFiles lists the version 1 stream files of the stored rotation's
@@ -15,7 +19,7 @@ func v1ArrayFiles(g string) []string {
 }
 
 // TestUpgradeIdempotent: the first Upgrade turns each stored v1
-// generation into a verified version 2 one that restores bit-exact and
+// generation into a verified version 3 one that restores bit-exact and
 // drops the v1 stream files; the second finds nothing to do.
 func TestUpgradeIdempotent(t *testing.T) {
 	fs := testFS()
@@ -104,23 +108,18 @@ func TestReadMetaRejectsMalformedShape(t *testing.T) {
 		name string
 		m    Meta
 	}{
-		{"drms-no-segment", Meta{Version: chainVersion, Mode: ModeDRMS, Tasks: 2}},
-		{"spmd-short-segments", Meta{Version: version, Mode: ModeSPMD, Tasks: 3,
+		{"drms-no-segment", Meta{Version: metaVersion, Mode: ModeDRMS, Tasks: 2}},
+		{"spmd-short-segments", Meta{Version: metaVersion, Mode: ModeSPMD, Tasks: 3,
 			SegBytes: []int64{8}, SegCRC: []uint64{0}}},
-		{"drms-unlocated-array", Meta{Version: chainVersion, Mode: ModeDRMS, Tasks: 1,
+		{"drms-unlocated-array", Meta{Version: metaVersion, Mode: ModeDRMS, Tasks: 1,
 			SegBytes: []int64{8}, SegCRC: []uint64{0}, Arrays: []ArrayMeta{{Name: "u", Bytes: 8}}}},
-		{"extra-plan-sigs", Meta{Version: version, Mode: ModeDRMS, Tasks: 1,
+		{"extra-plan-sigs", Meta{Version: metaVersion, Mode: ModeDRMS, Tasks: 1,
 			SegBytes: []int64{8}, SegCRC: []uint64{0}, PlanSigs: []string{"x"}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := pfs.NewSystem(pfs.DefaultConfig())
 			if err := writeMeta(fs, "x", 0, tc.m); err != nil {
 				t.Fatal(err)
-			}
-			// The commit seeds ReadMeta's memo only with records ReadMeta
-			// accepts: every read below decodes and refuses this one.
-			if _, ok := metaMemo.Get(metaKeyOf(metaBytes(t, fs, "x"))); ok {
-				t.Fatal("writeMeta seeded a record ReadMeta refuses")
 			}
 			var ce *CorruptError
 			if _, _, ok, err := ResolveVerified(fs, "x"); ok || !errors.As(err, &ce) {
@@ -130,5 +129,60 @@ func TestReadMetaRejectsMalformedShape(t *testing.T) {
 				t.Fatalf("ReadMeta = %v, want *CorruptError", err)
 			}
 		})
+	}
+}
+
+// toGob rewrites prefix's committed metadata as the gob record of the
+// given version an earlier build wrote for it.
+func toGob(t *testing.T, fs *pfs.System, prefix string, version int) {
+	t.Helper()
+	m, err := ReadMeta(fs, prefix, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Version = version
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	rewriteMeta(t, fs, prefix, buf.Bytes())
+}
+
+// TestUpgradeRewritesOnlyMeta: an SPMD record (gob version 1), a DRMS
+// anchor and a memory-only DRMS delta (gob version 2, no payload on disk)
+// are refused as legacy, and Upgrade gives each back the version 3 record
+// this tree committed, byte for byte, touching no other file.
+func TestUpgradeRewritesOnlyMeta(t *testing.T) {
+	fs := testFS()
+	tier := NewMemTier()
+	writeChainGen(t, fs, "hot.g0", ChainOptions{Codec: CodecRaw, Tier: tier, Replicas: 1}, 0, 4, []int{2, 2})
+	writeChainGen(t, fs, "hot.g1", ChainOptions{Codec: CodecRaw, Tier: tier, Replicas: 1,
+		Prev: "hot.g0", Delta: true, MemOnly: true}, 1, 4, []int{2, 2})
+	mustRun(t, 2, func(c *msg.Comm) {
+		sg, refs, u, _ := buildApp(c, []int{2, 1})
+		u.Fill(coordVal)
+		if _, err := WriteSPMD(fs, "sp", c, sg, refs, stream.Options{}); err != nil {
+			panic(err)
+		}
+	})
+	for p, version := range map[string]int{"sp": 1, "hot.g0": 2, "hot.g1": 2} {
+		want := metaBytes(t, fs, p)
+		toGob(t, fs, p, version)
+		before := fs.List("")
+		if _, err := ReadMeta(fs, p, 0); !errors.Is(err, ErrLegacyFormat) {
+			t.Fatalf("%s as gob version %d: %v, want ErrLegacyFormat", p, version, err)
+		}
+		if up, err := Upgrade(fs, p, 0); !up || err != nil {
+			t.Fatalf("upgrade %s: upgraded %v, %v", p, up, err)
+		}
+		if got := metaBytes(t, fs, p); !bytes.Equal(got, want) {
+			t.Fatalf("%s upgraded to %d bytes, committed as %d other bytes", p, len(got), len(want))
+		}
+		if after := fs.List(""); !slices.Equal(before, after) {
+			t.Fatalf("upgrading %s changed the file set: %v -> %v", p, before, after)
+		}
+	}
+	if err := VerifyTier(fs, tier, "hot.g1", 0); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -73,7 +73,7 @@ func TestChaosSoakChainedDeltasConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Version != 2 {
+	if m.Version != 3 {
 		t.Fatalf("latest generation %s is metadata version %d, not the chained format", prefix, m.Version)
 	}
 	for _, gen := range (ckpt.Rotation{Base: "soak"}).Generations(fs) {

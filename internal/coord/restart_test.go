@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -555,5 +556,41 @@ func TestChaosSoakControlPlane(t *testing.T) {
 	}
 	if crashed == 0 {
 		t.Fatal("the soak never crashed the coordinator")
+	}
+}
+
+// TestRecoverRCRefusesGobEraStore: a coordinator store an earlier build
+// wrote — gob metadata over a legacy delta chain — is refused with
+// ckpt.ErrLegacyFormat, quarantining nothing and touching no file, until
+// drmsfsck -repair (ckpt.Upgrade) rewrites its metadata; then the
+// coordinator recovers from its head generation.
+func TestRecoverRCRefusesGobEraStore(t *testing.T) {
+	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
+	if err := fs.LoadFile("../ckpt/testdata/rcstate_deltas.pfs"); err != nil {
+		t.Fatal(err)
+	}
+	before := fs.List("")
+	opt := RCOptions{HBTimeout: hbTimeout, StatePrefix: "rcstate"}
+	if rc, _, err := RecoverRC(fs, opt, nil); !errors.Is(err, ckpt.ErrLegacyFormat) {
+		if rc != nil {
+			rc.Close()
+		}
+		t.Fatalf("RecoverRC of a gob-era store: %v, want ckpt.ErrLegacyFormat", err)
+	}
+	if after := fs.List(""); !slices.Equal(before, after) {
+		t.Fatalf("a refused recovery changed the store: %v -> %v", before, after)
+	}
+	for _, g := range (ckpt.Rotation{Base: "rcstate"}).Generations(fs) {
+		if up, err := ckpt.Upgrade(fs, g, 0); !up || err != nil {
+			t.Fatalf("upgrade %s: upgraded %v, %v", g, up, err)
+		}
+	}
+	rc, report, err := RecoverRC(fs, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rc.Close)
+	if report.Gen != 2 || len(report.Quarantined) != 0 {
+		t.Fatalf("recovered from generation %d, quarantined %v; want the head, 2, and nothing", report.Gen, report.Quarantined)
 	}
 }
