@@ -138,13 +138,14 @@ loc:
 
 # The second line runs the 1-D path's (equality, containment, block
 # build), the CRC's, the metadata decoder's, the BT-shaped plan's, piece
-# exchange's and checksum's, the run enumerator's and the exact
-# accumulator's micro-benchmarks once each, so they stay compiling and
-# running (their numbers are for `go test -bench`).
+# exchange's and checksum's, the run enumerator's, the exact
+# accumulator's and the file store's small-write micro-benchmarks once
+# each, so they stay compiling and running (their numbers are for `go
+# test -bench`).
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench 'RangeEqual1D|SliceWithin1D|Block1D|Checksum|CRCCombine|TierCheck|ReadMeta|AssignPlannedBT|PieceExchangeBT|StorageRuns|AddSlice' -benchtime=1x \
-		./internal/rangeset ./internal/dist ./internal/crc ./internal/ckpt ./internal/array ./internal/xsum
+	$(GO) test -run '^$$' -bench 'RangeEqual1D|SliceWithin1D|Block1D|Checksum|CRCCombine|TierCheck|ReadMeta|AssignPlannedBT|PieceExchangeBT|StorageRuns|AddSlice|SmallFileWrite' -benchtime=1x \
+		./internal/rangeset ./internal/dist ./internal/crc ./internal/ckpt ./internal/array ./internal/xsum ./internal/pfs
 
 # Every fuzz target of the index-arithmetic, parser, CRC, exact-sum,
 # metadata-decoding, coordinator-record-decoding, SOP-header, msg-frame,

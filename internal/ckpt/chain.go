@@ -307,7 +307,7 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 	secLists := make([][]stream.SectionSum, len(arrays))
 	holders := tierHolders(co, comm.Size(), me)
 	for i, a := range arrays {
-		fs.BeginPhase("arrays:" + a.Name())
+		fs.BeginPhase(me, "arrays:"+a.Name())
 		opts := o
 		col := &locCollector{fs: fs, co: co, prefix: prefix, arr: a.Name(), gen: selfGen,
 			task: me, size: comm.Size(), id: chooseCodec(co.Codec), holders: holders}
@@ -358,7 +358,7 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 
 	// Phase 3: metadata, committed atomically via rename, written last.
 	if me == 0 {
-		fs.BeginPhase("meta")
+		fs.BeginPhase(me, "meta")
 		chainLen := 0
 		if delta {
 			chainLen = prev.ChainLen + 1
@@ -398,7 +398,7 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 // there, records the payload CRC (not a padded-file CRC) in the meta,
 // and still reports the modeled file size so state accounting holds.
 func writeSegmentPhase(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, co ChainOptions) (segBytes int64, segCRC uint64, err error) {
-	fs.BeginPhase("segment")
+	fs.BeginPhase(comm.Rank(), "segment")
 	if comm.Rank() == 0 {
 		payload, err := sg.Encode()
 		if err != nil {

@@ -302,6 +302,7 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	me, size := comm.Rank(), comm.Size()
 	start := time.Now()
 	defer func() { observeRead(me, st, start, err) }()
+	fs.BeginPhase(me, "segment") // the trace counts the metadata read with the segment's
 	if m, err = ReadMeta(fs, prefix, me); err != nil {
 		return m, st, err
 	}
@@ -315,7 +316,6 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	// from peer memory when the tier holds it, from the file otherwise.
 	// A survivor of a localized recovery has its own in memory and skips
 	// the read entirely.
-	fs.BeginPhase("segment")
 	if p.segment {
 		payload, segMem, segPFS, err := readSegment(fs, p.tier, prefix, me, selfNode, &m)
 		if err != nil {
@@ -341,7 +341,7 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	for i, am := range m.Arrays {
 		a := refs[i]
 		file := arrFile(prefix, am.Name)
-		fs.BeginPhase("arrays:" + am.Name)
+		fs.BeginPhase(me, "arrays:"+am.Name)
 		opts := o
 		fetcher := newPieceFetcher(fs, p.tier, prefix, am.Name, m.PieceLocs[i], me, selfNode)
 		opts.FetchPiece = fetcher.fetch
@@ -489,7 +489,7 @@ func WriteSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, a
 	defer func() { observeWrite(me, st, start, err) }()
 	sg.Ctx.Tasks = comm.Size()
 
-	fs.BeginPhase("segment")
+	fs.BeginPhase(me, "segment")
 	payload, err := sg.Encode()
 	if err != nil {
 		return st, err
@@ -515,7 +515,7 @@ func WriteSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, a
 		return st, err
 	}
 	if me == 0 {
-		fs.BeginPhase("meta")
+		fs.BeginPhase(me, "meta")
 		m := Meta{Version: metaVersion, Mode: ModeSPMD, Tasks: comm.Size(), Ctx: sg.Ctx}
 		for _, b := range records {
 			m.SegBytes = append(m.SegBytes, bytesI64(b[:8]))
@@ -541,6 +541,7 @@ func ReadSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, ar
 	me := comm.Rank()
 	start := time.Now()
 	defer func() { observeRead(me, st, start, err) }()
+	fs.BeginPhase(me, "segment") // the trace counts the metadata read with the segment's
 	m, err = ReadMeta(fs, prefix, me)
 	if err != nil {
 		return m, st, err
@@ -553,7 +554,6 @@ func ReadSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, ar
 			m.Tasks, comm.Size())
 	}
 
-	fs.BeginPhase("segment")
 	blob, crc, err := readSegmentFile(fs, prefix, taskSegFile(prefix, me), me, m.SegBytes[me])
 	if err != nil {
 		return m, st, err

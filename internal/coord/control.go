@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"time"
@@ -29,6 +30,16 @@ import (
 // spurious "protocol error"; 16 MiB comfortably covers any spec or
 // event batch while still bounding a hostile peer's memory use.
 const maxProtoLine = 16 << 20
+
+// newLineScanner reads the coordination wire's JSON lines from r. Its
+// buffer starts at 4 KiB, which holds every routine message, and doubles
+// as far as maxProtoLine only for the line that needs it: a connection
+// per TC incarnation costs 4 KiB, not 64.
+func newLineScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 4<<10), maxProtoLine)
+	return sc
+}
 
 // Request is one control message.
 type Request struct {
@@ -156,8 +167,7 @@ func serveJSONLines(ln net.Listener, handle func(Request) Response) {
 		}
 		go func() {
 			defer conn.Close()
-			sc := bufio.NewScanner(conn)
-			sc.Buffer(make([]byte, 64<<10), maxProtoLine)
+			sc := newLineScanner(conn)
 			enc := json.NewEncoder(conn)
 			for sc.Scan() {
 				var req Request
@@ -395,8 +405,7 @@ func DialControl(addr string) (*ControlClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), maxProtoLine)
+	sc := newLineScanner(conn)
 	return &ControlClient{conn: conn, sc: sc, enc: json.NewEncoder(conn)}, nil
 }
 

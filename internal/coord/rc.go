@@ -19,7 +19,6 @@
 package coord
 
 import (
-	"bufio"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -501,11 +500,7 @@ func (rc *RC) acceptLoop() {
 
 // serveTC handles one TC connection for its lifetime.
 func (rc *RC) serveTC(conn net.Conn) {
-	r := bufio.NewScanner(conn)
-	// Explicit line bound: the default 64 KiB cap would kill the
-	// connection under a large JSON message as a spurious "protocol
-	// error" (same bound as the control protocol).
-	r.Buffer(make([]byte, 64<<10), maxProtoLine)
+	r := newLineScanner(conn)
 	// Registration gets a grace period independent of the (tight) liveness
 	// deadline: a TC dialing into a loaded system may need longer than one
 	// heartbeat interval to get its hello out, and dropping it here would

@@ -1,6 +1,8 @@
 package coord
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -262,6 +264,47 @@ func TestControlSurvivesLargeRequestLine(t *testing.T) {
 	}
 	for _, tc := range tcs {
 		tc.Stop()
+	}
+}
+
+// TestLineScannerBound pins the wire's line bound on the scanner every
+// connection reads through, whose buffer starts at 4 KiB: a line of
+// maxProtoLine−1 bytes, whose newline fills the bound, still crosses a
+// TCP connection whole, and one of maxProtoLine+1 is still refused.
+func TestLineScannerBound(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for _, n := range []int{maxProtoLine - 1, maxProtoLine + 1} {
+		line := append(bytes.Repeat([]byte{'x'}, n), '\n')
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			conn.Write(line) // fails once a refusing reader hangs up
+		}()
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := newLineScanner(conn)
+		scanned := sc.Scan()
+		got, scanErr := len(sc.Bytes()), sc.Err()
+		conn.Close()
+		<-sent
+		if n < maxProtoLine && (!scanned || got != n) {
+			t.Fatalf("a %d-byte line: scanned %v, %d bytes, err %v", n, scanned, got, scanErr)
+		}
+		if n > maxProtoLine && (scanned || !errors.Is(scanErr, bufio.ErrTooLong)) {
+			t.Fatalf("a %d-byte line past the %d-byte bound: scanned %v, err %v", n, maxProtoLine, scanned, scanErr)
+		}
 	}
 }
 

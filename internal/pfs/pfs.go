@@ -5,8 +5,9 @@
 // parallel streaming requires, §3.2), and every operation can be recorded
 // to an I/O trace. The trace is what internal/sim replays through a
 // calibrated queueing model of PIOFS to regenerate the paper's timing
-// tables; this package itself stores real bytes and is used by the
-// functional tests and the live benchmarks.
+// tables; this package itself stores real bytes, in sparse chunks that
+// hold only the bytes written into them, and is used by the functional
+// tests and the live benchmarks.
 package pfs
 
 import (
@@ -52,13 +53,16 @@ type System struct {
 // only ever held zeros are not materialized, so the multi-megabyte
 // zero-padded regions of checkpoint segment files (the paper's class A
 // data segments run to 63-89 MB each) cost no memory while remaining
-// fully readable.
+// fully readable. A materialized chunk holds only its bytes up to the
+// end of the furthest write into it, a write's all-zero part past that
+// end excepted, so a small file costs its length, not chunkSize, however
+// far its padding runs.
 const chunkSize = 64 << 10
 
 type file struct {
 	mu     sync.RWMutex
 	size   int64
-	chunks map[int64][]byte // chunk index -> chunkSize bytes
+	chunks map[int64][]byte // chunk index -> its first bytes (at most chunkSize); the rest read as zeros
 }
 
 // writeLocked copies p into the file at off, materializing only chunks
@@ -72,39 +76,49 @@ func (f *file) writeLocked(p []byte, off int64) {
 		co := off % chunkSize
 		n = min(int64(len(p)), chunkSize-co)
 		part := p[:n]
-		ch, ok := f.chunks[ci]
-		if !ok {
-			if allZero(part) {
-				continue
+		ch := f.chunks[ci]
+		end := co + n
+		// Past a chunk's length (all of a chunk not materialized) bytes
+		// already read as zeros, so an all-zero part there is not stored.
+		if past := max(co, int64(len(ch))); end > past && allZero(part[past-co:]) {
+			if past == co {
+				continue // nothing to store
 			}
-			if f.chunks == nil {
-				f.chunks = make(map[int64][]byte)
+			end = past
+		}
+		if f.chunks == nil {
+			f.chunks = make(map[int64][]byte)
+		}
+		if len(ch) == 0 && co == 0 {
+			// A chunk a write opens is allocated by the copy, not
+			// cleared first and then overwritten.
+			f.chunks[ci] = bytes.Clone(part)
+			continue
+		}
+		if end > int64(len(ch)) {
+			if end > int64(cap(ch)) {
+				// Grow geometrically, so a chunk written front to back in
+				// small pieces copies each byte a bounded number of times.
+				ch = append(make([]byte, 0, min(chunkSize, max(end, 2*int64(len(ch))))), ch...)
 			}
-			if n == chunkSize {
-				// A whole new chunk is allocated by the copy, not cleared
-				// first and then overwritten.
-				f.chunks[ci] = bytes.Clone(part)
-				continue
-			}
-			ch = make([]byte, chunkSize)
+			ch = ch[:end] // past len, a chunk's capacity has only ever held zeros
 			f.chunks[ci] = ch
 		}
 		copy(ch[co:], part)
 	}
 }
 
-// readLocked fills p from the file at off; unmaterialized chunks read as
-// zeros. The caller has checked bounds.
+// readLocked fills p from the file at off; unmaterialized chunks, and
+// the bytes of a chunk past its length, read as zeros. The caller has
+// checked bounds.
 func (f *file) readLocked(p []byte, off int64) {
 	for len(p) > 0 {
 		ci := off / chunkSize
 		co := off % chunkSize
 		n := min(int64(len(p)), chunkSize-co)
-		if ch, ok := f.chunks[ci]; ok {
-			copy(p[:n], ch[co:co+n])
-		} else {
-			clear(p[:n])
-		}
+		ch := f.chunks[ci]
+		held := copy(p[:n], ch[min(co, int64(len(ch))):])
+		clear(p[held:n])
 		off += n
 		p = p[n:]
 	}
@@ -160,27 +174,24 @@ func (s *System) StopTrace() *Trace {
 	return t
 }
 
-// BeginPhase marks a named phase boundary in the active trace. Operations
-// recorded after BeginPhase belong to that phase. Phases are how the
-// replay model knows which operations were concurrent (within a phase)
-// versus ordered (across phases): the checkpoint engine brackets each
-// logical step — "segment write", "array u" — in a phase. SPMD tasks all
-// announce the same boundary; consecutive duplicates collapse into one
-// phase (callers barrier between phases so attribution is unambiguous).
-func (s *System) BeginPhase(name string) {
+// BeginPhase marks, in the active trace, that the client enters the named
+// phase: the operations it records from now on belong to that phase.
+// Phases are how the replay model knows which operations were concurrent
+// (within a phase) versus ordered (across phases): the checkpoint engine
+// brackets each logical step — "segment write", "array u" — in a phase.
+// SPMD tasks all announce the same boundary; a client joins the first
+// phase under that name opened after its own last one, so an operation
+// lands in its own client's phase however far ahead the others have run.
+// A client that has entered no phase records into the initial one.
+func (s *System) BeginPhase(client int, name string) {
 	if s.tr.Load() == nil {
 		return
 	}
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()
-	t := s.tr.Load() // reload: the trace may have stopped before the lock
-	if t == nil {
-		return
+	if t := s.tr.Load(); t != nil { // reload: the trace may have stopped before the lock
+		t.beginPhase(client, name)
 	}
-	if n := len(t.Phases); n > 0 && t.Phases[n-1] == name {
-		return
-	}
-	t.beginPhase(name)
 }
 
 func (s *System) record(op Op) {
@@ -322,15 +333,19 @@ func (s *System) RecordNet(client int, n int64) {
 	s.record(Op{Client: client, Net: true, Bytes: n})
 }
 
-// StoredBytes returns the physical memory materialized across all files
-// (at most the sum of the file sizes, thanks to sparse zero chunks).
+// StoredBytes returns the bytes materialized across all files: per
+// chunk, its bytes up to the last non-zero one. That is at most the sum
+// of the file sizes, thanks to sparse zero chunks, and a snapshot round
+// trip preserves it.
 func (s *System) StoredBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var n int64
 	for _, f := range s.files {
 		f.mu.RLock()
-		n += int64(len(f.chunks)) * chunkSize
+		for _, ch := range f.chunks {
+			n += int64(len(bytes.TrimRight(ch, "\x00")))
+		}
 		f.mu.RUnlock()
 	}
 	return n

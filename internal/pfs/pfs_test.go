@@ -147,7 +147,7 @@ func TestTraceRecordsPhasesAndOps(t *testing.T) {
 	s := small()
 	tr := s.StartTrace()
 	s.WriteAt(2, "f", []byte{1, 2}, 0)
-	s.BeginPhase("arrays")
+	s.BeginPhase(3, "arrays")
 	s.ReadAt(3, "f", make([]byte, 1), 1)
 	s.RecordNet(3, 512)
 	if got := s.StopTrace(); got != tr {
@@ -177,6 +177,60 @@ func TestTraceRecordsPhasesAndOps(t *testing.T) {
 	if ops := tr.PhaseOps(1); len(ops) != 2 {
 		t.Fatalf("PhaseOps(1) = %d ops", len(ops))
 	}
+}
+
+// TestPhaseFollowsItsClient interleaves two clients across phase
+// boundaries: an operation lands in the phase its own client last
+// entered, however far the other has run ahead; a client entering a
+// phase the other opened since its own last one joins it; and a name
+// entered again after that opens a new phase.
+func TestPhaseFollowsItsClient(t *testing.T) {
+	s := small()
+	check := func(tr *Trace, phases []string, at []int) {
+		t.Helper()
+		if fmt.Sprint(tr.Phases) != fmt.Sprint(phases) {
+			t.Fatalf("phases %q, want %q", tr.Phases, phases)
+		}
+		var got []int
+		for _, op := range tr.Ops {
+			got = append(got, op.Phase)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(at) {
+			t.Fatalf("operations in phases %v, want %v", got, at)
+		}
+	}
+	tr := s.StartTrace()
+	b := []byte{1}
+	s.WriteAt(0, "meta", b, 0)  // client 0 before any phase: 0
+	s.BeginPhase(0, "segment")  // opens 1
+	s.WriteAt(0, "seg", b, 0)   // 1
+	s.ReadAt(1, "meta", b, 0)   // client 1 has entered none yet: 0
+	s.BeginPhase(0, "arrays:u") // opens 2
+	s.BeginPhase(1, "segment")  // joins 1
+	s.ReadAt(1, "seg", b, 0)    // 1
+	s.WriteAt(0, "u", b, 0)     // 2
+	s.BeginPhase(1, "arrays:u") // joins 2
+	s.RecordNet(1, 8)           // 2
+	s.BeginPhase(1, "segment")  // client 1 leads the next round: opens 3
+	s.WriteAt(0, "u", b, 1)     // still 2
+	s.BeginPhase(0, "segment")  // joins 3, not its own earlier 1
+	s.WriteAt(0, "seg", b, 1)   // 3
+	s.StopTrace()
+	check(tr, []string{"", "segment", "arrays:u", "segment"}, []int{0, 1, 0, 1, 2, 2, 2, 3})
+
+	// A client a whole round behind joins its own round's phase, not the
+	// newest one under the name.
+	tr = s.StartTrace()
+	s.BeginPhase(1, "segment")  // opens 1
+	s.BeginPhase(1, "arrays:u") // opens 2
+	s.BeginPhase(1, "segment")  // opens 3
+	s.ReadAt(1, "seg", b, 0)    // 3
+	s.BeginPhase(0, "segment")  // joins 1
+	s.ReadAt(0, "seg", b, 0)    // 1
+	s.BeginPhase(0, "arrays:u") // joins 2
+	s.ReadAt(0, "u", b, 0)      // 2
+	s.StopTrace()
+	check(tr, []string{"", "segment", "arrays:u", "segment"}, []int{3, 1, 2})
 }
 
 func TestConcurrentTraceRecording(t *testing.T) {
@@ -363,8 +417,8 @@ func TestWholeChunkWrite(t *testing.T) {
 	if err := s.WriteAt(0, "f", data, off); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.StoredBytes(); got != 3*chunkSize {
-		t.Fatalf("StoredBytes = %d: the all-zero whole chunk must stay a hole, the other three materialize", got)
+	if got := s.StoredBytes(); got != 5*chunkSize/2 {
+		t.Fatalf("StoredBytes = %d: the all-zero whole chunk must stay a hole, the other three materialize up to the write's end", got)
 	}
 	// The caller's buffer is the caller's again once WriteAt returns.
 	for i := range data {
@@ -401,6 +455,121 @@ func TestWholeChunkWrite(t *testing.T) {
 	}
 	if !bytes.Equal(read(r), want) || r.StoredBytes() != s.StoredBytes() {
 		t.Fatal("snapshot of a whole-chunk write did not round-trip")
+	}
+}
+
+// TestChunkHoldsOnlyBytesWritten pins the chunk's footprint: a write
+// that opens a chunk allocates up to its own end and no further, a later
+// write past that end grows the chunk geometrically up to chunkSize, and
+// every byte the chunk does not hold reads as zero, before and after a
+// snapshot round trip.
+func TestChunkHoldsOnlyBytesWritten(t *testing.T) {
+	s := small()
+	want := make([]byte, chunkSize+40)
+	write := func(p []byte, off int64) {
+		t.Helper()
+		if err := s.WriteAt(0, "f", p, off); err != nil {
+			t.Fatal(err)
+		}
+		copy(want[off:], p)
+	}
+	chunk := func(ci int64) []byte {
+		f, err := s.get("f", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.chunks[ci]
+	}
+	fill := func(n int, v byte) []byte { return bytes.Repeat([]byte{v}, n) }
+
+	write(fill(300, 1), 0)
+	if got := len(chunk(0)); got != 300 {
+		t.Fatalf("a 300-byte write opened a %d-byte chunk", got)
+	}
+	write(fill(100, 2), 1000) // past the end: the gap reads as zeros
+	if c := chunk(0); len(c) != 1100 || cap(c) != 1100 {
+		t.Fatalf("after a write ending at 1100: len %d cap %d, want 1100 and max(1100, 2·300)", len(c), cap(c))
+	}
+	write(fill(10, 3), 1100)
+	if c := chunk(0); len(c) != 1110 || cap(c) != 2200 {
+		t.Fatalf("after a write ending at 1110: len %d cap %d, want 1110 and 2·1100", len(c), cap(c))
+	}
+	write(fill(20, 4), 500) // inside: no growth
+	if c := chunk(0); len(c) != 1110 || cap(c) != 2200 {
+		t.Fatalf("a write inside the chunk resized it: len %d cap %d", len(c), cap(c))
+	}
+	write(fill(50, 5), chunkSize-10) // to the chunk's end, and 40 bytes into the next
+	if c := chunk(0); len(c) != chunkSize || cap(c) != chunkSize {
+		t.Fatalf("a chunk grew to len %d cap %d, past chunkSize", len(c), cap(c))
+	}
+	if got := len(chunk(1)); got != 40 {
+		t.Fatalf("the straddling write opened a %d-byte second chunk, want 40", got)
+	}
+	write(fill(30, 6), 4000) // into the middle of a hole-free chunk's zeros
+	if got := s.StoredBytes(); got != chunkSize+40 {
+		t.Fatalf("StoredBytes = %d, want %d", got, chunkSize+40)
+	}
+	if !bytes.Equal(readAll(t, s, "f"), want) {
+		t.Fatal("file read back wrong")
+	}
+	var snap bytes.Buffer
+	if err := s.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	r := small()
+	if err := r.Load(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readAll(t, r, "f"), want) || r.StoredBytes() != s.StoredBytes() {
+		t.Fatal("snapshot did not round-trip")
+	}
+
+	// A segment file: a header, a payload, then zero padding to the
+	// modeled size, written in pieces. The padding stores nothing, and a
+	// zero write over the chunk's end clears only what the chunk holds.
+	seg := small()
+	segWant := make([]byte, 3*chunkSize)
+	for _, w := range []struct {
+		p   []byte
+		off int64
+	}{{fill(8, 7), 0}, {fill(249, 8), 8}, {make([]byte, 4<<10), 257}, {make([]byte, 3*chunkSize-(4<<10)-257), 257 + 4<<10}, {make([]byte, 100), 200}} {
+		if err := seg.WriteAt(0, "seg", w.p, w.off); err != nil {
+			t.Fatal(err)
+		}
+		copy(segWant[w.off:], w.p)
+	}
+	f, err := seg.get("seg", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.chunks) != 1 || len(f.chunks[0]) != 257 {
+		t.Fatalf("a 257-byte segment padded to 3 chunks holds %d chunks, the first %d bytes; want 1 of 257", len(f.chunks), len(f.chunks[0]))
+	}
+	if !bytes.Equal(readAll(t, seg, "seg"), segWant) || seg.StoredBytes() != 200 {
+		t.Fatalf("segment file read back wrong, or StoredBytes %d, want 200", seg.StoredBytes())
+	}
+}
+
+// BenchmarkSmallFileWrite writes eight files of 300 B to 8 KiB — the sizes
+// of metadata records, segments and coordinator records — each freshly
+// created, so allocs/op and B/op are what the store spends on small files.
+func BenchmarkSmallFileWrite(b *testing.B) {
+	s := small()
+	sizes := []int{300, 363, 257, 763, 1 << 10, 2 << 10, 4 << 10, 8 << 10}
+	data := bytes.Repeat([]byte{0xA5}, 8<<10)
+	names := make([]string, len(sizes))
+	for i := range names {
+		names[i] = fmt.Sprintf("f%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, n := range sizes {
+			s.Create(names[j])
+			if err := s.WriteAt(0, names[j], data[:n], 0); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

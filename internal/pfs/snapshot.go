@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -12,7 +13,8 @@ import (
 // Snapshot support: the file system's entire contents can be serialized
 // and restored, so checkpointed state survives process boundaries (the
 // paper's PIOFS is persistent by nature; this is our equivalent). Sparse
-// zero chunks stay sparse on the wire.
+// zero chunks stay sparse on the wire; a materialized chunk travels as
+// chunkSize bytes, its zero tail included, and loads without that tail.
 
 type snapshotWire struct {
 	Cfg   Config
@@ -34,7 +36,8 @@ func (s *System) Save(w io.Writer) error {
 		f.mu.RLock()
 		fw := fileWire{Size: f.size, Chunks: make(map[int64][]byte, len(f.chunks))}
 		for i, ch := range f.chunks {
-			fw.Chunks[i] = append([]byte(nil), ch...)
+			fw.Chunks[i] = make([]byte, chunkSize)
+			copy(fw.Chunks[i], ch)
 		}
 		f.mu.RUnlock()
 		wire.Files[name] = fw
@@ -84,7 +87,7 @@ func (s *System) Load(r io.Reader) error {
 				if len(ch) != chunkSize {
 					return fmt.Errorf("pfs: snapshot chunk %d of %q has %d bytes", i, name, len(ch))
 				}
-				f.chunks[i] = append([]byte(nil), ch...)
+				f.chunks[i] = bytes.Clone(bytes.TrimRight(ch, "\x00"))
 			}
 		}
 		s.files[name] = f

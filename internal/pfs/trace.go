@@ -21,19 +21,27 @@ type Op struct {
 type Trace struct {
 	Phases []string
 	Ops    []Op
+	at     map[int]int // client -> the phase it last entered; absent: 0
 }
 
 // NewTrace returns an empty trace with an initial unnamed phase.
 func NewTrace() *Trace {
-	return &Trace{Phases: []string{""}}
+	return &Trace{Phases: []string{""}, at: map[int]int{}}
 }
 
-func (t *Trace) beginPhase(name string) {
+func (t *Trace) beginPhase(client int, name string) {
+	for p := t.at[client] + 1; p < len(t.Phases); p++ {
+		if t.Phases[p] == name {
+			t.at[client] = p
+			return
+		}
+	}
 	t.Phases = append(t.Phases, name)
+	t.at[client] = len(t.Phases) - 1
 }
 
 func (t *Trace) add(op Op) {
-	op.Phase = len(t.Phases) - 1
+	op.Phase = t.at[op.Client]
 	op.Seq = len(t.Ops)
 	t.Ops = append(t.Ops, op)
 }

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"sync"
 )
 
 const (
@@ -32,11 +33,12 @@ const (
 
 // Acc is an exact sum. The zero value is an empty sum. Infinities and NaNs
 // are flagged, not added: any NaN, or both infinities, make the sum NaN,
-// and one infinity makes it that infinity.
+// and one infinity makes it that infinity. An Acc must not be copied after
+// its first Add: the copies would share one pooled table of pending terms.
 type Acc struct {
 	limbs   [nLimbs]int64 // normalized after every change: [0, 2^32) but the last, the sign
 	special uint8
-	p       *pending // allocated by the first Add
+	p       *pending // borrowed from pendingPool by the first Add, returned once folded
 }
 
 // pending holds the terms added since the last fold. Alternate terms go to
@@ -48,13 +50,17 @@ type pending struct {
 	steps  int
 }
 
+// pendingPool recycles pending tables: a table is 32 KiB, and a checksum
+// fills one per call. Every table in the pool is all zero.
+var pendingPool = sync.Pool{New: func() any { return new(pending) }}
+
 // Add adds x.
 func (a *Acc) Add(x float64) { a.AddSlice([]float64{x}) }
 
 // AddSlice adds every element of xs.
 func (a *Acc) AddSlice(xs []float64) {
 	if a.p == nil {
-		a.p = new(pending)
+		a.p = pendingPool.Get().(*pending)
 	}
 	p := a.p
 	for len(xs) > 0 {
@@ -137,6 +143,15 @@ func (a *Acc) fold() {
 	a.normalize()
 }
 
+// release folds the pending terms and returns the emptied table to the pool.
+func (a *Acc) release() {
+	a.fold()
+	if a.p != nil {
+		pendingPool.Put(a.p)
+		a.p = nil
+	}
+}
+
 // normalize carries every limb but the last into [0, 2^32).
 func (a *Acc) normalize() {
 	var c int64
@@ -149,7 +164,7 @@ func (a *Acc) normalize() {
 
 // AppendBinary appends a's FrameSize-byte frame to buf.
 func (a *Acc) AppendBinary(buf []byte) []byte {
-	a.fold()
+	a.release()
 	buf = append(buf, a.special)
 	for _, v := range a.limbs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
@@ -187,7 +202,7 @@ func (a *Acc) Float64() float64 {
 	default:
 		return math.NaN()
 	}
-	a.fold()
+	a.release()
 	var n, limb big.Int
 	for i := nLimbs - 1; i >= 0; i-- {
 		n.Add(n.Lsh(&n, 32), limb.SetInt64(a.limbs[i]))

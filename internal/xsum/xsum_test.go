@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -181,6 +182,56 @@ func TestLongSums(t *testing.T) {
 			t.Fatalf("%d terms in random slices: %v, want %v", len(xs), got, want)
 		}
 	}
+}
+
+// TestConcurrentAccumulators sums on several goroutines at once, so
+// pending tables pass between them through the pool. Each goroutine keeps
+// one accumulator across rounds — reading it, then adding the negated
+// terms to bring it back to zero — beside fresh ones: every sum must stay
+// exact, and under -race no table may be touched by two accumulators.
+func TestConcurrentAccumulators(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	sets := make([][]float64, 8)
+	for i := range sets {
+		sets[i] = make([]float64, 500+rng.Intn(5000))
+		for j := range sets[i] {
+			sets[i][j] = math.Float64frombits(rng.Uint64()&^(0x7FF<<52) | uint64(rng.Intn(expInf))<<52)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, xs := range sets {
+		wg.Add(1)
+		go func(xs []float64) {
+			defer wg.Done()
+			want := exact(xs)
+			neg := make([]float64, len(xs))
+			for i, x := range xs {
+				neg[i] = -x
+			}
+			var kept Acc
+			for range 20 {
+				var half Acc
+				half.AddSlice(xs[:len(xs)/2])
+				half.AddSlice(xs[len(xs)/2:])
+				merged, err := Decode(half.AppendBinary(nil))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				kept.AddSlice(xs)
+				if got, m := kept.Float64(), merged.Float64(); !same(got, want) || !same(m, want) {
+					t.Errorf("%d terms: %v kept, %v merged, want %v", len(xs), got, m, want)
+					return
+				}
+				kept.AddSlice(neg)
+				if got := kept.Float64(); got != 0 {
+					t.Errorf("%d terms less themselves: %v", len(xs), got)
+					return
+				}
+			}
+		}(xs)
+	}
+	wg.Wait()
 }
 
 func TestDecodeRejects(t *testing.T) {
