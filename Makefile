@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: check fmt vet lint loc test fuzz race chaos bench profile benchmark benchmark-compare benchmark-pairs smoke soak-controlplane
+.PHONY: check fmt vet lint loc rounds test fuzz race chaos bench profile benchmark benchmark-compare benchmark-pairs smoke soak-controlplane
 
 # The full pre-merge gauntlet: formatting, static checks, all tests,
 # the race detector over the concurrency-bearing packages, and the
@@ -135,6 +135,14 @@ loc:
 		printf '%-22s %6d\n' "$$d" "$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"; done
 	@printf '%-22s %6d\n' total "$$(ls internal/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@printf '%-22s %6d\n' 'assembly (*.s)' "$$(cat internal/*/*.s | wc -l)"
+
+# Every rank's sends per SOP kind — a checkpoint, the enabling SOP armed
+# and unarmed, a restore — on 3 tasks with a 32 KB array: the table
+# TestSOPRounds pins, printed by CI so a reviewer sees the rounds a
+# small SOP costs without a checkout. A changed count fails the test.
+rounds:
+	@out=$$($(GO) test -count=1 -run '^TestSOPRounds$$' -v ./internal/drms) || { echo "$$out"; exit 1; }; \
+		printf '%s\n' "$$out" | sed -n 's/^        \(..*\)/\1/p'
 
 # The second line runs the 1-D path's (equality, containment, block
 # build), the CRC's, the metadata decoder's, the BT-shaped plan's, piece

@@ -14,31 +14,60 @@ import (
 
 // TestSmallStateAllocation bounds the bytes a small application allocates
 // per steady cycle (a checkpoint and a checksum) and per restore: a 32 KB
-// float64 array on 3 tasks, two generations kept and restores verified,
-// the shape of the wall-clock benchmark's coord-recover workload. The
-// collector is off, so TotalAlloc counts every byte allocated; a restore
-// counts the least of five restarted runs. Each bound is the value
-// measured when it was set plus 25 %. A file store that
-// spends a 64 KiB chunk on every small file it touches, or an exact
-// checksum that allocates its 32 KiB table on every call, breaks them.
+// float64 array on 3 tasks, two generations kept, the shape of the
+// wall-clock benchmark's coord-recover workload — as the default
+// configuration writes it with restores verified, with localized
+// recovery's park snapshot refreshed at every SOP, and as an SPMD
+// checkpoint. The collector is off, so TotalAlloc counts every byte
+// allocated; a restore counts the least of five restarted runs. Each
+// bound is the value measured when it was set plus 25 %. A file store
+// that spends a 64 KiB chunk on every small file it touches, an exact
+// checksum that allocates its 32 KiB table on every call, a snapshot
+// that allocates a fresh copy of the local section per SOP, or a local
+// section encoded to measure its length or decoded through a temporary
+// breaks them.
 func TestSmallStateAllocation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  drms.Config
+		// Bytes per steady cycle over all tasks, and per restarted run
+		// (launch, restore, checksum): plain, then under the race
+		// detector, which allocates for its own bookkeeping and whose
+		// sync.Pool drops a quarter of what it is given at random (there
+		// the bounds are the most measured in eight runs plus 25 %).
+		ckpt, restore, raceCkpt, raceRestore uint64
+	}{
+		{"verified", drms.Config{Verify: true}, 87_000, 153_000, 175_000, 180_000},
+		{"park-snapshot", drms.Config{Verify: true, Partial: true}, 91_000, 206_000, 166_000, 295_000},
+		{"spmd", drms.Config{SPMDMode: true}, 122_000, 165_000, 211_000, 169_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ckptBound, restoreBound := tc.ckpt, tc.restore
+			if raceEnabled {
+				ckptBound, restoreBound = tc.raceCkpt, tc.raceRestore
+			}
+			perCkpt, perRestore := smallStateAllocation(t, tc.cfg)
+			t.Logf("%d bytes per checkpoint, %d per restore", perCkpt, perRestore)
+			if perCkpt > ckptBound {
+				t.Errorf("a steady checkpoint and checksum allocate %d bytes, bound %d", perCkpt, ckptBound)
+			}
+			if perRestore > restoreBound {
+				t.Errorf("a restore allocates %d bytes, bound %d", perRestore, restoreBound)
+			}
+		})
+	}
+}
+
+// smallStateAllocation measures TestSmallStateAllocation's two figures
+// under cfg (its Tasks, FS, Keep and RestartFrom are set here).
+func smallStateAllocation(t *testing.T, cfg drms.Config) (perCkpt, perRestore uint64) {
 	const (
 		n, tasks     = 4096, 3
 		warm, steady = 3, 20
 	)
-	// Bytes per steady cycle over all tasks, and per restarted run:
-	// launch, restore, checksum.
-	ckptBound, restoreBound := uint64(87_000), uint64(153_000)
-	if raceEnabled {
-		// The race detector allocates for its own bookkeeping, and its
-		// sync.Pool drops a quarter of what it is given at random: there
-		// the bounds are the most measured in eight runs plus 25 %.
-		ckptBound, restoreBound = 175_000, 180_000
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := rangeset.NewSlice(rangeset.Span(0, n-1))
 	fs := pfs.NewSystem(pfs.DefaultConfig())
-	var perCkpt uint64
 	body := func(restart bool) func(t *drms.Task) error {
 		return func(task *drms.Task) error {
 			d, err := dist.Block(g, []int{task.Tasks()})
@@ -81,7 +110,7 @@ func TestSmallStateAllocation(t *testing.T) {
 			return nil
 		}
 	}
-	cfg := drms.Config{Tasks: tasks, FS: fs, Keep: 2, Verify: true}
+	cfg.Tasks, cfg.FS, cfg.Keep, cfg.RestartFrom = tasks, fs, 2, ""
 	if err := drms.Run(cfg, body(false)); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +118,7 @@ func TestSmallStateAllocation(t *testing.T) {
 	if err := drms.Run(cfg, body(true)); err != nil { // builds the restore's plans
 		t.Fatal(err)
 	}
-	perRestore := uint64(math.MaxUint64)
+	perRestore = uint64(math.MaxUint64)
 	for range 5 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -99,11 +128,5 @@ func TestSmallStateAllocation(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perRestore = min(perRestore, after.TotalAlloc-before.TotalAlloc)
 	}
-	t.Logf("%d bytes per checkpoint, %d per restore", perCkpt, perRestore)
-	if perCkpt > ckptBound {
-		t.Errorf("a steady checkpoint and checksum allocate %d bytes, bound %d", perCkpt, ckptBound)
-	}
-	if perRestore > restoreBound {
-		t.Errorf("a restore allocates %d bytes, bound %d", perRestore, restoreBound)
-	}
+	return perCkpt, perRestore
 }

@@ -81,19 +81,34 @@ func getElem[T Elem](buf []byte) T {
 }
 
 // EncodeElems packs a value slice into its wire form.
-func EncodeElems[T Elem](vs []T) []byte {
-	es := ElemSize[T]()
-	out := make([]byte, len(vs)*es)
-	encodeRun(any(vs), out, 0, len(vs), 1)
-	return out
+func EncodeElems[T Elem](vs []T) []byte { return AppendElems(nil, vs) }
+
+// AppendElems appends the wire form of vs to dst.
+func AppendElems[T Elem](dst []byte, vs []T) []byte {
+	if hostLE {
+		return append(dst, rawBytes(vs)...)
+	}
+	n := len(dst)
+	dst = append(dst, make([]byte, len(vs)*ElemSize[T]())...)
+	encodeRun(any(vs), dst[n:], 0, len(vs), 1)
+	return dst
 }
 
 // DecodeElems unpacks a wire buffer into values.
 func DecodeElems[T Elem](buf []byte) []T {
-	es := ElemSize[T]()
-	out := make([]T, len(buf)/es)
-	decodeRun(any(out), buf, 0, len(out), 1)
+	out := make([]T, len(buf)/ElemSize[T]())
+	DecodeElemsInto(out, buf)
 	return out
+}
+
+// DecodeElemsInto unpacks the first len(dst) values of a wire buffer
+// into dst.
+func DecodeElemsInto[T Elem](dst []T, buf []byte) {
+	if hostLE {
+		copy(rawBytes(dst), buf)
+		return
+	}
+	decodeRun(any(dst), buf, 0, len(dst), 1)
 }
 
 // hostLE reports whether this host stores multi-byte values little-endian,

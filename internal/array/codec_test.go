@@ -10,10 +10,25 @@ import (
 // (putElem/getElem, which share no loop with them) on vals: every base and
 // length, stride 1 and strides that skip, compared as bytes so that NaN
 // payloads and the sign of zero count. Bytes past the run must stay as
-// they were, in both directions.
+// they were, in both directions. AppendElems keeps what it appends to,
+// and DecodeElemsInto fills exactly its destination.
 func codecRunsCase[T Elem](t *testing.T, vals []T) {
 	t.Helper()
 	es := ElemSize[T]()
+	whole := []byte{0xA5}
+	for _, v := range vals {
+		b := make([]byte, es)
+		putElem(b, v)
+		whole = append(whole, b...)
+	}
+	if got := AppendElems([]byte{0xA5}, vals); !bytes.Equal(got, whole) {
+		t.Fatalf("%T AppendElems:\n got %v\nwant %v", vals, got, whole)
+	}
+	back := make([]T, len(vals))
+	DecodeElemsInto(back[:len(vals)-1], whole[1:])
+	if got := AppendElems(nil, back[:len(vals)-1]); !bytes.Equal(got, whole[1:len(whole)-es]) || back[len(vals)-1] != 0 {
+		t.Fatalf("%T DecodeElemsInto: got %v", vals, back)
+	}
 	for stride := 1; stride <= 3; stride++ {
 		for base := 0; base < len(vals); base++ {
 			for n := 0; base+(n-1)*stride < len(vals); n++ {

@@ -27,10 +27,11 @@ type ArrayRef interface {
 	// of the full-array write plan (stream.SectionSums) — the owner-side
 	// dirtiness test of chained delta checkpoints. Purely local.
 	SectionSums(o stream.Options) ([]stream.SectionSum, error)
-	// LocalBytes encodes this task's local (mapped) storage — what an
-	// SPMD checkpoint saves per task.
-	LocalBytes() []byte
-	// SetLocalBytes restores this task's local storage.
+	// AppendLocalBytes appends the encoding of this task's local (mapped)
+	// storage — what an SPMD checkpoint saves per task — to dst. It is
+	// MappedElems()*ElemSize() bytes long.
+	AppendLocalBytes(dst []byte) []byte
+	// SetLocalBytes restores this task's local storage, decoding in place.
 	SetLocalBytes(b []byte) error
 	// MappedElems returns the local storage element count (for size
 	// models: assigned plus shadow).
@@ -70,8 +71,8 @@ func (r ref[T]) SectionSums(o stream.Options) ([]stream.SectionSum, error) {
 	return stream.SectionSums(r.a, r.a.Global(), o)
 }
 
-func (r ref[T]) LocalBytes() []byte {
-	return array.EncodeElems(r.a.Local())
+func (r ref[T]) AppendLocalBytes(dst []byte) []byte {
+	return array.AppendElems(dst, r.a.Local())
 }
 
 func (r ref[T]) SetLocalBytes(b []byte) error {
@@ -79,7 +80,7 @@ func (r ref[T]) SetLocalBytes(b []byte) error {
 	if len(b) != want {
 		return fmt.Errorf("local section of %q is %d bytes, got %d", r.a.Name(), want, len(b))
 	}
-	copy(r.a.Local(), array.DecodeElems[T](b))
+	array.DecodeElemsInto(r.a.Local(), b)
 	return nil
 }
 

@@ -330,9 +330,6 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 		st.NetBytes += s.NetBytes
 		st.StoredBytes += s.StoredBytes
 		metas[i] = ArrayMeta{Name: a.Name(), Kind: a.Kind(), Global: a.GlobalShape(), Bytes: s.StreamBytes}
-		if err := comm.Barrier(); err != nil { // phase boundary
-			return st, err
-		}
 		if locLists[i], secLists[i], err = gatherLocSums(comm, 0, col.locs, sums[i]); err != nil {
 			return st, err
 		}
@@ -385,18 +382,19 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 			ckptAnchorWrites.Inc()
 		}
 	}
-	if err := comm.Barrier(); err != nil {
-		return st, err
-	}
-	return st, nil
+	// The commit round: every task returns only after the meta is
+	// written, so any return means committed (the resize swap relies on it).
+	return st, comm.Barrier()
 }
 
-// writeSegmentPhase runs checkpoint phase 1 — the selected task writes
-// the single data segment — and synchronizes. segBytes/segCRC are
-// meaningful on rank 0 only. With a tier configured the raw payload is
-// also replicated into peer memory; a MemOnly generation publishes only
-// there, records the payload CRC (not a padded-file CRC) in the meta,
-// and still reports the modeled file size so state accounting holds.
+// writeSegmentPhase runs checkpoint phase 1: the selected task writes
+// the single data segment. No round ends it: the phase is a trace
+// marker, and nothing reads the segment before the meta commits.
+// segBytes/segCRC are meaningful on rank 0 only. With a tier configured
+// the raw payload is also replicated into peer memory; a MemOnly
+// generation publishes only there, records the payload CRC (not a
+// padded-file CRC) in the meta, and still reports the modeled file size
+// so state accounting holds.
 func writeSegmentPhase(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, co ChainOptions) (segBytes int64, segCRC uint64, err error) {
 	fs.BeginPhase(comm.Rank(), "segment")
 	if comm.Rank() == 0 {
@@ -422,7 +420,7 @@ func writeSegmentPhase(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Se
 			return 0, 0, err
 		}
 	}
-	return segBytes, segCRC, comm.Barrier()
+	return segBytes, segCRC, nil
 }
 
 // locCollector accumulates one task's piece locations for one array

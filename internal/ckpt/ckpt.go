@@ -37,7 +37,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -328,9 +327,6 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 		}
 		st.SegmentBytes = m.SegBytes[0]
 	}
-	if err := comm.Barrier(); err != nil { // phase boundary before the array loads
-		return m, st, err
-	}
 
 	// Arrays load under the current (possibly adjusted) distribution; the
 	// stream layout is distribution-independent. The array's bytes live in
@@ -338,12 +334,34 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	// generations (deltas) — or, tier permitting, in surviving peers'
 	// memory. The fetcher maps whatever extents this restore's own piece
 	// plan asks for onto the stored pieces.
+	fetchers := make([]*pieceFetcher, len(m.Arrays))
+	resident := make([]int64, len(m.Arrays)) // per array: how many tasks hold all of it in the tier
+	vote := p.tier != nil && !p.subset
+	for i, am := range m.Arrays {
+		fetchers[i] = newPieceFetcher(fs, p.tier, prefix, am.Name, m.PieceLocs[i], me, selfNode)
+		if vote && fetchers[i].allResident() {
+			resident[i] = 1
+		}
+	}
+	// Hot restore plan: an array every task finds wholly in peer memory
+	// (stores can drop under a concurrent node loss, so all vote, once for
+	// every array; without a tier nobody does) is replanned with one
+	// owner-sized piece per rank. Its exchange degenerates to local copies
+	// served from each rank's own store, the millisecond path; a changed
+	// layout only turns some into network pulls. A subset never replans:
+	// its filter addresses the writer's pieces by index.
+	if vote {
+		if resident, err = allSum(comm, resident...); err != nil {
+			return m, st, err
+		}
+	}
 	for i, am := range m.Arrays {
 		a := refs[i]
 		file := arrFile(prefix, am.Name)
 		fs.BeginPhase(me, "arrays:"+am.Name)
 		opts := o
-		fetcher := newPieceFetcher(fs, p.tier, prefix, am.Name, m.PieceLocs[i], me, selfNode)
+		fetcher := fetchers[i]
+		fetchers[i] = nil // its decoded-piece cache goes with this array
 		opts.FetchPiece = fetcher.fetch
 		// Every task checksums each piece it reads, once; checkPieces
 		// below judges them all.
@@ -352,37 +370,11 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 		loaded := am.Bytes // matchArrays proved the stream is this long
 		if p.subset {
 			// Count the restored bytes, not the stream's nominal size: the
-			// whole point is that only the needed pieces moved. A subset
-			// never replans: its filter addresses the writer's pieces by
-			// index.
+			// whole point is that only the needed pieces moved.
 			opts.Pieces, loaded = neededPieces(a, size, p.ranks, o, am.Bytes)
-		} else if p.tier != nil {
-			// Hot restore plan: when every piece of the array survives
-			// in peer memory (all tasks must agree — stores can drop
-			// under a concurrent node loss; whether there is a tier to
-			// ask is configuration, the same on every rank, so without
-			// one nobody votes), replan with one owner-sized
-			// piece per rank. The coarse plan's round distribution
-			// coincides with an equal-layout block distribution, so the
-			// redistribution exchange degenerates to local copies, and
-			// with owner-aligned placement the tier serves nearly every
-			// byte from the reading rank's own store: the restore costs
-			// metadata reads plus DRAM copies — the millisecond path. A
-			// changed layout or pool size just turns some of those
-			// copies into charged network pulls; correctness is
-			// unaffected.
-			hot := 0.0
-			if fetcher.allResident() {
-				hot = 1
-			}
-			agreed, err := comm.AllreduceF64(hot, msg.Min)
-			if err != nil {
-				return m, st, err
-			}
-			if elems := a.GlobalShape().Size(); agreed == 1 && elems > 0 && am.Bytes%int64(elems) == 0 {
-				es := int(am.Bytes / int64(elems))
-				opts.PieceBytes = (elems + size - 1) / size * es
-			}
+		}
+		if elems := a.GlobalShape().Size(); resident[i] == int64(size) && elems > 0 && am.Bytes%int64(elems) == 0 {
+			opts.PieceBytes = (elems + size - 1) / size * int(am.Bytes/int64(elems))
 		}
 		s, err := a.StreamRead(fs, file, opts)
 		if err != nil {
@@ -394,9 +386,6 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 		// sums them into the agreed totals.
 		st.TierMemBytes += fetcher.memBytes.Load()
 		st.TierPFSBytes += fetcher.pfsBytes.Load()
-		if err := comm.Barrier(); err != nil { // phase boundary
-			return m, st, err
-		}
 		// A verified restore (every subset is one) attributes a damaged
 		// piece, but only a piece whose extent matches the stored plan
 		// can be: under other streaming options the whole-stream CRC
@@ -419,18 +408,37 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	}
 	// Agree cluster-wide on where the restored bytes came from, so the
 	// restore-source classification (observeRead's tier counter, the
-	// supervisor's last-restore-source gauge) is identical on every
-	// task regardless of which ranks happened to hit peer memory.
-	memTotal, err := comm.AllreduceF64(float64(st.TierMemBytes), msg.Sum)
+	// supervisor's last-restore-source gauge) is identical on every task.
+	// This exchange is also the restore's closing synchronization.
+	tot, err := allSum(comm, st.TierMemBytes, st.TierPFSBytes)
 	if err != nil {
 		return m, st, err
 	}
-	pfsTotal, err := comm.AllreduceF64(float64(st.TierPFSBytes), msg.Sum)
-	if err != nil {
-		return m, st, err
+	st.TierMemBytes, st.TierPFSBytes = tot[0], tot[1]
+	return m, st, nil
+}
+
+// allSum is one Allgather of every task's vector v, summed element-wise
+// in rank order: the same totals on every task.
+func allSum(comm *msg.Comm, v ...int64) ([]int64, error) {
+	var b []byte
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, uint64(x))
 	}
-	st.TierMemBytes, st.TierPFSBytes = int64(memTotal), int64(pfsTotal)
-	return m, st, comm.Barrier()
+	frames, err := comm.Allgather(b)
+	if err != nil {
+		return nil, err
+	}
+	sum := make([]int64, len(v))
+	for r, f := range frames {
+		if len(f) != len(b) {
+			return nil, fmt.Errorf("ckpt: rank %d sent %d bytes to a %d-byte sum", r, len(f), len(b))
+		}
+		for i := range sum {
+			sum[i] += bytesI64(f[8*i:])
+		}
+	}
+	return sum, nil
 }
 
 // readSegment loads the one saved segment payload of a DRMS restore,
@@ -490,17 +498,15 @@ func WriteSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, a
 	sg.Ctx.Tasks = comm.Size()
 
 	fs.BeginPhase(me, "segment")
-	payload, err := sg.Encode()
+	blob, err := sg.Encode()
 	if err != nil {
 		return st, err
 	}
-	var blob bytes.Buffer
-	blob.Write(payload)
 	for _, a := range arrays {
-		blob.Write(a.LocalBytes())
+		blob = a.AppendLocalBytes(blob)
 	}
-	total := sg.FileSize(blob.Len())
-	crc, err := writeSegmentFile(fs, taskSegFile(prefix, me), me, blob.Bytes(), total)
+	total := sg.FileSize(len(blob))
+	crc, err := writeSegmentFile(fs, taskSegFile(prefix, me), me, blob, total)
 	if err != nil {
 		return st, err
 	}
@@ -509,7 +515,7 @@ func WriteSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, a
 		return st, err
 	}
 
-	record := append(i64Bytes(total), i64Bytes(int64(crc))...)
+	record := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, uint64(total)), crc)
 	records, err := comm.Gather(0, record)
 	if err != nil {
 		return st, err
@@ -523,7 +529,7 @@ func WriteSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, a
 		}
 		for _, a := range arrays {
 			m.Arrays = append(m.Arrays, ArrayMeta{Name: a.Name(), Kind: a.Kind(),
-				Global: a.GlobalShape(), Bytes: int64(len(a.LocalBytes()))})
+				Global: a.GlobalShape(), Bytes: int64(a.MappedElems() * a.ElemSize())})
 		}
 		if err := writeMeta(fs, prefix, me, m); err != nil {
 			return st, err
@@ -567,11 +573,7 @@ func ReadSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, ar
 	// local sizes come from the handles, whose distributions must match
 	// the checkpointing run (enforced by the equal task count plus the
 	// deterministic SPMD construction of distributions).
-	var tail int64
-	for _, a := range arrays {
-		tail += int64(len(a.LocalBytes()))
-	}
-	varsLen := int64(len(blob)) - tail
+	varsLen := int64(len(blob)) - LocalSectionBytes(arrays)
 	if varsLen < 0 {
 		return m, st, fmt.Errorf("ckpt: task %d segment too small for local sections", me)
 	}
@@ -580,7 +582,7 @@ func ReadSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, ar
 	}
 	off := varsLen
 	for _, a := range arrays {
-		n := int64(len(a.LocalBytes()))
+		n := int64(a.MappedElems() * a.ElemSize())
 		if err := a.SetLocalBytes(blob[off : off+n]); err != nil {
 			return m, st, fmt.Errorf("ckpt: restoring local section of %q: %w", a.Name(), err)
 		}
@@ -724,12 +726,6 @@ func readCRC(fs *pfs.System, name string, client int, sum uint64, off, n int64) 
 // of every task pad from the same megabyte of zeros instead of allocating
 // one each (the paper's class A segments pad by tens of megabytes).
 var zeroPad = make([]byte, padChunk)
-
-func i64Bytes(v int64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, uint64(v))
-	return b
-}
 
 func bytesI64(b []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(b))

@@ -256,6 +256,38 @@ func TestSPMDRejectsReconfiguredRestart(t *testing.T) {
 	})
 }
 
+// TestLocalSectionInPlace: an SPMD checkpoint and a park snapshot encode
+// a local section into a buffer they own, a restore decodes it straight
+// into the array's storage, and a length is arithmetic — none of it
+// allocates.
+func TestLocalSectionInPlace(t *testing.T) {
+	mustRun(t, 1, func(c *msg.Comm) {
+		_, refs, u, _ := buildApp(c, []int{1, 1})
+		u.Fill(coordVal)
+		a := refs[0]
+		buf := a.AppendLocalBytes(nil)
+		if len(buf) != a.MappedElems()*a.ElemSize() {
+			panic(fmt.Sprintf("encoded %d bytes of %d elements", len(buf), a.MappedElems()))
+		}
+		if n := testing.AllocsPerRun(10, func() { buf = a.AppendLocalBytes(buf[:0]) }); n != 0 {
+			panic(fmt.Sprintf("AppendLocalBytes into a large enough buffer: %v allocations", n))
+		}
+		u.Fill(func([]int) float64 { return 0 })
+		if n := testing.AllocsPerRun(10, func() {
+			if err := a.SetLocalBytes(buf); err != nil {
+				panic(err)
+			}
+		}); n != 0 {
+			panic(fmt.Sprintf("SetLocalBytes: %v allocations", n))
+		}
+		u.Mapped().Each(rangeset.ColMajor, func(cd []int) {
+			if u.At(cd) != coordVal(cd) {
+				panic(fmt.Sprintf("u%v = %v after SetLocalBytes, want %v", cd, u.At(cd), coordVal(cd)))
+			}
+		})
+	})
+}
+
 func TestDRMSValidatesArrayTable(t *testing.T) {
 	fs := testFS()
 	mustRun(t, 2, func(c *msg.Comm) {

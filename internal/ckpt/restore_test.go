@@ -105,35 +105,35 @@ var restoreShapes = []struct {
 }
 
 // restorePinned holds, per format/shape, each rank's
-// "sends:SegmentBytes/ArrayBytes/NetBytes/TierMemBytes/TierPFSBytes" as
-// measured on the readers this engine replaced (commit bdae8b6), less
-// one Allreduce per array of a verified full restore: its piece and
-// stream verdicts share one Gather and one Bcast (checkPieces). The
-// send counts are the collectives' fingerprint: a restore path that
-// gains one changes every rank's count. A full restore sends 18/14 when
-// no tier is configured and 22/16 with one: the difference is the
-// per-array residency vote. A partial restore's Gather and Bcast cost
-// what its Allreduce did. An upgraded v1 generation restores exactly
-// as a raw anchor: its full restores now count the array bytes in
-// TierPFSBytes too, where the v1 reader counted the segments alone
-// (1100/825).
+// "sends:SegmentBytes/ArrayBytes/NetBytes/TierMemBytes/TierPFSBytes".
+// The byte columns are those measured on the readers this engine
+// replaced (commit bdae8b6). The send counts are the collectives'
+// fingerprint: a restore path that gains one changes every rank's
+// count. A full restore sends 8/5 when no tier is configured and 10/6
+// with one: the difference is the residency vote, one Allgather for all
+// arrays. Besides the piece exchange, what is left is one integrity
+// round per array (checkPieces: a Gather and a Bcast) and the closing
+// Allgather of the tier byte totals; no barrier marks a phase. An
+// upgraded v1 generation restores exactly as a raw anchor: its full
+// restores count the array bytes in TierPFSBytes too, where the v1
+// reader counted the segments alone (1100/825).
 var restorePinned = map[string]string{
-	"v1-flat/full-same":                     "18:275/1728/216/0/2828 18:275/1728/216/0/2828 14:275/1728/216/0/2828 14:275/1728/216/0/2828",
-	"v1-flat/full-reconfigured":             "18:275/1728/432/0/2553 14:275/1728/144/0/2553 14:275/1728/288/0/2553",
-	"v1-flat/partial-one-rank":              "20:0/864/432/0/1139 20:0/864/432/0/1139 12:275/864/0/0/1139 12:0/864/0/0/1139",
-	"v1-flat/partial-two-ranks":             "18:0/1728/216/0/2278 18:275/1728/216/0/2278 14:0/1728/216/0/2278 14:275/1728/216/0/2278",
-	"chained-raw-anchor/full-same":          "18:275/1728/216/0/2828 18:275/1728/216/0/2828 14:275/1728/216/0/2828 14:275/1728/216/0/2828",
-	"chained-raw-anchor/full-reconfigured":  "18:275/1728/432/0/2553 14:275/1728/144/0/2553 14:275/1728/288/0/2553",
-	"chained-raw-anchor/partial-one-rank":   "20:0/864/432/0/1139 20:0/864/432/0/1139 12:275/864/0/0/1139 12:0/864/0/0/1139",
-	"chained-raw-anchor/partial-two-ranks":  "18:0/1728/216/0/2278 18:275/1728/216/0/2278 14:0/1728/216/0/2278 14:275/1728/216/0/2278",
-	"chained-flate-delta/full-same":         "18:275/1728/216/0/2828 18:275/1728/216/0/2828 14:275/1728/216/0/2828 14:275/1728/216/0/2828",
-	"chained-flate-delta/full-reconfigured": "18:275/1728/432/0/2553 14:275/1728/144/0/2553 14:275/1728/288/0/2553",
-	"chained-flate-delta/partial-one-rank":  "20:0/864/432/0/1139 20:0/864/432/0/1139 12:275/864/0/0/1139 12:0/864/0/0/1139",
-	"chained-flate-delta/partial-two-ranks": "18:0/1728/216/0/2278 18:275/1728/216/0/2278 14:0/1728/216/0/2278 14:275/1728/216/0/2278",
-	"memory-only/full-same":                 "22:275/1728/216/2764/0 22:275/1728/216/2764/0 16:275/1728/216/2764/0 16:275/1728/216/2764/0",
-	"memory-only/full-reconfigured":         "22:275/1728/432/2505/0 16:275/1728/144/2505/0 16:275/1728/288/2505/0",
-	"memory-only/partial-one-rank":          "20:0/864/432/1123/0 20:0/864/432/1123/0 12:275/864/0/1123/0 12:0/864/0/1123/0",
-	"memory-only/partial-two-ranks":         "18:0/1728/216/2246/0 18:275/1728/216/2246/0 14:0/1728/216/2246/0 14:275/1728/216/2246/0",
+	"v1-flat/full-same":                     "8:275/1728/216/0/2828 8:275/1728/216/0/2828 5:275/1728/216/0/2828 5:275/1728/216/0/2828",
+	"v1-flat/full-reconfigured":             "8:275/1728/432/0/2553 5:275/1728/144/0/2553 5:275/1728/288/0/2553",
+	"v1-flat/partial-one-rank":              "10:0/864/432/0/1139 10:0/864/432/0/1139 3:275/864/0/0/1139 3:0/864/0/0/1139",
+	"v1-flat/partial-two-ranks":             "8:0/1728/216/0/2278 8:275/1728/216/0/2278 5:0/1728/216/0/2278 5:275/1728/216/0/2278",
+	"chained-raw-anchor/full-same":          "8:275/1728/216/0/2828 8:275/1728/216/0/2828 5:275/1728/216/0/2828 5:275/1728/216/0/2828",
+	"chained-raw-anchor/full-reconfigured":  "8:275/1728/432/0/2553 5:275/1728/144/0/2553 5:275/1728/288/0/2553",
+	"chained-raw-anchor/partial-one-rank":   "10:0/864/432/0/1139 10:0/864/432/0/1139 3:275/864/0/0/1139 3:0/864/0/0/1139",
+	"chained-raw-anchor/partial-two-ranks":  "8:0/1728/216/0/2278 8:275/1728/216/0/2278 5:0/1728/216/0/2278 5:275/1728/216/0/2278",
+	"chained-flate-delta/full-same":         "8:275/1728/216/0/2828 8:275/1728/216/0/2828 5:275/1728/216/0/2828 5:275/1728/216/0/2828",
+	"chained-flate-delta/full-reconfigured": "8:275/1728/432/0/2553 5:275/1728/144/0/2553 5:275/1728/288/0/2553",
+	"chained-flate-delta/partial-one-rank":  "10:0/864/432/0/1139 10:0/864/432/0/1139 3:275/864/0/0/1139 3:0/864/0/0/1139",
+	"chained-flate-delta/partial-two-ranks": "8:0/1728/216/0/2278 8:275/1728/216/0/2278 5:0/1728/216/0/2278 5:275/1728/216/0/2278",
+	"memory-only/full-same":                 "10:275/1728/216/2764/0 10:275/1728/216/2764/0 6:275/1728/216/2764/0 6:275/1728/216/2764/0",
+	"memory-only/full-reconfigured":         "10:275/1728/432/2505/0 6:275/1728/144/2505/0 6:275/1728/288/2505/0",
+	"memory-only/partial-one-rank":          "10:0/864/432/1123/0 10:0/864/432/1123/0 3:275/864/0/1123/0 3:0/864/0/1123/0",
+	"memory-only/partial-two-ranks":         "8:0/1728/216/2246/0 8:275/1728/216/2246/0 5:0/1728/216/2246/0 5:275/1728/216/2246/0",
 }
 
 // holdsChainFill checks this rank's elements of buildApp's two arrays
@@ -235,8 +235,8 @@ func TestResidencyVoteNeedsATier(t *testing.T) {
 		tier  *MemTier
 		sends []int64
 	}{
-		{"no-tier", nil, []int64{18, 14, 14}},
-		{"every-piece-resident", tier, []int64{22, 16, 16}},
+		{"no-tier", nil, []int64{8, 5, 5}},
+		{"every-piece-resident", tier, []int64{10, 6, 6}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runCounted(t, 3, func(c *msg.Comm, sent func() int64) error {

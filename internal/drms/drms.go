@@ -97,9 +97,9 @@ type Config struct {
 	// retains (minimum 1, the default). Supervised applications keep at
 	// least 2, so a corrupt newest generation leaves an older fallback.
 	Keep int
-	// Verify makes restores check every streamed piece's CRC as it is
-	// read, surfacing a typed *ckpt.CorruptError naming the guilty
-	// generation and piece instead of loading torn bytes.
+	// Verify makes a damaged restore's *ckpt.CorruptError name the piece:
+	// every restore CRCs each piece it reads and the whole stream, and
+	// Verify adds per-piece attribution (ckpt.RestoreOptions.Verify).
 	Verify bool
 	// TCP selects the socket transport instead of in-process channels.
 	TCP bool
@@ -310,8 +310,8 @@ type Task struct {
 	// DemoteEvery rotation decision.
 	memRun map[string]int
 	// sawSOP / stopSOP implement collective stop delivery: every SOP
-	// agrees (through rank 0's header broadcast, the enabling SOP's
-	// reduction, or an explicit agreement on the restore paths) whether
+	// agrees (through rank 0's header broadcast, or its verdict
+	// broadcast on the enabling SOP and the restore paths) whether
 	// the system's stop request is visible to this epoch, and the verdict
 	// is latched here. StopRequested returns the latched verdict once an
 	// SOP has run, so a stop landing between two ranks' polls cannot
@@ -365,20 +365,28 @@ func (t *Task) latchStop(stop bool) {
 	t.stopSOP = t.stopSOP || stop
 }
 
-// agreeStop collectively latches the stop request on SOP paths that have
-// no header broadcast to ride (the restore paths): rank 0 samples the
-// flag and the reduction delivers one verdict to every task.
-func (t *Task) agreeStop() error {
-	var stop float64
-	if t.Rank() == 0 && t.handle.stopReq.Load() {
-		stop = 1
+// verdict broadcasts rank 0's decision at an SOP — bit 0 arms a
+// checkpoint (rank 0's arm; the others' is ignored), bit 1 is the
+// system's stop request, which every task latches. No other rank has a say.
+func (t *Task) verdict(arm bool) (bool, error) {
+	var w byte
+	if t.Rank() == 0 {
+		if arm {
+			w = 1
+		}
+		if t.handle.stopReq.Load() {
+			w |= 2
+		}
 	}
-	agreed, err := t.comm.AllreduceF64(stop, msg.Max)
+	b, err := t.comm.Bcast(0, []byte{w})
+	if err == nil && len(b) != 1 {
+		err = fmt.Errorf("drms: a %d-byte SOP verdict", len(b))
+	}
 	if err != nil {
-		return err
+		return false, err
 	}
-	t.latchStop(agreed != 0)
-	return nil
+	t.latchStop(b[0]&2 != 0)
+	return b[0]&1 != 0, nil
 }
 
 // NewArray declares a distributed array in the application's global data
@@ -428,29 +436,15 @@ func (t *Task) ReconfigChkEnable(prefix string) (Status, int, error) {
 	if st, delta, served, err := t.servePending(); served {
 		return st, delta, err
 	}
-	// Rank 0's decision word carries two agreed bits: bit 0 arms the
-	// checkpoint, bit 1 delivers the system's stop request collectively
-	// (even when no checkpoint is taken, the SOP must latch one stop
-	// verdict for every task).
-	var word float64
-	if t.Rank() == 0 {
-		if t.handle.enable.Swap(false) {
-			word = 1
-		} else if rs := t.handle.armedResize(); rs != nil && !rs.finished() {
-			// A pending system-initiated resize forces the checkpoint:
-			// the swap can only ride a committed generation.
-			word = 1
-		}
-		if t.handle.stopReq.Load() {
-			word += 2
-		}
-	}
-	agreed, err := t.comm.AllreduceF64(word, msg.Max)
+	// Rank 0 arms the checkpoint when the system enabled it, or when a
+	// pending system-initiated resize forces it: the swap can only ride a
+	// committed generation.
+	rs := t.handle.armedResize()
+	armed, err := t.verdict(t.Rank() == 0 && (t.handle.enable.Swap(false) || rs != nil && !rs.finished()))
 	if err != nil {
 		return Failed, 0, err
 	}
-	if int(agreed)&1 == 0 {
-		t.latchStop(agreed >= 2)
+	if !armed {
 		return Continued, 0, nil
 	}
 	if err := t.write(prefix); err != nil {

@@ -32,9 +32,10 @@ type parkSnapshot struct {
 }
 
 // snapshot captures the park snapshot after a committed checkpoint or
-// restore (Config.Partial runs only). Best-effort: a failed capture
-// clears the snapshot, and the task then restores from the checkpoint
-// like a replacement would.
+// restore (Config.Partial runs only), re-encoding each array into the
+// previous snapshot's buffer. Best-effort: a failed capture clears the
+// snapshot, and the task then restores from the checkpoint like a
+// replacement would.
 func (t *Task) snapshot(gen string) {
 	if !t.cfg.Partial {
 		return
@@ -44,11 +45,13 @@ func (t *Task) snapshot(gen string) {
 		t.snap = nil
 		return
 	}
-	arrs := make(map[string][]byte, len(t.arrays))
-	for _, a := range t.arrays {
-		arrs[a.Name()] = a.LocalBytes()
+	if t.snap == nil {
+		t.snap = &parkSnapshot{arrays: make(map[string][]byte, len(t.arrays))}
 	}
-	t.snap = &parkSnapshot{gen: gen, seg: payload, arrays: arrs}
+	t.snap.gen, t.snap.seg = gen, payload
+	for _, a := range t.arrays {
+		t.snap.arrays[a.Name()] = a.AppendLocalBytes(t.snap.arrays[a.Name()][:0])
+	}
 }
 
 // PartialStats reports what one completed partial recovery did.

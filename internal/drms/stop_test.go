@@ -13,18 +13,51 @@ import (
 // 1 polls before the request is made, rank 0 polls after — that, with a
 // raw per-rank flag read, made rank 0 exit while rank 1 blocked forever
 // in the next Barrier. With the SOP-latched verdict both ranks observe
-// the stop at the same (next) SOP and exit together.
+// the stop at the same (next) SOP and exit together. Each way an SOP
+// agrees on the verdict gets the same interleaving: a checkpoint's
+// header broadcast, and rank 0's verdict broadcast (Task.verdict) at an
+// unarmed enabling SOP and at a restore.
 func TestStopDeliveredCollectively(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		restart bool // the first SOP serves a restore of "job"
+		sop     func(t *Task) (Status, int, error)
+	}{
+		{"ReconfigCheckpoint", false, func(t *Task) (Status, int, error) { return t.ReconfigCheckpoint("job") }},
+		{"ReconfigChkEnable-unarmed", false, func(t *Task) (Status, int, error) { return t.ReconfigChkEnable("job") }},
+		{"restore", true, func(t *Task) (Status, int, error) { return t.ReconfigCheckpoint("job") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { stopAtTheSameSOP(t, tc.restart, tc.sop) })
+	}
+}
+
+func stopAtTheSameSOP(t *testing.T, restart bool, sop func(t *Task) (Status, int, error)) {
 	fs := testFS()
+	cfg := Config{Tasks: 2, FS: fs}
+	if restart {
+		if err := Run(cfg, func(t *Task) error {
+			iter := 0
+			t.Register("iter", &iter)
+			_, _, err := t.ReconfigCheckpoint("job")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		cfg.RestartFrom = "job"
+	}
 	var rank1Polled, stopStored atomic.Bool
 	var exitIter [2]atomic.Int64
-	h, err := Start(Config{Tasks: 2, FS: fs}, func(t *Task) error {
+	h, err := Start(cfg, func(t *Task) error {
 		iter := 0
 		t.Register("iter", &iter)
 		for {
 			if iter%2 == 0 {
-				if _, _, err := t.ReconfigCheckpoint("job"); err != nil {
+				st, _, err := sop(t)
+				if err != nil {
 					return err
+				}
+				if want := restart && iter == 0; (st == Restored) != want {
+					return fmt.Errorf("iteration %d: SOP status %v", iter, st)
 				}
 				if iter == 0 {
 					// Serialize the polls around the stop request: rank 1
