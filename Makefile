@@ -136,10 +136,12 @@ loc:
 	@printf '%-22s %6d\n' total "$$(ls internal/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@printf '%-22s %6d\n' 'assembly (*.s)' "$$(cat internal/*/*.s | wc -l)"
 
-# Every rank's sends per SOP kind — a checkpoint, the enabling SOP armed
-# and unarmed, a restore — on 3 tasks with a 32 KB array: the table
-# TestSOPRounds pins, printed by CI so a reviewer sees the rounds a
-# small SOP costs without a checkout. A changed count fails the test.
+# Every rank's sends per SOP kind — an anchor checkpoint, a delta, the
+# enabling SOP armed and unarmed, a restore — on 4 tasks with one 32 KB
+# array and with two: the table TestSOPRounds pins, printed by CI so a
+# reviewer sees the rounds a small SOP costs, and that they do not grow
+# with the array count, without a checkout. A changed count fails the
+# test.
 rounds:
 	@out=$$($(GO) test -count=1 -run '^TestSOPRounds$$' -v ./internal/drms) || { echo "$$out"; exit 1; }; \
 		printf '%s\n' "$$out" | sed -n 's/^        \(..*\)/\1/p'
@@ -155,18 +157,16 @@ test:
 	$(GO) test -run '^$$' -bench 'RangeEqual1D|SliceWithin1D|Block1D|Checksum|CRCCombine|TierCheck|ReadMeta|AssignPlannedBT|PieceExchangeBT|StorageRuns|AddSlice|SmallFileWrite' -benchtime=1x \
 		./internal/rangeset ./internal/dist ./internal/crc ./internal/ckpt ./internal/array ./internal/xsum ./internal/pfs
 
-# Every fuzz target of the index-arithmetic, parser, CRC, exact-sum,
-# metadata-decoding, coordinator-record-decoding, SOP-header, msg-frame,
-# piece-codec and pfs-snapshot packages, one after the other for FUZZTIME
+# Every fuzz target of the module, one after the other for FUZZTIME
 # each, stopping at the first crasher (`go test` alone, and so `make
-# test`, runs their seeds only). The targets are found, not listed: a new
-# Fuzz* function in these packages is fuzzed from the day it lands.
-# Minimizing a new corpus entry gets 5 s, not Go's 60 s default, so a
-# short FUZZTIME is spent fuzzing. CI runs this nightly with
-# FUZZTIME=60s.
+# test`, runs their seeds only). Packages and targets are found, not
+# listed: a new Fuzz* function is fuzzed from the day it lands, in a
+# package that had none before too. Minimizing a new corpus entry gets
+# 5 s, not Go's 60 s default, so a short FUZZTIME is spent fuzzing. CI
+# runs this nightly with FUZZTIME=60s.
 fuzz:
-	@set -e; for pkg in ./internal/rangeset ./internal/spec ./internal/array ./internal/crc ./internal/xsum ./internal/ckpt ./internal/coord \
-		./internal/drms ./internal/msg ./internal/codec ./internal/pfs; do \
+	@set -e; for pkg in $$(grep -rlE --include='*_test.go' --exclude-dir=.bench_build --exclude-dir=.git '^func Fuzz' . \
+		| xargs -n1 dirname | sort -u); do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 5s $$pkg; \

@@ -112,11 +112,9 @@ type ChainOptions struct {
 	// checkpoint is demoted to an anchor, like one against any base
 	// without fingerprints. The zero value fingerprints every write.
 	NoDeltaBase bool
-	// PrevMeta, if non-nil at task 0, supplies Prev's metadata without a
-	// storage read — the commit path passes back what it cached from its
-	// own previous write (Stats.Meta). It must be the committed metadata
-	// of Prev; compatibility is still validated. Ignored on other tasks,
-	// which receive the delta base by broadcast either way.
+	// PrevMeta, if non-nil at task 0, is Prev's committed metadata — the
+	// commit path's Stats.Meta of its previous write — saving a read;
+	// compatibility is still validated. No other task needs the base.
 	PrevMeta *Meta
 	// Tier, if non-nil, is the hot in-memory checkpoint tier: every
 	// written piece and the segment payload are replicated into
@@ -218,77 +216,28 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 
 	base, selfGen := genBase(prefix)
 
-	// Load the delta base: rank 0 reads the previous meta (one small read
-	// on the shared store instead of one per task) and broadcasts it, so
-	// every task decides delta eligibility from identical bytes. Only a
-	// delta has a use for it.
-	var prev *Meta
-	if co.Delta {
-		if prev, err = bcastPrevMeta(fs, comm, base, co.Prev, co.PrevMeta, len(arrays)); err != nil {
-			return st, err
-		}
-	}
-	delta := prev != nil
-
-	// Owner-side dirtiness: every task fingerprints its own contribution
-	// to every piece of every array (purely local, stream.SectionSums),
-	// diffs against the previous generation's fingerprints, and a single
-	// gather+broadcast merges the per-task dirty sets. A piece must be
-	// rewritten iff some task's contribution to it changed — in content,
-	// extent, or existence — so clean pieces are carried forward by
-	// back-pointer without being redistributed, packed, or hashed again.
-	// The fingerprints serve this delta's diff and the next one's; when
-	// neither exists they are not computed.
-	fingerprint := delta || !co.NoDeltaBase
+	// Every task fingerprints its own contribution to every piece
+	// (stream.SectionSums, local) for this delta's diff and the next's.
 	sums := make([][]stream.SectionSum, len(arrays))
 	sigs := make([]string, len(arrays))
-	eligible := make([]bool, len(arrays))
 	for i, a := range arrays {
 		sigs[i] = stream.PlanSig(a.GlobalShape(), a.ElemSize(), comm.Size(), o)
-		if fingerprint {
+		if co.Delta || !co.NoDeltaBase {
 			if sums[i], err = a.SectionSums(o); err != nil {
 				return st, err
 			}
 		}
-		// Plan-signature equality guarantees both generations use the
-		// identical piece decomposition and offsets, so per-piece diffing
-		// across them is sound.
-		eligible[i] = delta && prev.Arrays[i].Name == a.Name() &&
-			len(prev.PlanSigs) > i && prev.PlanSigs[i] == sigs[i] &&
-			len(prev.Sections) > i
 	}
-	// A base no array can be diffed against — no fingerprints, another
-	// plan — is no base: this generation is an anchor in name too.
-	delta = slices.Contains(eligible, true)
-	dirty := make([][]int, len(arrays))
-	if delta { // all tasks agree: eligibility is computed from broadcast state
-		if dirty, err = mergeDirty(comm, prev, sums, eligible); err != nil {
+	// Only the dirty pieces of an array a delta covers stream; clean ones
+	// are carried forward by back-pointer, neither moved nor hashed again.
+	filters := make([][]int, len(arrays))
+	var prev *Meta                     // rank 0: the delta base (nil: none)
+	var secLists [][]stream.SectionSum // rank 0: every task's fingerprints
+	if co.Delta {
+		if prev, secLists, err = decideDelta(fs, comm, base, arrays, sigs, sums, filters, co); err != nil {
 			return st, err
 		}
-	}
-
-	// A write-through generation must be a complete pfs fallback: any
-	// carried-forward location still pointing into a memory-only
-	// generation is force-dirtied so its bytes land on disk now
-	// (demotion). Deterministic — every task derives the same set from
-	// the broadcast delta base.
-	if !co.MemOnly {
-		for i := range arrays {
-			if !eligible[i] {
-				continue
-			}
-			have := make(map[int]bool, len(dirty[i]))
-			for _, pi := range dirty[i] {
-				have[pi] = true
-			}
-			for _, l := range prev.PieceLocs[i] {
-				if l.Where == TierMem && !have[l.Index] {
-					dirty[i] = append(dirty[i], l.Index)
-					have[l.Index] = true
-				}
-			}
-			sort.Ints(dirty[i])
-		}
+		sums = make([][]stream.SectionSum, len(arrays)) // rank 0 has them: not gathered twice
 	}
 
 	// Phase 1: the selected task writes the data segment (always raw,
@@ -302,9 +251,7 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 	// Phase 2: arrays, streamed with the encode stage in the pipeline.
 	// Delta-eligible arrays stream only their dirty pieces.
 	metas := make([]ArrayMeta, len(arrays))
-	crcs := make([]uint64, len(arrays))
 	locLists := make([][]PieceLoc, len(arrays))
-	secLists := make([][]stream.SectionSum, len(arrays))
 	holders := tierHolders(co, comm.Size(), me)
 	for i, a := range arrays {
 		fs.BeginPhase(me, "arrays:"+a.Name())
@@ -316,12 +263,7 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 		if co.Tier != nil {
 			opts.PieceOwners = func(owners []int) { col.owners = owners }
 		}
-		if eligible[i] {
-			opts.Pieces = dirty[i]
-			if opts.Pieces == nil {
-				opts.Pieces = []int{} // nothing dirty: stream no pieces at all
-			}
-		}
+		opts.Pieces = filters[i]
 		s, err := a.StreamWrite(fs, arrFile(prefix, a.Name()), opts)
 		if err != nil {
 			return st, fmt.Errorf("ckpt: streaming array %q: %w", a.Name(), err)
@@ -330,41 +272,46 @@ func WriteDRMSChained(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Seg
 		st.NetBytes += s.NetBytes
 		st.StoredBytes += s.StoredBytes
 		metas[i] = ArrayMeta{Name: a.Name(), Kind: a.Kind(), Global: a.GlobalShape(), Bytes: s.StreamBytes}
-		if locLists[i], secLists[i], err = gatherLocSums(comm, 0, col.locs, sums[i]); err != nil {
-			return st, err
-		}
-		if me == 0 && eligible[i] {
-			// Clean pieces become back-pointers: the previous generation's
-			// location records are carried forward verbatim — same extent,
-			// same codec, same stored bytes, wherever they already live.
-			ds := make(map[int]bool, len(dirty[i]))
-			for _, pi := range dirty[i] {
-				ds[pi] = true
-			}
-			for _, l := range prev.PieceLocs[i] {
-				if !ds[l.Index] {
-					locLists[i] = append(locLists[i], l)
-					st.SkippedBytes += l.Bytes
-					ckptPiecesReferenced.Inc()
-				}
-			}
-			sort.Slice(locLists[i], func(a, b int) bool { return locLists[i][a].Index < locLists[i][b].Index })
-		}
-		crcs[i] = combineLocs(locLists[i])
+		locLists[i] = col.locs
+	}
+	// One gather brings rank 0 every array's locations, and the
+	// fingerprints unless the delta decision brought them already.
+	locLists, gathered, err := gatherLocSums(comm, locLists, sums)
+	if err != nil {
+		return st, err
 	}
 
 	// Phase 3: metadata, committed atomically via rename, written last.
 	if me == 0 {
 		fs.BeginPhase(me, "meta")
 		chainLen := 0
-		if delta {
-			chainLen = prev.ChainLen + 1
+		crcs := make([]uint64, len(arrays))
+		for i := range locLists {
+			if filters[i] != nil {
+				// Clean pieces become back-pointers: the previous
+				// generation's location records are carried forward
+				// verbatim — same extent, same codec, same stored bytes,
+				// wherever they already live.
+				chainLen = prev.ChainLen + 1
+				for _, l := range prev.PieceLocs[i] {
+					if _, dirty := slices.BinarySearch(filters[i], l.Index); !dirty {
+						locLists[i] = append(locLists[i], l)
+						st.SkippedBytes += l.Bytes
+						ckptPiecesReferenced.Inc()
+					}
+				}
+				sort.Slice(locLists[i], func(a, b int) bool { return locLists[i][a].Index < locLists[i][b].Index })
+			}
+			crcs[i] = combineLocs(locLists[i])
+		}
+		if !co.Delta {
+			secLists = gathered
 		}
 		segWhere := TierPFS
 		if co.MemOnly {
 			segWhere = TierMem
 		}
-		if !fingerprint {
+		if prev == nil && co.NoDeltaBase {
 			secLists = nil // an empty table is how a reader knows: no delta base
 		}
 		m := Meta{Version: metaVersion, Mode: ModeDRMS, Tasks: comm.Size(),
@@ -520,143 +467,152 @@ func (c *locCollector) encode(idx int, off int64, data []byte) (stream.Encoded, 
 	return stream.Encoded{Data: out, File: c.file, Off: loc.FileOff}, nil
 }
 
-// bcastPrevMeta loads the delta base: rank 0 reads the previous
-// generation's metadata, validates compatibility (same rotation base,
-// same task count, same array count), and broadcasts
-// the result — nil when there is no usable base. Collective.
-func bcastPrevMeta(fs *pfs.System, comm *msg.Comm, base, prevName string, prevMeta *Meta, nArrays int) (*Meta, error) {
-	if prevName == "" {
-		return nil, nil
-	}
-	var payload []byte
-	if comm.Rank() == 0 {
-		if pb, _, ok := GenOf(prevName); ok && pb == base {
-			m, err := prevMeta, error(nil)
-			if m == nil {
-				var read Meta
-				if read, err = ReadMeta(fs, prevName, comm.Rank()); err == nil {
-					m = &read
+// decideDelta is a delta's decision round (decideAtRoot): rank 0 alone
+// loads the base, diffs every task's fingerprints of each array a delta
+// can cover against it, adds the demotions, and every task gets each
+// array's piece filter. Rank 0 also returns the base (nil: none) and the
+// fingerprints, sorted by piece then task: the metadata's Sections.
+func decideDelta(fs *pfs.System, comm *msg.Comm, base string, arrays []ArrayRef, sigs []string, sums [][]stream.SectionSum, filters [][]int, co ChainOptions) (prev *Meta, all [][]stream.SectionSum, err error) {
+	frame, _ := locSumsFrames(false, nil, make([][]PieceLoc, len(arrays)), sums)
+	payload, err := decideAtRoot(comm, frame, func(parts [][]byte) ([]byte, error) {
+		_, sums, err := mergeLocSums(parts, len(arrays))
+		if err != nil {
+			return nil, err
+		}
+		all, prev = sums, deltaBase(fs, base, co, comm.Size(), len(arrays))
+		for i, a := range arrays {
+			// Plan-signature equality guarantees both generations use the
+			// identical piece decomposition and offsets, so per-piece
+			// diffing across them is sound.
+			if prev == nil || prev.Arrays[i].Name != a.Name() || len(prev.PlanSigs) <= i ||
+				prev.PlanSigs[i] != sigs[i] || len(prev.Sections) <= i {
+				continue
+			}
+			dirty := dirtyPieces(prev.Sections[i], all[i])
+			if !co.MemOnly {
+				// A write-through generation must be a complete pfs
+				// fallback: a carried-forward location still pointing into
+				// a memory-only generation is force-dirtied so its bytes
+				// land on disk now (demotion).
+				for _, l := range prev.PieceLocs[i] {
+					if l.Where == TierMem {
+						dirty = append(dirty, l.Index)
+					}
 				}
 			}
-			if err == nil && m.Mode == ModeDRMS && m.Tasks == comm.Size() && len(m.PieceLocs) == nArrays {
-				payload = encodeMeta(m)
+			slices.Sort(dirty)
+			filters[i] = slices.Compact(dirty)
+		}
+		return pieceFilters(false, nil, filters)
+	})
+	if err == nil {
+		if _, err = pieceFilters(true, payload, filters); err != nil {
+			err = fmt.Errorf("ckpt: decoding the delta decision: %w", err)
+		}
+	}
+	return prev, all, err
+}
+
+// deltaBase is co.Prev's metadata — co.PrevMeta, or one read — or nil
+// when it is no usable base: another rotation, mode, task or array count.
+func deltaBase(fs *pfs.System, base string, co ChainOptions, tasks, nArrays int) (m *Meta) {
+	if pb, _, ok := GenOf(co.Prev); ok && pb == base {
+		if m = co.PrevMeta; m == nil {
+			if read, err := ReadMeta(fs, co.Prev, 0); err == nil {
+				m = &read
 			}
 		}
 	}
-	payload, err := comm.Bcast(0, payload)
-	if err != nil {
-		return nil, err
+	if m == nil || m.Mode != ModeDRMS || m.Tasks != tasks || len(m.PieceLocs) != nArrays {
+		return nil
 	}
-	if len(payload) == 0 {
-		return nil, nil
-	}
-	m, err := decodeMeta(payload, prevName)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: decoding delta base: %w", err)
-	}
-	return &m, nil
+	return m
 }
 
-// localDirty diffs one task's current piece fingerprints against the
-// previous generation's entries for the same task: a piece is locally
-// dirty when this task's contribution changed content or extent,
-// appeared, or disappeared. The union over tasks is exactly the set of
-// pieces whose stream bytes may differ — any content change lives in
-// some owner's contribution, and any ownership change alters at least
-// one task's extent or existence.
-func localDirty(prevSums, cur []stream.SectionSum, task int) []int {
-	old := make(map[int]stream.SectionSum, len(prevSums))
-	for _, s := range prevSums {
-		if s.Task == task {
-			old[s.Piece] = s
-		}
+// dirtyPieces lists, non-nil, unordered and with repeats, the pieces of
+// one array some task's contribution to which changed content or extent,
+// appeared or disappeared: the pieces whose stream bytes may differ.
+func dirtyPieces(prev, cur []stream.SectionSum) []int {
+	type key struct{ piece, task int }
+	old := make(map[key]stream.SectionSum, len(prev))
+	for _, s := range prev {
+		old[key{s.Piece, s.Task}] = s
 	}
-	var dirty []int
-	seen := make(map[int]bool, len(cur))
+	dirty := []int{}
 	for _, s := range cur {
-		if p, ok := old[s.Piece]; !ok || p.Bytes != s.Bytes || p.CRC != s.CRC {
+		k := key{s.Piece, s.Task}
+		if p, ok := old[k]; !ok || p.Bytes != s.Bytes || p.CRC != s.CRC {
 			dirty = append(dirty, s.Piece)
 		}
-		seen[s.Piece] = true
+		delete(old, k)
 	}
-	for pi := range old {
-		if !seen[pi] {
-			dirty = append(dirty, pi)
-		}
+	for k := range old {
+		dirty = append(dirty, k.piece)
 	}
 	return dirty
 }
 
-// mergeDirty runs the one collective of the delta decision: gather every
-// task's per-array dirty piece sets at rank 0, union them, and broadcast
-// the sorted result, so all tasks stream identical filtered piece sets.
-// Entries for non-eligible arrays are unused (those stream in full).
-func mergeDirty(comm *msg.Comm, prev *Meta, sums [][]stream.SectionSum, eligible []bool) ([][]int, error) {
-	mine := make([][]int, len(sums))
-	for i := range sums {
-		if eligible[i] {
-			mine[i] = localDirty(prev.Sections[i], sums[i], comm.Rank())
-		}
-	}
-	frame, _ := pieceLists(false, nil, mine)
-	parts, err := comm.Gather(0, frame)
-	if err != nil {
-		return nil, err
-	}
-	var payload []byte
-	if comm.Rank() == 0 {
-		merged := make([][]int, len(sums))
-		for _, part := range parts {
-			d := make([][]int, len(sums))
-			if _, err := pieceLists(true, part, d); err != nil {
-				return nil, fmt.Errorf("ckpt: gathering dirty piece sets: %w", err)
-			}
-			for i := range d {
-				merged[i] = append(merged[i], d[i]...)
-			}
-		}
-		for i := range merged {
-			slices.Sort(merged[i])
-			merged[i] = slices.Compact(merged[i])
-		}
-		payload, _ = pieceLists(false, nil, merged)
-	}
-	payload, err = comm.Bcast(0, payload)
-	if err != nil {
-		return nil, err
-	}
-	merged := make([][]int, len(sums))
-	if _, err := pieceLists(true, payload, merged); err != nil {
-		return nil, fmt.Errorf("ckpt: decoding merged dirty piece sets: %w", err)
-	}
-	return merged, nil
-}
-
-// pieceLists frames one piece index list per array, mergeDirty's records.
-// It encodes lists, or with dec decodes b into them: their count is known.
-func pieceLists(dec bool, b []byte, lists [][]int) ([]byte, error) {
+// pieceFilters frames a delta decision: per array, stream.Options.Pieces
+// — nil for every piece — as a uvarint, 0 for nil or 1 + the count, and
+// the ascending indices. It encodes, or with dec decodes b into filters.
+func pieceFilters(dec bool, b []byte, filters [][]int) ([]byte, error) {
 	c := &metaCodec{dec: dec, b: b}
-	for i := range lists {
-		list(c, &lists[i], func(pi *int) { varint(c, pi) })
+	for i := range filters {
+		n := uint64(len(filters[i]) + 1)
+		if filters[i] == nil {
+			n = 0
+		}
+		if c.uvarint(&n); dec && c.err == nil {
+			if filters[i] = nil; n > 0 && n-1 > uint64(len(c.b)) {
+				c.fail("count %d exceeds the %d bytes left", n-1, len(c.b))
+			} else if n > 0 {
+				filters[i] = make([]int, n-1)
+			}
+		}
+		for j := range filters[i] {
+			if varint(c, &filters[i][j]); dec && (filters[i][j] < 0 || j > 0 && filters[i][j] <= filters[i][j-1]) {
+				c.fail("array %d piece filter not ascending at %d", i, j)
+			}
+		}
 	}
-	return c.b, c.err
+	return c.end()
 }
 
-// The gather record of one piece location and of one contribution
-// fingerprint: fixed-width little-endian, like gatherPieces' (whose
-// PieceSum layout a location starts with), so a checkpoint's one
-// metadata gather per array costs no reflection on either side.
+// The record of one piece location and of one contribution fingerprint:
+// fixed-width little-endian, like a restore's PieceSum (which a location
+// starts with), so neither a piece table nor a gather costs reflection.
 const (
 	locRecBytes = pieceSumBytes + 4 + 4 + 8 + 8 + 8 + 1 + 1
 	sumRecBytes = 4 + 4 + 8 + 8
 )
 
-// encodeLocSums frames one task's contribution to gatherLocSums: the
-// location count, the location records, then the fingerprint records.
+// encodeLocSums frames one array's piece table as the metadata stores
+// it: the location count (4 bytes), then the records (appendRecs).
 func encodeLocSums(locs []PieceLoc, sums []stream.SectionSum) []byte {
-	le := binary.LittleEndian
 	buf := make([]byte, 0, 4+len(locs)*locRecBytes+len(sums)*sumRecBytes)
-	buf = le.AppendUint32(buf, uint32(len(locs)))
+	return appendRecs(binary.LittleEndian.AppendUint32(buf, uint32(len(locs))), locs, sums)
+}
+
+// decodeLocSums appends one frame's records to locs and sums. A frame
+// that is short, or whose length is not a whole number of records, is an
+// error: it came off storage or the transport, and nothing there may
+// panic a task.
+func decodeLocSums(part []byte, locs []PieceLoc, sums []stream.SectionSum) ([]PieceLoc, []stream.SectionSum, error) {
+	if len(part) < 4 {
+		return nil, nil, fmt.Errorf("ckpt: gathering piece locations: %d-byte frame has no header", len(part))
+	}
+	n, body := int64(binary.LittleEndian.Uint32(part)), part[4:]
+	if n*locRecBytes > int64(len(body)) || (int64(len(body))-n*locRecBytes)%sumRecBytes != 0 {
+		return nil, nil, fmt.Errorf("ckpt: gathering piece locations: ragged frame (%d locations announced, %d record bytes)",
+			n, len(body))
+	}
+	locs, sums, _ = readRecs(body, n, (int64(len(body))-n*locRecBytes)/sumRecBytes, locs, sums)
+	return locs, sums, nil
+}
+
+// appendRecs appends the location records, then the fingerprint records.
+func appendRecs(buf []byte, locs []PieceLoc, sums []stream.SectionSum) []byte {
+	le := binary.LittleEndian
 	for _, l := range locs {
 		buf = appendPieceSum(buf, l.PieceSum)
 		buf = le.AppendUint32(buf, uint32(int32(l.Gen))) // -1: non-rotated prefix
@@ -675,62 +631,77 @@ func encodeLocSums(locs []PieceLoc, sums []stream.SectionSum) []byte {
 	return buf
 }
 
-// decodeLocSums appends one frame's records to locs and sums. A frame
-// that is short, or whose length is not a whole number of records, is an
-// error: it came off the transport, and nothing there may panic a task.
-func decodeLocSums(part []byte, locs []PieceLoc, sums []stream.SectionSum) ([]PieceLoc, []stream.SectionSum, error) {
+// readRecs appends nl location records, then ns fingerprint records,
+// from the start of b (which holds them) and returns what follows.
+func readRecs(b []byte, nl, ns int64, locs []PieceLoc, sums []stream.SectionSum) ([]PieceLoc, []stream.SectionSum, []byte) {
 	le := binary.LittleEndian
-	if len(part) < 4 {
-		return nil, nil, fmt.Errorf("ckpt: gathering piece locations: %d-byte frame has no header", len(part))
+	locs, sums = slices.Grow(locs, int(nl)), slices.Grow(sums, int(ns))
+	for ; nl > 0; nl, b = nl-1, b[locRecBytes:] {
+		r := b[pieceSumBytes:]
+		locs = append(locs, PieceLoc{PieceSum: pieceSumAt(b),
+			Gen: int(int32(le.Uint32(r[0:4]))), Task: int(le.Uint32(r[4:8])),
+			FileOff: int64(le.Uint64(r[8:16])), FileBytes: int64(le.Uint64(r[16:24])),
+			StoredCRC: le.Uint64(r[24:32]), Codec: r[32], Where: r[33]})
 	}
-	n, body := int64(le.Uint32(part)), part[4:]
-	if n*locRecBytes > int64(len(body)) || (int64(len(body))-n*locRecBytes)%sumRecBytes != 0 {
-		return nil, nil, fmt.Errorf("ckpt: gathering piece locations: ragged frame (%d locations announced, %d record bytes)",
-			n, len(body))
+	for ; ns > 0; ns, b = ns-1, b[sumRecBytes:] {
+		sums = append(sums, stream.SectionSum{Piece: int(le.Uint32(b[0:4])), Task: int(le.Uint32(b[4:8])),
+			Bytes: int64(le.Uint64(b[8:16])), CRC: le.Uint64(b[16:24])})
 	}
-	locs = slices.Grow(locs, int(n))
-	sums = slices.Grow(sums, (len(body)-int(n)*locRecBytes)/sumRecBytes)
-	for ; n > 0; n-- {
-		b := body[pieceSumBytes:]
-		locs = append(locs, PieceLoc{PieceSum: pieceSumAt(body),
-			Gen: int(int32(le.Uint32(b[0:4]))), Task: int(le.Uint32(b[4:8])),
-			FileOff: int64(le.Uint64(b[8:16])), FileBytes: int64(le.Uint64(b[16:24])),
-			StoredCRC: le.Uint64(b[24:32]), Codec: b[32], Where: b[33]})
-		body = body[locRecBytes:]
-	}
-	for ; len(body) > 0; body = body[sumRecBytes:] {
-		sums = append(sums, stream.SectionSum{Piece: int(le.Uint32(body[0:4])), Task: int(le.Uint32(body[4:8])),
-			Bytes: int64(le.Uint64(body[8:16])), CRC: le.Uint64(body[16:24])})
-	}
-	return locs, sums, nil
+	return locs, sums, b
 }
 
-// gatherLocSums collects every task's piece locations and contribution
-// fingerprints at root and returns them there (nil elsewhere): the
-// locations sorted by piece index, the fingerprints by piece then task.
-func gatherLocSums(comm *msg.Comm, root int, locs []PieceLoc, sums []stream.SectionSum) ([]PieceLoc, []stream.SectionSum, error) {
-	parts, err := comm.Gather(root, encodeLocSums(locs, sums))
-	if err != nil {
+// gatherLocSums gathers every task's piece locations and fingerprints of
+// every array at rank 0 and returns them there (mergeLocSums).
+func gatherLocSums(comm *msg.Comm, locs [][]PieceLoc, sums [][]stream.SectionSum) ([][]PieceLoc, [][]stream.SectionSum, error) {
+	frame, _ := locSumsFrames(false, nil, locs, sums)
+	parts, err := comm.Gather(0, frame)
+	if err != nil || comm.Rank() != 0 {
 		return nil, nil, err
 	}
-	if comm.Rank() != root {
-		return nil, nil, nil
-	}
-	var allLocs []PieceLoc
-	var allSums []stream.SectionSum
+	return mergeLocSums(parts, len(locs))
+}
+
+// mergeLocSums decodes every task's frame of n arrays: per array, the
+// locations sorted by piece, the fingerprints by piece then task.
+func mergeLocSums(parts [][]byte, n int) ([][]PieceLoc, [][]stream.SectionSum, error) {
+	allLocs, allSums := make([][]PieceLoc, n), make([][]stream.SectionSum, n)
 	for _, part := range parts {
-		if allLocs, allSums, err = decodeLocSums(part, allLocs, allSums); err != nil {
+		if _, err := locSumsFrames(true, part, allLocs, allSums); err != nil {
 			return nil, nil, err
 		}
 	}
-	sort.Slice(allLocs, func(i, j int) bool { return allLocs[i].Index < allLocs[j].Index })
-	sort.Slice(allSums, func(i, j int) bool {
-		if allSums[i].Piece != allSums[j].Piece {
-			return allSums[i].Piece < allSums[j].Piece
-		}
-		return allSums[i].Task < allSums[j].Task
-	})
+	for i := range allLocs {
+		l, s := allLocs[i], allSums[i]
+		sort.Slice(l, func(i, j int) bool { return l[i].Index < l[j].Index })
+		sort.Slice(s, func(i, j int) bool {
+			if s[i].Piece != s[j].Piece {
+				return s[i].Piece < s[j].Piece
+			}
+			return s[i].Task < s[j].Task
+		})
+	}
 	return allLocs, allSums, nil
+}
+
+// locSumsFrames frames a task's part of a checkpoint's gathers: per
+// array, the location and fingerprint counts as uvarints, then the
+// records. It encodes the lists, or with dec appends b's records to them.
+func locSumsFrames(dec bool, b []byte, locs [][]PieceLoc, sums [][]stream.SectionSum) ([]byte, error) {
+	c := &metaCodec{dec: dec, b: b}
+	for i := range locs {
+		nl, ns := uint64(len(locs[i])), uint64(len(sums[i]))
+		c.uvarint(&nl)
+		c.uvarint(&ns)
+		switch left := uint64(len(c.b)); {
+		case !dec:
+			c.b = appendRecs(c.b, locs[i], sums[i])
+		case c.err == nil && (nl > left/locRecBytes || ns > (left-nl*locRecBytes)/sumRecBytes):
+			c.fail("array %d: ragged frame (%d locations and %d fingerprints announced, %d record bytes)", i, nl, ns, left)
+		case c.err == nil:
+			locs[i], sums[i], c.b = readRecs(c.b, int64(nl), int64(ns), locs[i], sums[i])
+		}
+	}
+	return c.end()
 }
 
 // combineLocs folds the locations' logical piece CRCs into the whole-

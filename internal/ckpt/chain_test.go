@@ -633,9 +633,10 @@ func TestGatherLocSumsFrames(t *testing.T) {
 			c := msg.NewComm(rank, n, tr)
 			var err error
 			if rank == 1 {
-				_, err = c.Gather(0, ragged[2])
+				multi, _ := locSumsFrames(false, nil, [][]PieceLoc{locs}, [][]stream.SectionSum{sums})
+				_, err = c.Gather(0, multi[:len(multi)-1])
 			} else {
-				_, _, err = gatherLocSums(c, 0, locs, sums)
+				_, _, err = gatherLocSums(c, [][]PieceLoc{locs}, [][]stream.SectionSum{sums})
 			}
 			if err == nil {
 				err = c.Barrier()

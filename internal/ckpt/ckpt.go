@@ -335,7 +335,7 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	// memory. The fetcher maps whatever extents this restore's own piece
 	// plan asks for onto the stored pieces.
 	fetchers := make([]*pieceFetcher, len(m.Arrays))
-	resident := make([]int64, len(m.Arrays)) // per array: how many tasks hold all of it in the tier
+	resident := make([]byte, len(m.Arrays)) // per array: 1 where every task holds all of it in the tier
 	vote := p.tier != nil && !p.subset
 	for i, am := range m.Arrays {
 		fetchers[i] = newPieceFetcher(fs, p.tier, prefix, am.Name, m.PieceLocs[i], me, selfNode)
@@ -351,94 +351,68 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	// layout only turns some into network pulls. A subset never replans:
 	// its filter addresses the writer's pieces by index.
 	if vote {
-		if resident, err = allSum(comm, resident...); err != nil {
+		n := len(resident)
+		resident, err = decideAtRoot(comm, resident, func(votes [][]byte) ([]byte, error) {
+			all := votes[0]
+			for _, v := range votes {
+				if len(v) != n {
+					return nil, fmt.Errorf("ckpt: a %d-byte residency vote on %d arrays", len(v), n)
+				}
+				for i := range all {
+					all[i] &= v[i]
+				}
+			}
+			return all, nil
+		})
+		if err == nil && len(resident) != n {
+			err = fmt.Errorf("ckpt: a %d-byte residency verdict on %d arrays", len(resident), n)
+		}
+		if err != nil {
 			return m, st, err
 		}
 	}
+	pieces := make([][]PieceSum, len(m.Arrays))
 	for i, am := range m.Arrays {
 		a := refs[i]
-		file := arrFile(prefix, am.Name)
 		fs.BeginPhase(me, "arrays:"+am.Name)
 		opts := o
 		fetcher := fetchers[i]
 		fetchers[i] = nil // its decoded-piece cache goes with this array
 		opts.FetchPiece = fetcher.fetch
-		// Every task checksums each piece it reads, once; checkPieces
-		// below judges them all.
-		hook, pieces := crcCollector()
-		opts.PieceHook = chainPieceHooks(o.PieceHook, hook)
+		// Every task checksums each piece it reads, once; checkRead below
+		// judges them all.
+		opts.PieceHook = chainPieceHooks(o.PieceHook, func(idx int, off int64, data []byte) {
+			pieces[i] = append(pieces[i], PieceSum{Index: idx, Off: off, CRC: crcOf(data), Bytes: int64(len(data))})
+		})
 		loaded := am.Bytes // matchArrays proved the stream is this long
 		if p.subset {
 			// Count the restored bytes, not the stream's nominal size: the
 			// whole point is that only the needed pieces moved.
 			opts.Pieces, loaded = neededPieces(a, size, p.ranks, o, am.Bytes)
 		}
-		if elems := a.GlobalShape().Size(); resident[i] == int64(size) && elems > 0 && am.Bytes%int64(elems) == 0 {
+		if elems := a.GlobalShape().Size(); resident[i] == 1 && elems > 0 && am.Bytes%int64(elems) == 0 {
 			opts.PieceBytes = (elems + size - 1) / size * int(am.Bytes/int64(elems))
 		}
-		s, err := a.StreamRead(fs, file, opts)
+		s, err := a.StreamRead(fs, arrFile(prefix, am.Name), opts)
 		if err != nil {
 			return m, st, fmt.Errorf("ckpt: loading array %q: %w", am.Name, err)
 		}
 		st.ArrayBytes += loaded
 		st.NetBytes += s.NetBytes
-		// Per-rank actual fetch counters; the cluster-wide reduction below
-		// sums them into the agreed totals.
 		st.TierMemBytes += fetcher.memBytes.Load()
 		st.TierPFSBytes += fetcher.pfsBytes.Load()
-		// A verified restore (every subset is one) attributes a damaged
-		// piece, but only a piece whose extent matches the stored plan
-		// can be: under other streaming options the whole-stream CRC
-		// catches the damage, and a subset, deliberately not read
-		// whole, has none.
-		var locs []PieceLoc
-		if p.verify {
-			locs = m.PieceLocs[i]
-		}
-		bad, mismatch, err := checkPieces(comm, *pieces, locs, !p.subset, m.ArrayCRC[i])
-		if err != nil {
-			return m, st, err
-		}
-		if bad >= 0 {
-			return m, st, corrupt(prefix, file, bad, "piece crc mismatch on read")
-		}
-		if mismatch {
-			return m, st, corrupt(prefix, file, -1, "array %q stream crc mismatch", am.Name)
-		}
 	}
-	// Agree cluster-wide on where the restored bytes came from, so the
-	// restore-source classification (observeRead's tier counter, the
-	// supervisor's last-restore-source gauge) is identical on every task.
-	// This exchange is also the restore's closing synchronization.
-	tot, err := allSum(comm, st.TierMemBytes, st.TierPFSBytes)
+	// One round judges every array and sums the per-rank tier counters,
+	// so the restore-source classification (observeRead's tier counter,
+	// the supervisor's last-restore-source gauge) is the same on every
+	// task; it is also the restore's closing synchronization. A subset,
+	// deliberately not read whole, has no stream CRC to check.
+	tot, err := checkRead(comm, prefix, &m, pieces, [2]int64{st.TierMemBytes, st.TierPFSBytes}, p.verify, !p.subset)
 	if err != nil {
 		return m, st, err
 	}
 	st.TierMemBytes, st.TierPFSBytes = tot[0], tot[1]
 	return m, st, nil
-}
-
-// allSum is one Allgather of every task's vector v, summed element-wise
-// in rank order: the same totals on every task.
-func allSum(comm *msg.Comm, v ...int64) ([]int64, error) {
-	var b []byte
-	for _, x := range v {
-		b = binary.LittleEndian.AppendUint64(b, uint64(x))
-	}
-	frames, err := comm.Allgather(b)
-	if err != nil {
-		return nil, err
-	}
-	sum := make([]int64, len(v))
-	for r, f := range frames {
-		if len(f) != len(b) {
-			return nil, fmt.Errorf("ckpt: rank %d sent %d bytes to a %d-byte sum", r, len(f), len(b))
-		}
-		for i := range sum {
-			sum[i] += bytesI64(f[8*i:])
-		}
-	}
-	return sum, nil
 }
 
 // readSegment loads the one saved segment payload of a DRMS restore,

@@ -127,28 +127,111 @@ func FuzzReadSegmentFile(f *testing.F) {
 	})
 }
 
-// FuzzDecodeLocSums feeds the piece-location gather decoder an arbitrary
-// frame: records or an error, never a panic. A frame it accepts is one
-// its encoder writes, byte for byte, and what it decodes comes back
-// through encode and decode unchanged.
+// FuzzDecodeLocSums feeds the piece-location decoders an arbitrary
+// frame: records or an error, never a panic. As one array's piece table
+// (decodeLocSums), a frame it accepts is one its encoder writes, byte for
+// byte, and what it decodes comes back through encode and decode
+// unchanged. As one task's contribution to a checkpoint's location or
+// fingerprint gather for a count of arrays (locSumsFrames), what it
+// decodes comes back through encode and decode unchanged.
 func FuzzDecodeLocSums(f *testing.F) {
-	f.Add(encodeLocSums([]PieceLoc{{PieceSum: PieceSum{Index: 3, Off: 900, CRC: 7, Bytes: 300},
-		Gen: -1, Task: 2, FileOff: 10, FileBytes: 120, Codec: 1, StoredCRC: 8, Where: TierMem}},
-		[]stream.SectionSum{{Piece: 3, Task: 2, Bytes: 8, CRC: 9}}))
-	f.Add(encodeLocSums(nil, nil))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, part []byte) {
-		locs, sums, err := decodeLocSums(part, nil, nil)
-		if err != nil {
+	locs := []PieceLoc{{PieceSum: PieceSum{Index: 3, Off: 900, CRC: 7, Bytes: 300},
+		Gen: -1, Task: 2, FileOff: 10, FileBytes: 120, Codec: 1, StoredCRC: 8, Where: TierMem}}
+	sums := []stream.SectionSum{{Piece: 3, Task: 2, Bytes: 8, CRC: 9}}
+	f.Add(encodeLocSums(locs, sums), uint8(1))
+	f.Add(encodeLocSums(nil, nil), uint8(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(1))
+	multi, _ := locSumsFrames(false, nil, [][]PieceLoc{locs, nil}, [][]stream.SectionSum{nil, sums})
+	f.Add(multi, uint8(2))
+	f.Fuzz(func(t *testing.T, part []byte, arrays uint8) {
+		if locs, sums, err := decodeLocSums(part, nil, nil); err == nil {
+			b := encodeLocSums(locs, sums)
+			if !bytes.Equal(b, part) {
+				t.Fatalf("accepted a %d-byte frame its encoder writes as %d bytes", len(part), len(b))
+			}
+			l2, s2, err := decodeLocSums(b, nil, nil)
+			if err != nil || !reflect.DeepEqual(l2, locs) || !reflect.DeepEqual(s2, sums) {
+				t.Fatalf("decode(encode(%+v, %+v)) = %+v, %+v, %v", locs, sums, l2, s2, err)
+			}
+		}
+		n := int(arrays % 4)
+		locs, sums := make([][]PieceLoc, n), make([][]stream.SectionSum, n)
+		if _, err := locSumsFrames(true, part, locs, sums); err != nil {
 			return
 		}
-		b := encodeLocSums(locs, sums)
-		if !bytes.Equal(b, part) {
-			t.Fatalf("accepted a %d-byte frame its encoder writes as %d bytes", len(part), len(b))
+		b, _ := locSumsFrames(false, nil, locs, sums)
+		l2, s2 := make([][]PieceLoc, n), make([][]stream.SectionSum, n)
+		if _, err := locSumsFrames(true, b, l2, s2); err != nil || !reflect.DeepEqual(l2, locs) || !reflect.DeepEqual(s2, sums) {
+			t.Fatalf("%d arrays: decode(encode(%+v, %+v)) = %+v, %+v, %v", n, locs, sums, l2, s2, err)
 		}
-		l2, s2, err := decodeLocSums(b, nil, nil)
-		if err != nil || !reflect.DeepEqual(l2, locs) || !reflect.DeepEqual(s2, sums) {
-			t.Fatalf("decode(encode(%+v, %+v)) = %+v, %+v, %v", locs, sums, l2, s2, err)
+	})
+}
+
+// FuzzDecodeDeltaDecision feeds the delta decision's decoder — what
+// every task, rank 0 included, runs on rank 0's broadcast — an arbitrary
+// frame for a count of arrays: piece filters or an error, never a panic.
+// Every filter it accepts is ascending and names no negative piece, and
+// what it decodes comes back through encode and decode unchanged.
+func FuzzDecodeDeltaDecision(f *testing.F) {
+	frame, _ := pieceFilters(false, nil, [][]int{nil, {}, {0, 3, 7}})
+	f.Add(frame, uint8(3))
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{3, 6, 2}, uint8(1))                         // a filter not ascending
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0}, uint8(1)) // a count no frame could hold
+	f.Fuzz(func(t *testing.T, b []byte, arrays uint8) {
+		filters := make([][]int, arrays%8)
+		if _, err := pieceFilters(true, b, filters); err != nil {
+			return
+		}
+		for i, fl := range filters {
+			for j, pi := range fl {
+				if pi < 0 || j > 0 && pi <= fl[j-1] {
+					t.Fatalf("accepted array %d's filter %v", i, fl)
+				}
+			}
+		}
+		again := make([][]int, len(filters))
+		enc, _ := pieceFilters(false, nil, filters)
+		if _, err := pieceFilters(true, enc, again); err != nil || !reflect.DeepEqual(again, filters) {
+			t.Fatalf("decode(encode(%v)) = %v, %v", filters, again, err)
+		}
+	})
+}
+
+// FuzzDecodeReadCheck feeds a restore's integrity round its two frames:
+// a task's piece CRCs and tier byte counts as rank 0 decodes them
+// (readSums), and rank 0's verdict as every task decodes it
+// (verdictFrame), for a count of arrays. Records or an error, never a
+// panic; an accepted verdict names an array of the count or none, and a
+// piece only of an array; what either decodes comes back through encode
+// and decode unchanged.
+func FuzzDecodeReadCheck(f *testing.F) {
+	sums, _ := readSums(false, nil, [][]PieceSum{{{Index: 2, Off: 600, CRC: 5, Bytes: 300}}, nil}, &[2]int64{300, 0})
+	verdict, _ := verdictFrame(false, nil, &readVerdict{Array: 1, Piece: 2, Mem: 1 << 40, PFS: 7}, 2)
+	f.Add(sums, verdict, uint8(2))
+	f.Add([]byte{}, []byte{}, uint8(0))
+	f.Add([]byte{5, 1, 2, 3, 4, 5, 0, 0}, []byte{1, 2, 0, 0}, uint8(1)) // a ragged record; a piece of no array
+	f.Fuzz(func(t *testing.T, sums, verdict []byte, arrays uint8) {
+		n := int(arrays % 4)
+		pieces, tier := make([][]PieceSum, n), [2]int64{}
+		if _, err := readSums(true, sums, pieces, &tier); err == nil {
+			again, tier2 := make([][]PieceSum, n), [2]int64{}
+			enc, _ := readSums(false, nil, pieces, &tier)
+			if _, err := readSums(true, enc, again, &tier2); err != nil || !reflect.DeepEqual(again, pieces) || tier2 != tier {
+				t.Fatalf("decode(encode(%v, %v)) = %v, %v, %v", pieces, tier, again, tier2, err)
+			}
+		}
+		var v readVerdict
+		if _, err := verdictFrame(true, verdict, &v, n); err != nil {
+			return
+		}
+		if v.Array < -1 || v.Array >= n || v.Piece < -1 || v.Array < 0 && v.Piece >= 0 {
+			t.Fatalf("accepted verdict %+v on %d arrays", v, n)
+		}
+		var again readVerdict
+		enc, _ := verdictFrame(false, nil, &v, n)
+		if _, err := verdictFrame(true, enc, &again, n); err != nil || again != v {
+			t.Fatalf("decode(encode(%+v)) = %+v, %v", v, again, err)
 		}
 	})
 }

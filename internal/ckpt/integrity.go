@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -29,16 +30,6 @@ type PieceSum struct {
 	Off   int64 // stream-relative byte offset
 	CRC   uint64
 	Bytes int64
-}
-
-// crcCollector returns a stream.Options.PieceHook plus the slice it
-// fills. Each task collects only the pieces it handled.
-func crcCollector() (func(int, int64, []byte), *[]PieceSum) {
-	var pieces []PieceSum
-	hook := func(idx int, off int64, data []byte) {
-		pieces = append(pieces, PieceSum{Index: idx, Off: off, CRC: crcOf(data), Bytes: int64(len(data))})
-	}
-	return hook, &pieces
 }
 
 // combinePieces folds an unordered set of piece CRCs covering a whole
@@ -73,59 +64,113 @@ func pieceSumAt(b []byte) PieceSum {
 	}
 }
 
-// gatherPieces collects every task's piece CRCs at root and returns the
-// sorted full list there (nil elsewhere).
-func gatherPieces(comm *msg.Comm, root int, mine []PieceSum) ([]PieceSum, error) {
-	buf := make([]byte, 0, len(mine)*pieceSumBytes)
-	for _, p := range mine {
-		buf = appendPieceSum(buf, p)
-	}
-	parts, err := comm.Gather(root, buf)
-	if err != nil {
-		return nil, err
-	}
-	if comm.Rank() != root {
-		return nil, nil
-	}
-	var all []PieceSum
-	for _, part := range parts {
-		for ; len(part) >= pieceSumBytes; part = part[pieceSumBytes:] {
-			all = append(all, pieceSumAt(part))
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Index < all[j].Index })
-	return all, nil
+// readVerdict is rank 0's verdict on a restore (checkRead).
+type readVerdict struct {
+	Array int   // the failed array, -1 when every array passed
+	Piece int   // its bad piece, or -1: its stream CRC mismatched
+	Mem   int64 // cluster-wide restored bytes served by peer memory
+	PFS   int64 // … and by the pfs
 }
 
-// checkPieces is a restore's one integrity round for an array: every
-// task contributes the pieces it read, root attributes and combines, and
-// one broadcast carries both verdicts so all tasks agree. With locs
-// (piece-level verification) root names the first piece whose extent
-// (index, offset, length) matches a stored location but whose CRC does
-// not — pieces of a different plan are not attributable — as bad, or -1.
-// With whole (the stream was read whole) it combines the pieces and
-// reports whether the stream's CRC differs from want. A non-nil error is
-// a communication failure of the check itself.
-func checkPieces(comm *msg.Comm, mine []PieceSum, locs []PieceLoc, whole bool, want uint64) (bad int, mismatch bool, err error) {
-	all, err := gatherPieces(comm, 0, mine)
-	if err != nil {
-		return -1, false, err
-	}
-	var verdict [9]byte // mismatch flag, then bad+1
-	if comm.Rank() == 0 {
-		binary.LittleEndian.PutUint64(verdict[1:], uint64(firstBadPiece(all, locs)+1))
-		if whole && combinePieces(all) != want {
-			verdict[0] = 1
+// checkRead is a restore's one integrity round (decideAtRoot): rank 0
+// judges every task's piece CRCs, array by array — with verify, a piece
+// whose extent matches its stored location but whose CRC does not is bad;
+// with whole, the pieces must combine to ArrayCRC — and sums the tier
+// byte counts. It returns the totals, or the *CorruptError all agree on.
+func checkRead(comm *msg.Comm, prefix string, m *Meta, pieces [][]PieceSum, tier [2]int64, verify, whole bool) ([2]int64, error) {
+	frame, _ := readSums(false, nil, pieces, &tier)
+	payload, err := decideAtRoot(comm, frame, func(parts [][]byte) ([]byte, error) {
+		v := readVerdict{Array: -1, Piece: -1}
+		all := make([][]PieceSum, len(pieces))
+		for _, part := range parts {
+			var t [2]int64
+			if _, err := readSums(true, part, all, &t); err != nil {
+				return nil, fmt.Errorf("ckpt: gathering read piece sums: %w", err)
+			}
+			v.Mem, v.PFS = v.Mem+t[0], v.PFS+t[1]
+		}
+		for i, ps := range all {
+			sort.Slice(ps, func(a, b int) bool { return ps[a].Index < ps[b].Index })
+			if verify {
+				v.Piece = firstBadPiece(ps, m.PieceLocs[i])
+			}
+			if v.Piece >= 0 || whole && combinePieces(ps) != m.ArrayCRC[i] {
+				v.Array = i
+				break
+			}
+		}
+		return verdictFrame(false, nil, &v, len(pieces))
+	})
+	var v readVerdict
+	if err == nil {
+		if _, err = verdictFrame(true, payload, &v, len(pieces)); err != nil {
+			err = fmt.Errorf("ckpt: decoding the integrity verdict: %w", err)
 		}
 	}
-	got, err := comm.Bcast(0, verdict[:])
-	if err != nil {
-		return -1, false, err
+	switch {
+	case err != nil:
+		return tier, err
+	case v.Array < 0:
+		return [2]int64{v.Mem, v.PFS}, nil
+	case v.Piece >= 0:
+		return tier, corrupt(prefix, arrFile(prefix, m.Arrays[v.Array].Name), v.Piece, "piece crc mismatch on read")
 	}
-	if len(got) != len(verdict) {
-		return -1, false, fmt.Errorf("ckpt: integrity verdict of %d bytes", len(got))
+	return tier, corrupt(prefix, arrFile(prefix, m.Arrays[v.Array].Name), -1, "array %q stream crc mismatch", m.Arrays[v.Array].Name)
+}
+
+// decideAtRoot is an SOP's control round: one gather brings rank 0 every
+// task's frame, it alone decides, and one broadcast returns the decision
+// to every task, rank 0 too. A decision rank 0 cannot reach fails it, and
+// the empty one it broadcasts instead fails every other task's decoder.
+func decideAtRoot(comm *msg.Comm, frame []byte, decide func(parts [][]byte) ([]byte, error)) ([]byte, error) {
+	parts, err := comm.Gather(0, frame)
+	if err != nil && comm.Rank() != 0 {
+		return nil, err
 	}
-	return int(binary.LittleEndian.Uint64(got[1:])) - 1, got[0] == 1, nil
+	var payload []byte
+	if comm.Rank() == 0 && err == nil {
+		if payload, err = decide(parts); err != nil {
+			payload = nil
+		}
+	}
+	payload, berr := comm.Bcast(0, payload)
+	return payload, cmp.Or(err, berr)
+}
+
+// readSums frames a task's part of checkRead: per array, the pieces it
+// read as PieceSum records behind their length, then its tier byte
+// counts. It encodes, or with dec appends b's pieces and reads tier.
+func readSums(dec bool, b []byte, pieces [][]PieceSum, tier *[2]int64) ([]byte, error) {
+	c := &metaCodec{dec: dec, b: b}
+	for i := range pieces {
+		var rec []byte
+		for j := 0; !dec && j < len(pieces[i]); j++ {
+			rec = appendPieceSum(rec, pieces[i][j])
+		}
+		if c.bytes(&rec); dec && len(rec)%pieceSumBytes != 0 {
+			c.fail("array %d: %d bytes of %d-byte piece records", i, len(rec), pieceSumBytes)
+		}
+		for ; dec && c.err == nil && len(rec) > 0; rec = rec[pieceSumBytes:] {
+			pieces[i] = append(pieces[i], pieceSumAt(rec))
+		}
+	}
+	varint(c, &tier[0])
+	varint(c, &tier[1])
+	return c.end()
+}
+
+// verdictFrame frames checkRead's verdict as four varints. It encodes v,
+// or with dec decodes b into it, refusing one about no array of n.
+func verdictFrame(dec bool, b []byte, v *readVerdict, n int) ([]byte, error) {
+	c := &metaCodec{dec: dec, b: b}
+	varint(c, &v.Array)
+	varint(c, &v.Piece)
+	varint(c, &v.Mem)
+	varint(c, &v.PFS)
+	if dec && c.err == nil && (v.Array < -1 || v.Array >= n || v.Piece < -1 || v.Array < 0 && v.Piece >= 0) {
+		c.fail("verdict on piece %d of array %d of %d", v.Piece, v.Array, n)
+	}
+	return c.end()
 }
 
 // firstBadPiece returns the lowest-indexed piece of all (sorted by index)

@@ -200,6 +200,15 @@ func (c *metaCodec) frame(locs *[]PieceLoc, sums *[]stream.SectionSum) {
 	}
 }
 
+// end closes a control frame: a read must consume every byte. It returns
+// what an encoding appended, or a read's error.
+func (c *metaCodec) end() ([]byte, error) {
+	if c.dec && len(c.b) > 0 {
+		c.fail("%d bytes past the frame's last entry", len(c.b))
+	}
+	return c.b, c.err
+}
+
 func (c *metaCodec) slice(s *rangeset.Slice) {
 	axes := make([]rangeset.Range, s.Rank())
 	for i := range axes {

@@ -109,31 +109,32 @@ var restoreShapes = []struct {
 // The byte columns are those measured on the readers this engine
 // replaced (commit bdae8b6). The send counts are the collectives'
 // fingerprint: a restore path that gains one changes every rank's
-// count. A full restore sends 8/5 when no tier is configured and 10/6
+// count. A full restore sends 4/3 when no tier is configured and 6/4
 // with one: the difference is the residency vote, one Allgather for all
 // arrays. Besides the piece exchange, what is left is one integrity
-// round per array (checkPieces: a Gather and a Bcast) and the closing
-// Allgather of the tier byte totals; no barrier marks a phase. An
+// round for every array together (checkRead: a Gather of the piece CRCs
+// and tier byte counts, a Bcast of the verdict and the totals); no
+// barrier marks a phase. An
 // upgraded v1 generation restores exactly as a raw anchor: its full
 // restores count the array bytes in TierPFSBytes too, where the v1
 // reader counted the segments alone (1100/825).
 var restorePinned = map[string]string{
-	"v1-flat/full-same":                     "8:275/1728/216/0/2828 8:275/1728/216/0/2828 5:275/1728/216/0/2828 5:275/1728/216/0/2828",
-	"v1-flat/full-reconfigured":             "8:275/1728/432/0/2553 5:275/1728/144/0/2553 5:275/1728/288/0/2553",
-	"v1-flat/partial-one-rank":              "10:0/864/432/0/1139 10:0/864/432/0/1139 3:275/864/0/0/1139 3:0/864/0/0/1139",
-	"v1-flat/partial-two-ranks":             "8:0/1728/216/0/2278 8:275/1728/216/0/2278 5:0/1728/216/0/2278 5:275/1728/216/0/2278",
-	"chained-raw-anchor/full-same":          "8:275/1728/216/0/2828 8:275/1728/216/0/2828 5:275/1728/216/0/2828 5:275/1728/216/0/2828",
-	"chained-raw-anchor/full-reconfigured":  "8:275/1728/432/0/2553 5:275/1728/144/0/2553 5:275/1728/288/0/2553",
-	"chained-raw-anchor/partial-one-rank":   "10:0/864/432/0/1139 10:0/864/432/0/1139 3:275/864/0/0/1139 3:0/864/0/0/1139",
-	"chained-raw-anchor/partial-two-ranks":  "8:0/1728/216/0/2278 8:275/1728/216/0/2278 5:0/1728/216/0/2278 5:275/1728/216/0/2278",
-	"chained-flate-delta/full-same":         "8:275/1728/216/0/2828 8:275/1728/216/0/2828 5:275/1728/216/0/2828 5:275/1728/216/0/2828",
-	"chained-flate-delta/full-reconfigured": "8:275/1728/432/0/2553 5:275/1728/144/0/2553 5:275/1728/288/0/2553",
-	"chained-flate-delta/partial-one-rank":  "10:0/864/432/0/1139 10:0/864/432/0/1139 3:275/864/0/0/1139 3:0/864/0/0/1139",
-	"chained-flate-delta/partial-two-ranks": "8:0/1728/216/0/2278 8:275/1728/216/0/2278 5:0/1728/216/0/2278 5:275/1728/216/0/2278",
-	"memory-only/full-same":                 "10:275/1728/216/2764/0 10:275/1728/216/2764/0 6:275/1728/216/2764/0 6:275/1728/216/2764/0",
-	"memory-only/full-reconfigured":         "10:275/1728/432/2505/0 6:275/1728/144/2505/0 6:275/1728/288/2505/0",
-	"memory-only/partial-one-rank":          "10:0/864/432/1123/0 10:0/864/432/1123/0 3:275/864/0/1123/0 3:0/864/0/1123/0",
-	"memory-only/partial-two-ranks":         "8:0/1728/216/2246/0 8:275/1728/216/2246/0 5:0/1728/216/2246/0 5:275/1728/216/2246/0",
+	"v1-flat/full-same":                     "4:275/1728/216/0/2828 4:275/1728/216/0/2828 3:275/1728/216/0/2828 3:275/1728/216/0/2828",
+	"v1-flat/full-reconfigured":             "4:275/1728/432/0/2553 3:275/1728/144/0/2553 3:275/1728/288/0/2553",
+	"v1-flat/partial-one-rank":              "6:0/864/432/0/1139 6:0/864/432/0/1139 1:275/864/0/0/1139 1:0/864/0/0/1139",
+	"v1-flat/partial-two-ranks":             "4:0/1728/216/0/2278 4:275/1728/216/0/2278 3:0/1728/216/0/2278 3:275/1728/216/0/2278",
+	"chained-raw-anchor/full-same":          "4:275/1728/216/0/2828 4:275/1728/216/0/2828 3:275/1728/216/0/2828 3:275/1728/216/0/2828",
+	"chained-raw-anchor/full-reconfigured":  "4:275/1728/432/0/2553 3:275/1728/144/0/2553 3:275/1728/288/0/2553",
+	"chained-raw-anchor/partial-one-rank":   "6:0/864/432/0/1139 6:0/864/432/0/1139 1:275/864/0/0/1139 1:0/864/0/0/1139",
+	"chained-raw-anchor/partial-two-ranks":  "4:0/1728/216/0/2278 4:275/1728/216/0/2278 3:0/1728/216/0/2278 3:275/1728/216/0/2278",
+	"chained-flate-delta/full-same":         "4:275/1728/216/0/2828 4:275/1728/216/0/2828 3:275/1728/216/0/2828 3:275/1728/216/0/2828",
+	"chained-flate-delta/full-reconfigured": "4:275/1728/432/0/2553 3:275/1728/144/0/2553 3:275/1728/288/0/2553",
+	"chained-flate-delta/partial-one-rank":  "6:0/864/432/0/1139 6:0/864/432/0/1139 1:275/864/0/0/1139 1:0/864/0/0/1139",
+	"chained-flate-delta/partial-two-ranks": "4:0/1728/216/0/2278 4:275/1728/216/0/2278 3:0/1728/216/0/2278 3:275/1728/216/0/2278",
+	"memory-only/full-same":                 "6:275/1728/216/2764/0 6:275/1728/216/2764/0 4:275/1728/216/2764/0 4:275/1728/216/2764/0",
+	"memory-only/full-reconfigured":         "6:275/1728/432/2505/0 4:275/1728/144/2505/0 4:275/1728/288/2505/0",
+	"memory-only/partial-one-rank":          "6:0/864/432/1123/0 6:0/864/432/1123/0 1:275/864/0/1123/0 1:0/864/0/1123/0",
+	"memory-only/partial-two-ranks":         "4:0/1728/216/2246/0 4:275/1728/216/2246/0 3:0/1728/216/2246/0 3:275/1728/216/2246/0",
 }
 
 // holdsChainFill checks this rank's elements of buildApp's two arrays
@@ -235,8 +236,8 @@ func TestResidencyVoteNeedsATier(t *testing.T) {
 		tier  *MemTier
 		sends []int64
 	}{
-		{"no-tier", nil, []int64{8, 5, 5}},
-		{"every-piece-resident", tier, []int64{10, 6, 6}},
+		{"no-tier", nil, []int64{4, 3, 3}},
+		{"every-piece-resident", tier, []int64{6, 4, 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runCounted(t, 3, func(c *msg.Comm, sent func() int64) error {

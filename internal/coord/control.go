@@ -170,19 +170,23 @@ func serveJSONLines(ln net.Listener, handle func(Request) Response) {
 			sc := newLineScanner(conn)
 			enc := json.NewEncoder(conn)
 			for sc.Scan() {
-				var req Request
-				var resp Response
-				if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-					resp.Error = "malformed request: " + err.Error()
-				} else {
-					resp = handle(req)
-				}
-				if err := enc.Encode(resp); err != nil {
+				if err := enc.Encode(answer(sc.Bytes(), handle)); err != nil {
 					return
 				}
 			}
 		}()
 	}
+}
+
+// answer is the control protocol's reply to one request line: handle's
+// response to the request it decodes to, or an error response naming why
+// it does not decode.
+func answer(line []byte, handle func(Request) Response) Response {
+	var req Request
+	if err := json.Unmarshal(line, &req); err != nil {
+		return Response{Error: "malformed request: " + err.Error()}
+	}
+	return handle(req)
 }
 
 func (s *ControlServer) handle(req Request) Response {

@@ -310,8 +310,8 @@ type Task struct {
 	// DemoteEvery rotation decision.
 	memRun map[string]int
 	// sawSOP / stopSOP implement collective stop delivery: every SOP
-	// agrees (through rank 0's header broadcast, or its verdict
-	// broadcast on the enabling SOP and the restore paths) whether
+	// agrees (through rank 0's header broadcast, or its stop broadcast on
+	// the restore paths) whether
 	// the system's stop request is visible to this epoch, and the verdict
 	// is latched here. StopRequested returns the latched verdict once an
 	// SOP has run, so a stop landing between two ranks' polls cannot
@@ -365,28 +365,22 @@ func (t *Task) latchStop(stop bool) {
 	t.stopSOP = t.stopSOP || stop
 }
 
-// verdict broadcasts rank 0's decision at an SOP — bit 0 arms a
-// checkpoint (rank 0's arm; the others' is ignored), bit 1 is the
-// system's stop request, which every task latches. No other rank has a say.
-func (t *Task) verdict(arm bool) (bool, error) {
+// agreeStop broadcasts rank 0's view of the stop request, which every
+// task latches: a restore has no generation header to carry it.
+func (t *Task) agreeStop() error {
 	var w byte
-	if t.Rank() == 0 {
-		if arm {
-			w = 1
-		}
-		if t.handle.stopReq.Load() {
-			w |= 2
-		}
+	if t.Rank() == 0 && t.handle.stopReq.Load() {
+		w = 1
 	}
 	b, err := t.comm.Bcast(0, []byte{w})
 	if err == nil && len(b) != 1 {
-		err = fmt.Errorf("drms: a %d-byte SOP verdict", len(b))
+		err = fmt.Errorf("drms: a %d-byte stop verdict", len(b))
 	}
 	if err != nil {
-		return false, err
+		return err
 	}
-	t.latchStop(b[0]&2 != 0)
-	return b[0]&1 != 0, nil
+	t.latchStop(b[0] == 1)
+	return nil
 }
 
 // NewArray declares a distributed array in the application's global data
@@ -418,36 +412,24 @@ func NewArray[T array.Elem](t *Task, name string, d *dist.Distribution) (*array.
 // failure — returns (Failed, 0, err) with nothing promoted: the previous
 // checkpoint remains the valid restart point. Collective.
 func (t *Task) ReconfigCheckpoint(prefix string) (Status, int, error) {
-	if st, delta, served, err := t.servePending(); served {
-		return st, delta, err
-	}
-	if err := t.write(prefix); err != nil {
-		return Failed, 0, err
-	}
-	return Continued, 0, nil
+	return t.sop(prefix, false)
 }
 
 // ReconfigChkEnable is the enabling SOP (drms_reconfig_chkenable): the
 // checkpoint is taken only if the system has armed it via
 // Handle.EnableCheckpoint. Restores behave exactly as in
-// ReconfigCheckpoint. Collective: the decision is made once and agreed by
-// all tasks.
+// ReconfigCheckpoint. Collective: the decision is made once, by rank 0,
+// and rides the generation header every task receives anyway.
 func (t *Task) ReconfigChkEnable(prefix string) (Status, int, error) {
+	return t.sop(prefix, true)
+}
+
+// sop serves a pending restore, else checkpoints (enabling: if armed).
+func (t *Task) sop(prefix string, enabling bool) (Status, int, error) {
 	if st, delta, served, err := t.servePending(); served {
 		return st, delta, err
 	}
-	// Rank 0 arms the checkpoint when the system enabled it, or when a
-	// pending system-initiated resize forces it: the swap can only ride a
-	// committed generation.
-	rs := t.handle.armedResize()
-	armed, err := t.verdict(t.Rank() == 0 && (t.handle.enable.Swap(false) || rs != nil && !rs.finished()))
-	if err != nil {
-		return Failed, 0, err
-	}
-	if !armed {
-		return Continued, 0, nil
-	}
-	if err := t.write(prefix); err != nil {
+	if err := t.write(prefix, enabling); err != nil {
 		return Failed, 0, err
 	}
 	return Continued, 0, nil
@@ -477,14 +459,15 @@ func (t *Task) rotation(prefix string) *ckpt.RotationView {
 	return v
 }
 
-// genHeader is rank 0's per-checkpoint decision, broadcast so all tasks
-// write the same generation the same way.
+// genHeader is rank 0's per-SOP decision, broadcast so all tasks write
+// the same generation the same way, or all skip the checkpoint.
 type genHeader struct {
 	Gen    string // the fresh generation prefix
 	Prev   string // chain predecessor ("" = none)
 	Delta  bool   // write a delta against Prev instead of a full anchor
 	Mem    bool   // diskless generation: payloads go to peer memory only
 	Stop   bool   // the system's stop request, delivered collectively at this SOP
+	Skip   bool   // an enabling SOP nobody armed: no checkpoint (Gen and Prev empty)
 	Resize int    // != 0: a resize generation — swap to this task count after commit
 }
 
@@ -493,6 +476,7 @@ const (
 	hdrDelta = 1 << iota
 	hdrMem
 	hdrStop
+	hdrSkip
 )
 
 // encode frames h for the per-SOP broadcast: Gen and Prev, each a uvarint
@@ -504,14 +488,10 @@ func (h genHeader) encode() []byte {
 	b = binary.AppendUvarint(b, uint64(len(h.Prev)))
 	b = append(b, h.Prev...)
 	var flags byte
-	if h.Delta {
-		flags |= hdrDelta
-	}
-	if h.Mem {
-		flags |= hdrMem
-	}
-	if h.Stop {
-		flags |= hdrStop
+	for i, on := range [...]bool{h.Delta, h.Mem, h.Stop, h.Skip} { // hdrDelta, hdrMem, hdrStop, hdrSkip
+		if on {
+			flags |= 1 << i
+		}
 	}
 	b = append(b, flags)
 	return binary.AppendVarint(b, int64(h.Resize))
@@ -536,7 +516,7 @@ func decodeGenHeader(b []byte) (genHeader, error) {
 		return h, errors.New("drms: truncated checkpoint header")
 	}
 	flags := b[0]
-	h.Delta, h.Mem, h.Stop = flags&hdrDelta != 0, flags&hdrMem != 0, flags&hdrStop != 0
+	h.Delta, h.Mem, h.Stop, h.Skip = flags&hdrDelta != 0, flags&hdrMem != 0, flags&hdrStop != 0, flags&hdrSkip != 0
 	resize, k := binary.Varint(b[1:])
 	if k <= 0 || k != len(b)-1 {
 		return h, errors.New("drms: malformed checkpoint header")
@@ -545,66 +525,82 @@ func decodeGenHeader(b []byte) (genHeader, error) {
 	return h, nil
 }
 
+// header is rank 0's decision at an SOP — skip it, or which generation to
+// write and how — and the chain predecessor's metadata if the view has it.
+func (t *Task) header(prefix string, enabling bool) (hdr genHeader, prevMeta *ckpt.Meta) {
+	hdr.Stop = t.handle.stopReq.Load()
+	// An enabling SOP checkpoints when the system enabled it, or when a
+	// pending system-initiated resize forces it: the swap can only ride a
+	// committed generation.
+	rs := t.handle.armedResize()
+	if enabling && !t.handle.enable.Swap(false) && (rs == nil || rs.finished()) {
+		hdr.Skip = true
+		return hdr, nil
+	}
+	view := t.rotation(prefix)
+	hdr.Gen = view.NextPrefix(t.cfg.FS)
+	if _, prev, ok := view.Latest(t.cfg.FS); ok && !t.cfg.SPMDMode {
+		hdr.Prev = prev
+		// The base is usually the generation this rank committed
+		// last time; the view hands its meta back without a read.
+		prevMeta = view.CommittedMeta(prev)
+		// Delta unless the anchor interval is due (or unbounded
+		// chains would result). The writer re-checks compatibility
+		// and silently demotes to an anchor.
+		if t.cfg.AnchorEvery > 1 {
+			m := prevMeta
+			if m == nil {
+				if read, err := ckpt.ReadMeta(t.cfg.FS, prev, 0); err == nil {
+					m = &read
+				}
+			}
+			if m != nil && m.ChainLen+1 < t.cfg.AnchorEvery {
+				hdr.Delta = true
+			}
+		}
+	}
+	// Multi-level rotation: with DemoteEvery set, a generation is
+	// diskless unless the write-through interval is due. The first
+	// generation of a prefix always hits the pfs — a durable fallback
+	// must exist before anything is allowed to live only in volatile
+	// peer memory.
+	if t.cfg.Tier != nil && t.cfg.DemoteEvery > 1 && hdr.Prev != "" &&
+		t.memRun[prefix]+1 < t.cfg.DemoteEvery {
+		hdr.Mem = true
+	}
+	// An armed resize rides this generation: commit it, then swap the
+	// communicator epoch to the new task count. The hot path prefers
+	// peer memory outright — no pfs round trip for a generation whose
+	// purpose is an in-memory relayout — but the first generation of a
+	// prefix still writes through (a durable fallback must exist
+	// before anything lives only in volatile peer memory).
+	if rs != nil && !rs.finished() {
+		switch {
+		case rs.target == t.Tasks():
+			rs.complete(restoreOutcome{from: t.Tasks(), to: t.Tasks()}, nil)
+		case t.handle.resizeOK && rs.target >= 1:
+			hdr.Resize = rs.target
+			if t.cfg.Tier != nil && hdr.Prev != "" {
+				hdr.Mem = true
+			}
+		}
+	}
+	return hdr, prevMeta
+}
+
 // write archives the application state under a fresh generation of the
 // prefix ("<prefix>.gN"): a committed checkpoint is never overwritten in
 // place, so a failure landing mid-checkpoint can only tear the
 // uncommitted generation — the previous one stays restorable (the crash
 // window of Table 2). Rank 0 picks the generation and broadcasts it (one
 // agreed name, no dependence on concurrent file-system scans), and only
-// after the new generation's meta commit are older ones pruned.
-func (t *Task) write(prefix string) error {
+// after the new generation's meta commit are older ones pruned. On an
+// enabling SOP the same broadcast says whether to write at all.
+func (t *Task) write(prefix string, enabling bool) error {
 	var hdr genHeader
 	var prevMeta *ckpt.Meta
 	if t.Rank() == 0 {
-		view := t.rotation(prefix)
-		hdr.Gen = view.NextPrefix(t.cfg.FS)
-		if _, prev, ok := view.Latest(t.cfg.FS); ok && !t.cfg.SPMDMode {
-			hdr.Prev = prev
-			// The base is usually the generation this rank committed
-			// last time; the view hands its meta back without a read.
-			prevMeta = view.CommittedMeta(prev)
-			// Delta unless the anchor interval is due (or unbounded
-			// chains would result). The writer re-checks compatibility
-			// and silently demotes to an anchor.
-			if t.cfg.AnchorEvery > 1 {
-				m := prevMeta
-				if m == nil {
-					if read, err := ckpt.ReadMeta(t.cfg.FS, prev, 0); err == nil {
-						m = &read
-					}
-				}
-				if m != nil && m.ChainLen+1 < t.cfg.AnchorEvery {
-					hdr.Delta = true
-				}
-			}
-		}
-		// Multi-level rotation: with DemoteEvery set, a generation is
-		// diskless unless the write-through interval is due. The first
-		// generation of a prefix always hits the pfs — a durable fallback
-		// must exist before anything is allowed to live only in volatile
-		// peer memory.
-		if t.cfg.Tier != nil && t.cfg.DemoteEvery > 1 && hdr.Prev != "" &&
-			t.memRun[prefix]+1 < t.cfg.DemoteEvery {
-			hdr.Mem = true
-		}
-		// An armed resize rides this generation: commit it, then swap the
-		// communicator epoch to the new task count. The hot path prefers
-		// peer memory outright — no pfs round trip for a generation whose
-		// purpose is an in-memory relayout — but the first generation of a
-		// prefix still writes through (a durable fallback must exist
-		// before anything lives only in volatile peer memory).
-		if rs := t.handle.armedResize(); rs != nil && !rs.finished() {
-			switch {
-			case rs.target == t.Tasks():
-				rs.complete(restoreOutcome{from: t.Tasks(), to: t.Tasks()}, nil)
-			case t.handle.resizeOK && rs.target >= 1:
-				hdr.Resize = rs.target
-				if t.cfg.Tier != nil && hdr.Prev != "" {
-					hdr.Mem = true
-				}
-			}
-		}
-		hdr.Stop = t.handle.stopReq.Load()
+		hdr, prevMeta = t.header(prefix, enabling)
 	}
 	b, err := t.comm.Bcast(0, hdr.encode())
 	if err != nil {
@@ -612,6 +608,10 @@ func (t *Task) write(prefix string) error {
 	}
 	if hdr, err = decodeGenHeader(b); err != nil {
 		return err
+	}
+	if hdr.Skip {
+		t.latchStop(hdr.Stop)
+		return nil
 	}
 	t.sg.Ctx.SOP = prefix
 	var st ckpt.Stats

@@ -116,7 +116,7 @@ func (t *Task) GroupCheckpoint(g *Group, prefix string) (Status, int, error) {
 	if err := g.Sync(t); err != nil { // every component is at its SOP: the set is consistent
 		return Failed, 0, err
 	}
-	if err := t.write(prefix); err != nil {
+	if err := t.write(prefix, false); err != nil {
 		return Failed, 0, err
 	}
 	if err := g.Sync(t); err != nil { // all archives complete before anyone moves on

@@ -125,7 +125,7 @@ func (t *Task) ReconfigResize(prefix string, newTasks int) (Status, int, error) 
 	if t.Rank() == 0 && newTasks != t.Tasks() {
 		t.handle.liveResize(newTasks, "")
 	}
-	if err := t.write(prefix); err != nil {
+	if err := t.write(prefix, false); err != nil {
 		return Failed, 0, err
 	}
 	return Continued, 0, nil

@@ -222,7 +222,7 @@ func (t *Task) restore() (Status, int, error) {
 		at.complete(restoreOutcome{gen: target, ranks: ranks, from: m.Tasks, to: t.Tasks(),
 			mem: st.TierMemBytes, pfs: st.TierPFSBytes}, nil)
 	}
-	if _, err := t.verdict(false); err != nil { // the restore paths have no header to carry it
+	if err := t.agreeStop(); err != nil {
 		return Failed, 0, err
 	}
 	return Restored, delta, nil

@@ -35,13 +35,15 @@ type sopStep struct {
 	sop  func(*Task) (Status, int, error)
 }
 
-// countSOPs runs cfg.Tasks tasks over a counting transport. Each declares
-// the wall-clock benchmark's coord-recover state, a 4 096-element
-// float64 block array, then runs the steps in order; pending is the
-// restore its first SOP serves. It returns, per step, each rank's sends.
-// The first error aborts the transport so peers blocked in a collective
-// unwind.
-func countSOPs(t *testing.T, cfg Config, h *Handle, pending restoreKind, steps []sopStep) [][]int64 {
+// countSOPs runs cfg.Tasks tasks over a counting transport. Each
+// declares arrays float64 block arrays of 4 096 elements, each the
+// wall-clock benchmark's coord-recover state — on a power-of-two task
+// count each task's block is exactly one streamed piece, so no piece
+// crosses the interconnect and what is left is the SOP's control
+// rounds — then runs the steps in order; pending is the restore its
+// first SOP serves. It returns, per step, each rank's sends. The first
+// error aborts the transport so peers blocked in a collective unwind.
+func countSOPs(t *testing.T, cfg Config, h *Handle, pending restoreKind, arrays int, steps []sopStep) [][]int64 {
 	t.Helper()
 	n := cfg.Tasks
 	tr := &sendCounter{Transport: msg.NewLocalTransport(n), sends: make([]atomic.Int64, n)}
@@ -66,11 +68,13 @@ func countSOPs(t *testing.T, cfg Config, h *Handle, pending restoreKind, steps [
 				if err != nil {
 					return err
 				}
-				u, err := NewArray[float64](task, "u", d)
-				if err != nil {
-					return err
+				for a := range arrays {
+					u, err := NewArray[float64](task, fmt.Sprintf("u%d", a), d)
+					if err != nil {
+						return err
+					}
+					u.Fill(func(c []int) float64 { return float64(c[0]+a) * 0.5 })
 				}
-				u.Fill(func(c []int) float64 { return float64(c[0]) * 0.5 })
 				for i, s := range steps {
 					before := tr.sends[r].Load()
 					st, _, err := s.sop(task)
@@ -99,64 +103,93 @@ func countSOPs(t *testing.T, cfg Config, h *Handle, pending restoreKind, steps [
 	return sent
 }
 
-// TestSOPRounds pins every rank's sends per SOP kind on 3 tasks: the
-// fixed cost of a small SOP is its rounds, not its bytes. A checkpoint
-// is the ChkEnable verdict broadcast (enabling SOP only), the generation
-// header broadcast, the piece exchange, one gather of piece locations
-// per array and the commit barrier; a restore is the piece exchange,
-// one integrity round per array, the closing Allgather of the tier byte
-// totals and the stop verdict broadcast. No barrier only marks a trace
+// TestSOPRounds pins every rank's sends per SOP kind on 4 tasks, with one
+// array and with two: the fixed cost of a small SOP is its rounds, not
+// its bytes, and the rounds do not grow with the array count. A
+// checkpoint is the generation header broadcast (which on the enabling
+// SOP also carries whether to write at all), one gather of every array's
+// piece locations and the commit barrier; a delta adds one gather of
+// every array's fingerprints and the broadcast of rank 0's decision. A
+// restore is one gather of every array's piece CRCs, the broadcast of
+// the verdict and the stop broadcast. No barrier only marks a trace
 // phase, and no reduction delivers what rank 0 alone decides.
 // `make rounds` prints the table.
 func TestSOPRounds(t *testing.T) {
-	fs := testFS()
-	cfg := Config{Tasks: 3, FS: fs, Keep: 2, Verify: true}
 	ckptStep := func(name string) sopStep {
 		return sopStep{name, Continued, func(t *Task) (Status, int, error) { return t.ReconfigCheckpoint("job") }}
 	}
 	chkEnable := func(name string) sopStep {
 		return sopStep{name, Continued, func(t *Task) (Status, int, error) { return t.ReconfigChkEnable("job") }}
 	}
-	h := &Handle{done: make(chan struct{})}
-	h.EnableCheckpoint() // the first ReconfigChkEnable consumes it
-	steps := []sopStep{
-		ckptStep("ReconfigCheckpoint, first generation"),
-		ckptStep("ReconfigCheckpoint"),
-		chkEnable("ReconfigChkEnable, armed"),
-		chkEnable("ReconfigChkEnable, unarmed"),
+	restore := sopStep{"restore (at ReconfigCheckpoint)", Restored,
+		func(t *Task) (Status, int, error) { return t.ReconfigCheckpoint("job") }}
+	// Each run writes its own store: an anchor-only rotation that it then
+	// restores, or a chain whose second generation is a delta.
+	runs := []struct {
+		anchorEvery int
+		gen         int // the newest generation once the steps ran
+		steps       []sopStep
+	}{
+		{0, 2, []sopStep{
+			ckptStep("ReconfigCheckpoint, first generation"),
+			ckptStep("ReconfigCheckpoint"),
+			chkEnable("ReconfigChkEnable, armed"),
+			chkEnable("ReconfigChkEnable, unarmed"),
+		}},
+		{4, 1, []sopStep{
+			ckptStep("ReconfigCheckpoint, chain anchor"),
+			ckptStep("ReconfigCheckpoint, delta"),
+		}},
 	}
-	sent := countSOPs(t, cfg, h, restoreNone, steps)
-	if gen, ok := h.CommittedGen(); !ok || gen != 2 {
-		t.Fatalf("committed generation %d (%v), want 2: the unarmed SOP must not checkpoint", gen, ok)
+	want := map[string][]int64{
+		"ReconfigCheckpoint, first generation": {4, 4, 3, 3},
+		"ReconfigCheckpoint":                   {4, 4, 3, 3},
+		"ReconfigChkEnable, armed":             {4, 4, 3, 3},
+		"ReconfigChkEnable, unarmed":           {2, 1, 0, 0},
+		"ReconfigCheckpoint, chain anchor":     {4, 4, 3, 3},
+		"ReconfigCheckpoint, delta":            {6, 6, 4, 4},
+		restore.name:                           {4, 3, 1, 1},
 	}
-
-	from, ok := ckpt.Resolve(fs, "job")
-	if !ok {
-		t.Fatal("no committed generation to restore")
-	}
-	cfg.RestartFrom = from
-	restore := []sopStep{{"restore (at ReconfigCheckpoint)", Restored,
-		func(t *Task) (Status, int, error) { return t.ReconfigCheckpoint("job") }}}
-	sent = append(sent, countSOPs(t, cfg, &Handle{done: make(chan struct{})}, restoreLaunch, restore)...)
-	steps = append(steps, restore...)
-
-	want := [][]int64{
-		{5, 4, 4},
-		{5, 4, 4},
-		{7, 4, 4},
-		{2, 0, 0},
-		{7, 3, 3},
-	}
-	var table strings.Builder
-	fmt.Fprintf(&table, "%-38s %-14s %s\n", "SOP (3 tasks, 32 KB)", "sends by rank", "total")
-	for i, s := range steps {
-		var total int64
-		for _, v := range sent[i] {
-			total += v
+	var names []string
+	sent := map[string][2][]int64{}
+	for arrays := 1; arrays <= 2; arrays++ {
+		for _, run := range runs {
+			fs := testFS()
+			cfg := Config{Tasks: 4, FS: fs, Keep: 2, Verify: true, AnchorEvery: run.anchorEvery}
+			h := &Handle{done: make(chan struct{})}
+			h.EnableCheckpoint() // the first ReconfigChkEnable consumes it
+			steps := run.steps
+			counts := countSOPs(t, cfg, h, restoreNone, arrays, steps)
+			if gen, ok := h.CommittedGen(); !ok || gen != run.gen {
+				t.Fatalf("committed generation %d (%v), want %d: the unarmed SOP must not checkpoint", gen, ok, run.gen)
+			}
+			if run.anchorEvery == 0 {
+				from, ok := ckpt.Resolve(fs, "job")
+				if !ok {
+					t.Fatal("no committed generation to restore")
+				}
+				cfg.RestartFrom = from
+				counts = append(counts, countSOPs(t, cfg, &Handle{done: make(chan struct{})}, restoreLaunch, arrays, []sopStep{restore})...)
+				steps = append(steps, restore)
+			}
+			for i, s := range steps {
+				if arrays == 1 {
+					names = append(names, s.name)
+				}
+				row := sent[s.name]
+				row[arrays-1] = counts[i]
+				sent[s.name] = row
+			}
 		}
-		fmt.Fprintf(&table, "%-38s %-14s %d\n", s.name, strings.Trim(fmt.Sprint(sent[i]), "[]"), total)
-		if fmt.Sprint(sent[i]) != fmt.Sprint(want[i]) {
-			t.Errorf("%s: sends by rank %v, want %v", s.name, sent[i], want[i])
+	}
+
+	var table strings.Builder
+	fmt.Fprintf(&table, "%-38s %-12s %s\n", "SOP (4 tasks, 32 KB per array)", "1 array", "2 arrays")
+	for _, name := range names {
+		one, two := fmt.Sprint(sent[name][0]), fmt.Sprint(sent[name][1])
+		fmt.Fprintf(&table, "%-38s %-12s %s\n", name, strings.Trim(one, "[]"), strings.Trim(two, "[]"))
+		if w := fmt.Sprint(want[name]); one != w || two != w {
+			t.Errorf("%s: sends by rank %v with one array and %v with two, want %v", name, one, two, w)
 		}
 	}
 	t.Log("\n" + table.String())

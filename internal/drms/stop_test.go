@@ -14,9 +14,9 @@ import (
 // raw per-rank flag read, made rank 0 exit while rank 1 blocked forever
 // in the next Barrier. With the SOP-latched verdict both ranks observe
 // the stop at the same (next) SOP and exit together. Each way an SOP
-// agrees on the verdict gets the same interleaving: a checkpoint's
-// header broadcast, and rank 0's verdict broadcast (Task.verdict) at an
-// unarmed enabling SOP and at a restore.
+// agrees on the verdict gets the same interleaving: the generation
+// header broadcast of a checkpoint and of an unarmed enabling SOP, and
+// rank 0's stop broadcast (Task.agreeStop) at a restore.
 func TestStopDeliveredCollectively(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
