@@ -121,6 +121,11 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "a subset test built as intersect-then-compare (it walks every element and allocates the"; \
 		echo "intersection; x.Within(y) answers x ⊆ y in O(1) on regular axes, one pass otherwise):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/json"' internal/bench cmd/drmsbench || true; \
+		ls BENCH_*.json 2>/dev/null || true); \
+	if [ -n "$$out" ]; then \
+		echo "a second benchmark harness (benchmark/ writes the one result schema; internal/bench and"; \
+		echo "cmd/drmsbench regenerate the paper's tables, and TestModeledClaims holds the modeled claims):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'IncrementalCheckpoint|WriteDRMSIncremental|SkipPiece' --include='*.go' \
 		--include='README.md' --include='DESIGN.md' --include='EXPERIMENTS.md' . || true); \
 	if [ -n "$$out" ]; then \
@@ -220,17 +225,13 @@ soak-controlplane:
 smoke:
 	$(GO) test -count=1 -run TestDaemonObservabilityEndToEnd ./cmd/drmsd
 
-# Benchmarks plus the chained-checkpoint steady-state comparison, the
-# memory-tier restore-latency comparison, the localized-vs-full recovery
-# TTR comparison, and the in-flight-resize-vs-classic-reconfigure TTR
-# comparison, whose JSON artifacts (BENCH_6.json, BENCH_7.json,
-# BENCH_9.json, BENCH_10.json) CI archives for before/after tracking.
+# The root package's benchmarks: the paper's tables and figure through
+# the trace-replay model, and the live cost of the core primitives. The
+# modeled claims of the chained deltas, the memory tier, localized
+# recovery and the in-flight resize are TestModeledClaims's rows in
+# internal/bench (`make test`); their wall time is `make benchmark`'s.
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
-	$(GO) run ./cmd/drmsbench -bench6 BENCH_6.json
-	$(GO) run ./cmd/drmsbench -bench7 BENCH_7.json
-	$(GO) run ./cmd/drmsbench -bench9 BENCH_9.json
-	$(GO) run ./cmd/drmsbench -bench10 BENCH_10.json
 
 # CPU and allocation profiles of the paper-shaped data path, without a
 # flag in benchmark/main.go: the steady-state checkpoint and reconfigured

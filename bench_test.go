@@ -122,42 +122,6 @@ func BenchmarkFigure7Render(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointDRMSSteadyStateSparseDelta is the repository's own
-// evaluation of the chained delta+codec pipeline (Bench 6, DESIGN.md
-// §3g): the sparse-update steady-state workload checkpointed under the
-// classic full scheme and the chained scheme, reporting amortized
-// stored bytes and modeled (trace-replayed, 1997-SP) time per
-// checkpoint for both. `drmsbench -bench6` runs the same measurement
-// and writes BENCH_6.json.
-func BenchmarkCheckpointDRMSSteadyStateSparseDelta(b *testing.B) {
-	r := cachedBench6(b)
-	b.ReportMetric(r.Full.BytesPerCkpt, "full-B/ckpt")
-	b.ReportMetric(r.Delta.BytesPerCkpt, "delta-B/ckpt")
-	b.ReportMetric(r.Full.MsPerCkpt, "full-ms/ckpt")
-	b.ReportMetric(r.Delta.MsPerCkpt, "delta-ms/ckpt")
-	if r.BytesDropPct < 30 || r.MsDropPct < 30 {
-		b.Fatalf("delta scheme dropped bytes %.1f%% and time %.1f%%, want >= 30%% each",
-			r.BytesDropPct, r.MsDropPct)
-	}
-}
-
-var (
-	bench6Once sync.Once
-	bench6Res  bench.Bench6Result
-	bench6Err  error
-)
-
-func cachedBench6(b *testing.B) bench.Bench6Result {
-	b.Helper()
-	bench6Once.Do(func() {
-		bench6Res, bench6Err = bench.MeasureBench6(bench.DefaultBench6())
-	})
-	if bench6Err != nil {
-		b.Fatal(bench6Err)
-	}
-	return bench6Res
-}
-
 func BenchmarkSection6RatioModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.RatioTable([][3]int{{32, 2, 3}, {16, 2, 3}}); err != nil {

@@ -26,59 +26,7 @@ func main() {
 	figure := flag.String("figure", "", "figure to regenerate: 7")
 	classFlag := flag.String("class", "A", "problem class: S, W, A, or B")
 	ablation := flag.Bool("ablation", false, "also run the §3.2 design-choice ablations (piece size, writer count)")
-	bench6 := flag.String("bench6", "", "run the chained-checkpoint steady-state comparison and write its JSON artifact to this path")
-	bench7 := flag.String("bench7", "", "run the memory-tier vs pfs restore-latency comparison and write its JSON artifact to this path")
-	bench9 := flag.String("bench9", "", "run the localized-vs-full recovery TTR comparison and write its JSON artifact to this path")
-	bench10 := flag.String("bench10", "", "run the in-flight-resize-vs-classic-reconfigure TTR comparison and write its JSON artifact to this path")
 	flag.Parse()
-
-	if *bench10 != "" {
-		fmt.Fprintln(os.Stderr, "running the in-flight-resize-vs-classic-reconfigure comparison (both arms)...")
-		r, err := bench.MeasureBench10(bench.DefaultBench10())
-		check(err)
-		js, err := bench.Bench10JSON(r)
-		check(err)
-		check(os.WriteFile(*bench10, append(js, '\n'), 0o644))
-		fmt.Print(bench.RenderBench10(r))
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *bench10)
-		return
-	}
-
-	if *bench9 != "" {
-		fmt.Fprintln(os.Stderr, "running the localized-vs-full recovery comparison (partial and full paths)...")
-		r, err := bench.MeasureBench9(bench.DefaultBench9())
-		check(err)
-		js, err := bench.Bench9JSON(r)
-		check(err)
-		check(os.WriteFile(*bench9, append(js, '\n'), 0o644))
-		fmt.Print(bench.RenderBench9(r))
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *bench9)
-		return
-	}
-
-	if *bench7 != "" {
-		fmt.Fprintln(os.Stderr, "running the memory-tier restore-latency comparison (hot and pfs paths)...")
-		r, err := bench.MeasureBench7(bench.DefaultBench7())
-		check(err)
-		js, err := bench.Bench7JSON(r)
-		check(err)
-		check(os.WriteFile(*bench7, append(js, '\n'), 0o644))
-		fmt.Print(bench.RenderBench7(r))
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *bench7)
-		return
-	}
-
-	if *bench6 != "" {
-		fmt.Fprintln(os.Stderr, "running the chained-checkpoint steady-state comparison (both schemes)...")
-		r, err := bench.MeasureBench6(bench.DefaultBench6())
-		check(err)
-		js, err := bench.Bench6JSON(r)
-		check(err)
-		check(os.WriteFile(*bench6, append(js, '\n'), 0o644))
-		fmt.Print(bench.RenderBench6(r))
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *bench6)
-		return
-	}
 
 	class := apps.Class((*classFlag)[0])
 	if _, err := apps.GridSize(class); err != nil {

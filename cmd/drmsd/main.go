@@ -9,8 +9,8 @@
 //	drmsctl -connect 127.0.0.1:7070 -op submit -name job1 -kernel bt ...
 //
 // With -state, checkpointed application state is loaded at startup and
-// saved on shutdown (SIGINT), so jobs can be restarted across daemon
-// runs.
+// saved on shutdown (SIGINT or SIGTERM), so jobs can be restarted across
+// daemon runs.
 //
 // With -auto-recover, every submitted job runs under the recovery
 // supervisor: when a processor failure kills it, the RC re-sizes the
@@ -44,6 +44,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"drms/internal/coord"
@@ -185,10 +186,12 @@ func main() {
 		}
 		mode += ")"
 	}
-	fmt.Printf("drmsd: %d processors, control protocol on %s%s\n", *nodes, addr, mode)
-
+	// A service manager stops the daemon with SIGTERM, a terminal with
+	// SIGINT: both save -state. Subscribed before the ready line, so a
+	// stop sent on seeing it is never lost to the default action.
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	fmt.Printf("drmsd: %d processors, control protocol on %s%s\n", *nodes, addr, mode)
 	<-sig
 	if *state != "" {
 		check(fs.SaveFile(*state))

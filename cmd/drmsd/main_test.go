@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bufio"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -150,4 +156,48 @@ func get(t *testing.T, url string, wantStatus int) (body, contentType string) {
 		t.Fatalf("GET %s = %d, want %d", url, resp.StatusCode, wantStatus)
 	}
 	return string(b), resp.Header.Get("Content-Type")
+}
+
+// daemonChild, as the first argument after the test binary's flags,
+// makes TestSIGTERMSavesState run main with the arguments after it.
+const daemonChild = "drmsd-child"
+
+// TestSIGTERMSavesState stops a daemon the way a service manager does,
+// with SIGTERM, and loads the -state snapshot it must have saved. The
+// test binary runs main as the daemon.
+func TestSIGTERMSavesState(t *testing.T) {
+	if flag.Arg(0) == daemonChild {
+		os.Args = append([]string{"drmsd"}, flag.Args()[1:]...)
+		flag.CommandLine = flag.NewFlagSet("drmsd", flag.ExitOnError)
+		main()
+		return
+	}
+	state := filepath.Join(t.TempDir(), "state.pfs")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSIGTERMSavesState$", "-test.count=1",
+		"--", daemonChild, "-nodes", "1", "-state", state)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stderr = cmd.Stdout
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer time.AfterFunc(30*time.Second, func() { cmd.Process.Kill() }).Stop()
+	var out strings.Builder
+	for sc := bufio.NewScanner(stdout); sc.Scan(); {
+		out.WriteString(sc.Text() + "\n")
+		if strings.Contains(sc.Text(), "control protocol on") {
+			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("daemon: %v\n%s", err, out.String())
+	}
+	fs := pfs.NewSystem(pfs.DefaultConfig())
+	if err := fs.LoadFile(state); err != nil {
+		t.Fatalf("load the saved state: %v\n%s", err, out.String())
+	}
 }

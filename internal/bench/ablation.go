@@ -8,7 +8,6 @@ import (
 	"drms/internal/ckpt"
 	"drms/internal/drms"
 	"drms/internal/pfs"
-	"drms/internal/sim"
 	"drms/internal/stream"
 )
 
@@ -131,14 +130,9 @@ type IncrementalResult struct {
 func IncrementalComparison(k *apps.Kernel, class apps.Class, pes int, p Platform) (IncrementalResult, error) {
 	var res IncrementalResult
 	fs := pfs.NewSystem(p.FSCfg)
-	cluster := sim.SPCluster(p.Nodes, pes)
 	model, err := k.SegmentModel(class)
 	if err != nil {
 		return res, err
-	}
-	resident := make([]int64, pes)
-	for i := range resident {
-		resident[i] = model.Total()
 	}
 
 	var tr1, tr2 *pfs.Trace
@@ -183,11 +177,11 @@ func IncrementalComparison(k *apps.Kernel, class apps.Class, pes int, p Platform
 		return res, err
 	}
 
-	full, err := p.Model.Replay(tr1, p.FSCfg, cluster, resident)
+	full, err := p.replay(tr1, pes, model.Total())
 	if err != nil {
 		return res, err
 	}
-	incr, err := p.Model.Replay(tr2, p.FSCfg, cluster, resident)
+	incr, err := p.replay(tr2, pes, model.Total())
 	if err != nil {
 		return res, err
 	}

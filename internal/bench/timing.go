@@ -37,6 +37,16 @@ func SPPlatform() Platform {
 	}
 }
 
+// replay models trace tr on pes tasks of p, each holding resident bytes
+// of state.
+func (p Platform) replay(tr *pfs.Trace, pes int, resident int64) (sim.Result, error) {
+	r := make([]int64, pes)
+	for i := range r {
+		r[i] = resident
+	}
+	return p.Model.Replay(tr, p.FSCfg, sim.SPCluster(p.Nodes, pes), r)
+}
+
 // Timing is the modeled checkpoint and restart cost of one (application,
 // scheme, partition size) cell of Tables 5/6.
 type Timing struct {
@@ -72,15 +82,10 @@ func isArr(name string) bool { return strings.HasPrefix(name, "arrays:") }
 func MeasureTiming(k *apps.Kernel, class apps.Class, pes int, mode ckpt.Mode, p Platform) (Timing, error) {
 	t := Timing{App: k.Name, PEs: pes, Mode: mode}
 	fs := pfs.NewSystem(p.FSCfg)
-	cluster := sim.SPCluster(p.Nodes, pes)
 
 	model, err := k.SegmentModel(class)
 	if err != nil {
 		return t, err
-	}
-	resident := make([]int64, pes)
-	for i := range resident {
-		resident[i] = model.Total()
 	}
 
 	cfg := drms.Config{Tasks: pes, FS: fs, SPMDMode: mode == ckpt.ModeSPMD, Stream: p.Stream}
@@ -94,7 +99,7 @@ func MeasureTiming(k *apps.Kernel, class apps.Class, pes int, mode ckpt.Mode, p 
 	fs.StopTrace()
 	t.StateBytes = ckpt.StateBytes(fs, "ck")
 
-	ckRes, err := p.Model.Replay(ckTrace, p.FSCfg, cluster, resident)
+	ckRes, err := p.replay(ckTrace, pes, model.Total())
 	if err != nil {
 		return t, err
 	}
@@ -108,7 +113,7 @@ func MeasureTiming(k *apps.Kernel, class apps.Class, pes int, mode ckpt.Mode, p 
 	}
 	fs.StopTrace()
 
-	rsRes, err := p.Model.Replay(rsTrace, p.FSCfg, cluster, resident)
+	rsRes, err := p.replay(rsTrace, pes, model.Total())
 	if err != nil {
 		return t, err
 	}

@@ -229,10 +229,11 @@ func TestTierHotRestoreOfWriteThroughGeneration(t *testing.T) {
 	}
 }
 
-// The headline perf property behind BENCH_7: an equal-layout hot
-// restore with owner-aligned placement touches no payload file and
-// moves no modeled network bytes — only metadata reads. A regression
-// here (misaligned placement, a lookup that stops preferring the local
+// The headline perf property behind the memory tier's restore claim
+// (TestModeledClaims in internal/bench): an equal-layout hot restore
+// with owner-aligned placement touches no payload file and moves no
+// modeled network bytes — only metadata reads. A regression here
+// (misaligned placement, a lookup that stops preferring the local
 // store, the coarse hot plan failing to engage) silently turns the
 // millisecond restore back into a redistribution, so pin it on the
 // trace itself.
