@@ -88,6 +88,13 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "a hand-off outside AlltoallSparse (every other operation promises MPI copy semantics:"; \
 		echo "its caller may reuse the buffer, so it must go through Comm.send, which hands off a copy):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE '\[\](Transport|\*TCPTransport)\b' $$(ls internal/msg/*.go | grep -v '_test\.go$$') || true; \
+		awk 'FNR == 1 { fn = "" } /^func / { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn) } \
+		/New(Local|TCP)Transport\(/ && !/^[ \t]*\/\// && !/^func New(Local|TCP)Transport\(/ && fn !~ /^(NewRunner|install)$$/ { print FILENAME ":" FNR ": " $$0 }' \
+		$$(ls internal/msg/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$out" ]; then \
+		echo "a second live epoch in the runner (it keeps only the current transport: NewRunner opens the"; \
+		echo "launch one, Runner.install every later one, and a retired transport is dropped):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rl '"unsafe"' --include='*.go' internal | grep -vx 'internal/array/codec.go' || true); \
 	if [ -n "$$out" ]; then \
 		echo "a second unsafe import under internal/ (the one byte view of a slice is rawBytes in"; \

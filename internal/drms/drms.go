@@ -736,7 +736,7 @@ func Start(cfg Config, app func(*Task) error) (*Handle, error) {
 				if cfg.RestartFrom != "" {
 					t.pending = restoreLaunch
 				}
-			case runner.ResizedEpoch(c.Epoch()):
+			case c.Resized():
 				t.pending = restoreResize
 			default:
 				t.pending = restoreRollback

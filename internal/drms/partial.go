@@ -114,6 +114,7 @@ func (h *Handle) PartialRecover(spec PartialRecoverSpec) (PartialStats, error) {
 }
 
 // TaskSpawns returns how many task goroutines this run ever started:
-// Tasks at launch plus one per replaced rank. The chaos tests read it to
-// prove survivors' goroutines persisted across a localized recovery.
+// Tasks at launch plus one per replaced rank and one per rank a growing
+// resize added. The chaos tests read it to prove survivors' goroutines
+// persisted across a localized recovery.
 func (h *Handle) TaskSpawns() int64 { return h.runner.Spawned() }

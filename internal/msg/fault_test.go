@@ -3,6 +3,7 @@ package msg
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 )
@@ -267,6 +268,36 @@ func TestDropConnFailsSendAndRevokesRun(t *testing.T) {
 	}
 	if !errors.Is(per.errs[1], ErrRevoked) {
 		t.Fatalf("rank 1 recv error = %v, want ErrRevoked", per.errs[1])
+	}
+}
+
+// retiringConn is a socket whose write loses the race to its epoch's
+// retirement: the transport is aborted and shut down under the writer.
+type retiringConn struct {
+	net.Conn
+	t *TCPTransport
+}
+
+func (c retiringConn) Write([]byte) (int, error) {
+	c.t.Abort(ErrProcFailed)
+	c.Conn.Close()
+	return 0, net.ErrClosed
+}
+
+// TestSendRacingRetirementReturnsAbortError: a send whose socket is shut
+// down because the transport was aborted meanwhile reports the abort
+// error, so a survivor of a retired epoch parks instead of failing the
+// run on a socket error.
+func TestSendRacingRetirementReturnsAbortError(t *testing.T) {
+	tr, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Shutdown()
+	fc := tr.ends[[2]int{0, 1}]
+	fc.c = retiringConn{Conn: fc.c, t: tr}
+	if err := tr.Send(0, 1, 7, []byte("in flight")); !errors.Is(err, ErrProcFailed) {
+		t.Fatalf("send racing the retirement = %v, want ErrProcFailed", err)
 	}
 }
 

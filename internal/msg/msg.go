@@ -49,11 +49,11 @@ var (
 	// ErrKilled is what a fault-injected victim observes from its own
 	// operations once its configured death point is reached.
 	ErrKilled = errors.New("msg: rank killed by fault injection")
-	// ErrProcFailed reports that one or more ranks were declared dead and
-	// the communicator's epoch was shrunk (Runner.Shrink): survivors
-	// observe it from their pending operations and should Park to obtain
-	// the replacement communicator instead of unwinding (ULFM
-	// MPI_ERR_PROC_FAILED semantics).
+	// ErrProcFailed reports that the communicator's epoch was retired —
+	// ranks were declared dead (Runner.Shrink) or the task count changed
+	// (Runner.Resize): survivors observe it from their pending operations
+	// and should Park to obtain the next epoch's communicator instead of
+	// unwinding (ULFM MPI_ERR_PROC_FAILED semantics).
 	ErrProcFailed = errors.New("msg: process failure, communicator shrunk")
 	// ErrSuperseded is Park's answer to a goroutine whose rank was
 	// declared dead while it was still running (the simulation's node
@@ -73,6 +73,8 @@ type Comm struct {
 	// 0 for the launch communicator, incremented by every Shrink or
 	// Resize.
 	epoch int
+	// resized is set when Runner.Resize installed the epoch.
+	resized bool
 }
 
 // NewComm builds the endpoint of one rank over a transport. The runner
@@ -116,6 +118,11 @@ func (c *Comm) Rank() int { return c.rank }
 // communicator, one higher per Runner.Shrink or Runner.Resize that
 // replaced it.
 func (c *Comm) Epoch() int { return c.epoch }
+
+// Resized reports whether Runner.Resize installed the communicator's
+// epoch, as opposed to the launch or a Shrink: the runtime sends a task
+// of such an epoch down the resize-restore path.
+func (c *Comm) Resized() bool { return c.resized }
 
 // Size returns the number of tasks in the application.
 func (c *Comm) Size() int { return c.size }
@@ -296,31 +303,19 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 // Alltoall performs a personalized all-to-all exchange: send[i] goes to
 // rank i, and the result's entry i holds the buffer rank i sent to this
 // task. Entries may be nil/empty. This is the workhorse of array
-// redistribution.
+// redistribution. The caller keeps its buffers: Alltoall exchanges copies
+// of them as an AlltoallSparse over the complete graph.
 func (c *Comm) Alltoall(send [][]byte) ([][]byte, error) {
-	defer observeCollective(time.Now())
 	if len(send) != c.size {
 		return nil, fmt.Errorf("msg: Alltoall with %d buffers for %d ranks", len(send), c.size)
 	}
-	tag := c.collTag(opAlltoall)
-	recv := make([][]byte, c.size)
-	recv[c.rank] = append([]byte(nil), send[c.rank]...)
-	// Pairwise exchange schedule: in step s, rank r talks to r XOR s when
-	// size is a power of two; otherwise fall back to the linear shifted
-	// schedule, which is correct for any size.
-	for s := 1; s < c.size; s++ {
-		dst := (c.rank + s) % c.size
-		src := (c.rank - s + c.size) % c.size
-		if err := c.send(dst, tag, send[dst]); err != nil {
-			return nil, err
-		}
-		m, err := c.recv(src, tag)
-		if err != nil {
-			return nil, err
-		}
-		recv[src] = m
+	own := make([][]byte, c.size)
+	all := make([]bool, c.size)
+	for q := range own {
+		own[q] = append([]byte(nil), send[q]...)
+		all[q] = true
 	}
-	return recv, nil
+	return c.AlltoallSparse(own, all, all)
 }
 
 // AlltoallSparse is Alltoall restricted to a known communication graph,
@@ -349,11 +344,11 @@ func (c *Comm) AlltoallSparse(send [][]byte, sendTo, recvFrom []bool) ([][]byte,
 	if sendTo[c.rank] {
 		recv[c.rank] = send[c.rank]
 	}
-	// Same shifted pairwise schedule as Alltoall: in step s this rank's
-	// partner pair is (rank+s, rank-s), and the peer that would send to us
-	// in this step is exactly the one our recvFrom mask covers, so the
-	// skip decisions pair up across ranks. Sends are buffered, so a step
-	// with a send and no receive (or vice versa) cannot deadlock.
+	// Shifted pairwise schedule, correct for any size: in step s this
+	// rank's partner pair is (rank+s, rank-s), and the peer that would send
+	// to us in this step is exactly the one our recvFrom mask covers, so
+	// the skip decisions pair up across ranks. Sends are buffered, so a
+	// step with a send and no receive (or vice versa) cannot deadlock.
 	for s := 1; s < c.size; s++ {
 		dst := (c.rank + s) % c.size
 		src := (c.rank - s + c.size) % c.size
@@ -462,47 +457,33 @@ func Run(n int, f func(c *Comm) error) error {
 // killing them from outside — the mechanism the coordination layer uses
 // when a processor failure takes an application down (§4: "it kills all
 // other processes of that application").
+//
+// A runner holds one live communicator epoch. Epoch 0 is the launch
+// communicator; every Shrink or Resize installs a fresh transport as the
+// next epoch and retires the current one — aborted, shut down over TCP
+// and dropped (shrink.go) — so nothing the runner keeps grows with the
+// number of epochs.
 type Runner struct {
-	n       int
-	tr      Transport // epoch-0 transport (the one InjectFault wraps)
-	tcp     *TCPTransport
 	useTCP  bool
 	killed  atomic.Bool
-	spawned atomic.Int64 // task goroutines ever started (launch + replacements)
+	spawned atomic.Int64 // task goroutines ever started (launch, replacements, grown ranks)
 
 	mu    sync.Mutex
 	cond  *sync.Cond // signals epoch changes, task exits, kills
 	cause error      // root cause of an aborted run
 
-	// Shrink/Park/Resize state (all guarded by mu). Epoch 0 is the
-	// launch communicator; every Shrink or Resize retires the current
-	// epoch's transport and opens a fresh one at seq+1. size is the task
-	// count of the current epoch: it starts at n and changes only through
-	// Resize, so transports of different epochs may have different sizes
-	// (trN records each one's, for shutdown).
-	body   func(*Comm) error // the application body, set by Run
-	seq    int               // current epoch
-	size   int               // current epoch's task count
-	curTr  Transport         // current epoch's transport
-	trs    []Transport       // every transport ever opened (abort on Kill/fail)
-	trN    []int             // task count of each transport in trs
-	tcps   []*TCPTransport   // the TCP ones among trs, for shutdown
-	reborn map[int]int       // rank -> epoch of its newest goroutine (replacements and retirements)
-	dead   []shrinkRec       // per-epoch replaced-rank records
-	active int               // live task goroutines across all epochs
-	ran    bool              // Run was called
-	fin    bool              // Run returned (no further Shrink allowed)
-}
-
-// shrinkRec records one epoch transition: which ranks got fresh
-// goroutines (Shrink's dead ranks, or the ranks a growing Resize added)
-// and whether the transition was a Resize — the runtime dispatches a
-// freshly parked or spawned task to the resize-restore path exactly when
-// its communicator epoch was installed by one.
-type shrinkRec struct {
-	seq      int
-	replaced []int
-	resized  bool
+	// The live epoch (all guarded by mu). size starts at the launch task
+	// count and changes only through Resize.
+	body    func(*Comm) error // the application body, set by Run
+	seq     int               // current epoch
+	size    int               // current epoch's task count
+	tr      Transport         // current epoch's transport (InjectFault may wrap the launch one)
+	tcp     *TCPTransport     // tr's socket mesh, shut down at retirement; nil in process
+	resized bool              // Resize installed the current epoch
+	reborn  map[int]int       // rank -> epoch of its newest goroutine (replacements and retirements)
+	active  int               // live task goroutines across all epochs
+	ran     bool              // Run was called
+	fin     bool              // Run returned (no further epoch)
 }
 
 // NewRunner builds a runner for n tasks; tcp selects the socket transport.
@@ -510,101 +491,86 @@ func NewRunner(n int, tcp bool) (*Runner, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("msg: runner of %d tasks", n)
 	}
-	r := &Runner{n: n, size: n, useTCP: tcp, reborn: map[int]int{}}
+	r := &Runner{size: n, useTCP: tcp, reborn: map[int]int{}}
 	r.cond = sync.NewCond(&r.mu)
 	if tcp {
-		tr, err := NewTCPTransport(n)
+		t, err := NewTCPTransport(n)
 		if err != nil {
 			return nil, err
 		}
-		r.tr, r.tcp = tr, tr
-		r.tcps = []*TCPTransport{tr}
+		r.tr, r.tcp = t, t
 	} else {
 		r.tr = NewLocalTransport(n)
 	}
-	r.curTr = r.tr
-	r.trs = []Transport{r.tr}
-	r.trN = []int{n}
 	return r, nil
 }
 
 // InjectFault wraps the runner's transport in a deterministic
 // fault-injection layer (see FaultTransport) and returns it for arming.
 // Must be called before Run. Only the launch epoch is wrapped: transports
-// opened by Shrink are fresh and fault-free.
+// opened by Shrink or Resize are fresh and fault-free.
 func (r *Runner) InjectFault(spec FaultSpec) *FaultTransport {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	ft := NewFaultTransport(r.tr, spec)
 	r.tr = ft
-	r.mu.Lock()
-	r.curTr = ft
-	r.trs[0] = ft
-	r.mu.Unlock()
 	return ft
 }
 
 // Kill revokes the application's communicator from outside: every blocked
-// or future operation — on the current epoch and on any retired one —
-// returns ErrRevoked, so all tasks unwind promptly at their next
-// communication, and parked tasks wake and unwind too. This is the
-// paper's processor-failure action (§4). Idempotent.
+// or future operation returns ErrRevoked, so all tasks unwind promptly at
+// their next communication, and parked tasks wake and unwind too. This is
+// the paper's processor-failure action (§4). Idempotent. Only the current
+// epoch needs the abort: a retired one was aborted at its retirement, and
+// its tasks find the kill when they park.
 func (r *Runner) Kill() {
 	if r.killed.Swap(true) {
 		return
 	}
 	r.mu.Lock()
-	trs := append([]Transport(nil), r.trs...)
+	tr := r.tr
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	for _, tr := range trs {
-		tr.Abort(ErrRevoked)
-	}
+	tr.Abort(ErrRevoked)
 }
 
 // Killed reports whether Kill was called.
 func (r *Runner) Killed() bool { return r.killed.Load() }
 
 // Spawned returns how many task goroutines the runner ever started: the
-// launch epoch's n plus one per rank replaced by a Shrink. A localized
-// recovery that truly parked its survivors shows exactly n + len(dead)
-// here — the observable proof that survivor goroutines persisted.
+// launch epoch's n plus one per rank replaced by a Shrink or added by a
+// growing Resize. A localized recovery that truly parked its survivors
+// shows exactly n + len(dead) here — the observable proof that survivor
+// goroutines persisted.
 func (r *Runner) Spawned() int64 { return r.spawned.Load() }
 
 func (r *Runner) shutdown() {
 	r.mu.Lock()
 	r.fin = true
-	trs := append([]Transport(nil), r.trs...)
-	trN := append([]int(nil), r.trN...)
-	tcps := append([]*TCPTransport(nil), r.tcps...)
+	tr, tcp, size := r.tr, r.tcp, r.size
 	r.mu.Unlock()
-	for _, t := range tcps {
-		t.Shutdown()
-	}
-	if len(tcps) > 0 {
+	if tcp != nil {
+		tcp.Shutdown()
 		return
 	}
-	for i, tr := range trs {
-		for rank := 0; rank < trN[i]; rank++ {
-			tr.Close(rank)
-		}
+	for rank := 0; rank < size; rank++ {
+		tr.Close(rank)
 	}
 }
 
-// fail records a task failure and revokes the communicator — every epoch
-// of it — so every peer, parked or running, unwinds. The root cause is
-// the first failure that is not itself a revocation echo: when task 3
-// dies and tasks 0-2 then observe ErrRevoked, the run's error is task
-// 3's.
+// fail records a task failure and revokes the communicator so every peer,
+// parked or running, unwinds. The root cause is the first failure that is
+// not itself a revocation echo: when task 3 dies and tasks 0-2 then
+// observe ErrRevoked, the run's error is task 3's.
 func (r *Runner) fail(err error) {
 	r.mu.Lock()
 	if r.cause == nil || (errors.Is(r.cause, ErrRevoked) && !errors.Is(err, ErrRevoked)) {
 		r.cause = err
 	}
-	trs := append([]Transport(nil), r.trs...)
+	tr := r.tr
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	for _, tr := range trs {
-		tr.Abort(ErrRevoked)
-	}
+	tr.Abort(ErrRevoked)
 }
 
 // Err returns the run's root-cause error (nil while healthy or after a
@@ -615,9 +581,18 @@ func (r *Runner) Err() error {
 	return r.cause
 }
 
-// runTask executes the application body for one rank on one epoch's
-// transport (of that epoch's size) and folds its outcome into the run.
-func (r *Runner) runTask(rank, seq, size int, tr Transport) {
+// commLocked returns rank's endpoint into the live epoch. r.mu must be
+// held.
+func (r *Runner) commLocked(rank int) *Comm {
+	c := NewComm(rank, r.size, r.tr)
+	c.epoch, c.resized = r.seq, r.resized
+	return c
+}
+
+// runTask executes the application body for one rank of one epoch and
+// folds its outcome into the run.
+func (r *Runner) runTask(c *Comm) {
+	rank := c.rank // c is the body's: it drops it when it parks
 	r.spawned.Add(1)
 	defer func() {
 		if p := recover(); p != nil {
@@ -630,16 +605,14 @@ func (r *Runner) runTask(rank, seq, size int, tr Transport) {
 		}
 		r.mu.Unlock()
 	}()
-	c := NewComm(rank, size, tr)
-	c.epoch = seq
 	if err := r.body(c); err != nil {
 		r.fail(fmt.Errorf("task %d: %w", rank, err))
 	}
 }
 
 // Run executes f on every rank and blocks until all return — including
-// any replacement tasks spawned by Shrink along the way. The first task
-// failure — a returned error or a panic — revokes the communicator
+// the tasks a Shrink or a growing Resize spawns along the way. The first
+// task failure — a returned error or a panic — revokes the communicator
 // (releasing peers blocked mid-collective) and becomes the returned
 // error; peers' secondary ErrRevoked errors are subsumed by it.
 func (r *Runner) Run(f func(c *Comm) error) error {
@@ -647,11 +620,14 @@ func (r *Runner) Run(f func(c *Comm) error) error {
 	r.mu.Lock()
 	r.body = f
 	r.ran = true
-	seq, tr := r.seq, r.curTr
-	r.active += r.n
+	comms := make([]*Comm, r.size)
+	for rank := range comms {
+		comms[rank] = r.commLocked(rank)
+	}
+	r.active += len(comms)
 	r.mu.Unlock()
-	for rank := 0; rank < r.n; rank++ {
-		go r.runTask(rank, seq, r.n, tr)
+	for _, c := range comms {
+		go r.runTask(c)
 	}
 	r.mu.Lock()
 	for r.active > 0 {

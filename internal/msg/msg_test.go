@@ -232,6 +232,14 @@ func TestAlltoall(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			// The caller keeps its buffers: reusing them once the call
+			// returns changes nothing a peer received.
+			for _, b := range send {
+				b[0] = 'x'
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
 			for s := 0; s < n; s++ {
 				want := fmt.Sprintf("%d->%d", s, c.Rank())
 				if string(got[s]) != want {
@@ -240,6 +248,22 @@ func TestAlltoall(t *testing.T) {
 			}
 			return nil
 		})
+	}
+}
+
+// TestAlltoallCountsOneCollective: Alltoall runs as an AlltoallSparse over
+// the complete graph and still counts one collective per call and rank.
+func TestAlltoallCountsOneCollective(t *testing.T) {
+	const n = 3
+	before := msgCollectives.Value()
+	if err := Run(n, func(c *Comm) error {
+		_, err := c.Alltoall(make([][]byte, n))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := msgCollectives.Value() - before; got != n {
+		t.Fatalf("%d collectives counted for one Alltoall on %d ranks, want %d", got, n, n)
 	}
 }
 

@@ -2,20 +2,23 @@ package msg
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 // resizeLog records what each task observed across resize epochs: park
 // outcomes plus the communicator sizes tasks computed with after each
-// transition.
+// transition, and the Resized flag of every comm a body received.
 type resizeLog struct {
 	mu         sync.Mutex
 	superseded int
 	parks      []ShrinkInfo
-	sizes      map[int][]int // rank -> sizes seen after each park/spawn
+	sizes      map[int][]int  // rank -> sizes seen after each park/spawn
+	resized    map[int][]bool // epoch -> Resized() of each comm seen in it
 }
 
 // body is the survivor loop for resize tests: allreduce a stop flag; on
@@ -63,16 +66,34 @@ func (l *resizeLog) note(c *Comm) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.sizes == nil {
-		l.sizes = map[int][]int{}
+		l.sizes, l.resized = map[int][]int{}, map[int][]bool{}
 	}
 	l.sizes[c.Rank()] = append(l.sizes[c.Rank()], c.Size())
+	l.resized[c.Epoch()] = append(l.resized[c.Epoch()], c.Resized())
+}
+
+// checkResized fails unless every comm seen in the epoch reported want
+// from Resized(); the log's lock must be held.
+func (l *resizeLog) checkResized(t *testing.T, epoch int, want bool) {
+	t.Helper()
+	flags := l.resized[epoch]
+	if len(flags) == 0 {
+		t.Fatalf("no comm of epoch %d seen", epoch)
+	}
+	for _, got := range flags {
+		if got != want {
+			t.Fatalf("a comm of epoch %d has Resized() = %v, want %v (all: %v)", epoch, got, want, flags)
+		}
+	}
 }
 
 // TestResizeGrow widens a 2-task run to 4: the two survivors park into
 // the wider epoch (no respawn), exactly two new goroutines appear, and
 // every task computes with size 4 afterwards.
-func TestResizeGrow(t *testing.T) {
-	r, err := NewRunner(2, false)
+func TestResizeGrow(t *testing.T) { bothTransports(t, testResizeGrow) }
+
+func testResizeGrow(t *testing.T, tcp bool) {
+	r, err := NewRunner(2, tcp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +107,8 @@ func TestResizeGrow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 1 || !r.ResizedEpoch(1) || r.ResizedEpoch(0) {
-		t.Fatalf("epoch %d, ResizedEpoch(1)=%v ResizedEpoch(0)=%v; want 1/true/false",
-			epoch, r.ResizedEpoch(1), r.ResizedEpoch(0))
+	if epoch != 1 {
+		t.Fatalf("resize installed epoch %d, want 1", epoch)
 	}
 	if got := r.Size(); got != 4 {
 		t.Fatalf("Size() = %d after resize, want 4", got)
@@ -108,6 +128,8 @@ func TestResizeGrow(t *testing.T) {
 	if len(log.parks) != 2 {
 		t.Fatalf("%d survivors parked, want 2", len(log.parks))
 	}
+	log.checkResized(t, 0, false)
+	log.checkResized(t, 1, true)
 	for _, info := range log.parks {
 		if info.Epoch != 1 || len(info.Replaced) != 2 ||
 			info.Replaced[0] != 2 || info.Replaced[1] != 3 {
@@ -125,8 +147,10 @@ func TestResizeGrow(t *testing.T) {
 // TestResizeShrink narrows a 4-task run to 2: ranks 2 and 3 exit
 // superseded, no goroutine is ever spawned beyond the launch 4, and the
 // survivors finish at size 2.
-func TestResizeShrink(t *testing.T) {
-	r, err := NewRunner(4, false)
+func TestResizeShrink(t *testing.T) { bothTransports(t, testResizeShrink) }
+
+func testResizeShrink(t *testing.T, tcp bool) {
+	r, err := NewRunner(4, tcp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +209,13 @@ func TestResizeThenShrinkFailure(t *testing.T) {
 	if _, err := r.Shrink([]int{3}); err != nil {
 		t.Fatal(err)
 	}
-	if r.ResizedEpoch(2) {
-		t.Fatal("ResizedEpoch(2) = true for a shrink epoch")
-	}
 	stop.Store(true)
 	if err := <-done; err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
+	log.mu.Lock()
+	log.checkResized(t, 2, false)
+	log.mu.Unlock()
 	// 2 launch + 2 grown + 1 replacement.
 	if got := r.Spawned(); got != 5 {
 		t.Fatalf("spawned %d goroutines, want 5", got)
@@ -225,4 +249,113 @@ func TestResizeValidation(t *testing.T) {
 	if _, err := r.Resize(4); err == nil {
 		t.Fatal("Resize after the run finished succeeded")
 	}
+}
+
+// swapper drives alternating Resize swaps between two sizes under a body
+// that does nothing but wait for its epoch's retirement and park.
+type swapper struct {
+	r           *Runner
+	size, other int
+	entered     chan struct{} // one token per rank entering an epoch; sized to the larger epoch
+	done        chan error
+
+	mu     sync.Mutex
+	epochs []weak.Pointer[LocalTransport] // each in-process epoch's transport, as rank 0 entered it
+}
+
+func startSwaps(t *testing.T, tcp bool, n, other int) *swapper {
+	t.Helper()
+	r, err := NewRunner(n, tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &swapper{r: r, size: n, other: other, entered: make(chan struct{}, max(n, other)), done: make(chan error, 1)}
+	go func() {
+		s.done <- r.Run(func(c *Comm) error {
+			for {
+				if lt, ok := c.tr.(*LocalTransport); ok && c.Rank() == 0 {
+					s.mu.Lock()
+					s.epochs = append(s.epochs, weak.Make(lt))
+					s.mu.Unlock()
+				}
+				s.entered <- struct{}{}
+				if _, err := c.Recv((c.Rank()+1)%c.Size(), 0); err == nil {
+					return errors.New("a receive nobody sent completed")
+				}
+				nc, _, err := r.Park(c)
+				if err != nil {
+					return nil // superseded by a narrowing swap, or the final kill
+				}
+				c = nc
+			}
+		})
+	}()
+	for i := 0; i < n; i++ {
+		<-s.entered
+	}
+	return s
+}
+
+// swap resizes to the other size and waits until every rank of the new
+// epoch has entered it (and so dropped its comm of the retired one).
+func (s *swapper) swap(t *testing.T) {
+	t.Helper()
+	s.size, s.other = s.other, s.size
+	if _, err := s.r.Resize(s.size); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < s.size; i++ {
+		<-s.entered
+	}
+}
+
+func (s *swapper) stop() {
+	s.r.Kill()
+	<-s.done
+}
+
+// TestRetiredEpochsAreReleased: a runner keeps only its live epoch. In
+// process, every transport a swap retires is garbage while the run goes
+// on; over TCP, a retired mesh's sockets and reader pumps are gone once
+// the swap returns, so the goroutine count does not grow with the swaps.
+func TestRetiredEpochsAreReleased(t *testing.T) {
+	t.Run("local", func(t *testing.T) {
+		const swaps = 50
+		s := startSwaps(t, false, 4, 2)
+		defer s.stop()
+		for i := 0; i < swaps; i++ {
+			s.swap(t)
+		}
+		runtime.GC()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if len(s.epochs) != swaps+1 {
+			t.Fatalf("rank 0 entered %d epochs, want %d", len(s.epochs), swaps+1)
+		}
+		for epoch, p := range s.epochs[:swaps] {
+			if p.Value() != nil {
+				t.Fatalf("the transport of epoch %d is still reachable after %d swaps", epoch, swaps)
+			}
+		}
+	})
+	t.Run("tcp", func(t *testing.T) {
+		const swaps = 20
+		s := startSwaps(t, true, 2, 4)
+		defer s.stop()
+		s.swap(t)
+		base := runtime.NumGoroutine()
+		for i := 0; i < swaps; i++ {
+			s.swap(t)
+		}
+		// Superseded ranks exit on their own schedule: allow them a moment.
+		got := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); got > base+2 && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+			got = runtime.NumGoroutine()
+		}
+		if got > base+2 {
+			t.Fatalf("%d goroutines after %d more swaps, %d after the first: retired meshes keep their reader pumps",
+				got, swaps, base)
+		}
+	})
 }

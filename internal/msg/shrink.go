@@ -1,20 +1,20 @@
 // Shrink/park: the ULFM MPI_Comm_shrink analog over the Revoke
-// machinery, the substrate of localized recovery (DESIGN.md §3j). When
-// the system declares ranks dead, it does not unwind the incarnation:
-// Runner.Shrink retires the current communicator epoch — pending
-// operations on it return ErrProcFailed, the localized-failure cousin of
-// ErrRevoked — opens a fresh same-size transport, and spawns replacement
-// goroutines for exactly the dead ranks. Survivors observe ErrProcFailed
-// from whatever operation they were blocked in, keep their memory, and
-// call Runner.Park to agree on the replacement communicator: Park blocks
-// until the shrink is installed and hands back a Comm of the new epoch
-// with the same rank. A goroutine whose own rank was declared dead while
-// it still ran (a lost node's task keeps running in the simulation)
-// parks into ErrSuperseded and must exit: a fresh goroutine owns the
-// rank now, and its state — conceptually lost with the node — must not
-// rejoin.
+// machinery, the substrate of localized recovery (DESIGN.md §3j), and
+// its sibling Resize, the substrate of the in-flight resize (§3k). Both
+// install the next communicator epoch through one path, Runner.install:
+// the current epoch is retired — pending operations on it return
+// ErrProcFailed, the localized-failure cousin of ErrRevoked — and a fresh
+// transport becomes the current epoch, with fresh goroutines for exactly
+// the ranks that need one. Survivors observe ErrProcFailed from whatever
+// operation they were blocked in, keep their memory, and call
+// Runner.Park to agree on the replacement communicator: Park blocks until
+// the new epoch is installed and hands back a Comm of it with the same
+// rank. A goroutine whose own rank was declared dead while it still ran
+// (a lost node's task keeps running in the simulation), or was retired by
+// a shrinking Resize, parks into ErrSuperseded and must exit: its state
+// must not rejoin.
 //
-// Shrink may be called again while a previous shrink's rollback is still
+// A new epoch may be installed while a previous one's rollback is still
 // in flight (a second failure mid-recovery): the in-flight epoch is
 // retired exactly like the launch epoch was, everyone re-parks, and the
 // replacement set grows.
@@ -29,85 +29,34 @@ import (
 type ShrinkInfo struct {
 	// Epoch is the new communicator's epoch.
 	Epoch int
-	// Replaced lists the ranks running fresh goroutines in the new epoch
-	// — every rank declared dead since the parked communicator's epoch,
-	// ascending. Survivors are exactly the complement.
+	// Replaced lists the ranks of the new epoch whose goroutine started
+	// after the parked communicator's epoch — every rank a Shrink replaced
+	// or a growing Resize added since, ascending. Survivors are exactly
+	// the complement.
 	Replaced []int
 }
 
 // Shrink declares the given ranks dead and installs a replacement
-// communicator epoch: the current epoch's transport is aborted with
-// ErrProcFailed (survivors unwind to Park instead of failing the run), a
-// fresh same-size transport becomes the current epoch, and one
-// replacement goroutine per dead rank is spawned running the same
-// application body. Returns the new epoch number. Idempotent per failure
-// only in the sense that repeated calls stack: each call retires the
-// then-current epoch. Errors when the run has not started, has already
-// finished, or was killed.
+// communicator epoch of the same size: the current epoch's transport is
+// aborted with ErrProcFailed (survivors unwind to Park instead of failing
+// the run), and one replacement goroutine per dead rank is spawned
+// running the same application body. Returns the new epoch number.
+// Repeated calls stack: each retires the then-current epoch. Errors when
+// the run has not started, has already finished, or was killed.
 func (r *Runner) Shrink(dead []int) (int, error) {
-	r.mu.Lock()
-	for _, d := range dead {
-		if d < 0 || d >= r.size {
-			n := r.size
-			r.mu.Unlock()
-			return 0, fmt.Errorf("msg: shrink of rank %d in a %d-task run", d, n)
+	dead = append([]int(nil), dead...)
+	sort.Ints(dead)
+	return r.install("Shrink", false, func(cur int) (int, []int, error) {
+		for i, d := range dead {
+			if d < 0 || d >= cur {
+				return 0, nil, fmt.Errorf("msg: shrink of rank %d in a %d-task run", d, cur)
+			}
+			if i > 0 && d == dead[i-1] {
+				return 0, nil, fmt.Errorf("msg: rank %d declared dead twice", d)
+			}
 		}
-	}
-	if !r.ran || r.body == nil {
-		r.mu.Unlock()
-		return 0, fmt.Errorf("msg: Shrink before Run")
-	}
-	if r.fin || r.active == 0 {
-		r.mu.Unlock()
-		return 0, fmt.Errorf("msg: Shrink after the run finished")
-	}
-	if r.killed.Load() || r.cause != nil {
-		r.mu.Unlock()
-		return 0, ErrRevoked
-	}
-	size := r.size
-	ntr, err := r.openTransportLocked(size)
-	if err != nil {
-		r.mu.Unlock()
-		return 0, err
-	}
-	old := r.curTr
-	r.seq++
-	seq := r.seq
-	r.curTr = ntr
-	r.trs = append(r.trs, ntr)
-	r.trN = append(r.trN, size)
-	rec := shrinkRec{seq: seq, replaced: append([]int(nil), dead...)}
-	sort.Ints(rec.replaced)
-	r.dead = append(r.dead, rec)
-	for _, d := range dead {
-		r.reborn[d] = seq
-		r.active++
-	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	// Retire the old epoch after the new one is installed, so a survivor
-	// that unwinds on ErrProcFailed always finds seq already advanced.
-	old.Abort(ErrProcFailed)
-	for _, d := range dead {
-		go r.runTask(d, seq, size, ntr)
-	}
-	msgShrinks.Inc()
-	return seq, nil
-}
-
-// openTransportLocked builds a fresh transport of the given size for a
-// new epoch. r.mu must be held.
-func (r *Runner) openTransportLocked(size int) (Transport, error) {
-	if r.useTCP {
-		t, err := NewTCPTransport(size)
-		if err != nil {
-			return nil, err
-		}
-		r.tcps = append(r.tcps, t)
-		return t, nil
-	}
-	return NewLocalTransport(size), nil
+		return cur, dead, nil
+	})
 }
 
 // Resize installs a communicator epoch with a different task count — the
@@ -127,78 +76,85 @@ func (r *Runner) openTransportLocked(size int) (Transport, error) {
 // checkpoints before swapping). Errors when the run has not started, has
 // finished, was killed, or newN equals the current size.
 func (r *Runner) Resize(newN int) (int, error) {
-	if newN < 1 {
-		return 0, fmt.Errorf("msg: resize to %d tasks", newN)
-	}
+	return r.install("Resize", true, func(cur int) (int, []int, error) {
+		if newN < 1 || newN == cur {
+			return 0, nil, fmt.Errorf("msg: resize of a %d-task run to %d tasks", cur, newN)
+		}
+		var grown []int
+		for d := cur; d < newN; d++ {
+			grown = append(grown, d)
+		}
+		return newN, grown, nil
+	})
+}
+
+// install is the one path to a new epoch. Under mu it checks that the run
+// is live and asks plan, given the current task count, for the new one
+// and the ranks that get fresh goroutines; it opens the new transport,
+// makes it current and marks those ranks, and every rank the new size
+// drops, as reborn in it. Then it retires the old epoch — aborted with
+// ErrProcFailed after the new one is installed, so a survivor that
+// unwinds always finds the next epoch to park into — starts the fresh
+// ranks and, over TCP, shuts the old mesh down. Nothing refers to the old
+// transport afterwards but the comms its tasks still hold until they park.
+// resized tells a Resize's epoch from a Shrink's.
+func (r *Runner) install(op string, resized bool, plan func(cur int) (int, []int, error)) (int, error) {
 	r.mu.Lock()
-	if !r.ran || r.body == nil {
-		r.mu.Unlock()
-		return 0, fmt.Errorf("msg: Resize before Run")
+	var err error
+	switch {
+	case !r.ran:
+		err = fmt.Errorf("msg: %s before Run", op)
+	case r.fin || r.active == 0:
+		err = fmt.Errorf("msg: %s after the run finished", op)
+	case r.killed.Load() || r.cause != nil:
+		err = ErrRevoked
 	}
-	if r.fin || r.active == 0 {
-		r.mu.Unlock()
-		return 0, fmt.Errorf("msg: Resize after the run finished")
+	cur, size, fresh := r.size, 0, []int(nil)
+	if err == nil {
+		size, fresh, err = plan(cur)
 	}
-	if r.killed.Load() || r.cause != nil {
-		r.mu.Unlock()
-		return 0, ErrRevoked
+	var tr Transport
+	var tcp *TCPTransport
+	switch {
+	case err != nil:
+	case r.useTCP:
+		tcp, err = NewTCPTransport(size)
+		tr = tcp
+	default:
+		tr = NewLocalTransport(size)
 	}
-	cur := r.size
-	if newN == cur {
-		r.mu.Unlock()
-		return 0, fmt.Errorf("msg: resize to the current size %d", newN)
-	}
-	ntr, err := r.openTransportLocked(newN)
 	if err != nil {
 		r.mu.Unlock()
 		return 0, err
 	}
-	old := r.curTr
+	old, oldTCP := r.tr, r.tcp
 	r.seq++
-	seq := r.seq
-	r.size = newN
-	r.curTr = ntr
-	r.trs = append(r.trs, ntr)
-	r.trN = append(r.trN, newN)
-	var grown []int
-	if newN > cur {
-		for d := cur; d < newN; d++ {
-			grown = append(grown, d)
-			r.reborn[d] = seq
-			r.active++
-		}
-	} else {
-		// Retired ranks are superseded exactly like a shrink's dead ranks,
-		// but nothing replaces them: their goroutines exit through Park.
-		for d := newN; d < cur; d++ {
-			r.reborn[d] = seq
-		}
+	r.size, r.tr, r.tcp, r.resized = size, tr, tcp, resized
+	for d := size; d < cur; d++ {
+		r.reborn[d] = r.seq
 	}
-	r.dead = append(r.dead, shrinkRec{seq: seq, replaced: grown, resized: true})
+	comms := make([]*Comm, len(fresh))
+	for i, d := range fresh {
+		r.reborn[d] = r.seq
+		comms[i] = r.commLocked(d)
+	}
+	r.active += len(comms)
+	seq := r.seq
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	old.Abort(ErrProcFailed)
-	for _, d := range grown {
-		go r.runTask(d, seq, newN, ntr)
+	for _, c := range comms {
+		go r.runTask(c)
 	}
-	msgResizes.Inc()
+	if oldTCP != nil {
+		oldTCP.Shutdown()
+	}
+	if resized {
+		msgResizes.Inc()
+	} else {
+		msgShrinks.Inc()
+	}
 	return seq, nil
-}
-
-// ResizedEpoch reports whether the given epoch was installed by Resize
-// (as opposed to the launch or a Shrink). The record is written before
-// the epoch's transport is published and before any of its goroutines
-// start, so a task may ask about its own communicator's epoch without a
-// race.
-func (r *Runner) ResizedEpoch(epoch int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, rec := range r.dead {
-		if rec.seq == epoch {
-			return rec.resized
-		}
-	}
-	return false
 }
 
 // Size returns the task count of the current communicator epoch.
@@ -226,9 +182,16 @@ func (r *Runner) Park(c *Comm) (*Comm, ShrinkInfo, error) {
 			return nil, ShrinkInfo{}, ErrSuperseded
 		}
 		if r.seq > c.epoch {
-			nc := NewComm(c.rank, r.size, r.curTr)
-			nc.epoch = r.seq
-			return nc, ShrinkInfo{Epoch: r.seq, Replaced: r.replacedSinceLocked(c.epoch)}, nil
+			// A rank of the current epoch reborn after c's was last marked
+			// by a fresh start: a retirement leaves it outside the epoch
+			// until a grow marks it again.
+			info := ShrinkInfo{Epoch: r.seq}
+			for d := 0; d < r.size; d++ {
+				if r.reborn[d] > c.epoch {
+					info.Replaced = append(info.Replaced, d)
+				}
+			}
+			return r.commLocked(c.rank), info, nil
 		}
 		r.cond.Wait()
 	}
@@ -239,24 +202,4 @@ func (r *Runner) Epoch() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.seq
-}
-
-// replacedSinceLocked returns the ascending union of ranks replaced by
-// every shrink after the given epoch. r.mu must be held.
-func (r *Runner) replacedSinceLocked(epoch int) []int {
-	seen := map[int]bool{}
-	for _, rec := range r.dead {
-		if rec.seq <= epoch {
-			continue
-		}
-		for _, d := range rec.replaced {
-			seen[d] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -54,13 +54,22 @@ func (l *shrinkLog) body(r *Runner, stop *atomic.Bool) func(c *Comm) error {
 	}
 }
 
+// bothTransports runs an epoch-swap test in process and over TCP, where
+// retiring an epoch also shuts its socket mesh down under the survivors.
+func bothTransports(t *testing.T, f func(t *testing.T, tcp bool)) {
+	t.Run("local", func(t *testing.T) { f(t, false) })
+	t.Run("tcp", func(t *testing.T) { f(t, true) })
+}
+
 // TestShrinkReplacesOnlyDeadRank: one rank dies, survivors park in place
 // and continue in the replacement epoch, the dead rank's original
 // goroutine exits superseded, and exactly one replacement goroutine is
 // ever spawned.
-func TestShrinkReplacesOnlyDeadRank(t *testing.T) {
+func TestShrinkReplacesOnlyDeadRank(t *testing.T) { bothTransports(t, testShrinkReplacesOnlyDeadRank) }
+
+func testShrinkReplacesOnlyDeadRank(t *testing.T, tcp bool) {
 	const n = 4
-	r, err := NewRunner(n, false)
+	r, err := NewRunner(n, tcp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,5 +270,31 @@ func TestParkSupersededWithoutOp(t *testing.T) {
 	stop.Store(true)
 	if err := <-done; err != nil {
 		t.Fatalf("run failed: %v", err)
+	}
+}
+
+// TestShrinkValidation: a rank outside the run, or one rank named twice
+// (which would start two goroutines for it), installs no epoch.
+func TestShrinkValidation(t *testing.T) {
+	r, err := NewRunner(3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var log shrinkLog
+	done := make(chan error, 1)
+	go func() { done <- r.Run(log.body(r, &stop)) }()
+	time.Sleep(time.Millisecond)
+	for _, dead := range [][]int{{3}, {-1}, {2, 1, 2}} {
+		if _, err := r.Shrink(dead); err == nil {
+			t.Errorf("Shrink(%v) succeeded", dead)
+		}
+	}
+	stop.Store(true)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if r.Epoch() != 0 || r.Spawned() != 3 {
+		t.Fatalf("epoch %d, %d goroutines after rejected shrinks; want 0 and 3", r.Epoch(), r.Spawned())
 	}
 }

@@ -146,8 +146,11 @@ func (t *TCPTransport) deliver(src, dst, tag int, payload []byte) {
 // Send implements Transport. A write failure on the underlying socket
 // means the peer's connection is gone — the paper's processor-failure
 // signal — and is returned to the caller; the coordination layer decides
-// whether to revoke. The header and data go out in one gathered write and
-// data is dropped after it; a self-send delivers data itself.
+// whether to revoke. A write that fails because the transport was aborted
+// and shut down meanwhile (a retired epoch's mesh) returns the abort
+// error instead, so a survivor parks rather than failing the run. The
+// header and data go out in one gathered write and data is dropped after
+// it; a self-send delivers data itself.
 func (t *TCPTransport) Send(src, dst, tag int, data []byte) error {
 	if err := t.Err(); err != nil {
 		return err
@@ -168,6 +171,9 @@ func (t *TCPTransport) Send(src, dst, tag int, data []byte) error {
 	binary.LittleEndian.PutUint32(fc.hdr[4:8], uint32(len(data)))
 	frame := net.Buffers{fc.hdr[:], data}
 	if _, err := frame.WriteTo(fc.c); err != nil {
+		if aerr := t.Err(); aerr != nil {
+			return aerr
+		}
 		return fmt.Errorf("msg: send %d->%d: %w", src, dst, err)
 	}
 	return nil
