@@ -105,25 +105,27 @@ lint:
 		echo "hash/crc64's, its bulk path the carry-less-multiply kernel):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' 'ArrayPieces' cmd internal | grep -v '^internal/ckpt/upgrade\.go:' || true; \
 		grep -rnE --include='*.go' --exclude='*_test.go' 'Errorf\(.*ErrLegacyFormat' cmd internal \
-		| grep -v -e '^internal/ckpt/meta\.go:' || true); \
+		| grep -v -e '^internal/ckpt/meta\.go:' -e '^internal/ckpt/state\.go:' || true); \
 	if [ -n "$$out" ]; then \
-		echo "a second reader of gob-era metadata (Upgrade in internal/ckpt/upgrade.go decodes it,"; \
-		echo "decodeMeta in internal/ckpt/meta.go refuses it with ErrLegacyFormat; nothing else may do either):"; echo "$$out"; exit 1; fi
-	@out=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn) } \
-		/gob\.NewDecoder\(/ && FILENAME != "internal/ckpt/upgrade.go" && fn !~ /^(readStateImage|LoadTierFile)$$/ { print FILENAME ":" FNR ": " $$0 } \
-		/gob\.NewEncoder\(/ && fn !~ /^(Commit|SaveFile)$$/ { print FILENAME ":" FNR ": " $$0 }' \
-		$$(ls internal/ckpt/*.go | grep -v '_test\.go$$'); \
-		for f in $$(grep -rlE --include='*.go' --exclude='*_test.go' 'gob\.New(En|De)coder\(' cmd internal | grep -v '^internal/ckpt/'); do \
-			grep -q 'ckpt\.Meta\b' $$f && echo "$$f: gob beside ckpt.Meta"; done); \
+		echo "a second reader of gob-era metadata or state images (Upgrade and StateStore.Upgrade in"; \
+		echo "internal/ckpt/upgrade.go decode them, decodeMeta and decodeStateImage refuse them with"; \
+		echo "ErrLegacyFormat; nothing else may do either):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '"encoding/gob"' . | sed 's|^\./||' \
+		| grep -vx -e 'internal/seg/seg\.go' -e 'internal/ckpt/upgrade\.go' -e 'internal/rangeset/gob\.go' \
+			-e 'internal/pfs/snapshot\.go' -e 'internal/coord/legacy\.go' || true); \
 	if [ -n "$$out" ]; then \
-		echo "gob on the metadata path (metadata is version 3, encodeMeta/decodeMeta in internal/ckpt/meta.go;"; \
-		echo "only Upgrade in internal/ckpt/upgrade.go reads gob-era records, and the other gob coders in"; \
-		echo "internal/ckpt are the state image's and the tier file's):"; echo "$$out"; exit 1; fi
-	@out=$$(awk '/^func \(s \*StateStore\) loadChain\(/,/^}/ { next } /ChainLen|Deps/ { print FILENAME ":" FNR ": " $$0 }' \
-		internal/ckpt/state.go); \
+		echo "gob outside its allowlist (a record the system defines is an internal/frame walk, a function"; \
+		echo "of its value; gob stays for the segment, the rangeset codec, the pfs snapshot and the readers of"; \
+		echo "gob-era records, ckpt/upgrade.go and coord/legacy.go):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+		'binary\.(Append|Put)?U?[vV]arint\(' . | grep -v '^\./internal/frame/' || true); \
 	if [ -n "$$out" ]; then \
-		echo "the control-plane store writes chain fields again (every StateStore generation is a"; \
-		echo "self-contained anchor; only the legacy reader, loadChain, may walk an older delta chain):"; echo "$$out"; exit 1; fi
+		echo "a hand-rolled varint codec (internal/frame is the one codec of every record the system defines:"; \
+		echo "one walk that encodes and decodes, accepting only the encoding of what it decodes to):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE 'ChainLen|Deps|loadChain' internal/ckpt/state.go || true); \
+	if [ -n "$$out" ]; then \
+		echo "the control-plane store walks or writes chains again (every StateStore generation is a"; \
+		echo "self-contained anchor; only StateStore.Upgrade resolves an older delta chain):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '\.Intersect\(.*\)\.Equal\(' . || true); \
 	if [ -n "$$out" ]; then \
 		echo "a subset test built as intersect-then-compare (it walks every element and allocates the"; \

@@ -30,8 +30,11 @@
 // time, legacy generations (gob metadata of version 1 or 2, as every
 // restart state saved by older builds has; version 1 also keeps one
 // stream file per array) are upgraded in place to metadata version 3
-// (ckpt.Upgrade), and the snapshot is saved back. Without -repair a
-// legacy generation is reported as needing it: no restart reads one.
+// (ckpt.Upgrade), a coordinator state store whose head is a gob image
+// (every store saved by older builds) gets that head's table as one
+// framed anchor (ckpt.StateStore.Upgrade), and the snapshot is saved
+// back. Without -repair a legacy generation is reported as needing it:
+// no restart reads one.
 //
 // With -squash, each prefix whose newest generation is a chained delta
 // is folded into a fresh self-contained anchor (ckpt.Squash): every
@@ -73,7 +76,7 @@ const (
 
 func main() {
 	state := flag.String("state", "", "pfs snapshot file to check")
-	repair := flag.Bool("repair", false, "quarantine corrupt generations, upgrade legacy (gob metadata, version 1 or 2) ones to metadata version 3, and save the snapshot back")
+	repair := flag.Bool("repair", false, "quarantine corrupt generations, upgrade legacy ones (gob metadata of version 1 or 2, gob state images) to frames, and save the snapshot back")
 	squash := flag.Bool("squash", false, "fold each verified delta chain into a self-contained anchor and save the snapshot back")
 	tierState := flag.String("tier", "", "peer-memory tier snapshot (drmsrun -tier-state); memory-resident payloads then verify against surviving replicas")
 	tiers := flag.Bool("tiers", false, "list each generation's storage-tier residency and replica counts before checking it")
@@ -359,12 +362,6 @@ func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool,
 		fmt.Printf("%-12s UNRECOVERABLE: all %d generations corrupt\n", prefix, len(gens))
 		return exitUnrecoverable
 	}
-	if len(corrupt) == 0 {
-		if upgraded {
-			return exitRepaired
-		}
-		return exitClean
-	}
 	for _, g := range corrupt {
 		if repair && g != prefix { // a bare prefix has nothing to fall back to
 			moved := ckpt.Quarantine(fs, g)
@@ -373,6 +370,26 @@ func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool,
 		} else {
 			fmt.Printf("%-12s fallback available (run with -repair to quarantine)\n", g)
 		}
+	}
+	if repair && gens[0] != prefix {
+		// A coordinator state store whose head is a gob image: its table
+		// becomes one framed anchor (a no-op for anything else).
+		gen, quarantined, err := (&ckpt.StateStore{Base: prefix}).Upgrade(fs)
+		for _, g := range quarantined {
+			fmt.Printf("%-12s quarantined: its legacy state chain does not resolve\n", g)
+		}
+		if err != nil {
+			fmt.Printf("%-12s UNRECOVERABLE: legacy state store does not upgrade: %v\n", prefix, err)
+			return exitUnrecoverable
+		}
+		if gen >= 0 {
+			fmt.Printf("%-12s state store upgraded: its legacy head's table committed as framed anchor %s.g%d\n", prefix, prefix, gen)
+		}
+		*dirty = *dirty || gen >= 0 || len(quarantined) > 0
+		upgraded = upgraded || gen >= 0
+	}
+	if len(corrupt) == 0 && !upgraded {
+		return exitClean
 	}
 	return exitRepaired
 }

@@ -172,6 +172,35 @@ func TestCheckPrefixAcrossMetadataVersions(t *testing.T) {
 	restoreStoredRotation(t, fs, "job.g1", 1)
 }
 
+// TestCheckPrefixUpgradesStateStore: -repair turns a coordinator store an
+// earlier build saved — gob metadata over a delta chain of gob images —
+// into one the coordinator loads: the metadata upgraded, and the head's
+// table committed as a framed anchor, g3. A second pass has nothing to do.
+// An application rotation is left alone.
+func TestCheckPrefixUpgradesStateStore(t *testing.T) {
+	fs := pfs.NewSystem(pfs.DefaultConfig())
+	if err := fs.LoadFile("../../internal/ckpt/testdata/rcstate_deltas.pfs"); err != nil {
+		t.Fatal(err)
+	}
+	buildSnapshot(t, fs, "job", 2)
+	dirty := false
+	var code int
+	out := stdout(t, func() { code = checkPrefix(fs, nil, "rcstate", true, &dirty) })
+	if code != exitRepaired || !dirty || !strings.Contains(out, "framed anchor rcstate.g3") {
+		t.Fatalf("repair classified %d dirty %v, want %d:\n%s", code, dirty, exitRepaired, out)
+	}
+	records, g, _, ok, err := (&ckpt.StateStore{Base: "rcstate"}).Load(fs)
+	if !ok || err != nil || g != 3 || len(records) != 2 || string(records["a"]) != "v1" || string(records["b"]) != "v2" {
+		t.Fatalf("Load after -repair: gen %d ok %v, %q, %v", g, ok, records, err)
+	}
+	for _, p := range []string{"rcstate", "job"} {
+		dirty = false
+		if code := checkPrefix(fs, nil, p, true, &dirty); code != exitClean || dirty {
+			t.Fatalf("%s: second pass classified %d dirty %v, want %d", p, code, dirty, exitClean)
+		}
+	}
+}
+
 // restoreStoredRotation restores generation g of the stored v1 rotation
 // on 3 tasks and checks it holds step's state: "iter" = step, ids all 7,
 // u the coordinate value with column step%12 raised by 1000·(step+1).

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"drms/internal/codec"
+	"drms/internal/frame"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/seg"
@@ -556,26 +557,26 @@ func dirtyPieces(prev, cur []stream.SectionSum) []int {
 // — nil for every piece — as a uvarint, 0 for nil or 1 + the count, and
 // the ascending indices. It encodes, or with dec decodes b into filters.
 func pieceFilters(dec bool, b []byte, filters [][]int) ([]byte, error) {
-	c := &metaCodec{dec: dec, b: b}
+	c := &frame.Codec{Dec: dec, B: b}
 	for i := range filters {
 		n := uint64(len(filters[i]) + 1)
 		if filters[i] == nil {
 			n = 0
 		}
-		if c.uvarint(&n); dec && c.err == nil {
-			if filters[i] = nil; n > 0 && n-1 > uint64(len(c.b)) {
-				c.fail("count %d exceeds the %d bytes left", n-1, len(c.b))
+		if c.Uvarint(&n); dec && c.Err == nil {
+			if filters[i] = nil; n > 0 && n-1 > uint64(len(c.B)) {
+				c.Fail("count %d exceeds the %d bytes left", n-1, len(c.B))
 			} else if n > 0 {
 				filters[i] = make([]int, n-1)
 			}
 		}
 		for j := range filters[i] {
-			if varint(c, &filters[i][j]); dec && (filters[i][j] < 0 || j > 0 && filters[i][j] <= filters[i][j-1]) {
-				c.fail("array %d piece filter not ascending at %d", i, j)
+			if frame.Varint(c, &filters[i][j]); dec && (filters[i][j] < 0 || j > 0 && filters[i][j] <= filters[i][j-1]) {
+				c.Fail("array %d piece filter not ascending at %d", i, j)
 			}
 		}
 	}
-	return c.end()
+	return c.End()
 }
 
 // The record of one piece location and of one contribution fingerprint:
@@ -687,21 +688,21 @@ func mergeLocSums(parts [][]byte, n int) ([][]PieceLoc, [][]stream.SectionSum, e
 // array, the location and fingerprint counts as uvarints, then the
 // records. It encodes the lists, or with dec appends b's records to them.
 func locSumsFrames(dec bool, b []byte, locs [][]PieceLoc, sums [][]stream.SectionSum) ([]byte, error) {
-	c := &metaCodec{dec: dec, b: b}
+	c := &frame.Codec{Dec: dec, B: b}
 	for i := range locs {
 		nl, ns := uint64(len(locs[i])), uint64(len(sums[i]))
-		c.uvarint(&nl)
-		c.uvarint(&ns)
-		switch left := uint64(len(c.b)); {
+		c.Uvarint(&nl)
+		c.Uvarint(&ns)
+		switch left := uint64(len(c.B)); {
 		case !dec:
-			c.b = appendRecs(c.b, locs[i], sums[i])
-		case c.err == nil && (nl > left/locRecBytes || ns > (left-nl*locRecBytes)/sumRecBytes):
-			c.fail("array %d: ragged frame (%d locations and %d fingerprints announced, %d record bytes)", i, nl, ns, left)
-		case c.err == nil:
-			locs[i], sums[i], c.b = readRecs(c.b, int64(nl), int64(ns), locs[i], sums[i])
+			c.B = appendRecs(c.B, locs[i], sums[i])
+		case c.Err == nil && (nl > left/locRecBytes || ns > (left-nl*locRecBytes)/sumRecBytes):
+			c.Fail("array %d: ragged frame (%d locations and %d fingerprints announced, %d record bytes)", i, nl, ns, left)
+		case c.Err == nil:
+			locs[i], sums[i], c.B = readRecs(c.B, int64(nl), int64(ns), locs[i], sums[i])
 		}
 	}
-	return c.end()
+	return c.End()
 }
 
 // combineLocs folds the locations' logical piece CRCs into the whole-
@@ -1046,7 +1047,7 @@ func Squash(fs *pfs.System, base string, client int) (prefix string, squashed bo
 	if err != nil {
 		return "", false, err
 	}
-	if len(m.Deps) == 0 || len(m.PieceLocs) == 0 { // an anchor, or a StateStore image chain: no pieces to fold
+	if len(m.Deps) == 0 || len(m.PieceLocs) == 0 { // an anchor, or a legacy StateStore delta (StateStore.Upgrade folds those)
 		return cur, false, nil
 	}
 	if m.SegWhere == TierMem {

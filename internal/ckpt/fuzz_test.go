@@ -237,8 +237,9 @@ func FuzzDecodeReadCheck(f *testing.F) {
 }
 
 // FuzzLoadTierFile stores arbitrary bytes as a tier snapshot file and
-// loads it: a tier or an error, never a panic. A tier holding the fuzzed
-// bytes as one piece on two holders round-trips through SaveFile.
+// loads it: a tier or an error, never a panic, and a loaded tier saves
+// back to the bytes it was loaded from. A tier holding the fuzzed bytes
+// as one piece on two holders round-trips through SaveFile.
 func FuzzLoadTierFile(f *testing.F) {
 	seed := NewMemTier()
 	seed.Publish([]int{0, 1}, "job.g1", "u", 4, []byte("piece"), crcOf([]byte("piece")))
@@ -259,7 +260,14 @@ func FuzzLoadTierFile(f *testing.F) {
 		if err := os.WriteFile(path, snap, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		_, _ = LoadTierFile(path)
+		if loaded, err := LoadTierFile(path); err == nil {
+			if err := loaded.SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			if saved, _ := os.ReadFile(path); !bytes.Equal(saved, snap) {
+				t.Fatalf("%x loaded, saved back as %x", snap, saved)
+			}
+		}
 
 		tier := NewMemTier()
 		tier.Publish([]int{0, 1}, "job.g1", "u", index, snap, crcOf(snap))
@@ -275,6 +283,26 @@ func FuzzLoadTierFile(f *testing.F) {
 		}
 		if data, ok := got.Lookup("job.g1", "u", index, crcOf(snap)); !ok || !bytes.Equal(data, snap) {
 			t.Fatalf("piece %d lost in the round trip", index)
+		}
+	})
+}
+
+// FuzzStateImage feeds the state image decoder arbitrary bytes: a table
+// or an error, never a panic, and an accepted image is the encoding of
+// the table it decoded to. A table built from the fuzzed bytes
+// round-trips.
+func FuzzStateImage(f *testing.F) {
+	f.Add(encodeStateImage(recs("rc", "x", "app/a", "y")), "app/b", []byte("z"))
+	f.Add(encodeStateImage(nil), "", []byte{})
+	f.Add([]byte("DRMSstate\x01\x02\x01b\x00\x01a\x00"), "a", []byte{0xff})
+	f.Fuzz(func(t *testing.T, b []byte, key string, val []byte) {
+		if table, err := decodeStateImage(b, "rcstate.g0"); err == nil && !bytes.Equal(encodeStateImage(table), b) {
+			t.Fatalf("%x decoded to %v, which encodes to %x", b, table, encodeStateImage(table))
+		}
+		table := map[string][]byte{key: val, key + "/2": b}
+		got, err := decodeStateImage(encodeStateImage(table), "rcstate.g0")
+		if err != nil || len(got) != 2 || !bytes.Equal(got[key], val) || !bytes.Equal(got[key+"/2"], b) {
+			t.Fatalf("table %v round-tripped to %v, %v", table, got, err)
 		}
 	})
 }

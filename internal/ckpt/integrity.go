@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"drms/internal/crc"
+	"drms/internal/frame"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 )
@@ -141,36 +142,36 @@ func decideAtRoot(comm *msg.Comm, frame []byte, decide func(parts [][]byte) ([]b
 // read as PieceSum records behind their length, then its tier byte
 // counts. It encodes, or with dec appends b's pieces and reads tier.
 func readSums(dec bool, b []byte, pieces [][]PieceSum, tier *[2]int64) ([]byte, error) {
-	c := &metaCodec{dec: dec, b: b}
+	c := &frame.Codec{Dec: dec, B: b}
 	for i := range pieces {
 		var rec []byte
 		for j := 0; !dec && j < len(pieces[i]); j++ {
 			rec = appendPieceSum(rec, pieces[i][j])
 		}
-		if c.bytes(&rec); dec && len(rec)%pieceSumBytes != 0 {
-			c.fail("array %d: %d bytes of %d-byte piece records", i, len(rec), pieceSumBytes)
+		if c.Bytes(&rec); dec && len(rec)%pieceSumBytes != 0 {
+			c.Fail("array %d: %d bytes of %d-byte piece records", i, len(rec), pieceSumBytes)
 		}
-		for ; dec && c.err == nil && len(rec) > 0; rec = rec[pieceSumBytes:] {
+		for ; dec && c.Err == nil && len(rec) > 0; rec = rec[pieceSumBytes:] {
 			pieces[i] = append(pieces[i], pieceSumAt(rec))
 		}
 	}
-	varint(c, &tier[0])
-	varint(c, &tier[1])
-	return c.end()
+	frame.Varint(c, &tier[0])
+	frame.Varint(c, &tier[1])
+	return c.End()
 }
 
 // verdictFrame frames checkRead's verdict as four varints. It encodes v,
 // or with dec decodes b into it, refusing one about no array of n.
 func verdictFrame(dec bool, b []byte, v *readVerdict, n int) ([]byte, error) {
-	c := &metaCodec{dec: dec, b: b}
-	varint(c, &v.Array)
-	varint(c, &v.Piece)
-	varint(c, &v.Mem)
-	varint(c, &v.PFS)
-	if dec && c.err == nil && (v.Array < -1 || v.Array >= n || v.Piece < -1 || v.Array < 0 && v.Piece >= 0) {
-		c.fail("verdict on piece %d of array %d of %d", v.Piece, v.Array, n)
+	c := &frame.Codec{Dec: dec, B: b}
+	frame.Varint(c, &v.Array)
+	frame.Varint(c, &v.Piece)
+	frame.Varint(c, &v.Mem)
+	frame.Varint(c, &v.PFS)
+	if dec && c.Err == nil && (v.Array < -1 || v.Array >= n || v.Piece < -1 || v.Array < 0 && v.Piece >= 0) {
+		c.Fail("verdict on piece %d of array %d of %d", v.Piece, v.Array, n)
 	}
-	return c.end()
+	return c.End()
 }
 
 // firstBadPiece returns the lowest-indexed piece of all (sorted by index)

@@ -2,14 +2,12 @@ package ckpt
 
 import (
 	"bytes"
-	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"drms/internal/codec"
+	"drms/internal/frame"
 	"drms/internal/pfs"
-	"drms/internal/rangeset"
 	"drms/internal/stream"
 )
 
@@ -21,9 +19,10 @@ const (
 	metaVersion = 3
 )
 
-// ErrLegacyFormat marks a checkpoint with gob metadata: intact, so never
-// quarantined, but read only once Upgrade (drmsfsck -repair) rewrote it.
-var ErrLegacyFormat = errors.New("ckpt: legacy checkpoint format (gob metadata, version 1 or 2); upgrade it once to version 3 with drmsfsck -repair")
+// ErrLegacyFormat marks a checkpoint with gob metadata, or a state store
+// generation with a gob image: intact, so never quarantined, but read only
+// once Upgrade or StateStore.Upgrade (drmsfsck -repair) rewrote it.
+var ErrLegacyFormat = errors.New("ckpt: legacy format (gob metadata of version 1 or 2, or a gob state image); upgrade it once with drmsfsck -repair")
 
 // ReadMeta reads and decodes checkpoint metadata (e.g. to learn the task
 // count before deciding a restart configuration). A record that does not
@@ -66,22 +65,20 @@ func writeMeta(fs *pfs.System, prefix string, client int, m Meta) error {
 }
 
 func encodeMeta(m *Meta) []byte {
-	c := &metaCodec{b: append(make([]byte, 0, 512), metaMagic...)}
-	c.meta(m)
-	return c.b
+	c := &frame.Codec{B: make([]byte, 0, 512)}
+	walkMeta(c, m)
+	return c.B
 }
 
 // decodeMeta is ReadMeta on bytes read. A record is accepted only as the
 // encoding of what it decodes to: each Meta has one spelling.
 func decodeMeta(b []byte, prefix string) (Meta, error) {
-	rest, ok := bytes.CutPrefix(b, []byte(metaMagic))
-	if !ok {
+	if !bytes.HasPrefix(b, []byte(metaMagic)) {
 		return Meta{}, fmt.Errorf("%w: %q", ErrLegacyFormat, prefix)
 	}
-	m, c := Meta{Version: metaVersion}, &metaCodec{dec: true, b: rest}
-	if c.meta(&m); c.err != nil || !bytes.Equal(encodeMeta(&m), b) {
-		return Meta{}, corrupt(prefix, metaFile(prefix), -1, "metadata does not decode: %v",
-			cmp.Or(c.err, errors.New("not the encoding of what it decodes to")))
+	m := Meta{Version: metaVersion}
+	if err := frame.Decode(b, func(c *frame.Codec) { walkMeta(c, &m) }); err != nil {
+		return Meta{}, corrupt(prefix, metaFile(prefix), -1, "metadata does not decode: %v", err)
 	}
 	if bad := shapeError(&m); bad != "" {
 		return Meta{}, corrupt(prefix, metaFile(prefix), -1, "metadata %s", bad)
@@ -89,167 +86,43 @@ func decodeMeta(b []byte, prefix string) (Meta, error) {
 	return m, nil
 }
 
-// meta walks the record after the magic: the version, then m's fields in
-// declaration order, the piece tables as encodeLocSums frames.
-func (c *metaCodec) meta(m *Meta) {
-	v := uint64(metaVersion)
-	if c.uvarint(&v); v != metaVersion {
-		c.fail("metadata version %d unsupported", v)
-	}
-	c.str((*string)(&m.Mode))
-	varint(c, &m.Tasks)
-	c.str(&m.Ctx.SOP)
-	varint(c, &m.Ctx.Step)
-	varint(c, &m.Ctx.Tasks)
-	list(c, &m.Arrays, func(a *ArrayMeta) {
-		c.str(&a.Name)
-		c.str(&a.Kind)
-		c.slice(&a.Global)
-		varint(c, &a.Bytes)
+// walkMeta walks the magic, the version, then m's fields in declaration
+// order, the piece tables as encodeLocSums frames.
+func walkMeta(c *frame.Codec, m *Meta) {
+	c.Head(metaMagic, metaVersion)
+	c.Str((*string)(&m.Mode))
+	frame.Varint(c, &m.Tasks)
+	c.Str(&m.Ctx.SOP)
+	frame.Varint(c, &m.Ctx.Step)
+	frame.Varint(c, &m.Ctx.Tasks)
+	frame.List(c, &m.Arrays, func(a *ArrayMeta) {
+		c.Str(&a.Name)
+		c.Str(&a.Kind)
+		c.Slice(&a.Global)
+		frame.Varint(c, &a.Bytes)
 	})
-	list(c, &m.SegBytes, func(v *int64) { varint(c, v) })
-	list(c, &m.SegCRC, c.uvarint)
-	varint(c, &m.SegWhere)
-	list(c, &m.ArrayCRC, c.uvarint)
-	list(c, &m.PlanSigs, c.str)
-	varint(c, &m.ChainLen)
-	list(c, &m.Deps, func(v *int) { varint(c, v) })
-	list(c, &m.PieceLocs, func(l *[]PieceLoc) { c.frame(l, new([]stream.SectionSum)) })
-	list(c, &m.Sections, func(s *[]stream.SectionSum) { c.frame(new([]PieceLoc), s) })
+	frame.List(c, &m.SegBytes, func(v *int64) { frame.Varint(c, v) })
+	frame.List(c, &m.SegCRC, c.Uvarint)
+	frame.Varint(c, &m.SegWhere)
+	frame.List(c, &m.ArrayCRC, c.Uvarint)
+	frame.List(c, &m.PlanSigs, c.Str)
+	frame.Varint(c, &m.ChainLen)
+	frame.List(c, &m.Deps, func(v *int) { frame.Varint(c, v) })
+	frame.List(c, &m.PieceLocs, func(l *[]PieceLoc) { locSumsFrame(c, l, new([]stream.SectionSum)) })
+	frame.List(c, &m.Sections, func(s *[]stream.SectionSum) { locSumsFrame(c, new([]PieceLoc), s) })
 }
 
-// metaCodec appends fields to b, or with dec reads them from b: one walk
-// encodes and decodes. A failed read sets err and empties b.
-type metaCodec struct {
-	dec bool
-	b   []byte
-	err error
-}
-
-func (c *metaCodec) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf(format, args...)
-	}
-	c.b = nil
-}
-
-func (c *metaCodec) uvarint(v *uint64) {
-	if !c.dec {
-		c.b = binary.AppendUvarint(c.b, *v)
-	} else if x, n := binary.Uvarint(c.b); n <= 0 {
-		c.fail("malformed varint")
-	} else {
-		*v, c.b = x, c.b[n:]
-	}
-}
-
-// varint is a zigzag varint, binary.AppendVarint's.
-func varint[T int | int64 | uint8](c *metaCodec, v *T) {
-	u := uint64(*v)<<1 ^ uint64(int64(*v)>>63)
-	if c.uvarint(&u); c.dec {
-		*v = T(int64(u>>1) ^ -int64(u&1))
-	}
-}
-
-// bytes is a uvarint length and that many bytes.
-func (c *metaCodec) bytes(v *[]byte) {
-	n := uint64(len(*v))
-	if c.uvarint(&n); !c.dec {
-		c.b = append(c.b, *v...)
-	} else if n > uint64(len(c.b)) {
-		c.fail("length %d exceeds the %d bytes left", n, len(c.b))
-	} else {
-		*v, c.b = c.b[:n:n], c.b[n:]
-	}
-}
-
-func (c *metaCodec) str(s *string) {
-	b := []byte(*s)
-	if c.bytes(&b); c.dec {
-		*s = string(b)
-	}
-}
-
-// list is a uvarint count and the elements, each at least a byte: a read
-// refuses a count the bytes left cannot hold, and an empty list is nil.
-func list[T any](c *metaCodec, s *[]T, each func(*T)) {
-	n := uint64(len(*s))
-	if c.uvarint(&n); c.dec {
-		if *s = nil; n > uint64(len(c.b)) {
-			c.fail("count %d exceeds the %d bytes left", n, len(c.b))
-		} else if n > 0 {
-			*s = make([]T, n)
-		}
-	}
-	for i := range *s {
-		each(&(*s)[i])
-	}
-}
-
-// frame is one encodeLocSums frame behind its length.
-func (c *metaCodec) frame(locs *[]PieceLoc, sums *[]stream.SectionSum) {
+// locSumsFrame is one encodeLocSums frame behind its length.
+func locSumsFrame(c *frame.Codec, locs *[]PieceLoc, sums *[]stream.SectionSum) {
 	var f []byte
-	if !c.dec {
+	if !c.Dec {
 		f = encodeLocSums(*locs, *sums)
 	}
-	if c.bytes(&f); c.dec && c.err == nil {
+	if c.Bytes(&f); c.Dec && c.Err == nil {
 		var err error
 		if *locs, *sums, err = decodeLocSums(f, nil, nil); err != nil {
-			c.fail("%v", err)
+			c.Fail("%v", err)
 		}
-	}
-}
-
-// end closes a control frame: a read must consume every byte. It returns
-// what an encoding appended, or a read's error.
-func (c *metaCodec) end() ([]byte, error) {
-	if c.dec && len(c.b) > 0 {
-		c.fail("%d bytes past the frame's last entry", len(c.b))
-	}
-	return c.b, c.err
-}
-
-func (c *metaCodec) slice(s *rangeset.Slice) {
-	axes := make([]rangeset.Range, s.Rank())
-	for i := range axes {
-		axes[i] = s.Axis(i)
-	}
-	if list(c, &axes, c.axis); c.dec {
-		*s = rangeset.NewSlice(axes...)
-	}
-}
-
-// axis is an index list, or an empty one and a regular range's lo, hi
-// and step (the empty range's 0, -1, 1). A read refuses what List or Reg
-// would panic on: indices out of order, a non-positive step.
-func (c *metaCodec) axis(r *rangeset.Range) {
-	t, idx := [3]int{0, -1, 1}, []int(nil)
-	if !c.dec && !r.IsRegular() {
-		idx = r.Elements()
-	} else if !c.dec && !r.Empty() {
-		t[0], t[1], t[2] = r.Bounds()
-	}
-	if list(c, &idx, func(v *int) { varint(c, v) }); len(idx) == 0 {
-		for i := range t {
-			varint(c, &t[i])
-		}
-	}
-	if !c.dec || c.err != nil {
-		return
-	}
-	for i := 1; i < len(idx); i++ {
-		if idx[i] <= idx[i-1] {
-			c.fail("stored indices not strictly increasing at %d", i)
-			return
-		}
-	}
-	switch lo, hi, st := t[0], t[1], t[2]; {
-	case len(idx) > 0:
-		*r = rangeset.List(idx...)
-	case st <= 0 || hi >= lo && hi-lo < 0:
-		c.fail("stored range %d:%d:%d is not a range", lo, hi, st)
-	default:
-		*r = rangeset.Reg(lo, hi, st)
 	}
 }
 

@@ -2,10 +2,14 @@ package ckpt
 
 import (
 	"bytes"
-	"encoding/gob"
+	"cmp"
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
+	"drms/internal/frame"
 	"drms/internal/pfs"
 )
 
@@ -19,16 +23,17 @@ import (
 // way the applications it supervises do.
 //
 // On storage a generation is an ordinary checkpoint with a segment and
-// no arrays: <base>.gN.seg holds the gob-encoded stateImage, and
-// <base>.gN.meta is the commit record carrying the segment's size and
-// CRC. Every generation this store writes is a self-contained anchor:
-// the table is a few kilobytes, already encoded in memory, so a delta
-// would save only the write of bytes at hand. Stores written by earlier
-// coordinators carry gob metadata (Load refuses it until drmsfsck
-// -repair upgrades it) and may hold delta generations (chain fields in
-// the meta, a Base back-pointer in the image); Load still walks those
-// chains, and the first commit after it is an anchor again. Verify, ResolveVerified, Rotation.Prune,
-// CleanIncomplete, and drmsfsck all work on it unmodified.
+// no arrays: <base>.gN.seg holds the state image (DESIGN.md §3g: a
+// magic, a version and the records sorted by key, so its bytes depend
+// on the table alone), and <base>.gN.meta is the commit record carrying
+// the segment's size and CRC. Every generation is a self-contained
+// anchor: the table is a few kilobytes, already encoded in memory, so a
+// delta would save only the write of bytes at hand. Earlier coordinators
+// wrote gob images, some of them delta chains; Load refuses those with
+// ErrLegacyFormat, and Upgrade (drmsfsck -repair) commits the table at
+// their head as one framed anchor. Verify, ResolveVerified,
+// Rotation.Prune, CleanIncomplete, and drmsfsck all work on it
+// unmodified.
 
 // stateKeep is how many committed generations a StateStore retains: two
 // would leave a corrupt newest generation a fallback; four leave three.
@@ -48,14 +53,40 @@ type StateStore struct {
 	known   bool // lastGen is set
 }
 
-// stateImage is one generation's payload. This store writes anchors
-// only (Full, Base -1); Base and Deleted are read from delta generations
-// an earlier coordinator wrote.
-type stateImage struct {
-	Full    bool              // anchor: Records is the complete table
-	Base    int               // delta: the generation this extends (-1 for anchors)
-	Records map[string][]byte // full table, or the dirty subset
-	Deleted []string          // delta: records removed since Base
+// The state image: stateMagic, stateVersion, and the records as (key,
+// bytes) pairs in ascending key order.
+const (
+	stateMagic   = "DRMSstate"
+	stateVersion = 1
+)
+
+func walkStateImage(c *frame.Codec, table map[string][]byte) {
+	c.Head(stateMagic, stateVersion)
+	keys := slices.Sorted(maps.Keys(table))
+	frame.List(c, &keys, func(k *string) {
+		v := table[*k]
+		c.Str(k)
+		if c.Bytes(&v); c.Dec {
+			table[*k] = v
+		}
+	})
+}
+
+func encodeStateImage(table map[string][]byte) []byte {
+	return frame.Encode(func(c *frame.Codec) { walkStateImage(c, table) })
+}
+
+// decodeStateImage reads an image's table; one that is not a frame is a
+// gob image an earlier coordinator wrote.
+func decodeStateImage(b []byte, prefix string) (map[string][]byte, error) {
+	if !bytes.HasPrefix(b, []byte(stateMagic)) {
+		return nil, fmt.Errorf("%w: %q holds a gob state image", ErrLegacyFormat, prefix)
+	}
+	table := map[string][]byte{}
+	if err := frame.Decode(b, func(c *frame.Codec) { walkStateImage(c, table) }); err != nil {
+		return nil, corrupt(prefix, segFile(prefix), -1, "state image does not decode: %v", err)
+	}
+	return table, nil
 }
 
 // Commit writes one snapshot generation holding the given records and
@@ -63,20 +94,14 @@ type stateImage struct {
 // commit discipline — payload first, meta last via atomic rename — so
 // a crash mid-commit never promotes torn state; CleanIncomplete sweeps
 // the leftovers at the next startup. Older generations beyond the
-// newest four are pruned (a legacy delta kept among them pins its
-// bases).
+// newest four are pruned.
 func (s *StateStore) Commit(fs *pfs.System, records map[string][]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rot := Rotation{Base: s.Base, Keep: stateKeep}
 	prefix := rot.NextPrefix(fs)
 	_, gen, _ := GenOf(prefix)
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&stateImage{Full: true, Base: -1, Records: records}); err != nil {
-		return -1, fmt.Errorf("ckpt: state image for %q: %w", s.Base, err)
-	}
-	payload := buf.Bytes()
+	payload := encodeStateImage(records)
 	total := int64(segHeader + len(payload))
 	crc, err := writeSegmentFile(fs, segFile(prefix), 0, payload, total)
 	if err != nil {
@@ -92,110 +117,70 @@ func (s *StateStore) Commit(fs *pfs.System, records map[string][]byte) (int, err
 	return gen, nil
 }
 
-// Load resolves the newest generation whose whole chain passes
-// verification and returns its record table, generation number, and the
-// prefixes quarantined on the way there. Resolution is the recovery
-// supervisor's: the newest committed generation is verified (size and
-// CRC against its meta); a generation that fails — or, for a legacy
-// delta, whose chain references a base that is missing or corrupt — is
-// quarantined (renamed under ".bad.", its number burned) and the next
-// older one is tried. ok=false when no verifiable snapshot exists at all.
+// Load resolves the newest generation that passes verification and
+// returns its record table, generation number, and the prefixes
+// quarantined on the way there. Resolution is the recovery supervisor's:
+// the newest committed generation is verified (size and CRC against its
+// meta, then its image's frame); one that fails is quarantined (renamed
+// under ".bad.", its number burned) and the next older one is tried.
+// ok=false when no verifiable snapshot exists at all. A legacy
+// generation — gob metadata or a gob image — is intact, not corrupt: the
+// walk stops there with ErrLegacyFormat until Upgrade rewrites the store.
 func (s *StateStore) Load(fs *pfs.System) (records map[string][]byte, gen int, quarantined []string, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	Rotation{Base: s.Base}.CleanIncomplete(fs)
+	s.known = false
 	for {
 		chosen, q, found, verr := ResolveVerified(fs, s.Base)
 		quarantined = append(quarantined, q...)
-		if err == nil {
-			err = verr
+		var rerr error
+		if found {
+			records, rerr = readStateImage(fs, chosen)
 		}
-		if !found {
-			s.known = false
+		if errors.Is(verr, ErrLegacyFormat) || errors.Is(rerr, ErrLegacyFormat) {
+			return nil, -1, quarantined, false, cmp.Or(rerr, verr)
+		}
+		err = cmp.Or(err, verr, rerr)
+		switch {
+		case !found:
 			return nil, -1, quarantined, false, err
+		case rerr == nil:
+			_, g, _ := GenOf(chosen)
+			s.lastGen, s.known = g, true
+			return records, g, quarantined, true, err
 		}
-		recs, cerr := s.loadChain(fs, chosen)
-		if cerr != nil {
-			// The head verified but its chain did not resolve: quarantine
-			// the head and fall back to an older generation.
-			if err == nil {
-				err = cerr
-			}
-			quarantined = append(quarantined, Quarantine(fs, chosen)...)
-			continue
-		}
-		_, g, _ := GenOf(chosen)
-		s.lastGen, s.known = g, true
-		return recs, g, quarantined, true, err
+		quarantined = append(quarantined, Quarantine(fs, chosen)...)
 	}
 }
 
-// loadChain materializes the record table at the given generation. An
-// anchor is its own table; a legacy delta is resolved by walking its
-// chain down to the anchor and overlaying each delta's dirty records and
-// tombstones in order. Every generation on the chain is verified before
-// its payload is trusted.
-func (s *StateStore) loadChain(fs *pfs.System, prefix string) (map[string][]byte, error) {
-	// Collect the chain head-first.
-	var links []stateImage
-	cur := prefix
-	for depth := 0; ; depth++ {
-		if depth > maxStateChain {
-			return nil, fmt.Errorf("ckpt: state chain under %q exceeds %d links", s.Base, maxStateChain)
-		}
-		img, err := readStateImage(fs, cur)
-		if err != nil {
-			return nil, err
-		}
-		links = append(links, img)
-		if img.Full {
-			break
-		}
-		cur = fmt.Sprintf("%s.g%d", s.Base, img.Base)
-		if err := Verify(fs, cur, 0); err != nil {
-			return nil, err
-		}
-	}
-	// Overlay anchor-first.
-	records := make(map[string][]byte)
-	for i := len(links) - 1; i >= 0; i-- {
-		img := links[i]
-		for _, name := range img.Deleted {
-			delete(records, name)
-		}
-		for name, rec := range img.Records {
-			records[name] = rec
-		}
-	}
-	return records, nil
-}
-
-// maxStateChain bounds a delta walk: far beyond any anchor interval an
-// earlier coordinator used, it turns a corrupt back-pointer cycle into
-// an error instead of a hang.
-const maxStateChain = 1024
-
-// readStateImage reads and decodes one generation's payload.
-func readStateImage(fs *pfs.System, prefix string) (stateImage, error) {
-	var img stateImage
+// readStateImage reads one generation's table.
+func readStateImage(fs *pfs.System, prefix string) (map[string][]byte, error) {
 	m, err := ReadMeta(fs, prefix, 0)
 	if err != nil {
-		return img, err
+		return nil, err
 	}
+	payload, err := readStateSegment(fs, prefix, &m)
+	if err != nil {
+		return nil, err
+	}
+	return decodeStateImage(payload, prefix)
+}
+
+// readStateSegment reads the segment of a generation with metadata m
+// and checks it against m's CRC.
+func readStateSegment(fs *pfs.System, prefix string, m *Meta) ([]byte, error) {
 	if m.Mode != ModeDRMS || len(m.SegBytes) == 0 {
-		return img, fmt.Errorf("ckpt: %q is not a control-plane snapshot", prefix)
+		return nil, fmt.Errorf("ckpt: %q is not a control-plane snapshot", prefix)
 	}
 	payload, crc, err := readSegmentFile(fs, prefix, segFile(prefix), 0, m.SegBytes[0])
 	if err != nil {
-		return img, err
+		return nil, err
 	}
 	if crc != m.SegCRC[0] {
-		return img, corrupt(prefix, segFile(prefix), -1, "state crc %016x, metadata %016x", crc, m.SegCRC[0])
+		return nil, corrupt(prefix, segFile(prefix), -1, "state crc %016x, metadata %016x", crc, m.SegCRC[0])
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img); err != nil {
-		return img, fmt.Errorf("ckpt: corrupt state image %q: %w", prefix, err)
-	}
-	return img, nil
+	return payload, nil
 }
 
 // LastGen reports the newest generation this store has committed or

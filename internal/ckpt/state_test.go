@@ -41,9 +41,10 @@ func gobDeltaFS(t *testing.T) *pfs.System {
 	return fs
 }
 
-// TestStateStoreRefusesGobEraStore: before the upgrade, Load refuses the
-// store with ErrLegacyFormat and touches no file; the upgrade rewrites
-// only metadata, and a rerun finds nothing to do.
+// TestStateStoreRefusesGobEraStore: Load refuses the store with
+// ErrLegacyFormat and touches no file, before the metadata upgrade and
+// after it (the images are gob still); the metadata upgrade rewrites only
+// metadata, and a rerun finds nothing to do.
 func TestStateStoreRefusesGobEraStore(t *testing.T) {
 	fs := gobDeltaFS(t)
 	before := fs.List("")
@@ -54,6 +55,13 @@ func TestStateStoreRefusesGobEraStore(t *testing.T) {
 		t.Fatalf("files changed: %v -> %v", before, after)
 	}
 	fs = legacyDeltaFS(t)
+	upgraded := fs.List("")
+	if _, g, q, ok, err := (&StateStore{Base: "rcstate"}).Load(fs); ok || !errors.Is(err, ErrLegacyFormat) || len(q) != 0 {
+		t.Fatalf("Load of a gob-image store: gen %d ok %v quarantined %v, %v", g, ok, q, err)
+	}
+	if after := fs.List(""); !slices.Equal(upgraded, after) {
+		t.Fatalf("files changed: %v -> %v", upgraded, after)
+	}
 	for _, name := range before {
 		if strings.HasSuffix(name, ".meta") {
 			continue
@@ -133,34 +141,49 @@ func TestStateStoreRoundTrip(t *testing.T) {
 	sameRecords(t, got, want)
 }
 
-// The fixture's chain is a real delta chain, and it loads to the records
-// it was written with; every generation this store commits on top of it
-// — and on an empty store — is a self-contained anchor.
+// upgradeDeltaFS is the fixture with its store upgraded, metadata first
+// (metaFirst) or the store first, as drmsfsck -repair may order them.
+func upgradeDeltaFS(t *testing.T, metaFirst bool) *pfs.System {
+	t.Helper()
+	fs := gobDeltaFS(t)
+	if metaFirst {
+		fs = legacyDeltaFS(t)
+	}
+	if g, q, err := (&StateStore{Base: "rcstate"}).Upgrade(fs); g != 3 || len(q) != 0 || err != nil {
+		t.Fatalf("Upgrade: gen %d quarantined %v, %v", g, q, err)
+	}
+	for g := range 4 {
+		if _, err := Upgrade(fs, fmt.Sprintf("rcstate.g%d", g), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fs
+}
+
+// The fixture's chain is a real delta chain, and Upgrade resolves it to
+// the records it was written with; the anchor it commits, every
+// generation this store commits on top of it, and those it commits on an
+// empty store are self-contained anchors.
 func TestStateStoreDeltaChainAndAnchors(t *testing.T) {
-	fs := legacyDeltaFS(t)
-	m, err := ReadMeta(fs, "rcstate.g2", 0)
+	fs := upgradeDeltaFS(t, true)
+	if m, err := ReadMeta(fs, "rcstate.g2", 0); err != nil || m.ChainLen != 2 || len(m.Deps) != 2 {
+		t.Fatalf("fixture g2 chain fields = len %d deps %v, want 2/[0 1] (%v)", m.ChainLen, m.Deps, err)
+	}
+	assertAnchor(t, fs, 3)
+	st := &StateStore{Base: "rcstate"}
+	table, _, _, _, err := st.Load(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ChainLen != 2 || len(m.Deps) != 2 {
-		t.Fatalf("fixture g2 chain fields = len %d deps %v, want 2/[0 1]", m.ChainLen, m.Deps)
-	}
-	st := &StateStore{Base: "rcstate"}
-	table, g, _, ok, err := st.Load(fs)
-	if err != nil || !ok || g != 2 {
-		t.Fatalf("Load: gen=%d ok=%v err=%v", g, ok, err)
-	}
 	sameRecords(t, table, legacyDeltaTable())
-
-	for i := 3; i <= 5; i++ {
+	for i := 4; i <= 5; i++ {
 		table["a"] = []byte(fmt.Sprintf("v%d", i))
 		if gen, err := st.Commit(fs, table); err != nil || gen != i {
 			t.Fatalf("commit %d: gen %d err %v", i, gen, err)
 		}
 		assertAnchor(t, fs, i)
 	}
-	fresh := &StateStore{Base: "rcstate"}
-	got, g, _, ok, err := fresh.Load(fs)
+	got, g, _, ok, err := (&StateStore{Base: "rcstate"}).Load(fs)
 	if err != nil || !ok || g != 5 {
 		t.Fatalf("Load: gen=%d ok=%v err=%v", g, ok, err)
 	}
@@ -173,28 +196,49 @@ func TestStateStoreDeltaChainAndAnchors(t *testing.T) {
 		}
 		assertAnchor(t, empty, i)
 	}
+	if g, q, err := (&StateStore{Base: "rcstate"}).Upgrade(empty); g != -1 || len(q) != 0 || err != nil {
+		t.Fatalf("Upgrade of a framed store: gen %d quarantined %v, %v", g, q, err)
+	}
 }
 
-// Load resolves the fixture's delta head, and the first commit after it
-// is an anchor, not a continuation of the chain.
-func TestStateStoreLoadResolvesDeltaHead(t *testing.T) {
-	fs := legacyDeltaFS(t)
-	st := &StateStore{Base: "rcstate"}
-	got, g, _, ok, err := st.Load(fs)
-	if err != nil || !ok || g != 2 || st.LastGen() != 2 {
-		t.Fatalf("Load: gen=%d last=%d ok=%v err=%v", g, st.LastGen(), ok, err)
+// Upgrade resolves the fixture's delta head whichever half of drmsfsck
+// -repair ran first: g3 holds the head's table, Load reads it, and a
+// second Upgrade finds nothing to do.
+func TestStateStoreUpgradeResolvesDeltaHead(t *testing.T) {
+	for _, metaFirst := range []bool{true, false} {
+		fs := upgradeDeltaFS(t, metaFirst)
+		st := &StateStore{Base: "rcstate"}
+		table, g, _, ok, err := st.Load(fs)
+		if err != nil || !ok || g != 3 || st.LastGen() != 3 {
+			t.Fatalf("metaFirst=%v: Load: gen=%d last=%d ok=%v err=%v", metaFirst, g, st.LastGen(), ok, err)
+		}
+		sameRecords(t, table, legacyDeltaTable())
+		if g, q, err := st.Upgrade(fs); g != -1 || len(q) != 0 || err != nil {
+			t.Fatalf("metaFirst=%v: second Upgrade: gen %d quarantined %v, %v", metaFirst, g, q, err)
+		}
 	}
-	sameRecords(t, got, legacyDeltaTable())
-	got["c"] = []byte("v3")
-	if gen, err := st.Commit(fs, got); err != nil || gen != 3 {
-		t.Fatalf("post-load commit: gen %d err %v", gen, err)
+}
+
+// TestStateImageBytesAreTheTable: the image is the sorted table, so equal
+// tables commit equal segments whatever order the map iterates in.
+func TestStateImageBytesAreTheTable(t *testing.T) {
+	table := recs("b", "beta", "a", "alpha", "c", "")
+	want := "DRMSstate\x01\x03\x01a\x05alpha\x01b\x04beta\x01c\x00"
+	for range 8 {
+		if got := string(encodeStateImage(table)); got != want {
+			t.Fatalf("image %q, want %q", got, want)
+		}
 	}
-	assertAnchor(t, fs, 3)
-	again, _, _, _, err := (&StateStore{Base: "rcstate"}).Load(fs)
-	if err != nil {
-		t.Fatal(err)
+	for _, bad := range []string{
+		"DRMSstate\x01\x02\x01b\x00\x01a\x00", // keys out of order
+		"DRMSstate\x01\x02\x01a\x00\x01a\x00", // a key twice
+		"DRMSstate\x02\x00",                   // another version
+		"DRMSstate\x01\x00\x00",               // a byte past the table
+	} {
+		if _, err := decodeStateImage([]byte(bad), "rcstate.g0"); !errors.As(err, new(*CorruptError)) {
+			t.Errorf("%q decoded: %v", bad, err)
+		}
 	}
-	sameRecords(t, again, got)
 }
 
 // A corrupt newest generation quarantines and resolution falls back to
@@ -232,23 +276,27 @@ func TestStateStoreQuarantineFallback(t *testing.T) {
 	}
 }
 
-// Damaging a legacy delta's base (which the head's own meta verification
-// does not cover) must quarantine the head during Load, not produce a
+// Damaging a legacy delta's base (which the head's own verification does
+// not cover) makes Upgrade quarantine the head, not commit a
 // half-materialized table: the fixture's g2 needs g1, so with g1 damaged
-// both leave and the anchor g0 is what loads.
+// both leave and the anchor g0's table is what g3 holds.
 func TestStateStoreBrokenChainQuarantinesHead(t *testing.T) {
 	fs := legacyDeltaFS(t)
 	corruptFile(t, fs, "rcstate.g1.seg")
 
 	st := &StateStore{Base: "rcstate"}
-	got, g, quarantined, ok, _ := st.Load(fs)
-	if !ok || g != 0 {
-		t.Fatalf("Load with a broken chain: gen=%d ok=%v", g, ok)
+	g, quarantined, err := st.Upgrade(fs)
+	if g != 3 || err != nil || !slices.Equal(quarantined, []string{"rcstate.g2", "rcstate.g1"}) {
+		t.Fatalf("Upgrade with a broken chain: gen %d quarantined %v, %v", g, quarantined, err)
+	}
+	if fs.Exists("rcstate.g2.meta") || len(fs.List("rcstate.g2.bad.")) == 0 {
+		t.Fatal("the head whose base is damaged was not quarantined")
+	}
+	got, g, _, ok, err := st.Load(fs)
+	if !ok || g != 3 || err != nil {
+		t.Fatalf("Load: gen=%d ok=%v err=%v", g, ok, err)
 	}
 	sameRecords(t, got, recs("a", "v0", "b", "v0", "c", "v0"))
-	if len(quarantined) == 0 || fs.Exists("rcstate.g2.meta") || len(fs.List("rcstate.g2.bad.")) == 0 {
-		t.Fatalf("the head whose base is damaged was not quarantined (quarantined %v)", quarantined)
-	}
 }
 
 // A torn commit (segment written, meta missing) is swept at Load and
@@ -279,13 +327,13 @@ func TestStateStoreTornCommitIgnored(t *testing.T) {
 // legacy delta's chain: the fixture's anchor g0 survives while g1 or g2
 // is retained, and goes with them.
 func TestStateStorePruneKeepsChainDeps(t *testing.T) {
-	fs := legacyDeltaFS(t)
+	fs := upgradeDeltaFS(t, true)
 	st := &StateStore{Base: "rcstate"}
 	table, _, _, ok, err := st.Load(fs)
 	if err != nil || !ok {
 		t.Fatalf("Load: ok=%v err=%v", ok, err)
 	}
-	for i := 3; i <= 6; i++ {
+	for i := 4; i <= 6; i++ {
 		table["a"] = []byte(fmt.Sprintf("v%d", i))
 		if _, err := st.Commit(fs, table); err != nil {
 			t.Fatal(err)

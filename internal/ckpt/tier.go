@@ -2,16 +2,17 @@ package ckpt
 
 import (
 	"cmp"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"os"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"drms/internal/frame"
 	"drms/internal/obs"
 )
 
@@ -312,13 +313,40 @@ func (t *MemTier) Entries(prefix string) []TierEntry {
 	return out
 }
 
-// tierFileRecord is the gob snapshot row for SaveFile/LoadTierFile.
+// The tier file (DESIGN.md §3g): tierMagic, tierVersion, and one record
+// per held payload in ascending (Holder, Prefix, Arr, Index) order.
+const (
+	tierMagic   = "DRMStier"
+	tierVersion = 1
+)
+
 type tierFileRecord struct {
 	Holder      int
 	Prefix, Arr string
 	Index       int
 	CRC         uint64
 	Data        []byte
+}
+
+func walkTierFile(c *frame.Codec, recs *[]tierFileRecord) {
+	c.Head(tierMagic, tierVersion)
+	if !c.Dec { // one spelling per tier: each payload once, in order
+		slices.SortFunc(*recs, compareTierRecords)
+		*recs = slices.CompactFunc(*recs, func(a, b tierFileRecord) bool { return compareTierRecords(a, b) == 0 })
+	}
+	frame.List(c, recs, func(r *tierFileRecord) {
+		frame.Varint(c, &r.Holder)
+		c.Str(&r.Prefix)
+		c.Str(&r.Arr)
+		frame.Varint(c, &r.Index)
+		c.Uvarint(&r.CRC)
+		c.Bytes(&r.Data)
+	})
+}
+
+func compareTierRecords(a, b tierFileRecord) int {
+	return cmp.Or(cmp.Compare(a.Holder, b.Holder), strings.Compare(a.Prefix, b.Prefix),
+		strings.Compare(a.Arr, b.Arr), cmp.Compare(a.Index, b.Index))
 }
 
 // SaveFile snapshots the tier to a local file so `drmsfsck -tier` can
@@ -334,38 +362,18 @@ func (t *MemTier) SaveFile(path string) error {
 		}
 	}
 	t.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Holder != recs[j].Holder {
-			return recs[i].Holder < recs[j].Holder
-		}
-		if recs[i].Prefix != recs[j].Prefix {
-			return recs[i].Prefix < recs[j].Prefix
-		}
-		if recs[i].Arr != recs[j].Arr {
-			return recs[i].Arr < recs[j].Arr
-		}
-		return recs[i].Index < recs[j].Index
-	})
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(f).Encode(recs); err != nil {
-		f.Close()
-		return fmt.Errorf("ckpt: encode tier snapshot: %w", err)
-	}
-	return f.Close()
+	return os.WriteFile(path, frame.Encode(func(c *frame.Codec) { walkTierFile(c, &recs) }), 0o666)
 }
 
-// LoadTierFile restores a tier snapshot written by SaveFile.
+// LoadTierFile restores a tier snapshot written by SaveFile; it accepts
+// only what SaveFile writes.
 func LoadTierFile(path string) (*MemTier, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	var recs []tierFileRecord
-	if err := gob.NewDecoder(f).Decode(&recs); err != nil {
+	if err := frame.Decode(b, func(c *frame.Codec) { walkTierFile(c, &recs) }); err != nil {
 		return nil, fmt.Errorf("ckpt: decode tier snapshot: %w", err)
 	}
 	t := NewMemTier()

@@ -2,12 +2,15 @@ package ckpt
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"maps"
 	"reflect"
 
 	"drms/internal/codec"
 	"drms/internal/pfs"
+	"drms/internal/seg"
 )
 
 // Upgrade, the one reader of gob metadata, rewrites the checkpoint under
@@ -32,10 +35,8 @@ func Upgrade(fs *pfs.System, prefix string, client int) (upgraded bool, err erro
 		Version     int
 		ArrayPieces [][]PieceSum
 	}
-	for _, dst := range []any{&m, &v1} {
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(dst); err != nil {
-			return false, corrupt(prefix, metaFile(prefix), -1, "metadata does not decode: %v", err)
-		}
+	if err := gobMeta(b, prefix, &m, &v1); err != nil {
+		return false, err
 	}
 	if m.Version != 1 && m.Version != 2 {
 		return false, fmt.Errorf("ckpt: %q: metadata version %d unsupported", prefix, m.Version)
@@ -83,3 +84,99 @@ func Upgrade(fs *pfs.System, prefix string, client int) (upgraded bool, err erro
 	}
 	return true, nil
 }
+
+// gobMeta decodes a gob metadata record into each of dst.
+func gobMeta(b []byte, prefix string, dst ...any) error {
+	for _, d := range dst {
+		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(d); err != nil {
+			return corrupt(prefix, metaFile(prefix), -1, "metadata does not decode: %v", err)
+		}
+	}
+	return nil
+}
+
+// readAnyMeta reads prefix's metadata, version 3 or gob.
+func readAnyMeta(fs *pfs.System, prefix string) (m Meta, err error) {
+	b, err := readMetaFile(fs, prefix, 0)
+	if err == nil && bytes.HasPrefix(b, []byte(metaMagic)) {
+		return decodeMeta(b, prefix)
+	} else if err == nil {
+		err = gobMeta(b, prefix, &m)
+	}
+	return m, err
+}
+
+// Upgrade rewrites a store an earlier coordinator wrote — a gob image at
+// its head, its metadata gob still or upgraded already — as one framed
+// anchor: the head's table, resolved by the legacy chain walk, is
+// committed through Commit, so a crash before its meta leaves the store
+// as it was. A head whose chain does not resolve is quarantined and the
+// next older one tried, as Load did for such a store. gen is the anchor's
+// generation, -1 when the newest generation that resolves is not a gob
+// state image: a framed one, or not state-store-shaped (a DRMS record
+// with no arrays and a zero Ctx, which every application checkpoint
+// stamps). err is the first failure when no generation resolves.
+// Offline, like Upgrade: nothing else may write the store meanwhile.
+func (s *StateStore) Upgrade(fs *pfs.System) (gen int, quarantined []string, err error) {
+	for {
+		_, head, ok := Rotation{Base: s.Base}.Latest(fs)
+		if !ok {
+			return -1, quarantined, err
+		}
+		m, merr := readAnyMeta(fs, head)
+		if merr != nil || m.Mode != ModeDRMS || len(m.Arrays) > 0 || m.Ctx != (seg.Context{}) {
+			return -1, quarantined, merr
+		}
+		if _, ierr := readStateImage(fs, head); ierr == nil {
+			return -1, quarantined, nil // a framed head: nothing (more) to upgrade
+		}
+		records, cerr := legacyTable(fs, s.Base, head, 0)
+		if cerr == nil {
+			gen, cerr = s.Commit(fs, records)
+			return gen, quarantined, cerr
+		}
+		err = cmp.Or(err, cerr)
+		Quarantine(fs, head)
+		quarantined = append(quarantined, head)
+	}
+}
+
+// legacyTable materializes the table of a gob image: an anchor's records,
+// or a delta's records and tombstones over the table of its base
+// generation, every link's segment checked against its metadata. The
+// walk ends at maxStateChain links, far beyond any anchor interval an
+// earlier coordinator used: a corrupt back-pointer cycle is an error.
+func legacyTable(fs *pfs.System, base, prefix string, depth int) (map[string][]byte, error) {
+	var img struct {
+		Full    bool // an anchor: Records is the complete table
+		Base    int  // a delta's base generation
+		Records map[string][]byte
+		Deleted []string // a delta's tombstones
+	}
+	m, err := readAnyMeta(fs, prefix)
+	var b []byte
+	if err == nil {
+		b, err = readStateSegment(fs, prefix, &m)
+	}
+	if err == nil && gob.NewDecoder(bytes.NewReader(b)).Decode(&img) != nil {
+		err = corrupt(prefix, segFile(prefix), -1, "legacy state image does not decode")
+	}
+	records := map[string][]byte{}
+	switch {
+	case err != nil:
+		return nil, err
+	case !img.Full && depth == maxStateChain:
+		return nil, fmt.Errorf("ckpt: state chain under %q exceeds %d links", base, maxStateChain)
+	case !img.Full:
+		if records, err = legacyTable(fs, base, fmt.Sprintf("%s.g%d", base, img.Base), depth+1); err != nil {
+			return nil, err
+		}
+	}
+	for _, name := range img.Deleted {
+		delete(records, name)
+	}
+	maps.Copy(records, img.Records)
+	return records, nil
+}
+
+const maxStateChain = 1024

@@ -5,38 +5,69 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"drms/internal/frame"
 	"drms/internal/pfs"
+)
+
+// gobRecord encodes r, an appRecord or an rcRecord, the way coordinators
+// before the record frame stored it: gob, the record's fields behind a
+// Schema field.
+func gobRecord(t testing.TB, schema int, r any) []byte {
+	v := reflect.ValueOf(r)
+	fields := []reflect.StructField{{Name: "Schema", Type: reflect.TypeFor[int]()}}
+	for i := range v.NumField() {
+		fields = append(fields, reflect.StructField{Name: v.Type().Field(i).Name, Type: v.Type().Field(i).Type})
+	}
+	old := reflect.New(reflect.StructOf(fields)).Elem()
+	old.Field(0).SetInt(int64(schema))
+	for i := range v.NumField() {
+		old.Field(i + 1).Set(v.Field(i))
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old.Interface()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Records of both eras for the decoders' tests and seeds.
+var (
+	gaveUpRecord = appRecord{Name: "gave-up", Status: StatusStalled, Tasks: 1,
+		Err: "coord: recovery budget exhausted", Incarnation: 3, Version: 21, Lease: 39,
+		Supervised: true, Attempts: 3, LastResolved: 4, FirstCause: "msg: task killed",
+		PolicyBudget: 5, Backoff: time.Millisecond, BackoffMax: time.Second, StallPenalty: 1}
+	doneRecord = appRecord{Name: "done", Status: StatusFinished, Tasks: 2,
+		Nodes: []int{0, 1}, Version: 9, Lease: 40, Keep: 2, AnchorEvery: 4, Verify: true, SPMD: true}
 )
 
 // FuzzDecodeRecord feeds arbitrary bytes to what a restarted coordinator
 // runs on each stored record: decodeRecord into an appRecord and
 // appFromRecord around it (with and without a catalog re-binding the
 // name), and decodeRecord into the rcRecord. An error or an application
-// are the only outcomes: no stored record may panic a recovery. Seeded
-// with a supervised record, a settled one and the coordinator's own.
+// are the only outcomes: no stored record may panic a recovery, and an
+// accepted frame is the encoding of the record it decoded to. Seeded
+// with a supervised record, a settled one and the coordinator's own, as
+// frames and as the gob records earlier coordinators wrote.
 func FuzzDecodeRecord(f *testing.F) {
-	enc := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+	rcRec := rcRecord{LeaseSeq: 41, Shard: 1, Shards: 2}
+	for _, r := range []record{&gaveUpRecord, &doneRecord, &rcRec} {
+		f.Add(frame.Encode(r.walk))
+		f.Add(gobRecord(f, 1, reflect.ValueOf(r).Elem().Interface()))
 	}
-	f.Add(enc(appRecord{Schema: 1, Name: "gave-up", Status: StatusStalled, Tasks: 1,
-		Err: "coord: recovery budget exhausted", Incarnation: 3, Version: 21, Lease: 39,
-		Supervised: true, Attempts: 3, LastResolved: 4, FirstCause: "msg: task killed",
-		PolicyBudget: 5, Backoff: time.Millisecond, BackoffMax: time.Second, StallPenalty: 1}))
-	f.Add(enc(appRecord{Schema: 1, Name: "done", Status: StatusFinished, Tasks: 2,
-		Nodes: []int{0, 1}, Version: 9, Lease: 40, Keep: 2, AnchorEvery: 4}))
-	f.Add(enc(rcRecord{Schema: 1, LeaseSeq: 41, Shard: 1, Shards: 2}))
 	catalog := func(string) (AppSpec, bool) { return AppSpec{Recovery: &RecoveryPolicy{}}, true }
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if rec, err := decodeRecord(b, func(r *appRecord) int { return r.Schema }); err == nil {
+		framed := bytes.HasPrefix(b, []byte(recordMagic))
+		var rec appRecord
+		if err := decodeRecord(b, &rec); err == nil {
+			if framed && !bytes.Equal(frame.Encode(rec.walk), b) {
+				t.Fatalf("%x decoded to %+v, which encodes to %x", b, rec, frame.Encode(rec.walk))
+			}
 			for _, cat := range []func(string) (AppSpec, bool){nil, catalog} {
 				app := appFromRecord(rec, cat)
 				if app == nil || app.Name != rec.Name {
@@ -45,7 +76,10 @@ func FuzzDecodeRecord(f *testing.F) {
 				_ = appInfoLocked(rec.Name, app)
 			}
 		}
-		_, _ = decodeRecord(b, func(r *rcRecord) int { return r.Schema })
+		var rcr rcRecord
+		if err := decodeRecord(b, &rcr); err == nil && framed && !bytes.Equal(frame.Encode(rcr.walk), b) {
+			t.Fatalf("%x decoded to %+v, which encodes to %x", b, rcr, frame.Encode(rcr.walk))
+		}
 	})
 }
 

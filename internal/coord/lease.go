@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -140,24 +141,25 @@ func loadRC(fs *pfs.System, opt RCOptions, rem *Remnant) (*RC, *RecoveryReport, 
 	if ok {
 		report.Gen = gen
 		coordStateRestores.Inc()
-	} else if lerr != nil && len(quarantined) == 0 {
+	} else if lerr != nil && (len(quarantined) == 0 || errors.Is(lerr, ckpt.ErrLegacyFormat)) {
 		// Load trouble that is not just corrupt generations (they
-		// quarantine and fall back) — refuse to start on a broken store.
+		// quarantine and fall back), or a legacy generation behind them —
+		// refuse to start on a store that holds more than it yields.
 		rc.ln.Close()
 		return nil, nil, lerr
 	}
 	for key, raw := range records {
 		switch {
 		case key == rcRecordKey:
-			rec, err := decodeRecord(raw, func(r *rcRecord) int { return r.Schema })
-			if err != nil {
+			var rec rcRecord
+			if err := decodeRecord(raw, &rec); err != nil {
 				rc.ln.Close()
 				return nil, nil, err
 			}
 			rc.leaseSeq = rec.LeaseSeq
 		case strings.HasPrefix(key, "app/"):
-			rec, err := decodeRecord(raw, func(r *appRecord) int { return r.Schema })
-			if err != nil {
+			var rec appRecord
+			if err := decodeRecord(raw, &rec); err != nil {
 				rc.ln.Close()
 				return nil, nil, err
 			}
@@ -166,7 +168,7 @@ func loadRC(fs *pfs.System, opt RCOptions, rem *Remnant) (*RC, *RecoveryReport, 
 	}
 	for name, sv := range rem.apps {
 		if _, known := rc.apps[name]; !known {
-			rc.apps[name] = appFromRecord(appRecord{Schema: stateSchemaVersion, Name: name,
+			rc.apps[name] = appFromRecord(appRecord{Name: name,
 				Status: StatusRunning, Tasks: len(sv.nodes), Lease: sv.handle.Lease()}, opt.Catalog)
 			rc.leaseSeq = max(rc.leaseSeq, sv.handle.Lease())
 		}

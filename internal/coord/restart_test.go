@@ -560,37 +560,46 @@ func TestChaosSoakControlPlane(t *testing.T) {
 }
 
 // TestRecoverRCRefusesGobEraStore: a coordinator store an earlier build
-// wrote — gob metadata over a legacy delta chain — is refused with
-// ckpt.ErrLegacyFormat, quarantining nothing and touching no file, until
-// drmsfsck -repair (ckpt.Upgrade) rewrites its metadata; then the
-// coordinator recovers from its head generation.
+// wrote — gob metadata over a legacy delta chain of gob images — is
+// refused with ckpt.ErrLegacyFormat, quarantining nothing and touching no
+// file, until drmsfsck -repair has rewritten both its metadata
+// (ckpt.Upgrade) and its head (StateStore.Upgrade); then the coordinator
+// recovers from the upgraded head, generation 3.
 func TestRecoverRCRefusesGobEraStore(t *testing.T) {
 	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
 	if err := fs.LoadFile("../ckpt/testdata/rcstate_deltas.pfs"); err != nil {
 		t.Fatal(err)
 	}
-	before := fs.List("")
 	opt := RCOptions{HBTimeout: hbTimeout, StatePrefix: "rcstate"}
-	if rc, _, err := RecoverRC(fs, opt, nil); !errors.Is(err, ckpt.ErrLegacyFormat) {
-		if rc != nil {
-			rc.Close()
+	refused := func(stage string) {
+		t.Helper()
+		before := fs.List("")
+		if rc, _, err := RecoverRC(fs, opt, nil); !errors.Is(err, ckpt.ErrLegacyFormat) {
+			if rc != nil {
+				rc.Close()
+			}
+			t.Fatalf("RecoverRC of a %s store: %v, want ckpt.ErrLegacyFormat", stage, err)
 		}
-		t.Fatalf("RecoverRC of a gob-era store: %v, want ckpt.ErrLegacyFormat", err)
+		if after := fs.List(""); !slices.Equal(before, after) {
+			t.Fatalf("a refused recovery changed the %s store: %v -> %v", stage, before, after)
+		}
 	}
-	if after := fs.List(""); !slices.Equal(before, after) {
-		t.Fatalf("a refused recovery changed the store: %v -> %v", before, after)
-	}
+	refused("gob-era")
 	for _, g := range (ckpt.Rotation{Base: "rcstate"}).Generations(fs) {
 		if up, err := ckpt.Upgrade(fs, g, 0); !up || err != nil {
 			t.Fatalf("upgrade %s: upgraded %v, %v", g, up, err)
 		}
+	}
+	refused("metadata-upgraded")
+	if g, q, err := (&ckpt.StateStore{Base: "rcstate"}).Upgrade(fs); g != 3 || len(q) != 0 || err != nil {
+		t.Fatalf("StateStore.Upgrade: gen %d quarantined %v, %v", g, q, err)
 	}
 	rc, report, err := RecoverRC(fs, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rc.Close)
-	if report.Gen != 2 || len(report.Quarantined) != 0 {
-		t.Fatalf("recovered from generation %d, quarantined %v; want the head, 2, and nothing", report.Gen, report.Quarantined)
+	if report.Gen != 3 || len(report.Quarantined) != 0 {
+		t.Fatalf("recovered from generation %d, quarantined %v; want the upgraded head, 3, and nothing", report.Gen, report.Quarantined)
 	}
 }

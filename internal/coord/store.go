@@ -2,9 +2,10 @@ package coord
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
+
+	"drms/internal/frame"
 )
 
 // Control-plane persistence. With RCOptions.StatePrefix set, the
@@ -19,17 +20,10 @@ import (
 // lifetime, so a restarted coordinator re-binds them through
 // RCOptions.Catalog (lease.go).
 
-// stateSchemaVersion guards the gob record layout. A decoder seeing a
-// newer record than it understands refuses the snapshot rather than
-// misreading it.
-const stateSchemaVersion = 1
-
 // appRecord is one application's persisted control-plane state; appState
-// embeds it, so the live application and its record are one copy. Its
-// gob encoding is the stored format: keep it flat (no nested structs) so
-// records earlier coordinators wrote still decode.
+// embeds it, so the live application and its record are one copy. walk
+// is its stored format.
 type appRecord struct {
-	Schema      int
 	Name        string
 	Status      AppStatus
 	Tasks       int
@@ -64,10 +58,58 @@ type appRecord struct {
 
 // rcRecord is the coordinator's own persisted state.
 type rcRecord struct {
-	Schema   int
 	LeaseSeq int64
 	Shard    int
 	Shards   int
+}
+
+// A stored record (DESIGN.md §3g) is recordMagic and recordVersion, then
+// the fields: a decoder refuses a version it does not know rather than
+// misread it.
+const (
+	recordMagic   = "DRMSrecord"
+	recordVersion = 1
+)
+
+type record interface{ walk(c *frame.Codec) }
+
+// walk takes an appRecord's fields by kind, each kind in declaration
+// order: the strings, the nodes, the version, the 64-bit numbers, the
+// three flags, the ints.
+func (r *appRecord) walk(c *frame.Codec) {
+	c.Head(recordMagic, recordVersion)
+	for _, s := range []*string{&r.Name, (*string)(&r.Status), &r.Err, &r.FirstCause} {
+		c.Str(s)
+	}
+	frame.List(c, &r.Nodes, func(n *int) { frame.Varint(c, n) })
+	c.Uvarint(&r.Version)
+	for _, v := range []*int64{&r.Lease, (*int64)(&r.Backoff), (*int64)(&r.BackoffMax)} {
+		frame.Varint(c, v)
+	}
+	c.Flags(&r.Supervised, &r.Verify, &r.SPMD)
+	for _, v := range []*int{&r.Tasks, &r.Incarnation, &r.Budget, &r.Attempts, &r.LastResolved,
+		&r.Keep, &r.AnchorEvery, &r.Replicas, &r.DemoteEvery, &r.PolicyBudget, &r.StallPenalty} {
+		frame.Varint(c, v)
+	}
+}
+
+func (r *rcRecord) walk(c *frame.Codec) {
+	c.Head(recordMagic, recordVersion)
+	frame.Varint(c, &r.LeaseSeq)
+	frame.Varint(c, &r.Shard)
+	frame.Varint(c, &r.Shards)
+}
+
+// decodeRecord decodes one persisted record into r: a frame, or a gob
+// record an earlier coordinator wrote (legacy.go).
+func decodeRecord(b []byte, r record) error {
+	if !bytes.HasPrefix(b, []byte(recordMagic)) {
+		return decodeGobRecord(b, r)
+	}
+	if err := frame.Decode(b, r.walk); err != nil {
+		return fmt.Errorf("coord: corrupt state record: %w", err)
+	}
+	return nil
 }
 
 const rcRecordKey = "rc"
@@ -95,31 +137,18 @@ func (rc *RC) ringPersistWake() {
 
 // snapshotLocked renders the authoritative tables as the state store's
 // record map. rc.mu must be held.
-func (rc *RC) snapshotLocked() (map[string][]byte, error) {
+func (rc *RC) snapshotLocked() map[string][]byte {
 	records := make(map[string][]byte, len(rc.apps)+1)
-	var buf bytes.Buffer
-	put := func(key string, v any) error {
-		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			return fmt.Errorf("coord: encoding state record %q: %w", key, err)
-		}
-		records[key] = append([]byte(nil), buf.Bytes()...)
-		return nil
-	}
-	if err := put(rcRecordKey, rcRecord{Schema: stateSchemaVersion,
-		LeaseSeq: rc.leaseSeq, Shard: rc.opt.Shard, Shards: rc.opt.Shards}); err != nil {
-		return nil, err
-	}
+	rec := rcRecord{LeaseSeq: rc.leaseSeq, Shard: rc.opt.Shard, Shards: rc.opt.Shards}
+	records[rcRecordKey] = frame.Encode(rec.walk)
 	for name, app := range rc.apps {
 		rec := app.appRecord
-		rec.Schema, rec.Name = stateSchemaVersion, name
+		rec.Name = name
 		rec.Err, rec.FirstCause = errText(app.err), errText(app.firstCause)
 		rec.setSpec(app.spec)
-		if err := put(appRecordKey(name), rec); err != nil {
-			return nil, err
-		}
+		records[appRecordKey(name)] = frame.Encode(rec.walk)
 	}
-	return records, nil
+	return records
 }
 
 // setSpec records the spec's plain-data knobs; appFromRecord reads them
@@ -170,16 +199,13 @@ func (rc *RC) flushState() error {
 		rc.mu.Unlock()
 		return nil
 	}
-	records, err := rc.snapshotLocked()
+	records := rc.snapshotLocked()
 	rc.dirty = false
 	rc.mu.Unlock()
-	if err == nil {
-		_, err = rc.store.Commit(rc.fs, records)
-	}
-	if err != nil {
-		// Unserializable state (a programming error) or storage trouble:
-		// mark dirty again and re-ring the doorbell, so the persister
-		// keeps retrying without waiting for another mutation to arrive.
+	if _, err := rc.store.Commit(rc.fs, records); err != nil {
+		// Storage trouble: mark dirty again and re-ring the doorbell, so
+		// the persister keeps retrying without waiting for another
+		// mutation to arrive.
 		rc.mu.Lock()
 		rc.dirty = true
 		rc.mu.Unlock()
@@ -223,14 +249,4 @@ func (rc *RC) SyncState() (gen int, ok bool) {
 	}
 	rc.flushState()
 	return rc.store.LastGen(), true
-}
-
-// decodeRecord decodes one persisted record (an appRecord or the
-// rcRecord; schema reads the version it was written at).
-func decodeRecord[T any](b []byte, schema func(*T) int) (rec T, err error) {
-	if err = gob.NewDecoder(bytes.NewReader(b)).Decode(&rec); err == nil && schema(&rec) > stateSchemaVersion {
-		err = fmt.Errorf("coord: state record schema %d newer than this coordinator (%d)",
-			schema(&rec), stateSchemaVersion)
-	}
-	return rec, err
 }

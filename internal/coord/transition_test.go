@@ -2,7 +2,6 @@ package coord
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -567,28 +566,18 @@ func TestNoSubscriberRetainsNothing(t *testing.T) {
 	tcs[0].Stop()
 }
 
-// TestRecoverLoadsParentEncodedStore commits a store the way every
-// earlier coordinator did — gob records under "rc" and "app/<name>",
-// schema 1 — without going through this tree's snapshotLocked, and loads
-// it: the persisted format did not move.
+// TestRecoverLoadsParentEncodedStore commits the gob records every
+// earlier coordinator wrote under "rc" and "app/<name>", schema 1 —
+// without going through this tree's snapshotLocked — as an upgraded
+// store holds them, and loads it: those records still decode.
 func TestRecoverLoadsParentEncodedStore(t *testing.T) {
 	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
-	enc := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	records := map[string][]byte{
-		"rc": enc(rcRecord{Schema: 1, LeaseSeq: 41}),
-		"app/done": enc(appRecord{Schema: 1, Name: "done", Status: StatusFinished, Tasks: 2,
+		"rc": gobRecord(t, 1, rcRecord{LeaseSeq: 41}),
+		"app/done": gobRecord(t, 1, appRecord{Name: "done", Status: StatusFinished, Tasks: 2,
 			Nodes: []int{0, 1}, Version: 9, Lease: 40}),
-		"app/gave-up": enc(appRecord{Schema: 1, Name: "gave-up", Status: StatusStalled, Tasks: 1,
-			Err: "coord: recovery budget exhausted", Incarnation: 3, Version: 21, Lease: 39,
-			Supervised: true, Attempts: 3, LastResolved: 4, FirstCause: "msg: task killed",
-			PolicyBudget: 5, Backoff: time.Millisecond, BackoffMax: time.Second, StallPenalty: 1}),
-		"app/lost": enc(appRecord{Schema: 1, Name: "lost", Status: StatusRunning, Tasks: 2,
+		"app/gave-up": gobRecord(t, 1, gaveUpRecord),
+		"app/lost": gobRecord(t, 1, appRecord{Name: "lost", Status: StatusRunning, Tasks: 2,
 			Nodes: []int{2, 3}, Version: 3, Lease: 41}),
 	}
 	store := &ckpt.StateStore{Base: "rcstate.parent"}
@@ -617,17 +606,17 @@ func TestRecoverLoadsParentEncodedStore(t *testing.T) {
 			t.Errorf("%s loaded as %+v, want %+v", name, got, want)
 		}
 	}
-	// And what this tree writes decodes as the same record type.
+	// What this tree writes is a frame of the same record.
 	rc.mu.Lock()
-	snap, err := rc.snapshotLocked()
+	snap := rc.snapshotLocked()
 	rc.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rec appRecord
-	if err := gob.NewDecoder(bytes.NewReader(snap["app/gave-up"])).Decode(&rec); err != nil ||
-		rec.Schema != 1 || rec.Status != StatusStalled || rec.FirstCause != "msg: task killed" || rec.Attempts != 3 {
+	if err := decodeRecord(snap["app/gave-up"], &rec); err != nil || !bytes.HasPrefix(snap["app/gave-up"], []byte(recordMagic)) ||
+		rec.Status != StatusStalled || rec.FirstCause != "msg: task killed" || rec.Attempts != 3 {
 		t.Fatalf("re-encoded record %+v, %v", rec, err)
+	}
+	if err := decodeRecord(gobRecord(t, 2, rcRecord{}), &rcRecord{}); err == nil {
+		t.Fatal("a schema 2 gob record decoded")
 	}
 }
 

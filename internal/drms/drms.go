@@ -33,7 +33,6 @@
 package drms
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -43,6 +42,7 @@ import (
 	"drms/internal/array"
 	"drms/internal/ckpt"
 	"drms/internal/dist"
+	"drms/internal/frame"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/seg"
@@ -319,9 +319,6 @@ type Task struct {
 	// in the next collective.
 	sawSOP  bool
 	stopSOP bool
-	// LastMeta holds the metadata of the checkpoint most recently taken
-	// or restored by this task.
-	LastMeta ckpt.Meta
 }
 
 // Rank returns this task's rank.
@@ -471,58 +468,23 @@ type genHeader struct {
 	Resize int    // != 0: a resize generation — swap to this task count after commit
 }
 
-// genHeader's flags byte.
-const (
-	hdrDelta = 1 << iota
-	hdrMem
-	hdrStop
-	hdrSkip
-)
-
-// encode frames h for the per-SOP broadcast: Gen and Prev, each a uvarint
-// length and its bytes, one flags byte, and Resize as a varint. Every rank
-// decodes it at every SOP, so it is a fixed layout, not a gob stream.
-func (h genHeader) encode() []byte {
-	b := binary.AppendUvarint(nil, uint64(len(h.Gen)))
-	b = append(b, h.Gen...)
-	b = binary.AppendUvarint(b, uint64(len(h.Prev)))
-	b = append(b, h.Prev...)
-	var flags byte
-	for i, on := range [...]bool{h.Delta, h.Mem, h.Stop, h.Skip} { // hdrDelta, hdrMem, hdrStop, hdrSkip
-		if on {
-			flags |= 1 << i
-		}
-	}
-	b = append(b, flags)
-	return binary.AppendVarint(b, int64(h.Resize))
+// walk frames h for the per-SOP broadcast (DESIGN.md §3g): Gen and Prev,
+// the flags Delta, Mem, Stop and Skip from the lowest bit up, and Resize.
+func (h *genHeader) walk(c *frame.Codec) {
+	c.Str(&h.Gen)
+	c.Str(&h.Prev)
+	c.Flags(&h.Delta, &h.Mem, &h.Stop, &h.Skip)
+	frame.Varint(c, &h.Resize)
 }
 
+func (h genHeader) encode() []byte { return frame.Encode(h.walk) }
+
 // decodeGenHeader parses encode's frame.
-func decodeGenHeader(b []byte) (genHeader, error) {
-	var h genHeader
-	str := func() (string, bool) {
-		n, k := binary.Uvarint(b)
-		if k <= 0 || n > uint64(len(b)-k) {
-			return "", false
-		}
-		s := string(b[k : k+int(n)])
-		b = b[k+int(n):]
-		return s, true
+func decodeGenHeader(b []byte) (h genHeader, err error) {
+	if err = frame.Decode(b, h.walk); err != nil {
+		err = fmt.Errorf("drms: malformed checkpoint header: %w", err)
 	}
-	var okGen, okPrev bool
-	h.Gen, okGen = str()
-	h.Prev, okPrev = str()
-	if !okGen || !okPrev || len(b) < 1 {
-		return h, errors.New("drms: truncated checkpoint header")
-	}
-	flags := b[0]
-	h.Delta, h.Mem, h.Stop, h.Skip = flags&hdrDelta != 0, flags&hdrMem != 0, flags&hdrStop != 0, flags&hdrSkip != 0
-	resize, k := binary.Varint(b[1:])
-	if k <= 0 || k != len(b)-1 {
-		return h, errors.New("drms: malformed checkpoint header")
-	}
-	h.Resize = int(resize)
-	return h, nil
+	return h, err
 }
 
 // header is rank 0's decision at an SOP — skip it, or which generation to

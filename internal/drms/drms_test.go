@@ -717,4 +717,9 @@ func TestGenHeaderRoundTrip(t *testing.T) {
 	if got, err := decodeGenHeader(genHeader{}.encode()); err != nil || got != (genHeader{}) {
 		t.Fatalf("zero header round trip = %+v, %v", got, err)
 	}
+	// The bytes every earlier build broadcast: two length-prefixed names, the
+	// flags byte (Delta|Stop) and Resize -1 as a zigzag varint.
+	if b := (genHeader{Gen: "ck.g7", Prev: "ck.g6", Delta: true, Stop: true, Resize: -1}).encode(); string(b) != "\x05ck.g7\x05ck.g6\x05\x01" {
+		t.Fatalf("header frame %q", b)
+	}
 }

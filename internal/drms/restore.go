@@ -193,7 +193,6 @@ func (t *Task) restore() (Status, int, error) {
 		}
 		return Failed, 0, err
 	}
-	t.LastMeta = m
 	t.handle.noteGeneration(target)
 	t.snapshot(target)
 	delta := t.Tasks() - m.Tasks

@@ -17,12 +17,11 @@
 package steer
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
 	"drms/internal/array"
+	"drms/internal/frame"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
 	"drms/internal/stream"
@@ -42,31 +41,47 @@ func dataFile(ch string, seq int64) string {
 	return fmt.Sprintf("%s.data%d", ch, seq%2)
 }
 
-// readHeader fetches the current header; ok=false when the channel has
-// never been published.
-func readHeader(fs *pfs.System, ch string, client int) (Header, bool, error) {
-	var h Header
+// The header file (DESIGN.md §3g): hdrMagic, hdrVersion, then the
+// Header's fields in declaration order.
+const (
+	hdrMagic   = "DRMSsteer"
+	hdrVersion = 1
+)
+
+func (h *Header) walk(c *frame.Codec) {
+	c.Head(hdrMagic, hdrVersion)
+	frame.Varint(c, &h.Seq)
+	c.Slice(&h.Section)
+	c.Str(&h.Kind)
+	frame.Varint(c, &h.Order)
+	frame.Varint(c, &h.Bytes)
+}
+
+func decodeHeader(b []byte, ch string) (h Header, err error) {
+	if err = frame.Decode(b, h.walk); err != nil {
+		err = fmt.Errorf("steer: corrupt header on channel %q: %w", ch, err)
+	}
+	return h, err
+}
+
+// readHeader fetches the current header and its bytes; ok=false when the
+// channel has never been published.
+func readHeader(fs *pfs.System, ch string, client int) (h Header, b []byte, ok bool, err error) {
 	sz, err := fs.Size(hdrFile(ch))
 	if err != nil {
-		return h, false, nil // not yet published
+		return h, nil, false, nil // not yet published
 	}
-	buf := make([]byte, sz)
-	if err := fs.ReadAt(client, hdrFile(ch), buf, 0); err != nil {
-		return h, false, err
+	b = make([]byte, sz)
+	if err := fs.ReadAt(client, hdrFile(ch), b, 0); err != nil {
+		return h, nil, false, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&h); err != nil {
-		return h, false, fmt.Errorf("steer: corrupt header on channel %q: %w", ch, err)
-	}
-	return h, true, nil
+	h, err = decodeHeader(b, ch)
+	return h, b, err == nil, err
 }
 
 func writeHeader(fs *pfs.System, ch string, client int, h Header) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		return err
-	}
 	fs.Create(hdrFile(ch))
-	return fs.WriteAt(client, hdrFile(ch), buf.Bytes(), 0)
+	return fs.WriteAt(client, hdrFile(ch), frame.Encode(h.walk), 0)
 }
 
 // Publish commits section x of array a as the channel's next frame.
@@ -77,7 +92,7 @@ func Publish[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, 
 	comm := a.Comm()
 	var seq int64 = 1
 	if comm.Rank() == 0 {
-		if h, ok, err := readHeader(fs, channel, 0); err != nil {
+		if h, _, ok, err := readHeader(fs, channel, 0); err != nil {
 			return 0, err
 		} else if ok {
 			seq = h.Seq + 1
@@ -113,20 +128,15 @@ func Publish[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, 
 // number, or 0 with no error if the channel has never been published.
 func Fetch[T array.Elem](a *array.Array[T], fs *pfs.System, channel string, o stream.Options) (int64, error) {
 	comm := a.Comm()
-	var h Header
 	var status float64 // 0 none, 1 ok, -1 error
-	var encoded []byte
+	var encoded []byte // rank 0's header, broadcast as it read it
 	if comm.Rank() == 0 {
-		hh, ok, err := readHeader(fs, channel, 0)
+		_, b, ok, err := readHeader(fs, channel, 0)
 		switch {
 		case err != nil:
 			status = -1
 		case ok:
-			status = 1
-			h = hh
-			var buf bytes.Buffer
-			gob.NewEncoder(&buf).Encode(hh)
-			encoded = buf.Bytes()
+			status, encoded = 1, b
 		}
 	}
 	status, err := comm.AllreduceF64(status, maxOp)
@@ -139,14 +149,12 @@ func Fetch[T array.Elem](a *array.Array[T], fs *pfs.System, channel string, o st
 	if status == 0 {
 		return 0, nil
 	}
-	encoded, err = comm.Bcast(0, encoded)
-	if err != nil {
+	if encoded, err = comm.Bcast(0, encoded); err != nil {
 		return 0, err
 	}
-	if comm.Rank() != 0 {
-		if err := gob.NewDecoder(bytes.NewReader(encoded)).Decode(&h); err != nil {
-			return 0, err
-		}
+	h, err := decodeHeader(encoded, channel)
+	if err != nil {
+		return 0, err
 	}
 	if h.Kind != array.ElemKind[T]() {
 		return 0, fmt.Errorf("steer: channel %q carries %s, array %q holds %s",
@@ -177,7 +185,7 @@ type Observer struct {
 // Latest returns the channel's newest frame header and raw payload (the
 // section's linearization). ok=false if nothing has been published.
 func (ob *Observer) Latest() (Header, []byte, bool, error) {
-	h, ok, err := readHeader(ob.FS, ob.Channel, 0)
+	h, _, ok, err := readHeader(ob.FS, ob.Channel, 0)
 	if err != nil || !ok {
 		return h, nil, ok, err
 	}
@@ -215,7 +223,7 @@ func Inject[T array.Elem](fs *pfs.System, channel string, x rangeset.Slice, orde
 		return 0, fmt.Errorf("steer: inject of %d values into a %d-element section", len(vals), x.Size())
 	}
 	var seq int64 = 1
-	if h, ok, err := readHeader(fs, channel, 0); err != nil {
+	if h, _, ok, err := readHeader(fs, channel, 0); err != nil {
 		return 0, err
 	} else if ok {
 		seq = h.Seq + 1
