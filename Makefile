@@ -192,12 +192,14 @@ fuzz:
 # coordinator's heartbeat/revocation path, and the exact accumulator the
 # ranks of a checksum fill side by side. The second line repeats the
 # buffer hand-off tests: a buffer recycled while its receiver still reads
-# it is a race the detector catches on some schedules only.
+# it is a race the detector catches on some schedules only; so is a rank
+# retired by a resize arriving late, and sixteen applications sharing a
+# process while their ranks plan.
 race:
 	$(GO) test -race ./internal/stream ./internal/array ./internal/msg ./internal/crc ./internal/xsum \
 		./internal/ckpt ./internal/drms ./internal/coord ./internal/obs
-	$(GO) test -race -count=20 -run 'HandsOff|MailboxDrops|CirculatesBuffers|InFlightBytes' \
-		./internal/msg ./internal/array ./internal/stream
+	$(GO) test -race -count=20 -run 'HandsOff|MailboxDrops|CirculatesBuffers|InFlightBytes|RetiredRankArrivingLate|ConcurrentAppsPlanOnce' \
+		./internal/msg ./internal/array ./internal/stream ./internal/drms ./internal/apps
 
 # The chaos soak: the recovery supervisor under a seeded fault injector
 # that kills random ranks mid-compute, mid-checkpoint, and during

@@ -33,8 +33,8 @@
 // (ckpt.Upgrade), a coordinator state store whose head is a gob image
 // (every store saved by older builds) gets that head's table as one
 // framed anchor (ckpt.StateStore.Upgrade), and the snapshot is saved
-// back. Without -repair a legacy generation is reported as needing it:
-// no restart reads one.
+// back. Without -repair a legacy generation, and a state store whose head
+// is a gob image, are reported as needing it: no restart reads one.
 //
 // With -squash, each prefix whose newest generation is a chained delta
 // is folded into a fresh self-contained anchor (ckpt.Squash): every
@@ -48,7 +48,7 @@
 //
 //	0  clean: every committed generation of every prefix verifies
 //	1  unrecoverable: some prefix has no verifiable generation at all,
-//	   or holds a legacy generation that needs -repair
+//	   or holds a legacy generation or state image that needs -repair
 //	2  usage error
 //	3  repaired: corruption found, but every prefix still has a
 //	   verifiable generation to restart from, or legacy generations
@@ -310,9 +310,9 @@ func listTiers(fs *pfs.System, tier *ckpt.MemTier, prefix string) {
 // payloads verify against tier (nil: they fail, and the generation
 // falls back like any other corruption). repair upgrades the legacy
 // generations and quarantines the corrupt ones; *dirty is set when it
-// changed anything. Without repair a legacy generation makes the prefix
-// unrecoverable: it is intact, but nothing restarts from it until it is
-// upgraded.
+// changed anything. Without repair a legacy generation, or a state
+// store's gob head image, makes the prefix unrecoverable: it is intact,
+// but nothing restarts from it until it is upgraded.
 func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool, dirty *bool) int {
 	gens := generations(fs, prefix)
 	if len(gens) == 0 {
@@ -356,6 +356,11 @@ func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool,
 
 	if legacy > 0 {
 		fmt.Printf("%-12s UNRECOVERABLE until upgraded: %d legacy generations (run with -repair)\n", prefix, legacy)
+		return exitUnrecoverable
+	}
+	if !repair && gens[0] != prefix && (&ckpt.StateStore{Base: prefix}).LegacyHead(fs) {
+		fmt.Printf("%-12s LEGACY: a coordinator state store whose head is a gob image\n", prefix)
+		fmt.Printf("%-12s UNRECOVERABLE until upgraded: the recovery supervisor refuses it (run with -repair)\n", prefix)
 		return exitUnrecoverable
 	}
 	if good == 0 {

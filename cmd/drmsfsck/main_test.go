@@ -448,3 +448,30 @@ func TestTierSnapshotRoundTripVerifiesOffline(t *testing.T) {
 	listTiers(fs, loaded, "ck")
 	listTiers(fs, nil, "ck")
 }
+
+// TestCheckPrefixReportsLegacyStateStore: a coordinator store whose head
+// is a gob image under framed metadata — what the last gob-image
+// coordinator saved — verifies byte for byte, yet the recovery
+// supervisor refuses it. Without -repair it is LEGACY and unrecoverable,
+// naming -repair; with it, the store upgrades and then checks clean.
+func TestCheckPrefixReportsLegacyStateStore(t *testing.T) {
+	fs := pfs.NewSystem(pfs.DefaultConfig())
+	if err := fs.LoadFile("../../internal/coord/testdata/rcstate_parent.pfs"); err != nil {
+		t.Fatal(err)
+	}
+	dirty := false
+	var code int
+	out := stdout(t, func() { code = checkPrefix(fs, nil, "rcstate", false, &dirty) })
+	if code != exitUnrecoverable || dirty || !strings.Contains(out, "LEGACY") || !strings.Contains(out, "-repair") {
+		t.Fatalf("check classified %d dirty %v, want %d naming LEGACY and -repair:\n%s", code, dirty, exitUnrecoverable, out)
+	}
+	stdout(t, func() { code = checkPrefix(fs, nil, "rcstate", true, &dirty) })
+	if code != exitRepaired || !dirty {
+		t.Fatalf("repair classified %d dirty %v, want %d", code, dirty, exitRepaired)
+	}
+	dirty = false
+	stdout(t, func() { code = checkPrefix(fs, nil, "rcstate", false, &dirty) })
+	if code != exitClean || dirty {
+		t.Fatalf("after -repair: classified %d dirty %v, want %d", code, dirty, exitClean)
+	}
+}

@@ -173,7 +173,7 @@ func Assign[T Elem](dst, src *Array[T]) error {
 	}
 	c := src.comm
 	es := ElemSize[T]()
-	pl := assignPlanFor(src.d, dst.d, c, es, rangeset.ColMajor, noPiece)
+	pl := assignPlanFor(src.d, dst.d, c, es)
 
 	// Phase 1: pack this task's contribution to every active peer at the
 	// plan's precomputed offsets. Buffers come from the pool and are

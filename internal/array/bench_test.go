@@ -89,9 +89,10 @@ func BenchmarkPieceExchangeBT(b *testing.B) {
 				a.Fill(coordVal)
 				piece := round.Mapped(c.Rank())
 				buf := make([]byte, piece.Size()*8)
+				rd := NewRound(round)
 				trip := func() {
-					must(PackPieces(a, round, rangeset.ColMajor, buf))
-					must(UnpackPieces(a, round, rangeset.ColMajor, buf))
+					must(PackPieces(a, rd, rangeset.ColMajor, buf))
+					must(UnpackPieces(a, rd, rangeset.ColMajor, buf))
 				}
 				if mode == "aux" {
 					aux, _ := New[float64](c, "aux", round)

@@ -37,7 +37,7 @@ func TestPieceExchangeCirculatesBuffers(t *testing.T) {
 	}
 	type step struct {
 		a, b    *Array[float64]
-		round   *dist.Distribution
+		round   *Round
 		order   rangeset.Order
 		piece   []byte    // the round's piece, from the reference path
 		landed  []float64 // b's storage after the piece is unpacked into sentinels
@@ -69,7 +69,7 @@ func TestPieceExchangeCirculatesBuffers(t *testing.T) {
 				back, ref := fresh("back", round, nil), fresh("ref", pc.d2, sentinel)
 				must(back.UnpackSection(round.Mapped(c.Rank()), pc.order, piece))
 				must(assignReference(ref, back))
-				steps = append(steps, step{a, b, round, pc.order, piece, ref.Local(), make([]byte, len(piece))})
+				steps = append(steps, step{a, b, NewRound(round), pc.order, piece, ref.Local(), make([]byte, len(piece))})
 			}
 		}
 		for i := 0; i < 200; i++ {
@@ -116,6 +116,7 @@ func TestPieceExchangePoolBalanced(t *testing.T) {
 		a, _ := New[float64](c, "u", d)
 		a.Fill(coordVal)
 		buf := make([]byte, round.Mapped(c.Rank()).Size()*ElemSize[float64]())
+		rd := NewRound(round)
 		var before, after runtime.MemStats
 		for rep := 0; rep < 6; rep++ { // the first builds the plans and fills the pool
 			c.Barrier()
@@ -125,11 +126,11 @@ func TestPieceExchangePoolBalanced(t *testing.T) {
 			}
 			c.Barrier()
 			for i := 0; i < rounds; i++ {
-				out, err := PackPieces(a, round, rangeset.ColMajor, buf)
+				out, err := PackPieces(a, rd, rangeset.ColMajor, buf)
 				if err != nil {
 					panic(err)
 				}
-				in, err := UnpackPieces(a, round, rangeset.ColMajor, buf)
+				in, err := UnpackPieces(a, rd, rangeset.ColMajor, buf)
 				if err != nil {
 					panic(err)
 				}

@@ -3,10 +3,10 @@ package array
 import "drms/internal/obs"
 
 func init() {
-	// The assignment/gather plan caches keep their own counters (tests
-	// reset them); export them as reads so the scrape sees the live
-	// values. A high hit rate is the steady-state signature of periodic
-	// checkpointing: every round replays a cached communication schedule.
+	// The plan counters are process-wide atomics; export them as reads
+	// so the scrape sees the live values. A high hit rate is the
+	// steady-state signature of periodic checkpointing: every round
+	// replays a communication schedule its epoch already built.
 	obs.CounterFunc("drms_array_plan_cache_hits_total",
 		"Array communication-plan cache hits (assignment + gather).",
 		func() float64 { h, _ := PlanCacheStats(); return float64(h) })

@@ -14,7 +14,54 @@ import (
 // are never materialised as a typed array: a piece lives in its I/O
 // buffer, in wire form, in the stream's element order. A round is thus an
 // assignment one side of which is a byte buffer, and runs the assignment's
-// cached schedule (plan.go) with that side's runs addressing the buffer.
+// schedule (plan.go) with that side's runs addressing the buffer.
+
+// A Round is one round of a piece exchange: the canonical distribution
+// that gives task p the round's piece p (Fig. 5b), and the exchange plans
+// this rank has run against it. Whoever builds a round owns its plans:
+// the stream layer keeps its rounds in the stream plan that built them,
+// one per rank and epoch, so a filtered sub-plan it drops takes its fresh
+// rounds' plans along. A Round belongs to one task.
+type Round struct {
+	d     *dist.Distribution
+	gen   uint64 // planGen when plans was (re)started
+	plans []roundPlan
+}
+
+// roundPlan is one exchange planned against a round: the array side's
+// distribution and element size, the stream order, and the direction.
+type roundPlan struct {
+	a     *dist.Distribution
+	es    int
+	order rangeset.Order
+	side  pieceSide
+	pl    *assignPlan
+}
+
+// NewRound wraps the canonical distribution of one round.
+func NewRound(d *dist.Distribution) *Round { return &Round{d: d} }
+
+// plan returns the exchange plan between the array distribution a and
+// the round on rank of size tasks, building it on first use.
+func (r *Round) plan(a *dist.Distribution, rank, size, es int, order rangeset.Order, side pieceSide) *assignPlan {
+	if g := planGen.Load(); r.gen != g {
+		r.gen, r.plans = g, nil
+	}
+	for _, p := range r.plans {
+		if p.a == a && p.es == es && p.order == order && p.side == side {
+			planHits.Add(1)
+			return p.pl
+		}
+	}
+	planMisses.Add(1)
+	src, dst := a, r.d
+	if side == pieceSrc {
+		src, dst = r.d, a
+	}
+	pl := buildAssignPlan(src, dst, rank, size, es, order, side)
+	r.plans = append(r.plans, roundPlan{a, es, order, side, pl})
+	return pl
+}
 
 // PackPieces moves every assigned element of a that falls in a piece of
 // round to the task holding that piece, which lands it in buf — its piece
@@ -25,12 +72,12 @@ import (
 // elements no task is assigned are zero. round must share a's global shape
 // and span a's communicator. Collective; returns the bytes this task sent
 // to others.
-func PackPieces[T Elem](a *Array[T], round *dist.Distribution, order rangeset.Order, buf []byte) (int64, error) {
+func PackPieces[T Elem](a *Array[T], round *Round, order rangeset.Order, buf []byte) (int64, error) {
 	if err := checkRound(a, round, buf); err != nil {
 		return 0, err
 	}
 	es := ElemSize[T]()
-	pl := assignPlanFor(a.d, round, a.comm, es, order, pieceDst)
+	pl := round.plan(a.d, a.comm.Rank(), a.comm.Size(), es, order, pieceDst)
 	stride := runStride(a.Mapped(), order)
 	local := any(a.local)
 	for i := range pl.send {
@@ -68,12 +115,12 @@ func PackPieces[T Elem](a *Array[T], round *dist.Distribution, order rangeset.Or
 // outside the round's pieces are untouched, and a piece element no task
 // maps is sent to nobody. Collective; returns the bytes this task sent to
 // others.
-func UnpackPieces[T Elem](a *Array[T], round *dist.Distribution, order rangeset.Order, buf []byte) (int64, error) {
+func UnpackPieces[T Elem](a *Array[T], round *Round, order rangeset.Order, buf []byte) (int64, error) {
 	if err := checkRound(a, round, buf); err != nil {
 		return 0, err
 	}
 	es := ElemSize[T]()
-	pl := assignPlanFor(round, a.d, a.comm, es, order, pieceSrc)
+	pl := round.plan(a.d, a.comm.Rank(), a.comm.Size(), es, order, pieceSrc)
 	for i := range pl.send {
 		px := &pl.send[i]
 		wire := getBuf(px.bytes)
@@ -101,7 +148,8 @@ func UnpackPieces[T Elem](a *Array[T], round *dist.Distribution, order rangeset.
 // checkRound makes, on every call, the checks Assign makes of its two
 // arrays: round describes pieces of a's index space on a's tasks, and buf
 // is this task's piece.
-func checkRound[T Elem](a *Array[T], round *dist.Distribution, buf []byte) error {
+func checkRound[T Elem](a *Array[T], r *Round, buf []byte) error {
+	round := r.d
 	if !round.Global().Equal(a.Global()) {
 		return fmt.Errorf("array %q: pieces of %v exchanged with an array over %v", a.name, round.Global(), a.Global())
 	}

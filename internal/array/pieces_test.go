@@ -223,9 +223,10 @@ func pieceOracle[T Elem](c *msg.Comm, pc pieceCase) {
 				wantSent += int64(a.Assigned().Intersect(round.Mapped(q)).Size() * es)
 			}
 		}
+		rd := NewRound(round)
 		for pass := 0; pass < 2; pass++ { // plan built, plan replayed
 			got := poisoned(len(want))
-			sent, err := PackPieces(a, round, pc.order, got)
+			sent, err := PackPieces(a, rd, pc.order, got)
 			must(err)
 			if !bytes.Equal(got, want) {
 				panic(fmt.Sprintf("round %d pass %d rank %d: PackPieces\n got %v\nwant %v", ri, pass, c.Rank(), got, want))
@@ -238,7 +239,7 @@ func pieceOracle[T Elem](c *msg.Comm, pc pieceCase) {
 		back := fresh("back", round, nil)
 		must(back.UnpackSection(piece, pc.order, want))
 		must(assignReference(ref, back))
-		if _, err := UnpackPieces(b, round, pc.order, want); err != nil {
+		if _, err := UnpackPieces(b, rd, pc.order, want); err != nil {
 			panic(err)
 		}
 		for i, v := range ref.Local() {
@@ -466,10 +467,10 @@ func TestPieceExchangeChecksEveryCall(t *testing.T) {
 		}
 		n := round.Mapped(c.Rank()).Size() * 8
 		refused := func(what string, round *dist.Distribution, buf []byte, msg string) {
-			for name, f := range map[string]func(*Array[float64], *dist.Distribution, rangeset.Order, []byte) (int64, error){
+			for name, f := range map[string]func(*Array[float64], *Round, rangeset.Order, []byte) (int64, error){
 				"PackPieces": PackPieces[float64], "UnpackPieces": UnpackPieces[float64],
 			} {
-				if _, err := f(a, round, rangeset.ColMajor, buf); err == nil || !strings.Contains(err.Error(), msg) {
+				if _, err := f(a, NewRound(round), rangeset.ColMajor, buf); err == nil || !strings.Contains(err.Error(), msg) {
 					panic(fmt.Sprintf("%s with %s: error %v, want one naming %q", name, what, err, msg))
 				}
 			}
@@ -480,32 +481,46 @@ func TestPieceExchangeChecksEveryCall(t *testing.T) {
 		refused("no buffer", round, nil, "in a buffer of")
 		// A refused call is local and leaves the collective state alone.
 		buf := make([]byte, n)
-		if _, err := PackPieces(a, round, rangeset.ColMajor, buf); err != nil {
+		if _, err := PackPieces(a, NewRound(round), rangeset.ColMajor, buf); err != nil {
 			panic(err)
 		}
 	})
 }
 
 // TestPiecePlansAreCountedAndFlushed pins what the benchmark reads: piece
-// plans live in the cache PlanCacheStats counts and FlushPlans drops, keyed
-// by direction, order and communicator incarnation.
+// plans are counted by PlanCacheStats, kept on the rank's Round, keyed by
+// array, direction and order, and dropped by FlushPlans.
 func TestPiecePlansAreCountedAndFlushed(t *testing.T) {
 	g := rangeset.Box([]int{0, 0}, []int{7, 5})
 	d := mustBlock(t, g, []int{1, 2})
 	rounds := canonicalRounds(t, g, 2, rangeset.RowMajor)
-	exchange := func(reps int) {
+	// exchange runs reps passes on a fresh application instance whose
+	// ranks wrap the rounds once, as a stream plan does; with flush, rank
+	// 0 calls FlushPlans between passes.
+	exchange := func(reps int, flush bool) {
 		mustRun(t, 2, func(c *msg.Comm) {
 			a, err := New[int32](c, "a", d)
 			if err != nil {
 				panic(err)
 			}
+			var rds []*Round
+			for _, round := range rounds {
+				rds = append(rds, NewRound(round))
+			}
 			for k := 0; k < reps; k++ {
-				for _, round := range rounds {
-					buf := make([]byte, round.Mapped(c.Rank()).Size()*4)
-					if _, err := PackPieces(a, round, rangeset.RowMajor, buf); err != nil {
+				if flush && k > 0 {
+					c.Barrier()
+					if c.Rank() == 0 {
+						FlushPlans()
+					}
+					c.Barrier()
+				}
+				for _, rd := range rds {
+					buf := make([]byte, rd.d.Mapped(c.Rank()).Size()*4)
+					if _, err := PackPieces(a, rd, rangeset.RowMajor, buf); err != nil {
 						panic(err)
 					}
-					if _, err := UnpackPieces(a, round, rangeset.RowMajor, buf); err != nil {
+					if _, err := UnpackPieces(a, rd, rangeset.RowMajor, buf); err != nil {
 						panic(err)
 					}
 				}
@@ -519,16 +534,16 @@ func TestPiecePlansAreCountedAndFlushed(t *testing.T) {
 		h, m := PlanCacheStats()
 		return h - h0, m - m0
 	}
-	exchange(3)
+	exchange(3, false)
 	if h, m := stats(); m != perPass || h != 2*perPass {
 		t.Fatalf("one instance, three passes: hits=%d misses=%d, want %d/%d", h, m, 2*perPass, perPass)
 	}
-	exchange(1) // new communicators: nothing may be replayed
+	exchange(1, false) // new communicators, new rounds: nothing may be replayed
 	if h, m := stats(); m != 2*perPass || h != 2*perPass {
 		t.Fatalf("second instance: hits=%d misses=%d, want %d/%d", h, m, 2*perPass, 2*perPass)
 	}
-	FlushPlans()
-	if n := assignPlans.Len(); n != 0 {
-		t.Fatalf("FlushPlans left %d plans", n)
+	exchange(2, true) // a flush between the passes: the second replans
+	if h, m := stats(); m != 4*perPass || h != 2*perPass {
+		t.Fatalf("flushed instance: hits=%d misses=%d, want %d/%d", h, m, 2*perPass, 4*perPass)
 	}
 }

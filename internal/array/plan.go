@@ -2,9 +2,9 @@ package array
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"drms/internal/dist"
-	"drms/internal/lru"
 	"drms/internal/msg"
 	"drms/internal/rangeset"
 )
@@ -23,22 +23,19 @@ import (
 // The same holds when one side is not an array but a stream piece held as
 // bytes (PackPieces/UnpackPieces, pieces.go): the schedule is the
 // assignment's with that side's runs taken in the piece's linearization,
-// so the three kinds share one plan type, one builder and one cache.
+// so the three kinds share one plan type and one builder.
 //
-// Cache keys hold *pointers* to distributions and communicators.
-// Distributions are immutable once constructed, so pointer identity is a
-// sound (and free) equality test; two structurally equal distributions
-// built separately simply plan twice. Invalidation falls out of the same
-// choice for distributions: an array redistributed or a stream replanned
-// holds a different distribution pointer, so stale entries are never
-// reachable again and age out of the bounded LRU. Communicator pointers
-// alone are NOT a sound identity across the process lifetime: an
-// in-flight resize (drms §3k) retires a communicator and allocates new
-// ones in the same process, so a dead Comm's address can be recycled by
-// the allocator while a plan keyed on it is still cached. Keys therefore also carry
-// the communicator's (epoch, size): a recycled address lands in a new
-// epoch, misses, and replans — a stale plan is an eviction, never a
-// wrong-peer send.
+// Plans belong to the communicator epoch that runs them. A rank's table
+// lives in its Comm (msg.Comm.Local) and is dropped with it, so a retired
+// epoch's plans go with its transport and a finished application's with
+// its runner; a rank takes no lock to use it, because a Comm belongs to
+// one task. Keys are distribution identity plus options. Distributions
+// are immutable once built and the table holds its keys, so a pointer
+// can neither change meaning nor be recycled while its plan lives; the
+// communicator is the table's owner, not part of a key. Nothing is
+// evicted: an epoch plans each pair of distributions once. A piece
+// exchange's plans are not kept here but on the Round they run against
+// (pieces.go), which its builder owns.
 
 // xferRun is one run of a transfer section: n elements from element
 // offset off of a task's local storage (pack side: the source array's
@@ -67,9 +64,9 @@ type assignPlan struct {
 	remoteBytes      int64     // bytes this rank sends to other ranks
 	landBytes        int       // bytes this rank's side of dst receives, self-overlap included
 
-	// sendBufs is per-call scratch for the exchange. A Comm is owned by
-	// exactly one task goroutine and collectives on it are serial, so the
-	// plan (keyed by that Comm) is never executed concurrently.
+	// sendBufs is per-call scratch for the exchange. A plan belongs to one
+	// rank's table (or Round) and collectives on its Comm are serial, so it
+	// is never executed concurrently.
 	sendBufs [][]byte
 }
 
@@ -93,56 +90,65 @@ const (
 	pieceSrc                  // UnpackPieces: this round's pieces into the array
 )
 
-// assignKey identifies a plan: the two distributions, the communicator
-// incarnation, the element size, and — for the piece exchange — which side
-// is a piece and the stream order its bytes and the wire are in (Assign
-// plans always carry noPiece and ColMajor).
+// assignKey identifies an Assign plan: the two distributions and the
+// element size.
 type assignKey struct {
-	src, dst    *dist.Distribution
-	comm        *msg.Comm
-	epoch, size int
-	es          int
-	order       rangeset.Order
-	piece       pieceSide
+	src, dst *dist.Distribution
+	es       int
 }
 
 type gatherKey struct {
-	d           *dist.Distribution
-	comm        *msg.Comm
-	epoch, size int
-	root        int
-	order       rangeset.Order
-	es          int
+	d     *dist.Distribution
+	root  int
+	order rangeset.Order
+	es    int
 }
 
-// The caches are package-global and shared by all in-process tasks; keys
-// embed the per-task Comm pointer, so ranks never share entries. Sizing:
-// a streaming operation uses one plan per redistribution round (a class A
-// array is ~20 rounds), and an application cycles through a handful of
-// arrays and a shadow exchange — 256 entries hold the steady state of
-// everything in this repository with a wide margin.
-var (
-	assignPlans = lru.New[assignKey, *assignPlan](256)
-	gatherPlans = lru.New[gatherKey, *gatherPlan](64)
-)
-
-// PlanCacheStats returns the cumulative hit/miss counts of the assignment
-// (piece exchange included) and gather plan caches combined. Benchmarks
-// and the steady-state checkpoint tests use it to prove the hot path
-// replays cached schedules.
-func PlanCacheStats() (hits, misses uint64) {
-	ah, am := assignPlans.Stats()
-	gh, gm := gatherPlans.Stats()
-	return ah + gh, am + gm
+// planTable is one rank's plans for one communicator epoch.
+type planTable struct {
+	gen    uint64 // planGen when the table was (re)started
+	assign map[assignKey]*assignPlan
+	gather map[gatherKey]*gatherPlan
 }
 
-// FlushPlans drops every cached plan, forcing the next collective to
-// recompute its schedule. Tests and cold-path benchmarks use it; the
-// steady state never needs it (eviction and key identity handle
-// invalidation).
-func FlushPlans() {
-	assignPlans.Flush()
-	gatherPlans.Flush()
+// The hit and miss counters and the flush generation are the only plan
+// state the ranks of a process share.
+var planHits, planMisses, planGen atomic.Uint64
+
+// PlanCacheStats returns the process's cumulative plan hits and misses:
+// assignment, piece exchange and gather plans combined. Benchmarks and
+// the steady-state checkpoint tests use it to prove the hot path replays
+// its schedules.
+func PlanCacheStats() (hits, misses uint64) { return planHits.Load(), planMisses.Load() }
+
+// FlushPlans makes every rank drop its plans at its next lookup, so the
+// next collective recomputes its schedule. Tests and cold-path
+// benchmarks use it; the steady state never needs it.
+func FlushPlans() { planGen.Add(1) }
+
+type tableKey struct{}
+
+// tableOf returns c's plan table, emptied if FlushPlans ran since it was
+// last used.
+func tableOf(c *msg.Comm) *planTable {
+	t := c.Local(tableKey{}, func() any { return new(planTable) }).(*planTable)
+	if g := planGen.Load(); t.assign == nil || t.gen != g {
+		*t = planTable{gen: g, assign: map[assignKey]*assignPlan{}, gather: map[gatherKey]*gatherPlan{}}
+	}
+	return t
+}
+
+// planned returns m[k], building and storing it on a miss, and counts the
+// lookup.
+func planned[K comparable, V any](m map[K]V, k K, build func() V) V {
+	if v, ok := m[k]; ok {
+		planHits.Add(1)
+		return v
+	}
+	planMisses.Add(1)
+	v := build()
+	m[k] = v
+	return v
 }
 
 // rankRuns resolves the section axis sa in the storage axis pa into runs of
@@ -284,17 +290,12 @@ func sectionRuns(sec, space rangeset.Slice, layout, order rangeset.Order) []xfer
 	return runs
 }
 
-// assignPlanFor returns the cached plan of Assign(dst <- src) on c for
-// element size es — or of the piece exchange between them when piece names
-// a side — building and caching it on a miss.
-func assignPlanFor(src, dst *dist.Distribution, c *msg.Comm, es int, order rangeset.Order, piece pieceSide) *assignPlan {
-	k := assignKey{src: src, dst: dst, comm: c, epoch: c.Epoch(), size: c.Size(), es: es, order: order, piece: piece}
-	if pl, ok := assignPlans.Get(k); ok {
-		return pl
-	}
-	pl := buildAssignPlan(src, dst, c.Rank(), c.Size(), es, order, piece)
-	assignPlans.Add(k, pl)
-	return pl
+// assignPlanFor returns the plan of Assign(dst <- src) on c for element
+// size es, building it on the epoch's first such assignment.
+func assignPlanFor(src, dst *dist.Distribution, c *msg.Comm, es int) *assignPlan {
+	return planned(tableOf(c).assign, assignKey{src, dst, es}, func() *assignPlan {
+		return buildAssignPlan(src, dst, c.Rank(), c.Size(), es, rangeset.ColMajor, noPiece)
+	})
 }
 
 // buildAssignPlan computes rank's full schedule for Assign(dst <- src):
@@ -392,16 +393,12 @@ func zipRuns(a, b []xferRun, bStep int, f func(ao, bo, n int)) {
 	}
 }
 
-// gatherPlanFor returns the cached plan of Gather(root, order) on c for
+// gatherPlanFor returns the plan of Gather(root, order) on c for
 // distribution d and element size es.
 func gatherPlanFor(d *dist.Distribution, c *msg.Comm, root int, order rangeset.Order, es int) *gatherPlan {
-	k := gatherKey{d: d, comm: c, epoch: c.Epoch(), size: c.Size(), root: root, order: order, es: es}
-	if pl, ok := gatherPlans.Get(k); ok {
-		return pl
-	}
-	pl := buildGatherPlan(d, c.Rank(), c.Size(), root, order, es)
-	gatherPlans.Add(k, pl)
-	return pl
+	return planned(tableOf(c).gather, gatherKey{d, root, order, es}, func() *gatherPlan {
+		return buildGatherPlan(d, c.Rank(), c.Size(), root, order, es)
+	})
 }
 
 func buildGatherPlan(d *dist.Distribution, rank, size, root int, order rangeset.Order, es int) *gatherPlan {

@@ -105,11 +105,11 @@ func TestAssignPlannedMatchesReferenceQuick(t *testing.T) {
 	}
 }
 
-// TestAssignPlanCacheHitsAndEviction pins the cache mechanics: within one
-// application instance a repeated (src, dst, comm) triple misses once and
-// then hits; FlushPlans forces a rebuild; and a fresh application
-// instance (new communicators, e.g. a reconfigured restart) never sees
-// stale plans because its comm pointers key fresh entries.
+// TestAssignPlanCacheHitsAndEviction pins the plan mechanics: within one
+// application instance a repeated (src, dst) pair misses once per rank
+// and then hits, and a fresh application instance (new communicators,
+// e.g. a reconfigured restart) never sees stale plans, because plans live
+// in the communicator that ran them.
 func TestAssignPlanCacheHitsAndEviction(t *testing.T) {
 	g := rangeset.Box([]int{0, 0}, []int{7, 7})
 	srcD, err := dist.Block(g, []int{2, 1})
@@ -155,8 +155,7 @@ func TestAssignPlanCacheHitsAndEviction(t *testing.T) {
 // few distributions and checks that assignments keep matching the
 // reference: distribution pointers key the plans, so a handle on another
 // distribution plans afresh (or replays its own plan when the pointer
-// comes round again) and old plans age out — no explicit invalidation, no
-// staleness.
+// comes round again) — no explicit invalidation, no staleness.
 func TestAssignPlannedAcrossDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
 	g := rangeset.Box([]int{0, 0}, []int{9, 11})

@@ -39,6 +39,7 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"time"
 
 	"drms/internal/crc"
@@ -637,7 +638,7 @@ func writeSegmentFile(fs *pfs.System, name string, client int, payload []byte, t
 	sum = crc.Combine(sum, crc.Zeros(pad), pad)
 	for off := segHeader + int64(len(payload)); pad > 0; {
 		n := min(pad, padChunk)
-		if err := fs.WriteAt(client, name, zeroPad[:n], off); err != nil {
+		if err := fs.WriteAt(client, name, zeroPad()[:n], off); err != nil {
 			return 0, err
 		}
 		off += n
@@ -698,8 +699,10 @@ func readCRC(fs *pfs.System, name string, client int, sum uint64, off, n int64) 
 
 // zeroPad is the shared read-only source of padding bytes: segment files
 // of every task pad from the same megabyte of zeros instead of allocating
-// one each (the paper's class A segments pad by tens of megabytes).
-var zeroPad = make([]byte, padChunk)
+// one each (the paper's class A segments pad by tens of megabytes). It is
+// allocated by the first padded write, so a process that pads nothing
+// does not carry it.
+var zeroPad = sync.OnceValue(func() []byte { return make([]byte, padChunk) })
 
 func bytesI64(b []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(b))

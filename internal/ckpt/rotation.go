@@ -162,7 +162,9 @@ type genInfo struct {
 // newest disk-resident generation and its transitive dependencies are
 // pinned as well, so the rotation never loses its last durable restart
 // point to a prune. This covers memory-resident anchors too, which
-// carry no dependency edge to any disk generation.
+// carry no dependency edge to any disk generation. A generation kept
+// only as that fallback is kept for its disk copy, so its replicas in
+// peer memory are dropped: the tier would hold the durable anchor twice.
 //
 // info, if non-nil, resolves a generation's genInfo (a caller-side
 // cache); nil reads the meta. Returns the generations actually removed.
@@ -176,6 +178,7 @@ func (r Rotation) pruneGens(fs *pfs.System, gens []int, info func(g int) genInfo
 	}
 	need := map[int]bool{}
 	memSeen, diskSeen := false, false
+	var disk []int // the disk-resident generations expand added
 	var expand func(g int)
 	expand = func(g int) {
 		if need[g] {
@@ -187,6 +190,7 @@ func (r Rotation) pruneGens(fs *pfs.System, gens []int, info func(g int) genInfo
 			memSeen = true
 		} else {
 			diskSeen = true
+			disk = append(disk, g)
 		}
 		for _, d := range gi.deps {
 			expand(d)
@@ -201,6 +205,9 @@ func (r Rotation) pruneGens(fs *pfs.System, gens []int, info func(g int) genInfo
 				expand(g)
 				break
 			}
+		}
+		for _, g := range disk { // pinned as the fallback alone
+			r.Tier.Remove(r.generation(g))
 		}
 	}
 	var removed []int

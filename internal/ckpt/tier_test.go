@@ -628,3 +628,39 @@ func BenchmarkTierCheck(b *testing.B) {
 		wg.Wait()
 	}
 }
+
+// TestFallbackAnchorLeavesTheTier: when every retained generation is
+// memory-resident, the prune keeps the newest disk generation as the
+// durable fallback — on disk only. Its replicas leave peer memory, and a
+// restore from it is served from the pfs, bit-exact.
+func TestFallbackAnchorLeavesTheTier(t *testing.T) {
+	grid := []int{2, 2}
+	fs := testFS()
+	tier := NewMemTier()
+	co := ChainOptions{Tier: tier, Replicas: 1, Codec: CodecRaw}
+	writeChainGen(t, fs, "job.g0", co, 0, 4, grid) // write-through anchor
+	for g := 1; g <= 2; g++ {
+		cg := co
+		cg.MemOnly = true // memory anchors: nothing depends on g0
+		writeChainGen(t, fs, Rotation{Base: "job"}.generation(g), cg, g, 4, grid)
+	}
+	if len(tier.Entries("job.g0")) == 0 {
+		t.Fatal("the write-through anchor published no replicas")
+	}
+	Rotation{Base: "job", Keep: 2, Tier: tier}.Prune(fs)
+	if _, err := ReadMeta(fs, "job.g0", 0); err != nil {
+		t.Fatalf("prune dropped the durable fallback: %v", err)
+	}
+	if es := tier.Entries("job.g0"); len(es) != 0 {
+		t.Fatalf("the fallback anchor still has %d tier entries", len(es))
+	}
+	for _, g := range []string{"job.g1", "job.g2"} {
+		if len(tier.Entries(g)) == 0 {
+			t.Fatalf("retained memory generation %s lost its replicas", g)
+		}
+	}
+	st := restoreChainTier(t, fs, tier, "job.g0", 0, 4, grid)
+	if st.TierMemBytes != 0 || st.TierPFSBytes == 0 {
+		t.Fatalf("fallback restore moved mem=%d pfs=%d bytes, want all from the pfs", st.TierMemBytes, st.TierPFSBytes)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"maps"
 	"reflect"
@@ -124,7 +125,7 @@ func (s *StateStore) Upgrade(fs *pfs.System) (gen int, quarantined []string, err
 			return -1, quarantined, err
 		}
 		m, merr := readAnyMeta(fs, head)
-		if merr != nil || m.Mode != ModeDRMS || len(m.Arrays) > 0 || m.Ctx != (seg.Context{}) {
+		if merr != nil || !stateShaped(&m) {
 			return -1, quarantined, merr
 		}
 		if _, ierr := readStateImage(fs, head); ierr == nil {
@@ -139,6 +140,29 @@ func (s *StateStore) Upgrade(fs *pfs.System) (gen int, quarantined []string, err
 		Quarantine(fs, head)
 		quarantined = append(quarantined, head)
 	}
+}
+
+// LegacyHead reports whether the store's newest generation holds a gob
+// state image under a framed meta: intact, but refused by Load until
+// Upgrade rewrites the store. It reads the head only and changes nothing.
+func (s *StateStore) LegacyHead(fs *pfs.System) bool {
+	_, head, ok := Rotation{Base: s.Base}.Latest(fs)
+	if !ok {
+		return false
+	}
+	m, err := ReadMeta(fs, head, 0)
+	if err != nil || !stateShaped(&m) {
+		return false
+	}
+	_, err = readStateImage(fs, head)
+	return errors.Is(err, ErrLegacyFormat)
+}
+
+// stateShaped reports whether m can be a state store's: a DRMS record
+// with no arrays and a zero Ctx, which every application checkpoint
+// stamps.
+func stateShaped(m *Meta) bool {
+	return m.Mode == ModeDRMS && len(m.Arrays) == 0 && m.Ctx == (seg.Context{})
 }
 
 // legacyTable materializes the table of a gob image: an anchor's records,

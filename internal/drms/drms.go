@@ -612,15 +612,17 @@ func (t *Task) write(prefix string, enabling bool) error {
 		// write implies the meta commit — and, for a memory-only
 		// generation, every peer's published replicas — are durable, the
 		// same meta-written-last invariant every checkpoint relies on).
-		// Record it for the resize epoch's restore, install the epoch, and
-		// unwind every task into Park via the errResize sentinel. A task
-		// still in the tail of the write collective when the old transport
-		// is retired observes ErrProcFailed instead; the body loop parks it
-		// all the same, and its write already contributed its durable
-		// bytes.
-		rs := t.handle.liveResize(hdr.Resize, hdr.Gen)
-		rs.setGen(hdr.Gen)
+		// Rank 0 alone records it for the resize epoch's restore, before
+		// it installs the epoch: the attempt cannot complete, nor the next
+		// one be armed, until that epoch exists, so the generation lands
+		// in the attempt it belongs to. Every task unwinds into Park via
+		// the errResize sentinel. A task still in the tail of the write
+		// collective when the old transport is retired observes
+		// ErrProcFailed instead; the body loop parks it all the same, and
+		// its write already contributed its durable bytes.
 		if t.Rank() == 0 {
+			rs := t.handle.liveResize(hdr.Resize)
+			rs.setGen(hdr.Gen)
 			if _, err := t.handle.runner.Resize(hdr.Resize); err != nil {
 				ferr := fmt.Errorf("drms: installing the %d-task resize epoch: %w", hdr.Resize, err)
 				rs.complete(restoreOutcome{}, ferr)
@@ -704,6 +706,10 @@ func Start(cfg Config, app func(*Task) error) (*Handle, error) {
 				t.pending = restoreRollback
 				t.snap = snap
 			}
+			// A rollback epoch's task holds the snapshot now; a resize
+			// epoch restores without it, so it must not stay reachable
+			// from here for the epoch's lifetime.
+			snap = nil
 			if hh := h.currentHolders(); hh != nil {
 				t.cfg.TierHolders = hh
 			}

@@ -83,19 +83,16 @@ func (h *Handle) Resize(spec ResizeSpec) (ResizeStats, error) {
 	return ResizeStats{Gen: out.gen, From: out.from, To: out.to, TierMemBytes: out.mem, TierPFSBytes: out.pfs}, err
 }
 
-// liveResize returns the armed resize the caller is part of, arming a
-// fresh one for target when there is none: rank 0 arms an
-// application-initiated resize this way before the header decision (gen
-// "": a pending system-initiated one keeps its target), and every task
-// passes the committed resize generation after its write, re-arming if
-// the attempt it is carrying out timed out meanwhile. An attempt that
-// already carries gen is that very resize, finished or not — a retired
-// rank arriving after the new epoch's restore completed it must not arm
-// an attempt nobody will ever complete.
-func (h *Handle) liveResize(target int, gen string) *attempt {
+// liveResize returns the armed resize that is still unfinished, arming a
+// fresh one for target when there is none. Rank 0 alone calls it: before
+// the header decision of an application-initiated resize (a pending
+// system-initiated one keeps its target), and after the resize
+// generation commits, to pin it — re-arming if the driver timed the
+// attempt out meanwhile.
+func (h *Handle) liveResize(target int) *attempt {
 	h.pmu.Lock()
 	defer h.pmu.Unlock()
-	if h.resize != nil && (!h.resize.finished() || gen != "" && h.resize.genOf() == gen) {
+	if h.resize != nil && !h.resize.finished() {
 		return h.resize
 	}
 	h.resize = &attempt{target: target, done: make(chan struct{})}
@@ -123,7 +120,7 @@ func (t *Task) ReconfigResize(prefix string, newTasks int) (Status, int, error) 
 		return Failed, 0, fmt.Errorf("drms: resize to %d tasks", newTasks)
 	}
 	if t.Rank() == 0 && newTasks != t.Tasks() {
-		t.handle.liveResize(newTasks, "")
+		t.handle.liveResize(newTasks)
 	}
 	if err := t.write(prefix, false); err != nil {
 		return Failed, 0, err

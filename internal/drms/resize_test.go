@@ -1,7 +1,9 @@
 package drms
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -150,11 +152,11 @@ func TestResizeShrinkInFlight(t *testing.T) {
 	assertBitwise(t, <-out, want)
 }
 
-// TestResizeRoundTripBitwise is the plan-cache coherence regression:
-// n -> m -> n within one process. The second resize returns to the
-// original task count, so any plan cached under a pointer recycled from
-// the first epoch would be reachable again if keys ignored the epoch —
-// a stale schedule would misroute bytes and break bitwise identity.
+// TestResizeRoundTripBitwise is the plan coherence regression: n -> m ->
+// n within one process. The second resize returns to the original task
+// count, so a plan of the first epoch replayed in the third — a stale
+// schedule — would misroute bytes and break bitwise identity; plans live
+// in the communicator of the epoch that built them.
 func TestResizeRoundTripBitwise(t *testing.T) {
 	const tasks, n, iters, ckEvery = 4, 1 << 12, 12, 2
 	want := oracle(t, tasks, n, iters, ckEvery)
@@ -338,32 +340,160 @@ func TestResizeKillDuringSOP(t *testing.T) {
 	assertBitwise(t, <-out, want)
 }
 
-// TestLiveResizeKeepsCompletedAttempt pins the retired-rank race: a rank
-// of the old epoch reaches its post-write liveResize after the new
-// epoch's restore already completed the attempt. It must get that same
-// attempt back — not arm a fresh one nobody will complete, which would
-// refuse the next Handle.Resize with "a resize is in flight" — while a
-// finished attempt of an earlier generation (a timed-out driver) is
-// still replaced.
-func TestLiveResizeKeepsCompletedAttempt(t *testing.T) {
+// TestLiveResizeRearmsOnlyFinishedAttempts pins what rank 0 gets when it
+// pins a committed resize generation: the armed attempt while it is
+// unfinished, and a fresh one once the driver timed it out, so the resize
+// epoch still finds its generation.
+func TestLiveResizeRearmsOnlyFinishedAttempts(t *testing.T) {
 	h := &Handle{}
 	at := &attempt{target: 2, done: make(chan struct{})}
 	if err := h.arm(&h.resize, at, nil); err != nil {
 		t.Fatal(err)
 	}
-	at.setGen("ck.g7")
-	at.complete(restoreOutcome{}, nil)
-	if got := h.liveResize(2, "ck.g7"); got != at {
-		t.Fatal("late rank of the completed resize armed a fresh attempt")
-	}
-	next := &attempt{target: 4, done: make(chan struct{})}
-	if err := h.arm(&h.resize, next, nil); err != nil {
-		t.Fatalf("next resize refused after a completed one: %v", err)
+	if got := h.liveResize(2); got != at {
+		t.Fatal("the armed, unfinished attempt was replaced")
 	}
 	// The driver gave up before any rank committed: the ranks carry the
 	// resize out under a fresh attempt.
-	next.complete(restoreOutcome{}, nil)
-	if got := h.liveResize(4, "ck.g8"); got == next || got.finished() {
+	at.complete(restoreOutcome{}, errors.New("timed out"))
+	if got := h.liveResize(2); got == at || got.finished() {
 		t.Fatal("timed-out attempt was not re-armed for the committed generation")
 	}
+}
+
+// holdVar is a registered variable that runs hold whenever its task
+// encodes its segment — for a task of a Partial run, right after every
+// committed checkpoint, between the SOP's write and its return.
+type holdVar struct{ hold func() }
+
+func (v *holdVar) GobEncode() ([]byte, error) {
+	v.hold()
+	return []byte{0}, nil
+}
+
+func (v *holdVar) GobDecode([]byte) error { return nil }
+
+// TestResizeRetiredRankArrivingLate: a rank retired by a 4→2 resize
+// leaves the resize SOP only after the driver armed the 2→4 one. It must
+// not pin its (old) generation into the new attempt: the 4-task epoch
+// restores the generation the 2→4 SOP committed. With Keep 1 the old one
+// is pruned by then, so a pinned old generation fails the resize.
+func TestResizeRetiredRankArrivingLate(t *testing.T) {
+	const n, iters = 1 << 10, 6
+	want := oracle(t, 4, n, iters, 1)
+	var (
+		holding = make(chan struct{}) // rank 3 is past the resize SOP's write
+		release = make(chan struct{}) // ends rank 3's hold
+		retired = make(chan struct{}) // rank 3 of the launch epoch left the resize SOP
+		start   = make(chan struct{}) // the first resize is armed
+		once    sync.Once
+	)
+	out := make(chan []float64, 1)
+	app := func(t *Task) error {
+		g := rangeset.NewSlice(rangeset.Span(0, n-1))
+		d, err := dist.Block(g, []int{t.Tasks()})
+		if err != nil {
+			return err
+		}
+		u, err := NewArray[float64](t, "u", d)
+		if err != nil {
+			return err
+		}
+		iter := 0
+		t.Register("iter", &iter)
+		// In the launch epoch, whose first SOP is the 4→2 resize, rank 3
+		// holds at its snapshot, and rank 0, whose write encoded the
+		// segment once already, waits at its snapshot until rank 3 is out
+		// of the write: else retiring the epoch could catch rank 3 in the
+		// write's last round.
+		encodes := 0
+		t.Register("hold", &holdVar{hold: func() {
+			if encodes++; t.Comm().Epoch() != 0 {
+				return
+			}
+			switch {
+			case t.Rank() == 3 && encodes == 1:
+				close(holding)
+				<-release
+			case t.Rank() == 0 && encodes == 2:
+				<-holding
+			}
+		}})
+		u.Fill(func(c []int) float64 { return float64(c[0]) * 0.001 })
+		<-start
+		for {
+			st, _, err := t.ReconfigCheckpoint("job")
+			if err != nil {
+				if t.Rank() == 3 && errors.Is(err, errResize) {
+					once.Do(func() { close(retired) })
+				}
+				return err
+			}
+			if st == Restored && t.Tasks() == 2 {
+				<-retired // the 2→4 SOP waits for the late rank
+			}
+			if iter >= iters {
+				break
+			}
+			u.Assigned().Each(rangeset.ColMajor, func(c []int) {
+				u.Set(c, u.At(c)*0.75+float64(c[0])*0.01)
+			})
+			iter++
+			if err := t.Comm().Barrier(); err != nil {
+				return err
+			}
+		}
+		full, err := u.Gather(0, rangeset.ColMajor)
+		if err == nil && t.Rank() == 0 {
+			out <- full
+		}
+		return err
+	}
+	h, err := Start(Config{Tasks: 4, FS: testFS(), Keep: 1, Partial: true}, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// armed waits until a resize other than prev is armed.
+	armed := func(prev *attempt) *attempt {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if at := h.armedResize(); at != nil && at != prev {
+				return at
+			}
+		}
+		t.Fatal("timeout waiting for the resize to be armed")
+		return nil
+	}
+	type result struct {
+		st  ResizeStats
+		err error
+	}
+	resize := func(tasks int) chan result {
+		c := make(chan result, 1)
+		go func() {
+			st, err := h.Resize(ResizeSpec{Tasks: tasks, Timeout: 20 * time.Second})
+			c <- result{st, err}
+		}()
+		return c
+	}
+	shrink := resize(2)
+	first := armed(nil)
+	close(start)
+	r1 := <-shrink
+	if r1.err != nil {
+		t.Fatal(r1.err)
+	}
+	grow := resize(4)
+	armed(first)
+	close(release)
+	r2 := <-grow
+	if r2.err != nil {
+		t.Fatalf("resize to 4 after a late retired rank: %v", r2.err)
+	}
+	if r2.st.Gen == r1.st.Gen {
+		t.Fatalf("the 2→4 resize restored %s, the 4→2 resize's generation", r2.st.Gen)
+	}
+	if err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, <-out, want)
 }

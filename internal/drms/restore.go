@@ -55,7 +55,7 @@ type attempt struct {
 	target int // resize: the new task count
 
 	mu   sync.Mutex
-	gen  string // the generation to restore: pinned at arming (rollback), set at the swap SOP (resize)
+	gen  string // the generation to restore: pinned at arming (rollback), by rank 0 at the swap SOP (resize)
 	fin  bool
 	err  error
 	out  restoreOutcome
@@ -81,9 +81,7 @@ func (a *attempt) finished() bool {
 func (a *attempt) setGen(gen string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.gen == "" {
-		a.gen = gen
-	}
+	a.gen = gen
 }
 
 func (a *attempt) genOf() string {

@@ -75,6 +75,8 @@ type Comm struct {
 	epoch int
 	// resized is set when Runner.Resize installed the epoch.
 	resized bool
+	// local is the endpoint's slot for the layers above (Local).
+	local map[any]any
 }
 
 // NewComm builds the endpoint of one rank over a transport. The runner
@@ -126,6 +128,24 @@ func (c *Comm) Resized() bool { return c.resized }
 
 // Size returns the number of tasks in the application.
 func (c *Comm) Size() int { return c.size }
+
+// Local returns what the layers above keep on this endpoint under key,
+// storing mk() there first if nothing is. msg never looks inside. The
+// slot lives and dies with the Comm — one per rank and communicator
+// epoch — so what it holds, the array and stream layers' communication
+// plans, is released with the epoch that ran it. Like every operation on
+// a Comm, Local belongs to the one task that owns the endpoint.
+func (c *Comm) Local(key any, mk func() any) any {
+	v, ok := c.local[key]
+	if !ok {
+		if c.local == nil {
+			c.local = map[any]any{}
+		}
+		v = mk()
+		c.local[key] = v
+	}
+	return v
+}
 
 // Revoke marks the communicator revoked (ULFM MPI_Comm_revoke): every
 // pending and future operation on it, on every rank, returns ErrRevoked.

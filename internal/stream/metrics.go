@@ -53,8 +53,8 @@ func WriteBandwidth() (bps float64, ok bool) {
 }
 
 func init() {
-	// The streaming plan cache keeps its own counters (tests reset them);
-	// export them as reads so the scrape sees the live values.
+	// The streaming plan counters are process-wide atomics; export them
+	// as reads so the scrape sees the live values.
 	obs.CounterFunc("drms_stream_plan_cache_hits_total",
 		"Streaming plan cache hits (replayed piece partitions and round distributions).",
 		func() float64 { h, _ := PlanCacheStats(); return float64(h) })

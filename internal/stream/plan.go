@@ -2,9 +2,11 @@ package stream
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
+	"drms/internal/array"
 	"drms/internal/dist"
-	"drms/internal/lru"
 	"drms/internal/msg"
 	"drms/internal/rangeset"
 )
@@ -12,63 +14,77 @@ import (
 // Periodic checkpointing replays the same streaming operation every
 // interval: the same section, element size, writer count, and piece size
 // produce the same piece partition, the same byte offsets, and the same
-// per-round canonical distributions. This file caches that whole plan, so
+// per-round canonical distributions. This file keeps that whole plan, so
 // the recursive bisection and the round-distribution construction run
-// once per configuration — and, because the cached rounds are the *same*
-// *dist.Distribution pointers every time, the array layer's plan cache
-// (keyed by distribution identity) hits on every redistribution of every
-// later checkpoint.
+// once per configuration — and, because the kept rounds carry their
+// exchange plans (array.Round), every redistribution of every later
+// checkpoint replays its schedule too.
+//
+// Plans belong to the communicator epoch that runs them, like the array
+// layer's: a rank's table lives in its Comm (msg.Comm.Local) and is
+// dropped with it, and a rank takes no lock to use it. A plan is found by
+// its options and by the global space and section it was built for,
+// compared by size and containment — O(rank) for regular axes, with no
+// rendering. Unfiltered plans live as long as the epoch. A filtered
+// operation's sub-plan (Options.Pieces: a delta's dirty pieces, a partial
+// restore's) hangs off the full plan it selects from, which keeps only the
+// newest maxSubPlans: a dirty set is new at nearly every delta, so the
+// sub-plans of a long-lived writer must not accumulate, and with them go
+// their fresh rounds and those rounds' exchange plans.
 
 // streamPlan is the reusable schedule of one streaming configuration.
 type streamPlan struct {
-	pieces  []rangeset.Slice
-	offsets []int64 // stream-relative byte offsets
-	total   int64
-	rounds  []*dist.Distribution // rounds[i] binds pieces[i*writers:...]
+	key             planKey
+	global, section rangeset.Slice
+	pieces          []rangeset.Slice
+	offsets         []int64 // stream-relative byte offsets
+	total           int64
+	rounds          []*array.Round // rounds[i] binds pieces[i*writers:...]
+
+	// subs are the sub-plans of the newest filtered operations over this
+	// plan, newest first; a sub-plan's idx are its pieces' indices here.
+	subs []*streamPlan
+	idx  []int
 }
 
-// streamKey identifies a plan. The communicator pointer plus its
-// (epoch, size) scope entries to one communicator incarnation: the
-// pointer alone would not survive an in-flight resize, which retires
-// communicators and allocates new ones in the same process — a recycled
-// address must miss and replan, not replay a stale piece schedule. The
-// section and global signatures are the canonical String renderings,
-// which uniquely encode a slice. ioTask is -1 for the parallel path
-// (round pieces land on tasks 0..writers-1) or the designated I/O task of
-// the sequential-channel path (every piece lands there). pieces is empty
-// for the full plan, or the rendered piece-index subset of a filtered
-// write (Options.Pieces) — a delta checkpoint's dirty set repeats
-// whenever the application revisits a working set, so filtered round
-// distributions are worth caching too.
-type streamKey struct {
-	comm        *msg.Comm
-	epoch, size int
-	global      string
-	section     string
-	elemSize    int
-	writers     int
-	pieceBytes  int
-	order       rangeset.Order
-	ioTask      int
-	pieces      string
+// planKey is a plan's options. ioTask is -1 for the parallel path (round
+// pieces land on tasks 0..writers-1) or the designated I/O task of the
+// sequential-channel path (every piece lands there).
+type planKey struct {
+	elemSize, writers, pieceBytes int
+	order                         rangeset.Order
+	ioTask                        int
 }
 
-// Streaming plans are few (one per checkpointed array configuration) but
-// each holds its rounds' distributions, so the bound is modest.
-var streamPlans = lru.New[streamKey, *streamPlan](32)
+// maxSubPlans bounds the filtered sub-plans kept per plan: enough for a
+// few working sets an application revisits.
+const maxSubPlans = 4
 
-// PlanCacheStats returns the cumulative hit/miss counts of the streaming
-// plan cache.
-func PlanCacheStats() (hits, misses uint64) { return streamPlans.Stats() }
+// planTable is one rank's stream plans for one communicator epoch.
+type planTable struct {
+	gen   uint64 // planGen when the table was (re)started
+	plans []*streamPlan
+}
 
-// FlushPlans drops every cached streaming plan, forcing the next Write or
-// Read to replan (tests and cold-path benchmarks).
-func FlushPlans() { streamPlans.Flush() }
+// The hit and miss counters and the flush generation are the only plan
+// state the ranks of a process share.
+var planHits, planMisses, planGen atomic.Uint64
 
-// planFor returns the cached streaming plan for section x of a global
-// space distributed over comm, building it on a miss. Write and Read of
-// the same configuration share one plan: the piece partition and offsets
-// are direction-independent.
+// PlanCacheStats returns the process's cumulative stream plan hits and
+// misses, filtered sub-plans included.
+func PlanCacheStats() (hits, misses uint64) { return planHits.Load(), planMisses.Load() }
+
+// FlushPlans makes every rank drop its stream plans at its next lookup,
+// forcing the next Write or Read to replan (tests and cold-path
+// benchmarks).
+func FlushPlans() { planGen.Add(1) }
+
+type tableKey struct{}
+
+// planFor returns the streaming plan for section x of a global space
+// distributed over comm, building it on a miss. Write and Read of the
+// same configuration share one plan: the piece partition and offsets are
+// direction-independent.
 func planFor(comm *msg.Comm, global, x rangeset.Slice, elemSize int, o Options) (*streamPlan, error) {
 	return lookupPlan(comm, global, x, elemSize, o.writers(comm.Size()), -1, o)
 }
@@ -80,27 +96,32 @@ func planForSeq(comm *msg.Comm, global, x rangeset.Slice, elemSize, ioTask int, 
 }
 
 func lookupPlan(comm *msg.Comm, global, x rangeset.Slice, elemSize, writers, ioTask int, o Options) (*streamPlan, error) {
-	k := streamKey{
-		comm:       comm,
-		epoch:      comm.Epoch(),
-		size:       comm.Size(),
-		global:     global.String(),
-		section:    x.String(),
-		elemSize:   elemSize,
-		writers:    writers,
-		pieceBytes: o.pieceBytes(),
-		order:      o.Order,
-		ioTask:     ioTask,
+	t := comm.Local(tableKey{}, func() any { return new(planTable) }).(*planTable)
+	if g := planGen.Load(); t.gen != g {
+		*t = planTable{gen: g}
 	}
-	if sp, ok := streamPlans.Get(k); ok {
-		return sp, nil
+	k := planKey{elemSize: elemSize, writers: writers, pieceBytes: o.pieceBytes(), order: o.Order, ioTask: ioTask}
+	for _, sp := range t.plans {
+		if sp.key == k && sameSlice(sp.section, x) && sameSlice(sp.global, global) {
+			planHits.Add(1)
+			return sp, nil
+		}
 	}
+	planMisses.Add(1)
 	sp, err := buildStreamPlan(comm.Size(), global, x, elemSize, writers, ioTask, o)
 	if err != nil {
 		return nil, err
 	}
-	streamPlans.Add(k, sp)
+	sp.key, sp.global, sp.section = k, global, x
+	t.plans = append(t.plans, sp)
 	return sp, nil
+}
+
+// sameSlice reports whether a and b are the same section: of equal size,
+// one within the other. Containment is decided in O(1) per regular axis,
+// where Equal walks every element.
+func sameSlice(a, b rangeset.Slice) bool {
+	return a.Size() == b.Size() && a.Within(b)
 }
 
 // buildStreamPlan computes the piece decomposition, per-piece byte
@@ -141,10 +162,10 @@ func buildStreamPlan(tasks int, global, x rangeset.Slice, elemSize, writers, ioT
 // resets their slices to empty each iteration). The pieces may be any
 // subset of a plan's partition: a filtered delta write rounds over only
 // its dirty pieces.
-func buildRounds(tasks int, global rangeset.Slice, pieces []rangeset.Slice, writers, ioTask int) ([]*dist.Distribution, error) {
+func buildRounds(tasks int, global rangeset.Slice, pieces []rangeset.Slice, writers, ioTask int) ([]*array.Round, error) {
 	empty := global.EmptyLike()
 	assigned := make([]rangeset.Slice, tasks)
-	var rounds []*dist.Distribution
+	var rounds []*array.Round
 	for base := 0; base < len(pieces); base += writers {
 		round := pieces[base:min(base+writers, len(pieces))]
 		for i := range assigned {
@@ -161,57 +182,51 @@ func buildRounds(tasks int, global rangeset.Slice, pieces []rangeset.Slice, writ
 		if err != nil {
 			return nil, fmt.Errorf("stream: building canonical distribution: %w", err)
 		}
-		rounds = append(rounds, ad)
+		rounds = append(rounds, array.NewRound(ad))
 	}
 	return rounds, nil
 }
 
-// filteredPlanFor returns the sub-plan of a filtered write: the full
-// plan's pieces at the given (ascending, in-range) indices, with their
-// own round distributions. Cached under the full plan's key extended
-// with the index subset, so a recurring dirty set replays cached rounds
-// — and, through stable distribution pointers, cached array plans.
-func filteredPlanFor(comm *msg.Comm, global, x rangeset.Slice, full *streamPlan, idx []int, elemSize int, o Options) (*streamPlan, error) {
-	k := streamKey{
-		comm:       comm,
-		epoch:      comm.Epoch(),
-		size:       comm.Size(),
-		global:     global.String(),
-		section:    x.String(),
-		elemSize:   elemSize,
-		writers:    o.writers(comm.Size()),
-		pieceBytes: o.pieceBytes(),
-		order:      o.Order,
-		ioTask:     -1,
-		pieces:     fmt.Sprint(idx),
+// filtered returns the sub-plan of a filtered operation on a tasks-wide
+// communicator: the plan's pieces at the given (ascending, in-range)
+// indices, with their own round distributions. A recurring piece set
+// replays its sub-plan, rounds and exchange plans included, while it is
+// among the newest maxSubPlans.
+func (sp *streamPlan) filtered(tasks int, idx []int, writers int) (*streamPlan, error) {
+	for i, sub := range sp.subs {
+		if slices.Equal(sub.idx, idx) {
+			planHits.Add(1)
+			copy(sp.subs[1:i+1], sp.subs[:i])
+			sp.subs[0] = sub
+			return sub, nil
+		}
 	}
-	if sp, ok := streamPlans.Get(k); ok {
-		return sp, nil
-	}
+	planMisses.Add(1)
 	sub := &streamPlan{
 		pieces:  make([]rangeset.Slice, len(idx)),
 		offsets: make([]int64, len(idx)),
-		total:   full.total,
+		total:   sp.total,
+		idx:     slices.Clone(idx),
 	}
 	for j, i := range idx {
-		if i < 0 || i >= len(full.pieces) || (j > 0 && i <= idx[j-1]) {
-			return nil, fmt.Errorf("stream: piece filter %v is not an ascending subset of the %d-piece plan", idx, len(full.pieces))
+		if i < 0 || i >= len(sp.pieces) || (j > 0 && i <= idx[j-1]) {
+			return nil, fmt.Errorf("stream: piece filter %v is not an ascending subset of the %d-piece plan", idx, len(sp.pieces))
 		}
-		sub.pieces[j] = full.pieces[i]
-		sub.offsets[j] = full.offsets[i]
+		sub.pieces[j] = sp.pieces[i]
+		sub.offsets[j] = sp.offsets[i]
 	}
-	rounds, err := buildRounds(comm.Size(), global, sub.pieces, o.writers(comm.Size()), -1)
+	rounds, err := buildRounds(tasks, sp.global, sub.pieces, writers, -1)
 	if err != nil {
 		return nil, err
 	}
 	sub.rounds = rounds
-	streamPlans.Add(k, sub)
+	sp.subs = slices.Insert(sp.subs[:min(len(sp.subs), maxSubPlans-1)], 0, sub)
 	return sub, nil
 }
 
 // PieceSpans reproduces the piece partition and byte offsets of the plan
 // Write uses for section x with the given element size on a tasks-wide
-// application, without a communicator or the plan cache. The partial-
+// application, without a communicator or a plan table. The partial-
 // restore planner and drmsfsck's coverage check use it to map piece
 // indices to the array sections they carry: piece i holds exactly
 // spans[i]'s elements, linearized at stream offset offsets[i].

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"drms/internal/array"
@@ -173,4 +174,78 @@ func TestPlanSigIdentity(t *testing.T) {
 		PlanSig(g, 8, 4, Options{Writers: 2, PieceBytes: 512}) {
 		t.Fatal("same effective writers, different signature")
 	}
+}
+
+// TestFilteredPlansStayBounded: a long-lived writer whose delta dirties a
+// new piece set nearly every time holds a flat plan count. 1 000 deltas
+// over random windows of a 128-piece stream keep the full plan and at
+// most maxSubPlans sub-plans, and the heap their rounds and exchange
+// plans take does not grow after warm-up; a recurring set still replays.
+func TestFilteredPlansStayBounded(t *testing.T) {
+	const tasks, deltas, warm = 4, 1000, 100
+	g := rangeset.Box([]int{0}, []int{4095})
+	fs := testFS()
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		for i := 0; i < 3; i++ { // pooled buffers survive one collection
+			runtime.GC()
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	mustRun(t, tasks, func(c *msg.Comm) {
+		a, err := array.New[float64](c, "u", mustBlock(g, []int{tasks}))
+		if err != nil {
+			panic(err)
+		}
+		plans := func() int {
+			n := 0
+			for _, sp := range c.Local(tableKey{}, nil).(*planTable).plans {
+				n += 1 + len(sp.subs)
+			}
+			return n
+		}
+		rng := rand.New(rand.NewSource(7)) // every rank draws the same windows
+		var warmHeap uint64
+		var warmPlans int
+		for i := 0; i < deltas; i++ {
+			// Four dirty windows of two pieces each, one per rank's block.
+			var pieces []int
+			for r := 0; r < tasks; r++ {
+				lo := r*32 + 2*rng.Intn(16)
+				pieces = append(pieces, lo, lo+1)
+			}
+			if _, err := Write(a, g, fs, "f", Options{PieceBytes: 256, Pieces: pieces}); err != nil {
+				panic(err)
+			}
+			if i == warm-1 || i == deltas-1 {
+				must(c.Barrier())
+				if c.Rank() == 0 {
+					if i == warm-1 {
+						warmHeap, warmPlans = heap(), plans()
+					} else if h, n := heap(), plans(); n != warmPlans || n > 1+maxSubPlans || h > warmHeap+256<<10 {
+						panic(fmt.Sprintf("after %d deltas: %d plans and %d B of heap; after %d: %d plans, %d B",
+							deltas, n, h, warm, warmPlans, warmHeap))
+					}
+				}
+				must(c.Barrier())
+			}
+		}
+		recur := Options{PieceBytes: 256, Pieces: []int{0, 1}}
+		var m0 uint64
+		for k := 0; k < 2; k++ {
+			must(c.Barrier())
+			if c.Rank() == 0 {
+				_, m0 = PlanCacheStats()
+			}
+			must(c.Barrier())
+			if _, err := Write(a, g, fs, "f", recur); err != nil {
+				panic(err)
+			}
+		}
+		must(c.Barrier())
+		if _, m := PlanCacheStats(); c.Rank() == 0 && m != m0 {
+			panic(fmt.Sprintf("a recurring piece set replanned: %d misses", m-m0))
+		}
+	})
 }

@@ -21,8 +21,8 @@ import (
 // / io.Reader — a TCP connection, a pipe, a tape. Only the I/O task's
 // channel argument is used; the other tasks pass nil and participate in
 // the redistribution rounds. The per-piece canonical distributions come
-// from the same plan cache as parallel streaming, keyed with the I/O
-// task, so repeated sequential streams replay cached rounds too.
+// from the same plan table as parallel streaming, keyed with the I/O
+// task, so repeated sequential streams replay their rounds too.
 
 // WriteTo streams section x of a in linearization order to w, which only
 // task ioTask needs to provide. Collective. Returns this task's stats.

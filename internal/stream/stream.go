@@ -150,10 +150,10 @@ func (o Options) writers(tasks int) int {
 // element type and the order — not on a's distribution or on Writers.
 //
 // The piece partition, byte offsets, and per-round canonical
-// distributions come from a cached plan (see plan.go): the first stream
+// distributions come from the epoch's plan (see plan.go): the first stream
 // of a configuration builds them, every later checkpoint of the same run
-// replays them, and — because the cached rounds are stable pointers — the
-// per-round piece exchanges execute cached array plans too.
+// replays them, and — because a plan's rounds carry their exchange plans —
+// the per-round piece exchanges replay their schedules too.
 func Write[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, name string, o Options) (st Stats, err error) {
 	defer observeStream(streamWrites, streamWriteSeconds, time.Now(), &st, &err)
 	comm, err := commOf(a, x)
@@ -189,7 +189,7 @@ func Write[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, na
 	// filtered and unfiltered generations.
 	run, orig := sp, func(i int) int { return i }
 	if o.Pieces != nil {
-		if run, err = filteredPlanFor(comm, a.Global(), x, sp, o.Pieces, es, o); err != nil {
+		if run, err = sp.filtered(comm.Size(), o.Pieces, p); err != nil {
 			return st, err
 		}
 		orig = func(i int) int { return o.Pieces[i] }
@@ -303,7 +303,7 @@ func Read[T array.Elem](a *array.Array[T], x rangeset.Slice, fs *pfs.System, nam
 	// an unfiltered read of those pieces.
 	run, orig := sp, func(i int) int { return i }
 	if o.Pieces != nil {
-		if run, err = filteredPlanFor(comm, a.Global(), x, sp, o.Pieces, es, o); err != nil {
+		if run, err = sp.filtered(comm.Size(), o.Pieces, p); err != nil {
 			return st, err
 		}
 		orig = func(i int) int { return o.Pieces[i] }
