@@ -29,12 +29,13 @@
 // "<gen>.bad.") exactly as the recovery supervisor would do at restart
 // time, legacy generations (gob metadata of version 1 or 2, as every
 // restart state saved by older builds has; version 1 also keeps one
-// stream file per array) are upgraded in place to metadata version 3
-// (ckpt.Upgrade), a coordinator state store whose head is a gob image
-// (every store saved by older builds) gets that head's table as one
-// framed anchor (ckpt.StateStore.Upgrade), and the snapshot is saved
-// back. Without -repair a legacy generation, and a state store whose head
-// is a gob image, are reported as needing it: no restart reads one.
+// stream file per array) are upgraded in place to metadata version 3, a
+// coordinator state store whose head holds a gob image or gob records
+// (every store saved by older builds) gets that head's table, every
+// record a frame, as one framed anchor, and the snapshot is saved back;
+// package legacy holds these gob-era readers. Without -repair a legacy
+// generation or state store is reported as needing it: no restart reads
+// one.
 //
 // With -squash, each prefix whose newest generation is a chained delta
 // is folded into a fresh self-contained anchor (ckpt.Squash): every
@@ -63,6 +64,7 @@ import (
 	"sort"
 	"strings"
 
+	"drms/cmd/drmsfsck/internal/legacy"
 	"drms/internal/ckpt"
 	"drms/internal/pfs"
 )
@@ -311,7 +313,7 @@ func listTiers(fs *pfs.System, tier *ckpt.MemTier, prefix string) {
 // falls back like any other corruption). repair upgrades the legacy
 // generations and quarantines the corrupt ones; *dirty is set when it
 // changed anything. Without repair a legacy generation, or a state
-// store's gob head image, makes the prefix unrecoverable: it is intact,
+// store's gob-era head, makes the prefix unrecoverable: it is intact,
 // but nothing restarts from it until it is upgraded.
 func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool, dirty *bool) int {
 	gens := generations(fs, prefix)
@@ -320,13 +322,13 @@ func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool,
 		return exitUnrecoverable
 	}
 
-	good, legacy, upgraded := 0, 0, false
+	good, gobGens, upgraded := 0, 0, false
 	var corrupt []string
 	for _, g := range gens {
 		var err error
 		if repair {
 			var up bool
-			if up, err = ckpt.Upgrade(fs, g, 0); up {
+			if up, err = legacy.Upgrade(fs, g, 0); up {
 				*dirty, upgraded = true, true
 				fmt.Printf("%-12s upgraded to metadata version 3\n", g)
 			}
@@ -336,7 +338,7 @@ func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool,
 			m, err = ckpt.ReadMeta(fs, g, 0)
 		}
 		if errors.Is(err, ckpt.ErrLegacyFormat) {
-			legacy++
+			gobGens++
 			fmt.Printf("%-12s LEGACY: %v\n", g, err)
 			continue
 		}
@@ -354,12 +356,12 @@ func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool,
 			float64(ckpt.StateBytes(fs, g))/(1<<20))
 	}
 
-	if legacy > 0 {
-		fmt.Printf("%-12s UNRECOVERABLE until upgraded: %d legacy generations (run with -repair)\n", prefix, legacy)
+	if gobGens > 0 {
+		fmt.Printf("%-12s UNRECOVERABLE until upgraded: %d legacy generations (run with -repair)\n", prefix, gobGens)
 		return exitUnrecoverable
 	}
-	if !repair && gens[0] != prefix && (&ckpt.StateStore{Base: prefix}).LegacyHead(fs) {
-		fmt.Printf("%-12s LEGACY: a coordinator state store whose head is a gob image\n", prefix)
+	if !repair && gens[0] != prefix && legacy.StoreIsLegacy(fs, prefix) {
+		fmt.Printf("%-12s LEGACY: a coordinator state store whose head holds a gob image or gob records\n", prefix)
 		fmt.Printf("%-12s UNRECOVERABLE until upgraded: the recovery supervisor refuses it (run with -repair)\n", prefix)
 		return exitUnrecoverable
 	}
@@ -377,9 +379,9 @@ func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool,
 		}
 	}
 	if repair && gens[0] != prefix {
-		// A coordinator state store whose head is a gob image: its table
-		// becomes one framed anchor (a no-op for anything else).
-		gen, quarantined, err := (&ckpt.StateStore{Base: prefix}).Upgrade(fs)
+		// A coordinator state store with a gob-era head: its table becomes
+		// one framed anchor (a no-op for anything else).
+		gen, quarantined, err := legacy.UpgradeStore(fs, prefix)
 		for _, g := range quarantined {
 			fmt.Printf("%-12s quarantined: its legacy state chain does not resolve\n", g)
 		}

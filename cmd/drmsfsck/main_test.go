@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -451,27 +453,56 @@ func TestTierSnapshotRoundTripVerifiesOffline(t *testing.T) {
 
 // TestCheckPrefixReportsLegacyStateStore: a coordinator store whose head
 // is a gob image under framed metadata — what the last gob-image
-// coordinator saved — verifies byte for byte, yet the recovery
-// supervisor refuses it. Without -repair it is LEGACY and unrecoverable,
-// naming -repair; with it, the store upgrades and then checks clean.
+// coordinator saved — or a framed image holding gob records — what
+// -repair committed before it reframed records — verifies byte for byte,
+// yet the recovery supervisor refuses it. Without -repair it is LEGACY and
+// unrecoverable, naming -repair; with it, the store upgrades and then
+// checks clean.
 func TestCheckPrefixReportsLegacyStateStore(t *testing.T) {
-	fs := pfs.NewSystem(pfs.DefaultConfig())
-	if err := fs.LoadFile("../../internal/coord/testdata/rcstate_parent.pfs"); err != nil {
+	for _, framed := range []bool{false, true} {
+		fs := pfs.NewSystem(pfs.DefaultConfig())
+		if err := fs.LoadFile("../../internal/coord/testdata/rcstate_parent.pfs"); err != nil {
+			t.Fatal(err)
+		}
+		if framed {
+			commitGobRecords(t, fs, "rcstate")
+		}
+		dirty := false
+		var code int
+		out := stdout(t, func() { code = checkPrefix(fs, nil, "rcstate", false, &dirty) })
+		if code != exitUnrecoverable || dirty || !strings.Contains(out, "LEGACY") || !strings.Contains(out, "-repair") {
+			t.Fatalf("framed=%v: check classified %d dirty %v, want %d naming LEGACY and -repair:\n%s", framed, code, dirty, exitUnrecoverable, out)
+		}
+		stdout(t, func() { code = checkPrefix(fs, nil, "rcstate", true, &dirty) })
+		if code != exitRepaired || !dirty {
+			t.Fatalf("framed=%v: repair classified %d dirty %v, want %d", framed, code, dirty, exitRepaired)
+		}
+		dirty = false
+		stdout(t, func() { code = checkPrefix(fs, nil, "rcstate", false, &dirty) })
+		if code != exitClean || dirty {
+			t.Fatalf("framed=%v: after -repair: classified %d dirty %v, want %d", framed, code, dirty, exitClean)
+		}
+	}
+}
+
+// commitGobRecords commits the gob anchor image at base's head as a framed
+// image of the same records, gob still.
+func commitGobRecords(t *testing.T, fs *pfs.System, base string) {
+	t.Helper()
+	_, head, _ := ckpt.Rotation{Base: base}.Latest(fs)
+	m, err := ckpt.ReadMeta(fs, head, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	dirty := false
-	var code int
-	out := stdout(t, func() { code = checkPrefix(fs, nil, "rcstate", false, &dirty) })
-	if code != exitUnrecoverable || dirty || !strings.Contains(out, "LEGACY") || !strings.Contains(out, "-repair") {
-		t.Fatalf("check classified %d dirty %v, want %d naming LEGACY and -repair:\n%s", code, dirty, exitUnrecoverable, out)
+	table, err := ckpt.ReadStateImage(fs, head, &m, func(b []byte) (map[string][]byte, error) {
+		var img struct{ Records map[string][]byte }
+		err := gob.NewDecoder(bytes.NewReader(b)).Decode(&img)
+		return img.Records, err
+	})
+	if err != nil || len(table) == 0 {
+		t.Fatalf("%s: %d records, %v", head, len(table), err)
 	}
-	stdout(t, func() { code = checkPrefix(fs, nil, "rcstate", true, &dirty) })
-	if code != exitRepaired || !dirty {
-		t.Fatalf("repair classified %d dirty %v, want %d", code, dirty, exitRepaired)
-	}
-	dirty = false
-	stdout(t, func() { code = checkPrefix(fs, nil, "rcstate", false, &dirty) })
-	if code != exitClean || dirty {
-		t.Fatalf("after -repair: classified %d dirty %v, want %d", code, dirty, exitClean)
+	if _, err := (&ckpt.StateStore{Base: base}).Commit(fs, table); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -37,10 +37,9 @@ var kept = map[string]string{
 }
 
 // viaInterface names methods the standard library calls through an
-// interface (encoding/gob, container/heap, sort), which no identifier in
-// the module needs to name.
+// interface (container/heap, sort), which no identifier in the module
+// needs to name.
 var viaInterface = map[string]bool{
-	"GobEncode": true, "GobDecode": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 }
 

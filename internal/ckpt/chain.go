@@ -153,7 +153,7 @@ func locPrefix(base, self string, selfGen int, l PieceLoc) string {
 
 // locPieceFile resolves the piece file a location points into.
 func locPieceFile(base, self string, selfGen int, arr string, l PieceLoc) string {
-	return pieceFile(locPrefix(base, self, selfGen, l), arr, l.Task)
+	return PieceFile(locPrefix(base, self, selfGen, l), arr, l.Task)
 }
 
 // tierHolders is the replica placement: anchor rank w replicates into
@@ -460,7 +460,7 @@ func (c *locCollector) encode(idx int, off int64, data []byte) (stream.Encoded, 
 	if c.file == "" {
 		// Truncate lazily on first write: a reused (non-rotated) prefix
 		// may hold a longer piece file from an earlier checkpoint.
-		c.file = pieceFile(c.prefix, c.arr, c.task)
+		c.file = PieceFile(c.prefix, c.arr, c.task)
 		c.fs.Create(c.file)
 	}
 	c.off += loc.FileBytes
@@ -1047,7 +1047,7 @@ func Squash(fs *pfs.System, base string, client int) (prefix string, squashed bo
 	if err != nil {
 		return "", false, err
 	}
-	if len(m.Deps) == 0 || len(m.PieceLocs) == 0 { // an anchor, or a legacy StateStore delta (StateStore.Upgrade folds those)
+	if len(m.Deps) == 0 || len(m.PieceLocs) == 0 { // an anchor, or a legacy StateStore delta (drmsfsck -repair folds those)
 		return cur, false, nil
 	}
 	if m.SegWhere == TierMem {
@@ -1069,7 +1069,7 @@ func Squash(fs *pfs.System, base string, client int) (prefix string, squashed bo
 	}
 	newLocs := make([][]PieceLoc, len(m.Arrays))
 	for i, am := range m.Arrays {
-		file := pieceFile(dst, am.Name, 0)
+		file := PieceFile(dst, am.Name, 0)
 		fs.Create(file)
 		var off int64
 		locs := append([]PieceLoc(nil), m.PieceLocs[i]...)

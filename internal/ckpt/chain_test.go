@@ -49,9 +49,9 @@ func writeChainGen(t testing.TB, fs *pfs.System, prefix string, co ChainOptions,
 // storedEras hold the same state — chainFill(0) under job.g0,
 // chainFill(1) under job.g1, 4 tasks — in both layouts a reader meets:
 // "v2" as this tree writes a standalone checkpoint (task-sized piece
-// files), "v1" as Upgrade leaves the stored v1 rotation (one task-0 piece
-// file per array holding the whole stream, the v1 piece plan as its
-// location table).
+// files), "v1" as drmsfsck -repair leaves the stored v1 rotation (one
+// task-0 piece file per array holding the whole stream, the v1 piece plan
+// as its location table).
 var storedEras = []struct {
 	name  string
 	store func(t testing.TB, fs *pfs.System)
@@ -181,9 +181,7 @@ func TestChainedDeltaDemotedOnV1Prev(t *testing.T) {
 			panic(fmt.Sprintf("restore of a legacy generation: %v", err))
 		}
 	})
-	if _, err := Upgrade(fs, "job.g1", 0); err != nil {
-		t.Fatal(err)
-	}
+	upgradeStored(t, fs, "job.g1")
 	checkChainRestore(t, fs, "job.g1", 1, 2, []int{2, 1}, 128)
 }
 
@@ -236,7 +234,7 @@ func TestChainedVerifyDetectsBrokenChain(t *testing.T) {
 	if hit == nil {
 		t.Fatal("delta carries no ids piece forward")
 	}
-	file := pieceFile("job.g0", "ids", hit.Task)
+	file := PieceFile("job.g0", "ids", hit.Task)
 	b := make([]byte, 1)
 	if err := fs.ReadAt(0, file, b, hit.FileOff); err != nil {
 		t.Fatal(err)
@@ -278,7 +276,7 @@ func TestResolveVerifiedFallsBackPastCorruptDelta(t *testing.T) {
 	if hit == nil {
 		t.Fatal("delta wrote no u piece of its own")
 	}
-	file := pieceFile("job.g1", "u", hit.Task)
+	file := PieceFile("job.g1", "u", hit.Task)
 	if err := fs.WriteAt(0, file, []byte{0xde, 0xad}, hit.FileOff); err != nil {
 		t.Fatal(err)
 	}

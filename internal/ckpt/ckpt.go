@@ -30,7 +30,7 @@
 // version ReadMeta decodes. Versions 1 and 2 were gob records written by
 // earlier versions of this code (version 1 with one stream file
 // P.arr.<name> per array); ReadMeta refuses them with ErrLegacyFormat,
-// and Upgrade (drmsfsck -repair) rewrites such a checkpoint in place.
+// and drmsfsck -repair rewrites such a checkpoint in place.
 //
 // Different prefixes hold independent checkpoints, so an application can
 // keep several states concurrently (§3).
@@ -165,7 +165,7 @@ func taskSegFile(prefix string, task int) string {
 // pieceFile names one writer task's piece file of a chained checkpoint:
 // the compacted, append-only store of every piece that task wrote for
 // the array in that generation.
-func pieceFile(prefix, name string, task int) string {
+func PieceFile(prefix, name string, task int) string {
 	return fmt.Sprintf("%s.arr.%s.p%d", prefix, name, task)
 }
 

@@ -21,9 +21,13 @@ func mustRun(t testing.TB, n int, f func(c *msg.Comm)) {
 // file per array — which no code in this tree can write any more: job.g0
 // and job.g1 hold chainFill(0) and chainFill(1) of buildApp on 4 tasks
 // (grid 2×2, PieceBytes 300, "iter" registered), written once by the v1
-// encoder of commit 2aac552. Only Upgrade decodes it; with golden.pfs it
-// is the upgrader's input.
-const v1RotationPath = "testdata/v1_rotation.pfs"
+// encoder of commit 2aac552. Every reader here refuses it; drmsfsck
+// -repair upgrades it to v1UpgradedPath, which its tests check byte for
+// byte, so this package's tests read the upgraded rotation from there.
+const (
+	v1RotationPath = "testdata/v1_rotation.pfs"
+	v1UpgradedPath = "testdata/v1_rotation_upgraded.pfs"
+)
 
 // loadV1Rotation replaces fs's contents with the stored v1 rotation,
 // not yet upgraded: every reader refuses it with ErrLegacyFormat.
@@ -39,14 +43,29 @@ func loadV1Rotation(t testing.TB, fs *pfs.System) {
 	}
 }
 
-// loadUpgradedV1Rotation is loadV1Rotation followed by Upgrade of both
-// generations.
+// loadUpgradedV1Rotation replaces fs's contents with the v1 rotation as
+// drmsfsck -repair upgrades it: both generations version 3, each array's
+// stream one task-0 piece file.
 func loadUpgradedV1Rotation(t testing.TB, fs *pfs.System) {
 	t.Helper()
-	loadV1Rotation(t, fs)
-	for _, g := range []string{"job.g0", "job.g1"} {
-		if up, err := Upgrade(fs, g, 0); !up || err != nil {
-			t.Fatalf("upgrade %s: upgraded %v, %v", g, up, err)
+	if err := fs.LoadFile(v1UpgradedPath); err != nil {
+		t.Fatalf("upgraded v1 rotation missing: %v", err)
+	}
+}
+
+// upgradeStored does to generation g of the stored v1 rotation in fs what
+// drmsfsck -repair does: g's files become those of the upgraded rotation.
+func upgradeStored(t testing.TB, fs *pfs.System, g string) {
+	t.Helper()
+	up := pfs.NewSystem(pfs.DefaultConfig())
+	loadUpgradedV1Rotation(t, up)
+	for _, name := range fs.List(g + ".") {
+		fs.Remove(name)
+	}
+	for _, name := range up.List(g + ".") {
+		fs.Create(name)
+		if err := fs.WriteAt(0, name, fileBytes(t, up, name), 0); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 
 	"drms/internal/codec"
 	"drms/internal/frame"
@@ -13,31 +14,32 @@ import (
 
 // Metadata version 3 (DESIGN.md §3g) is one byte frame for every record,
 // a function of the Meta alone. One without metaMagic is a gob record of
-// version 1 or 2, which only Upgrade reads.
+// version 1 or 2, which only drmsfsck -repair reads.
 const (
 	metaMagic   = "DRMSmeta"
 	metaVersion = 3
 )
 
-// ErrLegacyFormat marks a checkpoint with gob metadata, or a state store
-// generation with a gob image: intact, so never quarantined, but read only
-// once Upgrade or StateStore.Upgrade (drmsfsck -repair) rewrote it.
-var ErrLegacyFormat = errors.New("ckpt: legacy format (gob metadata of version 1 or 2, or a gob state image); upgrade it once with drmsfsck -repair")
+// ErrLegacyFormat marks a gob record of an earlier build — metadata, a
+// state image or a coordinator record: intact, so never quarantined, but
+// read only once drmsfsck -repair rewrote it.
+var ErrLegacyFormat = errors.New("ckpt: legacy format (a gob record of an earlier build); upgrade it once with drmsfsck -repair")
 
 // ReadMeta reads and decodes checkpoint metadata (e.g. to learn the task
 // count before deciding a restart configuration). A record that does not
 // decode, or whose tables disagree in length with the rest of it, is a
 // *CorruptError: every reader indexes the tables unchecked after this.
 func ReadMeta(fs *pfs.System, prefix string, client int) (Meta, error) {
-	b, err := readMetaFile(fs, prefix, client)
+	b, err := ReadMetaFile(fs, prefix, client)
 	if err != nil {
 		return Meta{}, err
 	}
 	return decodeMeta(b, prefix)
 }
 
-// readMetaFile returns the stored metadata record of prefix.
-func readMetaFile(fs *pfs.System, prefix string, client int) ([]byte, error) {
+// ReadMetaFile returns the stored metadata record of prefix, undecoded:
+// drmsfsck -repair decodes the gob records ReadMeta refuses.
+func ReadMetaFile(fs *pfs.System, prefix string, client int) ([]byte, error) {
 	name := metaFile(prefix)
 	sz, err := fs.Size(name)
 	if err != nil {
@@ -62,6 +64,20 @@ func writeMeta(fs *pfs.System, prefix string, client int, m Meta) error {
 		return err
 	}
 	return fs.Rename(tmp, metaFile(prefix))
+}
+
+// CommitMeta commits m as prefix's version 3 record, once that record
+// decodes to m exactly: drmsfsck -repair's write of upgraded metadata.
+func CommitMeta(fs *pfs.System, prefix string, client int, m Meta) error {
+	m.Version = metaVersion
+	got, err := decodeMeta(encodeMeta(&m), prefix)
+	if err == nil && !reflect.DeepEqual(got, m) {
+		err = fmt.Errorf("ckpt: %q: a version 3 record does not hold this metadata", prefix)
+	}
+	if err != nil {
+		return err
+	}
+	return writeMeta(fs, prefix, client, m)
 }
 
 func encodeMeta(m *Meta) []byte {

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -394,4 +395,52 @@ func TestSegmentLengthPrefixOverflow(t *testing.T) {
 		t.Fatalf("Load = gen %d, quarantined %v, ok %v, %v", g, q, ok, err)
 	}
 	sameRecords(t, got, recs("a", "v0"))
+}
+
+// TestUpgradeNeededNotQuarantined: verified resolution over a rotation
+// nobody upgraded says so, and touches no file.
+func TestUpgradeNeededNotQuarantined(t *testing.T) {
+	fs := testFS()
+	loadV1Rotation(t, fs)
+	before := fs.List("")
+	chosen, quarantined, ok, err := ResolveVerified(fs, "job")
+	if ok || !errors.Is(err, ErrLegacyFormat) || len(quarantined) != 0 {
+		t.Fatalf("resolve = %q ok %v quarantined %v err %v", chosen, ok, quarantined, err)
+	}
+	if after := fs.List(""); !slices.Equal(before, after) {
+		t.Fatalf("files changed: %v -> %v", before, after)
+	}
+}
+
+// TestReadMetaRejectsMalformedShape: metadata that decodes but whose
+// tables are shorter than the record promises is a *CorruptError at
+// ReadMeta, so verified resolution — the supervisor's restart path —
+// fails cleanly where the verifier used to index past them and panic.
+func TestReadMetaRejectsMalformedShape(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    Meta
+	}{
+		{"drms-no-segment", Meta{Version: metaVersion, Mode: ModeDRMS, Tasks: 2}},
+		{"spmd-short-segments", Meta{Version: metaVersion, Mode: ModeSPMD, Tasks: 3,
+			SegBytes: []int64{8}, SegCRC: []uint64{0}}},
+		{"drms-unlocated-array", Meta{Version: metaVersion, Mode: ModeDRMS, Tasks: 1,
+			SegBytes: []int64{8}, SegCRC: []uint64{0}, Arrays: []ArrayMeta{{Name: "u", Bytes: 8}}}},
+		{"extra-plan-sigs", Meta{Version: metaVersion, Mode: ModeDRMS, Tasks: 1,
+			SegBytes: []int64{8}, SegCRC: []uint64{0}, PlanSigs: []string{"x"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := pfs.NewSystem(pfs.DefaultConfig())
+			if err := writeMeta(fs, "x", 0, tc.m); err != nil {
+				t.Fatal(err)
+			}
+			var ce *CorruptError
+			if _, _, ok, err := ResolveVerified(fs, "x"); ok || !errors.As(err, &ce) {
+				t.Fatalf("ResolveVerified ok %v err %v", ok, err)
+			}
+			if _, err := ReadMeta(fs, "x", 0); !errors.As(err, &ce) {
+				t.Fatalf("ReadMeta = %v, want *CorruptError", err)
+			}
+		})
+	}
 }

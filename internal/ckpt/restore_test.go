@@ -58,10 +58,10 @@ func runCounted(t *testing.T, n int, f func(c *msg.Comm, sent func() int64) erro
 }
 
 // restoreFormats are the stored representations every restore shape must
-// serve: each stores chainFill(step) state of 4 tasks — v1-flat as Upgrade
-// leaves the stored v1 rotation (one task-0 piece file per array), the
-// rest by writing — and names the generation to restore. Only a format written through the tier is restored with one
-// configured.
+// serve: each stores chainFill(step) state of 4 tasks — v1-flat as
+// drmsfsck -repair leaves the stored v1 rotation (one task-0 piece file
+// per array), the rest by writing — and names the generation to restore.
+// Only a format written through the tier is restored with one configured.
 var restoreFormats = []struct {
 	name   string
 	tiered bool

@@ -70,7 +70,7 @@ func TestRotationLayouts(t *testing.T) {
 		},
 		{
 			name: "quarantined between live generations",
-			files: []string{"ck.g1.meta", "ck.g2.bad.meta", pieceFile("ck.g2.bad", "u", 0),
+			files: []string{"ck.g1.meta", "ck.g2.bad.meta", PieceFile("ck.g2.bad", "u", 0),
 				"ck.g4.meta"},
 			keep:   2,
 			latest: "ck.g4",
@@ -90,7 +90,7 @@ func TestRotationLayouts(t *testing.T) {
 		},
 		{
 			name:    "torn generation",
-			files:   []string{"ck.g0.meta", "ck.g1.seg", pieceFile("ck.g1", "u", 1)},
+			files:   []string{"ck.g0.meta", "ck.g1.seg", PieceFile("ck.g1", "u", 1)},
 			keep:    1,
 			latest:  "ck.g0",
 			next:    "ck.g2", // torn numbers are burned, not reused
@@ -110,7 +110,7 @@ func TestRotationLayouts(t *testing.T) {
 			// A long-lived rotation: the numbers are high, the files few.
 			name: "torn generations at generation 500",
 			files: []string{"ck.g499.bad.meta", "ck.g500.meta", "ck.g500.seg",
-				"ck.g501.meta", "ck.g501.seg", "ck.g502.seg", pieceFile("ck.g502", "u", 0), "ck.g1000.meta.tmp"},
+				"ck.g501.meta", "ck.g501.seg", "ck.g502.seg", PieceFile("ck.g502", "u", 0), "ck.g1000.meta.tmp"},
 			keep:    2,
 			latest:  "ck.g501",
 			next:    "ck.g1001",
@@ -347,9 +347,7 @@ func TestRotationContinuesAcrossMetadataVersions(t *testing.T) {
 	if !Exists(fs, "job.g1") {
 		t.Fatal("legacy generation quarantined")
 	}
-	if up, err := Upgrade(fs, "job.g1", 0); !up || err != nil {
-		t.Fatalf("upgrade job.g1: %v %v", up, err)
-	}
+	upgradeStored(t, fs, "job.g1")
 	if chosen, _, ok, err := ResolveVerified(fs, "job"); !ok || chosen != "job.g1" {
 		t.Fatalf("resolve after upgrade = %q ok %v err %v", chosen, ok, err)
 	}

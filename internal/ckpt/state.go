@@ -30,8 +30,8 @@ import (
 // anchor: the table is a few kilobytes, already encoded in memory, so a
 // delta would save only the write of bytes at hand. Earlier coordinators
 // wrote gob images, some of them delta chains; Load refuses those with
-// ErrLegacyFormat, and Upgrade (drmsfsck -repair) commits the table at
-// their head as one framed anchor. Verify, ResolveVerified,
+// ErrLegacyFormat, and drmsfsck -repair commits the table at their head
+// as one framed anchor. Verify, ResolveVerified,
 // Rotation.Prune, CleanIncomplete, and drmsfsck all work on it
 // unmodified.
 
@@ -124,8 +124,8 @@ func (s *StateStore) Commit(fs *pfs.System, records map[string][]byte) (int, err
 // meta, then its image's frame); one that fails is quarantined (renamed
 // under ".bad.", its number burned) and the next older one is tried.
 // ok=false when no verifiable snapshot exists at all. A legacy
-// generation — gob metadata or a gob image — is intact, not corrupt: the
-// walk stops there with ErrLegacyFormat until Upgrade rewrites the store.
+// generation is intact, not corrupt: the walk stops there with
+// ErrLegacyFormat until drmsfsck -repair rewrites the store.
 func (s *StateStore) Load(fs *pfs.System) (records map[string][]byte, gen int, quarantined []string, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -134,9 +134,12 @@ func (s *StateStore) Load(fs *pfs.System) (records map[string][]byte, gen int, q
 	for {
 		chosen, q, found, verr := ResolveVerified(fs, s.Base)
 		quarantined = append(quarantined, q...)
+		var m Meta
 		var rerr error
 		if found {
-			records, rerr = readStateImage(fs, chosen)
+			if m, rerr = ReadMeta(fs, chosen, 0); rerr == nil {
+				records, rerr = ReadStateImage(fs, chosen, &m, nil)
+			}
 		}
 		if errors.Is(verr, ErrLegacyFormat) || errors.Is(rerr, ErrLegacyFormat) {
 			return nil, -1, quarantined, false, cmp.Or(rerr, verr)
@@ -154,22 +157,12 @@ func (s *StateStore) Load(fs *pfs.System) (records map[string][]byte, gen int, q
 	}
 }
 
-// readStateImage reads one generation's table.
-func readStateImage(fs *pfs.System, prefix string) (map[string][]byte, error) {
-	m, err := ReadMeta(fs, prefix, 0)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := readStateSegment(fs, prefix, &m)
-	if err != nil {
-		return nil, err
-	}
-	return decodeStateImage(payload, prefix)
-}
-
-// readStateSegment reads the segment of a generation with metadata m
-// and checks it against m's CRC.
-func readStateSegment(fs *pfs.System, prefix string, m *Meta) ([]byte, error) {
+// ReadStateImage reads the table of the generation under prefix with
+// metadata m, its segment checked against m's CRC. An image that is not a
+// frame, a gob image an earlier coordinator wrote, is legacy's to decode:
+// drmsfsck -repair's, which walks their chains. With legacy nil it is
+// ErrLegacyFormat.
+func ReadStateImage(fs *pfs.System, prefix string, m *Meta, legacy func([]byte) (map[string][]byte, error)) (map[string][]byte, error) {
 	if m.Mode != ModeDRMS || len(m.SegBytes) == 0 {
 		return nil, fmt.Errorf("ckpt: %q is not a control-plane snapshot", prefix)
 	}
@@ -180,7 +173,10 @@ func readStateSegment(fs *pfs.System, prefix string, m *Meta) ([]byte, error) {
 	if crc != m.SegCRC[0] {
 		return nil, corrupt(prefix, segFile(prefix), -1, "state crc %016x, metadata %016x", crc, m.SegCRC[0])
 	}
-	return payload, nil
+	if legacy != nil && !bytes.HasPrefix(payload, []byte(stateMagic)) {
+		return legacy(payload)
+	}
+	return decodeStateImage(payload, prefix)
 }
 
 // LastGen reports the newest generation this store has committed or

@@ -1,11 +1,9 @@
 package ckpt
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"drms/internal/pfs"
@@ -15,23 +13,10 @@ func newStateFS() *pfs.System {
 	return pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
 }
 
-// legacyDeltaFS loads testdata/rcstate_deltas.pfs — a store the delta
+// gobDeltaFS loads testdata/rcstate_deltas.pfs — a store the delta
 // writer of earlier coordinators committed under "rcstate" with gob
 // metadata: anchor g0 {a, b, c: v0}, delta g1 {a: v1}, delta g2 {b: v2}
-// with a tombstone for c, so the table at g2 is {a: v1, b: v2} — and
-// upgrades its generations, as drmsfsck -repair does.
-func legacyDeltaFS(t *testing.T) *pfs.System {
-	t.Helper()
-	fs := gobDeltaFS(t)
-	for g := range 3 {
-		if up, err := Upgrade(fs, fmt.Sprintf("rcstate.g%d", g), 0); !up || err != nil {
-			t.Fatalf("upgrade rcstate.g%d: upgraded %v, %v", g, up, err)
-		}
-	}
-	return fs
-}
-
-// gobDeltaFS is legacyDeltaFS before the upgrade.
+// with a tombstone for c, so the table at g2 is {a: v1, b: v2}.
 func gobDeltaFS(t *testing.T) *pfs.System {
 	t.Helper()
 	fs := newStateFS()
@@ -41,38 +26,34 @@ func gobDeltaFS(t *testing.T) *pfs.System {
 	return fs
 }
 
+// upgradedDeltaFS loads the same store as drmsfsck -repair leaves it
+// (testdata/rcstate_deltas_upgraded.pfs, which its tests check byte for
+// byte): every generation's metadata version 3, the gob images of g0–g2
+// kept, and g2's table committed as the framed anchor g3.
+func upgradedDeltaFS(t *testing.T) *pfs.System {
+	t.Helper()
+	fs := newStateFS()
+	if err := fs.LoadFile("testdata/rcstate_deltas_upgraded.pfs"); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
 // TestStateStoreRefusesGobEraStore: Load refuses the store with
-// ErrLegacyFormat and touches no file, before the metadata upgrade and
-// after it (the images are gob still); the metadata upgrade rewrites only
-// metadata, and a rerun finds nothing to do.
+// ErrLegacyFormat and touches no file, both as earlier coordinators left
+// it and once only its metadata is upgraded (the images are gob still).
 func TestStateStoreRefusesGobEraStore(t *testing.T) {
-	fs := gobDeltaFS(t)
-	before := fs.List("")
-	if _, g, q, ok, err := (&StateStore{Base: "rcstate"}).Load(fs); ok || !errors.Is(err, ErrLegacyFormat) || len(q) != 0 {
-		t.Fatalf("Load of a gob-era store: gen %d ok %v quarantined %v, %v", g, ok, q, err)
+	metaOnly := upgradedDeltaFS(t)
+	for _, name := range metaOnly.List("rcstate.g3.") {
+		metaOnly.Remove(name)
 	}
-	if after := fs.List(""); !slices.Equal(before, after) {
-		t.Fatalf("files changed: %v -> %v", before, after)
-	}
-	fs = legacyDeltaFS(t)
-	upgraded := fs.List("")
-	if _, g, q, ok, err := (&StateStore{Base: "rcstate"}).Load(fs); ok || !errors.Is(err, ErrLegacyFormat) || len(q) != 0 {
-		t.Fatalf("Load of a gob-image store: gen %d ok %v quarantined %v, %v", g, ok, q, err)
-	}
-	if after := fs.List(""); !slices.Equal(upgraded, after) {
-		t.Fatalf("files changed: %v -> %v", upgraded, after)
-	}
-	for _, name := range before {
-		if strings.HasSuffix(name, ".meta") {
-			continue
+	for stage, fs := range map[string]*pfs.System{"gob-era": gobDeltaFS(t), "metadata-upgraded": metaOnly} {
+		before := fs.List("")
+		if _, g, q, ok, err := (&StateStore{Base: "rcstate"}).Load(fs); ok || !errors.Is(err, ErrLegacyFormat) || len(q) != 0 {
+			t.Fatalf("Load of a %s store: gen %d ok %v quarantined %v, %v", stage, g, ok, q, err)
 		}
-		if !bytes.Equal(fileBytes(t, fs, name), fileBytes(t, gobDeltaFS(t), name)) {
-			t.Fatalf("the upgrade changed %s", name)
-		}
-	}
-	for g := range 3 {
-		if up, err := Upgrade(fs, fmt.Sprintf("rcstate.g%d", g), 0); up || err != nil {
-			t.Fatalf("second upgrade of rcstate.g%d: upgraded %v, %v", g, up, err)
+		if after := fs.List(""); !slices.Equal(before, after) {
+			t.Fatalf("%s: files changed: %v -> %v", stage, before, after)
 		}
 	}
 }
@@ -141,31 +122,12 @@ func TestStateStoreRoundTrip(t *testing.T) {
 	sameRecords(t, got, want)
 }
 
-// upgradeDeltaFS is the fixture with its store upgraded, metadata first
-// (metaFirst) or the store first, as drmsfsck -repair may order them.
-func upgradeDeltaFS(t *testing.T, metaFirst bool) *pfs.System {
-	t.Helper()
-	fs := gobDeltaFS(t)
-	if metaFirst {
-		fs = legacyDeltaFS(t)
-	}
-	if g, q, err := (&StateStore{Base: "rcstate"}).Upgrade(fs); g != 3 || len(q) != 0 || err != nil {
-		t.Fatalf("Upgrade: gen %d quarantined %v, %v", g, q, err)
-	}
-	for g := range 4 {
-		if _, err := Upgrade(fs, fmt.Sprintf("rcstate.g%d", g), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return fs
-}
-
-// The fixture's chain is a real delta chain, and Upgrade resolves it to
-// the records it was written with; the anchor it commits, every
+// The fixture's chain is a real delta chain, and the upgrade resolved it
+// to the records it was written with; the anchor it committed, every
 // generation this store commits on top of it, and those it commits on an
 // empty store are self-contained anchors.
 func TestStateStoreDeltaChainAndAnchors(t *testing.T) {
-	fs := upgradeDeltaFS(t, true)
+	fs := upgradedDeltaFS(t)
 	if m, err := ReadMeta(fs, "rcstate.g2", 0); err != nil || m.ChainLen != 2 || len(m.Deps) != 2 {
 		t.Fatalf("fixture g2 chain fields = len %d deps %v, want 2/[0 1] (%v)", m.ChainLen, m.Deps, err)
 	}
@@ -196,27 +158,17 @@ func TestStateStoreDeltaChainAndAnchors(t *testing.T) {
 		}
 		assertAnchor(t, empty, i)
 	}
-	if g, q, err := (&StateStore{Base: "rcstate"}).Upgrade(empty); g != -1 || len(q) != 0 || err != nil {
-		t.Fatalf("Upgrade of a framed store: gen %d quarantined %v, %v", g, q, err)
-	}
 }
 
-// Upgrade resolves the fixture's delta head whichever half of drmsfsck
-// -repair ran first: g3 holds the head's table, Load reads it, and a
-// second Upgrade finds nothing to do.
+// The upgrade resolved the fixture's delta head: g3 holds the head's
+// table, and Load reads it.
 func TestStateStoreUpgradeResolvesDeltaHead(t *testing.T) {
-	for _, metaFirst := range []bool{true, false} {
-		fs := upgradeDeltaFS(t, metaFirst)
-		st := &StateStore{Base: "rcstate"}
-		table, g, _, ok, err := st.Load(fs)
-		if err != nil || !ok || g != 3 || st.LastGen() != 3 {
-			t.Fatalf("metaFirst=%v: Load: gen=%d last=%d ok=%v err=%v", metaFirst, g, st.LastGen(), ok, err)
-		}
-		sameRecords(t, table, legacyDeltaTable())
-		if g, q, err := st.Upgrade(fs); g != -1 || len(q) != 0 || err != nil {
-			t.Fatalf("metaFirst=%v: second Upgrade: gen %d quarantined %v, %v", metaFirst, g, q, err)
-		}
+	st := &StateStore{Base: "rcstate"}
+	table, g, _, ok, err := st.Load(upgradedDeltaFS(t))
+	if err != nil || !ok || g != 3 || st.LastGen() != 3 {
+		t.Fatalf("Load: gen=%d last=%d ok=%v err=%v", g, st.LastGen(), ok, err)
 	}
+	sameRecords(t, table, legacyDeltaTable())
 }
 
 // TestStateImageBytesAreTheTable: the image is the sorted table, so equal
@@ -276,29 +228,6 @@ func TestStateStoreQuarantineFallback(t *testing.T) {
 	}
 }
 
-// Damaging a legacy delta's base (which the head's own verification does
-// not cover) makes Upgrade quarantine the head, not commit a
-// half-materialized table: the fixture's g2 needs g1, so with g1 damaged
-// both leave and the anchor g0's table is what g3 holds.
-func TestStateStoreBrokenChainQuarantinesHead(t *testing.T) {
-	fs := legacyDeltaFS(t)
-	corruptFile(t, fs, "rcstate.g1.seg")
-
-	st := &StateStore{Base: "rcstate"}
-	g, quarantined, err := st.Upgrade(fs)
-	if g != 3 || err != nil || !slices.Equal(quarantined, []string{"rcstate.g2", "rcstate.g1"}) {
-		t.Fatalf("Upgrade with a broken chain: gen %d quarantined %v, %v", g, quarantined, err)
-	}
-	if fs.Exists("rcstate.g2.meta") || len(fs.List("rcstate.g2.bad.")) == 0 {
-		t.Fatal("the head whose base is damaged was not quarantined")
-	}
-	got, g, _, ok, err := st.Load(fs)
-	if !ok || g != 3 || err != nil {
-		t.Fatalf("Load: gen=%d ok=%v err=%v", g, ok, err)
-	}
-	sameRecords(t, got, recs("a", "v0", "b", "v0", "c", "v0"))
-}
-
 // A torn commit (segment written, meta missing) is swept at Load and
 // never resolved to.
 func TestStateStoreTornCommitIgnored(t *testing.T) {
@@ -327,7 +256,7 @@ func TestStateStoreTornCommitIgnored(t *testing.T) {
 // legacy delta's chain: the fixture's anchor g0 survives while g1 or g2
 // is retained, and goes with them.
 func TestStateStorePruneKeepsChainDeps(t *testing.T) {
-	fs := upgradeDeltaFS(t, true)
+	fs := upgradedDeltaFS(t)
 	st := &StateStore{Base: "rcstate"}
 	table, _, _, ok, err := st.Load(fs)
 	if err != nil || !ok {

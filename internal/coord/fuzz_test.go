@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"drms/internal/ckpt"
 	"drms/internal/frame"
 	"drms/internal/pfs"
 )
@@ -49,10 +51,11 @@ var (
 // runs on each stored record: decodeRecord into an appRecord and
 // appFromRecord around it (with and without a catalog re-binding the
 // name), and decodeRecord into the rcRecord. An error or an application
-// are the only outcomes: no stored record may panic a recovery, and an
-// accepted frame is the encoding of the record it decoded to. Seeded
-// with a supervised record, a settled one and the coordinator's own, as
-// frames and as the gob records earlier coordinators wrote.
+// are the only outcomes: no stored record may panic a recovery, an
+// accepted record is the frame of the record it decoded to, and one that
+// is no frame is ckpt.ErrLegacyFormat. Seeded with a supervised record, a
+// settled one and the coordinator's own, as frames and as the gob records
+// earlier coordinators wrote.
 func FuzzDecodeRecord(f *testing.F) {
 	rcRec := rcRecord{LeaseSeq: 41, Shard: 1, Shards: 2}
 	for _, r := range []record{&gaveUpRecord, &doneRecord, &rcRec} {
@@ -64,8 +67,12 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		framed := bytes.HasPrefix(b, []byte(recordMagic))
 		var rec appRecord
-		if err := decodeRecord(b, &rec); err == nil {
-			if framed && !bytes.Equal(frame.Encode(rec.walk), b) {
+		err := decodeRecord(b, &rec)
+		if !framed && !errors.Is(err, ckpt.ErrLegacyFormat) {
+			t.Fatalf("%x, no frame, decoded with %v", b, err)
+		}
+		if err == nil {
+			if !bytes.Equal(frame.Encode(rec.walk), b) {
 				t.Fatalf("%x decoded to %+v, which encodes to %x", b, rec, frame.Encode(rec.walk))
 			}
 			for _, cat := range []func(string) (AppSpec, bool){nil, catalog} {
@@ -77,7 +84,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 		}
 		var rcr rcRecord
-		if err := decodeRecord(b, &rcr); err == nil && framed && !bytes.Equal(frame.Encode(rcr.walk), b) {
+		if err := decodeRecord(b, &rcr); err == nil && !bytes.Equal(frame.Encode(rcr.walk), b) {
 			t.Fatalf("%x decoded to %+v, which encodes to %x", b, rcr, frame.Encode(rcr.walk))
 		}
 	})

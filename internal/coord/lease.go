@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"drms/internal/ckpt"
 	"drms/internal/drms"
@@ -149,21 +148,19 @@ func loadRC(fs *pfs.System, opt RCOptions, rem *Remnant) (*RC, *RecoveryReport, 
 		return nil, nil, lerr
 	}
 	for key, raw := range records {
-		switch {
-		case key == rcRecordKey:
-			var rec rcRecord
-			if err := decodeRecord(raw, &rec); err != nil {
-				rc.ln.Close()
-				return nil, nil, err
-			}
-			rc.leaseSeq = rec.LeaseSeq
-		case strings.HasPrefix(key, "app/"):
-			var rec appRecord
-			if err := decodeRecord(raw, &rec); err != nil {
-				rc.ln.Close()
-				return nil, nil, err
-			}
-			rc.apps[key[len("app/"):]] = appFromRecord(rec, opt.Catalog)
+		r := recordOf(key)
+		if r == nil {
+			continue
+		}
+		if err := decodeRecord(raw, r); err != nil {
+			rc.ln.Close()
+			return nil, nil, err
+		}
+		switch r := r.(type) {
+		case *rcRecord:
+			rc.leaseSeq = r.LeaseSeq
+		case *appRecord:
+			rc.apps[key[len("app/"):]] = appFromRecord(*r, opt.Catalog)
 		}
 	}
 	for name, sv := range rem.apps {

@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -556,50 +555,5 @@ func TestChaosSoakControlPlane(t *testing.T) {
 	}
 	if crashed == 0 {
 		t.Fatal("the soak never crashed the coordinator")
-	}
-}
-
-// TestRecoverRCRefusesGobEraStore: a coordinator store an earlier build
-// wrote — gob metadata over a legacy delta chain of gob images — is
-// refused with ckpt.ErrLegacyFormat, quarantining nothing and touching no
-// file, until drmsfsck -repair has rewritten both its metadata
-// (ckpt.Upgrade) and its head (StateStore.Upgrade); then the coordinator
-// recovers from the upgraded head, generation 3.
-func TestRecoverRCRefusesGobEraStore(t *testing.T) {
-	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
-	if err := fs.LoadFile("../ckpt/testdata/rcstate_deltas.pfs"); err != nil {
-		t.Fatal(err)
-	}
-	opt := RCOptions{HBTimeout: hbTimeout, StatePrefix: "rcstate"}
-	refused := func(stage string) {
-		t.Helper()
-		before := fs.List("")
-		if rc, _, err := RecoverRC(fs, opt, nil); !errors.Is(err, ckpt.ErrLegacyFormat) {
-			if rc != nil {
-				rc.Close()
-			}
-			t.Fatalf("RecoverRC of a %s store: %v, want ckpt.ErrLegacyFormat", stage, err)
-		}
-		if after := fs.List(""); !slices.Equal(before, after) {
-			t.Fatalf("a refused recovery changed the %s store: %v -> %v", stage, before, after)
-		}
-	}
-	refused("gob-era")
-	for _, g := range (ckpt.Rotation{Base: "rcstate"}).Generations(fs) {
-		if up, err := ckpt.Upgrade(fs, g, 0); !up || err != nil {
-			t.Fatalf("upgrade %s: upgraded %v, %v", g, up, err)
-		}
-	}
-	refused("metadata-upgraded")
-	if g, q, err := (&ckpt.StateStore{Base: "rcstate"}).Upgrade(fs); g != 3 || len(q) != 0 || err != nil {
-		t.Fatalf("StateStore.Upgrade: gen %d quarantined %v, %v", g, q, err)
-	}
-	rc, report, err := RecoverRC(fs, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rc.Close)
-	if report.Gen != 3 || len(report.Quarantined) != 0 {
-		t.Fatalf("recovered from generation %d, quarantined %v; want the upgraded head, 3, and nothing", report.Gen, report.Quarantined)
 	}
 }

@@ -3,8 +3,11 @@ package coord
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"strings"
 	"time"
 
+	"drms/internal/ckpt"
 	"drms/internal/frame"
 )
 
@@ -100,16 +103,49 @@ func (r *rcRecord) walk(c *frame.Codec) {
 	frame.Varint(c, &r.Shards)
 }
 
-// decodeRecord decodes one persisted record into r: a frame, or a gob
-// record an earlier coordinator wrote (legacy.go).
+// decodeRecord decodes one persisted record into r. One that is not a
+// frame is a gob record an earlier coordinator wrote, which only
+// drmsfsck -repair reads (ReframeRecords).
 func decodeRecord(b []byte, r record) error {
 	if !bytes.HasPrefix(b, []byte(recordMagic)) {
-		return decodeGobRecord(b, r)
+		return fmt.Errorf("coord: a gob state record: %w", ckpt.ErrLegacyFormat)
 	}
 	if err := frame.Decode(b, r.walk); err != nil {
 		return fmt.Errorf("coord: corrupt state record: %w", err)
 	}
 	return nil
+}
+
+// recordOf is a new record of the type stored under key: the
+// coordinator's own, an application's, or nil for a key it does not read.
+func recordOf(key string) record {
+	switch {
+	case key == rcRecordKey:
+		return new(rcRecord)
+	case strings.HasPrefix(key, "app/"):
+		return new(appRecord)
+	}
+	return nil
+}
+
+// ReframeRecords rewrites a table an earlier coordinator committed as
+// this one commits it: each record that is not a frame is decoded by
+// legacy — drmsfsck -repair's gob reader, so that this package reads no
+// gob — into the record its key names, and stored as that record's
+// frame. Frames, and keys the coordinator does not read, stay as they are.
+func ReframeRecords(table map[string][]byte, legacy func(b []byte, rec any) error) (map[string][]byte, error) {
+	out := maps.Clone(table)
+	for key, b := range table {
+		r := recordOf(key)
+		if r == nil || bytes.HasPrefix(b, []byte(recordMagic)) {
+			continue
+		}
+		if err := legacy(b, r); err != nil {
+			return nil, fmt.Errorf("coord: state record %q: %w", key, err)
+		}
+		out[key] = frame.Encode(r.walk)
+	}
+	return out, nil
 }
 
 const rcRecordKey = "rc"

@@ -98,10 +98,10 @@ func TestStateBytesIndependentOfGobHistory(t *testing.T) {
 
 // TestRecoverParentEraStore restores testdata/rcstate_parent.pfs, a store
 // the last gob-image coordinator flushed with two supervised applications,
-// "done" finished and "run" running: RecoverRC refuses it until
-// StateStore.Upgrade rewrote its head, the upgraded head loads the tables
-// that coordinator wrote, and the first commit after recovery writes
-// every record as a frame.
+// "done" finished and "run" running: RecoverRC refuses it, and once
+// drmsfsck -repair rewrote its head — testdata/rcstate_parent_upgraded.pfs,
+// which its tests check byte for byte — the coordinator loads the tables
+// that coordinator wrote, and every commit after recovery holds frames.
 func TestRecoverParentEraStore(t *testing.T) {
 	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
 	if err := fs.LoadFile("testdata/rcstate_parent.pfs"); err != nil {
@@ -118,8 +118,9 @@ func TestRecoverParentEraStore(t *testing.T) {
 	if after := fs.List(""); !slices.Equal(before, after) {
 		t.Fatalf("a refused recovery changed the store: %v -> %v", before, after)
 	}
-	if g, q, err := (&ckpt.StateStore{Base: "rcstate"}).Upgrade(fs); g != 3 || len(q) != 0 || err != nil {
-		t.Fatalf("Upgrade: gen %d quarantined %v, %v", g, q, err)
+	fs = pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
+	if err := fs.LoadFile("testdata/rcstate_parent_upgraded.pfs"); err != nil {
+		t.Fatal(err)
 	}
 
 	rem := &Remnant{}

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -568,8 +569,11 @@ func TestNoSubscriberRetainsNothing(t *testing.T) {
 
 // TestRecoverLoadsParentEncodedStore commits the gob records every
 // earlier coordinator wrote under "rc" and "app/<name>", schema 1 —
-// without going through this tree's snapshotLocked — as an upgraded
-// store holds them, and loads it: those records still decode.
+// without going through this tree's snapshotLocked — as a framed image
+// holds them that drmsfsck -repair committed before it reframed records.
+// RecoverRC refuses that store, touching no file; once ReframeRecords
+// rewrote the table, with a gob reader standing in for drmsfsck's, it
+// loads what those records held.
 func TestRecoverLoadsParentEncodedStore(t *testing.T) {
 	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
 	records := map[string][]byte{
@@ -579,9 +583,34 @@ func TestRecoverLoadsParentEncodedStore(t *testing.T) {
 		"app/gave-up": gobRecord(t, 1, gaveUpRecord),
 		"app/lost": gobRecord(t, 1, appRecord{Name: "lost", Status: StatusRunning, Tasks: 2,
 			Nodes: []int{2, 3}, Version: 3, Lease: 41}),
+		"other": []byte("kept"),
 	}
 	store := &ckpt.StateStore{Base: "rcstate.parent"}
 	if _, err := store.Commit(fs, records); err != nil {
+		t.Fatal(err)
+	}
+	before := fs.List("")
+	if rc, _, err := RecoverRC(fs, RCOptions{HBTimeout: hbTimeout, StatePrefix: "rcstate.parent"}, nil); !errors.Is(err, ckpt.ErrLegacyFormat) {
+		if rc != nil {
+			rc.Close()
+		}
+		t.Fatalf("RecoverRC of gob records: %v, want ckpt.ErrLegacyFormat", err)
+	}
+	if after := fs.List(""); !slices.Equal(before, after) {
+		t.Fatalf("a refused recovery changed the store: %v -> %v", before, after)
+	}
+	reframed, err := ReframeRecords(records, func(b []byte, rec any) error {
+		return gob.NewDecoder(bytes.NewReader(b)).Decode(rec)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, b := range reframed {
+		if bytes.HasPrefix(b, []byte(recordMagic)) == (key == "other") || key == "other" && string(b) != "kept" {
+			t.Fatalf("reframed %q: %q", key, b)
+		}
+	}
+	if _, err := store.Commit(fs, reframed); err != nil {
 		t.Fatal(err)
 	}
 	rc, report, err := RecoverRC(fs, RCOptions{HBTimeout: hbTimeout, StatePrefix: "rcstate.parent"}, nil)
@@ -614,9 +643,6 @@ func TestRecoverLoadsParentEncodedStore(t *testing.T) {
 	if err := decodeRecord(snap["app/gave-up"], &rec); err != nil || !bytes.HasPrefix(snap["app/gave-up"], []byte(recordMagic)) ||
 		rec.Status != StatusStalled || rec.FirstCause != "msg: task killed" || rec.Attempts != 3 {
 		t.Fatalf("re-encoded record %+v, %v", rec, err)
-	}
-	if err := decodeRecord(gobRecord(t, 2, rcRecord{}), &rcRecord{}); err == nil {
-		t.Fatal("a schema 2 gob record decoded")
 	}
 }
 

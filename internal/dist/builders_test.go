@@ -2,11 +2,11 @@ package dist
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"drms/internal/frame"
 	"drms/internal/rangeset"
 )
 
@@ -65,18 +65,15 @@ func sectionsOf(runs [][]rangeset.Range) []rangeset.Slice {
 	return out
 }
 
-func gobOf(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// frameOf is the internal/frame encoding of sections, which checkpoint
+// metadata stores.
+func frameOf(sections []rangeset.Slice) []byte {
+	return frame.Encode(func(c *frame.Codec) { frame.List(c, &sections, c.Slice) })
 }
 
 // sameSections checks d's sections against the reference element for
-// element, in representation, and byte for byte in the gob form
-// checkpoint metadata stores.
+// element, in representation, and byte for byte in the frame checkpoint
+// metadata stores.
 func sameSections(t *testing.T, d *Distribution, want []rangeset.Slice) {
 	t.Helper()
 	if d.Tasks() != len(want) {
@@ -92,10 +89,10 @@ func sameSections(t *testing.T, d *Distribution, want []rangeset.Slice) {
 			}
 		}
 	}
-	if got, ref := gobOf(t, d.assigned), gobOf(t, want); !bytes.Equal(got, ref) {
+	if got, ref := frameOf(d.assigned), frameOf(want); !bytes.Equal(got, ref) {
 		t.Fatalf("assigned sections encode differently from the reference (%d vs %d bytes)", len(got), len(ref))
 	}
-	if got, ref := gobOf(t, d.mapped), gobOf(t, want); !bytes.Equal(got, ref) {
+	if got, ref := frameOf(d.mapped), frameOf(want); !bytes.Equal(got, ref) {
 		t.Fatalf("mapped sections encode differently from the reference")
 	}
 }
