@@ -12,140 +12,39 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The second line keeps the file set every other architecture builds
-# (internal/crc's table-only path) compiling; cross-compiling downloads
-# nothing.
+# The second line keeps internal/crc's table-only path, which every other
+# architecture builds, compiling (cross-compiling downloads nothing).
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/crc
 
-# The fallible runtime core (transport, streaming, checkpointing) reports
-# failures as errors, never by panicking: a panic in these packages would
-# take down survivors that are supposed to unwind with ErrRevoked and
-# restart. Tests are exempt — they may panic inside SPMD bodies as their
-# assertion mechanism.
+# Every rule about Go source is a row of TestArchitecture
+# (architecture_test.go, run by `go test ./...`). Left here: no second
+# harness's results at the root, no document naming the in-place writer.
 lint:
-	@out=$$(grep -rn 'panic(' --include='*.go' internal/msg internal/stream internal/ckpt | grep -v '_test\.go' || true); \
-	if [ -n "$$out" ]; then \
-		echo "panic() in fallible runtime code (must return errors):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rn '"drms/' --include='*.go' internal/obs || true); \
-	if [ -n "$$out" ]; then \
-		echo "internal/obs must stay stdlib-only (every layer imports it):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rn '"drms/' --include='*.go' internal/codec || true); \
-	if [ -n "$$out" ]; then \
-		echo "internal/codec must stay stdlib-only (piece codecs decode anywhere, including fsck):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rn '"drms/' --include='*.go' internal/xsum || true); \
-	if [ -n "$$out" ]; then \
-		echo "internal/xsum must stay stdlib-only (a leaf: the exact sum every layer may fold into):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' '\.Gather\([^)]*rangeset\.' cmd internal || true); \
-	if [ -n "$$out" ]; then \
-		echo "Array.Gather in product code (it moves the whole array to one rank: tests only; a"; \
-		echo "checksum is Array.Checksum, which moves no element):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=coord --exclude-dir=drms --exclude-dir=msg --exclude-dir=bench \
-		-E '\.(EnableCheckpoint|RequestStop|Kill)\(' cmd internal || true); \
-	if [ -n "$$out" ]; then \
-		echo "RC internals reached around outside internal/coord (use the versioned API —"; \
-		echo "OpenApp/CheckpointApp/StopApp/KillApp — or the control protocol):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -nE '\.Status\s*=[^=]|\.Version\+\+|\.(EnableCheckpoint|RequestStop|Kill)\(' internal/coord/*.go \
-		| grep -v -e '_test\.go:' -e '^internal/coord/transition\.go:' || true); \
-	if [ -n "$$out" ]; then \
-		echo "application state changed outside the coordinator's transition function (status, version"; \
-		echo "and the control actions on an incarnation belong to internal/coord/transition.go):"; echo "$$out"; exit 1; fi
-	@for pat in '\.Status\s*=[^=]' '\.Version\+\+'; do \
-		if [ "$$(grep -cE "$$pat" internal/coord/transition.go)" -ne 1 ]; then \
-			echo "internal/coord/transition.go must hold exactly one site matching $$pat:"; \
-			grep -nE "$$pat" internal/coord/transition.go; exit 1; fi; done
-	@out=$$(grep -n 'flushState()' internal/coord/*.go \
-		| grep -v -e '_test\.go:' -e '^internal/coord/transition\.go:' -e '^internal/coord/store\.go:' || true); \
-	if [ "$$(printf '%s' "$$out" | grep -c .)" -gt 1 ] || printf '%s' "$$out" | grep -qv '^internal/coord/lease\.go:'; then \
-		echo "a synchronous state flush outside the transition function, the persister, SyncState and"; \
-		echo "RecoverRC's one final flush (persist-then-announce is the transition function's job):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rln --include='*.go' '^package coord' cmd internal | grep -v '^internal/coord/' || true); \
-	if [ -n "$$out" ]; then \
-		echo "package coord declared outside internal/coord (no backdoor into the RC's tables):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -n '\.StreamRead(' internal/ckpt/*.go | grep -v '_test\.go:' || true); \
-	if [ "$$(printf '%s' "$$out" | grep -c .)" -gt 1 ]; then \
-		echo "more than one StreamRead call site in internal/ckpt (every restart shape is a plan"; \
-		echo "of the one restore engine, restoreDRMS — a second reader must not creep back):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -n '\.StreamWrite(' internal/ckpt/*.go | grep -v '_test\.go:' || true); \
-	if [ "$$(printf '%s' "$$out" | grep -c .)" -gt 1 ]; then \
-		echo "more than one StreamWrite call site in internal/ckpt (every DRMS checkpoint is an anchor"; \
-		echo "or a delta of the one encoder, WriteDRMSChained — a second writer must not creep back):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -nE 'chained\(\)|ckpt\.WriteDRMS\(' internal/drms/*.go | grep -v '_test\.go:' || true); \
-	if [ -n "$$out" ]; then \
-		echo "internal/drms selects a checkpoint format again (a configuration chooses codec, chain and"; \
-		echo "tier through ckpt.ChainOptions, never the format):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -nE 'array\.New[[(]|array\.Assign\(|\.Reset\(' internal/stream/*.go | grep -v '_test\.go:' || true); \
-	if [ -n "$$out" ]; then \
-		echo "internal/stream holds a typed array of its own again (a round's pieces live in their I/O"; \
-		echo "buffers, in wire form: array.PackPieces/UnpackPieces — the auxiliary array must not creep back):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -nE 'append\(\[\]byte\(nil\)|bytes\.Clone' internal/msg/local.go internal/msg/tcp.go || true); \
-	if [ -n "$$out" ]; then \
-		echo "a payload copy in a transport (Send takes ownership of its payload: Comm.send copies for"; \
-		echo "the operations that give the caller its buffer back, AlltoallSparse hands off):"; echo "$$out"; exit 1; fi
-	@out=$$(awk '/^func \(c \*Comm\) (AlltoallSparse|send)\(/,/^}/ { next } /handOff\(/ && !/^func \(c \*Comm\) handOff\(/ { print FILENAME ":" FNR ": " $$0 }' \
-		$$(ls internal/msg/*.go | grep -v '_test\.go$$')); \
-	if [ -n "$$out" ]; then \
-		echo "a hand-off outside AlltoallSparse (every other operation promises MPI copy semantics:"; \
-		echo "its caller may reuse the buffer, so it must go through Comm.send, which hands off a copy):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -nE '\[\](Transport|\*TCPTransport)\b' $$(ls internal/msg/*.go | grep -v '_test\.go$$') || true; \
-		awk 'FNR == 1 { fn = "" } /^func / { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn) } \
-		/New(Local|TCP)Transport\(/ && !/^[ \t]*\/\// && !/^func New(Local|TCP)Transport\(/ && fn !~ /^(NewRunner|install)$$/ { print FILENAME ":" FNR ": " $$0 }' \
-		$$(ls internal/msg/*.go | grep -v '_test\.go$$')); \
-	if [ -n "$$out" ]; then \
-		echo "a second live epoch in the runner (it keeps only the current transport: NewRunner opens the"; \
-		echo "launch one, Runner.install every later one, and a retired transport is dropped):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rl '"unsafe"' --include='*.go' internal | grep -vx 'internal/array/codec.go' || true); \
-	if [ -n "$$out" ]; then \
-		echo "a second unsafe import under internal/ (the one byte view of a slice is rawBytes in"; \
-		echo "internal/array/codec.go):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rl '"hash/crc64"' --include='*.go' --exclude='*_test.go' cmd internal | grep -vx 'internal/crc/crc.go' || true); \
-	if [ -n "$$out" ]; then \
-		echo "a second CRC-64 under internal/ (internal/crc is the one implementation: its sums are"; \
-		echo "hash/crc64's, its bulk path the carry-less-multiply kernel):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
-		'binary\.(Append|Put)?U?[vV]arint\(' . | grep -v '^\./internal/frame/' || true); \
-	if [ -n "$$out" ]; then \
-		echo "a hand-rolled varint codec (internal/frame is the one codec of every record the system defines:"; \
-		echo "one walk that encodes and decodes, accepting only the encoding of what it decodes to):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -nE 'ChainLen|Deps|loadChain' internal/ckpt/state.go || true); \
-	if [ -n "$$out" ]; then \
-		echo "the control-plane store walks or writes chains again (every StateStore generation is a"; \
-		echo "self-contained anchor; only drmsfsck -repair resolves an older delta chain):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '\.Intersect\(.*\)\.Equal\(' . || true); \
-	if [ -n "$$out" ]; then \
-		echo "a subset test built as intersect-then-compare (it walks every element and allocates the"; \
-		echo "intersection; x.Within(y) answers x ⊆ y in O(1) on regular axes, one pass otherwise):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/json"' internal/bench cmd/drmsbench || true; \
-		ls BENCH_*.json 2>/dev/null || true); \
-	if [ -n "$$out" ]; then \
-		echo "a second benchmark harness (benchmark/ writes the one result schema; internal/bench and"; \
-		echo "cmd/drmsbench regenerate the paper's tables, and TestModeledClaims holds the modeled claims):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rnE 'IncrementalCheckpoint|WriteDRMSIncremental|SkipPiece' --include='*.go' \
-		--include='README.md' --include='DESIGN.md' --include='EXPERIMENTS.md' . || true); \
-	if [ -n "$$out" ]; then \
-		echo "the in-place incremental writer is back (chained deltas, Config.AnchorEvery > 1,"; \
-		echo "are the one implementation of the paper's §6 optimisation):"; echo "$$out"; exit 1; fi
+	@out=$$(ls BENCH_*.json 2>/dev/null || true); if [ -n "$$out" ]; then \
+		echo "a second benchmark harness's results (benchmark/ writes the one result schema):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'IncrementalCheckpoint|WriteDRMSIncremental|SkipPiece' \
+		--include='README.md' --include='DESIGN.md' --include='EXPERIMENTS.md' . || true); if [ -n "$$out" ]; then \
+		echo "the in-place incremental writer is back (chained deltas, Config.AnchorEvery > 1, are the one"; \
+		echo "implementation of the paper's §6 optimisation):"; echo "$$out"; exit 1; fi
 
-# Non-test lines per internal package: the number a simplification PR
-# moves, printed by CI so a reviewer sees it without a checkout. The
-# product total is internal/; the tool total is drmsfsck with its package
-# of gob-era readers (cmd/drmsfsck/internal/legacy), which no product
-# binary links. Assembly is counted apart: the totals before it existed
-# stay comparable.
+# Non-test lines per package under internal/, nested ones included, printed
+# by CI: the number a simplification PR moves. The tool total is drmsfsck
+# with its gob-era readers, which no product binary links. Assembly is
+# counted apart, so the totals from before it existed stay comparable.
+GOSRC = find $(1) -name testdata -prune -o -name '*.go' ! -name '*_test.go' -print
 loc:
-	@for d in internal/*/; do \
-		printf '%-22s %6d\n' "$$d" "$$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"; done
-	@printf '%-22s %6d\n' 'product total' "$$(ls internal/*/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
-	@printf '%-22s %6d\n' 'tool total' "$$(find cmd/drmsfsck -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-	@printf '%-22s %6d\n' 'assembly (*.s)' "$$(cat internal/*/*.s | wc -l)"
+	@for d in $$($(call GOSRC,internal) | xargs -n1 dirname | sort -u); do \
+		printf '%-22s %6d\n' "$$d/" "$$(ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"; done
+	@printf '%-22s %6d\n' 'product total' "$$($(call GOSRC,internal) | xargs cat | wc -l)"
+	@printf '%-22s %6d\n' 'tool total' "$$($(call GOSRC,cmd/drmsfsck) | xargs cat | wc -l)"
+	@printf '%-22s %6d\n' 'assembly (*.s)' "$$(find internal -name '*.s' | xargs cat | wc -l)"
 
-# Every rank's sends per SOP kind — an anchor checkpoint, a delta, the
-# enabling SOP armed and unarmed, a restore — on 4 tasks with one 32 KB
-# array and with two: the table TestSOPRounds pins, printed by CI so a
-# reviewer sees the rounds a small SOP costs, and that they do not grow
-# with the array count, without a checkout. A changed count fails the
-# test.
+# Every rank's sends per SOP kind (anchor, delta, enabling SOP armed and
+# unarmed, restore) on 4 tasks with one 32 KB array and with two: the
+# table TestSOPRounds pins, printed in the CI log: what a small SOP costs,
+# and that it does not grow with the array count.
 rounds:
 	@out=$$($(GO) test -count=1 -run '^TestSOPRounds$$' -v ./internal/drms) || { echo "$$out"; exit 1; }; \
 		printf '%s\n' "$$out" | sed -n 's/^        \(..*\)/\1/p'

@@ -2,10 +2,7 @@ package drms_test
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
+	"path"
 	"sort"
 	"strings"
 	"testing"
@@ -56,35 +53,25 @@ func TestNoUnreferencedExports(t *testing.T) {
 	}
 	var decls []decl
 	refs := map[string]int{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+	tr, err := moduleTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range tr.files {
+		if f.test {
+			continue
 		}
 		own := map[*ast.Ident]bool{}
-		if strings.HasPrefix(path, "internal/") {
-			pkg := filepath.Base(filepath.Dir(path))
+		if strings.HasPrefix(f.rel, "internal/") {
+			pkg := path.Base(path.Dir(f.rel))
 			add := func(id *ast.Ident, recv string) {
 				if !id.IsExported() {
 					return
 				}
 				own[id] = true
-				decls = append(decls, decl{pkg + "." + recv + id.Name, fset.Position(id.Pos()).String(), recv != ""})
+				decls = append(decls, decl{pkg + "." + recv + id.Name, tr.fset.Position(id.Pos()).String(), recv != ""})
 			}
-			for _, d := range f.Decls {
+			for _, d := range f.ast.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					recv := ""
@@ -106,16 +93,12 @@ func TestNoUnreferencedExports(t *testing.T) {
 				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !own[id] {
 				refs[id.Name]++
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	declared := map[string]bool{}
 	var unused []string

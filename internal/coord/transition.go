@@ -14,8 +14,8 @@ import (
 // control-plane state — its status, error, version, incarnation handle,
 // pool and the busy claims that go with the pool — is one row of the
 // transitions table below, applied by RC.transition and by nothing else
-// (make lint holds the line). The function runs the same steps in the
-// same order for every row: look the rule up, mutate under rc.mu,
+// (TestArchitecture's transition rows). The function runs the same steps
+// in the same order for every row: look the rule up, mutate under rc.mu,
 // persist (synchronously where the rule says a crash must not forget),
 // stamp the rule's metric, announce, release waiters. Persist-then-
 // announce is therefore structure, not a convention each call site has

@@ -184,7 +184,7 @@ func (c *Comm) send(dst, tag int, data []byte) error {
 }
 
 // handOff delivers data itself: the transport, then the receiver, own it
-// from the call on. Besides send, only AlltoallSparse calls it (make lint).
+// from the call on. Only send and AlltoallSparse call it (TestArchitecture).
 func (c *Comm) handOff(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("msg: send to rank %d of %d", dst, c.size)

@@ -10,8 +10,8 @@
 // atomic op — no locks, no allocation, so instrumentation cost stays
 // far below the noise floor of the operations it measures.
 //
-// The package deliberately uses only the standard library (enforced by
-// `make lint`): the runtime must not grow a metrics dependency.
+// The package deliberately uses only the standard library (the obs row of
+// TestArchitecture): the runtime must not grow a metrics dependency.
 package obs
 
 import (
