@@ -26,6 +26,15 @@
 // sixteen message bytes from a zero register, which is the reduction, so
 // the assembly needs no Barrett step. Inputs under clmulMin bytes, hosts
 // whose CPUID lacks PCLMULQDQ and other architectures run hash/crc64.
+//
+// Where the host has AVX-512 and VPCLMULQDQ, inputs of wideMin bytes or
+// more start in a wide prologue of the same kernel: sixteen lanes in four
+// ZMM registers, each step 256 bytes ahead by x^(2048+64−1) and
+// x^(2048−1) broadcast to every lane, the two products and the next
+// message bytes merged by one three-way XOR (VPTERNLOGQ). At the end
+// the 64-byte constants fold the four registers into one, whose four
+// lanes are the ones the 128-bit loop would hold at that offset, so the
+// 64-byte loop and the tail after it are shared, not repeated.
 package crc
 
 import "hash/crc64"
@@ -35,11 +44,20 @@ var table = crc64.MakeTable(crc64.ECMA)
 // poly is the CRC-64/ECMA polynomial in reflected order.
 const poly = 0xC96C5795D7870F42
 
-// useCLMUL is probed once; it is a capability of the host, not an option.
-var useCLMUL = hasCLMUL()
+// useCLMUL and useVPCLMUL are probed once; they are capabilities of the
+// host, not options.
+var (
+	useCLMUL   = hasCLMUL()
+	useVPCLMUL = hasVPCLMUL()
+)
 
-// clmulMin is where the kernel overtakes the table (BenchmarkChecksum).
-const clmulMin = 128
+// clmulMin is where the kernel overtakes the table, wideMin where its
+// wide prologue overtakes the 128-bit loop: from 256 bytes to 511 it
+// ties or trails by a nanosecond or two (BenchmarkChecksum).
+const (
+	clmulMin = 128
+	wideMin  = 512
+)
 
 // Checksum returns the CRC-64/ECMA of p.
 func Checksum(p []byte) uint64 { return Update(0, p) }
@@ -48,17 +66,18 @@ func Checksum(p []byte) uint64 { return Update(0, p) }
 // finished (inverted) sum of what came before, as is the result.
 func Update(crc uint64, p []byte) uint64 {
 	if useCLMUL && len(p) >= clmulMin {
-		return updateCLMUL(crc, p)
+		return updateCLMUL(crc, p, useVPCLMUL && len(p) >= wideMin)
 	}
 	return crc64.Update(crc, table, p)
 }
 
-// updateCLMUL is Update through the kernel, for 64 bytes or more: the
-// whole 16-byte blocks folded to one, that one and the tail by table.
-func updateCLMUL(crc uint64, p []byte) uint64 {
+// updateCLMUL is Update through the kernel, for 64 bytes or more (wide
+// from 256): the whole 16-byte blocks folded to one, that one and the
+// tail by table.
+func updateCLMUL(crc uint64, p []byte, wide bool) uint64 {
 	var rem [16]byte
 	n := len(p) &^ 15
-	foldCLMUL(^crc, p[:n], &foldK, &rem)
+	foldCLMUL(^crc, p[:n], &foldK, &rem, wide)
 	return crc64.Update(crc64.Update(^uint64(0), table, rem[:]), table, p[n:])
 }
 
@@ -105,8 +124,13 @@ func xPow(n int64, k int) uint64 {
 }
 
 // foldK holds the kernel's multipliers as PCLMULQDQ operand pairs (low
-// quadword for a lane's low half): the 64-byte step, then the 16-byte one.
-var foldK = [4]uint64{xPow(512+64-1, 0), xPow(512-1, 0), xPow(128+64-1, 0), xPow(128-1, 0)}
+// quadword for a lane's low half): the 256-byte step, the 64-byte one,
+// then the 16-byte one.
+var foldK = [6]uint64{
+	xPow(2048+64-1, 0), xPow(2048-1, 0),
+	xPow(512+64-1, 0), xPow(512-1, 0),
+	xPow(128+64-1, 0), xPow(128-1, 0),
+}
 
 // Combine returns the CRC of the concatenation of two byte sequences
 // given their individual CRCs and the length of the second.

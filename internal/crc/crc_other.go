@@ -4,4 +4,8 @@ package crc
 
 func hasCLMUL() bool { return false }
 
-func foldCLMUL(uint64, []byte, *[4]uint64, *[16]byte) { panic("crc: no carry-less multiply kernel") }
+func hasVPCLMUL() bool { return false }
+
+func foldCLMUL(uint64, []byte, *[6]uint64, *[16]byte, bool) {
+	panic("crc: no carry-less multiply kernel")
+}

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"hash/crc64"
 	"math/rand"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -11,20 +14,34 @@ import (
 // package's own.
 var ecma = crc64.MakeTable(crc64.ECMA)
 
-// withKernel runs f with the kernel as probed and, where that found one,
-// again switched off, so the path every non-amd64 host takes is tested on
-// this one; failures name the mode through mode().
+// withKernel runs f on every path the host has: the kernel as probed,
+// then without its wide prologue, then the table alone, so the paths
+// every other host takes are tested on this one; failures name the path
+// through mode(). The wide path's oracle runs only on a host with
+// AVX-512 and VPCLMULQDQ.
 func withKernel(f func()) {
-	probed := useCLMUL
-	defer func() { useCLMUL = probed }()
+	clmul, wide := useCLMUL, useVPCLMUL
+	defer func() { useCLMUL, useVPCLMUL = clmul, wide }()
 	f()
-	if probed {
+	if wide {
+		useVPCLMUL = false
+		f()
+	}
+	if clmul {
 		useCLMUL = false
 		f()
 	}
 }
 
-func mode() string { return fmt.Sprintf("clmul=%v", useCLMUL) }
+func mode() string {
+	switch {
+	case !useCLMUL:
+		return "table"
+	case useVPCLMUL:
+		return "wide"
+	}
+	return "128-bit"
+}
 
 // xPowRef is x^n mod P one bit at a time.
 func xPowRef(n int) uint64 {
@@ -40,7 +57,7 @@ func xPowRef(n int) uint64 {
 }
 
 func TestDerivedConstants(t *testing.T) {
-	for i, n := range []int{512 + 64 - 1, 512 - 1, 128 + 64 - 1, 128 - 1} {
+	for i, n := range []int{2048 + 64 - 1, 2048 - 1, 512 + 64 - 1, 512 - 1, 128 + 64 - 1, 128 - 1} {
 		if got, want := foldK[i], xPowRef(n); got != want {
 			t.Errorf("foldK[%d] = %016x, want x^%d mod P = %016x", i, got, n, want)
 		}
@@ -62,27 +79,68 @@ func TestDerivedConstants(t *testing.T) {
 
 // TestFoldEdges drives the assembly alone at its loop-entry edges: 64
 // bytes take neither loop, 80 the 16-byte one once, 128 the 64-byte one
-// once; the rest mix them.
+// once; the rest mix them. The wide prologue takes 256 bytes without its
+// loop, 272 and 320 into the 16- and 64-byte loops, 512 through one step
+// of its own; the large ones leave every loop a remainder.
 func TestFoldEdges(t *testing.T) {
 	if !useCLMUL {
 		t.Skip("no PCLMULQDQ on this host")
 	}
+	kernels := []bool{false}
+	if useVPCLMUL {
+		kernels = append(kernels, true)
+	}
 	rng := rand.New(rand.NewSource(24))
-	for _, n := range []int{64, 80, 128, 144, 192, 208, 4096 + 48} {
+	for _, n := range []int{64, 80, 128, 144, 192, 208, 256, 272, 320, 512, 4096 + 48, 1<<20 + 16} {
 		p := make([]byte, n)
 		rng.Read(p)
 		for _, reg := range []uint64{0, ^uint64(0), rng.Uint64()} {
-			var rem [16]byte
-			foldCLMUL(reg, p, &foldK, &rem)
-			if got, want := crc64.Update(^uint64(0), ecma, rem[:]), crc64.Update(^reg, ecma, p); got != want {
-				t.Errorf("fold of %d bytes from register %016x: remainder reduces to %016x, want %016x", n, reg, got, want)
+			want := crc64.Update(^reg, ecma, p)
+			for _, wide := range kernels {
+				var rem [16]byte
+				foldCLMUL(reg, p, &foldK, &rem, wide)
+				if got := crc64.Update(^uint64(0), ecma, rem[:]); got != want {
+					t.Errorf("wide=%v: fold of %d bytes from register %016x: remainder reduces to %016x, want %016x", wide, n, reg, got, want)
+				}
 			}
 		}
 	}
 }
 
+// TestProbeMatchesHost holds the probes to the flags Linux reports, so a
+// wrong CPUID leaf or bit, or a wrong XCR0 mask, fails here rather than
+// faulting on a host; -v logs the paths this host's tests exercise.
+func TestProbeMatchesHost(t *testing.T) {
+	t.Logf("paths probed: wide=%v 128-bit=%v table=true", useVPCLMUL, useCLMUL)
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("no /proc/cpuinfo flags to compare on %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip(err)
+	}
+	flags := map[string]bool{}
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			for _, f := range strings.Fields(list) {
+				flags[f] = true
+			}
+			break
+		}
+	}
+	if len(flags) == 0 {
+		t.Skip("no flags line in /proc/cpuinfo")
+	}
+	if want := flags["pclmulqdq"]; useCLMUL != want {
+		t.Errorf("useCLMUL = %v, /proc/cpuinfo pclmulqdq = %v", useCLMUL, want)
+	}
+	if want := flags["avx512f"] && flags["vpclmulqdq"]; useVPCLMUL != want {
+		t.Errorf("useVPCLMUL = %v, /proc/cpuinfo avx512f && vpclmulqdq = %v", useVPCLMUL, want)
+	}
+}
+
 // check compares every entry point on p from register crc with
-// hash/crc64, in both modes, and the kernel also below the crossover
+// hash/crc64, on every path, and each kernel also below the crossover
 // Update applies.
 func check(t *testing.T, what string, crc uint64, p []byte) {
 	t.Helper()
@@ -95,9 +153,11 @@ func check(t *testing.T, what string, crc uint64, p []byte) {
 			t.Fatalf("%s, %s: Checksum(%d bytes) = %016x, hash/crc64 %016x", mode(), what, len(p), Checksum(p), want)
 		}
 	})
-	if useCLMUL && len(p) >= 64 {
-		if got := updateCLMUL(crc, p); got != want {
-			t.Fatalf("%s: updateCLMUL(%016x, %d bytes) = %016x, hash/crc64 %016x", what, crc, len(p), got, want)
+	for _, wide := range []bool{false, true} {
+		if useCLMUL && len(p) >= 64 && (!wide || useVPCLMUL && len(p) >= 256) {
+			if got := updateCLMUL(crc, p, wide); got != want {
+				t.Fatalf("%s: updateCLMUL(%016x, %d bytes, wide=%v) = %016x, hash/crc64 %016x", what, crc, len(p), wide, got, want)
+			}
 		}
 	}
 }
@@ -193,22 +253,30 @@ func FuzzChecksum(f *testing.F) {
 	})
 }
 
-// BenchmarkChecksum sets the kernel beside the table loop it replaced,
-// at the crossover's scale, a piece header's and a piece's; `make test`
-// runs it once.
+// BenchmarkChecksum sets the kernel, without and with its wide prologue,
+// beside the table loop it replaced: at the crossovers' scale, a piece
+// header's, and the hot workloads' and a dense state's piece sizes;
+// `make test` runs it once.
 func BenchmarkChecksum(b *testing.B) {
 	type path struct {
 		name string
+		min  int
 		f    func(uint64, []byte) uint64
 	}
-	paths := []path{{"table", func(crc uint64, p []byte) uint64 { return crc64.Update(crc, table, p) }}}
+	paths := []path{{"table", 0, func(crc uint64, p []byte) uint64 { return crc64.Update(crc, table, p) }}}
 	if useCLMUL {
-		paths = append(paths, path{"kernel", updateCLMUL})
+		paths = append(paths, path{"kernel", 64, func(crc uint64, p []byte) uint64 { return updateCLMUL(crc, p, false) }})
 	}
-	for _, n := range []int{64, 128, 4 << 10, 1 << 20} {
+	if useVPCLMUL {
+		paths = append(paths, path{"wide", 256, func(crc uint64, p []byte) uint64 { return updateCLMUL(crc, p, true) }})
+	}
+	for _, n := range []int{64, 128, 256, 384, 512, 4 << 10, 32 << 10, 1 << 20} {
 		p := make([]byte, n)
 		rand.New(rand.NewSource(67)).Read(p)
 		for _, path := range paths {
+			if n < path.min {
+				continue
+			}
 			b.Run(fmt.Sprintf("%s/%d", path.name, n), func(b *testing.B) {
 				b.SetBytes(int64(n))
 				for b.Loop() {
