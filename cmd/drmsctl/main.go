@@ -62,7 +62,7 @@ func main() {
 	prefix := flag.String("prefix", "", "remote verify: checkpoint prefix")
 	timeout := flag.Duration("timeout", 60*time.Second, "remote wait: how long to block for the application to settle")
 	recoverJob := flag.Bool("recover", false, "remote submit: run the job under the recovery supervisor")
-	version := flag.Uint64("version", 0, "remote checkpoint/stop: state version from a prior 'open' — the op is rejected if the application has moved past it (0 = unversioned)")
+	version := flag.Uint64("version", 0, "remote checkpoint/stop/resize: state version from a prior 'open' — the op is rejected if the application has moved past it (0: open the application first and use the version it returns)")
 	flag.Parse()
 
 	if *connect != "" {
@@ -273,6 +273,11 @@ func dialDaemon(addr string) *coord.ControlClient {
 func remote(addr string, req coord.Request) {
 	cl := dialDaemon(addr)
 	defer cl.Close()
+	if mutates := req.Op == "checkpoint" || req.Op == "stop" || req.Op == "resize"; mutates && req.Version == 0 {
+		open, err := cl.Do(coord.Request{Op: "open", Name: req.Name})
+		check(err)
+		req.Version = open.Version
+	}
 	resp, err := cl.Do(req)
 	check(err)
 	switch req.Op {

@@ -102,3 +102,53 @@ func TestExitCodesDistinguishDeadDaemonFromFailedOp(t *testing.T) {
 		t.Fatalf("healthy op: exit %d, want 0", code)
 	}
 }
+
+// TestMutationWithoutVersionOpensFirst: the server refuses a mutation
+// without a version, so drmsctl run without -version opens the
+// application first and mutates with the version it got back.
+func TestMutationWithoutVersionOpensFirst(t *testing.T) {
+	bin := buildCtl(t)
+	fs := pfs.NewSystem(pfs.DefaultConfig())
+	rc, err := coord.NewRCOpts(fs, coord.RCOptions{HBTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rc.Close)
+	tcs, err := coord.Pool(rc, 1, 20*time.Millisecond, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tcs[0].Stop() })
+	srv := &coord.ControlServer{RC: rc, JSA: coord.NewJSA(rc)}
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	cl, err := coord.DialControl(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	if _, err := cl.Do(coord.Request{Op: "submit", Name: "job", Kernel: "bt", Class: "S",
+		Min: 1, Max: 1, Iters: 100000, CkEvery: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if resp, err := cl.Do(coord.Request{Op: "status", Name: "job"}); err == nil && resp.App.Status == coord.StatusRunning {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("job never ran: %v", err)
+		}
+	}
+	if _, err := cl.Do(coord.Request{Op: "stop", Name: "job"}); err == nil || !strings.Contains(err.Error(), `"open"`) {
+		t.Fatalf("an unversioned stop on the wire: %v, want a refusal naming open", err)
+	}
+	out, err := exec.Command(bin, "-connect", addr, "-op", "stop", "-name", "job").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "ok (version") {
+		t.Fatalf("drmsctl -op stop without -version: %v\n%s", err, out)
+	}
+	if st, err := cl.WaitStatus("job", 30*time.Second); err != nil || st != coord.StatusFinished {
+		t.Fatalf("job settled %s, %v", st, err)
+	}
+}

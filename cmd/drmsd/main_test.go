@@ -72,7 +72,9 @@ func TestDaemonObservabilityEndToEnd(t *testing.T) {
 		return err == nil && resp.App != nil && resp.App.Incarnation >= 1 &&
 			resp.App.Status == coord.StatusRunning
 	})
-	cl.Do(coord.Request{Op: "stop", Name: "job"}) // may already be settling
+	if open, err := cl.Do(coord.Request{Op: "open", Name: "job"}); err == nil {
+		cl.Do(coord.Request{Op: "stop", Name: "job", Version: open.Version}) // may already be settling
+	}
 	if status, err := cl.WaitStatus("job", 30*time.Second); err != nil || status != coord.StatusFinished {
 		t.Fatalf("job settled (%v, %v), want (finished, nil)", status, err)
 	}

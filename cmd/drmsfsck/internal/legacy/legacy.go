@@ -1,13 +1,15 @@
 // Package legacy is drmsfsck -repair's reader of the gob era: metadata of
-// versions 1 and 2, the coordinator's gob state images (some of them
-// delta chains) and its gob records. It rewrites each as the frames the
-// product reads (DESIGN.md §3g) and is linked into drmsfsck alone: the
-// product refuses all of them with ckpt.ErrLegacyFormat.
+// versions 1 and 2, segment payloads in gob, the coordinator's gob state
+// images (some of them delta chains) and its gob records. It rewrites
+// each as the frames the product reads (DESIGN.md §3g) and is linked into
+// drmsfsck alone: the product refuses all of them with
+// ckpt.ErrLegacyFormat.
 package legacy
 
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -16,6 +18,7 @@ import (
 	"drms/internal/ckpt"
 	"drms/internal/codec"
 	"drms/internal/coord"
+	"drms/internal/crc"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
 	"drms/internal/seg"
@@ -23,30 +26,33 @@ import (
 )
 
 // Upgrade rewrites the checkpoint under prefix, whose metadata is a gob
-// record, as metadata version 3. A DRMS version 2, SPMD or state store
-// record only gets a new meta, holding exactly the gob record's Meta;
-// payloads are not re-read (a memory-only generation has none on disk).
-// A DRMS version 1 checkpoint also has each array's stream in one raw file
-// P.arr.<name>: Upgrade copies it to a task-0 piece file, locates its
-// pieces from the version 1 checksum table (one whole-stream piece when
-// there is none), and removes the stream files once the result verifies.
-// The meta is committed last: a crash before it leaves the gob record in
-// charge, and a rerun starts over. Offline and single-client; upgraded is
-// false, with a nil error, when there is nothing to upgrade.
+// record or whose segments are, as metadata version 3 over framed
+// segments. A segment file on disk — a DRMS checkpoint's one, an SPMD
+// checkpoint's per task — is checked against its metadata, and its gob
+// payload re-framed (upgradeSegments); nothing else is re-read (a
+// memory-only segment has no file, and stays legacy). A DRMS version 1
+// checkpoint also has each array's stream in one raw file P.arr.<name>:
+// Upgrade copies it to a task-0 piece file, locates its pieces from the
+// version 1 checksum table (one whole-stream piece when there is none),
+// and removes the stream files once the result verifies. The meta is
+// committed last: a crash before it leaves the gob record in charge, and
+// a rerun starts over. Offline and single-client; upgraded is false, with
+// a nil error, when there is nothing to upgrade.
 func Upgrade(fs *pfs.System, prefix string, client int) (upgraded bool, err error) {
 	m, g, err := readMeta(fs, prefix, client)
-	if g == nil || err != nil {
+	if err != nil {
 		return false, err
 	}
-	if g.Version != 1 && g.Version != 2 {
+	if g != nil && g.Version != 1 && g.Version != 2 {
 		return false, fmt.Errorf("legacy: %q: metadata version %d unsupported", prefix, g.Version)
 	}
-	v1DRMS := m.Mode == ckpt.ModeDRMS && g.Version == 1 && len(m.Arrays) > 0
+	segs, err := upgradeSegments(fs, prefix, client, &m)
+	if err != nil || g == nil && !segs {
+		return false, err
+	}
+	v1DRMS := m.Mode == ckpt.ModeDRMS && g != nil && g.Version == 1 && len(m.Arrays) > 0
 	if v1DRMS {
-		gen := -1 // PieceLoc.Gen of a non-rotated prefix
-		if _, n, ok := ckpt.GenOf(prefix); ok {
-			gen = n
-		}
+		gen := genOf(prefix) // PieceLoc.Gen
 		m.PieceLocs = make([][]ckpt.PieceLoc, len(m.Arrays))
 		for i, am := range m.Arrays {
 			sums := []ckpt.PieceSum{{Bytes: am.Bytes}}
@@ -83,6 +89,75 @@ func Upgrade(fs *pfs.System, prefix string, client int) (upgraded bool, err erro
 
 // streamFile names a version 1 array's one stream file.
 func streamFile(prefix, name string) string { return prefix + ".arr." + name }
+
+// upgradeSegments re-frames each of m's segment files on disk whose
+// payload is gob (seg.Legacy), after checking the file against m, and
+// sets the file's new size and CRC in m. A state store's generation (a
+// zero Ctx) holds a state image, which UpgradeStore rewrites. The new
+// file is what this tree writes for the same segment: an SPMD payload's
+// arrays' local bytes follow the frame as they followed the gob record,
+// and the file is padded to the size model. A segment file has one name,
+// so its rewrite comes before the meta's commit and not with it; the
+// caller commits the meta at once.
+func upgradeSegments(fs *pfs.System, prefix string, client int, m *ckpt.Meta) (upgraded bool, err error) {
+	files := []string{prefix + ".seg"}
+	switch {
+	case m.Ctx.Tasks == 0 || m.Mode == ckpt.ModeDRMS && m.SegWhere == ckpt.TierMem:
+		return false, nil
+	case m.Mode == ckpt.ModeSPMD:
+		files = files[:0]
+		for task := range m.SegBytes {
+			files = append(files, fmt.Sprintf("%s.task%d.seg", prefix, task))
+		}
+	}
+	for i, name := range files {
+		bad := func(format string, args ...any) error {
+			return &ckpt.CorruptError{Prefix: prefix, Gen: genOf(prefix), Piece: -1, File: name, Detail: fmt.Sprintf(format, args...)}
+		}
+		if sz, err := fs.Size(name); err != nil || sz != m.SegBytes[i] || sz < 8 {
+			return false, bad("%d bytes, metadata says %d (%v)", sz, m.SegBytes[i], err)
+		}
+		file := make([]byte, m.SegBytes[i])
+		if err := fs.ReadAt(client, name, file, 0); err != nil {
+			return false, err
+		} else if sum := crc.Checksum(file); sum != m.SegCRC[i] {
+			return false, bad("crc %016x, metadata %016x", sum, m.SegCRC[i])
+		}
+		plen := binary.LittleEndian.Uint64(file)
+		if plen > uint64(len(file)-8) {
+			return false, bad("a payload of %d bytes in a %d-byte file", plen, len(file))
+		}
+		blob := file[8 : 8+plen]
+		if !seg.Legacy(blob) {
+			continue
+		}
+		var p seg.Payload // a gob record of these fields, by name
+		r := bytes.NewReader(blob)
+		if err := gob.NewDecoder(r).Decode(&p); err != nil || len(p.Names) != len(p.Blobs) {
+			return false, bad("a gob segment that does not decode (%d names, %d blobs): %v", len(p.Names), len(p.Blobs), err)
+		}
+		// The decoder consumed exactly the record: what follows it is an
+		// SPMD task's local sections.
+		blob = append(p.Encode(), blob[len(blob)-r.Len():]...)
+		total := (&seg.Segment{Model: p.Model}).FileSize(len(blob))
+		file = binary.LittleEndian.AppendUint64(make([]byte, 0, total), uint64(len(blob)))
+		file = append(append(file, blob...), make([]byte, total-8-int64(len(blob)))...)
+		fs.Create(name)
+		if err := fs.WriteAt(client, name, file, 0); err != nil {
+			return false, err
+		}
+		m.SegBytes[i], m.SegCRC[i], upgraded = total, crc.Checksum(file), true
+	}
+	return upgraded, nil
+}
+
+// genOf is the generation number of prefix, -1 when it is not rotated.
+func genOf(prefix string) int {
+	if _, n, ok := ckpt.GenOf(prefix); ok {
+		return n
+	}
+	return -1
+}
 
 // gobMeta is ckpt.Meta as versions 1 and 2 stored it, with the version 1
 // checksum table: gob matches fields by name and skips what is absent.

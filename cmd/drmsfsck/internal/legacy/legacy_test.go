@@ -2,6 +2,8 @@ package legacy
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"flag"
@@ -9,15 +11,20 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"drms/internal/array"
 	"drms/internal/ckpt"
 	"drms/internal/coord"
+	"drms/internal/crc"
 	"drms/internal/dist"
 	"drms/internal/drms"
+	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
+	"drms/internal/seg"
 	"drms/internal/stream"
 )
 
@@ -36,11 +43,14 @@ const (
 )
 
 // fixtures pairs each gob-era original with what -repair makes of it.
-// golden_v2 is the checkpoint golden_v3 holds, as a gob record: it
-// upgrades to golden_v3 itself.
+// golden_v2 is the checkpoint golden_v3 holds, as a gob record, and
+// golden_v3_gob_segment the same checkpoint as the last build with a gob
+// segment wrote it, its metadata already version 3: both upgrade to
+// golden_v3 itself.
 var fixtures = []struct{ orig, upgraded string }{
 	{ckptData + "golden.pfs", ckptData + "golden_upgraded.pfs"},
 	{ckptData + "golden_v2.pfs", ckptData + "golden_v3.pfs"},
+	{ckptData + "golden_v3_gob_segment.pfs", ckptData + "golden_v3.pfs"},
 	{ckptData + "v1_rotation.pfs", ckptData + "v1_rotation_upgraded.pfs"},
 	{ckptData + "rcstate_deltas.pfs", ckptData + "rcstate_deltas_upgraded.pfs"},
 	{coordData + "rcstate_parent.pfs", coordData + "rcstate_parent_upgraded.pfs"},
@@ -129,7 +139,8 @@ func repair(t *testing.T, fs *pfs.System, storeFirst bool) (changed bool) {
 // TestUpgradeMatchesFixtures: -repair, whichever half runs first, turns
 // each gob-era original into its committed upgraded fixture, file for
 // file and byte for byte; it leaves every payload file it keeps as it
-// was; and a second pass finds nothing to do.
+// was, but for an application's segment, which it re-frames; and a second
+// pass finds nothing to do.
 func TestUpgradeMatchesFixtures(t *testing.T) {
 	for _, f := range fixtures {
 		for _, storeFirst := range []bool{false, true} {
@@ -145,7 +156,8 @@ func TestUpgradeMatchesFixtures(t *testing.T) {
 				}
 				sameFiles(t, fs, load(t, f.upgraded), "")
 				for _, name := range orig.List("") {
-					if !strings.HasSuffix(name, ".meta") && fs.Exists(name) && !bytes.Equal(fileBytes(t, fs, name), fileBytes(t, orig, name)) {
+					if !strings.HasSuffix(name, ".meta") && !appSegment(t, fs, name) && fs.Exists(name) &&
+						!bytes.Equal(fileBytes(t, fs, name), fileBytes(t, orig, name)) {
 						t.Errorf("the upgrade changed %s", name)
 					}
 				}
@@ -155,6 +167,18 @@ func TestUpgradeMatchesFixtures(t *testing.T) {
 			})
 		}
 	}
+}
+
+// appSegment reports whether name is the segment file of an application
+// checkpoint in fs, one whose metadata stamps a task count.
+func appSegment(t *testing.T, fs *pfs.System, name string) bool {
+	t.Helper()
+	prefix, ok := strings.CutSuffix(name, ".seg")
+	if i := strings.LastIndex(prefix, ".task"); ok && i >= 0 {
+		prefix = prefix[:i]
+	}
+	m, err := ckpt.ReadMeta(fs, prefix, 0)
+	return ok && err == nil && m.Ctx.Tasks > 0
 }
 
 // TestUpgradeIdempotent: the first Upgrade turns each stored v1
@@ -227,6 +251,137 @@ func TestUpgradeRefusesCorruptArray(t *testing.T) {
 			t.Fatalf("%s removed by a failed upgrade", f)
 		}
 	}
+}
+
+// TestUpgradeReframesSegments: a DRMS checkpoint whose segment is not
+// padded and an SPMD one whose per-task segments are, their payloads
+// rewritten as the gob records an earlier build wrote under version 3
+// metadata, are refused as legacy; Upgrade gives back every file this
+// tree committed, byte for byte — the SPMD tasks' local sections after
+// the frame, the padding to the size model — and both restore.
+func TestUpgradeReframesSegments(t *testing.T) {
+	fs := pfs.NewSystem(pfs.DefaultConfig())
+	const tasks, step = 2, 5
+	models := map[string]seg.SizeModel{"dr": {}, "sp": {PrivateBytes: 4096}}
+	var mu sync.Mutex
+	framed := map[string]int{} // segment file -> its framed payload's bytes
+	run := func(write bool) {
+		t.Helper()
+		err := msg.Run(tasks, func(c *msg.Comm) error {
+			d, err := dist.Block(rangeset.NewSlice(rangeset.Span(0, 63)), []int{tasks})
+			if err != nil {
+				return err
+			}
+			u, err := array.New[float64](c, "u", d)
+			if err != nil {
+				return err
+			}
+			val := func(cd []int) float64 { return float64(cd[0]) + 0.5 }
+			for _, prefix := range []string{"dr", "sp"} {
+				sg, refs, n := seg.New(), []ckpt.ArrayRef{ckpt.Ref(u)}, -1
+				sg.Register("iter", &n)
+				if !write {
+					u.Fill(func([]int) float64 { return 0 })
+					if prefix == "dr" {
+						_, _, err = ckpt.ReadDRMSOpts(fs, prefix, c, sg, refs, stream.Options{}, ckpt.RestoreOptions{})
+					} else {
+						_, _, err = ckpt.ReadSPMD(fs, prefix, c, sg, refs, stream.Options{})
+					}
+					if err != nil || n != step || sg.Ctx.SOP != prefix || sg.Model != models[prefix] {
+						return fmt.Errorf("restore of upgraded %s: iter %d ctx %+v model %+v, %v", prefix, n, sg.Ctx, sg.Model, err)
+					}
+					var bad error
+					u.Mapped().Each(rangeset.ColMajor, func(cd []int) {
+						if u.At(cd) != val(cd) {
+							bad = fmt.Errorf("%s: u%v = %v", prefix, cd, u.At(cd))
+						}
+					})
+					if bad != nil {
+						return bad
+					}
+					continue
+				}
+				n, sg.Ctx, sg.Model = step, seg.Context{SOP: prefix, Step: step}, models[prefix]
+				u.Fill(val)
+				name := prefix + ".seg"
+				if prefix == "dr" {
+					_, err = ckpt.WriteDRMS(fs, prefix, c, sg, refs, stream.Options{})
+				} else {
+					_, err = ckpt.WriteSPMD(fs, prefix, c, sg, refs, stream.Options{})
+					name = fmt.Sprintf("sp.task%d.seg", c.Rank())
+				}
+				payload, perr := sg.Encode()
+				if err = cmp.Or(err, perr); err != nil {
+					return err
+				}
+				mu.Lock()
+				framed[name] = len(payload)
+				mu.Unlock()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(true)
+	want := map[string][]byte{}
+	for _, name := range fs.List("") {
+		want[name] = fileBytes(t, fs, name)
+	}
+	for name, n := range framed {
+		prefix, _, _ := strings.Cut(name, ".")
+		m, err := ckpt.ReadMeta(fs, prefix, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := gobBytes(step)
+		if err == nil {
+			blob, err = gobBytes(struct {
+				Ctx   seg.Context
+				Model seg.SizeModel
+				Names []string
+				Blobs [][]byte
+			}{m.Ctx, models[prefix], []string{"iter"}, [][]byte{blob}})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := want[name]
+		blob = append(blob, file[8+n:8+binary.LittleEndian.Uint64(file)]...)
+		file = binary.LittleEndian.AppendUint64(nil, uint64(len(blob)))
+		file = append(append(file, blob...), make([]byte, max(16, models[prefix].Total()-int64(len(blob)))-8)...)
+		fs.Create(name)
+		if err := fs.WriteAt(0, name, file, 0); err != nil {
+			t.Fatal(err)
+		}
+		task := 0
+		fmt.Sscanf(name, "sp.task%d.seg", &task)
+		m.SegBytes[task], m.SegCRC[task] = int64(len(file)), crc.Checksum(file)
+		if err := ckpt.CommitMeta(fs, prefix, 0, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, prefix := range []string{"dr", "sp"} {
+		if err := ckpt.Verify(fs, prefix, 0); !errors.Is(err, ckpt.ErrLegacyFormat) {
+			t.Fatalf("%s with gob segments: %v, want ErrLegacyFormat", prefix, err)
+		}
+		if up, err := Upgrade(fs, prefix, 0); !up || err != nil {
+			t.Fatalf("upgrade %s: upgraded %v, %v", prefix, up, err)
+		}
+		if up, err := Upgrade(fs, prefix, 0); up || err != nil {
+			t.Fatalf("second upgrade of %s: upgraded %v, %v", prefix, up, err)
+		}
+	}
+	if names := fs.List(""); len(names) != len(want) {
+		t.Fatalf("files %v after the upgrade, want %d", names, len(want))
+	}
+	for name, b := range want {
+		if !bytes.Equal(fileBytes(t, fs, name), b) {
+			t.Errorf("%s: not the bytes this tree committed", name)
+		}
+	}
+	run(false)
 }
 
 // GobEncode writes the wire form gob-era metadata stored: a regular

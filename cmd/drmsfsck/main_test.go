@@ -174,6 +174,34 @@ func TestCheckPrefixAcrossMetadataVersions(t *testing.T) {
 	restoreStoredRotation(t, fs, "job.g1", 1)
 }
 
+// TestCheckPrefixUpgradesGobSegment: a checkpoint whose metadata is
+// version 3 and whose segment is a gob wrapper, as every build before the
+// segment became a frame saved it, is legacy, not corrupt: without
+// -repair the prefix is unrecoverable, naming -repair, and no file moves;
+// -repair re-frames the segment, after which the checkpoint checks clean.
+func TestCheckPrefixUpgradesGobSegment(t *testing.T) {
+	fs := pfs.NewSystem(pfs.DefaultConfig())
+	if err := fs.LoadFile("../../internal/ckpt/testdata/golden_v3_gob_segment.pfs"); err != nil {
+		t.Fatal(err)
+	}
+	before := fs.List("")
+	dirty := false
+	var code int
+	out := stdout(t, func() { code = checkPrefix(fs, nil, "golden", false, &dirty) })
+	if code != exitUnrecoverable || dirty || !strings.Contains(out, "LEGACY") || !strings.Contains(out, "-repair") {
+		t.Fatalf("gob segment classified %d dirty %v, want %d, LEGACY and -repair named:\n%s", code, dirty, exitUnrecoverable, out)
+	}
+	if after := fs.List(""); strings.Join(after, " ") != strings.Join(before, " ") {
+		t.Fatalf("a check without -repair moved files: %v -> %v", before, after)
+	}
+	if code := checkPrefix(fs, nil, "golden", true, &dirty); code != exitRepaired || !dirty {
+		t.Fatalf("repair classified %d dirty %v, want %d", code, dirty, exitRepaired)
+	}
+	if code := checkPrefix(fs, nil, "golden", false, &dirty); code != exitClean {
+		t.Fatalf("re-framed checkpoint classified %d, want %d", code, exitClean)
+	}
+}
+
 // TestCheckPrefixUpgradesStateStore: -repair turns a coordinator store an
 // earlier build saved — gob metadata over a delta chain of gob images —
 // into one the coordinator loads: the metadata upgraded, and the head's

@@ -323,6 +323,9 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 		}
 		st.TierMemBytes += segMem
 		st.TierPFSBytes += segPFS
+		if err := refuseLegacySegment(prefix, &m, payload); err != nil {
+			return m, st, err
+		}
 		if err := sg.Decode(payload); err != nil {
 			return m, st, err
 		}
@@ -541,6 +544,9 @@ func ReadSPMD(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, ar
 	}
 	if crc != m.SegCRC[me] {
 		return m, st, fmt.Errorf("ckpt: task %d segment of %q fails integrity check", me, prefix)
+	}
+	if err := refuseLegacySegment(prefix, &m, blob); err != nil {
+		return m, st, err
 	}
 	st.SegmentBytes = m.SegBytes[me]
 

@@ -27,18 +27,23 @@ import (
 // golden_upgraded.pfs and golden_v3.pfs (its tests check that byte for
 // byte), and the test restores those, so neither gob file is ever
 // regenerated — they are the upgrader's contract with checkpoints already
-// on storage. golden_v3.pfs is the same checkpoint as this tree writes
-// it; if that format must change, regenerate it deliberately with:
+// on storage. golden_v3_gob_segment.pfs is the same checkpoint as the
+// last build whose segment payload was a gob wrapper wrote it: metadata
+// version 3, which every reader refuses for its segment, and which -repair
+// upgrades to golden_v3.pfs as well. golden_v3.pfs is the same checkpoint
+// as this tree writes it; if that format must change, regenerate it
+// deliberately with:
 //
 //	go test ./internal/ckpt -run Golden -regen-golden
 var regenGolden = flag.Bool("regen-golden", false, "rewrite testdata/golden_v3.pfs (never the gob-era goldens)")
 
 var goldens = []struct {
 	path     string
-	upgraded string // a gob record's upgraded form, which the test restores
+	upgraded string // a legacy checkpoint's upgraded form, which the test restores
 }{
 	{"testdata/golden.pfs", "testdata/golden_upgraded.pfs"},
 	{"testdata/golden_v2.pfs", "testdata/golden_v3.pfs"},
+	{"testdata/golden_v3_gob_segment.pfs", "testdata/golden_v3.pfs"},
 	{"testdata/golden_v3.pfs", ""},
 }
 
@@ -85,8 +90,8 @@ func restoreGolden(t *testing.T, path, upgraded string) {
 	if err := fs.LoadFile(path); err != nil {
 		t.Fatalf("golden snapshot missing: %v", err)
 	}
-	if _, err := ReadMeta(fs, "golden", 0); errors.Is(err, ErrLegacyFormat) != (upgraded != "") {
-		t.Fatalf("golden metadata: %v, want legacy=%v", err, upgraded != "")
+	if err := Verify(fs, "golden", 0); errors.Is(err, ErrLegacyFormat) != (upgraded != "") {
+		t.Fatalf("golden checkpoint: %v, want legacy=%v", err, upgraded != "")
 	}
 	if upgraded != "" {
 		fs = pfs.NewSystem(pfs.DefaultConfig())

@@ -10,6 +10,7 @@ import (
 	"drms/internal/frame"
 	"drms/internal/msg"
 	"drms/internal/pfs"
+	"drms/internal/seg"
 )
 
 // Checkpoint integrity: every array stream, every stored piece and every
@@ -256,11 +257,15 @@ func VerifyTier(fs *pfs.System, tier *MemTier, prefix string, client int) error 
 	switch m.Mode {
 	case ModeDRMS:
 		if m.SegWhere == TierMem {
-			if !tier.Check(prefix, "", segIndex, m.SegCRC[0]) {
+			data, ok := tier.Lookup(prefix, "", segIndex, m.SegCRC[0])
+			if !ok {
 				return corrupt(prefix, segFile(prefix), -1,
 					"memory-resident segment has no surviving replica")
 			}
-		} else if err := verifyFile(fs, prefix, segFile(prefix), client, m.SegBytes[0], m.SegCRC[0]); err != nil {
+			if err := refuseLegacySegment(prefix, &m, data); err != nil {
+				return err
+			}
+		} else if err := verifySegment(fs, prefix, segFile(prefix), client, &m, 0); err != nil {
 			return err
 		}
 		// Arrays are stored as pieces: verify each stored extent, across
@@ -268,7 +273,7 @@ func VerifyTier(fs *pfs.System, tier *MemTier, prefix string, client int) error 
 		return verifyChained(fs, tier, prefix, &m, client)
 	case ModeSPMD:
 		for task := 0; task < m.Tasks; task++ {
-			if err := verifyFile(fs, prefix, taskSegFile(prefix, task), client, m.SegBytes[task], m.SegCRC[task]); err != nil {
+			if err := verifySegment(fs, prefix, taskSegFile(prefix, task), client, &m, task); err != nil {
 				return err
 			}
 		}
@@ -278,21 +283,37 @@ func VerifyTier(fs *pfs.System, tier *MemTier, prefix string, client int) error 
 	}
 }
 
-// verifyFile checks one file's size and CRC.
-func verifyFile(fs *pfs.System, prefix, name string, client int, wantSize int64, wantCRC uint64) error {
+// refuseLegacySegment is ErrLegacyFormat, not corruption, for an
+// application's segment payload an earlier build wrote (seg.Legacy). A
+// generation with a zero Ctx is a state store's, whose image
+// ReadStateImage judges: every application checkpoint stamps Ctx.Tasks.
+func refuseLegacySegment(prefix string, m *Meta, payload []byte) error {
+	if m.Ctx.Tasks > 0 && seg.Legacy(payload) {
+		return fmt.Errorf("%w: %q holds a gob segment", ErrLegacyFormat, prefix)
+	}
+	return nil
+}
+
+// verifySegment checks task's segment file's size and CRC against m, then
+// refuses a gob payload from the file's opening bytes.
+func verifySegment(fs *pfs.System, prefix, name string, client int, m *Meta, task int) error {
 	sz, err := fs.Size(name)
 	if err != nil {
 		return fmt.Errorf("ckpt: verify %q: %w", name, err)
 	}
-	if sz != wantSize {
-		return corrupt(prefix, name, -1, "%d bytes, metadata says %d", sz, wantSize)
+	if sz != m.SegBytes[task] {
+		return corrupt(prefix, name, -1, "%d bytes, metadata says %d", sz, m.SegBytes[task])
 	}
+	head := make([]byte, segHeader+seg.LegacyProbe)
 	sum, err := readCRC(fs, name, client, 0, 0, sz)
+	if err == nil && sz >= int64(len(head)) {
+		err = fs.ReadAt(client, name, head, 0)
+	}
 	if err != nil {
 		return fmt.Errorf("ckpt: verify %q: %w", name, err)
 	}
-	if sum != wantCRC {
-		return corrupt(prefix, name, -1, "crc %016x, metadata %016x", sum, wantCRC)
+	if sum != m.SegCRC[task] {
+		return corrupt(prefix, name, -1, "crc %016x, metadata %016x", sum, m.SegCRC[task])
 	}
-	return nil
+	return refuseLegacySegment(prefix, m, head[segHeader:])
 }

@@ -117,24 +117,26 @@ var restoreShapes = []struct {
 // barrier marks a phase. An
 // upgraded v1 generation restores exactly as a raw anchor: its full
 // restores count the array bytes in TierPFSBytes too, where the v1
-// reader counted the segments alone (1100/825).
+// reader counted the segments alone (168/126). The segment columns are
+// framed payloads (DESIGN.md §3g): 42-byte files, 26-byte payloads in the
+// tier, where the gob wrapper took 275 and 259.
 var restorePinned = map[string]string{
-	"v1-flat/full-same":                     "4:275/1728/216/0/2828 4:275/1728/216/0/2828 3:275/1728/216/0/2828 3:275/1728/216/0/2828",
-	"v1-flat/full-reconfigured":             "4:275/1728/432/0/2553 3:275/1728/144/0/2553 3:275/1728/288/0/2553",
-	"v1-flat/partial-one-rank":              "6:0/864/432/0/1139 6:0/864/432/0/1139 1:275/864/0/0/1139 1:0/864/0/0/1139",
-	"v1-flat/partial-two-ranks":             "4:0/1728/216/0/2278 4:275/1728/216/0/2278 3:0/1728/216/0/2278 3:275/1728/216/0/2278",
-	"chained-raw-anchor/full-same":          "4:275/1728/216/0/2828 4:275/1728/216/0/2828 3:275/1728/216/0/2828 3:275/1728/216/0/2828",
-	"chained-raw-anchor/full-reconfigured":  "4:275/1728/432/0/2553 3:275/1728/144/0/2553 3:275/1728/288/0/2553",
-	"chained-raw-anchor/partial-one-rank":   "6:0/864/432/0/1139 6:0/864/432/0/1139 1:275/864/0/0/1139 1:0/864/0/0/1139",
-	"chained-raw-anchor/partial-two-ranks":  "4:0/1728/216/0/2278 4:275/1728/216/0/2278 3:0/1728/216/0/2278 3:275/1728/216/0/2278",
-	"chained-flate-delta/full-same":         "4:275/1728/216/0/2828 4:275/1728/216/0/2828 3:275/1728/216/0/2828 3:275/1728/216/0/2828",
-	"chained-flate-delta/full-reconfigured": "4:275/1728/432/0/2553 3:275/1728/144/0/2553 3:275/1728/288/0/2553",
-	"chained-flate-delta/partial-one-rank":  "6:0/864/432/0/1139 6:0/864/432/0/1139 1:275/864/0/0/1139 1:0/864/0/0/1139",
-	"chained-flate-delta/partial-two-ranks": "4:0/1728/216/0/2278 4:275/1728/216/0/2278 3:0/1728/216/0/2278 3:275/1728/216/0/2278",
-	"memory-only/full-same":                 "6:275/1728/216/2764/0 6:275/1728/216/2764/0 4:275/1728/216/2764/0 4:275/1728/216/2764/0",
-	"memory-only/full-reconfigured":         "6:275/1728/432/2505/0 4:275/1728/144/2505/0 4:275/1728/288/2505/0",
-	"memory-only/partial-one-rank":          "6:0/864/432/1123/0 6:0/864/432/1123/0 1:275/864/0/1123/0 1:0/864/0/1123/0",
-	"memory-only/partial-two-ranks":         "4:0/1728/216/2246/0 4:275/1728/216/2246/0 3:0/1728/216/2246/0 3:275/1728/216/2246/0",
+	"v1-flat/full-same":                     "4:42/1728/216/0/1896 4:42/1728/216/0/1896 3:42/1728/216/0/1896 3:42/1728/216/0/1896",
+	"v1-flat/full-reconfigured":             "4:42/1728/432/0/1854 3:42/1728/144/0/1854 3:42/1728/288/0/1854",
+	"v1-flat/partial-one-rank":              "6:0/864/432/0/906 6:0/864/432/0/906 1:42/864/0/0/906 1:0/864/0/0/906",
+	"v1-flat/partial-two-ranks":             "4:0/1728/216/0/1812 4:42/1728/216/0/1812 3:0/1728/216/0/1812 3:42/1728/216/0/1812",
+	"chained-raw-anchor/full-same":          "4:42/1728/216/0/1896 4:42/1728/216/0/1896 3:42/1728/216/0/1896 3:42/1728/216/0/1896",
+	"chained-raw-anchor/full-reconfigured":  "4:42/1728/432/0/1854 3:42/1728/144/0/1854 3:42/1728/288/0/1854",
+	"chained-raw-anchor/partial-one-rank":   "6:0/864/432/0/906 6:0/864/432/0/906 1:42/864/0/0/906 1:0/864/0/0/906",
+	"chained-raw-anchor/partial-two-ranks":  "4:0/1728/216/0/1812 4:42/1728/216/0/1812 3:0/1728/216/0/1812 3:42/1728/216/0/1812",
+	"chained-flate-delta/full-same":         "4:42/1728/216/0/1896 4:42/1728/216/0/1896 3:42/1728/216/0/1896 3:42/1728/216/0/1896",
+	"chained-flate-delta/full-reconfigured": "4:42/1728/432/0/1854 3:42/1728/144/0/1854 3:42/1728/288/0/1854",
+	"chained-flate-delta/partial-one-rank":  "6:0/864/432/0/906 6:0/864/432/0/906 1:42/864/0/0/906 1:0/864/0/0/906",
+	"chained-flate-delta/partial-two-ranks": "4:0/1728/216/0/1812 4:42/1728/216/0/1812 3:0/1728/216/0/1812 3:42/1728/216/0/1812",
+	"memory-only/full-same":                 "6:42/1728/216/1832/0 6:42/1728/216/1832/0 4:42/1728/216/1832/0 4:42/1728/216/1832/0",
+	"memory-only/full-reconfigured":         "6:42/1728/432/1806/0 4:42/1728/144/1806/0 4:42/1728/288/1806/0",
+	"memory-only/partial-one-rank":          "6:0/864/432/890/0 6:0/864/432/890/0 1:42/864/0/890/0 1:0/864/0/890/0",
+	"memory-only/partial-two-ranks":         "4:0/1728/216/1780/0 4:42/1728/216/1780/0 3:0/1728/216/1780/0 3:42/1728/216/1780/0",
 }
 
 // holdsChainFill checks this rank's elements of buildApp's two arrays

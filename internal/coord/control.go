@@ -68,11 +68,10 @@ type Request struct {
 	// in-flight resizes.
 	ScaleMin int `json:"scale_min,omitempty"`
 	ScaleMax int `json:"scale_max,omitempty"`
-	// Version carries the caller's observed state version into a mutating
-	// op ("checkpoint", "stop"): the server rejects the op if the
-	// application's state has advanced past it (see api.go). 0 means
-	// unversioned — the server opens a fresh handle itself, preserving
-	// the old last-writer-wins CLI behavior.
+	// Version carries the state version an "open" returned into a
+	// mutating op ("checkpoint", "stop", "resize"): the server rejects the
+	// op if the application's state has advanced past it (see api.go),
+	// and rejects one without a version.
 	Version uint64 `json:"version,omitempty"`
 }
 
@@ -314,17 +313,20 @@ func (s *ControlServer) handleOp(req Request) Response {
 	case "checkpoint", "stop", "resize":
 		// The versioned mutations. "resize" is the in-flight one: the
 		// application changes task count at its next SOP without stopping —
-		// the elastic alternative to "reconfigure".
-		h, err := s.openFor(req)
-		if err == nil {
-			switch req.Op {
-			case "checkpoint":
-				h, err = s.RC.CheckpointApp(h)
-			case "stop":
-				h, err = s.RC.StopApp(h)
-			default:
-				h, err = s.RC.ResizeApp(h, req.Tasks)
-			}
+		// the elastic alternative to "reconfigure". Each takes the version
+		// an "open" returned, and is rejected if that version is stale.
+		if req.Version == 0 {
+			return fail(fmt.Errorf("coord: %s of %q needs the version an \"open\" of it returned", req.Op, req.Name))
+		}
+		h := AppHandle{App: req.Name, Version: req.Version}
+		var err error
+		switch req.Op {
+		case "checkpoint":
+			h, err = s.RC.CheckpointApp(h)
+		case "stop":
+			h, err = s.RC.StopApp(h)
+		default:
+			h, err = s.RC.ResizeApp(h, req.Tasks)
 		}
 		if err != nil {
 			return fail(err)
@@ -372,17 +374,6 @@ func (s *ControlServer) handleOp(req Request) Response {
 		return Response{OK: true, Stats: obs.Default.Render()}
 	}
 	return fail(fmt.Errorf("unknown op %q", req.Op))
-}
-
-// openFor resolves a request's handle: a versioned request (Version > 0)
-// is taken at its word and will be rejected downstream if stale; an
-// unversioned one opens the application fresh (last-writer-wins).
-func (s *ControlServer) openFor(req Request) (AppHandle, error) {
-	if req.Version > 0 {
-		return AppHandle{App: req.Name, Version: req.Version}, nil
-	}
-	h, _, err := s.RC.OpenApp(req.Name)
-	return h, err
 }
 
 // Apps returns a snapshot of every application the RC knows about.

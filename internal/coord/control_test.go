@@ -28,6 +28,51 @@ func controlCluster(t *testing.T, nodes int, timeout ...time.Duration) (*Control
 	return cl, tcs
 }
 
+// mutate sends a mutating request as drmsctl does without -version:
+// "open" first, then req with the version that returned.
+func mutate(cl *ControlClient, req Request) (Response, error) {
+	open, err := cl.Do(Request{Op: "open", Name: req.Name})
+	if err != nil {
+		return open, err
+	}
+	req.Version = open.Version
+	return cl.Do(req)
+}
+
+// TestControlRefusesUnversionedMutation: one control-API generation. A
+// checkpoint, stop or resize without the version an "open" returned is
+// refused with an error that names "open", and changes nothing; with it,
+// the same request succeeds.
+func TestControlRefusesUnversionedMutation(t *testing.T) {
+	cl, _ := controlCluster(t, 2)
+	if _, err := cl.Do(Request{Op: "submit", Name: "job", Kernel: "bt",
+		Class: "S", Min: 1, Max: 1, Iters: 100000, CkEvery: 2}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "job running", func() bool {
+		resp, err := cl.Do(Request{Op: "status", Name: "job"})
+		return err == nil && resp.App.Status == StatusRunning
+	})
+	before, err := cl.Do(Request{Op: "open", Name: "job"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"checkpoint", "stop", "resize"} {
+		if _, err := cl.Do(Request{Op: op, Name: "job", Tasks: 2}); err == nil || !strings.Contains(err.Error(), `"open"`) {
+			t.Errorf("unversioned %s: %v, want a refusal naming open", op, err)
+		}
+	}
+	if after, err := cl.Do(Request{Op: "open", Name: "job"}); err != nil || after.Version != before.Version || after.App.Tasks != 1 {
+		t.Fatalf("refused requests moved the application: version %d -> %d, %+v, %v", before.Version, after.Version, after.App, err)
+	}
+	if _, err := mutate(cl, Request{Op: "stop", Name: "job"}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cl.WaitStatus("job", 30*time.Second); err != nil || st != StatusFinished {
+		t.Fatalf("job settled %s, %v", st, err)
+	}
+}
+
 func TestControlNodesAndSubmit(t *testing.T) {
 	cl, tcs := controlCluster(t, 3)
 	resp, err := cl.Do(Request{Op: "nodes"})
@@ -70,8 +115,8 @@ func TestControlErrors(t *testing.T) {
 		{Op: "status", Name: "ghost"},
 		{Op: "submit", Name: "x", Kernel: "cg"},
 		{Op: "submit", Name: "x", Kernel: "bt", Class: "Z"},
-		{Op: "checkpoint", Name: "ghost"},
-		{Op: "stop", Name: "ghost"},
+		{Op: "checkpoint", Name: "ghost", Version: 1},
+		{Op: "stop", Name: "ghost", Version: 1},
 		{Op: "reconfigure", Name: "ghost", Tasks: 1},
 		{Op: "verify", Prefix: "nothing"},
 		{Op: "frobnicate"},
@@ -138,7 +183,7 @@ func TestControlStopRequest(t *testing.T) {
 		resp, err := cl.Do(Request{Op: "status", Name: "longrun"})
 		return err == nil && resp.App.Status == StatusRunning
 	})
-	if _, err := cl.Do(Request{Op: "stop", Name: "longrun"}); err != nil {
+	if _, err := mutate(cl, Request{Op: "stop", Name: "longrun"}); err != nil {
 		t.Fatal(err)
 	}
 	status, err := cl.WaitStatus("longrun", 30*time.Second)

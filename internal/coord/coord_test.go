@@ -35,8 +35,19 @@ func newCluster(t *testing.T, nodes int, timeout ...time.Duration) (*pfs.System,
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tcs...)
 	t.Cleanup(rc.Close)
 	return fs, rc, tcs
+}
+
+// stopOnCleanup stops the TCs when the test ends, so that no heartbeat
+// loop outlives it (TestMain fails the package on one that does).
+func stopOnCleanup(t testing.TB, tcs ...*TC) {
+	t.Cleanup(func() {
+		for _, tc := range tcs {
+			tc.Stop()
+		}
+	})
 }
 
 // watched holds the subscription a test opened on a coordinator when it
@@ -368,6 +379,7 @@ func TestFailedNodeRejoinsAfterTCRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tcNew)
 	waitFor(t, "node 0 rejoin", func() bool { return len(rc.AvailableNodes()) == 2 })
 	tcNew.Stop()
 	tcs[1].Stop()

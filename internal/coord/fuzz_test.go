@@ -113,7 +113,7 @@ func FuzzControlRequest(f *testing.F) {
 		{Op: "wait", Name: "x", TimeoutMS: 1}, {Op: "open", Name: "x"},
 		{Op: "submit", Name: "acme/j", Kernel: "sp", Class: "S", Min: 2, Max: 1, ScaleMax: 3},
 		{Op: "submit", Kernel: "lu", Class: "Q"}, {Op: "checkpoint", Name: "x", Version: 3},
-		{Op: "stop", Name: "x"}, {Op: "resize", Name: "x", Tasks: -1}, {Op: "reconfigure", Name: "x", Tasks: 2},
+		{Op: "stop", Name: "x", Version: 1}, {Op: "resize", Name: "x", Tasks: -1}, {Op: "reconfigure", Name: "x", Tasks: 2},
 		{Op: "failnode", Node: -1}, {Op: "verify", Prefix: "ck"}, {Op: "events"}, {Op: "stats"}, {Op: "?"}} {
 		b, err := json.Marshal(r)
 		if err != nil {

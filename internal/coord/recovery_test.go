@@ -91,10 +91,12 @@ func TestSupervisorRecoversAcrossShrinkAndGrow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tc1b)
 	tc2b, err := StartTC(rc.Addr(), 2, hbInterval)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tc2b)
 	waitFor(t, "repaired pool", func() bool {
 		return len(rc.AvailableNodes()) == 2 // nodes 1, 2 free; 0, 3 busy
 	})
@@ -530,10 +532,12 @@ func TestChaosSoakConvergesUnderRandomKills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tc1b)
 	tc3b, err := StartTC(rc.Addr(), 3, hbInterval)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tc3b)
 
 	// Kill #3 (mid-checkpoint): the surviving incarnation restores and
 	// parks at the gate. Hand its injector to the piece hook, arm, and

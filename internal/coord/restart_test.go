@@ -212,6 +212,7 @@ func TestSyncFlushDurableUnderConcurrentFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tcs...)
 
 	var gate atomic.Bool
 	p := appParams{n: 8, iters: 8, ckEvery: 4, gateAt: 4, gate: &gate}
@@ -303,6 +304,7 @@ func TestRCCrashRestartReadoptsRunningApp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tcs...)
 
 	var gate atomic.Bool
 	out := make(chan float64, 1)
@@ -395,6 +397,7 @@ func TestRCCrashMidRecoveryResumesSupervision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tcs...)
 
 	var gate atomic.Bool
 	out := make(chan float64, 1)
@@ -497,6 +500,7 @@ func TestChaosSoakControlPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tcs...)
 	dropBefore := metric("drms_coord_terminal_events_dropped_total")
 
 	launched, crashed := 0, 0

@@ -104,9 +104,11 @@ func gatewayFleet(t *testing.T, shards, quota int) *ControlClient {
 			t.Fatal(err)
 		}
 		t.Cleanup(rc.Close)
-		if _, err := PoolNodes(rc, []int{s, s + shards}, hbInterval, 5*time.Second); err != nil {
+		tcs, err := PoolNodes(rc, []int{s, s + shards}, hbInterval, 5*time.Second)
+		if err != nil {
 			t.Fatal(err)
 		}
+		stopOnCleanup(t, tcs...)
 		srv := &ControlServer{RC: rc, JSA: NewJSA(rc), Quota: quota, Shard: s}
 		addr, err := srv.Serve("127.0.0.1:0")
 		if err != nil {
@@ -246,7 +248,7 @@ func TestGatewayRoutesAcrossShardsWithQuota(t *testing.T) {
 	if _, err := cl.Do(Request{Op: "stop", Name: a0, Version: ck.Version}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Do(Request{Op: "stop", Name: a1}); err != nil { // unversioned: last writer wins
+	if _, err := mutate(cl, Request{Op: "stop", Name: a1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{a0, a1} {
@@ -273,7 +275,7 @@ func TestGatewayRoutesResize(t *testing.T) {
 		resp, err := cl.Do(Request{Op: "status", Name: name})
 		return err == nil && resp.App.Status == StatusRunning
 	})
-	resp, err := cl.Do(Request{Op: "resize", Name: name, Tasks: 2})
+	resp, err := mutate(cl, Request{Op: "resize", Name: name, Tasks: 2})
 	if err != nil {
 		t.Fatalf("resize through the gateway: %v", err)
 	}
@@ -284,7 +286,7 @@ func TestGatewayRoutesResize(t *testing.T) {
 	if err != nil || st.App.Tasks != 2 || st.App.Incarnation != 0 {
 		t.Fatalf("after the resize: %+v, %v", st.App, err)
 	}
-	if _, err := cl.Do(Request{Op: "stop", Name: name}); err != nil {
+	if _, err := mutate(cl, Request{Op: "stop", Name: name}); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := cl.WaitStatus(name, 30*time.Second); err != nil || st != StatusFinished {

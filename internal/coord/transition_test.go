@@ -263,6 +263,7 @@ func TestStalledPersistedBeforeAnnounced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tcs...)
 	if err := rc.Launch(spec, 2, false); err != nil {
 		t.Fatal(err)
 	}
@@ -339,6 +340,7 @@ func TestCrashAfterEveryAnnouncement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			stopOnCleanup(t, tcs...)
 			run(t, fs, opt, rc, tcs)
 			for _, tc := range tcs {
 				tc.Stop()
@@ -491,6 +493,7 @@ func TestSyncCommitsPerTransition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tcs...)
 	var gate atomic.Bool
 	spec := appParams{n: 16, iters: 8, ckEvery: 4, gateAt: 6, gate: &gate}.spec("counted")
 	spec.Recovery = fastPolicy(5)
@@ -536,6 +539,7 @@ func TestNoSubscriberRetainsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, tcs...)
 	spec := appParams{n: 4, iters: 1, ckEvery: 1}.spec("quick")
 	for i := 0; i < 100; i++ {
 		if err := rc.Launch(spec, 1, false); err != nil {

@@ -20,9 +20,9 @@ package seg
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sort"
+
+	"drms/internal/frame"
 )
 
 // SizeModel decomposes a task's data segment exactly as Table 4 of the
@@ -64,7 +64,6 @@ type Context struct {
 // and size model. The zero value is unusable; use New.
 type Segment struct {
 	vars  map[string]any // name -> pointer to the variable
-	order []string       // registration order (encode determinism)
 	Model SizeModel
 	Ctx   Context
 }
@@ -83,69 +82,43 @@ func (s *Segment) Register(name string, ptr any) {
 	if ptr == nil {
 		panic(fmt.Sprintf("seg: nil pointer registered for %q", name))
 	}
-	if _, dup := s.vars[name]; !dup {
-		s.order = append(s.order, name)
-	}
 	s.vars[name] = ptr
 }
 
-// Names returns the registered variable names in registration order.
-func (s *Segment) Names() []string { return append([]string(nil), s.order...) }
-
-// wire is the on-file form of a segment payload.
-type wire struct {
+// Payload is a segment as stored (DESIGN.md §3g): a frame of the context,
+// the size model, the variables' names in ascending order and their
+// blobs, each the gob encoding of the variable's value.
+type Payload struct {
 	Ctx   Context
 	Model SizeModel
 	Names []string
 	Blobs [][]byte
 }
 
-// Encode captures the current values of all registered variables together
-// with the context and size model. The payload is deterministic for
-// identical values (names are encoded in sorted order).
-func (s *Segment) Encode() ([]byte, error) {
-	w := wire{Ctx: s.Ctx, Model: s.Model, Names: append([]string(nil), s.order...)}
-	sort.Strings(w.Names)
-	for _, n := range w.Names {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(s.vars[n]); err != nil {
-			return nil, fmt.Errorf("seg: encoding %q: %w", n, err)
-		}
-		w.Blobs = append(w.Blobs, buf.Bytes())
-	}
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(w); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
+const payloadMagic = "DRMSseg"
+
+func (p *Payload) walk(c *frame.Codec) {
+	c.Head(payloadMagic, 1)
+	c.Str(&p.Ctx.SOP)
+	frame.Varint(c, &p.Ctx.Step)
+	frame.Varint(c, &p.Ctx.Tasks)
+	frame.Varint(c, &p.Model.LocalSectionBytes)
+	frame.Varint(c, &p.Model.SystemBytes)
+	frame.Varint(c, &p.Model.PrivateBytes)
+	frame.List(c, &p.Names, c.Str)
+	frame.List(c, &p.Blobs, c.Bytes)
 }
 
-// Decode restores a payload produced by Encode into the registered
-// variables. Every payload variable must be registered (with a pointer of
-// the matching type); registered variables missing from the payload are
-// an error too — the segment layout is part of the SPMD program text and
-// must agree between checkpoint and restart.
-func (s *Segment) Decode(data []byte) error {
-	var w wire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return fmt.Errorf("seg: decoding payload: %w", err)
-	}
-	if len(w.Names) != len(s.vars) {
-		return fmt.Errorf("seg: payload has %d variables, %d registered", len(w.Names), len(s.vars))
-	}
-	for i, n := range w.Names {
-		ptr, ok := s.vars[n]
-		if !ok {
-			return fmt.Errorf("seg: payload variable %q not registered", n)
-		}
-		if err := gob.NewDecoder(bytes.NewReader(w.Blobs[i])).Decode(ptr); err != nil {
-			return fmt.Errorf("seg: decoding %q: %w", n, err)
-		}
-	}
-	s.Ctx = w.Ctx
-	s.Model = w.Model
-	return nil
-}
+// Encode returns the payload's frame.
+func (p *Payload) Encode() []byte { return frame.Encode(p.walk) }
+
+// Legacy reports whether payload, or its first LegacyProbe bytes, is a
+// segment an earlier build wrote: a gob record, without the frame's
+// magic. Only drmsfsck -repair reads it.
+func Legacy(payload []byte) bool { return !bytes.HasPrefix(payload, []byte(payloadMagic)) }
+
+// LegacyProbe is how many opening bytes of a payload Legacy reads.
+const LegacyProbe = len(payloadMagic)
 
 // FileSize returns the size of the segment's checkpoint file: the payload
 // plus padding up to the modeled segment size (a real implementation

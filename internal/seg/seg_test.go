@@ -1,8 +1,13 @@
 package seg
 
 import (
+	"bytes"
+	"encoding/gob"
+	"slices"
 	"strings"
 	"testing"
+
+	"drms/internal/frame"
 )
 
 func TestRegisterEncodeDecodeRoundTrip(t *testing.T) {
@@ -84,7 +89,7 @@ func TestReRegisterReplacesPointer(t *testing.T) {
 	s.Register("v", &a)
 	b := 2
 	s.Register("v", &b)
-	if n := len(s.Names()); n != 1 {
+	if n := len(s.vars); n != 1 {
 		t.Fatalf("%d names after re-register", n)
 	}
 	payload, _ := s.Encode()
@@ -144,4 +149,117 @@ func TestPaperSystemBytes(t *testing.T) {
 	if PaperSystemBytes != 34972228 {
 		t.Fatal("PaperSystemBytes drifted from Table 4")
 	}
+}
+
+// gobPayload is the payload an earlier build wrote for s: the context,
+// the size model, the sorted names and their blobs as one gob record.
+func gobPayload(t testing.TB, s *Segment) []byte {
+	t.Helper()
+	b, err := s.Encode()
+	var p Payload
+	if err == nil {
+		p, err = decodePayload(b)
+	}
+	var buf bytes.Buffer
+	if err == nil {
+		err = gob.NewEncoder(&buf).Encode(struct {
+			Ctx   Context
+			Model SizeModel
+			Names []string
+			Blobs [][]byte
+		}{p.Ctx, p.Model, p.Names, p.Blobs})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func sampleSegment() *Segment {
+	s := New()
+	iter, dt := 42, 0.0625
+	s.Register("iter", &iter)
+	s.Register("dt", &dt)
+	s.Ctx = Context{SOP: "mainloop", Step: 42, Tasks: 8}
+	s.Model = SizeModel{LocalSectionBytes: 100, SystemBytes: PaperSystemBytes, PrivateBytes: 300}
+	return s
+}
+
+// decodePayload reads a payload as Decode does, accepting only the
+// encoding of what it decodes to.
+func decodePayload(b []byte) (p Payload, err error) {
+	err = frame.Decode(b, p.walk)
+	return p, err
+}
+
+// TestPayloadIsAFrame: a payload opens with its magic and decodes to the
+// context, model and sorted variables it was encoded from. Decode refuses
+// a trailing byte, names out of order or repeated, a blob too few or too
+// many, and the gob record an earlier build wrote, which Legacy reports.
+func TestPayloadIsAFrame(t *testing.T) {
+	s := sampleSegment()
+	b, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Legacy(b) || !bytes.HasPrefix(b, []byte("DRMSseg\x01")) {
+		t.Fatalf("payload opens %q", b[:min(len(b), 8)])
+	}
+	p, err := decodePayload(b)
+	if err != nil || p.Ctx != s.Ctx || p.Model != s.Model || !slices.Equal(p.Names, []string{"dt", "iter"}) || len(p.Blobs) != 2 {
+		t.Fatalf("decoded %+v, %v", p, err)
+	}
+	old := gobPayload(t, s)
+	if !Legacy(old) {
+		t.Fatal("a gob-era payload is not reported legacy")
+	}
+	dt, it := p.Blobs[0], p.Blobs[1]
+	for name, bad := range map[string][]byte{
+		"a trailing byte":  append(slices.Clone(b), 0),
+		"unsorted names":   (&Payload{Names: []string{"iter", "dt"}, Blobs: [][]byte{it, dt}}).Encode(),
+		"a repeated name":  (&Payload{Names: []string{"dt", "dt"}, Blobs: [][]byte{dt, dt}}).Encode(),
+		"a blob too few":   (&Payload{Names: []string{"dt", "iter"}, Blobs: [][]byte{dt}}).Encode(),
+		"a blob too many":  (&Payload{Names: []string{"dt", "iter"}, Blobs: [][]byte{dt, it, it}}).Encode(),
+		"a gob-era record": old,
+	} {
+		if err := sampleSegment().Decode(bad); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// FuzzSegmentDecode feeds the payload decoder arbitrary bytes: it never
+// panics, and what it accepts re-encodes to the same bytes. Segment.Decode
+// into registered variables never panics either. Seeded with a real
+// payload, an empty segment's and a gob-era one.
+func FuzzSegmentDecode(f *testing.F) {
+	real, err := sampleSegment().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty, err := New().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	f.Add(empty)
+	f.Add(gobPayload(f, sampleSegment()))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var iter int
+		var dt float64
+		s := New()
+		s.Register("iter", &iter)
+		s.Register("dt", &dt)
+		_ = s.Decode(b)
+		p, err := decodePayload(b)
+		if err != nil {
+			return
+		}
+		if Legacy(b) {
+			t.Fatal("a legacy payload decoded")
+		}
+		if again := p.Encode(); !bytes.Equal(again, b) {
+			t.Fatalf("accepted %x, which re-encodes to %x", b, again)
+		}
+	})
 }
