@@ -134,6 +134,13 @@ func imports(paths ...string) matcher {
 	}
 }
 
+// importsBut matches an import under path other than of except.
+func importsBut(path, except string) matcher {
+	return func(f *srcFile, n ast.Node) bool {
+		return imports(path)(f, n) && !imports(except)(f, n)
+	}
+}
+
 // layered matches an import of a package under drms/internal/ that table
 // does not list for the importing file's directory.
 func layered(table map[string][]string) matcher {
@@ -276,26 +283,27 @@ func anyOf(ms ...matcher) matcher {
 // directory it does not list may import none of them; obs, codec and xsum
 // are held stdlib-only by rows of their own.
 var layers = map[string][]string{
-	"internal/rangeset": nil,
-	"internal/pfs":      nil,
-	"internal/seg":      {"frame"},
-	"internal/crc":      nil,
-	"internal/frame":    {"rangeset"},
-	"internal/dist":     {"rangeset"},
-	"internal/spec":     {"dist", "rangeset"},
-	"internal/sim":      {"pfs"},
-	"internal/msg":      {"obs"},
-	"internal/array":    {"dist", "msg", "obs", "rangeset", "xsum"},
-	"internal/stream":   {"array", "crc", "dist", "msg", "obs", "pfs", "rangeset"},
-	"internal/steer":    {"array", "frame", "pfs", "rangeset", "stream"},
-	"internal/ckpt":     {"array", "codec", "crc", "frame", "msg", "obs", "pfs", "rangeset", "seg", "stream"},
-	"internal/drms":     {"array", "ckpt", "dist", "frame", "msg", "obs", "pfs", "seg", "spec", "stream"},
-	"internal/apps":     {"array", "dist", "drms", "rangeset", "seg", "xsum"},
+	"internal/rangeset":  nil,
+	"internal/pfs":       nil,
+	"internal/leakcheck": nil,
+	"internal/seg":       {"frame"},
+	"internal/crc":       nil,
+	"internal/frame":     {"rangeset"},
+	"internal/dist":      {"rangeset"},
+	"internal/spec":      {"dist", "rangeset"},
+	"internal/sim":       {"pfs"},
+	"internal/msg":       {"obs"},
+	"internal/array":     {"dist", "msg", "obs", "rangeset", "xsum"},
+	"internal/stream":    {"array", "crc", "dist", "msg", "obs", "pfs", "rangeset"},
+	"internal/steer":     {"array", "frame", "pfs", "rangeset", "stream"},
+	"internal/ckpt":      {"array", "codec", "crc", "frame", "msg", "obs", "pfs", "rangeset", "seg", "stream"},
+	"internal/drms":      {"array", "ckpt", "dist", "frame", "msg", "obs", "pfs", "seg", "spec", "stream"},
+	"internal/apps":      {"array", "dist", "drms", "rangeset", "seg", "xsum"},
 	// apps is the one exception to the layering, until the control plane
 	// is split from the application launcher (ROADMAP item 7).
 	"internal/coord":               {"apps", "ckpt", "drms", "frame", "msg", "obs", "pfs", "stream"},
 	"internal/bench":               {"apps", "ckpt", "dist", "drms", "pfs", "rangeset", "sim", "stream"},
-	"cmd/drmsfsck/internal/legacy": {"ckpt", "codec", "coord", "crc", "pfs", "rangeset", "seg", "stream"},
+	"cmd/drmsfsck/internal/legacy": {"ckpt", "codec", "coord", "crc", "frame", "pfs", "rangeset", "seg", "stream"},
 }
 
 var archRules = []archRule{
@@ -303,12 +311,14 @@ var archRules = []archRule{
 	{name: "layers", in: []string{"internal/", "cmd/drmsfsck/internal/"},
 		allow: []string{"internal/obs/", "internal/codec/", "internal/xsum/"}, match: layered(layers),
 		why: "an import against the layering (msg → array/stream → ckpt → drms → coord): the layers table lists what each package may import"},
-	{name: "obs", in: []string{"internal/obs/"}, tests: true, match: imports("drms/"),
-		why: "internal/obs must stay stdlib-only (every layer imports it)"},
-	{name: "codec", in: []string{"internal/codec/"}, tests: true, match: imports("drms/"),
-		why: "internal/codec must stay stdlib-only (piece codecs decode anywhere, including fsck)"},
-	{name: "xsum", in: []string{"internal/xsum/"}, tests: true, match: imports("drms/"),
-		why: "internal/xsum must stay stdlib-only (a leaf: the exact sum every layer may fold into)"},
+	{name: "obs", in: []string{"internal/obs/"}, tests: true, match: importsBut("drms/", leakcheckPkg),
+		why: "internal/obs must stay stdlib-only (every layer imports it; its tests import only internal/leakcheck)"},
+	{name: "codec", in: []string{"internal/codec/"}, tests: true, match: importsBut("drms/", leakcheckPkg),
+		why: "internal/codec must stay stdlib-only (piece codecs decode anywhere, including fsck; its tests import only internal/leakcheck)"},
+	{name: "xsum", in: []string{"internal/xsum/"}, tests: true, match: importsBut("drms/", leakcheckPkg),
+		why: "internal/xsum must stay stdlib-only (a leaf: the exact sum every layer may fold into; its tests import only internal/leakcheck)"},
+	{name: "leakcheck", match: imports(leakcheckPkg),
+		why: "internal/leakcheck outside a test (it ends the process: only a test binary's TestMain calls it)"},
 	{name: "unsafe", in: []string{"internal/"}, allow: []string{"internal/array/codec.go"}, tests: true, match: imports("unsafe"),
 		why: "a second unsafe import under internal/ (the one byte view of a slice is rawBytes in internal/array/codec.go)"},
 	{name: "crc64", in: []string{"cmd/", "internal/"}, allow: []string{"internal/crc/crc.go"}, match: imports("hash/crc64"),
@@ -377,6 +387,10 @@ var archRules = []archRule{
 		match: calls("encoding/binary", "Uvarint", "Varint", "AppendUvarint", "AppendVarint", "PutUvarint", "PutVarint"),
 		why: "a hand-rolled varint codec (internal/frame is the one codec of every record the system defines: " +
 			"one walk that encodes and decodes, accepting only the encoding of what it decodes to)"},
+	{name: "fixed-width", in: []string{"internal/ckpt/"}, allow: []string{"internal/ckpt/ckpt.go"}, match: imports("encoding/binary"),
+		why: "a fixed-width record in internal/ckpt (its records — the metadata, the piece tables and the SOP rounds that " +
+			"gather them — are internal/frame walks; only ckpt.go's file layouts, the segment file's length header and " +
+			"the SPMD record, are fixed-width)"},
 	{name: "intersect-equal", match: intersectEqual,
 		why: "a subset test built as intersect-then-compare (it walks every element and allocates the " +
 			"intersection; x.Within(y) answers x ⊆ y in O(1) on regular axes, one pass otherwise)"},
@@ -484,6 +498,43 @@ func TestArchitecture(t *testing.T) {
 		}
 		if len(got) != 1 || !strings.HasPrefix(got[0], r.name+": ") {
 			t.Errorf("planted case of rule %s: violations %q, want exactly one of it", r.name, got)
+		}
+	}
+}
+
+// leakcheckPkg fails a test binary whose tests leak a goroutine.
+const leakcheckPkg = "drms/internal/leakcheck"
+
+// TestEveryPackageChecksForLeaks: every directory of the module with tests
+// has a TestMain that calls leakcheck.Main, so no package's tests leave a
+// goroutine of the module running unnoticed. benchmark/ is the benchmark's
+// contract, changed only with it.
+func TestEveryPackageChecksForLeaks(t *testing.T) {
+	tr, err := moduleTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := map[string]bool{}
+	for _, f := range tr.files {
+		dir := path.Dir(f.rel)
+		if !f.test || under(f.rel, "benchmark/") {
+			continue
+		}
+		checked[dir] = checked[dir] || slices.ContainsFunc(f.ast.Decls, func(d ast.Decl) bool {
+			fd, ok := d.(*ast.FuncDecl)
+			found := false
+			if ok && fd.Name.Name == "TestMain" && fd.Body != nil {
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					found = found || calls(leakcheckPkg, "Main")(f, n)
+					return !found
+				})
+			}
+			return found
+		})
+	}
+	for dir, ok := range checked {
+		if !ok {
+			t.Errorf("%s: no TestMain calls leakcheck.Main", dir)
 		}
 	}
 }

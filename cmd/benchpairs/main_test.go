@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"drms/internal/leakcheck"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // The quartiles must be the ones the accepting check takes: Python's
 // statistics.quantiles(range(1, 11), n=4) is [2.75, 5.5, 8.25].

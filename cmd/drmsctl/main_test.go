@@ -11,8 +11,11 @@ import (
 	"time"
 
 	"drms/internal/coord"
+	"drms/internal/leakcheck"
 	"drms/internal/pfs"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // buildCtl compiles the drmsctl binary into a scratch dir so the tests
 // can assert the process-level contract: the exit codes.

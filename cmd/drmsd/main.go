@@ -113,6 +113,7 @@ func main() {
 		check(err)
 		for _, tc := range tcs {
 			tcByNode[tc.Node()] = tc
+			defer tc.Stop() // before its RC closes: a TC heartbeats until stopped
 		}
 
 		jsa := coord.NewJSA(rc)

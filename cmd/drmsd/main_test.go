@@ -16,9 +16,12 @@ import (
 
 	"drms/internal/ckpt"
 	"drms/internal/coord"
+	"drms/internal/leakcheck"
 	"drms/internal/obs"
 	"drms/internal/pfs"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestDaemonObservabilityEndToEnd drives the full daemon stack — RC, TC
 // pool, JSA, control server, observability listener — through a

@@ -1,7 +1,8 @@
-// Package legacy is drmsfsck -repair's reader of the gob era: metadata of
-// versions 1 and 2, segment payloads in gob, the coordinator's gob state
-// images (some of them delta chains) and its gob records. It rewrites
-// each as the frames the product reads (DESIGN.md §3g) and is linked into
+// Package legacy is drmsfsck -repair's reader of records of earlier
+// builds: gob metadata of versions 1 and 2, version 3's fixed-width piece
+// tables, segment payloads in gob, the coordinator's gob state images
+// (some of them delta chains) and its gob records. It rewrites each as
+// the frames the product reads (DESIGN.md §3g) and is linked into
 // drmsfsck alone: the product refuses all of them with
 // ckpt.ErrLegacyFormat.
 package legacy
@@ -26,17 +27,17 @@ import (
 )
 
 // Upgrade rewrites the checkpoint under prefix, whose metadata is a gob
-// record or whose segments are, as metadata version 3 over framed
-// segments. A segment file on disk — a DRMS checkpoint's one, an SPMD
-// checkpoint's per task — is checked against its metadata, and its gob
-// payload re-framed (upgradeSegments); nothing else is re-read (a
-// memory-only segment has no file, and stays legacy). A DRMS version 1
-// checkpoint also has each array's stream in one raw file P.arr.<name>:
-// Upgrade copies it to a task-0 piece file, locates its pieces from the
-// version 1 checksum table (one whole-stream piece when there is none),
-// and removes the stream files once the result verifies. The meta is
-// committed last: a crash before it leaves the gob record in charge, and
-// a rerun starts over. Offline and single-client; upgraded is false, with
+// record or a version 3 frame, or whose segments are gob, as metadata
+// version 4 over framed segments. A segment file on disk — a DRMS
+// checkpoint's one, an SPMD checkpoint's per task — is checked against
+// its metadata, and its gob payload re-framed (upgradeSegments); nothing
+// else is re-read (a memory-only segment has no file, and stays legacy).
+// A DRMS version 1 checkpoint also has each array's stream in one raw
+// file P.arr.<name>: Upgrade copies it to a task-0 piece file, locates
+// its pieces from the version 1 checksum table (one whole-stream piece
+// when there is none), and removes the stream files once the result
+// verifies. The meta is committed last: a crash before it leaves the old
+// record in charge, and a rerun starts over. Offline and single-client; upgraded is false, with
 // a nil error, when there is nothing to upgrade.
 func Upgrade(fs *pfs.System, prefix string, client int) (upgraded bool, err error) {
 	m, g, err := readMeta(fs, prefix, client)
@@ -47,7 +48,7 @@ func Upgrade(fs *pfs.System, prefix string, client int) (upgraded bool, err erro
 		return false, fmt.Errorf("legacy: %q: metadata version %d unsupported", prefix, g.Version)
 	}
 	segs, err := upgradeSegments(fs, prefix, client, &m)
-	if err != nil || g == nil && !segs {
+	if err != nil || g == nil && m.Version != 3 && !segs {
 		return false, err
 	}
 	v1DRMS := m.Mode == ckpt.ModeDRMS && g != nil && g.Version == 1 && len(m.Arrays) > 0
@@ -186,12 +187,18 @@ type gobArray struct {
 }
 
 // readMeta reads prefix's metadata: m is the record, g its gob form when
-// it is one (nil for version 3).
+// it is one (nil for versions 3 and 4).
 func readMeta(fs *pfs.System, prefix string, client int) (m ckpt.Meta, g *gobMeta, err error) {
 	if m, err = ckpt.ReadMeta(fs, prefix, client); !errors.Is(err, ckpt.ErrLegacyFormat) {
 		return m, nil, err
 	}
 	b, err := ckpt.ReadMetaFile(fs, prefix, client)
+	if err == nil && bytes.HasPrefix(b, []byte(v3Head)) {
+		if m, err = decodeV3(b); err != nil {
+			err = fmt.Errorf("legacy: %q: version 3 metadata does not decode: %w", prefix, err)
+		}
+		return m, nil, err
+	}
 	g = new(gobMeta)
 	if err == nil {
 		err = gob.NewDecoder(bytes.NewReader(b)).Decode(g)
@@ -213,8 +220,8 @@ type gobRange struct{ r rangeset.Range }
 type gobSlice struct{ s rangeset.Slice }
 
 // GobDecode reads a regular triple or an index list. It refuses what no
-// encoder wrote — a non-positive step, indices out of order — rather
-// than panic in rangeset.Reg or List.
+// encoder wrote — a non-positive step, indices out of order or too far
+// apart for an int — rather than panic in rangeset.Reg or List.
 func (r *gobRange) GobDecode(b []byte) error {
 	var w struct {
 		Regular    bool
@@ -232,7 +239,7 @@ func (r *gobRange) GobDecode(b []byte) error {
 		return nil
 	}
 	for i := 1; i < len(w.Idx); i++ {
-		if w.Idx[i] <= w.Idx[i-1] {
+		if w.Idx[i]-w.Idx[i-1] <= 0 || w.Idx[i]-w.Idx[0] <= 0 { // out of order, or too far apart for List
 			return fmt.Errorf("legacy: stored indices not strictly increasing at %d", i)
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"drms/internal/crc"
 	"drms/internal/dist"
 	"drms/internal/drms"
+	"drms/internal/frame"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
@@ -28,32 +29,38 @@ import (
 	"drms/internal/stream"
 )
 
-// The gob-era fixtures are stored input: no code in the tree writes them,
-// and nothing regenerates them. What -repair makes of each is committed
-// beside it, so the product's tests read upgraded stores without linking
-// this package; if the upgrade's output must change, rewrite those (and
-// only those) deliberately with:
+// The fixtures of earlier formats are stored input: no code in the tree
+// writes them, and nothing regenerates them. What -repair makes of each
+// is committed beside it, so the product's tests read upgraded stores
+// without linking this package; if the upgrade's output must change,
+// rewrite those (and only those) deliberately with:
 //
 //	go test ./cmd/drmsfsck/internal/legacy -run Fixtures -regen-upgraded
-var regen = flag.Bool("regen-upgraded", false, "rewrite the *_upgraded.pfs fixtures (never the gob-era originals)")
+//
+// which rewrites a fixture only when the files it holds differ.
+var regen = flag.Bool("regen-upgraded", false, "rewrite the *_upgraded.pfs fixtures (never the originals)")
 
 const (
 	ckptData  = "../../../../internal/ckpt/testdata/"
 	coordData = "../../../../internal/coord/testdata/"
 )
 
-// fixtures pairs each gob-era original with what -repair makes of it.
-// golden_v2 is the checkpoint golden_v3 holds, as a gob record, and
-// golden_v3_gob_segment the same checkpoint as the last build with a gob
-// segment wrote it, its metadata already version 3: both upgrade to
-// golden_v3 itself.
+// fixtures pairs each original of an earlier format with what -repair
+// makes of it. golden_v2 is the checkpoint golden_v4 holds, as a gob
+// record, golden_v3 the same checkpoint as metadata version 3 wrote it,
+// and golden_v3_gob_segment the same again as the last build with a gob
+// segment wrote it: all three upgrade to golden_v4 itself. rcstate_v3 is
+// what -repair made of rcstate_parent while metadata was version 3, and
+// upgrades to what it makes of it now.
 var fixtures = []struct{ orig, upgraded string }{
 	{ckptData + "golden.pfs", ckptData + "golden_upgraded.pfs"},
-	{ckptData + "golden_v2.pfs", ckptData + "golden_v3.pfs"},
-	{ckptData + "golden_v3_gob_segment.pfs", ckptData + "golden_v3.pfs"},
+	{ckptData + "golden_v2.pfs", ckptData + "golden_v4.pfs"},
+	{ckptData + "golden_v3.pfs", ckptData + "golden_v4.pfs"},
+	{ckptData + "golden_v3_gob_segment.pfs", ckptData + "golden_v4.pfs"},
 	{ckptData + "v1_rotation.pfs", ckptData + "v1_rotation_upgraded.pfs"},
 	{ckptData + "rcstate_deltas.pfs", ckptData + "rcstate_deltas_upgraded.pfs"},
 	{coordData + "rcstate_parent.pfs", coordData + "rcstate_parent_upgraded.pfs"},
+	{coordData + "rcstate_v3.pfs", coordData + "rcstate_parent_upgraded.pfs"},
 }
 
 func load(t testing.TB, path string) *pfs.System {
@@ -79,18 +86,29 @@ func fileBytes(t testing.TB, fs *pfs.System, name string) []byte {
 }
 
 // sameFiles fails unless got stores exactly want's files under prefix,
-// byte for byte. Snapshots are compared by their files: the snapshot
-// encoding's map order varies.
+// byte for byte (fileDiffs).
 func sameFiles(t *testing.T, got, want *pfs.System, prefix string) {
 	t.Helper()
-	if g, w := got.List(prefix), want.List(prefix); !slices.Equal(g, w) {
-		t.Fatalf("files %v, want %v", g, w)
+	for _, d := range fileDiffs(t, got, want, prefix) {
+		t.Error(d)
 	}
+}
+
+// fileDiffs lists how got's files under prefix differ from want's, by
+// name, size and bytes. Snapshots are compared by their files: the
+// snapshot encoding's map order varies.
+func fileDiffs(t testing.TB, got, want *pfs.System, prefix string) []string {
+	t.Helper()
+	if g, w := got.List(prefix), want.List(prefix); !slices.Equal(g, w) {
+		return []string{fmt.Sprintf("files %v, want %v", g, w)}
+	}
+	var diffs []string
 	for _, name := range want.List(prefix) {
 		if !bytes.Equal(fileBytes(t, got, name), fileBytes(t, want, name)) {
-			t.Errorf("%s differs", name)
+			diffs = append(diffs, name+" differs")
 		}
 	}
+	return diffs
 }
 
 // repair runs what drmsfsck -repair runs on every checkpoint in fs: Upgrade
@@ -150,8 +168,12 @@ func TestUpgradeMatchesFixtures(t *testing.T) {
 					t.Fatal("nothing upgraded")
 				}
 				if *regen && !storeFirst && strings.HasSuffix(f.upgraded, "_upgraded.pfs") {
-					if err := fs.SaveFile(f.upgraded); err != nil {
-						t.Fatal(err)
+					old := pfs.NewSystem(pfs.DefaultConfig())
+					if err := old.LoadFile(f.upgraded); err != nil || len(fileDiffs(t, fs, old, "")) > 0 {
+						if err := fs.SaveFile(f.upgraded); err != nil {
+							t.Fatal(err)
+						}
+						t.Log("regenerated", f.upgraded)
 					}
 				}
 				sameFiles(t, fs, load(t, f.upgraded), "")
@@ -211,7 +233,8 @@ func TestUpgradeIdempotent(t *testing.T) {
 func TestUpgradeResumesAfterCrashBeforeCommit(t *testing.T) {
 	for _, tc := range []struct{ orig, upgraded, prefix string }{
 		{ckptData + "v1_rotation.pfs", ckptData + "v1_rotation_upgraded.pfs", "job.g1"},
-		{ckptData + "golden_v2.pfs", ckptData + "golden_v3.pfs", "golden"},
+		{ckptData + "golden_v2.pfs", ckptData + "golden_v4.pfs", "golden"},
+		{ckptData + "golden_v3.pfs", ckptData + "golden_v4.pfs", "golden"},
 	} {
 		fs := load(t, tc.orig)
 		if fs.Exists(streamFile(tc.prefix, "u")) {
@@ -680,4 +703,30 @@ func TestRecoverRCRefusesGobEraStore(t *testing.T) {
 	if info, ok := rc.App("done"); !ok || info.Status != coord.StatusFinished {
 		t.Fatalf("done recovered as %+v", info)
 	}
+}
+
+// FuzzDecodeV3 feeds version 3's decoder arbitrary bytes: a Meta or an
+// error, never a panic, and an accepted record is the one version 3's walk
+// writes for what it decoded, byte for byte. Seeded with golden_v3's
+// record (two arrays' location tables), a version 3 state store's and a
+// delta's with a fingerprint table.
+func FuzzDecodeV3(f *testing.F) {
+	f.Add(fileBytes(f, load(f, ckptData+"golden_v3.pfs"), "golden.meta"))
+	store := load(f, coordData+"rcstate_v3.pfs")
+	_, head, _ := ckpt.Rotation{Base: "rcstate"}.Latest(store)
+	f.Add(fileBytes(f, store, head+".meta"))
+	delta := ckpt.Meta{Mode: ckpt.ModeDRMS, Tasks: 2, Arrays: []ckpt.ArrayMeta{{Name: "u", Kind: "float64", Bytes: 8}},
+		SegBytes: []int64{40}, SegCRC: []uint64{1}, ArrayCRC: []uint64{2}, ChainLen: 1, Deps: []int{0},
+		PieceLocs: [][]ckpt.PieceLoc{{{PieceSum: ckpt.PieceSum{Bytes: 8, CRC: 3}, FileBytes: 8, StoredCRC: 3}}},
+		Sections:  [][]stream.SectionSum{{{Task: 1, Bytes: 8, CRC: 4}}}}
+	f.Add(frame.Encode(func(c *frame.Codec) { walkV3(c, &delta) }))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := decodeV3(b)
+		if err != nil {
+			return
+		}
+		if enc := frame.Encode(func(c *frame.Codec) { walkV3(c, &m) }); !bytes.Equal(enc, b) {
+			t.Fatalf("accepted %d bytes that re-encode as %d other bytes", len(b), len(enc))
+		}
+	})
 }

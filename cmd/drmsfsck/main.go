@@ -29,9 +29,10 @@
 // "<gen>.bad.") exactly as the recovery supervisor would do at restart
 // time, legacy generations (gob metadata of version 1 or 2, as every
 // restart state saved by older builds has; version 1 also keeps one
-// stream file per array; or a segment whose payload is a gob wrapper, as
+// stream file per array; version 3 metadata, whose piece tables were
+// fixed-width records; or a segment whose payload is a gob wrapper, as
 // every checkpoint saved before the segment became a frame has) are
-// upgraded in place to metadata version 3 over framed segments, a
+// upgraded in place to metadata version 4 over framed segments, a
 // coordinator state store whose head holds a gob image or gob records
 // (every store saved by older builds) gets that head's table, every
 // record a frame, as one framed anchor, and the snapshot is saved back;
@@ -80,7 +81,7 @@ const (
 
 func main() {
 	state := flag.String("state", "", "pfs snapshot file to check")
-	repair := flag.Bool("repair", false, "quarantine corrupt generations, upgrade legacy ones (gob metadata of version 1 or 2, gob-wrapper segments, gob state images) to frames, and save the snapshot back")
+	repair := flag.Bool("repair", false, "quarantine corrupt generations, upgrade legacy ones (gob metadata of version 1 or 2, version 3 metadata, gob-wrapper segments, gob state images) to frames, and save the snapshot back")
 	squash := flag.Bool("squash", false, "fold each verified delta chain into a self-contained anchor and save the snapshot back")
 	tierState := flag.String("tier", "", "peer-memory tier snapshot (drmsrun -tier-state); memory-resident payloads then verify against surviving replicas")
 	tiers := flag.Bool("tiers", false, "list each generation's storage-tier residency and replica counts before checking it")
@@ -332,7 +333,7 @@ func checkPrefix(fs *pfs.System, tier *ckpt.MemTier, prefix string, repair bool,
 			var up bool
 			if up, err = legacy.Upgrade(fs, g, 0); up {
 				*dirty, upgraded = true, true
-				fmt.Printf("%-12s upgraded to metadata version 3 over framed segments\n", g)
+				fmt.Printf("%-12s upgraded to metadata version 4 over framed segments\n", g)
 			}
 		}
 		var m ckpt.Meta

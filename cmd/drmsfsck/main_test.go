@@ -10,16 +10,20 @@ import (
 	"strings"
 	"testing"
 
+	"drms/cmd/drmsfsck/internal/legacy"
 	"drms/internal/array"
 	"drms/internal/ckpt"
 	"drms/internal/dist"
 	"drms/internal/drms"
+	"drms/internal/leakcheck"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/rangeset"
 	"drms/internal/seg"
 	"drms/internal/stream"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // buildSnapshot runs a tiny application that commits gens rotated
 // checkpoint generations under prefix, giving the checker a realistic
@@ -146,7 +150,7 @@ func TestCheckPrefixAcrossMetadataVersions(t *testing.T) {
 		t.Fatalf("upgrade classified %d dirty %v, want %d", code, dirty, exitRepaired)
 	}
 	for _, g := range []string{"job.g0", "job.g1"} {
-		if m, err := ckpt.ReadMeta(fs, g, 0); err != nil || m.Version != 3 {
+		if m, err := ckpt.ReadMeta(fs, g, 0); err != nil || m.Version != 4 {
 			t.Fatalf("%s after -repair: version %d, %v", g, m.Version, err)
 		}
 	}
@@ -174,31 +178,34 @@ func TestCheckPrefixAcrossMetadataVersions(t *testing.T) {
 	restoreStoredRotation(t, fs, "job.g1", 1)
 }
 
-// TestCheckPrefixUpgradesGobSegment: a checkpoint whose metadata is
-// version 3 and whose segment is a gob wrapper, as every build before the
-// segment became a frame saved it, is legacy, not corrupt: without
+// TestCheckPrefixUpgradesLegacyCheckpoint: a checkpoint as metadata
+// version 3 saved it, its segment framed or a gob wrapper (every build
+// before the segment became a frame), is legacy, not corrupt: without
 // -repair the prefix is unrecoverable, naming -repair, and no file moves;
-// -repair re-frames the segment, after which the checkpoint checks clean.
-func TestCheckPrefixUpgradesGobSegment(t *testing.T) {
-	fs := pfs.NewSystem(pfs.DefaultConfig())
-	if err := fs.LoadFile("../../internal/ckpt/testdata/golden_v3_gob_segment.pfs"); err != nil {
-		t.Fatal(err)
-	}
-	before := fs.List("")
-	dirty := false
-	var code int
-	out := stdout(t, func() { code = checkPrefix(fs, nil, "golden", false, &dirty) })
-	if code != exitUnrecoverable || dirty || !strings.Contains(out, "LEGACY") || !strings.Contains(out, "-repair") {
-		t.Fatalf("gob segment classified %d dirty %v, want %d, LEGACY and -repair named:\n%s", code, dirty, exitUnrecoverable, out)
-	}
-	if after := fs.List(""); strings.Join(after, " ") != strings.Join(before, " ") {
-		t.Fatalf("a check without -repair moved files: %v -> %v", before, after)
-	}
-	if code := checkPrefix(fs, nil, "golden", true, &dirty); code != exitRepaired || !dirty {
-		t.Fatalf("repair classified %d dirty %v, want %d", code, dirty, exitRepaired)
-	}
-	if code := checkPrefix(fs, nil, "golden", false, &dirty); code != exitClean {
-		t.Fatalf("re-framed checkpoint classified %d, want %d", code, exitClean)
+// -repair rewrites the metadata and re-frames a gob segment, after which
+// the checkpoint checks clean.
+func TestCheckPrefixUpgradesLegacyCheckpoint(t *testing.T) {
+	for _, fixture := range []string{"golden_v3.pfs", "golden_v3_gob_segment.pfs"} {
+		fs := pfs.NewSystem(pfs.DefaultConfig())
+		if err := fs.LoadFile("../../internal/ckpt/testdata/" + fixture); err != nil {
+			t.Fatal(err)
+		}
+		before := fs.List("")
+		dirty := false
+		var code int
+		out := stdout(t, func() { code = checkPrefix(fs, nil, "golden", false, &dirty) })
+		if code != exitUnrecoverable || dirty || !strings.Contains(out, "LEGACY") || !strings.Contains(out, "-repair") {
+			t.Fatalf("%s classified %d dirty %v, want %d, LEGACY and -repair named:\n%s", fixture, code, dirty, exitUnrecoverable, out)
+		}
+		if after := fs.List(""); strings.Join(after, " ") != strings.Join(before, " ") {
+			t.Fatalf("%s: a check without -repair moved files: %v -> %v", fixture, before, after)
+		}
+		if code := checkPrefix(fs, nil, "golden", true, &dirty); code != exitRepaired || !dirty {
+			t.Fatalf("%s: repair classified %d dirty %v, want %d", fixture, code, dirty, exitRepaired)
+		}
+		if code := checkPrefix(fs, nil, "golden", false, &dirty); code != exitClean {
+			t.Fatalf("%s: upgraded checkpoint classified %d, want %d", fixture, code, exitClean)
+		}
 	}
 }
 
@@ -514,10 +521,14 @@ func TestCheckPrefixReportsLegacyStateStore(t *testing.T) {
 }
 
 // commitGobRecords commits the gob anchor image at base's head as a framed
-// image of the same records, gob still.
+// image of the same records, gob still. The head's version 3 metadata is
+// upgraded first, which leaves its image as it is.
 func commitGobRecords(t *testing.T, fs *pfs.System, base string) {
 	t.Helper()
 	_, head, _ := ckpt.Rotation{Base: base}.Latest(fs)
+	if _, err := legacy.Upgrade(fs, head, 0); err != nil {
+		t.Fatal(err)
+	}
 	m, err := ckpt.ReadMeta(fs, head, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -31,6 +31,7 @@ var kept = map[string]string{
 	"rangeset.Slice.Coord":   "inverse of Slice.Offset: the element-wise oracle of five packages' tests",
 	"sim.Model.DESReplay":    "the discrete-event cross-check of the analytic model, run by the sim and bench tests",
 	"coord.RC.KillApp":       "the versioned API's entry for the transition table's kill-requested row",
+	"leakcheck.Main":         "every test binary's TestMain (TestEveryPackageChecksForLeaks): only tests may call it",
 }
 
 // viaInterface names methods the standard library calls through an

@@ -1,7 +1,7 @@
 package ckpt
 
 // The DRMS checkpoint writer and the chained format it writes (metadata
-// version 3, meta.go): every reconfigurable checkpoint is an anchor or a
+// version 4, meta.go): every reconfigurable checkpoint is an anchor or a
 // delta of a chain, with per-piece codecs.
 //
 // A checkpoint stores each array's distribution-independent stream as
@@ -36,7 +36,7 @@ package ckpt
 // compressed pieces whole (with a small cache for straddling reads).
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -554,101 +554,24 @@ func dirtyPieces(prev, cur []stream.SectionSum) []int {
 }
 
 // pieceFilters frames a delta decision: per array, stream.Options.Pieces
-// — nil for every piece — as a uvarint, 0 for nil or 1 + the count, and
-// the ascending indices. It encodes, or with dec decodes b into filters.
+// — nil for every piece — as a flag, set for nil, and otherwise the list
+// of ascending indices. It encodes, or with dec decodes b into filters.
 func pieceFilters(dec bool, b []byte, filters [][]int) ([]byte, error) {
 	c := &frame.Codec{Dec: dec, B: b}
 	for i := range filters {
-		n := uint64(len(filters[i]) + 1)
-		if filters[i] == nil {
-			n = 0
-		}
-		if c.Uvarint(&n); dec && c.Err == nil {
-			if filters[i] = nil; n > 0 && n-1 > uint64(len(c.B)) {
-				c.Fail("count %d exceeds the %d bytes left", n-1, len(c.B))
-			} else if n > 0 {
-				filters[i] = make([]int, n-1)
+		every := filters[i] == nil
+		if c.Flags(&every); !every {
+			if frame.List(c, &filters[i], func(p *int) { frame.Varint(c, p) }); filters[i] == nil {
+				filters[i] = []int{}
 			}
 		}
-		for j := range filters[i] {
-			if frame.Varint(c, &filters[i][j]); dec && (filters[i][j] < 0 || j > 0 && filters[i][j] <= filters[i][j-1]) {
+		for j, p := range filters[i] {
+			if dec && (p < 0 || j > 0 && p <= filters[i][j-1]) {
 				c.Fail("array %d piece filter not ascending at %d", i, j)
 			}
 		}
 	}
 	return c.End()
-}
-
-// The record of one piece location and of one contribution fingerprint:
-// fixed-width little-endian, like a restore's PieceSum (which a location
-// starts with), so neither a piece table nor a gather costs reflection.
-const (
-	locRecBytes = pieceSumBytes + 4 + 4 + 8 + 8 + 8 + 1 + 1
-	sumRecBytes = 4 + 4 + 8 + 8
-)
-
-// encodeLocSums frames one array's piece table as the metadata stores
-// it: the location count (4 bytes), then the records (appendRecs).
-func encodeLocSums(locs []PieceLoc, sums []stream.SectionSum) []byte {
-	buf := make([]byte, 0, 4+len(locs)*locRecBytes+len(sums)*sumRecBytes)
-	return appendRecs(binary.LittleEndian.AppendUint32(buf, uint32(len(locs))), locs, sums)
-}
-
-// decodeLocSums appends one frame's records to locs and sums. A frame
-// that is short, or whose length is not a whole number of records, is an
-// error: it came off storage or the transport, and nothing there may
-// panic a task.
-func decodeLocSums(part []byte, locs []PieceLoc, sums []stream.SectionSum) ([]PieceLoc, []stream.SectionSum, error) {
-	if len(part) < 4 {
-		return nil, nil, fmt.Errorf("ckpt: gathering piece locations: %d-byte frame has no header", len(part))
-	}
-	n, body := int64(binary.LittleEndian.Uint32(part)), part[4:]
-	if n*locRecBytes > int64(len(body)) || (int64(len(body))-n*locRecBytes)%sumRecBytes != 0 {
-		return nil, nil, fmt.Errorf("ckpt: gathering piece locations: ragged frame (%d locations announced, %d record bytes)",
-			n, len(body))
-	}
-	locs, sums, _ = readRecs(body, n, (int64(len(body))-n*locRecBytes)/sumRecBytes, locs, sums)
-	return locs, sums, nil
-}
-
-// appendRecs appends the location records, then the fingerprint records.
-func appendRecs(buf []byte, locs []PieceLoc, sums []stream.SectionSum) []byte {
-	le := binary.LittleEndian
-	for _, l := range locs {
-		buf = appendPieceSum(buf, l.PieceSum)
-		buf = le.AppendUint32(buf, uint32(int32(l.Gen))) // -1: non-rotated prefix
-		buf = le.AppendUint32(buf, uint32(l.Task))
-		buf = le.AppendUint64(buf, uint64(l.FileOff))
-		buf = le.AppendUint64(buf, uint64(l.FileBytes))
-		buf = le.AppendUint64(buf, l.StoredCRC)
-		buf = append(buf, l.Codec, l.Where)
-	}
-	for _, s := range sums {
-		buf = le.AppendUint32(buf, uint32(s.Piece))
-		buf = le.AppendUint32(buf, uint32(s.Task))
-		buf = le.AppendUint64(buf, uint64(s.Bytes))
-		buf = le.AppendUint64(buf, s.CRC)
-	}
-	return buf
-}
-
-// readRecs appends nl location records, then ns fingerprint records,
-// from the start of b (which holds them) and returns what follows.
-func readRecs(b []byte, nl, ns int64, locs []PieceLoc, sums []stream.SectionSum) ([]PieceLoc, []stream.SectionSum, []byte) {
-	le := binary.LittleEndian
-	locs, sums = slices.Grow(locs, int(nl)), slices.Grow(sums, int(ns))
-	for ; nl > 0; nl, b = nl-1, b[locRecBytes:] {
-		r := b[pieceSumBytes:]
-		locs = append(locs, PieceLoc{PieceSum: pieceSumAt(b),
-			Gen: int(int32(le.Uint32(r[0:4]))), Task: int(le.Uint32(r[4:8])),
-			FileOff: int64(le.Uint64(r[8:16])), FileBytes: int64(le.Uint64(r[16:24])),
-			StoredCRC: le.Uint64(r[24:32]), Codec: r[32], Where: r[33]})
-	}
-	for ; ns > 0; ns, b = ns-1, b[sumRecBytes:] {
-		sums = append(sums, stream.SectionSum{Piece: int(le.Uint32(b[0:4])), Task: int(le.Uint32(b[4:8])),
-			Bytes: int64(le.Uint64(b[8:16])), CRC: le.Uint64(b[16:24])})
-	}
-	return locs, sums, b
 }
 
 // gatherLocSums gathers every task's piece locations and fingerprints of
@@ -668,38 +591,29 @@ func mergeLocSums(parts [][]byte, n int) ([][]PieceLoc, [][]stream.SectionSum, e
 	allLocs, allSums := make([][]PieceLoc, n), make([][]stream.SectionSum, n)
 	for _, part := range parts {
 		if _, err := locSumsFrames(true, part, allLocs, allSums); err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("ckpt: gathering piece locations: %w", err)
 		}
 	}
 	for i := range allLocs {
-		l, s := allLocs[i], allSums[i]
-		sort.Slice(l, func(i, j int) bool { return l[i].Index < l[j].Index })
-		sort.Slice(s, func(i, j int) bool {
-			if s[i].Piece != s[j].Piece {
-				return s[i].Piece < s[j].Piece
-			}
-			return s[i].Task < s[j].Task
+		slices.SortFunc(allLocs[i], func(a, b PieceLoc) int { return cmp.Compare(a.Index, b.Index) })
+		slices.SortFunc(allSums[i], func(a, b stream.SectionSum) int {
+			return cmp.Or(cmp.Compare(a.Piece, b.Piece), cmp.Compare(a.Task, b.Task))
 		})
 	}
 	return allLocs, allSums, nil
 }
 
 // locSumsFrames frames a task's part of a checkpoint's gathers: per
-// array, the location and fingerprint counts as uvarints, then the
-// records. It encodes the lists, or with dec appends b's records to them.
+// array, its location list, then its fingerprint list, as the metadata
+// stores them. It encodes the lists, or with dec appends b's records to
+// them.
 func locSumsFrames(dec bool, b []byte, locs [][]PieceLoc, sums [][]stream.SectionSum) ([]byte, error) {
 	c := &frame.Codec{Dec: dec, B: b}
 	for i := range locs {
-		nl, ns := uint64(len(locs[i])), uint64(len(sums[i]))
-		c.Uvarint(&nl)
-		c.Uvarint(&ns)
-		switch left := uint64(len(c.B)); {
-		case !dec:
-			c.B = appendRecs(c.B, locs[i], sums[i])
-		case c.Err == nil && (nl > left/locRecBytes || ns > (left-nl*locRecBytes)/sumRecBytes):
-			c.Fail("array %d: ragged frame (%d locations and %d fingerprints announced, %d record bytes)", i, nl, ns, left)
-		case c.Err == nil:
-			locs[i], sums[i], c.B = readRecs(c.B, int64(nl), int64(ns), locs[i], sums[i])
+		l, s := locs[i], sums[i]
+		pieceLocs(c, &l)
+		if sectionSums(c, &s); dec {
+			locs[i], sums[i] = append(locs[i], l...), append(sums[i], s...)
 		}
 	}
 	return c.End()

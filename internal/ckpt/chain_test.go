@@ -585,10 +585,10 @@ func TestIncrementalRequiresPlanSig(t *testing.T) {
 	}
 }
 
-// TestGatherLocSumsFrames: the location gather's fixed-width frame
-// round-trips every field, and a frame that is short or not a whole
-// number of records is an error — at the root from the decoder, at the
-// peers from the collective the root abandoned — never a panic.
+// TestGatherLocSumsFrames: the location gather's frame round-trips every
+// field, and a frame that is short, padded or holds a field out of range
+// is an error — at the root from the decoder, at the peers from the
+// collective the root abandoned — never a panic.
 func TestGatherLocSumsFrames(t *testing.T) {
 	locs := []PieceLoc{
 		{PieceSum: PieceSum{Index: 3, Off: 900, CRC: 0xfeedfacecafebeef, Bytes: 300}, Gen: -1, Task: 2,
@@ -596,25 +596,35 @@ func TestGatherLocSumsFrames(t *testing.T) {
 		{PieceSum: PieceSum{Index: 0, Bytes: 300}, Gen: 7},
 	}
 	sums := []stream.SectionSum{{Piece: 3, Task: 2, Bytes: 150, CRC: 9}, {Piece: 0, Task: 1, Bytes: 1 << 40, CRC: 1 << 63}}
-	frame := encodeLocSums(locs, sums)
-	gotLocs, gotSums, err := decodeLocSums(frame, nil, nil)
+	decode := func(f []byte) ([]PieceLoc, []stream.SectionSum, error) {
+		l, s := make([][]PieceLoc, 1), make([][]stream.SectionSum, 1)
+		_, err := locSumsFrames(true, f, l, s)
+		return l[0], s[0], err
+	}
+	frame, _ := locSumsFrames(false, nil, [][]PieceLoc{locs}, [][]stream.SectionSum{sums})
+	gotLocs, gotSums, err := decode(frame)
 	if err != nil || fmt.Sprint(gotLocs) != fmt.Sprint(locs) || fmt.Sprint(gotSums) != fmt.Sprint(sums) {
 		t.Fatalf("round trip: %v\n locs %v\n sums %v", err, gotLocs, gotSums)
 	}
-	if l, s, err := decodeLocSums(encodeLocSums(nil, nil), nil, nil); err != nil || l != nil || s != nil {
-		t.Fatalf("empty frame: %v %v %v", l, s, err)
+	empty, _ := locSumsFrames(false, nil, make([][]PieceLoc, 1), make([][]stream.SectionSum, 1))
+	if l, s, err := decode(empty); err != nil || l != nil || s != nil || len(empty) != 2 {
+		t.Fatalf("empty frame %x: %v %v %v", empty, l, s, err)
 	}
+	codecAt := 1 + 15 + 1 + 1 + 5 + 2 // the count; the first location's checksum, Gen, Task, FileOff, FileBytes
 	ragged := [][]byte{
-		{},                          // no header
-		{1, 0},                      // half a header
-		frame[:len(frame)-1],        // last fingerprint cut short
-		append(frame[:4:4], 1, 2),   // two locations announced, two bytes sent
-		{0xff, 0xff, 0xff, 0xff, 0}, // a count no frame could hold
-		frame[:4+locRecBytes+5],     // second location cut short
+		{},                                       // no counts
+		frame[:len(frame)-1],                     // last fingerprint cut short
+		{2, 0, 0},                                // two locations announced, two bytes sent
+		{0xff, 0xff, 0xff, 0x0f, 0},              // a count no frame could hold
+		append([]byte{0x82, 0x00}, frame[1:]...), // a padded count
+		append(append(frame[:codecAt:codecAt], 0x80, 0x04), frame[codecAt+1:]...), // codec 256
+	}
+	if frame[codecAt] != 2*byte(codec.Flate) {
+		t.Fatalf("byte %d is %d, not the first location's codec", codecAt, frame[codecAt])
 	}
 	for i, f := range ragged {
-		if _, _, err := decodeLocSums(f, nil, nil); err == nil {
-			t.Errorf("ragged frame %d (%d bytes) decoded", i, len(f))
+		if _, _, err := decode(f); err == nil {
+			t.Errorf("ragged frame %d (%x) decoded", i, f)
 		}
 	}
 
@@ -651,7 +661,7 @@ func TestGatherLocSumsFrames(t *testing.T) {
 			t.Errorf("rank %d saw no error from a ragged gather frame", r)
 		}
 	}
-	if !strings.Contains(fmt.Sprint(errs[0]), "ragged frame") {
+	if !strings.Contains(fmt.Sprint(errs[0]), "gathering piece locations") {
 		t.Errorf("root error = %v", errs[0])
 	}
 }

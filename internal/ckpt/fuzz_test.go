@@ -36,12 +36,13 @@ func metaBytes(t testing.TB, fs *pfs.System, prefix string) []byte {
 }
 
 // FuzzReadMeta stores arbitrary bytes as the metadata x.meta beside the
-// payload files of golden_v3.pfs, renamed under x, on a fresh file system,
-// and reads and verifies the checkpoint. A result or an error are the only
-// outcomes: no metadata record may panic a reader. A record ReadMeta
-// accepts is the one encodeMeta writes for what it decoded, byte for
-// byte: version 3 has one spelling per Meta. Seeded with the golden's
-// own record (DRMS), a StateStore generation's and an SPMD checkpoint's.
+// payload files of the current golden, renamed under x, on a fresh file
+// system, and reads and verifies the checkpoint. A result or an error are
+// the only outcomes: no metadata record may panic a reader. A record
+// ReadMeta accepts is the one encodeMeta writes for what it decoded, byte
+// for byte: version 4 has one spelling per Meta. Seeded with the golden's
+// own record (DRMS), its version 3 record (legacy), a StateStore
+// generation's, an SPMD checkpoint's and a flate delta's.
 func FuzzReadMeta(f *testing.F) {
 	golden := pfs.NewSystem(pfs.DefaultConfig())
 	if err := golden.LoadFile(currentGolden); err != nil {
@@ -60,6 +61,11 @@ func FuzzReadMeta(f *testing.F) {
 		payload["x"+strings.TrimPrefix(name, "golden")] = b
 	}
 	f.Add(metaBytes(f, golden, "golden"))
+	v3 := pfs.NewSystem(pfs.DefaultConfig())
+	if err := v3.LoadFile("testdata/golden_v3.pfs"); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(metaBytes(f, v3, "golden"))
 
 	seeds := testFS()
 	st := &StateStore{Base: "rcstate"}
@@ -76,6 +82,9 @@ func FuzzReadMeta(f *testing.F) {
 		}
 	})
 	f.Add(metaBytes(f, seeds, "sp"))
+	writeChainGen(f, seeds, "job.g0", ChainOptions{Delta: true, Codec: CodecFlate}, 0, 2, []int{2, 1})
+	writeChainGen(f, seeds, "job.g1", ChainOptions{Prev: "job.g0", Delta: true, Codec: CodecFlate}, 1, 2, []int{2, 1})
+	f.Add(metaBytes(f, seeds, "job.g1"))
 
 	f.Fuzz(func(t *testing.T, meta []byte) {
 		fs := pfs.NewSystem(pfs.DefaultConfig())
@@ -127,42 +136,29 @@ func FuzzReadSegmentFile(f *testing.F) {
 	})
 }
 
-// FuzzDecodeLocSums feeds the piece-location decoders an arbitrary
-// frame: records or an error, never a panic. As one array's piece table
-// (decodeLocSums), a frame it accepts is one its encoder writes, byte for
-// byte, and what it decodes comes back through encode and decode
-// unchanged. As one task's contribution to a checkpoint's location or
-// fingerprint gather for a count of arrays (locSumsFrames), what it
-// decodes comes back through encode and decode unchanged.
+// FuzzDecodeLocSums feeds the location and fingerprint gather's decoder
+// (locSumsFrames), for a count of arrays, an arbitrary frame: records or
+// an error, never a panic. A frame it accepts is the one its encoder
+// writes for what it decoded, byte for byte. Seeded with one and two
+// arrays' frames, an empty one and a count no frame could hold.
 func FuzzDecodeLocSums(f *testing.F) {
 	locs := []PieceLoc{{PieceSum: PieceSum{Index: 3, Off: 900, CRC: 7, Bytes: 300},
 		Gen: -1, Task: 2, FileOff: 10, FileBytes: 120, Codec: 1, StoredCRC: 8, Where: TierMem}}
 	sums := []stream.SectionSum{{Piece: 3, Task: 2, Bytes: 8, CRC: 9}}
-	f.Add(encodeLocSums(locs, sums), uint8(1))
-	f.Add(encodeLocSums(nil, nil), uint8(0))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(1))
+	one, _ := locSumsFrames(false, nil, [][]PieceLoc{locs}, [][]stream.SectionSum{sums})
+	f.Add(one, uint8(1))
 	multi, _ := locSumsFrames(false, nil, [][]PieceLoc{locs, nil}, [][]stream.SectionSum{nil, sums})
 	f.Add(multi, uint8(2))
+	f.Add([]byte{0, 0}, uint8(1))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, 0}, uint8(1))
 	f.Fuzz(func(t *testing.T, part []byte, arrays uint8) {
-		if locs, sums, err := decodeLocSums(part, nil, nil); err == nil {
-			b := encodeLocSums(locs, sums)
-			if !bytes.Equal(b, part) {
-				t.Fatalf("accepted a %d-byte frame its encoder writes as %d bytes", len(part), len(b))
-			}
-			l2, s2, err := decodeLocSums(b, nil, nil)
-			if err != nil || !reflect.DeepEqual(l2, locs) || !reflect.DeepEqual(s2, sums) {
-				t.Fatalf("decode(encode(%+v, %+v)) = %+v, %+v, %v", locs, sums, l2, s2, err)
-			}
-		}
 		n := int(arrays % 4)
 		locs, sums := make([][]PieceLoc, n), make([][]stream.SectionSum, n)
 		if _, err := locSumsFrames(true, part, locs, sums); err != nil {
 			return
 		}
-		b, _ := locSumsFrames(false, nil, locs, sums)
-		l2, s2 := make([][]PieceLoc, n), make([][]stream.SectionSum, n)
-		if _, err := locSumsFrames(true, b, l2, s2); err != nil || !reflect.DeepEqual(l2, locs) || !reflect.DeepEqual(s2, sums) {
-			t.Fatalf("%d arrays: decode(encode(%+v, %+v)) = %+v, %+v, %v", n, locs, sums, l2, s2, err)
+		if b, _ := locSumsFrames(false, nil, locs, sums); !bytes.Equal(b, part) {
+			t.Fatalf("%d arrays: accepted %x, which decodes to %+v, %+v and encodes as %x", n, part, locs, sums, b)
 		}
 	})
 }
@@ -176,8 +172,9 @@ func FuzzDecodeDeltaDecision(f *testing.F) {
 	frame, _ := pieceFilters(false, nil, [][]int{nil, {}, {0, 3, 7}})
 	f.Add(frame, uint8(3))
 	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{3, 6, 2}, uint8(1))                         // a filter not ascending
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0}, uint8(1)) // a count no frame could hold
+	f.Add([]byte{0, 2, 6, 2}, uint8(1))                         // a filter not ascending
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0}, uint8(1)) // a count no frame could hold
+	f.Add([]byte{2}, uint8(1))                                  // a flag no field owns
 	f.Fuzz(func(t *testing.T, b []byte, arrays uint8) {
 		filters := make([][]int, arrays%8)
 		if _, err := pieceFilters(true, b, filters); err != nil {
@@ -202,23 +199,21 @@ func FuzzDecodeDeltaDecision(f *testing.F) {
 // a task's piece CRCs and tier byte counts as rank 0 decodes them
 // (readSums), and rank 0's verdict as every task decodes it
 // (verdictFrame), for a count of arrays. Records or an error, never a
-// panic; an accepted verdict names an array of the count or none, and a
-// piece only of an array; what either decodes comes back through encode
-// and decode unchanged.
+// panic; accepted piece sums are the encoding of what they decode to;
+// an accepted verdict names an array of the count or none, and a piece
+// only of an array, and comes back through encode and decode unchanged.
 func FuzzDecodeReadCheck(f *testing.F) {
 	sums, _ := readSums(false, nil, [][]PieceSum{{{Index: 2, Off: 600, CRC: 5, Bytes: 300}}, nil}, &[2]int64{300, 0})
 	verdict, _ := verdictFrame(false, nil, &readVerdict{Array: 1, Piece: 2, Mem: 1 << 40, PFS: 7}, 2)
 	f.Add(sums, verdict, uint8(2))
 	f.Add([]byte{}, []byte{}, uint8(0))
-	f.Add([]byte{5, 1, 2, 3, 4, 5, 0, 0}, []byte{1, 2, 0, 0}, uint8(1)) // a ragged record; a piece of no array
+	f.Add([]byte{1, 4, 0x80, 0, 0}, []byte{1, 2, 0, 0}, uint8(1)) // a padded offset; a piece of no array
 	f.Fuzz(func(t *testing.T, sums, verdict []byte, arrays uint8) {
 		n := int(arrays % 4)
 		pieces, tier := make([][]PieceSum, n), [2]int64{}
 		if _, err := readSums(true, sums, pieces, &tier); err == nil {
-			again, tier2 := make([][]PieceSum, n), [2]int64{}
-			enc, _ := readSums(false, nil, pieces, &tier)
-			if _, err := readSums(true, enc, again, &tier2); err != nil || !reflect.DeepEqual(again, pieces) || tier2 != tier {
-				t.Fatalf("decode(encode(%v, %v)) = %v, %v, %v", pieces, tier, again, tier2, err)
+			if enc, _ := readSums(false, nil, pieces, &tier); !bytes.Equal(enc, sums) {
+				t.Fatalf("accepted %x, which decodes to %v, %v and encodes as %x", sums, pieces, tier, enc)
 			}
 		}
 		var v readVerdict

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"slices"
 	"testing"
 
 	"drms/internal/array"
@@ -23,28 +24,31 @@ import (
 // golden.pfs is metadata v1, one raw stream file per array, and
 // golden_v2.pfs metadata v2, the default configuration's chained raw
 // anchor: both are gob records, which nothing in this tree writes and
-// every reader refuses. drmsfsck -repair upgrades them to
-// golden_upgraded.pfs and golden_v3.pfs (its tests check that byte for
-// byte), and the test restores those, so neither gob file is ever
-// regenerated — they are the upgrader's contract with checkpoints already
-// on storage. golden_v3_gob_segment.pfs is the same checkpoint as the
-// last build whose segment payload was a gob wrapper wrote it: metadata
-// version 3, which every reader refuses for its segment, and which -repair
-// upgrades to golden_v3.pfs as well. golden_v3.pfs is the same checkpoint
-// as this tree writes it; if that format must change, regenerate it
-// deliberately with:
+// every reader refuses. golden_v3.pfs is the same checkpoint as metadata
+// version 3 wrote it, its piece tables fixed-width records, and
+// golden_v3_gob_segment.pfs the same again as the last build whose
+// segment payload was a gob wrapper wrote it. drmsfsck -repair upgrades
+// golden.pfs to golden_upgraded.pfs and the other three to golden_v4.pfs
+// (its tests check that byte for byte), and the test restores those, so
+// none of the four is ever regenerated — they are the upgrader's contract
+// with checkpoints already on storage. golden_v4.pfs is the same
+// checkpoint as this tree writes it; if that format must change,
+// regenerate it deliberately with:
 //
 //	go test ./internal/ckpt -run Golden -regen-golden
-var regenGolden = flag.Bool("regen-golden", false, "rewrite testdata/golden_v3.pfs (never the gob-era goldens)")
+//
+// which rewrites the file only when the files it holds differ.
+var regenGolden = flag.Bool("regen-golden", false, "rewrite testdata/golden_v4.pfs (never the goldens of earlier formats)")
 
 var goldens = []struct {
 	path     string
 	upgraded string // a legacy checkpoint's upgraded form, which the test restores
 }{
 	{"testdata/golden.pfs", "testdata/golden_upgraded.pfs"},
-	{"testdata/golden_v2.pfs", "testdata/golden_v3.pfs"},
-	{"testdata/golden_v3_gob_segment.pfs", "testdata/golden_v3.pfs"},
-	{"testdata/golden_v3.pfs", ""},
+	{"testdata/golden_v2.pfs", "testdata/golden_v4.pfs"},
+	{"testdata/golden_v3_gob_segment.pfs", "testdata/golden_v4.pfs"},
+	{"testdata/golden_v3.pfs", "testdata/golden_v4.pfs"},
+	{"testdata/golden_v4.pfs", ""},
 }
 
 // currentGolden is the golden this tree writes.
@@ -70,15 +74,36 @@ func writeGolden(t *testing.T, path string) {
 			panic(err)
 		}
 	})
+	old := pfs.NewSystem(pfs.DefaultConfig())
+	if err := old.LoadFile(path); err == nil && sameStoredFiles(t, fs, old) {
+		t.Log(path, "holds these files already: left as it is")
+		return
+	}
 	if err := fs.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
+	t.Log("regenerated", path)
+}
+
+// sameStoredFiles reports whether a and b store the same files, by name,
+// size and bytes. Snapshots are compared by their files: a snapshot's own
+// bytes follow map order.
+func sameStoredFiles(t testing.TB, a, b *pfs.System) bool {
+	names := a.List("")
+	if !slices.Equal(names, b.List("")) {
+		return false
+	}
+	for _, name := range names {
+		if !bytes.Equal(fileBytes(t, a, name), fileBytes(t, b, name)) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestGoldenCheckpointStillRestores(t *testing.T) {
 	if *regenGolden {
 		writeGolden(t, currentGolden)
-		t.Log("regenerated", currentGolden, "— the gob-era goldens are stored input and stay as they are")
 	}
 	for _, g := range goldens {
 		t.Run(g.path, func(t *testing.T) { restoreGolden(t, g.path, g.upgraded) })
@@ -196,7 +221,7 @@ func TestStoredPlanSigsStillMatch(t *testing.T) {
 	checkChainRestore(t, fs, "job.g3", 2, 4, []int{2, 2}, 300)
 }
 
-// TestGoldenMetaBytes pins version 3 at the byte: the stored golden_v3
+// TestGoldenMetaBytes pins version 4 at the byte: the stored golden_v4
 // record is what encodeMeta writes for the Meta it decodes to.
 func TestGoldenMetaBytes(t *testing.T) {
 	cur := pfs.NewSystem(pfs.DefaultConfig())
@@ -209,6 +234,6 @@ func TestGoldenMetaBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b := encodeMeta(&m); !bytes.Equal(b, stored) {
-		t.Fatalf("golden_v3's record re-encodes as %d other bytes (stored %d)", len(b), len(stored))
+		t.Fatalf("golden_v4's record re-encodes as %d other bytes (stored %d)", len(b), len(stored))
 	}
 }

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -44,26 +43,6 @@ func combinePieces(pieces []PieceSum) uint64 {
 		acc = crc.Combine(acc, p.CRC, p.Bytes)
 	}
 	return acc
-}
-
-// pieceSumBytes is a PieceSum's fixed-width little-endian gather record.
-const pieceSumBytes = 4 + 8 + 8 + 8
-
-func appendPieceSum(buf []byte, p PieceSum) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Index))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Off))
-	buf = binary.LittleEndian.AppendUint64(buf, p.CRC)
-	return binary.LittleEndian.AppendUint64(buf, uint64(p.Bytes))
-}
-
-// pieceSumAt decodes the record at the start of b (len(b) >= pieceSumBytes).
-func pieceSumAt(b []byte) PieceSum {
-	return PieceSum{
-		Index: int(binary.LittleEndian.Uint32(b[0:4])),
-		Off:   int64(binary.LittleEndian.Uint64(b[4:12])),
-		CRC:   binary.LittleEndian.Uint64(b[12:20]),
-		Bytes: int64(binary.LittleEndian.Uint64(b[20:28])),
-	}
 }
 
 // readVerdict is rank 0's verdict on a restore (checkRead).
@@ -140,20 +119,14 @@ func decideAtRoot(comm *msg.Comm, frame []byte, decide func(parts [][]byte) ([]b
 }
 
 // readSums frames a task's part of checkRead: per array, the pieces it
-// read as PieceSum records behind their length, then its tier byte
-// counts. It encodes, or with dec appends b's pieces and reads tier.
+// read as a list of PieceSum records, then its tier byte counts. It
+// encodes, or with dec appends b's pieces and reads tier.
 func readSums(dec bool, b []byte, pieces [][]PieceSum, tier *[2]int64) ([]byte, error) {
 	c := &frame.Codec{Dec: dec, B: b}
 	for i := range pieces {
-		var rec []byte
-		for j := 0; !dec && j < len(pieces[i]); j++ {
-			rec = appendPieceSum(rec, pieces[i][j])
-		}
-		if c.Bytes(&rec); dec && len(rec)%pieceSumBytes != 0 {
-			c.Fail("array %d: %d bytes of %d-byte piece records", i, len(rec), pieceSumBytes)
-		}
-		for ; dec && c.Err == nil && len(rec) > 0; rec = rec[pieceSumBytes:] {
-			pieces[i] = append(pieces[i], pieceSumAt(rec))
+		ps := pieces[i]
+		if frame.List(c, &ps, func(p *PieceSum) { pieceSum(c, p) }); dec {
+			pieces[i] = append(pieces[i], ps...)
 		}
 	}
 	frame.Varint(c, &tier[0])

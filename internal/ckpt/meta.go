@@ -12,18 +12,20 @@ import (
 	"drms/internal/stream"
 )
 
-// Metadata version 3 (DESIGN.md §3g) is one byte frame for every record,
+// Metadata version 4 (DESIGN.md §3g) is one byte frame for every record,
 // a function of the Meta alone. One without metaMagic is a gob record of
-// version 1 or 2, which only drmsfsck -repair reads.
+// version 1 or 2, and one with metaV3 a frame whose piece tables were
+// fixed-width records: only drmsfsck -repair reads either.
 const (
 	metaMagic   = "DRMSmeta"
-	metaVersion = 3
+	metaVersion = 4
+	metaV3      = metaMagic + "\x03"
 )
 
-// ErrLegacyFormat marks a gob record of an earlier build — metadata, a
-// state image or a coordinator record: intact, so never quarantined, but
-// read only once drmsfsck -repair rewrote it.
-var ErrLegacyFormat = errors.New("ckpt: legacy format (a gob record of an earlier build); upgrade it once with drmsfsck -repair")
+// ErrLegacyFormat marks a record of an earlier build — gob metadata, a
+// version 3 frame, a state image or a coordinator record: intact, so
+// never quarantined, but read only once drmsfsck -repair rewrote it.
+var ErrLegacyFormat = errors.New("ckpt: legacy format (a record of an earlier build); upgrade it once with drmsfsck -repair")
 
 // ReadMeta reads and decodes checkpoint metadata (e.g. to learn the task
 // count before deciding a restart configuration). A record that does not
@@ -66,13 +68,13 @@ func writeMeta(fs *pfs.System, prefix string, client int, m Meta) error {
 	return fs.Rename(tmp, metaFile(prefix))
 }
 
-// CommitMeta commits m as prefix's version 3 record, once that record
+// CommitMeta commits m as prefix's version 4 record, once that record
 // decodes to m exactly: drmsfsck -repair's write of upgraded metadata.
 func CommitMeta(fs *pfs.System, prefix string, client int, m Meta) error {
 	m.Version = metaVersion
 	got, err := decodeMeta(encodeMeta(&m), prefix)
 	if err == nil && !reflect.DeepEqual(got, m) {
-		err = fmt.Errorf("ckpt: %q: a version 3 record does not hold this metadata", prefix)
+		err = fmt.Errorf("ckpt: %q: a version 4 record does not hold this metadata", prefix)
 	}
 	if err != nil {
 		return err
@@ -89,7 +91,7 @@ func encodeMeta(m *Meta) []byte {
 // decodeMeta is ReadMeta on bytes read. A record is accepted only as the
 // encoding of what it decodes to: each Meta has one spelling.
 func decodeMeta(b []byte, prefix string) (Meta, error) {
-	if !bytes.HasPrefix(b, []byte(metaMagic)) {
+	if !bytes.HasPrefix(b, []byte(metaMagic)) || bytes.HasPrefix(b, []byte(metaV3)) {
 		return Meta{}, fmt.Errorf("%w: %q", ErrLegacyFormat, prefix)
 	}
 	m := Meta{Version: metaVersion}
@@ -103,7 +105,7 @@ func decodeMeta(b []byte, prefix string) (Meta, error) {
 }
 
 // walkMeta walks the magic, the version, then m's fields in declaration
-// order, the piece tables as encodeLocSums frames.
+// order, each piece table a list of its records.
 func walkMeta(c *frame.Codec, m *Meta) {
 	c.Head(metaMagic, metaVersion)
 	c.Str((*string)(&m.Mode))
@@ -124,22 +126,46 @@ func walkMeta(c *frame.Codec, m *Meta) {
 	frame.List(c, &m.PlanSigs, c.Str)
 	frame.Varint(c, &m.ChainLen)
 	frame.List(c, &m.Deps, func(v *int) { frame.Varint(c, v) })
-	frame.List(c, &m.PieceLocs, func(l *[]PieceLoc) { locSumsFrame(c, l, new([]stream.SectionSum)) })
-	frame.List(c, &m.Sections, func(s *[]stream.SectionSum) { locSumsFrame(c, new([]PieceLoc), s) })
+	frame.List(c, &m.PieceLocs, func(l *[]PieceLoc) { pieceLocs(c, l) })
+	frame.List(c, &m.Sections, func(s *[]stream.SectionSum) { sectionSums(c, s) })
 }
 
-// locSumsFrame is one encodeLocSums frame behind its length.
-func locSumsFrame(c *frame.Codec, locs *[]PieceLoc, sums *[]stream.SectionSum) {
-	var f []byte
-	if !c.Dec {
-		f = encodeLocSums(*locs, *sums)
-	}
-	if c.Bytes(&f); c.Dec && c.Err == nil {
-		var err error
-		if *locs, *sums, err = decodeLocSums(f, nil, nil); err != nil {
-			c.Fail("%v", err)
-		}
-	}
+// The three piece records, in the metadata and in the SOP rounds that
+// gather them: a piece's checksum, its location (which starts with the
+// checksum) and a task's contribution fingerprint. Signed fields are
+// zigzag varints, checksums uvarints.
+
+func pieceSum(c *frame.Codec, p *PieceSum) {
+	frame.Varint(c, &p.Index)
+	frame.Varint(c, &p.Off)
+	c.Uvarint(&p.CRC)
+	frame.Varint(c, &p.Bytes)
+}
+
+func pieceLoc(c *frame.Codec, l *PieceLoc) {
+	pieceSum(c, &l.PieceSum)
+	frame.Varint(c, &l.Gen)
+	frame.Varint(c, &l.Task)
+	frame.Varint(c, &l.FileOff)
+	frame.Varint(c, &l.FileBytes)
+	frame.Varint(c, &l.Codec)
+	c.Uvarint(&l.StoredCRC)
+	frame.Varint(c, &l.Where)
+}
+
+func sectionSum(c *frame.Codec, s *stream.SectionSum) {
+	frame.Varint(c, &s.Piece)
+	frame.Varint(c, &s.Task)
+	frame.Varint(c, &s.Bytes)
+	c.Uvarint(&s.CRC)
+}
+
+func pieceLocs(c *frame.Codec, locs *[]PieceLoc) {
+	frame.List(c, locs, func(l *PieceLoc) { pieceLoc(c, l) })
+}
+
+func sectionSums(c *frame.Codec, sums *[]stream.SectionSum) {
+	frame.List(c, sums, func(s *stream.SectionSum) { sectionSum(c, s) })
 }
 
 // shapeError describes how m's tables contradict the rest of m ("" when

@@ -229,7 +229,7 @@ func TestReadMetaRefusesNonCanonical(t *testing.T) {
 		"unordered list":     splice(3, 0, 4, 2),
 		"zero step":          splice(0, 0, 18, 0),
 		"trailing byte":      append(append([]byte(nil), good...), 0),
-		"unknown version":    append([]byte(metaMagic+"\x04"), good[len(metaMagic)+1:]...),
+		"unknown version":    append([]byte(metaMagic+"\x05"), good[len(metaMagic)+1:]...),
 		"count past the end": append(append([]byte(nil), good[:len(good)-1]...), 0xff),
 	} {
 		fs := testFS()
@@ -442,5 +442,42 @@ func TestReadMetaRejectsMalformedShape(t *testing.T) {
 				t.Fatalf("ReadMeta = %v, want *CorruptError", err)
 			}
 		})
+	}
+}
+
+// TestV3MetadataIsLegacy: a version 3 record — golden_v3.pfs's, as the
+// one generation of a rotation — is intact but of an earlier build: a
+// restore, Verify and ResolveVerifiedTier refuse it with ErrLegacyFormat,
+// touching no file and quarantining nothing.
+func TestV3MetadataIsLegacy(t *testing.T) {
+	fs := pfs.NewSystem(pfs.DefaultConfig())
+	if err := fs.LoadFile("testdata/golden_v3.pfs"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range fs.List("golden.") {
+		if err := fs.Rename(name, "old.g0"+strings.TrimPrefix(name, "golden")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := fs.List("")
+	if _, err := ReadMeta(fs, "old.g0", 0); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("ReadMeta: %v, want ErrLegacyFormat", err)
+	}
+	if err := Verify(fs, "old", 0); !errors.Is(err, ErrLegacyFormat) {
+		t.Errorf("Verify: %v, want ErrLegacyFormat", err)
+	}
+	if _, q, ok, err := ResolveVerifiedTier(fs, nil, "old"); ok || len(q) != 0 || !errors.Is(err, ErrLegacyFormat) {
+		t.Errorf("resolve: ok %v, quarantined %v, %v; want ErrLegacyFormat", ok, q, err)
+	}
+	mustRun(t, 3, func(c *msg.Comm) {
+		sg, refs, _, _ := buildApp(c, []int{3, 1})
+		var iter int
+		sg.Register("iter", &iter)
+		if _, _, err := ReadDRMSOpts(fs, "old.g0", c, sg, refs, stream.Options{}, RestoreOptions{}); !errors.Is(err, ErrLegacyFormat) {
+			panic(fmt.Sprintf("restore: %v, want ErrLegacyFormat", err))
+		}
+	})
+	if after := fs.List(""); !slices.Equal(before, after) {
+		t.Fatalf("files changed: %v -> %v", before, after)
 	}
 }

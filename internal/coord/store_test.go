@@ -98,27 +98,31 @@ func TestStateBytesIndependentOfGobHistory(t *testing.T) {
 
 // TestRecoverParentEraStore restores testdata/rcstate_parent.pfs, a store
 // the last gob-image coordinator flushed with two supervised applications,
-// "done" finished and "run" running: RecoverRC refuses it, and once
-// drmsfsck -repair rewrote its head — testdata/rcstate_parent_upgraded.pfs,
-// which its tests check byte for byte — the coordinator loads the tables
-// that coordinator wrote, and every commit after recovery holds frames.
+// "done" finished and "run" running, and testdata/rcstate_v3.pfs, the
+// same store as drmsfsck -repair rewrote it under metadata version 3:
+// RecoverRC refuses both, and once drmsfsck -repair rewrote the store —
+// testdata/rcstate_parent_upgraded.pfs, which its tests check byte for
+// byte — the coordinator loads the tables that coordinator wrote, and
+// every commit after recovery holds frames.
 func TestRecoverParentEraStore(t *testing.T) {
-	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
-	if err := fs.LoadFile("testdata/rcstate_parent.pfs"); err != nil {
-		t.Fatal(err)
-	}
 	opt := RCOptions{HBTimeout: hbTimeout, StatePrefix: "rcstate"}
-	before := fs.List("")
-	if rc, _, err := RecoverRC(fs, opt, nil); !errors.Is(err, ckpt.ErrLegacyFormat) {
-		if rc != nil {
-			rc.Close()
+	for _, path := range []string{"testdata/rcstate_parent.pfs", "testdata/rcstate_v3.pfs"} {
+		fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
+		if err := fs.LoadFile(path); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("RecoverRC of the parent's store: %v, want ckpt.ErrLegacyFormat", err)
+		before := fs.List("")
+		if rc, _, err := RecoverRC(fs, opt, nil); !errors.Is(err, ckpt.ErrLegacyFormat) {
+			if rc != nil {
+				rc.Close()
+			}
+			t.Fatalf("RecoverRC of %s: %v, want ckpt.ErrLegacyFormat", path, err)
+		}
+		if after := fs.List(""); !slices.Equal(before, after) {
+			t.Fatalf("a refused recovery changed %s: %v -> %v", path, before, after)
+		}
 	}
-	if after := fs.List(""); !slices.Equal(before, after) {
-		t.Fatalf("a refused recovery changed the store: %v -> %v", before, after)
-	}
-	fs = pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
+	fs := pfs.NewSystem(pfs.Config{Servers: 4, StripeUnit: 256})
 	if err := fs.LoadFile("testdata/rcstate_parent_upgraded.pfs"); err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestChainedConfigLifecycleAndRestart(t *testing.T) {
 }
 
 // assertOneFormat checks every committed generation under base: metadata
-// version 3 whatever the configuration that wrote it, with contribution
+// version 4 whatever the configuration that wrote it, with contribution
 // fingerprints exactly when that configuration can take a delta.
 func assertOneFormat(t *testing.T, fs *pfs.System, base string, fingerprints bool) []ckpt.Meta {
 	t.Helper()
@@ -131,7 +131,7 @@ func assertOneFormat(t *testing.T, fs *pfs.System, base string, fingerprints boo
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Version != 3 || len(m.PieceLocs) != len(m.Arrays) {
+		if m.Version != 4 || len(m.PieceLocs) != len(m.Arrays) {
 			t.Fatalf("%s: metadata version %d, %d location lists for %d arrays", g, m.Version, len(m.PieceLocs), len(m.Arrays))
 		}
 		if (len(m.Sections) > 0) != fingerprints {

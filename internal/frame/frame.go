@@ -66,22 +66,28 @@ func (c *Codec) Head(magic string, version uint64) {
 	}
 }
 
-// Uvarint is binary.AppendUvarint's encoding.
+// Uvarint is binary.AppendUvarint's encoding. A read refuses a padded
+// one (a last byte of zero after the first): each value has one spelling
+// even in a frame read without Decode.
 func (c *Codec) Uvarint(v *uint64) {
 	if !c.Dec {
 		c.B = binary.AppendUvarint(c.B, *v)
-	} else if x, n := binary.Uvarint(c.B); n <= 0 {
+	} else if x, n := binary.Uvarint(c.B); n <= 0 || n > 1 && c.B[n-1] == 0 {
 		c.Fail("malformed varint")
 	} else {
 		*v, c.B = x, c.B[n:]
 	}
 }
 
-// Varint is a zigzag varint, binary.AppendVarint's.
+// Varint is a zigzag varint, binary.AppendVarint's. A read refuses a
+// value T cannot hold.
 func Varint[T ~int | ~int64 | ~uint8](c *Codec, v *T) {
 	u := uint64(*v)<<1 ^ uint64(int64(*v)>>63)
-	if c.Uvarint(&u); c.Dec {
-		*v = T(int64(u>>1) ^ -int64(u&1))
+	if c.Uvarint(&u); c.Dec && c.Err == nil {
+		x := int64(u>>1) ^ -int64(u&1)
+		if *v = T(x); int64(*v) != x {
+			c.Fail("varint %d out of range", x)
+		}
 	}
 }
 
@@ -160,7 +166,8 @@ func (c *Codec) Slice(s *rangeset.Slice) {
 
 // Axis is an index list, or an empty one and a regular range's lo, hi
 // and step (the empty range's 0, -1, 1). A read refuses what List or Reg
-// would panic on: indices out of order, a non-positive step.
+// would panic on: indices out of order or too far apart for an int, a
+// non-positive step.
 func (c *Codec) Axis(r *rangeset.Range) {
 	t, idx := [3]int{0, -1, 1}, []int(nil)
 	if !c.Dec && !r.IsRegular() {
@@ -177,7 +184,8 @@ func (c *Codec) Axis(r *rangeset.Range) {
 		return
 	}
 	for i := 1; i < len(idx); i++ {
-		if idx[i] <= idx[i-1] {
+		// A difference that overflows would be List's step, or its span.
+		if idx[i]-idx[i-1] <= 0 || idx[i]-idx[0] <= 0 {
 			c.Fail("stored indices not strictly increasing at %d", i)
 			return
 		}

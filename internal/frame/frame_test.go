@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestDecodeAcceptsOnlyTheEncoding(t *testing.T) {
 		{"magic", "RED" + string(b[3:]), `not a "REC" record`},
 		{"version", "REC\x03" + string(b[4:]), "version 3 unsupported"},
 		{"flags", string(b[:at]) + "\x04" + string(b[at+1:]), "set a bit past the 2 defined"},
-		{"padded", string(b[:at]) + "\x82\x00" + string(b[at+1:]), "not the encoding"},
+		{"padded", string(b[:at]) + "\x82\x00" + string(b[at+1:]), "malformed varint"},
 		{"length", string(b[:rl]) + "\x7f" + string(b[rl+1:]), "length 127 exceeds"},
 		{"trailing", string(b) + "\x00", "past the frame's last entry"},
 		{"truncated", string(b[:len(b)-1]), "malformed varint"},
@@ -61,5 +62,31 @@ func TestDecodeAcceptsOnlyTheEncoding(t *testing.T) {
 		if err := Decode([]byte(c.bytes), r.walk); err == nil || !strings.Contains(err.Error(), c.err) {
 			t.Errorf("%s: %v, want %q", c.name, err, c.err)
 		}
+	}
+}
+
+// TestVarintRefusesWhatItsFieldCannotHold: 256 read into a uint8 field
+// fails rather than wrap, so a frame read without Decode keeps one
+// spelling too.
+func TestVarintRefusesWhatItsFieldCannotHold(t *testing.T) {
+	b := Encode(func(c *Codec) { n := 256; Varint(c, &n) })
+	var v uint8
+	c := &Codec{Dec: true, B: b}
+	if Varint(c, &v); c.Err == nil || !strings.Contains(c.Err.Error(), "out of range") {
+		t.Fatalf("read %d, %v", v, c.Err)
+	}
+}
+
+// TestAxisRefusesAnOverflowingList: two indices further apart than an int
+// holds would be a negative step to rangeset.List, which panics; a read
+// refuses them.
+func TestAxisRefusesAnOverflowingList(t *testing.T) {
+	b := Encode(func(c *Codec) {
+		idx := []int{math.MinInt64/2 - 10, math.MaxInt64/2 + 10}
+		List(c, &idx, func(v *int) { Varint(c, v) })
+	})
+	var r rangeset.Range
+	if err := Decode(b, func(c *Codec) { c.Axis(&r) }); err == nil || !strings.Contains(err.Error(), "not strictly increasing") {
+		t.Fatalf("decoded %v, %v", r, err)
 	}
 }

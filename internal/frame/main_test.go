@@ -1,0 +1,9 @@
+package frame
+
+import (
+	"testing"
+
+	"drms/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
