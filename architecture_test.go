@@ -23,6 +23,7 @@ type srcFile struct {
 	ast   *ast.File         // parsed without object resolution
 	pkgs  map[string]string // the file's name for each package it imports, to its path
 	funcs []string          // the functions and methods it declares
+	tree  *srcTree          // the tree it was parsed into
 }
 
 // srcTree is every Go file under a root, parsed once. Directories named
@@ -49,7 +50,7 @@ func parseTree(root string) (*srcTree, error) {
 			return err
 		}
 		rel, err := filepath.Rel(root, p)
-		sf := &srcFile{rel: filepath.ToSlash(rel), test: strings.HasSuffix(p, "_test.go"), ast: f, pkgs: map[string]string{}}
+		sf := &srcFile{rel: filepath.ToSlash(rel), test: strings.HasSuffix(p, "_test.go"), ast: f, pkgs: map[string]string{}, tree: tr}
 		for _, im := range f.Imports {
 			ip, _ := strconv.Unquote(im.Path.Value)
 			name := path.Base(ip)
@@ -271,6 +272,53 @@ func sliceOf(elems ...string) matcher {
 	}
 }
 
+// Package rows.
+
+// unfuzzed matches the declaration of a decoder — a non-test function or
+// method named decode*, Decode*, Parse* or GobDecode — that no Fuzz target
+// of its package reaches (fuzzReach).
+func unfuzzed(f *srcFile, n ast.Node) bool {
+	fd, ok := n.(*ast.FuncDecl)
+	if !ok || f.test || !slices.ContainsFunc([]string{"decode", "Decode", "Parse", "GobDecode"},
+		func(p string) bool { return strings.HasPrefix(fd.Name.Name, p) }) {
+		return false
+	}
+	return !f.tree.fuzzReach(path.Dir(f.rel))[fd.Name.Name]
+}
+
+// fuzzReach is every name the Fuzz targets declared in dir reach: the
+// identifiers of their bodies, and of the bodies of the functions and
+// methods of dir, test helpers included, that those name, transitively.
+func (tr *srcTree) fuzzReach(dir string) map[string]bool {
+	decls := map[string][]*ast.FuncDecl{}
+	var next []string
+	for _, f := range tr.files {
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && path.Dir(f.rel) == dir {
+				decls[fd.Name.Name] = append(decls[fd.Name.Name], fd)
+				if f.test && strings.HasPrefix(fd.Name.Name, "Fuzz") {
+					next = append(next, fd.Name.Name)
+				}
+			}
+		}
+	}
+	reached := map[string]bool{}
+	for len(next) > 0 {
+		name := next[len(next)-1]
+		next = next[:len(next)-1]
+		for _, fd := range decls[name] {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !reached[id.Name] {
+					reached[id.Name] = true
+					next = append(next, id.Name)
+				}
+				return true
+			})
+		}
+	}
+	return reached
+}
+
 // anyOf matches what any of ms matches.
 func anyOf(ms ...matcher) matcher {
 	return func(f *srcFile, n ast.Node) bool {
@@ -402,6 +450,29 @@ var archRules = []archRule{
 	{name: "state-chain", in: []string{"internal/ckpt/state.go"}, match: idents("ChainLen", "Deps", "loadChain"),
 		why: "the control-plane store walks or writes chains again (every StateStore generation is a " +
 			"self-contained anchor; only drmsfsck -repair resolves an older delta chain)"},
+	// Package rows.
+	{name: "fuzzed", in: []string{"cmd/", "internal/"},
+		allow: []string{
+			// Every record codec decodes through frame.Decode, so the record
+			// fuzzers (FuzzReadMeta, FuzzStateImage, FuzzLoadTierFile,
+			// FuzzDecodeRecord, FuzzSteerHeader, FuzzDecodeGenHeader,
+			// FuzzSegmentDecode, FuzzDecodeV3, …) cover it.
+			"internal/frame/frame.go:Decode",
+			// Fixed-width element decoders: every byte string of a whole
+			// number of elements is an array of elements, so no input is
+			// malformed; the codec round-trip tests hold them.
+			"internal/array/codec.go:DecodeElems", "internal/array/codec.go:DecodeElemsInto",
+			"internal/array/codec.go:decodeRun",
+			// The fetcher's piece decoders run codec.Decode (FuzzDecode,
+			// internal/codec) on stored bytes whose CRC the metadata holds,
+			// into a buffer of the location's logical size.
+			"internal/ckpt/chain.go:decodeInto", "internal/ckpt/chain.go:decoded",
+		},
+		match: unfuzzed,
+		why: "a decoder no fuzzer reaches (a function or method named decode*, Decode*, Parse* or GobDecode reads " +
+			"bytes it did not write: a Fuzz target of its package must call it, directly or through the package's " +
+			"functions; allow names a decoder another package's fuzzers cover, or one no input can make malformed)"},
+
 	{name: "incremental", tests: true, match: idents("IncrementalCheckpoint", "WriteDRMSIncremental", "SkipPiece"),
 		why: "the in-place incremental writer is back (chained deltas, Config.AnchorEvery > 1, " +
 			"are the one implementation of the paper's §6 optimisation)"},

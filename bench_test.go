@@ -398,10 +398,12 @@ func BenchmarkSegmentEncodeDecode(b *testing.B) {
 	s := seg.New()
 	iter := 42
 	dt := 0.5
-	vec := make([]float64, 4096)
+	name := "bt.classA"
+	blob := make([]byte, 4096*8)
 	s.Register("iter", &iter)
 	s.Register("dt", &dt)
-	s.Register("vec", &vec)
+	s.Register("name", &name)
+	s.Register("blob", &blob)
 	payload, err := s.Encode()
 	if err != nil {
 		b.Fatal(err)

@@ -730,3 +730,45 @@ func FuzzDecodeV3(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGobRange: a gob-era range decodes to a range that survives its own
+// round trip, or is refused — never a panic in rangeset.Reg or List.
+func FuzzGobRange(f *testing.F) {
+	for _, r := range []rangeset.Range{{}, rangeset.Single(5), rangeset.Reg(0, 100, 7), rangeset.List(-10, 0, 3)} {
+		b, err := gobRange{r}.GobEncode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var r gobRange
+		if r.GobDecode(b) != nil {
+			return
+		}
+		if again := gobRoundTrip(t, r); !again.r.Equal(r.r) {
+			t.Fatalf("accepted %v, which round-trips to %v", r.r, again.r)
+		}
+	})
+}
+
+// FuzzGobSlice is FuzzGobRange for a slice: a list of ranges.
+func FuzzGobSlice(f *testing.F) {
+	for _, s := range []rangeset.Slice{{}, rangeset.NewSlice(rangeset.Span(0, 9)),
+		rangeset.NewSlice(rangeset.Reg(0, 20, 2), rangeset.List(1, 4, 5), rangeset.Range{})} {
+		b, err := gobSlice{s}.GobEncode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var s gobSlice
+		if s.GobDecode(b) != nil {
+			return
+		}
+		if again := gobRoundTrip(t, s); again.s.Rank() != s.s.Rank() || !again.s.Equal(s.s) && !(again.s.Empty() && s.s.Empty()) {
+			t.Fatalf("accepted %v, which round-trips to %v", s.s, again.s)
+		}
+	})
+}

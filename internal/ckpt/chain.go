@@ -710,7 +710,8 @@ type pieceFetcher struct {
 	selfGen  int
 	arr      string
 	locs     []PieceLoc // sorted by stream offset
-	tier     *MemTier   // nil: disk only
+	held     []heldCopy // aligned with locs: each location's tier copy, looked up once
+	needed   []int      // a subset's ascending piece filter; nil: every piece
 
 	memBytes atomic.Int64 // logical bytes served from peer memory
 	pfsBytes atomic.Int64 // logical bytes served from pfs piece files
@@ -725,13 +726,32 @@ type pieceFetcher struct {
 // neighbors' extents — a few entries suffice.
 const fetcherCacheSize = 4
 
-func newPieceFetcher(fs *pfs.System, tier *MemTier, prefix, arr string, locs []PieceLoc, client, selfNode int) *pieceFetcher {
+// heldCopy is one location's CRC-valid tier replica as a restore found
+// it; ok=false when the tier held none or the restore does not read it.
+type heldCopy struct {
+	data      []byte // shared with the tier, read-only
+	local, ok bool
+}
+
+// newPieceFetcher serves the array's locs, looking up the tier copy of
+// each one the restore reads — every location, or the pieces in needed —
+// once. Published payloads are immutable, so a replica found here serves
+// every later fetch of it, whatever the stores do meanwhile; checkRead
+// still judges the bytes.
+func newPieceFetcher(fs *pfs.System, tier *MemTier, prefix, arr string, locs []PieceLoc, needed []int, client, selfNode int) *pieceFetcher {
 	base, selfGen := genBase(prefix)
 	sorted := append([]PieceLoc(nil), locs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Off < sorted[j].Off })
-	return &pieceFetcher{fs: fs, client: client, selfNode: selfNode, base: base,
-		self: prefix, selfGen: selfGen, arr: arr, locs: sorted, tier: tier,
-		cache: map[int][]byte{}}
+	f := &pieceFetcher{fs: fs, client: client, selfNode: selfNode, base: base,
+		self: prefix, selfGen: selfGen, arr: arr, locs: sorted,
+		held: make([]heldCopy, len(sorted)), needed: needed, cache: map[int][]byte{}}
+	for i, l := range sorted {
+		if _, read := slices.BinarySearch(needed, l.Index); needed == nil || read {
+			h := &f.held[i]
+			h.data, h.local, h.ok = tier.Lookup(selfNode, locPrefix(base, prefix, selfGen, l), arr, l.Index, l.CRC)
+		}
+	}
+	return f
 }
 
 // allResident reports whether every stored piece of this array has a
@@ -739,26 +759,16 @@ func newPieceFetcher(fs *pfs.System, tier *MemTier, prefix, arr string, locs []P
 // owner-aligned read plan that restores without touching the pfs or the
 // redistribution exchange.
 func (f *pieceFetcher) allResident() bool {
-	for _, l := range f.locs {
-		if !f.tier.Check(f.prefixOf(l), f.arr, l.Index, l.CRC) {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(f.held, func(h heldCopy) bool { return !h.ok })
 }
 
 func (f *pieceFetcher) fileOf(l PieceLoc) string {
 	return locPieceFile(f.base, f.self, f.selfGen, f.arr, l)
 }
 
-func (f *pieceFetcher) prefixOf(l PieceLoc) string {
-	return locPrefix(f.base, f.self, f.selfGen, l)
-}
-
-// fetch fills dst with the stream bytes [off, off+len(dst)). Peer
-// memory is tried first for every location — disk-resident pieces have
-// tier copies too when they were written under a tier (hot cache) — and
-// the CRC-checked replica serves any sub-extent with a memory copy. A
+// fetch fills dst with the stream bytes [off, off+len(dst)). A location's
+// tier copy serves any sub-extent of it first — disk-resident pieces have
+// tier copies too when they were written under a tier (hot cache). A
 // memory-only location with no surviving replica is an integrity error
 // (the caller falls back to an older, disk-resident generation); a
 // disk-resident location just falls through to the pfs read.
@@ -773,10 +783,10 @@ func (f *pieceFetcher) fetch(_ int, off int64, dst []byte) error {
 		lo := pos - l.Off
 		n := min(end, l.Off+l.Bytes) - pos
 		out := dst[pos-off : pos-off+n]
-		if data, local, ok := f.tier.LookupPrefer(f.selfNode, f.prefixOf(l), f.arr, l.Index, l.CRC); ok {
-			copy(out, data[lo:lo+n])
+		if h := f.held[i]; h.ok {
+			copy(out, h.data[lo:lo+n])
 			f.memBytes.Add(n)
-			if !local {
+			if !h.local {
 				// The replica lives in a peer node's memory: the bytes
 				// cross the interconnect, and the trace charges them.
 				f.fs.RecordNet(f.client, n)
@@ -897,7 +907,7 @@ func verifyChained(fs *pfs.System, tier *MemTier, prefix string, m *Meta, client
 			}
 			next = l.Off + l.Bytes
 			if l.Where == TierMem {
-				if !tier.Check(locPrefix(base, prefix, selfGen, l), am.Name, l.Index, l.CRC) {
+				if _, _, ok := tier.Lookup(-1, locPrefix(base, prefix, selfGen, l), am.Name, l.Index, l.CRC); !ok {
 					return corrupt(prefix, name, l.Index,
 						"memory-resident piece of %q has no surviving replica", am.Name)
 				}

@@ -37,7 +37,9 @@
 package ckpt
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -279,9 +281,8 @@ func matchArrays(m *Meta, prefix string, arrays []ArrayRef, tasks int, o stream.
 			return nil, fmt.Errorf("ckpt: array %q global shape %v differs from checkpointed %v",
 				am.Name, a.GlobalShape(), am.Global)
 		// The signature names the global shape as well as the piece plan,
-		// so for a subset it subsumes the shape test above — which walks
-		// the whole index space, per array and per task, and a localized
-		// recovery validates twice (PartialEligible, then the engine).
+		// so for a subset it subsumes the shape test above, which walks
+		// the whole index space, per array and per task.
 		case subset && (len(m.PlanSigs) <= i || m.PlanSigs[i] != stream.PlanSig(a.GlobalShape(), a.ElemSize(), tasks, o)):
 			return nil, fmt.Errorf("ckpt: array %q shape or piece plan changed since the checkpoint; partial restore requires both", am.Name)
 		}
@@ -303,14 +304,75 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	start := time.Now()
 	defer func() { observeRead(me, st, start, err) }()
 	fs.BeginPhase(me, "segment") // the trace counts the metadata read with the segment's
-	if m, err = ReadMeta(fs, prefix, me); err != nil {
-		return m, st, err
+	var refs []ArrayRef
+	if m, err = ReadMeta(fs, prefix, me); err == nil {
+		refs, err = matchArrays(&m, prefix, arrays, size, o, p.subset)
 	}
-	refs, err := matchArrays(&m, prefix, arrays, size, o, p.subset)
-	if err != nil {
+	if err != nil && !p.subset { // a subset plan's refusal is its vote below
 		return m, st, err
 	}
 	selfNode := holderNode(p.holders, size, me)
+
+	// The arrays' bytes live in per-writer piece files, possibly
+	// compressed and possibly in earlier generations (deltas) — or, tier
+	// permitting, in surviving peers' memory. Each fetcher looks up the
+	// tier copy of every location this restore reads once.
+	n := len(refs) // 0 once a subset plan is refused
+	fetchers := make([]*pieceFetcher, n)
+	loaded := make([]int64, n) // per array: the stream bytes this restore moves
+	vote := make([]byte, 1+n)  // eligible, then per array 1 where this task finds all of it in the tier
+	for i, a := range refs {
+		am := m.Arrays[i]
+		var needed []int
+		loaded[i] = am.Bytes // matchArrays proved the stream is this long
+		if p.subset {
+			needed, loaded[i] = neededPieces(a, size, p.ranks, o, am.Bytes)
+		}
+		fetchers[i] = newPieceFetcher(fs, p.tier, prefix, am.Name, m.PieceLocs[i], needed, me, selfNode)
+		if p.tier != nil && !p.subset && fetchers[i].allResident() {
+			vote[1+i] = 1
+		}
+	}
+	if err == nil && p.subset {
+		err = partialReadable(fs, p.tier, prefix, &m, fetchers)
+	}
+	if err == nil {
+		vote[0] = 1
+	}
+	// One round, before the segment read and any stream, settles whether
+	// a subset plan is safe on every task (a refused plan fails everywhere
+	// together) and which arrays every task finds wholly in peer memory
+	// (stores can drop under a concurrent node loss, so all vote). A
+	// resident array is replanned with one owner-sized piece per rank, so
+	// its exchange degenerates to copies from each rank's own store; a
+	// subset never replans: its filter addresses the writer's pieces.
+	resident := vote[1:]
+	if p.tier != nil || p.subset {
+		verdict, derr := decideAtRoot(comm, vote, func(votes [][]byte) ([]byte, error) {
+			all := votes[0]
+			for _, v := range votes {
+				if len(v) > 0 && v[0] == 0 {
+					return []byte{0}, nil
+				} else if len(v) != 1+n {
+					return nil, fmt.Errorf("ckpt: a %d-byte restore vote on %d arrays", len(v), n)
+				}
+				for i := range all {
+					all[i] &= v[i]
+				}
+			}
+			return all, nil
+		})
+		switch {
+		case derr != nil:
+			return m, st, derr
+		case len(verdict) > 0 && verdict[0] == 0:
+			return m, st, fmt.Errorf("ckpt: partial restore of %q is ineligible: %w",
+				prefix, cmp.Or(err, errors.New("a peer found the plan unsafe")))
+		case len(verdict) != 1+n:
+			return m, st, fmt.Errorf("ckpt: a %d-byte restore verdict on %d arrays", len(verdict), n)
+		}
+		resident = verdict[1:]
+	}
 
 	// The one saved data segment (§2.2), checksum verified in passing —
 	// from peer memory when the tier holds it, from the file otherwise.
@@ -333,67 +395,23 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	}
 
 	// Arrays load under the current (possibly adjusted) distribution; the
-	// stream layout is distribution-independent. The array's bytes live in
-	// per-writer piece files, possibly compressed and possibly in earlier
-	// generations (deltas) — or, tier permitting, in surviving peers'
-	// memory. The fetcher maps whatever extents this restore's own piece
-	// plan asks for onto the stored pieces.
-	fetchers := make([]*pieceFetcher, len(m.Arrays))
-	resident := make([]byte, len(m.Arrays)) // per array: 1 where every task holds all of it in the tier
-	vote := p.tier != nil && !p.subset
-	for i, am := range m.Arrays {
-		fetchers[i] = newPieceFetcher(fs, p.tier, prefix, am.Name, m.PieceLocs[i], me, selfNode)
-		if vote && fetchers[i].allResident() {
-			resident[i] = 1
-		}
-	}
-	// Hot restore plan: an array every task finds wholly in peer memory
-	// (stores can drop under a concurrent node loss, so all vote, once for
-	// every array; without a tier nobody does) is replanned with one
-	// owner-sized piece per rank. Its exchange degenerates to local copies
-	// served from each rank's own store, the millisecond path; a changed
-	// layout only turns some into network pulls. A subset never replans:
-	// its filter addresses the writer's pieces by index.
-	if vote {
-		n := len(resident)
-		resident, err = decideAtRoot(comm, resident, func(votes [][]byte) ([]byte, error) {
-			all := votes[0]
-			for _, v := range votes {
-				if len(v) != n {
-					return nil, fmt.Errorf("ckpt: a %d-byte residency vote on %d arrays", len(v), n)
-				}
-				for i := range all {
-					all[i] &= v[i]
-				}
-			}
-			return all, nil
-		})
-		if err == nil && len(resident) != n {
-			err = fmt.Errorf("ckpt: a %d-byte residency verdict on %d arrays", len(resident), n)
-		}
-		if err != nil {
-			return m, st, err
-		}
-	}
-	pieces := make([][]PieceSum, len(m.Arrays))
+	// stream layout is distribution-independent. The fetcher maps
+	// whatever extents this restore's own piece plan asks for onto the
+	// stored pieces.
+	pieces := make([][]PieceSum, n)
 	for i, am := range m.Arrays {
 		a := refs[i]
 		fs.BeginPhase(me, "arrays:"+am.Name)
 		opts := o
 		fetcher := fetchers[i]
-		fetchers[i] = nil // its decoded-piece cache goes with this array
+		fetchers[i] = nil // its replica table and decoded-piece cache go with this array
 		opts.FetchPiece = fetcher.fetch
 		// Every task checksums each piece it reads, once; checkRead below
 		// judges them all.
 		opts.PieceHook = chainPieceHooks(o.PieceHook, func(idx int, off int64, data []byte) {
 			pieces[i] = append(pieces[i], PieceSum{Index: idx, Off: off, CRC: crcOf(data), Bytes: int64(len(data))})
 		})
-		loaded := am.Bytes // matchArrays proved the stream is this long
-		if p.subset {
-			// Count the restored bytes, not the stream's nominal size: the
-			// whole point is that only the needed pieces moved.
-			opts.Pieces, loaded = neededPieces(a, size, p.ranks, o, am.Bytes)
-		}
+		opts.Pieces = fetcher.needed // a subset moves only these, and counts their bytes in loaded
 		if elems := a.GlobalShape().Size(); resident[i] == 1 && elems > 0 && am.Bytes%int64(elems) == 0 {
 			opts.PieceBytes = (elems + size - 1) / size * int(am.Bytes/int64(elems))
 		}
@@ -401,7 +419,7 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 		if err != nil {
 			return m, st, fmt.Errorf("ckpt: loading array %q: %w", am.Name, err)
 		}
-		st.ArrayBytes += loaded
+		st.ArrayBytes += loaded[i]
 		st.NetBytes += s.NetBytes
 		st.TierMemBytes += fetcher.memBytes.Load()
 		st.TierPFSBytes += fetcher.pfsBytes.Load()
@@ -422,40 +440,31 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 // readSegment loads the one saved segment payload of a DRMS restore,
 // returning how many logical bytes each tier served. A memory-only
 // generation must come from peer memory (its payload CRC is in the
-// meta); a disk generation prefers a self-consistent tier copy — but
-// only after reconstructing the padded file's CRC from the payload
-// alone (header CRC + payload CRC + zero-run CRC, all combinable) and
-// matching it against the metadata — and falls back to the full padded
-// pfs reread.
+// meta). A disk generation prefers a tier copy whose publish CRC
+// rebuilds the padded file's CRC in the meta (header, payload and zero
+// run combine) and whose bytes still hash to that publish CRC, and
+// falls back to the full padded pfs reread.
 func readSegment(fs *pfs.System, tier *MemTier, prefix string, client, selfNode int, m *Meta) (payload []byte, memBytes, pfsBytes int64, err error) {
-	want := m.SegCRC[0]
-	if m.SegWhere == TierMem {
-		data, local, ok := tier.LookupPrefer(selfNode, prefix, "", segIndex, want)
-		if !ok {
-			tierLostPieces.Inc()
-			return nil, 0, 0, corrupt(prefix, segFile(prefix), -1,
-				"memory-resident segment has no surviving replica")
+	want, total := m.SegCRC[0], m.SegBytes[0]
+	valid := func(e memEntry) bool { return e.validFor(want) }
+	if m.SegWhere != TierMem {
+		valid = func(e memEntry) bool {
+			n := int64(len(e.data))
+			return n <= total-segHeader && segFileCRC(e.crc, n, total) == want && e.validFor(e.crc)
 		}
+	}
+	if data, local, ok := tier.lookup(selfNode, prefix, "", segIndex, valid); ok {
 		if !local {
 			fs.RecordNet(client, int64(len(data)))
 		}
 		return data, int64(len(data)), 0, nil
 	}
-	if tier != nil {
-		if data, local, ok := tier.LookupSelf(selfNode, prefix, "", segIndex); ok {
-			hdr := make([]byte, segHeader)
-			binary.LittleEndian.PutUint64(hdr, uint64(len(data)))
-			sum := crc.Combine(crcOf(hdr), crcOf(data), int64(len(data)))
-			pad := m.SegBytes[0] - segHeader - int64(len(data))
-			if pad >= 0 && crc.Combine(sum, crc.Zeros(pad), pad) == want {
-				if !local {
-					fs.RecordNet(client, int64(len(data)))
-				}
-				return data, int64(len(data)), 0, nil
-			}
-		}
+	if m.SegWhere == TierMem {
+		tierLostPieces.Inc()
+		return nil, 0, 0, corrupt(prefix, segFile(prefix), -1,
+			"memory-resident segment has no surviving replica")
 	}
-	payload, segCRC, err := readSegmentFile(fs, prefix, segFile(prefix), client, m.SegBytes[0])
+	payload, segCRC, err := readSegmentFile(fs, prefix, segFile(prefix), client, total)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -463,7 +472,15 @@ func readSegment(fs *pfs.System, tier *MemTier, prefix string, client, selfNode 
 		return nil, 0, 0, corrupt(prefix, segFile(prefix), -1,
 			"segment crc %016x, metadata %016x", segCRC, want)
 	}
-	return payload, 0, m.SegBytes[0], nil
+	return payload, 0, total, nil
+}
+
+// segFileCRC is the CRC-64 of a segment file of total bytes holding an
+// n-byte payload whose CRC is sum, from the CRCs alone.
+func segFileCRC(sum uint64, n, total int64) uint64 {
+	hdr := binary.LittleEndian.AppendUint64(nil, uint64(n))
+	pad := total - segHeader - n
+	return crc.Combine(crc.Combine(crcOf(hdr), sum, n), crc.Zeros(pad), pad)
 }
 
 // WriteSPMD takes a conventional checkpoint: every task writes its entire
@@ -631,17 +648,15 @@ func StateBytes(fs *pfs.System, prefix string) int64 {
 // CRC-64 of the whole file, computed as it is written.
 func writeSegmentFile(fs *pfs.System, name string, client int, payload []byte, total int64) (uint64, error) {
 	fs.Create(name)
-	hdr := make([]byte, segHeader)
-	binary.LittleEndian.PutUint64(hdr, uint64(len(payload)))
+	hdr := binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))
 	if err := fs.WriteAt(client, name, hdr, 0); err != nil {
 		return 0, err
 	}
 	if err := fs.WriteAt(client, name, payload, segHeader); err != nil {
 		return 0, err
 	}
-	sum := crc.Combine(crcOf(hdr), crcOf(payload), int64(len(payload)))
+	sum := segFileCRC(crcOf(payload), int64(len(payload)), total)
 	pad := total - segHeader - int64(len(payload))
-	sum = crc.Combine(sum, crc.Zeros(pad), pad)
 	for off := segHeader + int64(len(payload)); pad > 0; {
 		n := min(pad, padChunk)
 		if err := fs.WriteAt(client, name, zeroPad()[:n], off); err != nil {

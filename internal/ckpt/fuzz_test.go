@@ -276,7 +276,7 @@ func FuzzLoadTierFile(f *testing.F) {
 		if e, w := got.Entries("job.g1"), tier.Entries("job.g1"); !reflect.DeepEqual(e, w) {
 			t.Fatalf("entries %+v, saved %+v", e, w)
 		}
-		if data, ok := got.Lookup("job.g1", "u", index, crcOf(snap)); !ok || !bytes.Equal(data, snap) {
+		if data, _, ok := got.Lookup(-1, "job.g1", "u", index, crcOf(snap)); !ok || !bytes.Equal(data, snap) {
 			t.Fatalf("piece %d lost in the round trip", index)
 		}
 	})

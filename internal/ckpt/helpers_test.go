@@ -128,3 +128,14 @@ func truncateStored(t testing.TB, fs *pfs.System, prefix, arr string) string {
 	}
 	return file
 }
+
+// replicasOf counts the CRC-valid replicas of one payload, through
+// Entries.
+func replicasOf(tier *MemTier, prefix, arr string, index int) int {
+	for _, e := range tier.Entries(prefix) {
+		if e.Arr == arr && e.Index == index {
+			return e.Replicas
+		}
+	}
+	return 0
+}

@@ -230,7 +230,7 @@ func VerifyTier(fs *pfs.System, tier *MemTier, prefix string, client int) error 
 	switch m.Mode {
 	case ModeDRMS:
 		if m.SegWhere == TierMem {
-			data, ok := tier.Lookup(prefix, "", segIndex, m.SegCRC[0])
+			data, _, ok := tier.Lookup(-1, prefix, "", segIndex, m.SegCRC[0])
 			if !ok {
 				return corrupt(prefix, segFile(prefix), -1,
 					"memory-resident segment has no surviving replica")

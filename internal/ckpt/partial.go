@@ -8,14 +8,17 @@
 // every task joins the filtered collective read, the fetch cost
 // concentrates on the needed pieces, and with owner-aligned tier
 // replicas the bytes come out of the replacement node's peers' memory
-// rather than the pfs. The caller (drms) proves the plan safe before
-// calling — matching plan signatures, resolvable chain, surviving
-// replicas for memory-only pieces — and falls back to the full restart
-// path otherwise.
+// rather than the pfs. The engine proves the plan safe on every task in
+// its decision round, before anything is read — matching plan
+// signatures, resolvable chain, surviving replicas for memory-only
+// pieces — and a refused plan fails every task together with an
+// "ineligible" error; the caller (drms) falls back to the full restart
+// path.
 package ckpt
 
 import (
 	"fmt"
+	"slices"
 
 	"drms/internal/msg"
 	"drms/internal/pfs"
@@ -84,17 +87,10 @@ func ReadDRMSPartial(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segm
 
 // PartialEligible reports whether a partial restore of prefix over a
 // tasks-wide communicator, loading the listed ranks' sections of the
-// given arrays, is provably safe from this task's view of storage:
-// everything the engine's subset plan requires of the metadata (DRMS
-// mode, the checkpointing task count, matching arrays and piece-plan
-// signatures), the segment readable in some tier,
-// and every needed piece resolvable — a CRC-valid replica surviving in
-// peer memory for memory-tier pieces, an existing file otherwise (a
-// pruned chain predecessor surfaces here as a missing piece file). nil
-// means eligible; otherwise the error names the first disqualifier. The
-// verdict is advisory and local: callers must agree it collectively
-// before acting, and the conservative answer to any doubt is the full
-// restart path.
+// given arrays, is provably safe: nil, or the first disqualifier of the
+// metadata (matchArrays) or of storage (partialReadable). The engine
+// makes the same checks and agrees them in its decision round; this
+// answers the question without a restore.
 func PartialEligible(fs *pfs.System, tier *MemTier, prefix string, tasks int, arrays []ArrayRef, ranks []int, o stream.Options) error {
 	m, err := ReadMeta(fs, prefix, 0)
 	if err != nil {
@@ -104,32 +100,42 @@ func PartialEligible(fs *pfs.System, tier *MemTier, prefix string, tasks int, ar
 	if err != nil {
 		return err
 	}
+	fetchers := make([]*pieceFetcher, len(refs))
+	for i, a := range refs {
+		needed, _ := neededPieces(a, tasks, ranks, o, m.Arrays[i].Bytes)
+		fetchers[i] = newPieceFetcher(fs, tier, prefix, m.Arrays[i].Name, m.PieceLocs[i], needed, 0, -1)
+	}
+	return partialReadable(fs, tier, prefix, &m, fetchers)
+}
+
+// partialReadable reports whether storage can serve a subset restore
+// of m: the segment readable in some tier, and every piece a fetcher
+// needs resolvable — its CRC-valid replica for a memory-tier piece, an
+// existing file otherwise (a pruned chain predecessor surfaces here as
+// a missing piece file).
+func partialReadable(fs *pfs.System, tier *MemTier, prefix string, m *Meta, fetchers []*pieceFetcher) error {
 	if m.SegWhere == TierMem {
-		if !tier.Check(prefix, "", segIndex, m.SegCRC[0]) {
+		if _, _, ok := tier.Lookup(-1, prefix, "", segIndex, m.SegCRC[0]); !ok {
 			return fmt.Errorf("segment of %q is memory-only and no intact replica survives", prefix)
 		}
 	} else if !fs.Exists(segFile(prefix)) {
 		return fmt.Errorf("segment file of %q is missing", prefix)
 	}
-	base, selfGen := genBase(prefix)
-	for i, am := range m.Arrays {
-		needed, _ := neededPieces(refs[i], tasks, ranks, o, am.Bytes)
-		locByIdx := make(map[int]PieceLoc, len(m.PieceLocs[i]))
-		for _, l := range m.PieceLocs[i] {
-			locByIdx[l.Index] = l
+	for _, f := range fetchers {
+		found := 0
+		for j, l := range f.locs {
+			if _, read := slices.BinarySearch(f.needed, l.Index); !read {
+				continue
+			}
+			found++
+			if l.Where == TierMem && !f.held[j].ok {
+				return fmt.Errorf("array %q piece %d is memory-only and no intact replica survives", f.arr, l.Index)
+			} else if l.Where != TierMem && !fs.Exists(f.fileOf(l)) {
+				return fmt.Errorf("array %q piece %d: chain piece file missing (gap at generation %d)", f.arr, l.Index, l.Gen)
+			}
 		}
-		for _, idx := range needed {
-			l, ok := locByIdx[idx]
-			if !ok {
-				return fmt.Errorf("array %q piece %d has no location record", am.Name, idx)
-			}
-			if l.Where == TierMem {
-				if !tier.Check(locPrefix(base, prefix, selfGen, l), am.Name, l.Index, l.CRC) {
-					return fmt.Errorf("array %q piece %d is memory-only and no intact replica survives", am.Name, idx)
-				}
-			} else if !fs.Exists(locPieceFile(base, prefix, selfGen, am.Name, l)) {
-				return fmt.Errorf("array %q piece %d: chain piece file missing (gap at generation %d)", am.Name, idx, l.Gen)
-			}
+		if found != len(f.needed) {
+			return fmt.Errorf("array %q: %d needed pieces have no location record", f.arr, len(f.needed)-found)
 		}
 	}
 	return nil
@@ -162,21 +168,21 @@ func PartialCoverage(fs *pfs.System, tier *MemTier, prefix string, tasks int) (m
 	if m.Mode != ModeDRMS {
 		return nil, fmt.Errorf("ckpt: %q is a %s checkpoint; coverage applies to DRMS states", prefix, m.Mode)
 	}
-	base, selfGen := genBase(prefix)
 	out := make(map[string][]RankCoverage, len(m.Arrays))
 	for i, am := range m.Arrays {
+		f := newPieceFetcher(fs, tier, prefix, am.Name, m.PieceLocs[i], nil, 0, -1)
 		covs := make([]RankCoverage, tasks)
 		for r := 0; r < tasks; r++ {
 			lo := am.Bytes * int64(r) / int64(tasks)
 			hi := am.Bytes * int64(r+1) / int64(tasks)
 			cov := RankCoverage{Rank: r}
-			for _, l := range m.PieceLocs[i] {
+			for j, l := range f.locs {
 				if l.Off+l.Bytes <= lo || l.Off >= hi {
 					continue
 				}
 				cov.Pieces++
-				mem := tier.Check(locPrefix(base, prefix, selfGen, l), am.Name, l.Index, l.CRC)
-				disk := l.Where != TierMem && fs.Exists(locPieceFile(base, prefix, selfGen, am.Name, l))
+				mem := f.held[j].ok
+				disk := l.Where != TierMem && fs.Exists(f.fileOf(l))
 				if mem {
 					cov.Mem++
 				}

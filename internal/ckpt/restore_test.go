@@ -110,8 +110,9 @@ var restoreShapes = []struct {
 // replaced (commit bdae8b6). The send counts are the collectives'
 // fingerprint: a restore path that gains one changes every rank's
 // count. A full restore sends 4/3 when no tier is configured and 6/4
-// with one: the difference is the residency vote, one Allgather for all
-// arrays. Besides the piece exchange, what is left is one integrity
+// with one: the difference is the residency vote, one Gather and Bcast
+// for all arrays. A partial restore always votes, on its eligibility, in
+// that round. Besides the piece exchange, what is left is one integrity
 // round for every array together (checkRead: a Gather of the piece CRCs
 // and tier byte counts, a Bcast of the verdict and the totals); no
 // barrier marks a phase. An
@@ -123,20 +124,20 @@ var restoreShapes = []struct {
 var restorePinned = map[string]string{
 	"v1-flat/full-same":                     "4:42/1728/216/0/1896 4:42/1728/216/0/1896 3:42/1728/216/0/1896 3:42/1728/216/0/1896",
 	"v1-flat/full-reconfigured":             "4:42/1728/432/0/1854 3:42/1728/144/0/1854 3:42/1728/288/0/1854",
-	"v1-flat/partial-one-rank":              "6:0/864/432/0/906 6:0/864/432/0/906 1:42/864/0/0/906 1:0/864/0/0/906",
-	"v1-flat/partial-two-ranks":             "4:0/1728/216/0/1812 4:42/1728/216/0/1812 3:0/1728/216/0/1812 3:42/1728/216/0/1812",
+	"v1-flat/partial-one-rank":              "8:0/864/432/0/906 8:0/864/432/0/906 2:42/864/0/0/906 2:0/864/0/0/906",
+	"v1-flat/partial-two-ranks":             "6:0/1728/216/0/1812 6:42/1728/216/0/1812 4:0/1728/216/0/1812 4:42/1728/216/0/1812",
 	"chained-raw-anchor/full-same":          "4:42/1728/216/0/1896 4:42/1728/216/0/1896 3:42/1728/216/0/1896 3:42/1728/216/0/1896",
 	"chained-raw-anchor/full-reconfigured":  "4:42/1728/432/0/1854 3:42/1728/144/0/1854 3:42/1728/288/0/1854",
-	"chained-raw-anchor/partial-one-rank":   "6:0/864/432/0/906 6:0/864/432/0/906 1:42/864/0/0/906 1:0/864/0/0/906",
-	"chained-raw-anchor/partial-two-ranks":  "4:0/1728/216/0/1812 4:42/1728/216/0/1812 3:0/1728/216/0/1812 3:42/1728/216/0/1812",
+	"chained-raw-anchor/partial-one-rank":   "8:0/864/432/0/906 8:0/864/432/0/906 2:42/864/0/0/906 2:0/864/0/0/906",
+	"chained-raw-anchor/partial-two-ranks":  "6:0/1728/216/0/1812 6:42/1728/216/0/1812 4:0/1728/216/0/1812 4:42/1728/216/0/1812",
 	"chained-flate-delta/full-same":         "4:42/1728/216/0/1896 4:42/1728/216/0/1896 3:42/1728/216/0/1896 3:42/1728/216/0/1896",
 	"chained-flate-delta/full-reconfigured": "4:42/1728/432/0/1854 3:42/1728/144/0/1854 3:42/1728/288/0/1854",
-	"chained-flate-delta/partial-one-rank":  "6:0/864/432/0/906 6:0/864/432/0/906 1:42/864/0/0/906 1:0/864/0/0/906",
-	"chained-flate-delta/partial-two-ranks": "4:0/1728/216/0/1812 4:42/1728/216/0/1812 3:0/1728/216/0/1812 3:42/1728/216/0/1812",
+	"chained-flate-delta/partial-one-rank":  "8:0/864/432/0/906 8:0/864/432/0/906 2:42/864/0/0/906 2:0/864/0/0/906",
+	"chained-flate-delta/partial-two-ranks": "6:0/1728/216/0/1812 6:42/1728/216/0/1812 4:0/1728/216/0/1812 4:42/1728/216/0/1812",
 	"memory-only/full-same":                 "6:42/1728/216/1832/0 6:42/1728/216/1832/0 4:42/1728/216/1832/0 4:42/1728/216/1832/0",
 	"memory-only/full-reconfigured":         "6:42/1728/432/1806/0 4:42/1728/144/1806/0 4:42/1728/288/1806/0",
-	"memory-only/partial-one-rank":          "6:0/864/432/890/0 6:0/864/432/890/0 1:42/864/0/890/0 1:0/864/0/890/0",
-	"memory-only/partial-two-ranks":         "4:0/1728/216/1780/0 4:42/1728/216/1780/0 3:0/1728/216/1780/0 3:42/1728/216/1780/0",
+	"memory-only/partial-one-rank":          "8:0/864/432/890/0 8:0/864/432/890/0 2:42/864/0/890/0 2:0/864/0/890/0",
+	"memory-only/partial-two-ranks":         "6:0/1728/216/1780/0 6:42/1728/216/1780/0 4:0/1728/216/1780/0 4:42/1728/216/1780/0",
 }
 
 // holdsChainFill checks this rank's elements of buildApp's two arrays

@@ -173,7 +173,7 @@ func TestGobSegmentIsLegacy(t *testing.T) {
 	if after := fs.List(""); !slices.Equal(before, after) {
 		t.Fatalf("files changed: %v -> %v", before, after)
 	}
-	if tier.Replicas("job.g1", "", segIndex, m.SegCRC[0]) == 0 {
+	if replicasOf(tier, "job.g1", "", segIndex) == 0 {
 		t.Fatal("the legacy generation's tier copy was dropped")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,7 +32,7 @@ const (
 // wholesale when the node itself fails (DropStore, wired to the
 // supervisor's TC-loss path). Published payloads are immutable; Lookup
 // returns the shared backing slice and callers must treat it as
-// read-only.
+// read-only. Lookup and Entries are its only reads.
 type MemTier struct {
 	mu     sync.Mutex
 	stores map[int]*memStore
@@ -116,27 +115,26 @@ func (t *MemTier) Publish(holders []int, prefix, arr string, index int, data []b
 	tierReplicaSeconds.ObserveSince(start)
 }
 
-// replica is one holder's copy of a payload, snapshotted out of the
-// store maps.
-type replica struct {
-	holder int
-	memEntry
-}
-
-// replicas snapshots the surviving copies of one payload into buf, holder
-// self's first and the rest in ascending holder order, so lookups are
-// deterministic. Only the map reads happen under t.mu: published
-// payloads are immutable, so callers CRC the snapshot with the lock
-// released, and a concurrent Remove or DropStore orders after the lookup.
-func (t *MemTier) replicas(self int, prefix, arr string, index int, buf []replica) []replica {
+// lookup returns the first replica valid accepts (shared, read-only),
+// self's store tried first and the rest in ascending holder order, and
+// whether self's store served it. Only the map reads hold t.mu: published
+// payloads are immutable, so valid runs with the lock released, and a
+// concurrent Remove or DropStore orders after the lookup.
+func (t *MemTier) lookup(self int, prefix, arr string, index int, valid func(memEntry) bool) (data []byte, local, ok bool) {
 	if t == nil {
-		return nil
+		return nil, false, false
 	}
+	type replica struct {
+		holder int
+		memEntry
+	}
+	var buf [4]replica
+	held := buf[:0]
 	k := memKey{prefix: prefix, arr: arr, index: index}
 	t.mu.Lock()
 	for h, st := range t.stores {
 		if e, ok := st.entries[k]; ok {
-			buf = append(buf, replica{h, e})
+			held = append(held, replica{h, e})
 		}
 	}
 	t.mu.Unlock()
@@ -146,18 +144,8 @@ func (t *MemTier) replicas(self int, prefix, arr string, index int, buf []replic
 		}
 		return r.holder
 	}
-	slices.SortFunc(buf, func(a, b replica) int { return cmp.Compare(rank(a), rank(b)) })
-	return buf
-}
-
-// lookup returns the first replica that valid accepts — the shared
-// backing array, read-only; local reports whether self's store served
-// it — or ok=false. Misses are silent: for disk-resident payloads a miss
-// just means a pfs read; callers tick the lost-pieces counter themselves
-// when a miss means data loss.
-func (t *MemTier) lookup(self int, prefix, arr string, index int, valid func(memEntry) bool) (data []byte, local, ok bool) {
-	var buf [4]replica
-	for _, r := range t.replicas(self, prefix, arr, index, buf[:0]) {
+	slices.SortFunc(held, func(a, b replica) int { return cmp.Compare(rank(a), rank(b)) })
+	for _, r := range held {
 		if valid(r.memEntry) {
 			return r.data, r.holder == self, true
 		}
@@ -165,88 +153,44 @@ func (t *MemTier) lookup(self int, prefix, arr string, index int, valid func(mem
 	return nil, false, false
 }
 
-// Lookup returns a CRC-valid replica of the payload from any store. The
-// CRC is recomputed over the bytes, not trusted from the publish record,
-// so a corrupted replica reads as absent.
-func (t *MemTier) Lookup(prefix, arr string, index int, wantCRC uint64) ([]byte, bool) {
-	data, _, ok := t.LookupPrefer(-1, prefix, arr, index, wantCRC) // no node is -1: plain holder order
-	return data, ok
+// Lookup returns a CRC-valid replica of one payload, trying self's store
+// first (self -1: plain holder order); local reports whether self's store
+// served it, so a restore charges the network only for what it pulls
+// from a peer. The CRC is recomputed over the bytes, so a corrupted
+// replica reads as absent. Misses are silent: callers tick the
+// lost-pieces counter when a miss means data loss, not a pfs read.
+func (t *MemTier) Lookup(self int, prefix, arr string, index int, want uint64) (data []byte, local, ok bool) {
+	return t.lookup(self, prefix, arr, index, func(e memEntry) bool { return e.validFor(want) })
 }
 
-// LookupPrefer is Lookup with locality attribution. The restore path
-// records network traffic for the bytes a rank had to pull from a peer's
-// store — with owner-aligned placement and an unchanged layout, nearly
-// everything is local and a hot restore costs no modeled wire time at
-// all.
-func (t *MemTier) LookupPrefer(self int, prefix, arr string, index int, wantCRC uint64) (data []byte, local, ok bool) {
-	return t.lookup(self, prefix, arr, index, func(e memEntry) bool { return e.validFor(wantCRC) })
-}
-
-// validFor: published under wantCRC, and the bytes still hash to it.
-func (e memEntry) validFor(wantCRC uint64) bool {
-	return e.crc == wantCRC && crcOf(e.data) == wantCRC
-}
-
-// LookupSelf returns a self-consistent replica — bytes matching the CRC
-// recorded at publish time — without an expected CRC from the caller.
-// The disk-segment hot path uses it: the metadata holds the padded
-// file's CRC, not the payload's, so the caller validates by
-// reconstructing the file CRC from the returned payload.
-func (t *MemTier) LookupSelf(self int, prefix, arr string, index int) (data []byte, local, ok bool) {
-	return t.lookup(self, prefix, arr, index, func(e memEntry) bool { return e.validFor(e.crc) })
-}
-
-// Check reports whether a CRC-valid replica survives (the first valid
-// one settles it) without ticking the miss counter: verify probes
-// speculatively.
-func (t *MemTier) Check(prefix, arr string, index int, wantCRC uint64) bool {
-	_, ok := t.Lookup(prefix, arr, index, wantCRC)
-	return ok
-}
-
-// Replicas counts the surviving CRC-valid replicas of one payload.
-func (t *MemTier) Replicas(prefix, arr string, index int, wantCRC uint64) int {
-	var buf [4]replica
-	n := 0
-	for _, r := range t.replicas(-1, prefix, arr, index, buf[:0]) {
-		if r.validFor(wantCRC) {
-			n++
-		}
-	}
-	return n
+// validFor: published under want, and the bytes still hash to it.
+func (e memEntry) validFor(want uint64) bool {
+	return e.crc == want && crcOf(e.data) == want
 }
 
 // DropStore discards one holder's entire store — the tier-side effect
 // of a node failure: every replica that lived in that node's memory is
 // gone. Payloads whose other replicas survive remain fetchable.
 func (t *MemTier) DropStore(holder int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	var freed int64
-	if st, ok := t.stores[holder]; ok {
-		for _, e := range st.entries {
-			freed += int64(len(e.data))
-		}
-		delete(t.stores, holder)
-		t.bytes -= freed
-	}
-	t.mu.Unlock()
-	tierResidentBytes.Add(-freed)
+	t.drop(func(h int, _ memKey) bool { return h == holder })
 }
 
 // Remove drops every replica belonging to one generation prefix, the
 // tier half of rotation pruning and quarantine.
 func (t *MemTier) Remove(prefix string) {
+	t.drop(func(_ int, k memKey) bool { return k.prefix == prefix })
+}
+
+// drop discards every replica gone names.
+func (t *MemTier) drop(gone func(holder int, k memKey) bool) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	var freed int64
-	for _, st := range t.stores {
+	for h, st := range t.stores {
 		for k, e := range st.entries {
-			if k.prefix == prefix {
+			if gone(h, k) {
 				freed += int64(len(e.data))
 				delete(st.entries, k)
 			}
@@ -304,11 +248,8 @@ func (t *MemTier) Entries(prefix string) []TierEntry {
 		}
 		out = append(out, te)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Arr != out[j].Arr {
-			return out[i].Arr < out[j].Arr
-		}
-		return out[i].Index < out[j].Index
+	slices.SortFunc(out, func(a, b TierEntry) int {
+		return cmp.Or(strings.Compare(a.Arr, b.Arr), cmp.Compare(a.Index, b.Index))
 	})
 	return out
 }

@@ -22,14 +22,14 @@ func TestMemTierPublishLookupDrop(t *testing.T) {
 	crc := crcOf(data)
 	tier.Publish([]int{0, 1}, "ck.g0", "u", 3, data, crc)
 
-	if got := tier.Replicas("ck.g0", "u", 3, crc); got != 2 {
+	if got := replicasOf(tier, "ck.g0", "u", 3); got != 2 {
 		t.Fatalf("replicas = %d, want 2", got)
 	}
-	b, ok := tier.Lookup("ck.g0", "u", 3, crc)
+	b, _, ok := tier.Lookup(-1, "ck.g0", "u", 3, crc)
 	if !ok || string(b) != string(data) {
 		t.Fatalf("lookup = %q ok=%v", b, ok)
 	}
-	if _, ok := tier.Lookup("ck.g0", "u", 3, crc+1); ok {
+	if _, _, ok := tier.Lookup(-1, "ck.g0", "u", 3, crc+1); ok {
 		t.Fatal("lookup with wrong CRC succeeded")
 	}
 	if tier.ResidentBytes() != 2*int64(len(data)) {
@@ -38,16 +38,16 @@ func TestMemTierPublishLookupDrop(t *testing.T) {
 
 	// One holder dies: the payload survives on the other.
 	tier.DropStore(0)
-	if got := tier.Replicas("ck.g0", "u", 3, crc); got != 1 {
+	if got := replicasOf(tier, "ck.g0", "u", 3); got != 1 {
 		t.Fatalf("replicas after drop = %d, want 1", got)
 	}
-	if _, ok := tier.Lookup("ck.g0", "u", 3, crc); !ok {
+	if _, _, ok := tier.Lookup(-1, "ck.g0", "u", 3, crc); !ok {
 		t.Fatal("payload lost with a surviving replica")
 	}
 
 	// The last holder dies: the payload is gone.
 	tier.DropStore(1)
-	if _, ok := tier.Lookup("ck.g0", "u", 3, crc); ok {
+	if _, _, ok := tier.Lookup(-1, "ck.g0", "u", 3, crc); ok {
 		t.Fatal("payload survived losing every holder")
 	}
 	if tier.ResidentBytes() != 0 {
@@ -78,7 +78,7 @@ func TestMemTierRemovePrefixAndEntries(t *testing.T) {
 	if got := tier.Entries("ck.g1"); len(got) != 0 {
 		t.Fatalf("entries after remove = %v", got)
 	}
-	if _, ok := tier.Lookup("ck.g0", "u", 0, crcOf(a)); !ok {
+	if _, _, ok := tier.Lookup(-1, "ck.g0", "u", 0, crcOf(a)); !ok {
 		t.Fatal("remove of ck.g1 took ck.g0's payload with it")
 	}
 }
@@ -100,10 +100,10 @@ func TestMemTierSnapshotRoundTrip(t *testing.T) {
 	if got.ResidentBytes() != tier.ResidentBytes() {
 		t.Fatalf("resident = %d, want %d", got.ResidentBytes(), tier.ResidentBytes())
 	}
-	if n := got.Replicas("ck.g0", "u", 1, crcOf(a)); n != 2 {
+	if n := replicasOf(got, "ck.g0", "u", 1); n != 2 {
 		t.Fatalf("replicas after reload = %d, want 2", n)
 	}
-	if _, ok := got.Lookup("ck.g0", "", segIndex, crcOf(b)); !ok {
+	if _, _, ok := got.Lookup(-1, "ck.g0", "", segIndex, crcOf(b)); !ok {
 		t.Fatal("segment payload lost in snapshot round trip")
 	}
 }
@@ -465,10 +465,11 @@ func tornPublish(tier *MemTier, holder int, prefix, arr string, index int, good 
 }
 
 // TestMemTierSkipsCorruptReplica: a damaged first replica is passed over
-// for a valid later one — by Lookup, Check and the piece fetcher alike —
-// and once every replica is damaged the payload reads as absent; only
-// the fetch that needed a memory-only piece counts it lost, never the
-// speculative probes.
+// for a valid later one — by Lookup, the piece fetcher and readSegment
+// alike — and once every replica is damaged the payload reads as absent;
+// only the fetch that needed a memory-only piece counts it lost, never
+// the lookups a fetcher makes when it is built. A disk segment whose
+// tier copy fails its own CRC is served from the pfs file.
 func TestMemTierSkipsCorruptReplica(t *testing.T) {
 	fs := pfs.NewSystem(pfs.DefaultConfig())
 	tier := NewMemTier()
@@ -478,23 +479,20 @@ func TestMemTierSkipsCorruptReplica(t *testing.T) {
 	tier.Publish([]int{2}, "ck.g3", "u", 5, good, want)
 	loc := PieceLoc{PieceSum: PieceSum{Index: 5, Off: 0, CRC: want, Bytes: int64(len(good))},
 		Gen: 3, FileBytes: int64(len(good)), Where: TierMem}
-	fetcher := func() *pieceFetcher { return newPieceFetcher(fs, tier, "ck.g3", "u", []PieceLoc{loc}, 0, 0) }
+	fetcher := func() *pieceFetcher { return newPieceFetcher(fs, tier, "ck.g3", "u", []PieceLoc{loc}, nil, 0, 0) }
 	lost := tierLostPieces.Value()
 
-	if b, ok := tier.Lookup("ck.g3", "u", 5, want); !ok || string(b) != string(good) {
+	if b, _, ok := tier.Lookup(-1, "ck.g3", "u", 5, want); !ok || string(b) != string(good) {
 		t.Fatalf("lookup past a corrupt replica = %q ok=%v", b, ok)
 	}
-	if b, local, ok := tier.LookupPrefer(0, "ck.g3", "u", 5, want); !ok || local || string(b) != string(good) {
+	if b, local, ok := tier.Lookup(0, "ck.g3", "u", 5, want); !ok || local || string(b) != string(good) {
 		t.Fatalf("self's corrupt replica: served %q local=%v ok=%v", b, local, ok)
 	}
-	if _, local, ok := tier.LookupPrefer(2, "ck.g3", "u", 5, want); !ok || !local {
+	if _, local, ok := tier.Lookup(2, "ck.g3", "u", 5, want); !ok || !local {
 		t.Fatalf("valid self replica: local=%v ok=%v", local, ok)
 	}
-	if !tier.Check("ck.g3", "u", 5, want) || tier.Replicas("ck.g3", "u", 5, want) != 1 {
-		t.Fatalf("check=%v replicas=%d, want true and 1", tier.Check("ck.g3", "u", 5, want), tier.Replicas("ck.g3", "u", 5, want))
-	}
-	if es := tier.Entries("ck.g3"); len(es) != 1 || es[0].Replicas < 1 {
-		t.Fatalf("entries = %+v", es)
+	if n := replicasOf(tier, "ck.g3", "u", 5); n != 1 {
+		t.Fatalf("replicas = %d, want 1", n)
 	}
 	f := fetcher()
 	dst := make([]byte, len(good))
@@ -509,17 +507,14 @@ func TestMemTierSkipsCorruptReplica(t *testing.T) {
 	}
 
 	tornPublish(tier, 2, "ck.g3", "u", 5, good)
-	if _, ok := tier.Lookup("ck.g3", "u", 5, want); ok {
+	if _, _, ok := tier.Lookup(-1, "ck.g3", "u", 5, want); ok {
 		t.Fatal("lookup served a corrupt replica")
 	}
-	if _, _, ok := tier.LookupSelf(2, "ck.g3", "u", 5); ok {
-		t.Fatal("LookupSelf served a replica that fails its own CRC")
-	}
-	if tier.Check("ck.g3", "u", 5, want) || tier.Replicas("ck.g3", "u", 5, want) != 0 || fetcher().allResident() {
+	if replicasOf(tier, "ck.g3", "u", 5) != 0 || fetcher().allResident() {
 		t.Fatal("all replicas corrupt, yet the payload reads as present")
 	}
 	if got := tierLostPieces.Value(); got != lost {
-		t.Fatalf("speculative probes ticked lost-pieces %d times", got-lost)
+		t.Fatalf("a fetcher's lookups ticked lost-pieces %d times", got-lost)
 	}
 	var ce *CorruptError
 	if err := fetcher().fetch(0, 0, dst); !errors.As(err, &ce) || ce.Piece != 5 {
@@ -536,6 +531,28 @@ func TestMemTierSkipsCorruptReplica(t *testing.T) {
 	}
 	if got := tierLostPieces.Value(); got != lost+2 {
 		t.Fatalf("lost-pieces = +%d after a lost piece and a lost segment", got-lost)
+	}
+
+	// A disk segment: its tier copy is published under the right CRC,
+	// so the file CRC rebuilds from it, but the bytes are torn.
+	total := int64(segHeader + len(good) + 100)
+	fileCRC, err := writeSegmentFile(fs, segFile("ck.g4"), 0, good, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tornPublish(tier, 1, "ck.g4", "", segIndex, good)
+	m = &Meta{SegCRC: []uint64{fileCRC}, SegBytes: []int64{total}}
+	if data, mem, pfsBytes, err := readSegment(fs, tier, "ck.g4", 0, 1, m); err != nil ||
+		string(data) != string(good) || mem != 0 || pfsBytes != total {
+		t.Fatalf("disk segment past a torn tier copy: %q mem=%d pfs=%d, %v", data, mem, pfsBytes, err)
+	}
+	tier.Publish([]int{2}, "ck.g4", "", segIndex, good, want)
+	if data, mem, pfsBytes, err := readSegment(fs, tier, "ck.g4", 0, 1, m); err != nil ||
+		string(data) != string(good) || mem != int64(len(good)) || pfsBytes != 0 {
+		t.Fatalf("disk segment with an intact tier copy: %q mem=%d pfs=%d, %v", data, mem, pfsBytes, err)
+	}
+	if got := tierLostPieces.Value(); got != lost+2 {
+		t.Fatalf("a disk segment's tier miss ticked lost-pieces %d times", got-lost-2)
 	}
 }
 
@@ -579,14 +596,12 @@ func TestMemTierConcurrentReadersAndWriters(t *testing.T) {
 			for round := 0; round < 50; round++ {
 				for i := 0; i < pieces; i++ {
 					want := crcOf(payload(i))
-					if b, _, ok := tier.LookupPrefer(r, "ck.g1", "u", i, want); ok && crcOf(b) != want {
+					if b, _, ok := tier.Lookup(r, "ck.g1", "u", i, want); ok && crcOf(b) != want {
 						t.Errorf("piece %d: served bytes hash to %016x, want %016x", i, crcOf(b), want)
 					}
-					tier.Check("ck.g1", "u", i, want)
-					if n := tier.Replicas("ck.g1", "u", i, want); n < 0 || n > 4 {
+					if n := replicasOf(tier, "ck.g1", "u", i); n < 0 || n > 4 {
 						t.Errorf("piece %d: %d replicas", i, n)
 					}
-					tier.LookupSelf(r, "ck.g1", "u", i)
 				}
 				tier.Entries("ck.g1")
 				tier.ResidentBytes()
@@ -598,9 +613,10 @@ func TestMemTierConcurrentReadersAndWriters(t *testing.T) {
 	writers.Wait()
 }
 
-// BenchmarkTierCheck is the residency probe of one hot restore: four
-// ranks each checking every piece of a 1.5 MB array (48 pieces of
-// 32 KiB, two replicas each) at once; `make test` runs it once.
+// BenchmarkTierCheck is the tier lookups of one hot restore: four ranks
+// each looking up every piece of a 1.5 MB array (48 pieces of 32 KiB,
+// two replicas each) at once, self's store first; `make test` runs it
+// once.
 func BenchmarkTierCheck(b *testing.B) {
 	tier := NewMemTier()
 	const pieces, readers = 48, 4
@@ -619,7 +635,7 @@ func BenchmarkTierCheck(b *testing.B) {
 			go func() {
 				defer wg.Done()
 				for i, crc := range crcs {
-					if !tier.Check("ck.g1", "u", i, crc) {
+					if _, _, ok := tier.Lookup(r, "ck.g1", "u", i, crc); !ok {
 						b.Errorf("piece %d not resident", i)
 					}
 				}

@@ -361,17 +361,19 @@ func TestLiveResizeRearmsOnlyFinishedAttempts(t *testing.T) {
 	}
 }
 
-// holdVar is a registered variable that runs hold whenever its task
-// encodes its segment — for a task of a Partial run, right after every
-// committed checkpoint, between the SOP's write and its return.
-type holdVar struct{ hold func() }
-
-func (v *holdVar) GobEncode() ([]byte, error) {
-	v.hold()
-	return []byte{0}, nil
+// holdRef is a declared array that runs hold whenever its task encodes
+// its local section — for a task of a Partial run, only in its park
+// snapshot, right after every committed checkpoint, between the SOP's
+// write and its return.
+type holdRef struct {
+	ckpt.ArrayRef
+	hold func()
 }
 
-func (v *holdVar) GobDecode([]byte) error { return nil }
+func (r holdRef) AppendLocalBytes(dst []byte) []byte {
+	r.hold()
+	return r.ArrayRef.AppendLocalBytes(dst)
+}
 
 // TestResizeRetiredRankArrivingLate: a rank retired by a 4→2 resize
 // leaves the resize SOP only after the driver armed the 2→4 one. It must
@@ -402,23 +404,22 @@ func TestResizeRetiredRankArrivingLate(t *testing.T) {
 		iter := 0
 		t.Register("iter", &iter)
 		// In the launch epoch, whose first SOP is the 4→2 resize, rank 3
-		// holds at its snapshot, and rank 0, whose write encoded the
-		// segment once already, waits at its snapshot until rank 3 is out
-		// of the write: else retiring the epoch could catch rank 3 in the
-		// write's last round.
+		// holds at its snapshot, and rank 0 waits at its snapshot until
+		// rank 3 is out of the write: else retiring the epoch could catch
+		// rank 3 in the write's last round.
 		encodes := 0
-		t.Register("hold", &holdVar{hold: func() {
-			if encodes++; t.Comm().Epoch() != 0 {
+		t.arrays[0] = holdRef{t.arrays[0], func() {
+			if encodes++; t.Comm().Epoch() != 0 || encodes != 1 {
 				return
 			}
-			switch {
-			case t.Rank() == 3 && encodes == 1:
+			switch t.Rank() {
+			case 3:
 				close(holding)
 				<-release
-			case t.Rank() == 0 && encodes == 2:
+			case 0:
 				<-holding
 			}
-		}})
+		}}
 		u.Fill(func(c []int) float64 { return float64(c[0]) * 0.001 })
 		<-start
 		for {

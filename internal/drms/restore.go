@@ -244,7 +244,7 @@ func (t *Task) load(kind restoreKind, target string) (m ckpt.Meta, st ckpt.Stats
 		// roll-back generation (the failure tore the checkpoint it
 		// captured, and the supervisor pinned the previous one).
 		needs := t.snap == nil || t.snap.gen != target
-		if ranks, err = t.rollbackPrelude(target, needs); err != nil {
+		if ranks, err = t.rollbackPrelude(needs); err != nil {
 			return m, st, nil, err
 		}
 		m, st, err = ckpt.ReadDRMSPartial(t.cfg.FS, target, t.comm, t.sg, t.arrays, t.cfg.Stream,
@@ -257,16 +257,14 @@ func (t *Task) load(kind restoreKind, target string) (m ckpt.Meta, st ckpt.Stats
 	return m, st, ranks, err
 }
 
-// rollbackPrelude is what a localized recovery does before any state
-// moves. Order matters for soundness: (1) agree on who restores from the
-// checkpoint (needs: this task does); (2) agree the plan is provably
-// safe — every task must find it so, or everyone fails together into the
-// full-restart path, since no task may start a collective read peers
-// refused to join; only then (3) survivors decode their park snapshot
-// locally. Survivor elements covered by boundary pieces of the filtered
-// read that follows are overwritten with bit-identical bytes (both equal
-// the checkpoint), which is harmless. Returns the agreed restoring ranks.
-func (t *Task) rollbackPrelude(target string, needs bool) (ranks []int, err error) {
+// rollbackPrelude is what a localized recovery does before the engine's
+// subset plan, which agrees the plan is safe before any collective read:
+// (1) agree on who restores from the checkpoint (needs: this task does);
+// (2) survivors decode their park snapshot locally — harmless if the plan
+// is refused, which unwinds the incarnation. The filtered read overwrites
+// survivor elements of boundary pieces with bit-identical bytes. Returns
+// the agreed restoring ranks.
+func (t *Task) rollbackPrelude(needs bool) (ranks []int, err error) {
 	var mine byte
 	if needs {
 		mine = 1
@@ -279,17 +277,6 @@ func (t *Task) rollbackPrelude(target string, needs bool) (ranks []int, err erro
 		if len(f) > 0 && f[0] == 1 {
 			ranks = append(ranks, r)
 		}
-	}
-	verdict, reason := 1.0, "a peer found the plan unsafe"
-	if err := ckpt.PartialEligible(t.cfg.FS, t.cfg.Tier, target, t.Tasks(), t.arrays, ranks, t.cfg.Stream); err != nil {
-		verdict, reason = 0, err.Error()
-	}
-	agreed, err := t.comm.AllreduceF64(verdict, msg.Min)
-	if err != nil {
-		return nil, err
-	}
-	if agreed == 0 {
-		return nil, fmt.Errorf("ineligible: %s", reason)
 	}
 	if needs {
 		return ranks, nil

@@ -2,6 +2,7 @@ package drms
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -105,14 +106,19 @@ func countSOPs(t *testing.T, cfg Config, h *Handle, pending restoreKind, arrays 
 
 // TestSOPRounds pins every rank's sends per SOP kind on 4 tasks, with one
 // array and with two: the fixed cost of a small SOP is its rounds, not
-// its bytes, and the rounds do not grow with the array count. A
+// its bytes, and the rounds do not grow with the array count (a
+// rollback's one data message per array aside). A
 // checkpoint is the generation header broadcast (which on the enabling
 // SOP also carries whether to write at all), one gather of every array's
 // piece locations and the commit barrier; a delta adds one gather of
 // every array's fingerprints and the broadcast of rank 0's decision. A
 // restore is one gather of every array's piece CRCs, the broadcast of
-// the verdict and the stop broadcast. No barrier only marks a trace
-// phase, and no reduction delivers what rank 0 alone decides.
+// the verdict and the stop broadcast; from the tier, a gather of the
+// tasks' residency votes and the broadcast of rank 0's decision come
+// first. A rollback adds the gather and broadcast of which ranks
+// restore, and votes on the plan's eligibility in that decision round.
+// No barrier only marks a trace phase, and no reduction delivers what
+// rank 0 alone decides.
 // `make rounds` prints the table.
 func TestSOPRounds(t *testing.T) {
 	ckptStep := func(name string) sopStep {
@@ -123,6 +129,16 @@ func TestSOPRounds(t *testing.T) {
 	}
 	restore := sopStep{"restore (at ReconfigCheckpoint)", Restored,
 		func(t *Task) (Status, int, error) { return t.ReconfigCheckpoint("job") }}
+	hotRestore := sopStep{"restore from the tier", Restored, restore.sop}
+	// A rollback replaces rank 2: the survivors hold the generation in
+	// their park snapshots, as a Partial run's commit leaves them.
+	var rollFrom string
+	rollback := sopStep{"rollback, rank 2 replaced", Restored, func(t *Task) (Status, int, error) {
+		if t.Rank() != 2 {
+			t.snapshot(rollFrom)
+		}
+		return t.ReconfigCheckpoint("job")
+	}}
 	// Each run writes its own store: an anchor-only rotation that it then
 	// restores, or a chain whose second generation is a delta.
 	runs := []struct {
@@ -149,7 +165,12 @@ func TestSOPRounds(t *testing.T) {
 		"ReconfigCheckpoint, chain anchor":     {4, 4, 3, 3},
 		"ReconfigCheckpoint, delta":            {6, 6, 4, 4},
 		restore.name:                           {4, 3, 1, 1},
+		hotRestore.name:                        {6, 5, 2, 2},
+		rollback.name:                          {9, 7, 3, 3},
 	}
+	// What each further array adds: a rollback's data, rank 2's piece of
+	// every array, which rank 0 reads and sends on.
+	perArray := map[string][]int64{rollback.name: {1, 0, 0, 0}}
 	var names []string
 	sent := map[string][2][]int64{}
 	for arrays := 1; arrays <= 2; arrays++ {
@@ -181,6 +202,42 @@ func TestSOPRounds(t *testing.T) {
 				sent[s.name] = row
 			}
 		}
+
+		// The hot workloads' store (tier k = 1, Partial): one generation
+		// whose node 2 then fails, restored whole from the surviving peer
+		// memory, then rolled back onto a pool whose rank 2 is new.
+		fs := testFS()
+		cfg := Config{Tasks: 4, FS: fs, Keep: 2, Verify: true, Tier: ckpt.NewMemTier(), Replicas: 1, Partial: true}
+		countSOPs(t, cfg, &Handle{done: make(chan struct{})}, restoreNone, arrays, []sopStep{ckptStep("tiered write")})
+		from, ok := ckpt.Resolve(fs, "job")
+		if !ok {
+			t.Fatal("no committed tiered generation")
+		}
+		cfg.Tier.DropStore(2) // the failed node's memory went with it
+		hot, roll := cfg, cfg
+		hot.RestartFrom, rollFrom = from, from
+		hh := &Handle{done: make(chan struct{})}
+		rh := &Handle{done: make(chan struct{}), partial: &attempt{gen: from, done: make(chan struct{})}}
+		for _, s := range []struct {
+			step   sopStep
+			counts [][]int64
+		}{
+			{hotRestore, countSOPs(t, hot, hh, restoreLaunch, arrays, []sopStep{hotRestore})},
+			{rollback, countSOPs(t, roll, rh, restoreRollback, arrays, []sopStep{rollback})},
+		} {
+			if arrays == 1 {
+				names = append(names, s.step.name)
+			}
+			row := sent[s.step.name]
+			row[arrays-1] = s.counts[0]
+			sent[s.step.name] = row
+		}
+		if src := hh.restoreSrc.Load(); src != 2 {
+			t.Fatalf("the hot restore was served from source %d, not peer memory", src)
+		}
+		if out := rh.partial.out; !slices.Equal(out.ranks, []int{2}) || out.mem == 0 {
+			t.Fatalf("rollback restored ranks %v with %d bytes from peer memory, want [2] from the tier", out.ranks, out.mem)
+		}
 	}
 
 	var table strings.Builder
@@ -188,8 +245,12 @@ func TestSOPRounds(t *testing.T) {
 	for _, name := range names {
 		one, two := fmt.Sprint(sent[name][0]), fmt.Sprint(sent[name][1])
 		fmt.Fprintf(&table, "%-38s %-12s %s\n", name, strings.Trim(one, "[]"), strings.Trim(two, "[]"))
-		if w := fmt.Sprint(want[name]); one != w || two != w {
-			t.Errorf("%s: sends by rank %v with one array and %v with two, want %v", name, one, two, w)
+		w, w2 := want[name], slices.Clone(want[name])
+		for r, n := range perArray[name] {
+			w2[r] += n
+		}
+		if one != fmt.Sprint(w) || two != fmt.Sprint(w2) {
+			t.Errorf("%s: sends by rank %v with one array and %v with two, want %v and %v", name, one, two, w, w2)
 		}
 	}
 	t.Log("\n" + table.String())

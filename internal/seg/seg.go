@@ -7,7 +7,7 @@
 // A real DRMS implementation dumps the process stack, heap, statics and
 // registers. Go cannot portably dump its own image, so the segment is an
 // explicit registry: applications register their replicated variables
-// (any gob-encodable value) and the runtime records the execution context
+// (scalars: see Register) and the runtime records the execution context
 // (which SOP, which iteration). The remaining regions of a real segment —
 // storage for the local sections of distributed arrays (including shadow
 // regions), message-passing system buffers, and private data — do not
@@ -74,10 +74,12 @@ func New() *Segment {
 }
 
 // Register adds a replicated variable under the given name. ptr must be
-// a non-nil pointer to a gob-encodable value; the variable's current
-// value is captured at Encode time and overwritten at Decode time.
-// Registering the same name twice replaces the pointer (a restarted task
-// re-registers its variables).
+// a non-nil pointer to a bool, integer, float, complex, string or []byte
+// kind with no gob, binary or text codec method of its own: Encode and
+// Decode refuse any other type, whose gob bytes would depend on what the
+// process encoded first. The variable's current value is captured at
+// Encode time and overwritten at Decode time. Registering the same name
+// twice replaces the pointer (a restarted task re-registers its variables).
 func (s *Segment) Register(name string, ptr any) {
 	if ptr == nil {
 		panic(fmt.Sprintf("seg: nil pointer registered for %q", name))

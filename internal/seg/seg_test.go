@@ -15,11 +15,14 @@ func TestRegisterEncodeDecodeRoundTrip(t *testing.T) {
 	iter := 42
 	dt := 0.0625
 	name := "bt.classA"
-	flags := []bool{true, false, true}
+	flag, blob, z, n := true, []byte{1, 0, 2}, complex(1, -2), uint8(7)
 	s.Register("iter", &iter)
 	s.Register("dt", &dt)
 	s.Register("name", &name)
-	s.Register("flags", &flags)
+	s.Register("flag", &flag)
+	s.Register("blob", &blob)
+	s.Register("z", &z)
+	s.Register("n", &n)
 	s.Ctx = Context{SOP: "mainloop", Step: 42, Tasks: 8}
 	s.Model = SizeModel{LocalSectionBytes: 100, SystemBytes: 200, PrivateBytes: 300}
 
@@ -34,25 +37,82 @@ func TestRegisterEncodeDecodeRoundTrip(t *testing.T) {
 	var iter2 int
 	var dt2 float64
 	var name2 string
-	var flags2 []bool
+	var (
+		flag2 bool
+		blob2 []byte
+		z2    complex128
+		n2    uint8
+	)
 	r.Register("iter", &iter2)
 	r.Register("dt", &dt2)
 	r.Register("name", &name2)
-	r.Register("flags", &flags2)
+	r.Register("flag", &flag2)
+	r.Register("blob", &blob2)
+	r.Register("z", &z2)
+	r.Register("n", &n2)
 	if err := r.Decode(payload); err != nil {
 		t.Fatal(err)
 	}
 	if iter2 != 42 || dt2 != 0.0625 || name2 != "bt.classA" {
 		t.Fatalf("restored %d %v %q", iter2, dt2, name2)
 	}
-	if len(flags2) != 3 || !flags2[0] || flags2[1] || !flags2[2] {
-		t.Fatalf("flags = %v", flags2)
+	if !flag2 || !bytes.Equal(blob2, blob) || z2 != z || n2 != 7 {
+		t.Fatalf("restored %v %v %v %d", flag2, blob2, z2, n2)
 	}
 	if r.Ctx != (Context{SOP: "mainloop", Step: 42, Tasks: 8}) {
 		t.Fatalf("ctx = %+v", r.Ctx)
 	}
 	if r.Model.Total() != 600 {
 		t.Fatalf("model total = %d", r.Model.Total())
+	}
+}
+
+// stamp is a number that gob encodes through its own method, under a
+// type id the process allocates.
+type stamp int
+
+func (s stamp) MarshalText() ([]byte, error) { return []byte("stamp"), nil }
+
+// TestRefusesCompositeVariables: gob numbers a composite type, or one
+// that encodes itself, in the order the process first encodes it, so its
+// bytes depend on the process's history. Encode and Decode refuse such a
+// variable, naming it and its type; a named scalar is a scalar.
+func TestRefusesCompositeVariables(t *testing.T) {
+	type celsius float64
+	var iter int
+	ok := New()
+	ok.Register("iter", &iter)
+	payload, err := ok.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	temp := celsius(21.5)
+	named := New()
+	named.Register("temp", &temp)
+	if _, err := named.Encode(); err != nil {
+		t.Fatalf("a named float: %v", err)
+	}
+	for _, c := range []struct {
+		typ string
+		ptr any
+	}{
+		{"[]float64", &[]float64{1, 2}},
+		{"[]bool", &[]bool{true}},
+		{"map[string]int", &map[string]int{"a": 1}},
+		{"struct { N int }", &struct{ N int }{1}},
+		{"[2]uint8", &[2]byte{1, 2}},
+		{"seg.stamp", new(stamp)},
+		{"seg.Context", &Context{}},
+	} {
+		s := New()
+		s.Register("iter", c.ptr)
+		_, encErr := s.Encode()
+		decErr := s.Decode(payload)
+		for _, err := range []error{encErr, decErr} {
+			if err == nil || !strings.Contains(err.Error(), `variable "iter" is a `+c.typ+";") {
+				t.Errorf("%s: %v", c.typ, err)
+			}
+		}
 	}
 }
 

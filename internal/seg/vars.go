@@ -2,16 +2,46 @@ package seg
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/gob"
 	"fmt"
 	"maps"
+	"reflect"
 	"slices"
 
 	"drms/internal/frame"
 )
 
-// The pair of functions that gob-encode: a variable's value is any
-// application type, and its blob the one part of a segment in gob.
+// The pair of functions that gob-encode: a variable's value is a scalar
+// (Register), and its blob the one part of a segment in gob.
+
+// codecs are the methods gob encodes or decodes a value through instead
+// of its kind, under a type id the process allocates.
+var codecs = []reflect.Type{
+	reflect.TypeFor[gob.GobEncoder](), reflect.TypeFor[gob.GobDecoder](),
+	reflect.TypeFor[encoding.BinaryMarshaler](), reflect.TypeFor[encoding.BinaryUnmarshaler](),
+	reflect.TypeFor[encoding.TextMarshaler](), reflect.TypeFor[encoding.TextUnmarshaler](),
+}
+
+// scalar refuses variable name unless ptr points to a type gob encodes
+// under a predefined type id (Register): gob numbers every other type in
+// the order the process first encodes it.
+func scalar(name string, ptr any) error {
+	t := reflect.TypeOf(ptr)
+	if t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	k := t.Kind()
+	ok := reflect.Bool <= k && k <= reflect.Complex128 || k == reflect.String ||
+		k == reflect.Slice && t.Elem().Kind() == reflect.Uint8
+	for _, c := range codecs {
+		ok = ok && !t.Implements(c) && !reflect.PointerTo(t).Implements(c)
+	}
+	if !ok {
+		return fmt.Errorf("seg: variable %q is a %v; a replicated variable is a bool, number, string or []byte", name, t)
+	}
+	return nil
+}
 
 // Encode captures the current values of all registered variables together
 // with the context and size model. The payload is a function of those
@@ -21,6 +51,9 @@ func (s *Segment) Encode() ([]byte, error) {
 	p := Payload{Ctx: s.Ctx, Model: s.Model, Names: slices.Sorted(maps.Keys(s.vars))}
 	for _, n := range p.Names {
 		var buf bytes.Buffer
+		if err := scalar(n, s.vars[n]); err != nil {
+			return nil, err
+		}
 		if err := gob.NewEncoder(&buf).Encode(s.vars[n]); err != nil {
 			return nil, fmt.Errorf("seg: encoding %q: %w", n, err)
 		}
@@ -46,6 +79,9 @@ func (s *Segment) Decode(data []byte) error {
 		ptr, ok := s.vars[n]
 		if !ok || i > 0 && n <= p.Names[i-1] {
 			return fmt.Errorf("seg: payload variable %q not registered, or not in ascending order", n)
+		}
+		if err := scalar(n, ptr); err != nil {
+			return err
 		}
 		if err := gob.NewDecoder(bytes.NewReader(p.Blobs[i])).Decode(ptr); err != nil {
 			return fmt.Errorf("seg: decoding %q: %w", n, err)

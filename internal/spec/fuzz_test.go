@@ -25,6 +25,16 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
+		// An accepted multi-line text re-parses from its specs' strings.
+		if specs, err := ParseAll(line); err == nil {
+			lines := make([]string, len(specs))
+			for i, s := range specs {
+				lines[i] = s.String()
+			}
+			if again, err := ParseAll(strings.Join(lines, "\n")); err != nil || len(again) != len(specs) {
+				t.Fatalf("ParseAll of %q accepted %d specs; their strings parse to %d, %v", line, len(specs), len(again), err)
+			}
+		}
 		s, err := Parse(line)
 		if err != nil {
 			return
