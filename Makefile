@@ -82,12 +82,14 @@ fuzz:
 # ranks of a checksum fill side by side. The second line repeats the
 # buffer hand-off tests: a buffer recycled while its receiver still reads
 # it is a race the detector catches on some schedules only; so is a rank
-# retired by a resize arriving late, and sixteen applications sharing a
-# process while their ranks plan.
+# retired by a resize arriving late, sixteen applications sharing a
+# process while their ranks plan, and a localized recovery's one decision
+# round, where rank 0 judges the plan while its peers wait in the
+# broadcast.
 race:
 	$(GO) test -race ./internal/stream ./internal/array ./internal/msg ./internal/crc ./internal/xsum \
 		./internal/ckpt ./internal/drms ./internal/coord ./internal/obs
-	$(GO) test -race -count=20 -run 'HandsOff|MailboxDrops|CirculatesBuffers|InFlightBytes|RetiredRankArrivingLate|ConcurrentAppsPlanOnce' \
+	$(GO) test -race -count=20 -run 'HandsOff|MailboxDrops|CirculatesBuffers|InFlightBytes|RetiredRankArrivingLate|ConcurrentAppsPlanOnce|PartialRecover' \
 		./internal/msg ./internal/array ./internal/stream ./internal/drms ./internal/apps
 
 # The chaos soak: the recovery supervisor under a seeded fault injector

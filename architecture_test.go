@@ -365,6 +365,8 @@ var archRules = []archRule{
 		why: "internal/codec must stay stdlib-only (piece codecs decode anywhere, including fsck; its tests import only internal/leakcheck)"},
 	{name: "xsum", in: []string{"internal/xsum/"}, tests: true, match: importsBut("drms/", leakcheckPkg),
 		why: "internal/xsum must stay stdlib-only (a leaf: the exact sum every layer may fold into; its tests import only internal/leakcheck)"},
+	{name: "spec-reader", in: []string{"internal/ckpt/specread_test.go"}, tests: true, match: imports("drms/"),
+		why: "the checkpoint format's independent reader imports no module package: written from DESIGN §3g alone, it catches a bug the writer and the product reader share"},
 	{name: "leakcheck", match: imports(leakcheckPkg),
 		why: "internal/leakcheck outside a test (it ends the process: only a test binary's TestMain calls it)"},
 	{name: "unsafe", in: []string{"internal/"}, allow: []string{"internal/array/codec.go"}, tests: true, match: imports("unsafe"),

@@ -962,7 +962,7 @@ func verifyChained(fs *pfs.System, tier *MemTier, prefix string, m *Meta, client
 // generation is already self-contained. Offline, single-client —
 // drmsfsck's repair path, not a collective.
 func Squash(fs *pfs.System, base string, client int) (prefix string, squashed bool, err error) {
-	rot := Rotation{Base: base}
+	rot := NewRotationView(Rotation{Base: base})
 	_, cur, ok := rot.Latest(fs)
 	if !ok {
 		return "", false, fmt.Errorf("ckpt: no committed generation under %q", base)

@@ -377,7 +377,7 @@ func TestRotationViewCachesScan(t *testing.T) {
 				panic(err)
 			}
 		})
-		view.NoteCommitted(prefix)
+		view.NoteCommittedMeta(prefix, nil)
 		view.Prune(fs)
 		if _, latest, ok := view.Latest(fs); !ok || latest != prefix {
 			t.Fatalf("latest after commit = %q %v", latest, ok)

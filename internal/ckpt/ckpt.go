@@ -26,20 +26,20 @@
 //
 // There is one DRMS encoder, WriteDRMSChained. Every record this package
 // writes — DRMS, SPMD and StateStore metadata alike — is metadata
-// version 3, one specified byte frame (meta.go), and it is the only
-// version ReadMeta decodes. Versions 1 and 2 were gob records written by
-// earlier versions of this code (version 1 with one stream file
-// P.arr.<name> per array); ReadMeta refuses them with ErrLegacyFormat,
-// and drmsfsck -repair rewrites such a checkpoint in place.
+// version 4, one specified byte frame (meta.go), and it is the only
+// version ReadMeta decodes. Versions 1 and 2 were gob records and
+// version 3 a frame with fixed-width piece tables, all written by earlier
+// versions of this code (version 1 with one stream file P.arr.<name> per
+// array); ReadMeta refuses them with ErrLegacyFormat, and drmsfsck
+// -repair, whose legacy package alone decodes them, rewrites such a
+// checkpoint in place.
 //
 // Different prefixes hold independent checkpoints, so an application can
 // keep several states concurrently (§3).
 package ckpt
 
 import (
-	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -140,6 +140,9 @@ type Stats struct {
 	// and the restore-source classification is collective.
 	TierMemBytes int64
 	TierPFSBytes int64
+	// Ranks is a subset restore's agreed restore set, ascending: the
+	// plan's ranks and every task that loaded the segment.
+	Ranks []int
 }
 
 // Total returns segment plus array bytes.
@@ -222,8 +225,7 @@ type RestoreOptions struct {
 // piece-level verification and the memory tier. Returns the metadata;
 // delta is Meta.Tasks vs comm.Size(), computed by the caller.
 func ReadDRMSOpts(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options, ro RestoreOptions) (Meta, Stats, error) {
-	return restoreDRMS(fs, prefix, comm, sg, arrays, o,
-		restorePlan{tier: ro.Tier, holders: ro.Holders, segment: true, verify: ro.Verify})
+	return restoreDRMS(fs, prefix, comm, sg, arrays, o, restorePlan{RestoreOptions: ro, segment: true})
 }
 
 // restorePlan is what distinguishes one DRMS restart shape from another.
@@ -231,21 +233,19 @@ func ReadDRMSOpts(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment
 // smaller or larger pool, an in-flight resize and a localized recovery
 // are one load that differs only in whose sections move and who decodes
 // the segment; everything else the engine derives from those two facts.
+// Verify is always set for a subset, whose stream is deliberately not
+// read whole and so has no whole-stream CRC to fall back on.
 type restorePlan struct {
-	tier    *MemTier
-	holders []int // rank -> tier store (node) id, as at write time
+	RestoreOptions
 	// subset restricts the load to the sections the current distribution
-	// assigns to ranks (localized recovery: survivors join the
+	// assigns to the restore set: rank 0's ranks plus every task that
+	// loads the segment (localized recovery: survivors join the
 	// collective but request nothing). false loads every rank's sections
 	// — a full restart, or a resize under a new distribution.
 	subset bool
 	ranks  []int
 	// segment makes this task load and decode the saved data segment.
 	segment bool
-	// verify checks every loaded piece against the per-piece checksums.
-	// Always set for a subset, whose stream is deliberately not read
-	// whole and so has no whole-stream CRC to fall back on.
-	verify bool
 }
 
 // matchArrays pairs the checkpoint's array table with the application's
@@ -308,52 +308,38 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	if m, err = ReadMeta(fs, prefix, me); err == nil {
 		refs, err = matchArrays(&m, prefix, arrays, size, o, p.subset)
 	}
-	if err != nil && !p.subset { // a subset plan's refusal is its vote below
-		return m, st, err
-	}
-	selfNode := holderNode(p.holders, size, me)
+	selfNode := holderNode(p.Holders, size, me)
 
-	// The arrays' bytes live in per-writer piece files, possibly
-	// compressed and possibly in earlier generations (deltas) — or, tier
-	// permitting, in surviving peers' memory. Each fetcher looks up the
-	// tier copy of every location this restore reads once.
-	n := len(refs) // 0 once a subset plan is refused
-	fetchers := make([]*pieceFetcher, n)
-	loaded := make([]int64, n) // per array: the stream bytes this restore moves
-	vote := make([]byte, 1+n)  // eligible, then per array 1 where this task finds all of it in the tier
-	for i, a := range refs {
-		am := m.Arrays[i]
-		var needed []int
-		loaded[i] = am.Bytes // matchArrays proved the stream is this long
-		if p.subset {
-			needed, loaded[i] = neededPieces(a, size, p.ranks, o, am.Bytes)
+	// The arrays' bytes live in per-writer piece files, possibly in
+	// earlier generations (deltas) — or in surviving peers' memory. Each
+	// fetcher looks up the tier copy of every location it reads once.
+	// One round, before the segment read and any stream, settles who
+	// restores a subset and whether storage can serve them (decideSubset),
+	// or which arrays every task finds wholly in peer memory (stores can
+	// drop under a concurrent node loss, so all vote). A resident array is
+	// replanned with one owner-sized piece per rank, so its exchange
+	// degenerates to copies from each rank's own store; a subset never
+	// replans: its filter addresses the writer's pieces.
+	var fetchers []*pieceFetcher
+	var loaded []int64 // per array: the stream bytes this restore moves
+	if p.subset {
+		p.ranks, fetchers, loaded, err = decideSubset(fs, prefix, comm, &m, refs, o, p, selfNode, err)
+		st.Ranks = p.ranks
+	}
+	if err == nil && fetchers == nil { // rank 0 of a subset plan judged storage with its own
+		fetchers, loaded = fetchersFor(fs, prefix, &m, refs, o, p, size, me, selfNode)
+	}
+	n := len(refs)
+	resident := make([]byte, 1+n) // 1, then per array 1 where every task finds all of it in the tier
+	resident[0] = 1
+	if err == nil && p.Tier != nil && !p.subset {
+		for i, f := range fetchers {
+			resident[1+i] = bit(f.allResident())
 		}
-		fetchers[i] = newPieceFetcher(fs, p.tier, prefix, am.Name, m.PieceLocs[i], needed, me, selfNode)
-		if p.tier != nil && !p.subset && fetchers[i].allResident() {
-			vote[1+i] = 1
-		}
-	}
-	if err == nil && p.subset {
-		err = partialReadable(fs, p.tier, prefix, &m, fetchers)
-	}
-	if err == nil {
-		vote[0] = 1
-	}
-	// One round, before the segment read and any stream, settles whether
-	// a subset plan is safe on every task (a refused plan fails everywhere
-	// together) and which arrays every task finds wholly in peer memory
-	// (stores can drop under a concurrent node loss, so all vote). A
-	// resident array is replanned with one owner-sized piece per rank, so
-	// its exchange degenerates to copies from each rank's own store; a
-	// subset never replans: its filter addresses the writer's pieces.
-	resident := vote[1:]
-	if p.tier != nil || p.subset {
-		verdict, derr := decideAtRoot(comm, vote, func(votes [][]byte) ([]byte, error) {
+		resident, err = decideAtRoot(comm, resident, func(votes [][]byte) ([]byte, error) {
 			all := votes[0]
 			for _, v := range votes {
-				if len(v) > 0 && v[0] == 0 {
-					return []byte{0}, nil
-				} else if len(v) != 1+n {
+				if len(v) != 1+n {
 					return nil, fmt.Errorf("ckpt: a %d-byte restore vote on %d arrays", len(v), n)
 				}
 				for i := range all {
@@ -362,16 +348,12 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 			}
 			return all, nil
 		})
-		switch {
-		case derr != nil:
-			return m, st, derr
-		case len(verdict) > 0 && verdict[0] == 0:
-			return m, st, fmt.Errorf("ckpt: partial restore of %q is ineligible: %w",
-				prefix, cmp.Or(err, errors.New("a peer found the plan unsafe")))
-		case len(verdict) != 1+n:
-			return m, st, fmt.Errorf("ckpt: a %d-byte restore verdict on %d arrays", len(verdict), n)
+		if err == nil && len(resident) != 1+n {
+			err = fmt.Errorf("ckpt: a %d-byte restore verdict on %d arrays", len(resident), n)
 		}
-		resident = verdict[1:]
+	}
+	if err != nil {
+		return m, st, err
 	}
 
 	// The one saved data segment (§2.2), checksum verified in passing —
@@ -379,7 +361,7 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	// A survivor of a localized recovery has its own in memory and skips
 	// the read entirely.
 	if p.segment {
-		payload, segMem, segPFS, err := readSegment(fs, p.tier, prefix, me, selfNode, &m)
+		payload, segMem, segPFS, err := readSegment(fs, p.Tier, prefix, me, selfNode, &m)
 		if err != nil {
 			return m, st, err
 		}
@@ -412,7 +394,7 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 			pieces[i] = append(pieces[i], PieceSum{Index: idx, Off: off, CRC: crcOf(data), Bytes: int64(len(data))})
 		})
 		opts.Pieces = fetcher.needed // a subset moves only these, and counts their bytes in loaded
-		if elems := a.GlobalShape().Size(); resident[i] == 1 && elems > 0 && am.Bytes%int64(elems) == 0 {
+		if elems := a.GlobalShape().Size(); resident[1+i] == 1 && elems > 0 && am.Bytes%int64(elems) == 0 {
 			opts.PieceBytes = (elems + size - 1) / size * int(am.Bytes/int64(elems))
 		}
 		s, err := a.StreamRead(fs, arrFile(prefix, am.Name), opts)
@@ -429,12 +411,36 @@ func restoreDRMS(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment,
 	// the supervisor's last-restore-source gauge) is the same on every
 	// task; it is also the restore's closing synchronization. A subset,
 	// deliberately not read whole, has no stream CRC to check.
-	tot, err := checkRead(comm, prefix, &m, pieces, [2]int64{st.TierMemBytes, st.TierPFSBytes}, p.verify, !p.subset)
+	tot, err := checkRead(comm, prefix, &m, pieces, [2]int64{st.TierMemBytes, st.TierPFSBytes}, p.Verify, !p.subset)
 	if err != nil {
 		return m, st, err
 	}
 	st.TierMemBytes, st.TierPFSBytes = tot[0], tot[1]
 	return m, st, nil
+}
+
+// bit is a vote's byte for b.
+func bit(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// fetchersFor builds, per array, the fetcher of the pieces the plan
+// reads — every piece, or a subset's pieces its ranks need — and their
+// stream bytes.
+func fetchersFor(fs *pfs.System, prefix string, m *Meta, refs []ArrayRef, o stream.Options, p restorePlan, tasks, client, selfNode int) ([]*pieceFetcher, []int64) {
+	fetchers, loaded := make([]*pieceFetcher, len(refs)), make([]int64, len(refs))
+	for i, a := range refs {
+		var needed []int
+		loaded[i] = m.Arrays[i].Bytes // matchArrays proved the stream is this long
+		if p.subset {
+			needed, loaded[i] = neededPieces(a, tasks, p.ranks, o, loaded[i])
+		}
+		fetchers[i] = newPieceFetcher(fs, p.Tier, prefix, m.Arrays[i].Name, m.PieceLocs[i], needed, client, selfNode)
+	}
+	return fetchers, loaded
 }
 
 // readSegment loads the one saved segment payload of a DRMS restore,

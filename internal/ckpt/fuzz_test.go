@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -227,6 +228,37 @@ func FuzzDecodeReadCheck(f *testing.F) {
 		enc, _ := verdictFrame(false, nil, &v, n)
 		if _, err := verdictFrame(true, enc, &again, n); err != nil || again != v {
 			t.Fatalf("decode(encode(%+v)) = %+v, %v", v, again, err)
+		}
+	})
+}
+
+// FuzzDecodeSubsetVerdict feeds rank 0's verdict on a subset restore
+// plan (subsetFrame) as every task decodes it, for a count of tasks: a
+// verdict or an error, never a panic; an accepted restore set is
+// ascending and inside the communicator, and the verdict comes back
+// through encode and decode unchanged.
+func FuzzDecodeSubsetVerdict(f *testing.F) {
+	ok, _ := subsetFrame(false, nil, &subsetVerdict{OK: true, Ranks: []int{1, 3}}, 4)
+	refused, _ := subsetFrame(false, nil, &subsetVerdict{Why: "segment file of \"job.g1\" is missing"}, 4)
+	f.Add(ok, uint8(4))
+	f.Add(refused, uint8(4))
+	f.Add([]byte{1, 2, 6, 2, 0}, uint8(4)) // ranks out of order
+	f.Fuzz(func(t *testing.T, b []byte, tasks uint8) {
+		n := int(tasks % 16)
+		var v subsetVerdict
+		if _, err := subsetFrame(true, b, &v, n); err != nil {
+			return
+		}
+		for i, r := range v.Ranks {
+			if r < 0 || r >= n || i > 0 && r <= v.Ranks[i-1] {
+				t.Fatalf("accepted restore set %v on %d tasks", v.Ranks, n)
+			}
+		}
+		var again subsetVerdict
+		enc, _ := subsetFrame(false, nil, &v, n)
+		if _, err := subsetFrame(true, enc, &again, n); err != nil || !bytes.Equal(enc, b) ||
+			again.OK != v.OK || again.Why != v.Why || !slices.Equal(again.Ranks, v.Ranks) {
+			t.Fatalf("decode(encode(%+v)) = %+v, %v; %x encodes as %x", v, again, err, b, enc)
 		}
 	})
 }

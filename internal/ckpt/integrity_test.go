@@ -273,6 +273,13 @@ func TestCorruptControlFrameFailsEveryRank(t *testing.T) {
 			_, err := verdictFrame(true, payload, new(readVerdict), 2)
 			return err
 		}},
+		{"partial restore plan", func(c *msg.Comm) error {
+			_, _, _, err := decideSubset(testFS(), "job.g0", c, m, nil, stream.Options{}, restorePlan{subset: true}, c.Rank(), nil)
+			return err
+		}, func(payload []byte) error {
+			_, err := subsetFrame(true, payload, new(subsetVerdict), n)
+			return err
+		}},
 	} {
 		t.Run(round.name, func(t *testing.T) {
 			tr := msg.NewLocalTransport(n)

@@ -35,6 +35,8 @@ var (
 		"Checkpoint generations quarantined (renamed aside as corrupt).")
 	ckptRotationScans = obs.GetCounter("drms_ckpt_rotation_scans_total",
 		"Storage listings made by rotation queries (each costs O(files in the store)).")
+	ckptPartialChecks = obs.GetCounter("drms_ckpt_partial_checks_total",
+		"Partial-restore plans judged on storage: once per subset restore (at rank 0) and per PartialEligible call.")
 	ckptStoredBytes = obs.GetCounter("drms_ckpt_stored_bytes_total",
 		"Bytes of checkpoint state actually written to storage per commit, summed over tasks (after delta elision and compression).")
 	ckptAnchorWrites = obs.GetCounter("drms_ckpt_anchor_writes_total",

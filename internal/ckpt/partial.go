@@ -8,18 +8,20 @@
 // every task joins the filtered collective read, the fetch cost
 // concentrates on the needed pieces, and with owner-aligned tier
 // replicas the bytes come out of the replacement node's peers' memory
-// rather than the pfs. The engine proves the plan safe on every task in
-// its decision round, before anything is read — matching plan
-// signatures, resolvable chain, surviving replicas for memory-only
-// pieces — and a refused plan fails every task together with an
-// "ineligible" error; the caller (drms) falls back to the full restart
-// path.
+// rather than the pfs. The engine decides the plan in one round before
+// anything is read: every task votes whether its arrays match the
+// metadata (plan signatures) and whether it loads the segment; rank 0
+// forms the restore set and judges storage for it (resolvable chain,
+// surviving replicas for memory-only pieces). A refused plan fails every
+// task together with an "ineligible" error naming rank 0's first
+// disqualifier; the caller (drms) falls back to the full restart path.
 package ckpt
 
 import (
 	"fmt"
 	"slices"
 
+	"drms/internal/frame"
 	"drms/internal/msg"
 	"drms/internal/pfs"
 	"drms/internal/seg"
@@ -33,13 +35,14 @@ type PartialRestoreOptions struct {
 	Tier *MemTier
 	// Holders maps rank -> tier store (node) id, as at write time.
 	Holders []int
-	// Ranks lists the replacement ranks: the tasks whose assigned
-	// sections must be loaded from the checkpoint. Must be identical on
-	// every task (the needed-piece set is collective state).
+	// Ranks lists replacement ranks whose assigned sections must be
+	// loaded from the checkpoint. The restore set, agreed in the engine's
+	// decision round and returned in Stats.Ranks, is rank 0's list plus
+	// every task that sets NeedSegment.
 	Ranks []int
-	// NeedSegment makes this task load and decode the saved data segment
-	// (replacement ranks). Survivors restore their segment from the
-	// in-memory park snapshot instead and pass false.
+	// NeedSegment makes this task a replacement: it loads and decodes the
+	// saved data segment and joins the restore set. Survivors restore
+	// their segment from the in-memory park snapshot and pass false.
 	NeedSegment bool
 }
 
@@ -66,31 +69,28 @@ func neededPieces(a ArrayRef, tasks int, ranks []int, o stream.Options, total in
 	return needed, bytes
 }
 
-// ReadDRMSPartial restores only the listed replacement ranks' assigned
-// sections (plus, for tasks with NeedSegment, the saved data segment)
-// from a DRMS checkpoint. Collective: every task of the communicator
-// calls it — survivors participate in the redistribution but request no
-// sections of their own. The task count must equal the checkpointing
+// ReadDRMSPartial restores only the restore set's assigned sections
+// (and, for tasks with NeedSegment, the saved data segment) from a DRMS
+// checkpoint. Collective: survivors join the redistribution but request
+// no sections of their own. The task count must equal the checkpointing
 // task count and the streaming options must reproduce the checkpoint's
 // piece plan (PlanSigs must match): partial restore filters the writer's
-// plan by piece index, so it never replans. Piece-level verification is
-// unconditional — every loaded piece is checked against the
-// checkpoint's per-piece checksums and the verdict agreed collectively;
-// the whole-stream CRC is not checked (the stream is deliberately not
-// read whole). Stats count only the bytes actually restored, with the
-// tier split (TierMemBytes/TierPFSBytes) reduced cluster-wide — the
-// byte counters that prove no full-state read happened.
+// plan by piece index, so it never replans. Every loaded piece is
+// verified against the per-piece checksums; the whole-stream CRC is not
+// checked (the stream is deliberately not read whole). Stats count only
+// the bytes actually restored, with the tier split reduced cluster-wide
+// — the counters that prove no full-state read happened — and carry the
+// agreed restore set in Ranks.
 func ReadDRMSPartial(fs *pfs.System, prefix string, comm *msg.Comm, sg *seg.Segment, arrays []ArrayRef, o stream.Options, po PartialRestoreOptions) (Meta, Stats, error) {
-	return restoreDRMS(fs, prefix, comm, sg, arrays, o, restorePlan{tier: po.Tier, holders: po.Holders,
-		subset: true, ranks: po.Ranks, segment: po.NeedSegment, verify: true})
+	return restoreDRMS(fs, prefix, comm, sg, arrays, o, restorePlan{RestoreOptions: RestoreOptions{Verify: true,
+		Tier: po.Tier, Holders: po.Holders}, subset: true, ranks: po.Ranks, segment: po.NeedSegment})
 }
 
-// PartialEligible reports whether a partial restore of prefix over a
-// tasks-wide communicator, loading the listed ranks' sections of the
-// given arrays, is provably safe: nil, or the first disqualifier of the
-// metadata (matchArrays) or of storage (partialReadable). The engine
-// makes the same checks and agrees them in its decision round; this
-// answers the question without a restore.
+// PartialEligible answers without a restore whether a partial restore of
+// prefix over a tasks-wide communicator, loading the listed ranks'
+// sections of the given arrays, is provably safe: nil, or the first
+// disqualifier of the metadata (matchArrays) or of storage
+// (partialReadable, as rank 0 of the engine's decision round runs it).
 func PartialEligible(fs *pfs.System, tier *MemTier, prefix string, tasks int, arrays []ArrayRef, ranks []int, o stream.Options) error {
 	m, err := ReadMeta(fs, prefix, 0)
 	if err != nil {
@@ -100,12 +100,77 @@ func PartialEligible(fs *pfs.System, tier *MemTier, prefix string, tasks int, ar
 	if err != nil {
 		return err
 	}
-	fetchers := make([]*pieceFetcher, len(refs))
-	for i, a := range refs {
-		needed, _ := neededPieces(a, tasks, ranks, o, m.Arrays[i].Bytes)
-		fetchers[i] = newPieceFetcher(fs, tier, prefix, m.Arrays[i].Name, m.PieceLocs[i], needed, 0, -1)
-	}
+	fetchers, _ := fetchersFor(fs, prefix, &m, refs, o, restorePlan{RestoreOptions: RestoreOptions{Tier: tier}, subset: true, ranks: ranks}, tasks, 0, -1)
 	return partialReadable(fs, tier, prefix, &m, fetchers)
+}
+
+// subsetVerdict is rank 0's decision on a subset plan: whether it is
+// safe, the restore set, and otherwise Why, its first disqualifier.
+// subsetFrame encodes v, or with dec decodes b into it, refusing ranks
+// out of order or outside a tasks-wide communicator.
+type subsetVerdict struct {
+	OK    bool
+	Ranks []int
+	Why   string
+}
+
+func subsetFrame(dec bool, b []byte, v *subsetVerdict, tasks int) ([]byte, error) {
+	c := &frame.Codec{Dec: dec, B: b}
+	c.Flags(&v.OK)
+	frame.List(c, &v.Ranks, func(r *int) { frame.Varint(c, r) })
+	c.Str(&v.Why)
+	for i, r := range v.Ranks {
+		if dec && (r < 0 || r >= tasks || i > 0 && r <= v.Ranks[i-1]) {
+			c.Fail("restore set %v on %d tasks", v.Ranks, tasks)
+			break
+		}
+	}
+	return c.End()
+}
+
+// decideSubset is a subset plan's one decision round (decideAtRoot).
+// Every task votes [eligible, loads]: whether its arrays matched the
+// metadata (matched is matchArrays' verdict) and whether it loads the
+// segment. Rank 0 forms the restore set — its plan's ranks and every
+// task that loads — judges storage for it once, and broadcasts the set
+// or its first disqualifier, which every task then reports. It returns
+// the agreed set, and at rank 0 the fetchers it judged with.
+func decideSubset(fs *pfs.System, prefix string, comm *msg.Comm, m *Meta, refs []ArrayRef, o stream.Options, p restorePlan, selfNode int, matched error) (ranks []int, fetchers []*pieceFetcher, loaded []int64, err error) {
+	me, size := comm.Rank(), comm.Size()
+	payload, err := decideAtRoot(comm, []byte{bit(matched == nil), bit(p.segment)}, func(votes [][]byte) ([]byte, error) {
+		why, set := matched, slices.Clone(p.ranks)
+		for r, b := range votes {
+			if len(b) != 2 {
+				return nil, fmt.Errorf("ckpt: a %d-byte partial restore vote", len(b))
+			} else if b[0] == 0 && why == nil {
+				why = fmt.Errorf("rank %d's arrays do not match the checkpoint", r)
+			} else if b[1] == 1 {
+				set = append(set, r)
+			}
+		}
+		v := subsetVerdict{Ranks: slices.Compact(slices.Sorted(slices.Values(set)))}
+		if why == nil && len(v.Ranks) > 0 && (v.Ranks[0] < 0 || v.Ranks[len(v.Ranks)-1] >= size) {
+			why = fmt.Errorf("restore set %v names a rank outside %d tasks", v.Ranks, size)
+		} else if why == nil {
+			p.ranks = v.Ranks
+			fetchers, loaded = fetchersFor(fs, prefix, m, refs, o, p, size, me, selfNode)
+			why = partialReadable(fs, p.Tier, prefix, m, fetchers)
+		}
+		if v.OK = why == nil; !v.OK {
+			v.Ranks, v.Why = nil, why.Error()
+		}
+		return subsetFrame(false, nil, &v, size)
+	})
+	var v subsetVerdict
+	if err == nil {
+		if _, err = subsetFrame(true, payload, &v, size); err != nil {
+			err = fmt.Errorf("ckpt: decoding the partial restore verdict: %w", err)
+		}
+	}
+	if err == nil && !v.OK {
+		err = fmt.Errorf("ckpt: partial restore of %q is ineligible: %s", prefix, v.Why)
+	}
+	return v.Ranks, fetchers, loaded, err
 }
 
 // partialReadable reports whether storage can serve a subset restore
@@ -114,6 +179,7 @@ func PartialEligible(fs *pfs.System, tier *MemTier, prefix string, tasks int, ar
 // existing file otherwise (a pruned chain predecessor surfaces here as
 // a missing piece file).
 func partialReadable(fs *pfs.System, tier *MemTier, prefix string, m *Meta, fetchers []*pieceFetcher) error {
+	ckptPartialChecks.Inc()
 	if m.SegWhere == TierMem {
 		if _, _, ok := tier.Lookup(-1, prefix, "", segIndex, m.SegCRC[0]); !ok {
 			return fmt.Errorf("segment of %q is memory-only and no intact replica survives", prefix)

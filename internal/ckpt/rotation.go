@@ -3,7 +3,8 @@ package ckpt
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"drms/internal/pfs"
@@ -86,47 +87,18 @@ func (r Rotation) scan(fs *pfs.System) map[int][]string {
 	return byGen
 }
 
-// committed lists the committed (meta-bearing, non-quarantined)
-// generation numbers under the base, ascending. Gaps are natural:
-// quarantine and pruning both leave holes in the numbering.
-func (r Rotation) committed(fs *pfs.System) []int {
-	var gens []int
-	for g := range r.scan(fs) {
-		if existsDirect(fs, r.generation(g)) {
-			gens = append(gens, g)
-		}
-	}
-	sort.Ints(gens)
-	return gens
-}
-
 // Latest returns the newest complete generation's number and prefix;
 // ok=false when none exists. Gaps in the numbering (pruned or
 // quarantined generations) are skipped over.
 func (r Rotation) Latest(fs *pfs.System) (k int, prefix string, ok bool) {
-	gens := r.committed(fs)
-	if len(gens) == 0 {
-		return 0, "", false
-	}
-	g := gens[len(gens)-1]
-	return g, r.generation(g), true
-}
-
-// scanMax finds the highest generation number present (complete, torn, or
-// quarantined) — the next checkpoint must land above every number ever
-// used, so a quarantined newest generation is never overwritten.
-func (r Rotation) scanMax(fs *pfs.System) int {
-	maxG := -1
-	for g := range r.scan(fs) {
-		maxG = max(maxG, g)
-	}
-	return maxG
+	return NewRotationView(r).Latest(fs)
 }
 
 // NextPrefix returns the prefix the next checkpoint should use: one past
-// every generation number in use, committed or not.
+// every generation number in use, committed or not, so a quarantined
+// newest generation is never overwritten.
 func (r Rotation) NextPrefix(fs *pfs.System) string {
-	return r.generation(r.scanMax(fs) + 1)
+	return NewRotationView(r).NextPrefix(fs)
 }
 
 // Prune removes committed generations beyond Keep, newest retained
@@ -139,7 +111,7 @@ func (r Rotation) NextPrefix(fs *pfs.System) string {
 // pruning is not collective). Quarantined generations are never
 // touched.
 func (r Rotation) Prune(fs *pfs.System) {
-	r.pruneGens(fs, r.committed(fs), nil)
+	NewRotationView(r).Prune(fs)
 }
 
 // genInfo is what the prune needs to know about one committed
@@ -166,12 +138,9 @@ type genInfo struct {
 // only as that fallback is kept for its disk copy, so its replicas in
 // peer memory are dropped: the tier would hold the durable anchor twice.
 //
-// info, if non-nil, resolves a generation's genInfo (a caller-side
-// cache); nil reads the meta. Returns the generations actually removed.
+// info resolves a generation's genInfo (RotationView.Prune's cache).
+// Returns the generations actually removed.
 func (r Rotation) pruneGens(fs *pfs.System, gens []int, info func(g int) genInfo) []int {
-	if info == nil {
-		info = func(g int) genInfo { return chainInfo(fs, r.generation(g)) }
-	}
 	keep := max(r.Keep, 1)
 	if len(gens) <= keep {
 		return nil
@@ -245,13 +214,8 @@ func chainInfo(fs *pfs.System, prefix string) genInfo {
 // Returns the prefixes cleaned.
 func (r Rotation) CleanIncomplete(fs *pfs.System) []string {
 	byGen := r.scan(fs)
-	gens := make([]int, 0, len(byGen))
-	for g := range byGen {
-		gens = append(gens, g)
-	}
-	sort.Ints(gens)
 	var cleaned []string
-	for _, g := range gens {
+	for _, g := range slices.Sorted(maps.Keys(byGen)) {
 		p := r.generation(g)
 		if existsDirect(fs, p) {
 			continue
@@ -274,7 +238,7 @@ func (r Rotation) CleanIncomplete(fs *pfs.System) []string {
 // Generations lists the complete generations, oldest first.
 func (r Rotation) Generations(fs *pfs.System) []string {
 	var out []string
-	for _, g := range r.committed(fs) {
+	for _, g := range NewRotationView(r).load(fs) {
 		out = append(out, r.generation(g))
 	}
 	return out
@@ -336,7 +300,7 @@ func ResolveVerifiedTier(fs *pfs.System, tier *MemTier, prefix string) (chosen s
 		return prefix, nil, true, nil
 	}
 	rot := Rotation{Base: prefix}
-	gens := rot.committed(fs)
+	gens := NewRotationView(rot).load(fs)
 	for i := len(gens) - 1; i >= 0; i-- {
 		p := rot.generation(gens[i])
 		err := VerifyTier(fs, tier, p, 0)
@@ -365,13 +329,11 @@ func QuarantineTier(fs *pfs.System, tier *MemTier, prefix string) []string {
 }
 
 // RotationView is a Rotation plus a cached directory scan, for the
-// checkpoint commit path, which consults the rotation several times per
-// generation (the delta base, the next prefix, the post-commit prune).
-// Rotation's primitives re-list the checkpoint directory on every call —
-// a cost that grows with the number of files per generation and with
-// Keep — so a long-running SOP would pay an O(files) scan per
-// checkpoint several times over. The view lists once, then maintains
-// the cached state through the mutations it itself performs.
+// commit paths (the DRMS writer's per-prefix view, the StateStore's),
+// which consult the rotation several times per generation: the delta
+// base, the next prefix, the post-commit prune. Rotation's queries are
+// a fresh view's, each an O(files) listing; the view lists once, then
+// maintains the cached state through the mutations it itself performs.
 //
 // Correct only under the invariant the rotation already requires: a
 // single writer (rank 0) creates, commits, and prunes generations. An
@@ -384,11 +346,9 @@ type RotationView struct {
 	gens    []int // committed generations, ascending
 	maxSeen int   // highest generation number ever observed or reserved
 	// info caches each committed generation's prune-relevant facts
-	// (chain dependencies, tier residency): the meta of a committed
-	// generation is immutable, so both are too. Without the cache the
-	// chain-aware prune re-reads one meta per retained generation per
-	// commit — on a long chain that is the dominant metadata cost of a
-	// delta checkpoint.
+	// (chain dependencies, tier residency), immutable like its meta:
+	// without it the chain-aware prune re-reads one meta per retained
+	// generation per commit.
 	info map[int]genInfo
 	// lastMeta/lastGen cache the newest committed generation's metadata
 	// when the writer hands it over (NoteCommittedMeta): the next delta
@@ -400,18 +360,31 @@ type RotationView struct {
 
 // NewRotationView returns a view over rot; storage is not touched until
 // the first query.
-func NewRotationView(rot Rotation) *RotationView { return &RotationView{Rot: rot} }
-
-func (v *RotationView) load(fs *pfs.System) {
-	if v.scanned {
-		return
-	}
-	v.gens = v.Rot.committed(fs)
-	v.maxSeen = v.Rot.scanMax(fs)
-	v.scanned = true
+func NewRotationView(rot Rotation) *RotationView {
+	return &RotationView{Rot: rot, info: map[int]genInfo{}}
 }
 
-// Latest mirrors Rotation.Latest on the cached listing.
+// load makes the view's one scan and returns the committed
+// (meta-bearing, non-quarantined) generations, ascending — gaps are
+// natural: quarantine and pruning both leave holes in the numbering —
+// and notes the highest number present (complete, torn or quarantined).
+func (v *RotationView) load(fs *pfs.System) []int {
+	if v.scanned {
+		return v.gens
+	}
+	v.maxSeen = -1
+	for g := range v.Rot.scan(fs) {
+		v.maxSeen = max(v.maxSeen, g)
+		if existsDirect(fs, v.Rot.generation(g)) {
+			v.gens = append(v.gens, g)
+		}
+	}
+	slices.Sort(v.gens)
+	v.scanned = true
+	return v.gens
+}
+
+// Latest is Rotation.Latest on the cached listing.
 func (v *RotationView) Latest(fs *pfs.System) (k int, prefix string, ok bool) {
 	v.load(fs)
 	if len(v.gens) == 0 {
@@ -423,42 +396,30 @@ func (v *RotationView) Latest(fs *pfs.System) (k int, prefix string, ok bool) {
 
 // NextPrefix reserves and returns the next generation prefix. The
 // reservation advances the cached high-water mark immediately, so a
-// failed attempt's number is never reused — exactly what
-// Rotation.NextPrefix would conclude from the attempt's torn files.
+// failed attempt's number is never reused — exactly what a fresh scan
+// would conclude from the attempt's torn files.
 func (v *RotationView) NextPrefix(fs *pfs.System) string {
 	v.load(fs)
 	v.maxSeen++
 	return v.Rot.generation(v.maxSeen)
 }
 
-// NoteCommitted records that prefix's generation committed. The single
-// writer calls it after its meta rename, keeping the cache current
-// without a re-scan.
-func (v *RotationView) NoteCommitted(prefix string) {
-	if !v.scanned {
-		return // next load sees the commit on storage
-	}
-	if _, g, ok := GenOf(prefix); ok {
-		v.gens = append(v.gens, g) // reservations are monotonic: stays sorted
-		if g > v.maxSeen {
-			v.maxSeen = g
-		}
-	}
-}
-
-// NoteCommittedMeta is NoteCommitted plus a metadata hand-over: the
-// writer passes the meta it just committed (Stats.Meta), priming the
-// dependency cache and the delta-base cache so the next checkpoint's
-// prune and base resolution cost no storage reads.
+// NoteCommittedMeta records that prefix's generation committed, with
+// the metadata the writer committed (Stats.Meta), if any. The single
+// writer calls it after its meta rename: the cache stays current without
+// a re-scan, and the metadata primes the dependency and delta-base
+// caches, so the next checkpoint's prune and base resolution cost no
+// storage reads.
 func (v *RotationView) NoteCommittedMeta(prefix string, m *Meta) {
-	v.NoteCommitted(prefix)
-	if m == nil {
+	_, g, ok := GenOf(prefix)
+	if !ok {
 		return
 	}
-	if _, g, ok := GenOf(prefix); ok {
-		if v.info == nil {
-			v.info = map[int]genInfo{}
-		}
+	if v.scanned { // otherwise the next load sees the commit on storage
+		v.gens = append(v.gens, g) // reservations are monotonic: stays sorted
+		v.maxSeen = max(v.maxSeen, g)
+	}
+	if m != nil {
 		v.info[g] = genInfo{deps: m.Deps, mem: m.SegWhere == TierMem}
 		v.lastMeta, v.lastGen = m, g
 	}
@@ -474,16 +435,12 @@ func (v *RotationView) CommittedMeta(prefix string) *Meta {
 	return nil
 }
 
-// Prune mirrors Rotation.Prune (chain-aware, tier-aware) on the cached
-// listing and removes the pruned generations from the cache. Generation
-// facts are resolved through the view's info cache, so at steady state
-// each commit costs one meta read (the new generation's) instead of one
-// per retained generation.
+// Prune is Rotation.Prune (chain-aware, tier-aware) on the cached
+// listing, and removes the pruned generations from the cache. Generation
+// facts are resolved through the view's info cache, which each commit
+// primes (NoteCommittedMeta), so at steady state a prune reads no meta.
 func (v *RotationView) Prune(fs *pfs.System) {
 	v.load(fs)
-	if v.info == nil {
-		v.info = map[int]genInfo{}
-	}
 	removed := v.Rot.pruneGens(fs, v.gens, func(g int) genInfo {
 		gi, ok := v.info[g]
 		if !ok {
@@ -492,19 +449,8 @@ func (v *RotationView) Prune(fs *pfs.System) {
 		}
 		return gi
 	})
-	if len(removed) == 0 {
-		return
-	}
-	rm := map[int]bool{}
 	for _, g := range removed {
-		rm[g] = true
 		delete(v.info, g)
 	}
-	kept := v.gens[:0]
-	for _, g := range v.gens {
-		if !rm[g] {
-			kept = append(kept, g)
-		}
-	}
-	v.gens = kept
+	v.gens = slices.DeleteFunc(v.gens, func(g int) bool { return slices.Contains(removed, g) })
 }

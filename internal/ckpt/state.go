@@ -51,6 +51,10 @@ type StateStore struct {
 	mu      sync.Mutex
 	lastGen int  // newest generation this store committed or loaded
 	known   bool // lastGen is set
+	// view is the rotation as this writer left it: only the first Commit
+	// lists the store, and its own commits prime the prune's cache. Load
+	// quarantines and cleans outside the view, so it drops it.
+	view *RotationView
 }
 
 // The state image: stateMagic, stateVersion, and the records as (key,
@@ -98,8 +102,10 @@ func decodeStateImage(b []byte, prefix string) (map[string][]byte, error) {
 func (s *StateStore) Commit(fs *pfs.System, records map[string][]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rot := Rotation{Base: s.Base, Keep: stateKeep}
-	prefix := rot.NextPrefix(fs)
+	if s.view == nil {
+		s.view = NewRotationView(Rotation{Base: s.Base, Keep: stateKeep})
+	}
+	prefix := s.view.NextPrefix(fs)
 	_, gen, _ := GenOf(prefix)
 	payload := encodeStateImage(records)
 	total := int64(segHeader + len(payload))
@@ -113,7 +119,8 @@ func (s *StateStore) Commit(fs *pfs.System, records map[string][]byte) (int, err
 		return -1, err
 	}
 	s.lastGen, s.known = gen, true
-	rot.Prune(fs)
+	s.view.NoteCommittedMeta(prefix, &m)
+	s.view.Prune(fs)
 	return gen, nil
 }
 
@@ -130,7 +137,7 @@ func (s *StateStore) Load(fs *pfs.System) (records map[string][]byte, gen int, q
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	Rotation{Base: s.Base}.CleanIncomplete(fs)
-	s.known = false
+	s.known, s.view = false, nil
 	for {
 		chosen, q, found, verr := ResolveVerified(fs, s.Base)
 		quarantined = append(quarantined, q...)

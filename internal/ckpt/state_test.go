@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"drms/internal/pfs"
@@ -294,5 +295,48 @@ func corruptFile(t *testing.T, fs *pfs.System, name string) {
 	b[0] ^= 0xff
 	if err := fs.WriteAt(0, name, b, 9); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStateStoreSteadyCommitReadsNothing: a commit lists the store only
+// when its view is new — the first commit, and the first after a Load,
+// which drops it — and reads no metadata from the commit after that on:
+// the store's own commits prime the view's prune cache.
+func TestStateStoreSteadyCommitReadsNothing(t *testing.T) {
+	fs := newStateFS()
+	st := &StateStore{Base: "rcstate"}
+	commit := func(i int) (scans uint64, metaReads int) {
+		t.Helper()
+		before := ckptRotationScans.Value()
+		tr := fs.StartTrace()
+		_, err := st.Commit(fs, recs("a", fmt.Sprint(i)))
+		fs.StopTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range tr.Ops {
+			if !op.Net && !op.Write && strings.HasSuffix(op.File, ".meta") {
+				metaReads++
+			}
+		}
+		return ckptRotationScans.Value() - before, metaReads
+	}
+	for i := range 3 * stateKeep {
+		if i == 2*stateKeep {
+			if _, _, _, ok, err := st.Load(fs); !ok || err != nil {
+				t.Fatalf("Load: ok=%v err=%v", ok, err)
+			}
+		}
+		scans, reads := commit(i)
+		fresh := i%(2*stateKeep) == 0
+		if want := map[bool]uint64{true: 1}[fresh]; scans != want {
+			t.Errorf("commit %d listed the store %d times, want %d", i, scans, want)
+		}
+		if !fresh && reads != 0 {
+			t.Errorf("commit %d read %d metadata records, want 0", i, reads)
+		}
+	}
+	if gens := (Rotation{Base: "rcstate"}).Generations(fs); len(gens) != stateKeep {
+		t.Errorf("%d generations retained (%v), want %d", len(gens), gens, stateKeep)
 	}
 }

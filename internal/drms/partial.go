@@ -7,12 +7,11 @@
 // committed checkpoint from an in-process park snapshot (a memcpy, no
 // storage traffic); replacements restore only their assigned sections of
 // the checkpoint through ckpt.ReadDRMSPartial (restore.go holds the
-// routine, shared with every other restore). The rollback is sound
-// because eligibility is agreed collectively before any state moves, and
-// every doubt — a changed piece plan, a chain gap, too many lost replica
-// holders — takes the conservative branch: the attempt fails, the
-// supervisor kills the incarnation, and the classic full-restart path
-// runs.
+// routine, shared with every other restore), whose one decision round
+// agrees who restores and whether storage can serve them before any
+// collective read. Every doubt — a changed piece plan, a chain gap, too
+// many lost replica holders — fails the attempt, the supervisor kills the
+// incarnation, and the classic full-restart path runs.
 package drms
 
 import (
@@ -52,6 +51,20 @@ func (t *Task) snapshot(gen string) {
 	for _, a := range t.arrays {
 		t.snap.arrays[a.Name()] = a.AppendLocalBytes(t.snap.arrays[a.Name()][:0])
 	}
+}
+
+// rolledBack decodes the park snapshot into the task's segment and
+// arrays, if it holds the target generation and decodes.
+func (t *Task) rolledBack(target string) bool {
+	if t.snap == nil || t.snap.gen != target || t.sg.Decode(t.snap.seg) != nil {
+		return false
+	}
+	for _, a := range t.arrays {
+		if b, ok := t.snap.arrays[a.Name()]; !ok || a.SetLocalBytes(b) != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // PartialStats reports what one completed partial recovery did.

@@ -3,9 +3,9 @@
 // localized recovery (DESIGN.md §3j), the redistribution of an in-flight
 // resize (§3k) — and the first SOP the application reaches, whichever
 // entry point it is, serves it through the one routine here: select the
-// target generation, run the rollback prelude if survivors keep their
-// memory, restore through the checkpoint engine, then the shared
-// epilogue and the completion latch the system side is waiting on.
+// target generation, roll survivors back to their park snapshots if they
+// keep their memory, restore through the checkpoint engine, then the
+// shared epilogue and the completion latch the system side is waiting on.
 package drms
 
 import (
@@ -177,7 +177,7 @@ func (t *Task) restore() (Status, int, error) {
 		}
 		target = at.genOf()
 	}
-	m, st, ranks, err := t.load(kind, target)
+	m, st, err := t.load(kind, target)
 	if err != nil {
 		err = fmt.Errorf("drms: %s of %q: %w", what, target, err)
 		if at != nil {
@@ -216,7 +216,7 @@ func (t *Task) restore() (Status, int, error) {
 	}
 	if at != nil {
 		// Every rank completes with the same agreed outcome; the first wins.
-		at.complete(restoreOutcome{gen: target, ranks: ranks, from: m.Tasks, to: t.Tasks(),
+		at.complete(restoreOutcome{gen: target, ranks: st.Ranks, from: m.Tasks, to: t.Tasks(),
 			mem: st.TierMemBytes, pfs: st.TierPFSBytes}, nil)
 	}
 	if err := t.agreeStop(); err != nil {
@@ -226,10 +226,10 @@ func (t *Task) restore() (Status, int, error) {
 }
 
 // load moves the target generation's state into this task: through the
-// checkpoint engine's whole-state plan, or — in a rollback epoch — the
-// rollback prelude followed by the engine's subset plan for the ranks
-// the prelude agreed on (returned for the outcome).
-func (t *Task) load(kind restoreKind, target string) (m ckpt.Meta, st ckpt.Stats, ranks []int, err error) {
+// checkpoint engine's whole-state plan, or — in a rollback epoch — its
+// subset plan, after a survivor rolled back to its park snapshot; the
+// engine agrees the restore set and reports it in Stats.Ranks.
+func (t *Task) load(kind restoreKind, target string) (ckpt.Meta, ckpt.Stats, error) {
 	// The holder map armed with the attempt (the spare node in the dead
 	// one's slot, the new pool's nodes) applies from this epoch on: tier
 	// lookups of this restore and replica placement of future checkpoints.
@@ -238,60 +238,17 @@ func (t *Task) load(kind restoreKind, target string) (m ckpt.Meta, st ckpt.Stats
 	}
 	switch {
 	case t.cfg.SPMDMode:
-		m, st, err = ckpt.ReadSPMD(t.cfg.FS, target, t.comm, t.sg, t.arrays, t.cfg.Stream)
+		return ckpt.ReadSPMD(t.cfg.FS, target, t.comm, t.sg, t.arrays, t.cfg.Stream)
 	case kind == restoreRollback:
-		// Replacements have no snapshot; a survivor's may miss the
-		// roll-back generation (the failure tore the checkpoint it
-		// captured, and the supervisor pinned the previous one).
-		needs := t.snap == nil || t.snap.gen != target
-		if ranks, err = t.rollbackPrelude(needs); err != nil {
-			return m, st, nil, err
-		}
-		m, st, err = ckpt.ReadDRMSPartial(t.cfg.FS, target, t.comm, t.sg, t.arrays, t.cfg.Stream,
-			ckpt.PartialRestoreOptions{Tier: t.cfg.Tier, Holders: t.cfg.TierHolders,
-				Ranks: ranks, NeedSegment: needs})
-	default:
-		m, st, err = ckpt.ReadDRMSOpts(t.cfg.FS, target, t.comm, t.sg, t.arrays, t.cfg.Stream,
-			ckpt.RestoreOptions{Verify: t.cfg.Verify, Tier: t.cfg.Tier, Holders: t.cfg.TierHolders})
+		// Survivors roll back locally, harmless if the engine refuses the
+		// plan: that unwinds the incarnation. Replacements, and survivors
+		// whose snapshot misses the roll-back generation (the failure tore
+		// the checkpoint it captured; the supervisor pinned the previous
+		// one), join the restore set. The filtered read overwrites
+		// survivor elements of boundary pieces with bit-identical bytes.
+		return ckpt.ReadDRMSPartial(t.cfg.FS, target, t.comm, t.sg, t.arrays, t.cfg.Stream,
+			ckpt.PartialRestoreOptions{Tier: t.cfg.Tier, Holders: t.cfg.TierHolders, NeedSegment: !t.rolledBack(target)})
 	}
-	return m, st, ranks, err
-}
-
-// rollbackPrelude is what a localized recovery does before the engine's
-// subset plan, which agrees the plan is safe before any collective read:
-// (1) agree on who restores from the checkpoint (needs: this task does);
-// (2) survivors decode their park snapshot locally — harmless if the plan
-// is refused, which unwinds the incarnation. The filtered read overwrites
-// survivor elements of boundary pieces with bit-identical bytes. Returns
-// the agreed restoring ranks.
-func (t *Task) rollbackPrelude(needs bool) (ranks []int, err error) {
-	var mine byte
-	if needs {
-		mine = 1
-	}
-	frames, err := t.comm.Allgather([]byte{mine})
-	if err != nil {
-		return nil, err
-	}
-	for r, f := range frames {
-		if len(f) > 0 && f[0] == 1 {
-			ranks = append(ranks, r)
-		}
-	}
-	if needs {
-		return ranks, nil
-	}
-	if err := t.sg.Decode(t.snap.seg); err != nil {
-		return nil, fmt.Errorf("decoding park snapshot: %w", err)
-	}
-	for _, a := range t.arrays {
-		b, ok := t.snap.arrays[a.Name()]
-		if !ok {
-			return nil, fmt.Errorf("park snapshot has no array %q", a.Name())
-		}
-		if err := a.SetLocalBytes(b); err != nil {
-			return nil, fmt.Errorf("rolling back array %q: %w", a.Name(), err)
-		}
-	}
-	return ranks, nil
+	return ckpt.ReadDRMSOpts(t.cfg.FS, target, t.comm, t.sg, t.arrays, t.cfg.Stream,
+		ckpt.RestoreOptions{Verify: t.cfg.Verify, Tier: t.cfg.Tier, Holders: t.cfg.TierHolders})
 }

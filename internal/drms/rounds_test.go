@@ -115,9 +115,10 @@ func countSOPs(t *testing.T, cfg Config, h *Handle, pending restoreKind, arrays 
 // restore is one gather of every array's piece CRCs, the broadcast of
 // the verdict and the stop broadcast; from the tier, a gather of the
 // tasks' residency votes and the broadcast of rank 0's decision come
-// first. A rollback adds the gather and broadcast of which ranks
-// restore, and votes on the plan's eligibility in that decision round.
-// No barrier only marks a trace phase, and no reduction delivers what
+// first. A rollback decides in that one round too: each task votes
+// whether its arrays match the metadata and whether it loads from the
+// checkpoint, and rank 0 broadcasts the restore set it judged on
+// storage. No barrier only marks a trace phase, and no reduction delivers what
 // rank 0 alone decides.
 // `make rounds` prints the table.
 func TestSOPRounds(t *testing.T) {
@@ -166,7 +167,7 @@ func TestSOPRounds(t *testing.T) {
 		"ReconfigCheckpoint, delta":            {6, 6, 4, 4},
 		restore.name:                           {4, 3, 1, 1},
 		hotRestore.name:                        {6, 5, 2, 2},
-		rollback.name:                          {9, 7, 3, 3},
+		rollback.name:                          {7, 5, 2, 2},
 	}
 	// What each further array adds: a rollback's data, rank 2's piece of
 	// every array, which rank 0 reads and sends on.
